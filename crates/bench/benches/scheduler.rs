@@ -102,19 +102,15 @@ fn bench_meta_request_ablation(c: &mut Criterion) {
 
 /// The sampling ablation behind the ≥5× acceptance bar: one full schedule of
 /// 1000 blocks under a uniform prior (no materialized requests — the pure
-/// hedging regime where the touched set grows toward the horizon), across
-/// all three sampler variants.
+/// hedging regime where the touched set grows toward the horizon), lazy
+/// sampler vs the per-draw scan.
 fn bench_sampling_scan_vs_fenwick(c: &mut Criterion) {
     let mut group = c.benchmark_group("greedy_sampling");
     group.sample_size(10);
     for &n in &[1_000usize, 10_000, 100_000] {
         // Shared across setups so catalog deallocation is not measured.
         let catalog = Arc::new(ResponseCatalog::uniform(n, 50, 10_000));
-        for variant in [
-            SamplerVariant::Lazy,
-            SamplerVariant::Eager,
-            SamplerVariant::Scan,
-        ] {
+        for variant in [SamplerVariant::Lazy, SamplerVariant::Scan] {
             group.bench_with_input(BenchmarkId::new(variant.label(), n), &n, |b, _| {
                 b.iter_batched(
                     || greedy_over(&catalog, 1_000, 50, true, variant),
@@ -129,11 +125,10 @@ fn bench_sampling_scan_vs_fenwick(c: &mut Criterion) {
 
 /// The tentpole measurement of the lazy-bucket sampler: per-block advance
 /// cost as the materialized-set size `m` grows from 100 to 10,000 on a
-/// homogeneous-tail catalog (one shape bucket).  The lazy variant's cost
-/// stays flat in `m` (one factor update per slot); the eager PR 2 path
-/// rewrites all `m` weights per slot and grows linearly.  One scheduler is
-/// reused across iterations (batches run straight through schedule wraps),
-/// so the measurement is steady-state per-block cost — not allocator churn
+/// homogeneous-tail catalog (one shape bucket).  The cost stays flat in `m`
+/// (one factor update per slot, never a rewrite of the `m` member weights).
+/// One scheduler is reused across iterations (batches run straight through
+/// schedule wraps), so the measurement is steady-state per-block cost — not allocator churn
 /// or the `O(m)` drop of the horizon model, which the vendored criterion
 /// would otherwise time inside the routine.  The wrap-heavy case (64-slot
 /// horizon, 4 wraps per batch) additionally measures the carry-over
@@ -143,26 +138,20 @@ fn bench_sampler_refresh(c: &mut Criterion) {
     group.sample_size(10);
     for &m in &[100usize, 1_000, 10_000] {
         let n = 2 * m;
-        let catalog = Arc::new(ResponseCatalog::uniform(n, 50, 10_000));
-        for variant in [SamplerVariant::Lazy, SamplerVariant::Eager] {
-            let mut s = greedy_over(&catalog, 512, 50, true, variant);
-            s.update_prediction(&prediction(n, m), 0);
-            group.bench_with_input(BenchmarkId::new(variant.label(), m), &m, |b, _| {
-                b.iter(|| s.next_batch(256));
-            });
-        }
+        let mut s = greedy(n, 512, 50, true);
+        s.update_prediction(&prediction(n, m), 0);
+        group.bench_with_input(BenchmarkId::new("lazy", m), &m, |b, _| {
+            b.iter(|| s.next_batch(256));
+        });
     }
     // Wrap-heavy: every 256-block batch spans four 64-slot schedules.
     let m = 1_000usize;
     let n = 2 * m;
-    let catalog = Arc::new(ResponseCatalog::uniform(n, 50, 10_000));
-    for variant in [SamplerVariant::Lazy, SamplerVariant::Eager] {
-        let mut s = greedy_over(&catalog, 64, 50, true, variant);
-        s.update_prediction(&prediction(n, m), 0);
-        group.bench_function(format!("wrap_heavy/{}", variant.label()), |b| {
-            b.iter(|| s.next_batch(256));
-        });
-    }
+    let mut s = greedy(n, 64, 50, true);
+    s.update_prediction(&prediction(n, m), 0);
+    group.bench_function("wrap_heavy/lazy", |b| {
+        b.iter(|| s.next_batch(256));
+    });
     group.finish();
 }
 

@@ -82,16 +82,12 @@ fn bench_next_event(c: &mut Criterion) {
 }
 
 /// One session over a 100k-request catalog: the regime where per-block
-/// sampling cost dominates `next_event`, comparing all three sampler
+/// sampling cost dominates `next_event`, comparing the two sampler
 /// variants.
 fn bench_large_catalog(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_large_catalog_100k");
     group.sample_size(10);
-    for variant in [
-        SamplerVariant::Lazy,
-        SamplerVariant::Eager,
-        SamplerVariant::Scan,
-    ] {
+    for variant in [SamplerVariant::Lazy, SamplerVariant::Scan] {
         group.bench_function(variant.label(), |b| {
             b.iter_batched(
                 || manager_over(1, Box::new(RoundRobin::new()), 100_000, variant),

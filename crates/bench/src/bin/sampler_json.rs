@@ -1,6 +1,6 @@
 //! Machine-readable sampler/scheduler benchmark: sweeps the greedy
 //! scheduler's per-block sampling cost over the materialized-set size `m`
-//! and the three [`SamplerVariant`]s, plus a wrap-heavy case exercising the
+//! and the two [`SamplerVariant`]s, plus a wrap-heavy case exercising the
 //! schedule-wrap carry-over, and writes the results as JSON so the perf
 //! trajectory can be tracked across PRs (and uploaded as a CI artifact).
 //!
@@ -281,27 +281,21 @@ fn main() {
 
     let mut cases = Vec::new();
     for &m in ms {
-        for variant in [
-            SamplerVariant::Lazy,
-            SamplerVariant::Eager,
-            SamplerVariant::Scan,
-        ] {
+        for variant in [SamplerVariant::Lazy, SamplerVariant::Scan] {
             cases.push(measure("steady", variant, m, cache, batch, iters));
         }
     }
     // Wrap-heavy: the batch spans many schedule wraps, measuring the
     // carry-over path of `reset_schedule`.
     let wrap_m = 1_000;
-    for variant in [SamplerVariant::Lazy, SamplerVariant::Eager] {
-        cases.push(measure(
-            "wrap",
-            variant,
-            wrap_m,
-            64,
-            if quick { 256 } else { 512 },
-            iters,
-        ));
-    }
+    cases.push(measure(
+        "wrap",
+        SamplerVariant::Lazy,
+        wrap_m,
+        64,
+        if quick { 256 } else { 512 },
+        iters,
+    ));
     // Update-heavy: many re-predictions (~1% of entries changed each), few
     // blocks per update — the push-based client's hot path.  Diff-based
     // updates vs. the forced-full-rebuild baseline.

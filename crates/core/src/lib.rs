@@ -149,7 +149,7 @@ pub use server::{Backend, CatalogBackend, KhameleonServer, ServerBuilder, Server
 pub use session::{
     RoundRobin, Session, SessionBuilder, SessionManager, SessionShare, SharePolicy, WeightedFair,
 };
-pub use shard::{RebalancePolicy, ShardSnapshot, ShardStats, ShardedSessionManager};
+pub use shard::{ShardSnapshot, ShardStats, ShardedSessionManager};
 pub use types::{Bandwidth, BlockRef, Duration, RequestId, Time};
 pub use utility::{
     GainTable, LinearUtility, PiecewiseUtility, PowerUtility, UtilityFunction, UtilityModel,

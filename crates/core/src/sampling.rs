@@ -2,14 +2,14 @@
 //!
 //! The greedy scheduler (§5.3, Listing 1) allocates every network slot by
 //! drawing one request proportionally to its expected utility gain
-//! `P_{i,t} · g(B_i + 1)`.  Three implementations of that draw coexist,
-//! selectable via [`SamplerVariant`], so every optimization stays measurable
-//! against its predecessor (the Figure 16 methodology):
+//! `P_{i,t} · g(B_i + 1)`.  Two implementations of that draw exist,
+//! selected by [`SamplerVariant`]: the incremental sampler production runs,
+//! and the per-draw scan kept as the Figure 16 baseline and as the parity
+//! oracle the incremental sampler is tested against:
 //!
 //! | variant | per-block cost | per-update cost (full rebuild / diff) | structure |
 //! |---------|----------------|---------------------------------------|-----------|
 //! | [`Scan`](SamplerVariant::Scan)   | `O(T log T)` (`O(n)` with meta off) | `O(m·C)` / `O(m·s + Δ·b·C)` | rebuild + prefix-scan the candidate weights every draw |
-//! | [`Eager`](SamplerVariant::Eager) | `O(m log m + log T)` | `O(m·C + T log T)` / `O(m·s + Δ·b·C + m log m)` | Fenwick trees; every materialized weight rewritten per slot |
 //! | [`Lazy`](SamplerVariant::Lazy)   | `O(b log m + log T)` | `O(m·C + T log T)` / `O(m·s + Δ·b·C + Δ log m)` | Fenwick trees; per-slot advance touches `b` bucket scalars |
 //!
 //! with `T` touched requests (up to the schedule length `C`), `m`
@@ -24,11 +24,10 @@
 //! is unchanged, applies `O(1)` coefficient rescales for shape-preserving
 //! changes, and falls back to the full rebuild when the structural diff
 //! exceeds `max(64, m/4)`.  For the lazy default that makes a small-diff
-//! update `O(m·s + Δ·b·C + Δ log m)` instead of `O(m·C + T log T)` —
-//! ~140× faster at `m = 10⁴` with 1% churn on the `sampler_json`
-//! update-heavy case.
+//! update `O(m·s + Δ·b·C + Δ log m)` instead of `O(m·C + T log T)` (the
+//! `update_heavy` rows of the `sampler_json` bin measure the two).
 //!
-//! The structure behind the incremental variants:
+//! The structure behind the incremental sampler:
 //!
 //! * [`FenwickTree`] — a flat `f64` sum tree supporting `O(log n)` point
 //!   assignment, append, prefix sums, and proportional *locate* (find the
@@ -42,10 +41,7 @@
 //!      one tree holding the slot-invariant part of each weight
 //!      (`g_i(B_i) · tail_i(0)`) plus a single scalar factor
 //!      `s(t) = tail(rep, t) / tail(rep, 0)`.  Advancing the slot index
-//!      updates the factor — `O(1)` for the whole bucket.  The eager
-//!      variant uses the same layout but pins every factor at `1` and
-//!      rewrites all `m` member weights per slot (the PR 2 behaviour, kept
-//!      as the measured baseline).
+//!      updates the factor — `O(1)` for the whole bucket.
 //!   2. **Irregular** materialized requests (no shared shape, or bucket-cap
 //!      overflow) keep exact weights `g_i(B_i) · tail_i(t)` in a
 //!      binary-indexed tree over the per-slot tail deltas, re-derived each
@@ -64,16 +60,16 @@
 //! entry through the segment layout, so the layout must be reproducible.
 //! Bucket membership comes from the id-sorted materialized set, shared-group
 //! slots are assigned in insertion order (the scheduler inserts in a
-//! deterministic order), and meta classes are ordered by class index.  All
-//! three variants walk the *same* segment layout, which is what makes
+//! deterministic order), and meta classes are ordered by class index.  Both
+//! variants walk the *same* segment layout, which is what makes
 //! block-for-block parity between them testable (and tested, 256-case
 //! proptest in the greedy scheduler).
 //!
-//! Per-block cost drops from `O(T log T)` (scan) through `O(m log m)`
-//! (eager) to `O(b log m)` (lazy) — for homogeneous-tail catalogs the lazy
-//! variant's per-block cost is flat in `m`, the same "cost must not grow
-//! with catalog size" argument §5.3.1 makes for its 13× meta-request
-//! speedup, now applied to the materialized set too.
+//! Per-block cost drops from `O(T log T)` (scan) to `O(b log m)` (lazy) —
+//! for homogeneous-tail catalogs the lazy sampler's per-block cost is flat
+//! in `m`, the same "cost must not grow with catalog size" argument §5.3.1
+//! makes for its 13× meta-request speedup, now applied to the materialized
+//! set too.
 
 use std::collections::HashMap;
 
@@ -81,17 +77,15 @@ use crate::scheduler::TailShapePartition;
 use crate::types::RequestId;
 
 /// Which sampling implementation the greedy scheduler uses for its
-/// per-block proportional draw.  All variants draw from the same weight
+/// per-block proportional draw.  Both variants draw from the same weight
 /// decomposition and consume the RNG identically — they differ only in
 /// per-block cost (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerVariant {
     /// Rebuild, sort, and prefix-scan the candidate weights on every draw —
-    /// the seed implementation, retained as the Figure 16 baseline.
+    /// the seed implementation, retained as the Figure 16 baseline and the
+    /// oracle of the parity tests.
     Scan,
-    /// Incremental Fenwick weights with an exact rewrite of every
-    /// materialized weight per slot advance (the PR 2 sampler).
-    Eager,
     /// Incremental Fenwick weights with lazily-rescaled shape buckets: a
     /// slot advance touches one scalar per bucket instead of `m` weights.
     #[default]
@@ -99,16 +93,10 @@ pub enum SamplerVariant {
 }
 
 impl SamplerVariant {
-    /// Whether this variant maintains the incremental weight structure.
-    pub fn is_incremental(self) -> bool {
-        !matches!(self, SamplerVariant::Scan)
-    }
-
     /// Short label used in benches and experiment reports.
     pub fn label(self) -> &'static str {
         match self {
             SamplerVariant::Scan => "scan",
-            SamplerVariant::Eager => "eager",
             SamplerVariant::Lazy => "lazy",
         }
     }
@@ -285,31 +273,6 @@ impl FenwickTree {
             Some((self.positive, actual))
         }
     }
-
-    /// Recomputes the partial sums exactly from the stored values in `O(n)`.
-    ///
-    /// Long chains of delta updates leave `O(ε · past-magnitude)` residue in
-    /// the sum nodes; when the live values decay far below their history
-    /// (e.g. `γ^t` tails deep into a schedule), that residue dominates the
-    /// prefix sums and proportional draws become garbage.  Callers that
-    /// rewrite *every* value each step (the eager refresh, the irregular
-    /// exact-refresh set) follow up with this to keep the sums exact — it
-    /// costs no more than the rewrite they just did.
-    pub fn rebuild_sums(&mut self) {
-        let n = self.values.len();
-        for node in self.tree.iter_mut() {
-            *node = 0.0;
-        }
-        // Standard O(n) construction: push each node's sum up to its parent.
-        for i in 1..=n {
-            self.tree[i] += self.values[i - 1];
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= n {
-                let v = self.tree[i];
-                self.tree[parent] += v;
-            }
-        }
-    }
 }
 
 /// Which weight group a proportional draw landed in.
@@ -358,10 +321,7 @@ struct BucketTree {
     /// Members in insertion order (mirrors the partition's member list, plus
     /// zero-weight tombstones left by diff-update removals).
     ids: Vec<RequestId>,
-    /// Per-member values.  Lazy variant: `g_i(B_i) · tail_i(0)` with
-    /// `factor = s(t)`; eager variant: `g_i(B_i) · tail_i(t) · γ^{-t}` with
-    /// `factor = γ^t` (the global exponent rescale keeping stored
-    /// magnitudes O(1)).
+    /// Per-member slot-invariant values `g_i(B_i) · tail_i(0)`.
     tree: FenwickTree,
     /// Per-member slot-invariant coefficients `tail_i(0)`, cached here so
     /// the lazy hot path multiplies a local 8-byte load instead of chasing
@@ -694,8 +654,7 @@ impl GainSampler {
         )
     }
 
-    /// Sets shape bucket `b`'s scale factor (`s(t)` for the lazy variant,
-    /// pinned at `1` by the eager variant).
+    /// Sets shape bucket `b`'s scale factor `s(t)`.
     pub fn set_bucket_factor(&mut self, b: usize, factor: f64) {
         assert!(factor.is_finite() && factor >= 0.0, "factor must be >= 0");
         self.buckets[b].factor = factor;
@@ -727,10 +686,9 @@ impl GainSampler {
     }
 
     /// Assigns the stored value of materialized request `r`: the
-    /// slot-invariant part `g · tail(0)` for lazily-scaled bucket members,
-    /// or the full current weight `g · tail(t)` for irregular members (and
-    /// for bucket members under the eager variant).  `r` must be in the
-    /// installed layout.
+    /// slot-invariant part `g · tail(0)` for bucket members, or the rescaled
+    /// current weight `g · tail(t) · γ^{-t}` for irregular members.  `r`
+    /// must be in the installed layout.
     pub fn set_explicit_value(&mut self, r: RequestId, v: f64) {
         match self.explicit_slots[r.index()].decode() {
             Some((IRREGULAR_BUCKET, pos)) => self.irregular.set(pos as usize, v),
@@ -841,8 +799,7 @@ impl GainSampler {
     /// Sets the irregular group's draw-time scale (`γ^t`).  Storing
     /// irregular weights pre-divided by `γ^t` keeps their magnitudes O(1)
     /// across the schedule, so the Fenwick delta-update residue can never
-    /// dwarf the live values — the global-exponent replacement for the
-    /// exact `rebuild_sums` the eager path used to run after every rewrite.
+    /// dwarf the live values.
     pub fn set_irregular_scale(&mut self, scale: f64) {
         assert!(scale.is_finite() && scale > 0.0, "scale must be > 0");
         self.irregular_scale = scale;

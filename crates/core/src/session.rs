@@ -658,6 +658,9 @@ impl SharePolicy for WeightedFair {
 /// update the shared estimate and re-divide per-session slot durations by
 /// weight.
 pub struct SessionManager {
+    /// Live sessions, ascending by id: [`RoundRobin`]'s cursor, the id
+    /// lookups ([`position`](Self::position)) and `next_event_among`'s
+    /// eligibility search all rely on that order.
     sessions: Vec<(SessionId, Session)>,
     /// Sessions detached from scheduling but kept alive for a resumable
     /// reconnect: `(id, session, expires_at)`.  A parked session holds its
@@ -767,10 +770,9 @@ impl SessionManager {
     /// if the id is already live; bumps the internal id allocator past `id`
     /// so a later [`add_session`](Self::add_session) cannot collide.
     pub fn add_session_with_id(&mut self, id: SessionId, mut builder: SessionBuilder) -> SessionId {
-        assert!(
-            !self.sessions.iter().any(|(sid, _)| *sid == id),
-            "session id {id} is already live"
-        );
+        let Err(at) = self.position(id) else {
+            panic!("session id {id} is already live");
+        };
         assert!(
             !self.parked.iter().any(|(sid, _, _)| *sid == id),
             "session id {id} is parked"
@@ -791,9 +793,15 @@ impl SessionManager {
         if virtual_time.is_finite() {
             session.service_base = (virtual_time * session.weight()).floor() as u64;
         }
-        self.sessions.push((id, session));
+        self.sessions.insert(at, (id, session));
         self.redivide_bandwidth();
         id
+    }
+
+    /// Binary search of the live table: `Ok(index)` of session `id`, or
+    /// `Err(index)` where it would be inserted to keep the table ascending.
+    fn position(&self, id: SessionId) -> Result<usize, usize> {
+        self.sessions.binary_search_by_key(&id, |(sid, _)| *sid)
     }
 
     /// The shared scheduler context for `(utility, catalog)`, derived once
@@ -854,14 +862,14 @@ impl SessionManager {
     }
 
     /// Installs an externally computed bandwidth budget: `total` becomes the
-    /// shared estimate and, when `weight_denominator` is given, per-session
-    /// shares divide by it instead of the local weight sum.  With the global
-    /// weight sum as denominator, a shard's division is bit-identical to the
+    /// shared estimate and per-session shares divide by `weight_denominator`
+    /// instead of the local weight sum.  With the global weight sum as
+    /// denominator, a shard's division is bit-identical to the
     /// single-threaded manager's (`slot_i = total · w_i / Σ_global w`) —
     /// the foundation of the sharded-vs-single parity guarantee.
-    pub fn set_shared_budget(&mut self, total: Bandwidth, weight_denominator: Option<f64>) {
+    pub fn set_shared_budget(&mut self, total: Bandwidth, weight_denominator: f64) {
         self.shared_bandwidth.force_estimate(total);
-        self.weight_denominator = weight_denominator;
+        self.weight_denominator = Some(weight_denominator);
         self.redivide_bandwidth();
     }
 
@@ -897,13 +905,12 @@ impl SessionManager {
 
     /// Removes a session.  Returns `true` if it existed.
     pub fn remove_session(&mut self, id: SessionId) -> bool {
-        let before = self.sessions.len();
-        self.sessions.retain(|(sid, _)| *sid != id);
-        let removed = self.sessions.len() != before;
-        if removed {
-            self.redivide_bandwidth();
-        }
-        removed
+        let Ok(pos) = self.position(id) else {
+            return false;
+        };
+        self.sessions.remove(pos);
+        self.redivide_bandwidth();
+        true
     }
 
     /// Sets how long a parked session survives on the logical clock before
@@ -923,7 +930,7 @@ impl SessionManager {
     /// a frozen clock (lockstep transport) parks never expire, which is the
     /// deterministic-replay-friendly default.
     pub fn park_session(&mut self, id: SessionId, now: Time) -> bool {
-        let Some(pos) = self.sessions.iter().position(|(sid, _)| *sid == id) else {
+        let Ok(pos) = self.position(id) else {
             return false;
         };
         let (_, session) = self.sessions.remove(pos);
@@ -965,11 +972,9 @@ impl SessionManager {
                 session.service_base += target - current;
             }
         }
-        // The sessions vec is ascending by id (ids are allocated
-        // monotonically and appended); `RoundRobin` and
-        // `next_event_among`'s binary search both rely on that, so the
-        // resumed session goes back at its sorted position.
-        let at = self.sessions.partition_point(|(sid, _)| *sid < id);
+        let Err(at) = self.position(id) else {
+            unreachable!("a parked session is never also live");
+        };
         self.sessions.insert(at, (id, session));
         self.resumed_total += 1;
         self.redivide_bandwidth();
@@ -1029,11 +1034,8 @@ impl SessionManager {
         message: &ClientMessage,
         now: Time,
     ) -> Option<ServerEvent> {
-        let session = self
-            .sessions
-            .iter_mut()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| s)?;
+        let pos = self.position(id).ok()?;
+        let session = &mut self.sessions[pos].1;
         match message {
             ClientMessage::Close => {
                 session.on_message(message, now);
@@ -1225,25 +1227,19 @@ impl SessionManager {
         self.sessions.len()
     }
 
-    /// Ids of the live sessions, in creation order.
+    /// Ids of the live sessions, ascending.
     pub fn session_ids(&self) -> Vec<SessionId> {
         self.sessions.iter().map(|(id, _)| *id).collect()
     }
 
     /// A live session by id.
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.sessions
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| s)
+        self.position(id).ok().map(|pos| &self.sessions[pos].1)
     }
 
     /// Mutable access to a live session by id.
     pub fn session_mut(&mut self, id: SessionId) -> Option<&mut Session> {
-        self.sessions
-            .iter_mut()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| s)
+        self.position(id).ok().map(|pos| &mut self.sessions[pos].1)
     }
 
     /// Total blocks sent across all sessions.
@@ -1331,6 +1327,22 @@ mod tests {
         assert_eq!(a + b, 400.0, "both sessions had plenty of blocks");
         // Uniform demand, equal weights: a near-exact 50/50 split.
         assert!((a - b).abs() <= 2.0, "unfair split: {a} vs {b}");
+    }
+
+    #[test]
+    fn round_robin_serves_sessions_added_out_of_id_order() {
+        // Explicit ids may arrive in any order (the transport's resume path
+        // re-admits old ids next to fresh ones); the live table is kept
+        // ascending so the round-robin cursor still reaches every session.
+        let cat = catalog(100, 10);
+        let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+        for id in [5, 3] {
+            mgr.add_session_with_id(SessionId(id), Session::builder(utility(10), cat.clone()));
+        }
+        assert_eq!(mgr.session_ids(), vec![SessionId(3), SessionId(5)]);
+        let counts = drive(&mut mgr, 40);
+        assert_eq!(counts.get(&SessionId(3)), Some(&20), "counts {counts:?}");
+        assert_eq!(counts.get(&SessionId(5)), Some(&20), "counts {counts:?}");
     }
 
     #[test]
@@ -1462,28 +1474,62 @@ mod tests {
         );
     }
 
+    /// A scheduler that keeps no client-cache simulation (like the optimal
+    /// and brute-force schedulers): `simulated_cache()` is always empty.
+    /// Emits request 0's four blocks, then the first block of requests 1–4.
+    struct UntrackedStub {
+        next: u32,
+    }
+
+    impl Scheduler for UntrackedStub {
+        fn update_prediction(&mut self, _summary: &PredictionSummary, _sender_position: usize) {}
+
+        fn next_batch(&mut self, count: usize) -> crate::scheduler::Schedule {
+            let mut out = Vec::new();
+            while out.len() < count && self.next < 8 {
+                out.push(match self.next {
+                    k @ 0..=3 => BlockRef::new(RequestId(0), k),
+                    k => BlockRef::new(RequestId(k - 3), 0),
+                });
+                self.next += 1;
+            }
+            out
+        }
+
+        fn set_slot_duration(&mut self, _slot: Duration) {}
+
+        fn simulated_cache(&self) -> HashMap<RequestId, u32> {
+            HashMap::new()
+        }
+
+        fn expected_utility(&self, _initial: &HashMap<RequestId, u32>) -> f64 {
+            0.0
+        }
+
+        fn horizon(&self) -> usize {
+            4
+        }
+
+        fn prediction_updates(&self) -> u64 {
+            0
+        }
+    }
+
     #[test]
     fn wrap_pruning_preserves_offsets_without_cache_tracking() {
-        // track_client_cache: false -> simulated_cache() is always empty; the
-        // wrap pruning must not wipe in-progress backfill offsets (only
-        // fully-pushed requests may be dropped).
+        // With an empty `simulated_cache()` the wrap pruning must not wipe
+        // in-progress backfill offsets: only fully-pushed requests may be
+        // dropped.
         let cat = catalog(8, 4);
         let mut session = Session::builder(utility(4), cat)
+            .scheduler(Box::new(UntrackedStub { next: 0 }))
             .config(ServerConfig {
-                scheduler: GreedySchedulerConfig {
-                    cache_blocks: 4,
-                    track_client_cache: false,
-                    ..Default::default()
-                },
                 sender_queue_target: 2,
                 ..Default::default()
             })
             .build();
         let mut sent = 0;
-        while sent < 12 {
-            let Some(r) = session.next_block_ref(None) else {
-                break;
-            };
+        while let Some(r) = session.next_block_ref(None) {
             let meta = session
                 .catalog()
                 .layout(r.request)
@@ -1492,12 +1538,14 @@ mod tests {
             session.commit(&meta);
             sent += 1;
         }
-        assert!(sent >= 8, "session stalled after {sent} blocks");
-        // Several schedules have wrapped (horizon 4); the map must still
-        // track the partially-pushed requests rather than being cleared.
-        assert!(
-            session.tracked_requests() > 0,
-            "sent_per_request wiped on wrap without cache tracking"
+        assert_eq!(sent, 8);
+        // Two schedules have wrapped (horizon 4).  The second wrap dropped
+        // the fully-pushed request 0 and kept the partially-pushed 1–3;
+        // request 4 was committed after it.
+        assert_eq!(
+            session.tracked_requests(),
+            4,
+            "wrap pruning must drop exactly the fully-pushed requests"
         );
     }
 

@@ -26,12 +26,6 @@
 //! single-threaded division — f64 arithmetic included.  That is the
 //! foundation of the sharded-vs-single parity guarantee (see the tests).
 //!
-//! Under [`RebalancePolicy::Demand`], the coordinator instead splits the
-//! total into per-shard quotas from observed served-block counts over a
-//! counter-based window (no wall clock — logical counters keep the runtime
-//! deterministic and sim-friendly).  Demand rebalancing is *not*
-//! parity-preserving and is opt-in.
-//!
 //! ## Parity scope
 //!
 //! A fixed-seed N-shard run produces per-session block sequences identical
@@ -63,23 +57,6 @@ use crate::scheduler::ModelCache;
 use crate::server::ServerConfig;
 use crate::session::{SessionBuilder, SessionManager};
 use crate::types::{Bandwidth, Time};
-
-/// How the coordinator splits the shared budget between shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebalancePolicy {
-    /// Broadcast the global total and the global weight denominator; every
-    /// shard divides exactly as the single-threaded manager would.
-    /// Parity-exact.  The default.
-    Weighted,
-    /// Split the total into per-shard quotas proportional to each shard's
-    /// share of blocks served over the last `window` blocks (half the
-    /// budget is always spread evenly so a cold shard cannot starve).
-    /// Counter-based — no wall clock — but **not** parity-preserving.
-    Demand {
-        /// Served-block count after which quotas are recomputed.
-        window: u64,
-    },
-}
 
 /// Per-shard (or per-manager) counter snapshot, merged across shards into
 /// [`ShardStats`].  `backpressure_skips` is zero at the core layer; the
@@ -204,7 +181,7 @@ enum Command {
     },
     SetBudget {
         total: Bandwidth,
-        weight_denominator: Option<f64>,
+        weight_denominator: f64,
     },
     Remove {
         id: SessionId,
@@ -230,7 +207,6 @@ enum Reply {
     },
     Pumped {
         events: Vec<ServerEvent>,
-        served: u64,
     },
     Removed {
         existed: bool,
@@ -273,19 +249,13 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
             }
             Command::Pump { now, max } => {
                 let mut events = Vec::new();
-                let mut served = 0u64;
                 for _ in 0..max {
                     match manager.next_event(now) {
                         ServerEvent::Idle => break,
-                        event => {
-                            if matches!(event, ServerEvent::Block { .. }) {
-                                served += 1;
-                            }
-                            events.push(event);
-                        }
+                        event => events.push(event),
                     }
                 }
-                let _ = replies.send(Reply::Pumped { events, served });
+                let _ = replies.send(Reply::Pumped { events });
             }
             Command::SetBudget {
                 total,
@@ -320,19 +290,15 @@ pub struct ShardedSessionManager {
     /// any synchronous reply is read from that shard.
     outstanding: Vec<usize>,
     route: HashMap<SessionId, usize>,
-    /// `(session, weight)` in global insertion order — the exact order the
-    /// single-threaded manager's `sessions` vector would hold, so f64
-    /// weight/estimate sums reproduce its results bit-for-bit.
+    /// `(session, weight)` in global insertion order — ids are allocated
+    /// monotonically, so this is the ascending-id order the single-threaded
+    /// manager's `sessions` vector holds, and f64 weight/estimate sums
+    /// reproduce its results bit-for-bit.
     members: Vec<(SessionId, f64)>,
     estimates: HashMap<SessionId, f64>,
     next_id: u64,
     next_shard: usize,
     shared_bandwidth: BandwidthEstimator,
-    rebalance: RebalancePolicy,
-    /// Per-shard budget fractions under [`RebalancePolicy::Demand`].
-    demand_fraction: Vec<f64>,
-    /// Blocks served per shard since the last demand rebalance.
-    served_since_rebalance: Vec<u64>,
     model_cache: Arc<ModelCache>,
     /// Events produced by deferred replies, surfaced at the next pump.
     pending_events: VecDeque<ServerEvent>,
@@ -371,8 +337,6 @@ impl ShardedSessionManager {
         }
         ShardedSessionManager {
             outstanding: vec![0; num_shards],
-            demand_fraction: vec![1.0 / num_shards as f64; num_shards],
-            served_since_rebalance: vec![0; num_shards],
             shards,
             route: HashMap::new(),
             members: Vec::new(),
@@ -380,7 +344,6 @@ impl ShardedSessionManager {
             next_id: 0,
             next_shard: 0,
             shared_bandwidth: BandwidthEstimator::new(ServerConfig::default().initial_bandwidth),
-            rebalance: RebalancePolicy::Weighted,
             model_cache,
             pending_events: VecDeque::new(),
         }
@@ -390,14 +353,6 @@ impl ShardedSessionManager {
     /// [`SessionManager::with_bandwidth_cap`]).
     pub fn with_bandwidth_cap(mut self, cap: Bandwidth) -> Self {
         self.shared_bandwidth.set_cap(Some(cap));
-        self.broadcast_budget();
-        self
-    }
-
-    /// Selects the shard rebalancing policy (default:
-    /// [`RebalancePolicy::Weighted`], the parity-exact one).
-    pub fn with_rebalance(mut self, policy: RebalancePolicy) -> Self {
-        self.rebalance = policy;
         self.broadcast_budget();
         self
     }
@@ -433,64 +388,25 @@ impl ShardedSessionManager {
         }
     }
 
-    /// Pushes the current budget division to every shard.
+    /// Pushes the current budget to every shard: the global total and the
+    /// global weight denominator, so every shard divides exactly as the
+    /// single-threaded manager would.
     fn broadcast_budget(&mut self) {
         let total = self.shared_bandwidth.estimate();
-        match self.rebalance {
-            RebalancePolicy::Weighted => {
-                // Insertion-order sum: bit-identical to the single-threaded
-                // manager's local weight sum over its sessions vector.
-                let denominator: f64 = self.members.iter().map(|(_, w)| *w).sum();
-                if denominator <= 0.0 {
-                    return;
-                }
-                for shard in 0..self.shards.len() {
-                    self.send(
-                        shard,
-                        Command::SetBudget {
-                            total,
-                            weight_denominator: Some(denominator),
-                        },
-                    );
-                }
-            }
-            RebalancePolicy::Demand { .. } => {
-                for shard in 0..self.shards.len() {
-                    let quota = Bandwidth(total.bytes_per_sec() * self.demand_fraction[shard]);
-                    self.send(
-                        shard,
-                        Command::SetBudget {
-                            total: quota,
-                            weight_denominator: None,
-                        },
-                    );
-                }
-            }
+        // Insertion-order sum: bit-identical to the single-threaded
+        // manager's local weight sum over its sessions vector.
+        let weight_denominator: f64 = self.members.iter().map(|(_, w)| *w).sum();
+        if weight_denominator <= 0.0 {
+            return;
         }
-    }
-
-    /// Accumulates served-block counts and, under
-    /// [`RebalancePolicy::Demand`], recomputes per-shard quotas once the
-    /// window fills.  Half the budget stays evenly spread so an idle shard
-    /// re-acquires capacity as soon as demand arrives.
-    fn record_served(&mut self, shard: usize, served: u64) {
-        self.served_since_rebalance[shard] += served;
-        if let RebalancePolicy::Demand { window } = self.rebalance {
-            let total: u64 = self.served_since_rebalance.iter().sum();
-            if total >= window.max(1) {
-                let n = self.shards.len() as f64;
-                for (fraction, &count) in self
-                    .demand_fraction
-                    .iter_mut()
-                    .zip(&self.served_since_rebalance)
-                {
-                    *fraction = 0.5 / n + 0.5 * (count as f64 / total as f64);
-                }
-                for count in &mut self.served_since_rebalance {
-                    *count = 0;
-                }
-                self.broadcast_budget();
-            }
+        for shard in 0..self.shards.len() {
+            self.send(
+                shard,
+                Command::SetBudget {
+                    total,
+                    weight_denominator,
+                },
+            );
         }
     }
 
@@ -641,11 +557,7 @@ impl ShardedSessionManager {
             match self.recv_reply(shard) {
                 Reply::Pumped {
                     events: shard_events,
-                    served,
-                } => {
-                    self.record_served(shard, served);
-                    events.extend(shard_events);
-                }
+                } => events.extend(shard_events),
                 _ => panic!("shard {shard} reply protocol violated"),
             }
         }

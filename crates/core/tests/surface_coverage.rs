@@ -12,7 +12,7 @@ use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
 use khameleon_core::scheduler::{GreedyContext, GreedySchedulerConfig, ModelCache};
 use khameleon_core::server::{CatalogBackend, ServerConfig};
 use khameleon_core::session::{MessageOutcome, Session, SessionBuilder, SessionManager};
-use khameleon_core::shard::{RebalancePolicy, ShardSnapshot, ShardStats, ShardedSessionManager};
+use khameleon_core::shard::{ShardSnapshot, ShardStats, ShardedSessionManager};
 use khameleon_core::types::{Bandwidth, Duration, RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
 
@@ -132,7 +132,7 @@ fn manager_budget_routing_and_identity_surface() {
     // External-budget mode with an explicit shared budget (the sharded
     // coordinator's protocol).
     mgr.set_external_budget(true);
-    mgr.set_shared_budget(Bandwidth::from_mbps(8.0), None);
+    mgr.set_shared_budget(Bandwidth::from_mbps(8.0), 1.0);
 
     let s = summary(n, &[(5, 0.7)], 0.1);
     mgr.on_message(
@@ -215,8 +215,7 @@ fn sharded_manager_builder_knobs_apply_before_serving() {
     let mut mgr = ShardedSessionManager::spawn(2, move |_shard| {
         SessionManager::round_robin(Box::new(CatalogBackend::new(factory_cat.clone())))
     })
-    .with_bandwidth_cap(Bandwidth::from_mbps(12.0))
-    .with_rebalance(RebalancePolicy::Demand { window: 16 });
+    .with_bandwidth_cap(Bandwidth::from_mbps(12.0));
 
     let ids: Vec<SessionId> = (0..2).map(|_| mgr.add_session(builder(n, 4))).collect();
     let s = summary(n, &[(5, 0.7)], 0.1);

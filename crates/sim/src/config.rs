@@ -5,9 +5,14 @@
 //! network propagation with simulated backend processing cost — exactly the
 //! knobs the paper sweeps (bandwidth 1.5–15 MB/s, cache 10–100 MB, request
 //! latency 20–400 ms, think time 10–200 ms).
+//!
+//! The simulated server always runs the production scheduler (lazy sampler,
+//! diffed prediction updates): only the cache size, γ and the seed flow from
+//! an [`ExperimentConfig`] into its `GreedySchedulerConfig`.  Scheduler
+//! ablations (Figure 16) drive the scheduler directly, in
+//! `khameleon-bench`'s `fig16_greedy_runtime` and `sampler_json`.
 
 use khameleon_core::fault::FaultPlan;
-use khameleon_core::sampling::SamplerVariant;
 use khameleon_core::types::{Bandwidth, Bytes, Duration};
 use khameleon_net::cellular::RateTrace;
 
@@ -52,17 +57,6 @@ pub struct ExperimentConfig {
     pub prediction_interval: Duration,
     /// Discount factor γ for the scheduler.
     pub gamma: f64,
-    /// Which greedy-scheduler sampling implementation to use: the default
-    /// lazy shape-bucket sampler, the eager Fenwick sampler, or the legacy
-    /// per-block scan (the Figure 16 baseline ablation).  All variants draw
-    /// identical schedules under a fixed seed; only the per-block cost
-    /// differs.
-    pub sampler: SamplerVariant,
-    /// Apply client re-predictions as diffs against the previous prediction
-    /// instead of rebuilding the scheduler's probability model and sampler
-    /// from scratch (the default; disable for the rebuild-baseline
-    /// ablation).
-    pub prediction_diff: bool,
     /// Ship client re-predictions over the simulated uplink as O(Δ)
     /// prediction deltas (through a
     /// [`DeltaTracker`](khameleon_core::delta::DeltaTracker)) instead of
@@ -103,8 +97,6 @@ impl ExperimentConfig {
             request_latency: Duration::from_millis(100),
             prediction_interval: Duration::from_millis(150),
             gamma: 1.0,
-            sampler: SamplerVariant::default(),
-            prediction_diff: true,
             prediction_delta: false,
             audit: false,
             shards: 1,
@@ -182,21 +174,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the greedy scheduler's sampling implementation (the sampling
-    /// ablation knob): [`SamplerVariant::Lazy`] (default),
-    /// [`SamplerVariant::Eager`], or [`SamplerVariant::Scan`].
-    pub fn with_sampler(mut self, sampler: SamplerVariant) -> Self {
-        self.sampler = sampler;
-        self
-    }
-
-    /// Toggles diff-based prediction updates (the re-prediction ablation
-    /// knob; on by default).
-    pub fn with_prediction_diff(mut self, diff: bool) -> Self {
-        self.prediction_diff = diff;
-        self
-    }
-
     /// Toggles delta-encoded prediction uploads (off by default; see
     /// [`ExperimentConfig::prediction_delta`]).
     pub fn with_prediction_delta(mut self, delta: bool) -> Self {
@@ -260,19 +237,13 @@ mod tests {
             .with_cache_bytes(1_000_000)
             .with_request_latency(Duration::from_millis(400))
             .with_prediction_interval(Duration::from_millis(50))
-            .with_sampler(SamplerVariant::Scan)
             .with_shards(4);
         assert_eq!(c.bandwidth.nominal().as_mbps(), 2.0);
         assert_eq!(c.cache_bytes, 1_000_000);
         assert_eq!(c.request_latency, Duration::from_millis(400));
         assert_eq!(c.prediction_interval, Duration::from_millis(50));
-        assert_eq!(c.sampler, SamplerVariant::Scan);
         assert_eq!(c.shards, 4);
         assert_eq!(ExperimentConfig::paper_default().shards, 1);
-        assert_eq!(
-            ExperimentConfig::paper_default().sampler,
-            SamplerVariant::Lazy
-        );
     }
 
     #[test]

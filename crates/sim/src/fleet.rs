@@ -118,8 +118,6 @@ pub fn run_session_fleet(
             scheduler: GreedySchedulerConfig {
                 cache_blocks: options.cache_blocks,
                 gamma: cfg.gamma,
-                sampler: cfg.sampler,
-                prediction_diff: cfg.prediction_diff,
                 seed: cfg.seed.wrapping_add(i as u64),
                 ..Default::default()
             },

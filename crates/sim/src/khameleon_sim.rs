@@ -180,8 +180,6 @@ pub fn run_khameleon(
         scheduler: GreedySchedulerConfig {
             cache_blocks,
             gamma: cfg.gamma,
-            sampler: cfg.sampler,
-            prediction_diff: cfg.prediction_diff,
             seed: cfg.seed,
             ..Default::default()
         },
@@ -528,64 +526,6 @@ mod tests {
         for w in r.convergence.windows(2) {
             assert!(w[1].1 >= w[0].1 - 1e-9);
         }
-    }
-
-    #[test]
-    fn sampler_ablation_knob_is_wired_end_to_end() {
-        // All three sampling paths drive a full simulated deployment and end
-        // up in the same performance regime: the incremental samplers are
-        // cost optimizations, not policy changes.
-        use khameleon_core::sampling::SamplerVariant;
-        let (app, trace) = small_setup();
-        let base = ExperimentConfig::paper_default()
-            .with_bandwidth(Bandwidth::from_mbps(15.0))
-            .with_cache_bytes(100_000_000);
-        let lazy = run(&app, &trace, &base, PredictorKind::Kalman);
-        assert!(lazy.summary.requests > 20);
-        assert!(lazy.summary.cache_hit_rate > 0.5);
-        for variant in [SamplerVariant::Eager, SamplerVariant::Scan] {
-            let other = run(
-                &app,
-                &trace,
-                &base.clone().with_sampler(variant),
-                PredictorKind::Kalman,
-            );
-            assert_eq!(lazy.summary.requests, other.summary.requests);
-            assert!(
-                (lazy.summary.cache_hit_rate - other.summary.cache_hit_rate).abs() < 0.25,
-                "hit rates diverged: lazy {} vs {variant:?} {}",
-                lazy.summary.cache_hit_rate,
-                other.summary.cache_hit_rate
-            );
-            assert!(other.summary.cache_hit_rate > 0.5);
-        }
-    }
-
-    #[test]
-    fn prediction_diff_knob_is_wired_end_to_end() {
-        // Diff-based prediction updates are a cost optimization, not a
-        // policy change: a full simulated deployment with the diff path
-        // disabled lands in the same performance regime.
-        let (app, trace) = small_setup();
-        let base = ExperimentConfig::paper_default()
-            .with_bandwidth(Bandwidth::from_mbps(15.0))
-            .with_cache_bytes(100_000_000);
-        let diffed = run(&app, &trace, &base, PredictorKind::Kalman);
-        let rebuilt = run(
-            &app,
-            &trace,
-            &base.clone().with_prediction_diff(false),
-            PredictorKind::Kalman,
-        );
-        assert_eq!(diffed.summary.requests, rebuilt.summary.requests);
-        assert!(diffed.summary.cache_hit_rate > 0.5);
-        assert!(rebuilt.summary.cache_hit_rate > 0.5);
-        assert!(
-            (diffed.summary.cache_hit_rate - rebuilt.summary.cache_hit_rate).abs() < 0.25,
-            "hit rates diverged: diff {} vs rebuild {}",
-            diffed.summary.cache_hit_rate,
-            rebuilt.summary.cache_hit_rate
-        );
     }
 
     #[test]

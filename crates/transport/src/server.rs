@@ -735,8 +735,7 @@ impl EventLoop {
                     }
                 };
                 progressed = true;
-                let bytes = self.scratch[..n].to_vec();
-                self.conns[i].inbuf.extend(&bytes);
+                self.conns[i].inbuf.extend(&self.scratch[..n]);
                 if !self.drain_frames(i, now) {
                     break;
                 }
@@ -1360,9 +1359,9 @@ impl EventLoop {
         }
     }
 
+    /// Counter updates are single-field increments, valid at every step, so
+    /// a poisoned mutex is recovered like every reader does.
     fn with_stats(&self, f: impl FnOnce(&mut ServerStats)) {
-        if let Ok(mut s) = self.stats.lock() {
-            f(&mut s);
-        }
+        f(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
