@@ -85,8 +85,8 @@ fn scope_untested(p: &str) -> bool {
         "crates/core/src/shard.rs",
         "crates/core/src/session.rs",
         "crates/core/src/fault.rs",
-        "crates/core/src/model.rs",
         "crates/transport/src/wire.rs",
+        "crates/transport/src/resume.rs",
         "crates/transport/src/server.rs",
         "crates/transport/src/client.rs",
     ];

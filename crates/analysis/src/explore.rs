@@ -1,22 +1,41 @@
-//! Deterministic interleaving explorer for the park/evict/resume model.
+//! Deterministic interleaving explorer for the park/evict/resume machine.
 //!
 //! A vendored loom-style harness: depth-first search over every bounded
-//! schedule of a [`khameleon_core::model::Explore`] state machine, checking
-//! the model's invariants after every transition on every path.  The search
-//! is pruned with *sleep sets* (the core of dynamic partial-order
-//! reduction): after a branch explores action `a`, sibling branches inherit
-//! a sleep set containing every already-explored action independent of `a`,
-//! so commuting permutations of independent actions are visited exactly
-//! once.  Sleep-set pruning never discards a Mazurkiewicz trace — every
-//! reachable state (up to commutation of independent actions) is still
-//! visited — so an invariant that holds over the pruned search holds over
-//! the full interleaving space.
+//! schedule of an [`Explore`] system, checking its invariants after every
+//! transition on every path.  The search is pruned with *sleep sets* (the
+//! core of dynamic partial-order reduction): after a branch explores action
+//! `a`, sibling branches inherit a sleep set containing every
+//! already-explored action independent of `a`, so commuting permutations of
+//! independent actions are visited exactly once.  Sleep-set pruning never
+//! discards a Mazurkiewicz trace — every reachable state (up to commutation
+//! of independent actions) is still visited — so an invariant that holds
+//! over the pruned search holds over the full interleaving space.
 //!
-//! The model's scripts are finite, so the state space is a DAG and the
-//! search terminates without state hashing.
+//! The explored system ([`crate::model`]) is production code — real
+//! `SessionManager`s and `ResumeTable`s — and is not `Clone`, so the search
+//! is *stateless*: a child state is rebuilt by replaying its schedule prefix
+//! on a fresh instance.  Scripts are finite, so the state space is a DAG and
+//! the search terminates without state hashing.
 
-use khameleon_core::model::Explore;
 use std::collections::BTreeSet;
+
+/// A system that the schedule explorer can drive exhaustively.
+///
+/// `dependent` is the static dependency relation for partial-order
+/// reduction: it must return `true` whenever two actions could fail to
+/// commute (or could enable/disable each other) in *some* state.
+pub trait Explore {
+    /// One schedulable transition.
+    type Action: Copy + Ord + std::fmt::Debug;
+    /// Actions enabled in the current state, in deterministic order.
+    fn enabled(&self) -> Vec<Self::Action>;
+    /// Apply one enabled action.
+    fn apply(&mut self, action: Self::Action);
+    /// Check the system's invariants; `Err` describes the violation.
+    fn invariant(&self) -> Result<(), String>;
+    /// Conservative static dependency between two actions.
+    fn dependent(a: Self::Action, b: Self::Action) -> bool;
+}
 
 /// One invariant violation found during exploration.
 #[derive(Debug, Clone)]
@@ -48,14 +67,16 @@ impl ExploreReport {
     }
 }
 
-/// Exhaustively explore `model`'s bounded schedules, collecting at most
-/// `max_violations` invariant violations (the search below a violating
+/// Exhaustively explore the bounded schedules of the system `initial`
+/// builds (it must build the same initial state every time), collecting at
+/// most `max_violations` invariant violations (the search below a violating
 /// prefix is cut off; pass `1` for fail-fast).
-pub fn explore<M: Explore>(model: &M, max_violations: usize) -> ExploreReport {
+pub fn explore<M: Explore>(initial: impl Fn() -> M, max_violations: usize) -> ExploreReport {
     let mut report = ExploreReport::default();
     let mut trace: Vec<M::Action> = Vec::new();
     dfs(
-        model,
+        &initial,
+        initial(),
         &BTreeSet::new(),
         &mut trace,
         &mut report,
@@ -65,7 +86,8 @@ pub fn explore<M: Explore>(model: &M, max_violations: usize) -> ExploreReport {
 }
 
 fn dfs<M: Explore>(
-    state: &M,
+    initial: &impl Fn() -> M,
+    state: M,
     sleep: &BTreeSet<M::Action>,
     trace: &mut Vec<M::Action>,
     report: &mut ExploreReport,
@@ -91,7 +113,11 @@ fn dfs<M: Explore>(
             done.push(a);
             continue;
         }
-        let mut next = state.clone();
+        // Rebuild this state from scratch and step it: the child.
+        let mut next = initial();
+        for &step in trace.iter() {
+            next.apply(step);
+        }
         next.apply(a);
         report.transitions += 1;
         trace.push(a);
@@ -107,7 +133,7 @@ fn dfs<M: Explore>(
                 .copied()
                 .filter(|&x| !M::dependent(x, a))
                 .collect();
-            dfs(&next, &child_sleep, trace, report, max_violations);
+            dfs(initial, next, &child_sleep, trace, report, max_violations);
         }
         trace.pop();
         done.push(a);
@@ -120,11 +146,10 @@ fn dfs<M: Explore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use khameleon_core::model::{ModelAction, Op, ParkModel};
+    use crate::model::{Action, Fault, Op, ResumeHarness};
 
     /// A two-process toy whose actions all commute: DPOR must collapse the
     /// interleaving lattice to a single representative per trace class.
-    #[derive(Clone)]
     struct Independent {
         left: u8,
         right: u8,
@@ -160,7 +185,7 @@ mod tests {
     #[test]
     fn sleep_sets_collapse_independent_lattices() {
         // 3+3 fully-independent steps: 20 raw interleavings, 1 trace class.
-        let r = explore(&Independent { left: 3, right: 3 }, 1);
+        let r = explore(|| Independent { left: 3, right: 3 }, 1);
         assert_eq!(r.interleavings, 1);
         assert!(r.is_clean());
         assert_eq!(r.max_depth, 6);
@@ -168,7 +193,6 @@ mod tests {
 
     #[test]
     fn fully_dependent_lattices_are_not_pruned() {
-        #[derive(Clone)]
         struct Dep(u8, u8);
         impl Explore for Dep {
             type Action = (u8, u8);
@@ -197,13 +221,13 @@ mod tests {
             }
         }
         // All actions conflict: every one of C(6,3) = 20 orders is distinct.
-        let r = explore(&Dep(3, 3), 1);
+        let r = explore(|| Dep(3, 3), 1);
         assert_eq!(r.interleavings, 20);
     }
 
     #[test]
     fn park_model_explores_clean() {
-        let r = explore(&ParkModel::two_shard(), 8);
+        let r = explore(ResumeHarness::two_shard, 8);
         assert!(r.is_clean(), "violations: {:?}", r.violations);
         assert!(
             r.interleavings >= 500,
@@ -214,12 +238,11 @@ mod tests {
 
     #[test]
     fn seeded_bugs_are_caught_with_schedules() {
-        use khameleon_core::model::SeededBug::*;
-        for bug in [LeakDirectoryOnEvict, DoubleRefOnResume, ResetSeqOnResume] {
-            let r = explore(&ParkModel::two_shard().with_bug(bug), 1);
+        for fault in Fault::ALL {
+            let r = explore(|| ResumeHarness::two_shard().with_fault(fault), 1);
             assert!(
                 !r.is_clean(),
-                "seeded bug {bug:?} was not caught by the explorer"
+                "seeded fault {fault:?} was not caught by the explorer"
             );
             let v = &r.violations[0];
             assert!(!v.schedule.is_empty() && !v.error.is_empty());
@@ -230,13 +253,10 @@ mod tests {
     fn violating_schedules_replay_deterministically() {
         // The reported schedule is a real counterexample: replaying it
         // step-by-step reproduces the violation.
-        let r = explore(
-            &ParkModel::two_shard().with_bug(khameleon_core::model::SeededBug::ResetSeqOnResume),
-            1,
-        );
+        let faulty = || ResumeHarness::two_shard().with_fault(Fault::ResetSeqOnResume);
+        let r = explore(faulty, 1);
         let schedule = &r.violations[0].schedule;
-        let mut m =
-            ParkModel::two_shard().with_bug(khameleon_core::model::SeededBug::ResetSeqOnResume);
+        let mut m = faulty();
         for (i, step) in schedule.iter().enumerate() {
             let a = m
                 .enabled()
@@ -250,12 +270,12 @@ mod tests {
 
     #[test]
     fn emits_are_independent_of_the_clock() {
-        let emit = ModelAction::Session {
+        let emit = Action::Session {
             proc: 0,
             shard: 0,
             op: Op::Emit,
         };
-        assert!(!ParkModel::dependent(emit, ModelAction::Tick));
-        assert!(ParkModel::dependent(ModelAction::Tick, ModelAction::Tick));
+        assert!(!ResumeHarness::dependent(emit, Action::Tick));
+        assert!(ResumeHarness::dependent(Action::Tick, Action::Tick));
     }
 }

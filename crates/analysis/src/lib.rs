@@ -15,6 +15,7 @@ pub mod conformance;
 pub mod dataflow;
 pub mod explore;
 pub mod lexer;
+pub mod model;
 pub mod parser;
 pub mod rules;
 

@@ -20,40 +20,27 @@
 //! (no doc cross-check) — used by CI to prove the seeded
 //! missing-decode-arm fixture fails.
 
+use khameleon_analysis::model::{Fault, ResumeHarness};
 use khameleon_analysis::{
     conformance, dataflow, explore, rules, scan_source, scan_workspace, scope_from_header,
     workspace_root, Diagnostic,
 };
-use khameleon_core::model::{ParkModel, SeededBug};
 use std::process::ExitCode;
 
+/// The clean sweep's report plus how many of the seeded faults a re-run
+/// under each one caught.
 struct ExplorerSummary {
-    interleavings: u64,
-    transitions: u64,
-    max_depth: usize,
-    violations: Vec<explore::Violation>,
+    report: explore::ExploreReport,
     seeded_bugs_caught: usize,
-    seeded_bugs_total: usize,
 }
 
 fn run_explorer() -> ExplorerSummary {
-    let clean = explore::explore(&ParkModel::two_shard(), 8);
-    let seeded = [
-        SeededBug::LeakDirectoryOnEvict,
-        SeededBug::DoubleRefOnResume,
-        SeededBug::ResetSeqOnResume,
-    ];
-    let caught = seeded
-        .iter()
-        .filter(|&&bug| !explore::explore(&ParkModel::two_shard().with_bug(bug), 1).is_clean())
-        .count();
+    let caught = |fault: &Fault| {
+        !explore::explore(|| ResumeHarness::two_shard().with_fault(*fault), 1).is_clean()
+    };
     ExplorerSummary {
-        interleavings: clean.interleavings,
-        transitions: clean.transitions,
-        max_depth: clean.max_depth,
-        violations: clean.violations,
-        seeded_bugs_caught: caught,
-        seeded_bugs_total: seeded.len(),
+        report: explore::explore(ResumeHarness::two_shard, 8),
+        seeded_bugs_caught: Fault::ALL.iter().filter(|f| caught(f)).count(),
     }
 }
 
@@ -215,7 +202,7 @@ fn main() -> ExitCode {
     let explorer = want_explore.then(run_explorer);
     let explorer_failed = explorer
         .as_ref()
-        .is_some_and(|e| !e.violations.is_empty() || e.seeded_bugs_caught != e.seeded_bugs_total);
+        .is_some_and(|e| !e.report.is_clean() || e.seeded_bugs_caught != Fault::ALL.len());
 
     if json {
         let mut obj = format!(
@@ -225,6 +212,7 @@ fn main() -> ExitCode {
         );
         if let Some(e) = &explorer {
             let v: Vec<String> = e
+                .report
                 .violations
                 .iter()
                 .map(|v| {
@@ -241,11 +229,11 @@ fn main() -> ExitCode {
                 .collect();
             obj.push_str(&format!(
                 ",\"explorer\":{{\"interleavings\":{},\"transitions\":{},\"max_depth\":{},\"seeded_bugs_caught\":{},\"seeded_bugs_total\":{},\"violations\":[{}]}}",
-                e.interleavings,
-                e.transitions,
-                e.max_depth,
+                e.report.interleavings,
+                e.report.transitions,
+                e.report.max_depth,
                 e.seeded_bugs_caught,
-                e.seeded_bugs_total,
+                Fault::ALL.len(),
                 v.join(",")
             ));
         }
@@ -264,14 +252,14 @@ fn main() -> ExitCode {
         if let Some(e) = &explorer {
             println!(
                 "explorer: {} interleavings ({} transitions, depth {}), {} violation(s), {}/{} seeded bugs caught",
-                e.interleavings,
-                e.transitions,
-                e.max_depth,
-                e.violations.len(),
+                e.report.interleavings,
+                e.report.transitions,
+                e.report.max_depth,
+                e.report.violations.len(),
                 e.seeded_bugs_caught,
-                e.seeded_bugs_total
+                Fault::ALL.len()
             );
-            for v in &e.violations {
+            for v in &e.report.violations {
                 println!("  violation: {} via {:?}", v.error, v.schedule);
             }
         }

@@ -2,8 +2,8 @@
 //! conformance over the real workspace and the seeded fixture, the
 //! exhaustive park/evict/resume exploration, and the `--json` report mode.
 
+use khameleon_analysis::model::{Fault, ResumeHarness};
 use khameleon_analysis::{conformance, explore, workspace_root};
-use khameleon_core::model::{ParkModel, SeededBug};
 use std::path::Path;
 use std::process::Command;
 
@@ -68,7 +68,7 @@ fn seeded_missing_decode_arm_fixture_fails_conformance() {
 /// too coarse → undercount) is immediately visible.
 #[test]
 fn two_shard_model_explores_exhaustively_and_clean() {
-    let report = explore::explore(&ParkModel::two_shard(), 8);
+    let report = explore::explore(ResumeHarness::two_shard, 8);
     assert!(
         report.is_clean(),
         "invariant violations: {:?}",
@@ -91,13 +91,9 @@ fn two_shard_model_explores_exhaustively_and_clean() {
 
 #[test]
 fn every_seeded_bug_is_caught_by_some_interleaving() {
-    for bug in [
-        SeededBug::LeakDirectoryOnEvict,
-        SeededBug::DoubleRefOnResume,
-        SeededBug::ResetSeqOnResume,
-    ] {
-        let report = explore::explore(&ParkModel::two_shard().with_bug(bug), 1);
-        assert!(!report.is_clean(), "{bug:?} not caught");
+    for fault in Fault::ALL {
+        let report = explore::explore(|| ResumeHarness::two_shard().with_fault(fault), 1);
+        assert!(!report.is_clean(), "{fault:?} not caught");
     }
 }
 

@@ -115,8 +115,6 @@ pub mod delta;
 pub mod distribution;
 pub mod fault;
 pub mod metrics;
-#[cfg(feature = "model")]
-pub mod model;
 pub mod predictor;
 pub mod protocol;
 pub mod sampling;

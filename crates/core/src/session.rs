@@ -12,7 +12,12 @@
 //! * [`SessionManager`] — owns N sessions plus the shared
 //!   [`Backend`](crate::server::Backend), and on every call to
 //!   [`next_event`](SessionManager::next_event) asks its [`SharePolicy`]
-//!   which session's block goes on the wire next.
+//!   which session's block goes on the wire next.  A session can be taken
+//!   out of scheduling whole and put back later
+//!   ([`detach_session`](SessionManager::detach_session) /
+//!   [`attach_session`](SessionManager::attach_session)); what happens to it
+//!   in between — the transport parks it behind a resume token with a TTL —
+//!   is the caller's business, not the manager's.
 //! * [`SharePolicy`] — pluggable arbitration.  [`RoundRobin`] alternates
 //!   between sessions with work; [`WeightedFair`] divides the link in
 //!   proportion to per-session weights.
@@ -662,21 +667,6 @@ pub struct SessionManager {
     /// lookups ([`position`](Self::position)) and `next_event_among`'s
     /// eligibility search all rely on that order.
     sessions: Vec<(SessionId, Session)>,
-    /// Sessions detached from scheduling but kept alive for a resumable
-    /// reconnect: `(id, session, expires_at)`.  A parked session holds its
-    /// scheduler state, shadow summary, and model-cache refcounts, but is
-    /// invisible to arbitration, bandwidth division, and `stats_snapshot`'s
-    /// per-session sums until it is resumed or TTL-evicted.
-    parked: Vec<(SessionId, Session, Time)>,
-    /// How long a parked session survives on the *logical* clock before
-    /// [`evict_expired_parks`](Self::evict_expired_parks) reclaims it.
-    park_ttl: Duration,
-    /// Monotone count of park operations (for
-    /// [`ShardSnapshot`](crate::shard::ShardSnapshot)).
-    parked_total: u64,
-    /// Monotone count of successful resumes (for
-    /// [`ShardSnapshot`](crate::shard::ShardSnapshot)).
-    resumed_total: u64,
     next_id: u64,
     backend: Box<dyn Backend>,
     policy: Box<dyn SharePolicy>,
@@ -714,10 +704,6 @@ impl SessionManager {
     pub fn new(backend: Box<dyn Backend>, policy: Box<dyn SharePolicy>) -> Self {
         SessionManager {
             sessions: Vec::new(),
-            parked: Vec::new(),
-            park_ttl: Duration::from_secs(30),
-            parked_total: 0,
-            resumed_total: 0,
             next_id: 0,
             backend,
             policy,
@@ -773,10 +759,6 @@ impl SessionManager {
         let Err(at) = self.position(id) else {
             panic!("session id {id} is already live");
         };
-        assert!(
-            !self.parked.iter().any(|(sid, _, _)| *sid == id),
-            "session id {id} is parked"
-        );
         self.next_id = self.next_id.max(id.0 + 1);
         if builder.scheduler.is_none() && builder.greedy_context.is_none() {
             builder.greedy_context = Some(self.context_for(&builder.utility, &builder.catalog));
@@ -785,17 +767,23 @@ impl SessionManager {
             builder.model_cache = Some(self.model_cache.clone());
         }
         let mut session = builder.build();
-        let virtual_time = self
-            .sessions
-            .iter()
-            .map(|(_, s)| s.service() as f64 / s.weight().max(f64::EPSILON))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if virtual_time.is_finite() {
-            session.service_base = (virtual_time * session.weight()).floor() as u64;
+        if let Some(frontier) = self.service_frontier() {
+            session.service_base = (frontier * session.weight()).floor() as u64;
         }
         self.sessions.insert(at, (id, session));
         self.redivide_bandwidth();
         id
+    }
+
+    /// The live service frontier — the most-served session's weighted
+    /// service — or `None` with no live session.
+    fn service_frontier(&self) -> Option<f64> {
+        let frontier = self
+            .sessions
+            .iter()
+            .map(|(_, s)| s.service() as f64 / s.weight().max(f64::EPSILON))
+            .fold(f64::NEG_INFINITY, f64::max);
+        frontier.is_finite().then_some(frontier)
     }
 
     /// Binary search of the live table: `Ok(index)` of session `id`, or
@@ -884,8 +872,6 @@ impl SessionManager {
             blocks_sent: self.blocks_sent,
             bytes_sent: self.bytes_sent,
             shared_context_count: self.context_cache.len(),
-            parked_sessions: self.parked_total,
-            resumed_sessions: self.resumed_total,
             ..Default::default()
         };
         for (_, session) in &self.sessions {
@@ -905,123 +891,47 @@ impl SessionManager {
 
     /// Removes a session.  Returns `true` if it existed.
     pub fn remove_session(&mut self, id: SessionId) -> bool {
-        let Ok(pos) = self.position(id) else {
-            return false;
-        };
-        self.sessions.remove(pos);
-        self.redivide_bandwidth();
-        true
+        self.detach_session(id).is_some()
     }
 
-    /// Sets how long a parked session survives on the logical clock before
-    /// [`evict_expired_parks`](Self::evict_expired_parks) reclaims it.  A
-    /// zero TTL makes every park expire immediately — the deterministic
-    /// "park expired" lever for tests.
-    pub fn set_park_ttl(&mut self, ttl: Duration) {
-        self.park_ttl = ttl;
-    }
-
-    /// Detaches session `id` from scheduling without destroying it: the
-    /// session keeps its scheduler state, prediction history, shadow
-    /// summary, and model-cache refcounts, but stops receiving wire slots
-    /// and bandwidth shares.  Returns `true` if the session was live.
-    ///
-    /// The park expires `park_ttl` after `now` on the logical clock; under
-    /// a frozen clock (lockstep transport) parks never expire, which is the
-    /// deterministic-replay-friendly default.
-    pub fn park_session(&mut self, id: SessionId, now: Time) -> bool {
-        let Ok(pos) = self.position(id) else {
-            return false;
-        };
+    /// Detaches session `id` from scheduling without destroying it and
+    /// hands it to the caller: the [`Session`] keeps its scheduler state,
+    /// prediction history, shadow summary and model-cache refcounts, but
+    /// gets no wire slots or bandwidth share until it is given back through
+    /// [`attach_session`](Self::attach_session).  Dropping it instead is a
+    /// full teardown.  `None` if `id` is not live.  (The transport's resume
+    /// table parks sessions this way; see `docs/RESILIENCE.md`.)
+    pub fn detach_session(&mut self, id: SessionId) -> Option<Session> {
+        let pos = self.position(id).ok()?;
         let (_, session) = self.sessions.remove(pos);
-        let expires = now.saturating_add(self.park_ttl);
-        self.parked.push((id, session, expires));
-        self.parked_total += 1;
         self.redivide_bandwidth();
-        true
+        Some(session)
     }
 
-    /// Re-attaches a parked session to scheduling.  Returns `true` on
-    /// success; `false` if `id` is unknown or its park has expired (an
-    /// expired entry is reclaimed on the spot).
+    /// Re-attaches a session taken out by
+    /// [`detach_session`](Self::detach_session) under its old id.  Panics if
+    /// `id` is live.
     ///
-    /// The resumed session's fair-queueing anchor is re-based *upward only*:
-    /// if the live service frontier moved past it while parked, its counter
+    /// The session's fair-queueing anchor is re-based *upward only*: if the
+    /// live service frontier moved past it while detached, its counter
     /// jumps to the frontier so it cannot monopolize the wire replaying its
     /// deficit; if it is alone (or already at the frontier) the anchor is
-    /// untouched, so a single-session park/resume cycle is bit-exact with an
-    /// uninterrupted run.
-    pub fn resume_session(&mut self, id: SessionId, now: Time) -> bool {
-        let Some(pos) = self.parked.iter().position(|(sid, _, _)| *sid == id) else {
-            return false;
+    /// untouched, so a single-session detach/attach cycle is bit-exact with
+    /// an uninterrupted run.
+    pub fn attach_session(&mut self, id: SessionId, mut session: Session) {
+        let Err(at) = self.position(id) else {
+            panic!("session id {id} is already live");
         };
-        if self.parked[pos].2 <= now {
-            self.parked.remove(pos);
-            return false;
-        }
-        let (_, mut session, _) = self.parked.remove(pos);
-        let frontier = self
-            .sessions
-            .iter()
-            .map(|(_, s)| s.service() as f64 / s.weight().max(f64::EPSILON))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if frontier.is_finite() {
+        self.next_id = self.next_id.max(id.0 + 1);
+        if let Some(frontier) = self.service_frontier() {
             let target = (frontier * session.weight()).floor() as u64;
             let current = session.service();
             if current < target {
                 session.service_base += target - current;
             }
         }
-        let Err(at) = self.position(id) else {
-            unreachable!("a parked session is never also live");
-        };
         self.sessions.insert(at, (id, session));
-        self.resumed_total += 1;
         self.redivide_bandwidth();
-        true
-    }
-
-    /// Reclaims every parked session whose TTL has passed at `now`,
-    /// returning their ids.  Dropping the `Session` releases its
-    /// model-cache refcounts and scheduler state.
-    pub fn evict_expired_parks(&mut self, now: Time) -> Vec<SessionId> {
-        let mut evicted = Vec::new();
-        self.parked.retain(|(id, _, expires)| {
-            if *expires <= now {
-                evicted.push(*id);
-                false
-            } else {
-                true
-            }
-        });
-        evicted
-    }
-
-    /// Drops one parked session unconditionally (shed-load path).  Returns
-    /// `true` if it existed.
-    pub fn drop_parked(&mut self, id: SessionId) -> bool {
-        let before = self.parked.len();
-        self.parked.retain(|(sid, _, _)| *sid != id);
-        self.parked.len() != before
-    }
-
-    /// The parked session closest to expiry, if any — the shed-load victim
-    /// when the park table is full.
-    pub fn earliest_expiring_park(&self) -> Option<SessionId> {
-        self.parked
-            .iter()
-            .min_by_key(|(id, _, expires)| (*expires, *id))
-            .map(|(id, _, _)| *id)
-    }
-
-    /// Whether session `id` is currently parked.
-    pub fn is_parked(&self, id: SessionId) -> bool {
-        self.parked.iter().any(|(sid, _, _)| *sid == id)
-    }
-
-    /// Number of currently parked sessions.
-    pub fn num_parked(&self) -> usize {
-        self.parked.len()
     }
 
     /// Routes one protocol message to its session.  Returns the resulting
@@ -1792,10 +1702,14 @@ mod tests {
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7))),
             Time::ZERO,
         );
-        assert!(mgr.park_session(ids[0], Time::ZERO));
-        assert!(mgr.is_parked(ids[0]));
+        let parked = mgr.detach_session(ids[0]).expect("session was live");
+        assert!(mgr.session(ids[0]).is_none());
+        assert!(mgr.detach_session(ids[0]).is_none());
         assert_eq!(mgr.num_sessions(), 1);
-        assert_eq!(mgr.num_parked(), 1);
+        let snap = mgr.stats_snapshot();
+        assert_eq!(snap.sessions, 1, "a parked session is not counted live");
+        assert_eq!(snap.prediction_updates, 0, "nor summed into the snapshot");
+        assert_eq!(snap.parked_sessions, 0, "park counters are the transport's");
         // While parked, the session gets no wire slots.
         for _ in 0..10 {
             if let ServerEvent::Block { session, .. } = mgr.next_event(Time::ZERO) {
@@ -1804,9 +1718,8 @@ mod tests {
         }
         // Resume re-attaches with prediction state intact: its first blocks
         // still target the request it predicted before parking.
-        assert!(mgr.resume_session(ids[0], Time::ZERO));
-        assert!(!mgr.is_parked(ids[0]));
-        assert_eq!(mgr.num_sessions(), 2);
+        mgr.attach_session(ids[0], parked);
+        assert_eq!(mgr.session_ids(), ids, "live table stays ascending by id");
         let mut served = Vec::new();
         for _ in 0..8 {
             if let ServerEvent::Block { session, block } = mgr.next_event(Time::ZERO) {
@@ -1819,38 +1732,6 @@ mod tests {
             served.contains(&RequestId(7)),
             "resumed session lost its prediction state: {served:?}"
         );
-        let snap = mgr.stats_snapshot();
-        assert_eq!(snap.parked_sessions, 1);
-        assert_eq!(snap.resumed_sessions, 1);
-    }
-
-    #[test]
-    fn park_ttl_evicts_on_the_logical_clock() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 20, 2);
-        mgr.set_park_ttl(Duration::from_millis(5));
-        assert!(mgr.park_session(ids[0], Time::ZERO));
-        // Before the TTL nothing is evicted and a resume still works.
-        assert!(mgr.evict_expired_parks(Time::from_millis(4)).is_empty());
-        assert!(mgr.is_parked(ids[0]));
-        // At/after the TTL the park is reclaimed.
-        assert_eq!(mgr.evict_expired_parks(Time::from_millis(5)), vec![ids[0]]);
-        assert!(!mgr.is_parked(ids[0]));
-        assert!(!mgr.resume_session(ids[0], Time::from_millis(5)));
-        // A resume attempt past the TTL on a still-parked entry fails and
-        // reclaims the entry on the spot.
-        assert!(mgr.park_session(ids[1], Time::ZERO));
-        assert!(!mgr.resume_session(ids[1], Time::from_millis(9)));
-        assert!(!mgr.is_parked(ids[1]));
-        assert_eq!(mgr.num_sessions(), 0);
-    }
-
-    #[test]
-    fn zero_ttl_parks_expire_immediately() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0], 20, 2);
-        mgr.set_park_ttl(Duration::ZERO);
-        assert!(mgr.park_session(ids[0], Time::ZERO));
-        assert!(!mgr.resume_session(ids[0], Time::ZERO));
-        assert!(!mgr.is_parked(ids[0]));
     }
 
     #[test]
@@ -1868,15 +1749,15 @@ mod tests {
         }
         let live_before = mgr.live_models();
         assert!(live_before >= 1);
-        assert!(mgr.park_session(ids[0], Time::ZERO));
+        let parked = mgr.detach_session(ids[0]).expect("session was live");
         assert_eq!(
             mgr.live_models(),
             live_before,
             "parking must hold model refcounts"
         );
-        assert!(mgr.drop_parked(ids[0]));
+        drop(parked);
         assert!(mgr.live_models() <= live_before);
-        assert_eq!(mgr.num_parked(), 0);
+        assert_eq!(mgr.num_sessions(), 1);
     }
 
     #[test]
@@ -1885,9 +1766,9 @@ mod tests {
         // Let both run, then park A and let B pull far ahead.
         drive(&mut mgr, 40);
         let service_at_park = mgr.session(ids[0]).unwrap().service();
-        assert!(mgr.park_session(ids[0], Time::ZERO));
+        let parked = mgr.detach_session(ids[0]).expect("session was live");
         drive(&mut mgr, 60);
-        assert!(mgr.resume_session(ids[0], Time::ZERO));
+        mgr.attach_session(ids[0], parked);
         let resumed = mgr.session(ids[0]).unwrap().service();
         let frontier = mgr.session(ids[1]).unwrap().service();
         assert!(
@@ -1902,19 +1783,8 @@ mod tests {
         let (mut solo, solo_ids) = manager_with(Box::new(RoundRobin::new()), &[1.0], 20, 2);
         drive(&mut solo, 5);
         let before = solo.session(solo_ids[0]).unwrap().service();
-        assert!(solo.park_session(solo_ids[0], Time::ZERO));
-        assert!(solo.resume_session(solo_ids[0], Time::ZERO));
+        let parked = solo.detach_session(solo_ids[0]).expect("session was live");
+        solo.attach_session(solo_ids[0], parked);
         assert_eq!(solo.session(solo_ids[0]).unwrap().service(), before);
-    }
-
-    #[test]
-    fn earliest_expiring_park_is_the_shed_victim() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0, 1.0], 20, 2);
-        mgr.set_park_ttl(Duration::from_millis(10));
-        assert!(mgr.park_session(ids[1], Time::ZERO));
-        assert!(mgr.park_session(ids[0], Time::from_millis(3)));
-        assert_eq!(mgr.earliest_expiring_park(), Some(ids[1]));
-        assert!(mgr.drop_parked(ids[1]));
-        assert_eq!(mgr.earliest_expiring_park(), Some(ids[0]));
     }
 }

@@ -59,8 +59,9 @@ use crate::session::{SessionBuilder, SessionManager};
 use crate::types::{Bandwidth, Time};
 
 /// Per-shard (or per-manager) counter snapshot, merged across shards into
-/// [`ShardStats`].  `backpressure_skips` is zero at the core layer; the
-/// transport server fills it in when it merges per-connection counters.
+/// [`ShardStats`].  The six transport-layer counters are zero at the core
+/// layer; `ShardedTransportServer::shard_stats` fills them in from each
+/// shard's event-loop counters when it merges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Live sessions.
@@ -92,9 +93,11 @@ pub struct ShardSnapshot {
     /// Runtime invariant-auditor violations (zero unless the `audit`
     /// feature is enabled and an auditor is attached).
     pub audit_violations: u64,
-    /// Sessions parked for a resumable reconnect (monotone total).
+    /// Sessions parked for a resumable reconnect (monotone total;
+    /// transport layer only).
     pub parked_sessions: u64,
-    /// Parked sessions successfully resumed (monotone total).
+    /// Parked sessions successfully resumed (monotone total; transport
+    /// layer only).
     pub resumed_sessions: u64,
     /// Frames replayed from a resume ring after a reconnect (transport
     /// layer only).

@@ -21,6 +21,9 @@
 //!   and flush bounded per-connection outbound queues.  Full queues exclude
 //!   their session from scheduling (backpressure); EOF tears the session
 //!   down (no slots are planned for departed clients).
+//! * [`resume`] — the socket-free park → TTL-evict → resume state machine
+//!   ([`resume::ResumeTable`]): per token, the sequence counter, the replay
+//!   ring and, while the client is away, the parked session itself.
 //! * [`client`] — a blocking client whose prediction uploads go through a
 //!   [`DeltaTracker`](khameleon_core::delta::DeltaTracker): after the first
 //!   full summary, re-predictions ship as deltas and a server `Resync`
@@ -44,6 +47,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+pub mod resume;
 pub mod server;
 pub mod wire;
 

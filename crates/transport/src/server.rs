@@ -21,11 +21,15 @@
 //!   session down through [`SessionManager::remove_session`], which
 //!   tombstones the session's sampler state; no further blocks are planned
 //!   for it.  A connection that *did* handshake instead has its session
-//!   **parked**: detached from scheduling but kept alive (prediction
-//!   history, delta-tracker shadow state, model-cache refcounts) for
-//!   [`TransportConfig::park_ttl`], so a reconnecting client can `Resume`
-//!   and have missed frames replayed from a bounded ring instead of
-//!   resyncing from scratch.  See `docs/RESILIENCE.md`.
+//!   **parked**: detached from scheduling
+//!   ([`SessionManager::detach_session`]) and kept alive (prediction
+//!   history, delta-tracker shadow state, model-cache refcounts) in the
+//!   loop's [`ResumeTable`] for [`TransportConfig::park_ttl`], so a
+//!   reconnecting client can `Resume` and have missed frames replayed from
+//!   a bounded ring instead of resyncing from scratch.  The park → evict →
+//!   resume state machine itself lives in [`crate::resume`]; this file
+//!   moves its results onto sockets and into counters.  See
+//!   `docs/RESILIENCE.md`.
 //!
 //! For deployments with more connections than one readiness loop should
 //! own, [`ShardedTransportServer`] runs one acceptor thread plus N of these
@@ -37,7 +41,8 @@
 //! shard — its session *and* its model refcounts are released there, with
 //! no cross-shard coordination.  See `docs/SHARDING.md`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,19 +50,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
-use khameleon_core::fault::{splitmix64, FaultKind, FaultPlan};
+use khameleon_core::fault::{FaultKind, FaultPlan};
 use khameleon_core::protocol::{ServerEvent, SessionId};
 use khameleon_core::scheduler::ModelCache;
 use khameleon_core::session::{SessionBuilder, SessionManager};
 use khameleon_core::shard::{ShardSnapshot, ShardStats};
 use khameleon_core::types::{Duration, Time};
 
+use crate::resume::{ResumeTable, Resumed, TokenDirectory};
 use crate::wire::{encode_server_event_frame, encode_welcome, ClientFrame, FrameBuffer};
-
-/// Salt mixed into session ids to derive resume tokens.  `splitmix64` is a
-/// bijection on `u64`, so globally unique session ids yield globally unique
-/// tokens with no coordination between shards.
-const TOKEN_SALT: u64 = 0x6b68_616d_656c_656f;
 
 /// Transport-level server knobs.
 #[derive(Debug, Clone)]
@@ -82,8 +83,10 @@ pub struct TransportConfig {
     /// Upper bound on concurrently parked sessions.  `0` disables parking
     /// entirely: every disconnect is a full teardown.
     pub max_parked_sessions: usize,
-    /// Admission cap on live plus parked sessions.  At capacity, new
-    /// connections are refused with a [`ServerEvent::Busy`] and closed.
+    /// Admission cap on live plus parked sessions.  At capacity a new
+    /// connection gets no session; its first frame decides: a `Resume` of
+    /// a parked token re-attaches (the holder reclaims its own slot),
+    /// anything else is refused with a [`ServerEvent::Busy`] and closed.
     pub max_sessions: usize,
     /// Per-resumable-session replay ring capacity, in frames.  A resume
     /// whose `last_seq` has already scrolled out of the ring falls back to
@@ -156,8 +159,9 @@ pub struct ServerStats {
 
 struct Conn {
     stream: TcpStream,
-    /// The session this socket drives.  `None` only for connections refused
-    /// with `Busy` and for cross-shard resume arrivals before re-attach.
+    /// The session this socket drives.  `None` for connections accepted at
+    /// the admission cap (until their first frame), for those refused with
+    /// `Busy`, and for cross-shard resume arrivals before re-attach.
     session: Option<SessionId>,
     /// Resume token, once the client has performed the `Hello` handshake.
     token: Option<u64>,
@@ -207,20 +211,6 @@ impl Conn {
     }
 }
 
-/// Per-token server-side resume state: the sequence counter and the bounded
-/// ring of already-encoded frames available for replay after a reconnect.
-struct Resumable {
-    token: u64,
-    session: SessionId,
-    /// Incremented on every successful resume; echoed in `Welcome` so the
-    /// client can tell a re-attach from a fresh session.
-    epoch: u64,
-    /// Next sequence number to stamp (starts at 1; seq 0 is the legacy
-    /// unsequenced path).
-    next_seq: u64,
-    ring: VecDeque<(u64, Vec<u8>)>,
-}
-
 /// What travels over a shard's connection channel: a freshly accepted
 /// socket, or a connection mid-`Resume` forwarded by a sibling shard that
 /// discovered (via the shared token directory) it does not own the token.
@@ -267,28 +257,25 @@ impl TransportServer {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(ServerStats::default()));
-        let loop_shutdown = Arc::clone(&shutdown);
-        let loop_stats = Arc::clone(&stats);
+        let resume = ResumeTable::new(0, TokenDirectory::default(), RandomState::new(), &config);
+        let event_loop = EventLoop {
+            source: ConnSource::Listen(listener),
+            manager,
+            factory: Box::new(factory),
+            config,
+            conns: Vec::new(),
+            shutdown: Arc::clone(&shutdown),
+            stats: Arc::clone(&stats),
+            scratch: vec![0u8; 64 * 1024],
+            clock: ClockSource::new(),
+            next_send: Time::ZERO,
+            snapshot_out: None,
+            resume,
+            next_lane: 0,
+        };
         let handle = std::thread::Builder::new()
             .name("khameleon-transport".into())
-            .spawn(move || {
-                EventLoop {
-                    source: ConnSource::Listen(listener),
-                    manager,
-                    factory: Box::new(factory),
-                    config,
-                    conns: Vec::new(),
-                    shutdown: loop_shutdown,
-                    stats: loop_stats,
-                    scratch: vec![0u8; 64 * 1024],
-                    clock: ClockSource::new(),
-                    next_send: Time::ZERO,
-                    snapshot_out: None,
-                    resume_index: Vec::new(),
-                    next_lane: 0,
-                }
-                .run();
-            })?;
+            .spawn(move || event_loop.run())?;
         Ok(TransportServer {
             local_addr,
             shutdown,
@@ -304,10 +291,8 @@ impl TransportServer {
 
     /// A snapshot of the loop's counters.
     pub fn stats(&self) -> ServerStats {
-        match self.stats.lock() {
-            Ok(s) => s.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
+        stats.clone()
     }
 
     /// Stops the event loop and joins its thread.
@@ -388,7 +373,11 @@ impl ShardedTransportServer {
             senders.push(tx);
             receivers.push(rx);
         }
-        let directory: Arc<Mutex<HashMap<u64, usize>>> = Arc::new(Mutex::new(HashMap::new()));
+        // One token directory and one token key for the whole server: any
+        // shard can tell which sibling owns a token, and no two shards can
+        // mint the same one.
+        let directory = TokenDirectory::default();
+        let token_keys = RandomState::new();
         for (i, rx) in receivers.into_iter().enumerate() {
             let mut manager = manager_factory(i);
             manager.set_model_cache(Arc::clone(&model_cache));
@@ -397,37 +386,28 @@ impl ShardedTransportServer {
             shard_stats.push(Arc::clone(&stats));
             snapshots.push(Arc::clone(&snapshot));
             let factory = Arc::clone(&session_factory);
-            let loop_shutdown = Arc::clone(&shutdown);
-            let loop_ids = Arc::clone(&ids);
-            let loop_config = config.clone();
-            let loop_peers = senders.clone();
-            let loop_directory = Arc::clone(&directory);
+            let event_loop = EventLoop {
+                source: ConnSource::Shard {
+                    streams: rx,
+                    peers: senders.clone(),
+                    ids: Arc::clone(&ids),
+                },
+                manager,
+                factory: Box::new(move || factory()),
+                config: config.clone(),
+                conns: Vec::new(),
+                shutdown: Arc::clone(&shutdown),
+                stats,
+                scratch: vec![0u8; 64 * 1024],
+                clock: ClockSource::new(),
+                next_send: Time::ZERO,
+                snapshot_out: Some(snapshot),
+                resume: ResumeTable::new(i, directory.clone(), token_keys.clone(), &config),
+                next_lane: 0,
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("khameleon-shard-io-{i}"))
-                .spawn(move || {
-                    EventLoop {
-                        source: ConnSource::Shard {
-                            index: i,
-                            streams: rx,
-                            peers: loop_peers,
-                            directory: loop_directory,
-                            ids: loop_ids,
-                        },
-                        manager,
-                        factory: Box::new(move || factory()),
-                        config: loop_config,
-                        conns: Vec::new(),
-                        shutdown: loop_shutdown,
-                        stats,
-                        scratch: vec![0u8; 64 * 1024],
-                        clock: ClockSource::new(),
-                        next_send: Time::ZERO,
-                        snapshot_out: Some(snapshot),
-                        resume_index: Vec::new(),
-                        next_lane: 0,
-                    }
-                    .run();
-                })?;
+                .spawn(move || event_loop.run())?;
             handles.push(handle);
         }
         let accept_shutdown = Arc::clone(&shutdown);
@@ -501,12 +481,27 @@ impl ShardedTransportServer {
     /// Session-layer counters merged across shards, with the shared model
     /// cache's live-model count — the same shape the in-process
     /// [`ShardedSessionManager`](khameleon_core::ShardedSessionManager)
-    /// reports.
+    /// reports.  The transport-only counters of each [`ShardSnapshot`] are
+    /// read here from that shard's [`ServerStats`], their one writer.
     pub fn shard_stats(&self) -> ShardStats {
         let per_shard: Vec<ShardSnapshot> = self
             .snapshots
             .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).clone())
+            .zip(&self.shard_stats)
+            .map(|(snapshot, stats)| {
+                let mut snap = snapshot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone();
+                let s = stats.lock().unwrap_or_else(PoisonError::into_inner);
+                snap.parked_sessions = s.parked;
+                snap.resumed_sessions = s.resumed;
+                snap.backpressure_skips = s.backpressure_skips;
+                snap.replayed_events = s.replayed_events;
+                snap.shed_blocks = s.shed_blocks;
+                snap.refused_sessions = s.refused_sessions;
+                snap
+            })
             .collect();
         ShardStats::merge(per_shard, self.model_cache.live_models())
     }
@@ -563,14 +558,10 @@ impl ClockSource {
 enum ConnSource {
     Listen(TcpListener),
     Shard {
-        /// This shard's index, matched against the token directory.
-        index: usize,
         streams: Receiver<Handoff>,
         /// Every shard's handoff sender (self included), for forwarding
         /// cross-shard resumes.
         peers: Vec<Sender<Handoff>>,
-        /// Server-global map from resume token to owning shard index.
-        directory: Arc<Mutex<HashMap<u64, usize>>>,
         /// Globally unique session ids, shared by every shard so a session
         /// id names one session across the whole server.
         ids: Arc<AtomicU64>,
@@ -613,18 +604,22 @@ struct EventLoop {
     /// In sharded mode, where this shard publishes its session-layer
     /// counters each tick (merged by `ShardedTransportServer::shard_stats`).
     snapshot_out: Option<Arc<Mutex<ShardSnapshot>>>,
-    /// Resume state for every token this loop owns (live or parked).
-    resume_index: Vec<Resumable>,
+    /// Resume state — and, while parked, the session itself — for every
+    /// token this loop owns.
+    resume: ResumeTable,
     /// Accept-order lane counter feeding [`Conn::lane`].
     next_lane: usize,
 }
 
 impl EventLoop {
     fn run(mut self) {
-        self.manager.set_park_ttl(self.config.park_ttl);
         while !self.shutdown.load(Ordering::SeqCst) {
             let now = self.clock.now(self.config.lockstep);
-            self.evict_expired(now);
+            // Reclaim parks whose TTL elapsed on the logical clock.
+            let shed = self.resume.evict(now);
+            if shed > 0 {
+                self.with_stats(|s| s.shed_blocks += shed);
+            }
             let mut progressed = false;
             progressed |= self.accept_new(now);
             progressed |= self.read_sockets();
@@ -645,7 +640,36 @@ impl EventLoop {
 
     /// Live plus parked sessions have reached the admission cap.
     fn at_capacity(&self) -> bool {
-        self.manager.num_sessions() + self.manager.num_parked() >= self.config.max_sessions
+        self.manager.num_sessions() + self.resume.num_parked() >= self.config.max_sessions
+    }
+
+    /// Gives session-less `conns[i]` a fresh session — or, at the admission
+    /// cap, refuses it: no session is created, the peer learns why through
+    /// `Busy`, and the socket closes after the flush.  Returns whether the
+    /// connection now has a session.
+    fn admit(&mut self, i: usize) -> bool {
+        if self.at_capacity() {
+            self.conns[i].queue_frame(encode_server_event_frame(0, &ServerEvent::Busy));
+            self.conns[i].dying = true;
+            self.with_stats(|s| {
+                s.refused_sessions += 1;
+                s.frames_out += 1;
+            });
+            return false;
+        }
+        self.conns[i].session = Some(match self.source.forced_id() {
+            Some(id) => self.manager.add_session_with_id(id, (self.factory)()),
+            None => self.manager.add_session((self.factory)()),
+        });
+        true
+    }
+
+    /// Starts tracking `stream` on the next accept-order lane; returns its
+    /// index in `conns`.
+    fn push_conn(&mut self, stream: TcpStream) -> usize {
+        self.conns.push(Conn::new(stream, self.next_lane));
+        self.next_lane += 1;
+        self.conns.len() - 1
     }
 
     fn accept_new(&mut self, now: Time) -> bool {
@@ -658,26 +682,13 @@ impl EventLoop {
                     }
                     progressed = true;
                     self.with_stats(|s| s.accepted += 1);
-                    let lane = self.next_lane;
-                    self.next_lane += 1;
-                    let mut conn = Conn::new(stream, lane);
-                    if self.at_capacity() {
-                        // Graceful refusal: no session is created, the peer
-                        // learns why, and the socket closes after the flush.
-                        conn.queue_frame(encode_server_event_frame(0, &ServerEvent::Busy));
-                        conn.dying = true;
-                        self.conns.push(conn);
-                        self.with_stats(|s| {
-                            s.refused_sessions += 1;
-                            s.frames_out += 1;
-                        });
-                        continue;
+                    let i = self.push_conn(stream);
+                    // At the cap the socket stays session-less until its
+                    // first frame: the holder of a parked session must be
+                    // able to `Resume` into the slot it already occupies.
+                    if !self.at_capacity() {
+                        self.admit(i);
                     }
-                    conn.session = Some(match self.source.forced_id() {
-                        Some(id) => self.manager.add_session_with_id(id, (self.factory)()),
-                        None => self.manager.add_session((self.factory)()),
-                    });
-                    self.conns.push(conn);
                 }
                 Handoff::Resume {
                     stream,
@@ -692,13 +703,9 @@ impl EventLoop {
                     // handle_resume either re-attaches the parked one or
                     // falls back to a fresh session here.
                     progressed = true;
-                    let lane = self.next_lane;
-                    self.next_lane += 1;
-                    let mut conn = Conn::new(stream, lane);
-                    conn.credits = credits;
-                    conn.inbuf.extend(&leftover);
-                    self.conns.push(conn);
-                    let i = self.conns.len() - 1;
+                    let i = self.push_conn(stream);
+                    self.conns[i].credits = credits;
+                    self.conns[i].inbuf.extend(&leftover);
                     self.handle_resume(i, token, last_seq, hops, now);
                     if !self.conns[i].dying && self.conns[i].pending_handoff.is_none() {
                         // Frames buffered behind the Resume travel with the
@@ -768,6 +775,16 @@ impl EventLoop {
                 }
             };
             self.with_stats(|s| s.frames_in += 1);
+            // A connection accepted at the cap learns its fate here: only a
+            // `Resume` may proceed without a session.
+            let conn = &self.conns[i];
+            if conn.session.is_none()
+                && !conn.dying
+                && !matches!(frame, ClientFrame::Resume { .. })
+                && !self.admit(i)
+            {
+                return false;
+            }
             match frame {
                 ClientFrame::Credit(n) => {
                     self.conns[i].credits = self.conns[i].credits.saturating_add(u64::from(n));
@@ -806,7 +823,7 @@ impl EventLoop {
                             self.queue_event(i, &event);
                             self.conns[i].dying = true;
                             self.conns[i].session = None;
-                            self.drop_resume_for_conn(i, false);
+                            self.forget_token(i);
                         }
                         _ => {}
                     }
@@ -815,210 +832,96 @@ impl EventLoop {
         }
     }
 
-    /// Answers `Hello` (and failed resumes): hands the connection a resume
-    /// token via `Welcome`, creating the resume entry on first contact.
+    /// Answers `Hello` (and failed resumes) with `Welcome`, minting the
+    /// connection's resume token on first contact; a repeated `Hello` gets
+    /// the current `Welcome` again.
     fn ensure_welcomed(&mut self, i: usize) {
         let Some(session) = self.conns[i].session else {
             return;
         };
-        match self.conns[i].token {
-            None => self.make_resumable(i, session),
-            Some(token) => {
-                // Idempotent re-Hello: repeat the current Welcome.
-                let epoch = self
-                    .resume_index
-                    .iter()
-                    .find(|r| r.token == token)
-                    .map(|r| r.epoch)
-                    .unwrap_or(0);
-                self.conns[i].queue_frame(encode_welcome(token, epoch, session));
-                self.with_stats(|s| s.frames_out += 1);
+        let (token, epoch) = match self.conns[i].token {
+            Some(token) => (token, self.resume.epoch(token).unwrap_or(0)),
+            None => {
+                let token = self.resume.mint(session);
+                self.conns[i].token = Some(token);
+                (token, 0)
             }
-        }
-    }
-
-    /// Mints a resume token for `session`, registers it in the shard
-    /// directory, and queues the `Welcome` handshake reply.
-    fn make_resumable(&mut self, i: usize, session: SessionId) {
-        let token = splitmix64(session.0 ^ TOKEN_SALT);
-        self.conns[i].token = Some(token);
-        self.resume_index.push(Resumable {
-            token,
-            session,
-            epoch: 0,
-            next_seq: 1,
-            ring: VecDeque::new(),
-        });
-        if let ConnSource::Shard {
-            index, directory, ..
-        } = &self.source
-        {
-            directory
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(token, *index);
-        }
-        self.conns[i].queue_frame(encode_welcome(token, 0, session));
+        };
+        self.conns[i].queue_frame(encode_welcome(token, epoch, session));
         self.with_stats(|s| s.frames_out += 1);
     }
 
     /// Resolves a `Resume { token, last_seq }` for `conns[i]`:
     ///
     /// 1. Token owned here and the session is parked with no replay gap →
-    ///    re-attach: prune the ring through `last_seq`, bump the epoch,
-    ///    queue `Welcome` plus the remaining ring frames.
-    /// 2. Token owned here but expired / gapped / still live on another
-    ///    socket → reclaim what is safe and fall back to a fresh session
-    ///    under a new token (the client resets its tracker on token change).
+    ///    re-attach it and queue `Welcome` plus the ring frames past
+    ///    `last_seq`.
+    /// 2. Token owned here but expired / gapped / still live on a socket →
+    ///    fall back to a fresh session under a new token (the client resets
+    ///    its tracker on token change).
     /// 3. Token owned by a sibling shard (first hop only) → mark the
     ///    connection for handoff; `dispatch_handoffs` forwards it.
     fn handle_resume(&mut self, i: usize, token: u64, last_seq: u64, hops: u32, now: Time) {
-        if let Some(pos) = self.resume_index.iter().position(|r| r.token == token) {
-            let session = self.resume_index[pos].session;
-            if self.manager.is_parked(session) {
-                let gap = {
-                    let entry = &self.resume_index[pos];
-                    let ring_start = entry
-                        .ring
-                        .front()
-                        .map(|(s, _)| *s)
-                        .unwrap_or(entry.next_seq);
-                    last_seq.wrapping_add(1) < ring_start || last_seq >= entry.next_seq
-                };
-                if !gap && self.manager.resume_session(session, now) {
-                    self.attach_resumed(i, token, last_seq);
-                    return;
+        match self.resume.resume(token, last_seq, now) {
+            Resumed::Attached {
+                id,
+                session,
+                epoch,
+                replay,
+            } => {
+                self.manager.attach_session(id, *session);
+                // Drop the throwaway session created when this socket was
+                // accepted.  Its token (if any) differs from `token` — a
+                // registered token is never minted twice — so the entry
+                // being resumed is untouched.
+                self.release_accept_session(i);
+                let conn = &mut self.conns[i];
+                conn.session = Some(id);
+                conn.token = Some(token);
+                conn.queue_frame(encode_welcome(token, epoch, id));
+                let replayed = replay.len() as u64;
+                for frame in replay {
+                    conn.queue_frame(frame);
                 }
-                // Expired under us or the ring no longer covers the
-                // client's position: reclaim the park entirely.
-                self.manager.drop_parked(session);
-                self.remove_resume_entry(pos, true);
-            } else if self.manager.session(session).is_some() {
-                // The session is live on another socket.  Never hijack it —
-                // a duplicate (or forged) Resume gets a fresh session.
-            } else {
-                // Stale entry: the session is long gone.
-                self.remove_resume_entry(pos, false);
-            }
-        } else if hops == 0 {
-            if let ConnSource::Shard {
-                index, directory, ..
-            } = &self.source
-            {
-                let owner = directory
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&token)
-                    .copied();
-                if let Some(owner) = owner.filter(|o| o != index) {
-                    // A sibling shard owns this token: ship the whole
-                    // connection there instead of duplicating the session.
-                    self.release_accept_session(i);
-                    self.conns[i].pending_handoff = Some((token, last_seq, owner));
-                    return;
-                }
-            }
-        }
-        self.fresh_fallback(i);
-    }
-
-    /// Re-attaches `conns[i]` to the parked session behind `token`,
-    /// replaying every ring frame past `last_seq`.
-    fn attach_resumed(&mut self, i: usize, token: u64, last_seq: u64) {
-        // Drop the throwaway session created when this socket was accepted.
-        // Its token (if any) differs from `token` — splitmix64 is injective
-        // — so the entry we are resuming is untouched.
-        self.release_accept_session(i);
-        let Some(entry) = self.resume_index.iter_mut().find(|r| r.token == token) else {
-            return;
-        };
-        entry.epoch += 1;
-        while entry.ring.front().is_some_and(|(s, _)| *s <= last_seq) {
-            entry.ring.pop_front();
-        }
-        let session = entry.session;
-        let epoch = entry.epoch;
-        let replay: Vec<Vec<u8>> = entry.ring.iter().map(|(_, f)| f.clone()).collect();
-        self.conns[i].session = Some(session);
-        self.conns[i].token = Some(token);
-        self.conns[i].queue_frame(encode_welcome(token, epoch, session));
-        let replayed = replay.len() as u64;
-        for frame in replay {
-            self.conns[i].queue_frame(frame);
-        }
-        self.with_stats(|s| {
-            s.frames_out += 1 + replayed;
-            s.replayed_events += replayed;
-            s.resumed += 1;
-        });
-    }
-
-    /// A resume could not re-attach: keep serving this socket with a fresh
-    /// session (created here if the connection arrived without one) under a
-    /// new token, unless the admission cap says `Busy`.
-    fn fresh_fallback(&mut self, i: usize) {
-        if self.conns[i].session.is_none() {
-            if self.at_capacity() {
-                self.conns[i].queue_frame(encode_server_event_frame(0, &ServerEvent::Busy));
-                self.conns[i].dying = true;
                 self.with_stats(|s| {
-                    s.refused_sessions += 1;
-                    s.frames_out += 1;
+                    s.frames_out += 1 + replayed;
+                    s.replayed_events += replayed;
+                    s.resumed += 1;
                 });
                 return;
             }
-            self.conns[i].session = Some(match self.source.forced_id() {
-                Some(id) => self.manager.add_session_with_id(id, (self.factory)()),
-                None => self.manager.add_session((self.factory)()),
-            });
+            Resumed::Refused { shed } => self.with_stats(|s| s.shed_blocks += shed),
+            Resumed::Unknown { owner: Some(owner) } if hops == 0 => {
+                // A sibling shard owns this token: ship the whole
+                // connection there instead of duplicating the session.
+                self.release_accept_session(i);
+                self.conns[i].pending_handoff = Some((token, last_seq, owner));
+                return;
+            }
+            Resumed::Unknown { .. } => {}
         }
-        self.ensure_welcomed(i);
+        // The resume could not re-attach: keep serving this socket with a
+        // fresh session (created here if the connection arrived without
+        // one) under a new token, unless the admission cap says `Busy`.
+        if self.conns[i].session.is_some() || self.admit(i) {
+            self.ensure_welcomed(i);
+        }
     }
 
     /// Tears down the accept-time session (and its resume entry) of
     /// `conns[i]`, leaving the connection session-less.
     fn release_accept_session(&mut self, i: usize) {
-        self.drop_resume_for_conn(i, false);
+        self.forget_token(i);
         if let Some(old) = self.conns[i].session.take() {
             self.manager.remove_session(old);
         }
     }
 
-    /// Removes the resume entry tied to `conns[i]`'s token, if any.
-    fn drop_resume_for_conn(&mut self, i: usize, shed: bool) {
+    /// Drops the resume entry behind `conns[i]`'s token, if it has one: the
+    /// session ended for good, so there is nothing to replay.
+    fn forget_token(&mut self, i: usize) {
         if let Some(token) = self.conns[i].token.take() {
-            if let Some(pos) = self.resume_index.iter().position(|r| r.token == token) {
-                self.remove_resume_entry(pos, shed);
-            }
-        }
-    }
-
-    /// Drops resume entry `pos`, unregistering its token from the shard
-    /// directory.  With `shed`, undelivered ring frames count as shed load.
-    fn remove_resume_entry(&mut self, pos: usize, shed: bool) {
-        let entry = self.resume_index.swap_remove(pos);
-        if let ConnSource::Shard { directory, .. } = &self.source {
-            directory
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&entry.token);
-        }
-        if shed && !entry.ring.is_empty() {
-            let n = entry.ring.len() as u64;
-            self.with_stats(|s| s.shed_blocks += n);
-        }
-    }
-
-    /// Reclaims parks whose TTL elapsed on the logical clock, shedding
-    /// their undelivered ring frames.
-    fn evict_expired(&mut self, now: Time) {
-        if self.manager.num_parked() == 0 {
-            return;
-        }
-        for session in self.manager.evict_expired_parks(now) {
-            if let Some(pos) = self.resume_index.iter().position(|r| r.session == session) {
-                self.remove_resume_entry(pos, true);
-            }
+            self.resume.forget(token);
         }
     }
 
@@ -1054,24 +957,15 @@ impl EventLoop {
     /// never said `Hello` use the legacy unsequenced (seq 0) encoding.
     fn queue_event(&mut self, i: usize, event: &ServerEvent) {
         let token = self.conns[i].token;
-        let mut shed = false;
-        let frame = match token.and_then(|t| self.resume_index.iter_mut().find(|r| r.token == t)) {
-            Some(entry) => {
-                let seq = entry.next_seq;
-                entry.next_seq += 1;
-                let frame = encode_server_event_frame(seq, event);
-                entry.ring.push_back((seq, frame.clone()));
-                if entry.ring.len() > self.config.replay_frames {
-                    entry.ring.pop_front();
-                    shed = true;
+        let frame = match token.and_then(|t| self.resume.stamp(t, event)) {
+            Some((frame, shed)) => {
+                if shed > 0 {
+                    self.with_stats(|s| s.shed_blocks += shed);
                 }
                 frame
             }
             None => encode_server_event_frame(0, event),
         };
-        if shed {
-            self.with_stats(|s| s.shed_blocks += 1);
-        }
         self.conns[i].queue_frame(frame);
     }
 
@@ -1144,7 +1038,7 @@ impl EventLoop {
                             // state dies with it.
                             self.conns[i].dying = true;
                             self.conns[i].session = None;
-                            self.drop_resume_for_conn(i, false);
+                            self.forget_token(i);
                         }
                         self.with_stats(|s| s.frames_out += 1);
                     }
@@ -1279,55 +1173,38 @@ impl EventLoop {
         progressed
     }
 
-    /// Handles the death of `conns[i]`'s socket: park the session for later
-    /// resume when the connection completed the `Hello` handshake (making
-    /// room in the park table by shedding the entry closest to expiry if
-    /// necessary), otherwise tear it down as before.
+    /// Handles the death of `conns[i]`'s socket: the session leaves
+    /// scheduling either way; one that completed the `Hello` handshake is
+    /// parked in the resume table for a later `Resume` (room and
+    /// [`TransportConfig::max_parked_sessions`] permitting), any other is
+    /// torn down.
     fn disconnect(&mut self, i: usize) {
-        self.conns[i].dying = true;
-        let session = self.conns[i].session.take();
-        let token = self.conns[i].token.take();
-        self.conns[i].outbuf.clear();
-        self.conns[i].front_written = 0;
-        let Some(session) = session else {
-            return;
-        };
-        if let Some(token) = token {
-            if self.manager.session(session).is_some() && self.config.max_parked_sessions > 0 {
+        let conn = &mut self.conns[i];
+        conn.dying = true;
+        conn.outbuf.clear();
+        conn.front_written = 0;
+        let token = conn.token.take();
+        let detached = conn
+            .session
+            .take()
+            .and_then(|id| self.manager.detach_session(id));
+        let gone = detached.is_some();
+        let (parked, shed) = match (token, detached) {
+            (Some(token), Some(session)) => {
                 let now = self.clock.now(self.config.lockstep);
-                self.evict_expired(now);
-                if self.manager.num_parked() >= self.config.max_parked_sessions {
-                    // Park table full: shed the park closest to expiry.
-                    if let Some(victim) = self.manager.earliest_expiring_park() {
-                        self.manager.drop_parked(victim);
-                        if let Some(pos) =
-                            self.resume_index.iter().position(|r| r.session == victim)
-                        {
-                            self.remove_resume_entry(pos, true);
-                        }
-                    }
-                }
-                if self.manager.num_parked() < self.config.max_parked_sessions
-                    && self.manager.park_session(session, now)
-                {
-                    // The resume entry (ring, seq counter, directory slot)
-                    // stays alive alongside the parked session state.
-                    self.with_stats(|s| {
-                        s.disconnected += 1;
-                        s.parked += 1;
-                    });
-                    return;
-                }
+                self.resume.park(token, session, now)
             }
-            // Parking disabled, refused, or the session is already gone:
-            // the resume entry dies with the connection.
-            if let Some(pos) = self.resume_index.iter().position(|r| r.token == token) {
-                self.remove_resume_entry(pos, true);
-            }
-        }
-        if self.manager.remove_session(session) {
-            self.with_stats(|s| s.disconnected += 1);
-        }
+            // The session is already gone: its resume entry dies with the
+            // connection.
+            (Some(token), None) => (false, self.resume.forget(token)),
+            // Never said `Hello`: dropping the session is the teardown.
+            (None, _) => (false, 0),
+        };
+        self.with_stats(|s| {
+            s.disconnected += u64::from(gone);
+            s.parked += u64::from(parked);
+            s.shed_blocks += shed;
+        });
     }
 
     fn reap_dead(&mut self) {
@@ -1336,26 +1213,9 @@ impl EventLoop {
 
     fn publish_stats(&mut self) {
         let active = self.conns.iter().filter(|c| !c.dying).count() as u64;
-        let mut backpressure_skips = 0;
-        let mut replayed_events = 0;
-        let mut shed_blocks = 0;
-        let mut refused_sessions = 0;
-        self.with_stats(|s| {
-            s.active = active;
-            backpressure_skips = s.backpressure_skips;
-            replayed_events = s.replayed_events;
-            shed_blocks = s.shed_blocks;
-            refused_sessions = s.refused_sessions;
-        });
+        self.with_stats(|s| s.active = active);
         if let Some(out) = &self.snapshot_out {
-            // parked/resumed counters ride in via the manager's snapshot;
-            // the transport-only counters are grafted on here.
-            let mut snap = self.manager.stats_snapshot();
-            snap.backpressure_skips = backpressure_skips;
-            snap.replayed_events = replayed_events;
-            snap.shed_blocks = shed_blocks;
-            snap.refused_sessions = refused_sessions;
-            *out.lock().unwrap_or_else(PoisonError::into_inner) = snap;
+            *out.lock().unwrap_or_else(PoisonError::into_inner) = self.manager.stats_snapshot();
         }
     }
 

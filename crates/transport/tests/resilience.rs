@@ -21,7 +21,9 @@ use khameleon_core::server::CatalogBackend;
 use khameleon_core::session::{Session, SessionBuilder, SessionManager};
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
-use khameleon_transport::wire::{encode_server_event_frame, encode_welcome};
+use khameleon_transport::wire::{
+    encode_client_frame, encode_server_event_frame, encode_welcome, ClientFrame,
+};
 use khameleon_transport::{
     ReconnectPolicy, ShardedTransportServer, TransportClient, TransportConfig, TransportError,
     TransportServer,
@@ -282,36 +284,66 @@ fn park_disabled_reconnect_falls_back_to_fresh_session() {
 
 /// At `max_sessions` the server sheds load by refusing new sessions with a
 /// typed `Busy` — and parked sessions still hold their slot, so a crash
-/// loop cannot amplify past the cap.
+/// loop cannot amplify past the cap.  The slot stays the parked holder's:
+/// its own `Resume` is not refused.
 #[test]
 fn capacity_limit_refuses_sessions_with_typed_busy() {
     let cat = catalog(30, 4, 1_000);
+    // Downlink frame 2 of the first connection (the holder's second block)
+    // is truncated: the holder's socket dies and its session is parked.
+    let plan = FaultPlan::new().with(0, 2, FaultKind::Truncate { keep: 4 });
     let server = spawn_lockstep(
         &cat,
         TransportConfig {
             max_sessions: 1,
+            fault_plan: Some(plan),
             ..TransportConfig::default()
         },
     );
+    let refused =
+        |why: &str| match TransportClient::connect_resumable(server.local_addr(), fast_policy()) {
+            Err(TransportError::Busy) => {}
+            Ok(_) => panic!("{why}"),
+            Err(other) => panic!("expected Busy, got {other}"),
+        };
 
-    let holder = TransportClient::connect_resumable(server.local_addr(), fast_policy())
+    let mut holder = TransportClient::connect_resumable(server.local_addr(), fast_policy())
         .expect("first session");
-    match TransportClient::connect_resumable(server.local_addr(), fast_policy()) {
-        Err(TransportError::Busy) => {}
-        Ok(_) => panic!("second session admitted past the cap"),
-        Err(other) => panic!("expected Busy, got {other}"),
-    }
+    refused("second session admitted past the cap");
     wait_until(|| server.stats().refused_sessions == 1, "first refusal");
 
     // Park the holder: the slot is still occupied, so admission still fails.
-    drop(holder);
+    holder.send_credit(2).expect("credit");
     wait_until(|| server.stats().parked == 1, "holder parked");
-    match TransportClient::connect_resumable(server.local_addr(), fast_policy()) {
-        Err(TransportError::Busy) => {}
-        Ok(_) => panic!("parked session did not count against the cap"),
-        Err(other) => panic!("expected Busy, got {other}"),
-    }
+    refused("parked session did not count against the cap");
     assert_eq!(server.stats().refused_sessions, 2);
+
+    // The holder itself reconnects into the slot it never gave up, and the
+    // truncated block is replayed.
+    let mut blocks = 0;
+    while blocks < 2 {
+        if let ServerEvent::Block { .. } = holder.recv_event_resilient().expect("holder resumes") {
+            blocks += 1;
+        }
+    }
+    assert_eq!(holder.epoch(), 1, "the parked holder must resume");
+    assert_eq!(holder.fresh_sessions(), 0);
+    assert_eq!(server.stats().resumed, 1);
+    refused("a third party got in while the holder was live again");
+    assert_eq!(server.stats().refused_sessions, 3);
+
+    // A forged `Resume` at the cap is one refusal, however many frames the
+    // peer pipelined behind it.
+    let mut forger = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut bytes = encode_client_frame(&ClientFrame::Resume {
+        token: 0x5eed,
+        last_seq: 0,
+    });
+    bytes.extend(encode_client_frame(&ClientFrame::Credit(3)));
+    bytes.extend(encode_client_frame(&ClientFrame::Hello));
+    forger.write_all(&bytes).expect("forged frames");
+    wait_until(|| server.stats().frames_in >= 9, "forged frames decoded");
+    assert_eq!(server.stats().refused_sessions, 4);
 }
 
 /// Client-side sequence dedup against a hand-rolled server that replays
