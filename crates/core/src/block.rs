@@ -183,6 +183,10 @@ impl ResponseLayout {
 #[derive(Debug, Clone)]
 pub struct ResponseCatalog {
     layouts: Vec<ResponseLayout>,
+    /// Maxima over `layouts`, computed once at construction: the catalog is
+    /// immutable, and the pacing path reads them per block.
+    max_blocks: u32,
+    max_block_size: Bytes,
 }
 
 impl ResponseCatalog {
@@ -197,7 +201,15 @@ impl ResponseCatalog {
                 l.request()
             );
         }
-        ResponseCatalog { layouts }
+        ResponseCatalog {
+            max_blocks: layouts.iter().map(|l| l.num_blocks()).max().unwrap_or(0),
+            max_block_size: layouts
+                .iter()
+                .map(|l| l.padded_block_size())
+                .max()
+                .unwrap_or(0),
+            layouts,
+        }
     }
 
     /// A catalog in which every one of `n` requests has the same uniform
@@ -206,7 +218,7 @@ impl ResponseCatalog {
         let layouts = (0..n)
             .map(|i| ResponseLayout::uniform(RequestId::from(i), blocks, block_size))
             .collect();
-        ResponseCatalog { layouts }
+        ResponseCatalog::new(layouts)
     }
 
     /// Number of requests in the catalog.
@@ -231,21 +243,13 @@ impl ResponseCatalog {
 
     /// Maximum number of blocks over all requests.
     pub fn max_blocks(&self) -> u32 {
-        self.layouts
-            .iter()
-            .map(|l| l.num_blocks())
-            .max()
-            .unwrap_or(0)
+        self.max_blocks
     }
 
     /// Maximum padded block size over all requests — a safe fixed slot size
     /// for the client cache.
     pub fn max_block_size(&self) -> Bytes {
-        self.layouts
-            .iter()
-            .map(|l| l.padded_block_size())
-            .max()
-            .unwrap_or(0)
+        self.max_block_size
     }
 
     /// Iterates over all layouts.
@@ -329,5 +333,36 @@ mod tests {
         assert_eq!(b.meta.size, 100);
         let b2 = Block::with_payload(BlockRef::new(RequestId(0), 0), 4, 100, vec![1, 2, 3]);
         assert_eq!(b2.payload.as_ref().unwrap().len(), 3);
+    }
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The maxima cached at construction equal a scan of the layouts.
+            #[test]
+            fn cached_maxima_match_a_scan(
+                sizes in proptest::collection::vec(
+                    proptest::collection::vec(1u64..100_000, 1..9),
+                    0..40,
+                ),
+            ) {
+                let catalog = ResponseCatalog::new(
+                    sizes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| ResponseLayout::from_sizes(RequestId::from(i), s.clone()))
+                        .collect(),
+                );
+                prop_assert_eq!(
+                    catalog.max_blocks(),
+                    catalog.iter().map(|l| l.num_blocks()).max().unwrap_or(0)
+                );
+                prop_assert_eq!(
+                    catalog.max_block_size(),
+                    catalog.iter().map(|l| l.padded_block_size()).max().unwrap_or(0)
+                );
+            }
+        }
     }
 }

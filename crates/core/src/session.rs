@@ -695,6 +695,11 @@ pub struct SessionManager {
     /// Rotates the backend-concurrency remainder between sessions across
     /// [`next_event`](SessionManager::next_event) calls.
     budget_rotor: usize,
+    /// Largest `max_block_size` over the live sessions' catalogs (at least
+    /// 1), refreshed by [`redivide_bandwidth`](Self::redivide_bandwidth) at
+    /// every membership change so
+    /// [`pacing_interval`](Self::pacing_interval) is a field read.
+    max_block_size: u64,
     blocks_sent: u64,
     bytes_sent: u64,
 }
@@ -713,6 +718,7 @@ impl SessionManager {
             weight_denominator: None,
             external_budget: false,
             budget_rotor: 0,
+            max_block_size: 1,
             blocks_sent: 0,
             bytes_sent: 0,
         }
@@ -1038,6 +1044,21 @@ impl SessionManager {
         self.next_event_inner(picked)
     }
 
+    /// Whether an [`ServerEvent::Idle`] answer to
+    /// [`next_event_among`](Self::next_event_among) over `eligible`
+    /// (ascending by id) stands until something changes: every eligible
+    /// session has drained its scheduler, which only a protocol message or
+    /// a slot-duration change re-opens.  `false` means asking again can
+    /// yield a block with no new input — under a backend concurrency limit
+    /// the session holding work may simply have drawn a zero allowance this
+    /// round — so an event loop that sleeps on `Idle` must retry on a timer.
+    pub fn all_exhausted(&self, eligible: &[SessionId]) -> bool {
+        self.sessions
+            .iter()
+            .filter(|(id, _)| eligible.binary_search(id).is_ok())
+            .all(|(_, s)| s.exhausted)
+    }
+
     fn next_event_inner(&mut self, indices: Vec<usize>) -> ServerEvent {
         let n = indices.len().max(1);
         let limits: Vec<Option<usize>> = match self.backend.concurrency_limit() {
@@ -1098,7 +1119,15 @@ impl SessionManager {
     /// updating each scheduler's slot duration.  The weight denominator is
     /// the local weight sum, unless an external budget owner supplied the
     /// global one (see [`set_shared_budget`](Self::set_shared_budget)).
+    /// Every change to the live table ends here, so this is also where the
+    /// cached [`max_block_size`](Self::max_block_size) is refreshed.
     fn redivide_bandwidth(&mut self) {
+        self.max_block_size = self
+            .sessions
+            .iter()
+            .map(|(_, s)| s.max_block_size())
+            .max()
+            .unwrap_or(1);
         let total_weight: f64 = self
             .weight_denominator
             .unwrap_or_else(|| self.sessions.iter().map(|(_, s)| s.weight()).sum());
@@ -1109,7 +1138,7 @@ impl SessionManager {
         for (_, session) in &mut self.sessions {
             let share = session.weight() / total_weight;
             let effective = Bandwidth(total.bytes_per_sec() * share);
-            let slot = effective.transmit_time(session.catalog().max_block_size().max(1));
+            let slot = effective.transmit_time(session.max_block_size());
             session.set_slot_duration(slot);
         }
     }
@@ -1117,14 +1146,7 @@ impl SessionManager {
     /// Time the sender should wait between consecutive blocks to pace the
     /// shared wire at the estimated total bandwidth.
     pub fn pacing_interval(&self) -> Duration {
-        let max_block = self
-            .sessions
-            .iter()
-            .map(|(_, s)| s.catalog().max_block_size())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        self.shared_bandwidth.slot_duration(max_block)
+        self.shared_bandwidth.slot_duration(self.max_block_size)
     }
 
     /// The shared bandwidth estimate.
@@ -1786,5 +1808,138 @@ mod tests {
         let parked = solo.detach_session(solo_ids[0]).expect("session was live");
         solo.attach_session(solo_ids[0], parked);
         assert_eq!(solo.session(solo_ids[0]).unwrap().service(), before);
+    }
+    #[test]
+    fn idle_is_final_only_when_every_eligible_session_is_exhausted() {
+        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 4, 2);
+        assert!(!mgr.all_exhausted(&ids), "fresh sessions hold work");
+        drive(&mut mgr, 1_000);
+        assert!(mgr.next_event_among(Time::ZERO, &ids).is_idle());
+        assert!(mgr.all_exhausted(&ids));
+        // A message re-opens its own session and no other.
+        mgr.on_message(
+            ids[0],
+            &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(1))),
+            Time::ZERO,
+        );
+        assert!(!mgr.all_exhausted(&ids));
+        assert!(mgr.all_exhausted(&ids[1..]));
+        assert!(mgr.all_exhausted(&[]));
+
+        // Under a backend concurrency limit `Idle` is never final.  Two
+        // sessions drain after one request; the third needs the round's
+        // single allowance for every refill, and in the rounds where a
+        // drained session holds it the answer is `Idle` — yet asking again,
+        // with no input in between, serves it.
+        let cat = catalog(20, 2);
+        let mut limited = SessionManager::new(
+            Box::new(LimitedCatalog {
+                inner: CatalogBackend::new(cat.clone()),
+                limit: 1,
+            }),
+            Box::new(RoundRobin::new()),
+        );
+        // One block per refill, so every block of the third session needs
+        // an allowance of its own.
+        let one_at_a_time = ServerConfig {
+            sender_queue_target: 1,
+            ..Default::default()
+        };
+        let ids: Vec<SessionId> = (0..3)
+            .map(|_| {
+                limited.add_session(
+                    Session::builder(utility(2), cat.clone()).config(one_at_a_time.clone()),
+                )
+            })
+            .collect();
+        let certain = |requests: std::ops::Range<u32>| {
+            let p = 1.0 / requests.len() as f64;
+            let dist = crate::distribution::SparseDistribution::from_normalized(
+                20,
+                requests.map(|r| (RequestId(r), p)).collect(),
+                0.0,
+            );
+            ClientMessage::Predictor(PredictorState::Summary(PredictionSummary::new(
+                20,
+                vec![crate::distribution::HorizonSlice {
+                    delta: Duration::from_millis(50),
+                    dist,
+                }],
+                Time::ZERO,
+            )))
+        };
+        limited.on_message(ids[0], &certain(0..1), Time::ZERO);
+        limited.on_message(ids[1], &certain(1..2), Time::ZERO);
+        limited.on_message(ids[2], &certain(10..20), Time::ZERO);
+        let (mut last_was_idle, mut idle_then_block) = (false, false);
+        for _ in 0..200 {
+            match limited.next_event_among(Time::ZERO, &ids) {
+                ServerEvent::Block { .. } => {
+                    idle_then_block |= last_was_idle;
+                    last_was_idle = false;
+                }
+                ServerEvent::Idle => {
+                    assert!(!limited.all_exhausted(&ids));
+                    last_was_idle = true;
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert!(idle_then_block, "no `Idle` was followed by a block");
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The cached pacing block size follows the live table through
+            /// any sequence of add / detach / attach over catalogs of
+            /// different block sizes: `pacing_interval` equals the value
+            /// recomputed from a scan of every live session's catalog.
+            #[test]
+            fn pacing_interval_matches_a_rescan(
+                ops in proptest::collection::vec((0u8..3, 0usize..6), 1..40),
+            ) {
+                let sizes = [1u64, 500, 1_000, 4_096, 10_000, 65_536];
+                let cats: Vec<Arc<ResponseCatalog>> = sizes
+                    .iter()
+                    .map(|&size| Arc::new(ResponseCatalog::uniform(8, 2, size)))
+                    .collect();
+                let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(
+                    cats[0].clone(),
+                )));
+                let mut live: Vec<SessionId> = Vec::new();
+                let mut detached: Vec<(SessionId, Session)> = Vec::new();
+                for (op, pick) in ops {
+                    match op {
+                        0 => live.push(
+                            mgr.add_session(Session::builder(utility(2), cats[pick].clone())),
+                        ),
+                        1 if !live.is_empty() => {
+                            let id = live.remove(pick % live.len());
+                            let session = mgr.detach_session(id).expect("session is live");
+                            detached.push((id, session));
+                        }
+                        2 if !detached.is_empty() => {
+                            let (id, session) = detached.remove(pick % detached.len());
+                            mgr.attach_session(id, session);
+                            live.push(id);
+                        }
+                        _ => {}
+                    }
+                    let scanned = live
+                        .iter()
+                        .flat_map(|id| mgr.session(*id).expect("live").catalog().iter())
+                        .map(|layout| layout.padded_block_size())
+                        .max()
+                        .unwrap_or(1);
+                    prop_assert_eq!(
+                        mgr.pacing_interval(),
+                        mgr.bandwidth_estimate().transmit_time(scanned)
+                    );
+                }
+            }
+        }
     }
 }

@@ -17,8 +17,9 @@
 //!   so the server's shadow summary reconstructs the client's prediction
 //!   bit-exactly — the property the sparse scheduler path depends on.
 //! * [`server`] — a nonblocking readiness loop over `std::net` (no async
-//!   runtime): accept, decode, dispatch to the shared `SessionManager`,
-//!   and flush bounded per-connection outbound queues.  Full queues exclude
+//!   runtime) that sleeps in one `ppoll` until a socket is ready or a
+//!   deadline is due: accept, decode, dispatch to the shared
+//!   `SessionManager`, and flush bounded per-connection outbound queues.  Full queues exclude
 //!   their session from scheduling (backpressure); EOF tears the session
 //!   down (no slots are planned for departed clients).
 //! * [`resume`] — the socket-free park → TTL-evict → resume state machine
@@ -47,6 +48,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+mod pacing;
 pub mod resume;
 pub mod server;
 pub mod wire;

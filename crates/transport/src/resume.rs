@@ -210,11 +210,7 @@ impl<K: BuildHasher> ResumeTable<K> {
     pub fn park(&mut self, token: u64, session: Session, now: Time) -> (bool, u64) {
         let mut shed = self.evict(now);
         if self.parked >= self.max_parked {
-            let parks = self.entries.iter().filter_map(|e| match e.state {
-                State::Parked(_, expires) => Some((expires, e.session, e.token)),
-                State::Live => None,
-            });
-            if let Some((_, _, victim)) = parks.min() {
+            if let Some((_, _, victim)) = self.parks().min() {
                 shed += self.forget(victim);
             }
         }
@@ -296,6 +292,25 @@ impl<K: BuildHasher> ResumeTable<K> {
             .map(|e| e.token)
             .collect();
         expired.into_iter().map(|token| self.forget(token)).sum()
+    }
+
+    /// When the next park expires — the earliest `now` at which
+    /// [`evict`](Self::evict) reclaims something — or `None` while nothing
+    /// is parked.  An event loop that sleeps between passes wakes for it.
+    pub fn next_expiry(&self) -> Option<Time> {
+        if self.parked == 0 {
+            return None;
+        }
+        self.parks().map(|(expires, _, _)| expires).min()
+    }
+
+    /// `(expiry, session, token)` of every parked entry; the minimum is the
+    /// park closest to expiry, ties broken by session id.
+    fn parks(&self) -> impl Iterator<Item = (Time, SessionId, u64)> + '_ {
+        self.entries.iter().filter_map(|e| match e.state {
+            State::Parked(_, expires) => Some((expires, e.session, e.token)),
+            State::Live => None,
+        })
     }
 
     /// Number of currently parked sessions.
@@ -425,10 +440,12 @@ mod tests {
         // Before the TTL nothing is evicted and the park is still held.
         assert_eq!(table.evict(Time::from_millis(4)), 0);
         assert!(is_parked(&table, token));
+        assert_eq!(table.next_expiry(), Some(Time::from_millis(5)));
         // At/after the TTL the park is reclaimed.
         table.evict(Time::from_millis(5));
         assert!(!is_parked(&table, token));
         assert_eq!(table.num_parked(), 0);
+        assert_eq!(table.next_expiry(), None);
         assert!(matches!(
             table.resume(token, 0, Time::from_millis(5)),
             Resumed::Unknown { owner: None }
@@ -469,6 +486,7 @@ mod tests {
         assert!(!is_parked(&table, first));
         assert!(is_parked(&table, second) && is_parked(&table, third));
         assert_eq!(table.num_parked(), 2);
+        assert_eq!(table.next_expiry(), Some(Time::from_millis(13)));
         table.check().expect("invariants");
     }
 

@@ -5,8 +5,12 @@
 //! decoder, feed decoded [`ClientMessage`]s to the shared
 //! [`SessionManager`], pull the next scheduled blocks out of the manager,
 //! and flush per-connection outbound queues through nonblocking writes.
-//! There is no async runtime — sockets are polled in `O(connections)` per
-//! tick, which is exactly the regime the loopback stress harness measures.
+//! There is no async runtime.  Between passes the loop sleeps in one
+//! `ppoll` over its wake socket, its listener and every connection it is
+//! waiting on, with the earliest real deadline as the timeout — the pacing
+//! gate, the next park expiry, or a fault-injection tick — so a pass runs
+//! when there is work and reads only the sockets the wait reported.  See
+//! `docs/TRANSPORT.md`, "Server event loop".
 //!
 //! Two properties the tests lean on:
 //!
@@ -45,6 +49,8 @@ use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -56,7 +62,9 @@ use khameleon_core::scheduler::ModelCache;
 use khameleon_core::session::{SessionBuilder, SessionManager};
 use khameleon_core::shard::{ShardSnapshot, ShardStats};
 use khameleon_core::types::{Duration, Time};
+use nix::poll::{ppoll, PollFd, PollFlags};
 
+use crate::pacing::PacingGate;
 use crate::resume::{ResumeTable, Resumed, TokenDirectory};
 use crate::wire::{encode_server_event_frame, encode_welcome, ClientFrame, FrameBuffer};
 
@@ -73,8 +81,6 @@ pub struct TransportConfig {
     /// Pace block emission against the session manager's shared bandwidth
     /// estimate instead of draining as fast as sockets accept writes.
     pub paced: bool,
-    /// How long the loop sleeps when a full pass made no progress.
-    pub idle_wait: std::time::Duration,
     /// How long a disconnected-but-resumable session stays parked (on the
     /// loop's logical clock) before its state is reclaimed.  In lockstep
     /// mode the clock is frozen at zero, so parks never expire — the lever
@@ -104,7 +110,6 @@ impl Default for TransportConfig {
             max_queued_frames: 64,
             lockstep: false,
             paced: false,
-            idle_wait: std::time::Duration::from_micros(500),
             park_ttl: Duration::from_secs(30),
             max_parked_sessions: 64,
             max_sessions: usize::MAX,
@@ -155,6 +160,13 @@ pub struct ServerStats {
     pub refused_sessions: u64,
     /// Faults injected from the configured [`FaultPlan`].
     pub faults_injected: u64,
+    /// Passes of the event loop.  A loop with nothing to do makes none, so
+    /// a count that climbs on an idle server is a loop that is spinning.
+    pub loop_passes: u64,
+    /// Waits that ended because a deadline came due (the pacing gate, a
+    /// park expiry, a fault-injection tick) rather than because a socket
+    /// became ready.
+    pub timer_wakeups: u64,
 }
 
 struct Conn {
@@ -185,6 +197,12 @@ struct Conn {
     fault_checked: u64,
     /// Flush passes this connection remains frozen for (injected stall).
     stall_ticks: u64,
+    /// The socket is new, or the last wait reported it readable (or hung
+    /// up): read it this pass.
+    readable: bool,
+    /// The last write hit `WouldBlock`: skip the socket until a wait
+    /// reports it writable.
+    blocked: bool,
 }
 
 impl Conn {
@@ -203,11 +221,35 @@ impl Conn {
             flushed_frames: 0,
             fault_checked: 0,
             stall_ticks: 0,
+            // A client sends its first frame right behind `connect`: reading
+            // in the accept pass lets a `Hello` be answered before the first
+            // block is planned for the new session.
+            readable: true,
+            blocked: false,
         }
+    }
+
+    /// Whether the loop reads this socket at all: not once the peer is gone
+    /// or the connection is on its way to another shard.
+    fn wants_read(&self) -> bool {
+        !self.dying && self.pending_handoff.is_none()
     }
 
     fn queue_frame(&mut self, frame: Vec<u8>) {
         self.outbuf.push_back(frame);
+    }
+
+    /// Whether the peer has closed or reset the socket with nothing left to
+    /// read on it, found without consuming input.
+    fn peer_gone(&self) -> bool {
+        let mut probe = [0u8; 1];
+        loop {
+            match self.stream.peek(&mut probe) {
+                Ok(n) => return n == 0,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return e.kind() != ErrorKind::WouldBlock,
+            }
+        }
     }
 }
 
@@ -228,6 +270,39 @@ enum Handoff {
     },
 }
 
+/// The write end of a thread's wake socket.  A thread asleep in [`ppoll`]
+/// with no deadline is woken by one byte on the read end it polls: the
+/// acceptor (and a forwarding sibling shard) wakes a shard after queueing a
+/// [`Handoff`], and `shutdown()` wakes every thread once.
+struct Waker(UnixStream);
+
+impl Waker {
+    /// A waker and the nonblocking read end its thread polls.
+    fn pair() -> std::io::Result<(Waker, UnixStream)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Waker(tx), rx))
+    }
+
+    fn wake(&self) {
+        // A full socket buffer means a wake-up is already pending, and a
+        // closed read end that the thread is gone: nothing to do either way.
+        let _ = (&self.0).write(&[1]);
+    }
+}
+
+/// Empties a wake socket so the next wait blocks again.
+fn drain_wakes(mut wake_rx: &UnixStream, scratch: &mut [u8]) {
+    while matches!(wake_rx.read(scratch), Ok(n) if n > 0) {}
+}
+
+/// Whether the last [`ppoll`] reported anything for `slot` (bits this
+/// build does not name count: better one wasted read than a missed one).
+fn reported(slot: &PollFd) -> bool {
+    slot.revents() != Some(PollFlags::empty())
+}
+
 /// A running event-loop server bound to a local address.
 ///
 /// Dropping the handle (or calling [`shutdown`](TransportServer::shutdown))
@@ -235,6 +310,7 @@ enum Handoff {
 pub struct TransportServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    waker: Waker,
     stats: Arc<Mutex<ServerStats>>,
     handle: Option<JoinHandle<()>>,
 }
@@ -258,27 +334,30 @@ impl TransportServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(ServerStats::default()));
         let resume = ResumeTable::new(0, TokenDirectory::default(), RandomState::new(), &config);
-        let event_loop = EventLoop {
-            source: ConnSource::Listen(listener),
+        let (waker, wake_rx) = Waker::pair()?;
+        let event_loop = EventLoop::new(
+            ConnSource::Listen {
+                listener,
+                accept: Accept::Ready,
+            },
             manager,
-            factory: Box::new(factory),
+            Box::new(factory),
             config,
-            conns: Vec::new(),
-            shutdown: Arc::clone(&shutdown),
-            stats: Arc::clone(&stats),
-            scratch: vec![0u8; 64 * 1024],
-            clock: ClockSource::new(),
-            next_send: Time::ZERO,
-            snapshot_out: None,
+            LoopShared {
+                shutdown: Arc::clone(&shutdown),
+                wake_rx,
+                stats: Arc::clone(&stats),
+                snapshot_out: None,
+            },
             resume,
-            next_lane: 0,
-        };
+        );
         let handle = std::thread::Builder::new()
             .name("khameleon-transport".into())
             .spawn(move || event_loop.run())?;
         Ok(TransportServer {
             local_addr,
             shutdown,
+            waker,
             stats,
             handle: Some(handle),
         })
@@ -298,6 +377,7 @@ impl TransportServer {
     /// Stops the event loop and joins its thread.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -329,6 +409,8 @@ impl Drop for TransportServer {
 pub struct ShardedTransportServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// One per shard loop, then the acceptor's.
+    wakers: Vec<Arc<Waker>>,
     shard_stats: Vec<Arc<Mutex<ServerStats>>>,
     snapshots: Vec<Arc<Mutex<ShardSnapshot>>>,
     model_cache: Arc<ModelCache>,
@@ -365,20 +447,24 @@ impl ShardedTransportServer {
         let mut shard_stats = Vec::with_capacity(num_shards);
         let mut snapshots = Vec::with_capacity(num_shards);
         // All handoff channels exist before any loop starts, so every shard
-        // can hold every peer's sender for cross-shard resume forwarding.
-        let mut senders = Vec::with_capacity(num_shards);
+        // can hold every peer's link for cross-shard resume forwarding.
+        let mut links = Vec::with_capacity(num_shards);
         let mut receivers = Vec::with_capacity(num_shards);
         for _ in 0..num_shards {
-            let (tx, rx) = channel::unbounded();
-            senders.push(tx);
-            receivers.push(rx);
+            let (handoffs, rx) = channel::unbounded();
+            let (waker, wake_rx) = Waker::pair()?;
+            links.push(ShardLink {
+                handoffs,
+                waker: Arc::new(waker),
+            });
+            receivers.push((rx, wake_rx));
         }
         // One token directory and one token key for the whole server: any
         // shard can tell which sibling owns a token, and no two shards can
         // mint the same one.
         let directory = TokenDirectory::default();
         let token_keys = RandomState::new();
-        for (i, rx) in receivers.into_iter().enumerate() {
+        for (i, (rx, wake_rx)) in receivers.into_iter().enumerate() {
             let mut manager = manager_factory(i);
             manager.set_model_cache(Arc::clone(&model_cache));
             let stats = Arc::new(Mutex::new(ServerStats::default()));
@@ -386,35 +472,39 @@ impl ShardedTransportServer {
             shard_stats.push(Arc::clone(&stats));
             snapshots.push(Arc::clone(&snapshot));
             let factory = Arc::clone(&session_factory);
-            let event_loop = EventLoop {
-                source: ConnSource::Shard {
+            let event_loop = EventLoop::new(
+                ConnSource::Shard {
                     streams: rx,
-                    peers: senders.clone(),
+                    peers: links.clone(),
                     ids: Arc::clone(&ids),
                 },
                 manager,
-                factory: Box::new(move || factory()),
-                config: config.clone(),
-                conns: Vec::new(),
-                shutdown: Arc::clone(&shutdown),
-                stats,
-                scratch: vec![0u8; 64 * 1024],
-                clock: ClockSource::new(),
-                next_send: Time::ZERO,
-                snapshot_out: Some(snapshot),
-                resume: ResumeTable::new(i, directory.clone(), token_keys.clone(), &config),
-                next_lane: 0,
-            };
+                Box::new(move || factory()),
+                config.clone(),
+                LoopShared {
+                    shutdown: Arc::clone(&shutdown),
+                    wake_rx,
+                    stats,
+                    snapshot_out: Some(snapshot),
+                },
+                ResumeTable::new(i, directory.clone(), token_keys.clone(), &config),
+            );
             let handle = std::thread::Builder::new()
                 .name(format!("khameleon-shard-io-{i}"))
                 .spawn(move || event_loop.run())?;
             handles.push(handle);
         }
+        let mut wakers: Vec<Arc<Waker>> = links.iter().map(|l| Arc::clone(&l.waker)).collect();
+        let (accept_waker, accept_wake_rx) = Waker::pair()?;
+        wakers.push(Arc::new(accept_waker));
         let accept_shutdown = Arc::clone(&shutdown);
-        let idle_wait = config.idle_wait;
         let acceptor = std::thread::Builder::new()
             .name("khameleon-shard-accept".into())
             .spawn(move || {
+                let mut fds = [
+                    PollFd::new(accept_wake_rx.as_raw_fd(), PollFlags::POLLIN),
+                    PollFd::new(listener.as_raw_fd(), PollFlags::POLLIN),
+                ];
                 let mut next = 0usize;
                 while !accept_shutdown.load(Ordering::SeqCst) {
                     match listener.accept() {
@@ -422,13 +512,22 @@ impl ShardedTransportServer {
                             // Round-robin fan-out over an unbounded handoff
                             // queue: a shard busy tearing sessions down (or
                             // wedged on slow peers) can never stall accepts.
-                            let _ = senders[next % senders.len()].send(Handoff::Fresh(stream));
+                            links[next % links.len()].send(Handoff::Fresh(stream));
                             next = next.wrapping_add(1);
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(idle_wait);
+                            // Nothing pending: sleep until a peer connects
+                            // or `shutdown()` wakes us.
+                            let _ = ppoll(&mut fds, None);
                         }
-                        Err(_) => std::thread::sleep(idle_wait),
+                        Err(_) => {
+                            // A failing accept (out of descriptors, say)
+                            // leaves the listener readable; back off one
+                            // tick, listening only for the wake-up.
+                            let tick =
+                                std::time::Duration::from_micros(EventLoop::TICK.as_micros());
+                            let _ = ppoll(&mut fds[..1], Some(tick));
+                        }
                     }
                 }
             })?;
@@ -436,6 +535,7 @@ impl ShardedTransportServer {
         Ok(ShardedTransportServer {
             local_addr,
             shutdown,
+            wakers,
             shard_stats,
             snapshots,
             model_cache,
@@ -474,6 +574,8 @@ impl ShardedTransportServer {
             total.shed_blocks += s.shed_blocks;
             total.refused_sessions += s.refused_sessions;
             total.faults_injected += s.faults_injected;
+            total.loop_passes += s.loop_passes;
+            total.timer_wakeups += s.timer_wakeups;
         }
         total
     }
@@ -514,6 +616,9 @@ impl ShardedTransportServer {
     /// Stops the acceptor and every shard loop, joining their threads.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        for waker in &self.wakers {
+            waker.wake();
+        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -542,13 +647,19 @@ impl ClockSource {
         }
     }
 
+    /// Wall-clock time since loop start; what the pacing gate and the
+    /// wait's deadlines run on, lockstep or not.
+    fn wall(&self) -> Time {
+        Time::from_micros(self.start.elapsed().as_micros() as u64)
+    }
+
     fn now(&self, lockstep: bool) -> Time {
         if lockstep {
             // Lockstep runs must be reproducible: freeze the logical clock so
             // a TCP run and an in-process run see identical timestamps.
             return Time::ZERO;
         }
-        Time::from_micros(self.start.elapsed().as_micros() as u64)
+        self.wall()
     }
 }
 
@@ -556,26 +667,68 @@ impl ClockSource {
 /// (standalone mode), or a handoff queue fed by a shared acceptor thread
 /// (one shard of a [`ShardedTransportServer`]).
 enum ConnSource {
-    Listen(TcpListener),
+    Listen {
+        listener: TcpListener,
+        accept: Accept,
+    },
     Shard {
         streams: Receiver<Handoff>,
-        /// Every shard's handoff sender (self included), for forwarding
+        /// Every shard's handoff link (self included), for forwarding
         /// cross-shard resumes.
-        peers: Vec<Sender<Handoff>>,
+        peers: Vec<ShardLink>,
         /// Globally unique session ids, shared by every shard so a session
         /// id names one session across the whole server.
         ids: Arc<AtomicU64>,
     },
 }
 
+/// What a standalone loop knows about its listener.
+enum Accept {
+    /// A wait reported the listener readable (or nothing was tried yet):
+    /// accept this pass.
+    Ready,
+    /// `accept` said `WouldBlock`: wait for the listener to turn readable.
+    Drained,
+    /// `accept` failed (out of descriptors, say) while the listener stays
+    /// readable: leave it out of the next wait and retry one tick later.
+    Failed,
+}
+
+/// The way to hand a connection to a shard: queue it, then wake the shard's
+/// loop out of its wait.
+#[derive(Clone)]
+struct ShardLink {
+    handoffs: Sender<Handoff>,
+    waker: Arc<Waker>,
+}
+
+impl ShardLink {
+    fn send(&self, handoff: Handoff) {
+        let _ = self.handoffs.send(handoff);
+        self.waker.wake();
+    }
+}
+
 impl ConnSource {
     /// Nonblocking poll for the next incoming connection, if any.
     fn poll(&mut self) -> Option<Handoff> {
         match self {
-            ConnSource::Listen(listener) => listener
-                .accept()
-                .ok()
-                .map(|(stream, _peer)| Handoff::Fresh(stream)),
+            ConnSource::Listen { listener, accept } => {
+                if !matches!(accept, Accept::Ready) {
+                    return None;
+                }
+                match listener.accept() {
+                    Ok((stream, _peer)) => Some(Handoff::Fresh(stream)),
+                    Err(e) => {
+                        *accept = if e.kind() == ErrorKind::WouldBlock {
+                            Accept::Drained
+                        } else {
+                            Accept::Failed
+                        };
+                        None
+                    }
+                }
+            }
             ConnSource::Shard { streams, .. } => streams.try_recv().ok(),
         }
     }
@@ -583,10 +736,21 @@ impl ConnSource {
     /// In sharded mode, draws the next globally unique session id.
     fn forced_id(&self) -> Option<SessionId> {
         match self {
-            ConnSource::Listen(_) => None,
+            ConnSource::Listen { .. } => None,
             ConnSource::Shard { ids, .. } => Some(SessionId(ids.fetch_add(1, Ordering::Relaxed))),
         }
     }
+}
+
+/// What an event loop shares with the handle that spawned it.
+struct LoopShared {
+    shutdown: Arc<AtomicBool>,
+    /// Read end of this loop's [`Waker`].
+    wake_rx: UnixStream,
+    stats: Arc<Mutex<ServerStats>>,
+    /// In sharded mode, where this shard publishes its session-layer
+    /// counters each pass (merged by `ShardedTransportServer::shard_stats`).
+    snapshot_out: Option<Arc<Mutex<ShardSnapshot>>>,
 }
 
 struct EventLoop {
@@ -595,47 +759,182 @@ struct EventLoop {
     factory: Box<dyn FnMut() -> SessionBuilder + Send>,
     config: TransportConfig,
     conns: Vec<Conn>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<Mutex<ServerStats>>,
+    shared: LoopShared,
     scratch: Vec<u8>,
     clock: ClockSource,
-    /// Earliest loop time (µs since start) the pacing gate opens again.
-    next_send: Time,
-    /// In sharded mode, where this shard publishes its session-layer
-    /// counters each tick (merged by `ShardedTransportServer::shard_stats`).
-    snapshot_out: Option<Arc<Mutex<ShardSnapshot>>>,
+    /// Paced mode: when the next block may go.
+    gate: PacingGate,
     /// Resume state — and, while parked, the session itself — for every
     /// token this loop owns.
     resume: ResumeTable,
     /// Accept-order lane counter feeding [`Conn::lane`].
     next_lane: usize,
+    /// The wait's descriptor set, rebuilt from `conns` at every wait: the
+    /// wake socket, the listener, then one slot per connection in order.
+    pollfds: Vec<PollFd>,
+    /// The pass in progress left work only another pass can pick up (a full
+    /// queue gained room, a disconnect re-divided the bandwidth): do not
+    /// sleep before it.
+    rerun: bool,
+    /// Earliest wall-clock deadline the pass in progress found; the wait's
+    /// timeout.  `None` sleeps until a socket is ready.
+    wake_at: Option<Time>,
 }
 
 impl EventLoop {
+    fn new(
+        source: ConnSource,
+        manager: SessionManager,
+        factory: Box<dyn FnMut() -> SessionBuilder + Send>,
+        config: TransportConfig,
+        shared: LoopShared,
+        resume: ResumeTable,
+    ) -> EventLoop {
+        EventLoop {
+            source,
+            manager,
+            factory,
+            config,
+            conns: Vec::new(),
+            shared,
+            scratch: vec![0u8; 64 * 1024],
+            clock: ClockSource::new(),
+            gate: PacingGate::default(),
+            resume,
+            next_lane: 0,
+            pollfds: Vec::new(),
+            rerun: false,
+            wake_at: None,
+        }
+    }
+
     fn run(mut self) {
-        while !self.shutdown.load(Ordering::SeqCst) {
+        while !self.shared.shutdown.load(Ordering::SeqCst) {
+            self.rerun = false;
+            self.wake_at = None;
             let now = self.clock.now(self.config.lockstep);
             // Reclaim parks whose TTL elapsed on the logical clock.
             let shed = self.resume.evict(now);
             if shed > 0 {
                 self.with_stats(|s| s.shed_blocks += shed);
             }
-            let mut progressed = false;
-            progressed |= self.accept_new(now);
-            progressed |= self.read_sockets();
-            progressed |= self.dispatch_handoffs();
-            progressed |= self.schedule_blocks();
-            progressed |= self.flush_sockets();
+            self.accept_new(now);
+            self.read_sockets();
+            self.dispatch_handoffs();
+            self.schedule_blocks();
+            self.flush_sockets();
             self.reap_dead();
             self.publish_stats();
-            if !progressed {
-                std::thread::sleep(self.config.idle_wait);
-            }
+            self.wait();
         }
         // Final flush attempt so Closed frames reach clients that are still
         // reading, then let the sockets drop.
         self.flush_sockets();
         self.publish_stats();
+    }
+
+    /// Asks for the next pass no later than `at` on the wall clock.
+    fn wake_by(&mut self, at: Time) {
+        self.wake_at = Some(self.wake_at.map_or(at, |earlier| earlier.min(at)));
+    }
+
+    /// Asks for another pass one [`TICK`](Self::TICK) from now.
+    fn tick(&mut self) {
+        self.wake_by(self.clock.wall() + Self::TICK);
+    }
+
+    /// Sleeps until there is something for a pass to do: a socket the loop
+    /// is waiting on turns ready, a wake-up arrives (a queued [`Handoff`],
+    /// `shutdown()`), or the earliest deadline the pass recorded comes due —
+    /// then marks what the next pass should touch.  The interest set is
+    /// derived from `conns` as they are now: every connection still being
+    /// read, for input; only those whose last write blocked, for output.
+    fn wait(&mut self) {
+        // Parks expire on the logical clock, which only moves outside
+        // lockstep mode (where it is the wall clock).
+        if !self.config.lockstep {
+            if let Some(expiry) = self.resume.next_expiry() {
+                self.wake_by(expiry);
+            }
+        }
+        let mut listener_fd = -1;
+        let mut accept_failed = false;
+        if let ConnSource::Listen { listener, accept } = &mut self.source {
+            if matches!(accept, Accept::Failed) {
+                *accept = Accept::Ready;
+                accept_failed = true;
+            } else {
+                listener_fd = listener.as_raw_fd();
+            }
+        }
+        if accept_failed {
+            self.tick();
+        }
+        self.pollfds.clear();
+        self.pollfds.push(PollFd::new(
+            self.shared.wake_rx.as_raw_fd(),
+            PollFlags::POLLIN,
+        ));
+        self.pollfds
+            .push(PollFd::new(listener_fd, PollFlags::POLLIN));
+        for conn in &self.conns {
+            let mut events = PollFlags::empty();
+            if conn.wants_read() {
+                events |= PollFlags::POLLIN;
+            }
+            if conn.blocked {
+                events |= PollFlags::POLLOUT;
+            }
+            // A slot without interest keeps its place (so slots and `conns`
+            // stay aligned) but is skipped by the kernel: a hung-up peer
+            // must not wake a loop that is not going to touch the socket.
+            let fd = if events.is_empty() {
+                -1
+            } else {
+                conn.stream.as_raw_fd()
+            };
+            self.pollfds.push(PollFd::new(fd, events));
+        }
+        let timeout = if self.rerun {
+            Some(std::time::Duration::ZERO)
+        } else {
+            let wall = self.clock.wall();
+            self.wake_at
+                .map(|at| std::time::Duration::from_micros(at.saturating_sub(wall).as_micros()))
+        };
+        let ready = ppoll(&mut self.pollfds, timeout);
+        if matches!(ready, Ok(0)) {
+            if !self.rerun {
+                self.with_stats(|s| s.timer_wakeups += 1);
+            }
+            return;
+        }
+        // An error (a signal, most likely) reported nothing, so look at
+        // everything: a wasted read beats a missed one.
+        let all = ready.is_err();
+        let hung_up = PollFlags::POLLERR | PollFlags::POLLHUP | PollFlags::POLLNVAL;
+        let everything = PollFlags::POLLIN | PollFlags::POLLOUT | hung_up;
+        if all || reported(&self.pollfds[0]) {
+            drain_wakes(&self.shared.wake_rx, &mut self.scratch);
+        }
+        if all || reported(&self.pollfds[1]) {
+            if let ConnSource::Listen { accept, .. } = &mut self.source {
+                *accept = Accept::Ready;
+            }
+        }
+        for (conn, slot) in self.conns.iter_mut().zip(&self.pollfds[2..]) {
+            let got = if all {
+                everything
+            } else {
+                slot.revents().unwrap_or(everything)
+            };
+            if got.intersects(PollFlags::POLLIN | hung_up) {
+                conn.readable = conn.wants_read();
+            }
+            if got.intersects(PollFlags::POLLOUT | hung_up) {
+                conn.blocked = false;
+            }
+        }
     }
 
     /// Live plus parked sessions have reached the admission cap.
@@ -672,15 +971,13 @@ impl EventLoop {
         self.conns.len() - 1
     }
 
-    fn accept_new(&mut self, now: Time) -> bool {
-        let mut progressed = false;
+    fn accept_new(&mut self, now: Time) {
         while let Some(handoff) = self.source.poll() {
             match handoff {
                 Handoff::Fresh(stream) => {
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    progressed = true;
                     self.with_stats(|s| s.accepted += 1);
                     let i = self.push_conn(stream);
                     // At the cap the socket stays session-less until its
@@ -702,7 +999,6 @@ impl EventLoop {
                     // socket is already nonblocking.  No session exists yet:
                     // handle_resume either re-attaches the parked one or
                     // falls back to a fresh session here.
-                    progressed = true;
                     let i = self.push_conn(stream);
                     self.conns[i].credits = credits;
                     self.conns[i].inbuf.extend(&leftover);
@@ -715,14 +1011,13 @@ impl EventLoop {
                 }
             }
         }
-        progressed
     }
 
-    fn read_sockets(&mut self) -> bool {
+    /// Reads the sockets the last wait reported, and only those.
+    fn read_sockets(&mut self) {
         let now = self.clock.now(self.config.lockstep);
-        let mut progressed = false;
         for i in 0..self.conns.len() {
-            if self.conns[i].dying || self.conns[i].pending_handoff.is_some() {
+            if !std::mem::take(&mut self.conns[i].readable) || !self.conns[i].wants_read() {
                 continue;
             }
             loop {
@@ -741,14 +1036,14 @@ impl EventLoop {
                         break;
                     }
                 };
-                progressed = true;
                 self.conns[i].inbuf.extend(&self.scratch[..n]);
-                if !self.drain_frames(i, now) {
+                // A short read emptied the socket; the wait reports it
+                // again when more (or EOF) arrives.
+                if !self.drain_frames(i, now) || n < self.scratch.len() {
                     break;
                 }
             }
         }
-        progressed
     }
 
     /// Decodes and dispatches every complete frame buffered on `conns[i]`.
@@ -862,6 +1157,17 @@ impl EventLoop {
     /// 3. Token owned by a sibling shard (first hop only) → mark the
     ///    connection for handoff; `dispatch_handoffs` forwards it.
     fn handle_resume(&mut self, i: usize, token: u64, last_seq: u64, hops: u32, now: Time) {
+        // A client that reconnects drops its old socket and sends `Resume`
+        // on the new one back to back, and the wait may report the new
+        // socket first.  Park a holder whose peer is gone before asking the
+        // table, or the token would still read as live and be refused.
+        let holder = self
+            .conns
+            .iter()
+            .position(|c| c.token == Some(token) && !c.dying);
+        if let Some(j) = holder.filter(|&j| j != i && self.conns[j].peer_gone()) {
+            self.disconnect(j);
+        }
         match self.resume.resume(token, last_seq, now) {
             Resumed::Attached {
                 id,
@@ -927,8 +1233,7 @@ impl EventLoop {
 
     /// Forwards every connection marked for cross-shard resume to the shard
     /// that owns its token, carrying undecoded bytes and unspent credits.
-    fn dispatch_handoffs(&mut self) -> bool {
-        let mut progressed = false;
+    fn dispatch_handoffs(&mut self) {
         let mut i = 0;
         while i < self.conns.len() {
             let Some((token, last_seq, target)) = self.conns[i].pending_handoff else {
@@ -938,7 +1243,7 @@ impl EventLoop {
             let mut conn = self.conns.swap_remove(i);
             let leftover = conn.inbuf.take_remaining();
             if let ConnSource::Shard { peers, .. } = &self.source {
-                let _ = peers[target].send(Handoff::Resume {
+                peers[target].send(Handoff::Resume {
                     stream: conn.stream,
                     token,
                     last_seq,
@@ -947,9 +1252,7 @@ impl EventLoop {
                     hops: 1,
                 });
             }
-            progressed = true;
         }
-        progressed
     }
 
     /// Encodes `event` with the connection's next sequence number and
@@ -969,18 +1272,22 @@ impl EventLoop {
         self.conns[i].queue_frame(frame);
     }
 
-    fn schedule_blocks(&mut self) -> bool {
+    fn schedule_blocks(&mut self) {
         let now = self.clock.now(self.config.lockstep);
-        let mut progressed = false;
         loop {
-            if self.config.paced && self.manager.pacing_interval().as_micros() > 0 {
-                // Respect the shared budget: at most one block per pacing
-                // interval across all sessions.  The pacing interval tracks
-                // the manager's bandwidth estimate, so rate reports from
-                // clients speed this up or slow it down.
-                if !self.pacing_gate_open() {
-                    break;
-                }
+            // Respect the shared budget: at most one block per pacing
+            // interval across all sessions.  The pacing interval tracks
+            // the manager's bandwidth estimate, so rate reports from
+            // clients speed this up or slow it down.
+            let interval = if self.config.paced {
+                self.manager.pacing_interval()
+            } else {
+                Duration::ZERO
+            };
+            let wall = self.clock.wall();
+            if interval > Duration::ZERO && !self.gate.is_open(wall) {
+                self.wake_by(self.gate.next_send());
+                break;
             }
             // Sessions eligible for the next block: connection alive, queue
             // below capacity, and (lockstep) holding credit.
@@ -1006,11 +1313,22 @@ impl EventLoop {
                 self.with_stats(|s| s.backpressure_skips += skipped);
             }
             if eligible.is_empty() {
+                // Input (a credit, a first frame) or a drained queue makes a
+                // session eligible, and the wait reports both.
                 break;
             }
             eligible.sort_unstable();
             match self.manager.next_event_among(now, &eligible) {
-                ServerEvent::Idle | ServerEvent::Busy => break,
+                ServerEvent::Idle | ServerEvent::Busy => {
+                    // Drained schedulers stay drained until a message
+                    // arrives.  Anything else (a backend concurrency limit
+                    // that gave the session with work no allowance this
+                    // round) may yield a block on the next ask.
+                    if !self.manager.all_exhausted(&eligible) {
+                        self.tick();
+                    }
+                    break;
+                }
                 event @ ServerEvent::Block { session, .. } => {
                     if let Some(i) = self.conns.iter().position(|c| c.session == Some(session)) {
                         self.queue_event(i, &event);
@@ -1022,9 +1340,10 @@ impl EventLoop {
                             s.frames_out += 1;
                             s.peak_queue_frames = s.peak_queue_frames.max(depth);
                         });
-                        self.note_block_paced();
+                        if self.config.paced {
+                            self.gate.note_sent(wall, interval);
+                        }
                     }
-                    progressed = true;
                 }
                 event @ (ServerEvent::Closed { .. } | ServerEvent::Resync { .. }) => {
                     let session = match event.session() {
@@ -1042,27 +1361,15 @@ impl EventLoop {
                         }
                         self.with_stats(|s| s.frames_out += 1);
                     }
-                    progressed = true;
                 }
             }
         }
-        progressed
     }
 
-    /// Whether the pacing budget allows another block right now.
-    fn pacing_gate_open(&mut self) -> bool {
-        let elapsed = Time::from_micros(self.clock.start.elapsed().as_micros() as u64);
-        elapsed >= self.next_send
-    }
-
-    fn note_block_paced(&mut self) {
-        if !self.config.paced {
-            return;
-        }
-        let elapsed = Time::from_micros(self.clock.start.elapsed().as_micros() as u64);
-        let interval = self.manager.pacing_interval();
-        self.next_send = elapsed.max(self.next_send) + interval;
-    }
+    /// One step of an injected `Stall`/`Delay` (`stall_ticks`), so a fault
+    /// plan's stalls last 500 µs per tick whatever else wakes the loop; also
+    /// the retry period after a failed `accept` or a non-final `Idle`.
+    const TICK: Duration = Duration(500);
 
     /// Looks up the fault plan at a new-frame boundary of `conns[i]` and
     /// applies the scheduled fault, if any.  `None`: no fault, write the
@@ -1081,13 +1388,14 @@ impl EventLoop {
         match kind {
             FaultKind::Drop => {
                 // The frame vanishes on the wire; the connection lives on.
-                self.conns[i].outbuf.pop_front();
-                self.conns[i].flushed_frames += 1;
+                self.pop_flushed(i);
                 Some(true)
             }
             FaultKind::Delay { ticks } | FaultKind::Stall { ticks } => {
-                // The transport models both as a frozen flush path.
+                // The transport models both as a frozen flush path, thawed
+                // by the passes that follow.
                 self.conns[i].stall_ticks = ticks;
+                self.rerun = true;
                 Some(false)
             }
             FaultKind::Truncate { keep } => {
@@ -1116,11 +1424,14 @@ impl EventLoop {
         }
     }
 
-    fn flush_sockets(&mut self) -> bool {
-        let mut progressed = false;
+    fn flush_sockets(&mut self) {
         for i in 0..self.conns.len() {
             if self.conns[i].stall_ticks > 0 {
                 self.conns[i].stall_ticks -= 1;
+                self.tick();
+                continue;
+            }
+            if self.conns[i].blocked {
                 continue;
             }
             loop {
@@ -1132,14 +1443,8 @@ impl EventLoop {
                     self.conns[i].fault_checked += 1;
                     match self.apply_flush_fault(i) {
                         None => {}
-                        Some(true) => {
-                            progressed = true;
-                            continue;
-                        }
-                        Some(false) => {
-                            progressed = true;
-                            break;
-                        }
+                        Some(true) => continue,
+                        Some(false) => break,
                     }
                 }
                 let conn = &mut self.conns[i];
@@ -1153,15 +1458,15 @@ impl EventLoop {
                         break;
                     }
                     Ok(n) => {
-                        progressed = true;
                         conn.front_written += n;
                         if conn.front_written == front.len() {
-                            conn.outbuf.pop_front();
-                            conn.front_written = 0;
-                            conn.flushed_frames += 1;
+                            self.pop_flushed(i);
                         }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        conn.blocked = true;
+                        break;
+                    }
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         self.disconnect(i);
@@ -1170,7 +1475,18 @@ impl EventLoop {
                 }
             }
         }
-        progressed
+    }
+
+    /// The front frame of `conns[i]` left the queue (written out, or
+    /// swallowed by a `Drop` fault).
+    fn pop_flushed(&mut self, i: usize) {
+        let conn = &mut self.conns[i];
+        // A full queue kept this session out of scheduling; with room
+        // again, the next pass can plan for it.
+        self.rerun |= conn.outbuf.len() >= self.config.max_queued_frames;
+        conn.outbuf.pop_front();
+        conn.front_written = 0;
+        conn.flushed_frames += 1;
     }
 
     /// Handles the death of `conns[i]`'s socket: the session leaves
@@ -1179,6 +1495,9 @@ impl EventLoop {
     /// [`TransportConfig::max_parked_sessions`] permitting), any other is
     /// torn down.
     fn disconnect(&mut self, i: usize) {
+        // Losing a session re-divides the bandwidth, which re-opens drained
+        // schedulers, and a zero-TTL park is already due: both want a pass.
+        self.rerun = true;
         let conn = &mut self.conns[i];
         conn.dying = true;
         conn.outbuf.clear();
@@ -1213,8 +1532,11 @@ impl EventLoop {
 
     fn publish_stats(&mut self) {
         let active = self.conns.iter().filter(|c| !c.dying).count() as u64;
-        self.with_stats(|s| s.active = active);
-        if let Some(out) = &self.snapshot_out {
+        self.with_stats(|s| {
+            s.active = active;
+            s.loop_passes += 1;
+        });
+        if let Some(out) = &self.shared.snapshot_out {
             *out.lock().unwrap_or_else(PoisonError::into_inner) = self.manager.stats_snapshot();
         }
     }
@@ -1222,6 +1544,10 @@ impl EventLoop {
     /// Counter updates are single-field increments, valid at every step, so
     /// a poisoned mutex is recovered like every reader does.
     fn with_stats(&self, f: impl FnOnce(&mut ServerStats)) {
-        f(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
+        f(&mut self
+            .shared
+            .stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner));
     }
 }

@@ -14,7 +14,7 @@ use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::{DeltaTracker, PredictionDelta, SliceDelta};
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::protocol::{ClientMessage, ServerEvent};
-use khameleon_core::server::{Backend, CatalogBackend};
+use khameleon_core::server::{Backend, CatalogBackend, ServerConfig};
 use khameleon_core::session::{Session, SessionBuilder, SessionManager};
 use khameleon_core::types::{BlockRef, Duration, RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
@@ -471,4 +471,239 @@ fn lockstep_tcp_run_matches_in_process_schedule() {
     // The workload above is delta-friendly: updates 2 and 3 must have gone
     // out as deltas, proving determinism holds *through* the O(Δ) path.
     assert!(client.delta_updates() >= 1, "no delta was exercised");
+}
+
+/// Waits until the loop has stopped making passes — two looks 50 ms apart
+/// see the same count — and returns that count.  A loop driven by a timer
+/// instead of by work never gets there.
+fn quiescent_passes(stats: impl Fn() -> u64) -> u64 {
+    let mut last = stats();
+    for _ in 0..200 {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let now = stats();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+    panic!("the event loop never went quiet: {last} passes and counting");
+}
+
+/// An idle loop sleeps: with sixteen connections that have drained their
+/// schedules and say nothing, 300 ms pass without a pass.
+#[test]
+fn idle_connections_cost_no_loop_passes() {
+    let cat = catalog(20, 2, 500);
+    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let factory_cat = cat.clone();
+    let server = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || builder(&factory_cat, 2),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    let _idle: Vec<TransportClient> = (0..16)
+        .map(|_| TransportClient::connect(server.local_addr()).expect("connect"))
+        .collect();
+    wait_until(|| server.stats().accepted == 16, "sixteen sessions");
+
+    let before = quiescent_passes(|| server.stats().loop_passes);
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let stats = server.stats();
+    assert!(
+        stats.loop_passes - before < 20,
+        "an idle loop made {} passes in 300 ms",
+        stats.loop_passes - before
+    );
+    assert_eq!(stats.active, 16);
+}
+
+/// A paced loop wakes on the pacing gate's deadline: about one timer
+/// wake-up and one pass per block, not a poll every tick.
+#[test]
+fn paced_server_wakes_once_per_block() {
+    // 20 kB blocks at the default 5.625 MB/s estimate: one every ≈ 3.6 ms.
+    let cat = catalog(40, 4, 20_000);
+    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let factory_cat = cat.clone();
+    let server = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || builder(&factory_cat, 4),
+        TransportConfig {
+            paced: true,
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    let mut got = 0;
+    while got < 40 {
+        if let ServerEvent::Block { .. } = client.recv_event().expect("event") {
+            got += 1;
+        }
+    }
+    let stats = server.stats();
+    assert!(stats.blocks_sent >= 40);
+    assert!(
+        stats.timer_wakeups <= stats.blocks_sent + 2,
+        "{} timer wake-ups for {} blocks",
+        stats.timer_wakeups,
+        stats.blocks_sent
+    );
+    assert!(
+        stats.timer_wakeups * 4 >= stats.blocks_sent,
+        "pacing is not driven by the gate's deadline: {} timer wake-ups for {} blocks",
+        stats.timer_wakeups,
+        stats.blocks_sent
+    );
+    assert!(
+        stats.loop_passes <= 2 * stats.blocks_sent + 20,
+        "{} passes for {} blocks",
+        stats.loop_passes,
+        stats.blocks_sent
+    );
+}
+
+/// Runs `shutdown` on a helper thread so a loop that misses its wake-up
+/// fails the test instead of hanging it.
+fn shutdown_returns(what: &str, shutdown: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("shutdown of {what} did not return"));
+}
+
+/// `shutdown()` wakes a loop that is asleep with no deadline, or with one
+/// half a minute away (a parked session's expiry), and wakes the sharded
+/// server's acceptor and every shard.
+#[test]
+fn shutdown_wakes_sleeping_loops() {
+    let cat = catalog(20, 2, 500);
+    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let factory_cat = cat.clone();
+    let mut standalone = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || builder(&factory_cat, 2),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    // One handshaken client that vanishes: its session parks for 30 s.
+    let policy = khameleon_transport::ReconnectPolicy::default();
+    let gone = TransportClient::connect_resumable(standalone.local_addr(), policy)
+        .expect("resumable connect");
+    drop(gone);
+    wait_until(|| standalone.stats().parked == 1, "the park");
+    quiescent_passes(|| standalone.stats().loop_passes);
+    shutdown_returns("an idle standalone server", move || standalone.shutdown());
+
+    let manager_cat = cat.clone();
+    let factory_cat = cat.clone();
+    let mut sharded = ShardedTransportServer::spawn(
+        "127.0.0.1:0",
+        2,
+        move |_shard| {
+            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+        },
+        move || builder(&factory_cat, 2),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    quiescent_passes(|| sharded.stats().loop_passes);
+    shutdown_returns("an idle 2-shard server", move || sharded.shutdown());
+}
+
+/// [`CatalogBackend`] behind a concurrency limit of one: each ask of the
+/// manager gives a single session an allowance, in rotation.
+struct OneAtATime(CatalogBackend);
+
+impl Backend for OneAtATime {
+    fn fetch(&mut self, block: BlockRef) -> Option<Block> {
+        self.0.fetch(block)
+    }
+
+    fn concurrency_limit(&self) -> Option<usize> {
+        Some(1)
+    }
+
+    fn name(&self) -> &'static str {
+        "one-at-a-time"
+    }
+}
+
+/// Under a backend concurrency limit `Idle` can mean "the session with work
+/// drew no allowance this round", which no socket event will ever follow:
+/// the loop has to ask again on its own.  Lockstep keeps the run
+/// deterministic: two sessions drain their one request and sit on unspent
+/// credit, so from then on two asks in three hand the round's allowance to a
+/// session with nothing to send — and the third session must still get all
+/// forty of its blocks with no further input.
+#[test]
+fn idle_under_a_concurrency_limit_is_retried_without_input() {
+    let cat = catalog(40, 4, 500);
+    let manager =
+        SessionManager::round_robin(Box::new(OneAtATime(CatalogBackend::new(cat.clone()))));
+    let factory_cat = cat.clone();
+    let server = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || {
+            // One block per refill: nothing is planned ahead of an
+            // allowance, so the limit delays blocks but drops none.
+            builder(&factory_cat, 4).config(ServerConfig {
+                sender_queue_target: 1,
+                ..ServerConfig::default()
+            })
+        },
+        TransportConfig {
+            lockstep: true,
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut clients: Vec<TransportClient> = (0..3)
+        .map(|_| TransportClient::connect(server.local_addr()).expect("connect"))
+        .collect();
+    // Certain predictions (no residual mass): a session sends the blocks of
+    // its hot requests and then has nothing left.
+    let hot: [Vec<(u32, f64)>; 3] = [
+        vec![(1, 1.0)],
+        vec![(2, 1.0)],
+        (10..20).map(|r| (r, 0.1)).collect(),
+    ];
+    for (client, hot) in clients.iter_mut().zip(&hot) {
+        client
+            .send_prediction(&summary(40, hot, 0.0))
+            .expect("prediction");
+    }
+    wait_until(|| server.stats().frames_in == 3, "three predictions");
+    for client in &mut clients[..2] {
+        client.send_credit(100).expect("credit");
+    }
+    wait_until(|| server.stats().blocks_sent == 8, "two drained sessions");
+
+    let busy = &mut clients[2];
+    busy.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    busy.send_credit(100).expect("credit");
+    let mut owed: std::collections::BTreeSet<(u32, u32)> =
+        (10..20).flat_map(|r| (0..4).map(move |b| (r, b))).collect();
+    while !owed.is_empty() {
+        match busy.recv_event() {
+            Ok(ServerEvent::Block { block, .. }) => {
+                owed.remove(&(block.meta.block.request.0, block.meta.block.index));
+            }
+            Ok(_) => {}
+            Err(e) => panic!(
+                "stalled with {owed:?} still owed: {e}; {:?}",
+                server.stats()
+            ),
+        }
+    }
 }
