@@ -129,3 +129,33 @@ fn workspace_scan_is_clean_via_library() {
             .join("\n")
     );
 }
+
+/// The transport's counters merge in one place, `ServerStats::merge`, and
+/// `unmerged-counter` watches it: a nineteenth field that the merge does not
+/// mention fails the scan on the field's own line.
+#[test]
+fn a_server_stats_field_left_out_of_merge_fails_the_scan() {
+    let path = "crates/transport/src/server.rs";
+    let src = std::fs::read_to_string(workspace_root().join(path)).expect("server.rs");
+    let anchor = "    pub timer_wakeups: u64,\n}";
+    assert_eq!(
+        src.matches(anchor).count(),
+        1,
+        "ServerStats' last field moved"
+    );
+    let grown = src.replace(
+        anchor,
+        "    pub timer_wakeups: u64,\n    pub nineteenth: u64,\n}",
+    );
+    let inserted = grown.find("pub nineteenth").expect("inserted");
+    let line = grown[..inserted].lines().count() as u32;
+    let unmerged = |src: &str| -> Vec<u32> {
+        scan_source(path, src)
+            .into_iter()
+            .filter(|d| d.rule == "unmerged-counter")
+            .map(|d| d.line)
+            .collect()
+    };
+    assert_eq!(unmerged(&grown), vec![line]);
+    assert!(unmerged(&src).is_empty());
+}

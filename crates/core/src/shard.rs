@@ -59,9 +59,9 @@ use crate::session::{SessionBuilder, SessionManager};
 use crate::types::{Bandwidth, Time};
 
 /// Per-shard (or per-manager) counter snapshot, merged across shards into
-/// [`ShardStats`].  The six transport-layer counters are zero at the core
-/// layer; `ShardedTransportServer::shard_stats` fills them in from each
-/// shard's event-loop counters when it merges.
+/// [`ShardStats`].  Session-layer counters only: what a transport does to
+/// connections (parks, resumes, refusals, backpressure) is counted by the
+/// transport's own `ServerStats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Live sessions.
@@ -87,27 +87,9 @@ pub struct ShardSnapshot {
     /// Distinct shared `GreedyContext`s derived (one per distinct
     /// `(utility, catalog)` pair).
     pub shared_context_count: usize,
-    /// Arbitration rounds skipped because a connection's outbound queue was
-    /// full (transport layer only).
-    pub backpressure_skips: u64,
     /// Runtime invariant-auditor violations (zero unless the `audit`
     /// feature is enabled and an auditor is attached).
     pub audit_violations: u64,
-    /// Sessions parked for a resumable reconnect (monotone total;
-    /// transport layer only).
-    pub parked_sessions: u64,
-    /// Parked sessions successfully resumed (monotone total; transport
-    /// layer only).
-    pub resumed_sessions: u64,
-    /// Frames replayed from a resume ring after a reconnect (transport
-    /// layer only).
-    pub replayed_events: u64,
-    /// Pending frames shed under replay-ring or park-table pressure
-    /// (transport layer only).
-    pub shed_blocks: u64,
-    /// Connections refused with a `Busy` event because the session table
-    /// was full (transport layer only).
-    pub refused_sessions: u64,
 }
 
 impl ShardSnapshot {
@@ -123,13 +105,7 @@ impl ShardSnapshot {
         self.resync_requests += other.resync_requests;
         self.delta_updates += other.delta_updates;
         self.shared_context_count += other.shared_context_count;
-        self.backpressure_skips += other.backpressure_skips;
         self.audit_violations += other.audit_violations;
-        self.parked_sessions += other.parked_sessions;
-        self.resumed_sessions += other.resumed_sessions;
-        self.replayed_events += other.replayed_events;
-        self.shed_blocks += other.shed_blocks;
-        self.refused_sessions += other.refused_sessions;
     }
 }
 
@@ -149,8 +125,8 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Merges per-shard snapshots (plus the shared-model count) into one
-    /// aggregate.  The transport server reuses this after filling in
-    /// per-connection counters.
+    /// aggregate.  The transport server reuses this over the snapshots its
+    /// loops answer with.
     pub fn merge(per_shard: Vec<ShardSnapshot>, live_models: usize) -> Self {
         let mut totals = ShardSnapshot::default();
         for snap in &per_shard {

@@ -16,12 +16,14 @@
 //!   O(Δ) prediction-delta frame.  Floats travel as IEEE-754 bit patterns,
 //!   so the server's shadow summary reconstructs the client's prediction
 //!   bit-exactly — the property the sparse scheduler path depends on.
-//! * [`server`] — a nonblocking readiness loop over `std::net` (no async
-//!   runtime) that sleeps in one `ppoll` until a socket is ready or a
-//!   deadline is due: accept, decode, dispatch to the shared
-//!   `SessionManager`, and flush bounded per-connection outbound queues.  Full queues exclude
-//!   their session from scheduling (backpressure); EOF tears the session
-//!   down (no slots are planned for departed clients).
+//! * [`server`] — one server over `std::net` (no async runtime): an
+//!   acceptor thread hands sockets to N nonblocking readiness loops
+//!   (`TransportServer` is the one-loop case), each of which sleeps in one
+//!   `ppoll` until a socket is ready or a deadline is due: decode, dispatch
+//!   to its `SessionManager`, and flush bounded per-connection outbound
+//!   queues.  Full queues exclude their session from scheduling
+//!   (backpressure); EOF tears the session down (no slots are planned for
+//!   departed clients).
 //! * [`resume`] — the socket-free park → TTL-evict → resume state machine
 //!   ([`resume::ResumeTable`]): per token, the sequence counter, the replay
 //!   ring and, while the client is away, the parked session itself.

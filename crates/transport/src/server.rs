@@ -1,15 +1,23 @@
 //! Nonblocking event-loop server over `std::net`.
 //!
-//! One thread owns a [`TcpListener`] plus every accepted connection and runs
-//! a readiness loop: accept new peers, drain readable sockets into the frame
-//! decoder, feed decoded [`ClientMessage`]s to the shared
-//! [`SessionManager`], pull the next scheduled blocks out of the manager,
-//! and flush per-connection outbound queues through nonblocking writes.
-//! There is no async runtime.  Between passes the loop sleeps in one
-//! `ppoll` over its wake socket, its listener and every connection it is
-//! waiting on, with the earliest real deadline as the timeout — the pacing
-//! gate, the next park expiry, or a fault-injection tick — so a pass runs
-//! when there is work and reads only the sockets the wait reported.  See
+//! There is one way to run it: [`ShardedTransportServer::spawn`] binds a
+//! [`TcpListener`], starts N event loops and one acceptor thread.  The
+//! acceptor is the listener's only reader; it fans accepted sockets
+//! round-robin over per-shard unbounded handoff queues and wakes the
+//! receiving loop (a busy shard can never stall the accept path).
+//! [`TransportServer`] is the one-shard case of the same thing, under the
+//! `spawn(addr, manager, factory, config)` signature its callers use.
+//!
+//! Each loop owns the connections handed to it and runs a readiness loop:
+//! take queued handoffs, drain readable sockets into the frame decoder, feed
+//! decoded `ClientMessage`s to its [`SessionManager`], pull the next
+//! scheduled blocks out of the manager, and flush per-connection outbound
+//! queues through nonblocking writes.  There is no async runtime.  Between
+//! passes the loop sleeps in one `ppoll` over its wake socket and every
+//! connection it is waiting on, with the earliest real deadline as the
+//! timeout — the pacing gate, the next park expiry, a silent connection's
+//! first-frame deadline, or a fault-injection tick — so a pass runs when
+//! there is work and reads only the sockets the wait reported.  See
 //! `docs/TRANSPORT.md`, "Server event loop".
 //!
 //! Two properties the tests lean on:
@@ -35,15 +43,20 @@
 //!   moves its results onto sockets and into counters.  See
 //!   `docs/RESILIENCE.md`.
 //!
-//! For deployments with more connections than one readiness loop should
-//! own, [`ShardedTransportServer`] runs one acceptor thread plus N of these
-//! event loops: accepted sockets are fanned round-robin across per-shard
-//! loops over an unbounded handoff queue (a busy shard can never stall the
-//! accept path), every shard's `SessionManager` shares one
-//! [`ModelCache`] so identical predictors resolve to one `HorizonModel`
-//! across shards, and a disconnect is torn down entirely on the owning
-//! shard — its session *and* its model refcounts are released there, with
-//! no cross-shard coordination.  See `docs/SHARDING.md`.
+//! Counters have one home.  A loop counts into a [`ServerStats`] of its own
+//! and copies it out once per pass, ahead of the pass's socket writes (so a
+//! frame a peer has read is already counted); a handle's `stats()` merges
+//! those copies ([`ServerStats::merge`]) without involving any loop.
+//! The session-layer sweep behind
+//! [`ShardedTransportServer::shard_stats`] is computed only when asked for:
+//! the request travels the handoff queue and each loop answers it in its
+//! next pass.
+//!
+//! Across shards, every `SessionManager` shares one [`ModelCache`] so
+//! identical predictors resolve to one `HorizonModel`, session ids come from
+//! one server-wide counter, and a disconnect is torn down entirely on the
+//! owning shard — its session *and* its model refcounts are released there,
+//! with no cross-shard coordination.  See `docs/SHARDING.md`.
 
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
@@ -119,8 +132,8 @@ impl Default for TransportConfig {
     }
 }
 
-/// Counters the event loop maintains; snapshot via
-/// [`TransportServer::stats`].
+/// Counters the event loops maintain; snapshot via
+/// [`TransportServer::stats`] or [`ShardedTransportServer::stats`].
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
     /// Connections accepted over the server's lifetime.
@@ -169,6 +182,31 @@ pub struct ServerStats {
     pub timer_wakeups: u64,
 }
 
+impl ServerStats {
+    /// Adds `other`'s counters into `self`.  `peak_queue_frames` is a
+    /// high-water mark, so it merges by maximum.
+    pub fn merge(&mut self, other: &ServerStats) {
+        self.accepted += other.accepted;
+        self.disconnected += other.disconnected;
+        self.active += other.active;
+        self.frames_in += other.frames_in;
+        self.frames_out += other.frames_out;
+        self.blocks_sent += other.blocks_sent;
+        self.resyncs += other.resyncs;
+        self.backpressure_skips += other.backpressure_skips;
+        self.peak_queue_frames = self.peak_queue_frames.max(other.peak_queue_frames);
+        self.decode_errors += other.decode_errors;
+        self.parked += other.parked;
+        self.resumed += other.resumed;
+        self.replayed_events += other.replayed_events;
+        self.shed_blocks += other.shed_blocks;
+        self.refused_sessions += other.refused_sessions;
+        self.faults_injected += other.faults_injected;
+        self.loop_passes += other.loop_passes;
+        self.timer_wakeups += other.timer_wakeups;
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     /// The session this socket drives.  `None` for connections accepted at
@@ -179,6 +217,9 @@ struct Conn {
     token: Option<u64>,
     /// Accept-order index within this loop; the fault plan's lane key.
     lane: usize,
+    /// Wall-clock time the loop took the socket on; a connection still
+    /// session-less [`EventLoop::FIRST_FRAME`] later is refused.
+    opened: Time,
     inbuf: FrameBuffer,
     /// Encoded frames waiting for the socket; bounded by
     /// [`TransportConfig::max_queued_frames`].
@@ -206,12 +247,13 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, lane: usize) -> Conn {
+    fn new(stream: TcpStream, lane: usize, opened: Time) -> Conn {
         Conn {
             stream,
             session: None,
             token: None,
             lane,
+            opened,
             inbuf: FrameBuffer::new(),
             outbuf: VecDeque::new(),
             front_written: 0,
@@ -235,10 +277,6 @@ impl Conn {
         !self.dying && self.pending_handoff.is_none()
     }
 
-    fn queue_frame(&mut self, frame: Vec<u8>) {
-        self.outbuf.push_back(frame);
-    }
-
     /// Whether the peer has closed or reset the socket with nothing left to
     /// read on it, found without consuming input.
     fn peer_gone(&self) -> bool {
@@ -253,9 +291,10 @@ impl Conn {
     }
 }
 
-/// What travels over a shard's connection channel: a freshly accepted
-/// socket, or a connection mid-`Resume` forwarded by a sibling shard that
-/// discovered (via the shared token directory) it does not own the token.
+/// What travels over a shard's handoff queue: a freshly accepted socket, a
+/// connection mid-`Resume` forwarded by a sibling shard that discovered
+/// (via the shared token directory) it does not own the token, or a
+/// handle's request for the shard's session-layer counters.
 enum Handoff {
     Fresh(TcpStream),
     Resume {
@@ -268,12 +307,15 @@ enum Handoff {
         /// Forwarding hops so far; a connection is forwarded at most once.
         hops: u32,
     },
+    /// Answered with [`SessionManager::stats_snapshot`] in the loop's next
+    /// pass.  A loop that is gone drops its queue and the sender with it.
+    Stats(Sender<ShardSnapshot>),
 }
 
 /// The write end of a thread's wake socket.  A thread asleep in [`ppoll`]
-/// with no deadline is woken by one byte on the read end it polls: the
-/// acceptor (and a forwarding sibling shard) wakes a shard after queueing a
-/// [`Handoff`], and `shutdown()` wakes every thread once.
+/// with no deadline is woken by one byte on the read end it polls: whoever
+/// queues a [`Handoff`] wakes the shard it queued it for, and `shutdown()`
+/// wakes every thread once.
 struct Waker(UnixStream);
 
 impl Waker {
@@ -297,28 +339,36 @@ fn drain_wakes(mut wake_rx: &UnixStream, scratch: &mut [u8]) {
     while matches!(wake_rx.read(scratch), Ok(n) if n > 0) {}
 }
 
-/// Whether the last [`ppoll`] reported anything for `slot` (bits this
-/// build does not name count: better one wasted read than a missed one).
-fn reported(slot: &PollFd) -> bool {
-    slot.revents() != Some(PollFlags::empty())
+/// The way to hand something to a shard: queue it, then wake the shard's
+/// loop out of its wait.
+#[derive(Clone)]
+struct ShardLink {
+    handoffs: Sender<Handoff>,
+    waker: Arc<Waker>,
 }
 
-/// A running event-loop server bound to a local address.
+impl ShardLink {
+    fn send(&self, handoff: Handoff) {
+        let _ = self.handoffs.send(handoff);
+        self.waker.wake();
+    }
+}
+
+/// Builds the sessions of one shard's accepted connections.
+type SessionFactory = Box<dyn FnMut() -> SessionBuilder + Send>;
+
+/// A running one-loop server bound to a local address: the one-shard case
+/// of [`ShardedTransportServer`], spawned around a manager the caller
+/// built (which keeps the [`ModelCache`] it arrived with).
 ///
 /// Dropping the handle (or calling [`shutdown`](TransportServer::shutdown))
-/// stops the loop and closes every connection.
-pub struct TransportServer {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    waker: Waker,
-    stats: Arc<Mutex<ServerStats>>,
-    handle: Option<JoinHandle<()>>,
-}
+/// stops the server and closes every connection.
+pub struct TransportServer(ShardedTransportServer);
 
 impl TransportServer {
-    /// Binds `addr` and spawns the event loop.  `manager` supplies the
-    /// scheduling machinery; `factory` builds one session per accepted
-    /// connection.
+    /// Binds `addr` and spawns the acceptor and the event loop.  `manager`
+    /// supplies the scheduling machinery; `factory` builds one session per
+    /// accepted connection.
     pub fn spawn<F>(
         addr: impl ToSocketAddrs,
         manager: SessionManager,
@@ -328,70 +378,29 @@ impl TransportServer {
     where
         F: FnMut() -> SessionBuilder + Send + 'static,
     {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(Mutex::new(ServerStats::default()));
-        let resume = ResumeTable::new(0, TokenDirectory::default(), RandomState::new(), &config);
-        let (waker, wake_rx) = Waker::pair()?;
-        let event_loop = EventLoop::new(
-            ConnSource::Listen {
-                listener,
-                accept: Accept::Ready,
-            },
-            manager,
-            Box::new(factory),
-            config,
-            LoopShared {
-                shutdown: Arc::clone(&shutdown),
-                wake_rx,
-                stats: Arc::clone(&stats),
-                snapshot_out: None,
-            },
-            resume,
-        );
-        let handle = std::thread::Builder::new()
-            .name("khameleon-transport".into())
-            .spawn(move || event_loop.run())?;
-        Ok(TransportServer {
-            local_addr,
-            shutdown,
-            waker,
-            stats,
-            handle: Some(handle),
-        })
+        let model_cache = Arc::clone(manager.model_cache());
+        let shards = vec![(manager, Box::new(factory) as SessionFactory)];
+        ShardedTransportServer::spawn_shards(addr, shards, model_cache, config).map(TransportServer)
     }
 
     /// The address clients should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.0.local_addr()
     }
 
     /// A snapshot of the loop's counters.
     pub fn stats(&self) -> ServerStats {
-        let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        stats.clone()
+        self.0.stats()
     }
 
-    /// Stops the event loop and joins its thread.
+    /// Stops the server and joins its threads.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.0.shutdown();
     }
 }
 
-impl Drop for TransportServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// A sharded transport server: one acceptor thread fanning connections
-/// round-robin across `N` independent event loops, each owning its own
+/// A transport server: one acceptor thread fanning connections round-robin
+/// across `N` independent event loops, each owning its own
 /// [`SessionManager`] and the subset of sockets routed to it.
 ///
 /// All shard managers share one [`ModelCache`], so sessions with
@@ -409,10 +418,11 @@ impl Drop for TransportServer {
 pub struct ShardedTransportServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// One per shard loop, then the acceptor's.
-    wakers: Vec<Arc<Waker>>,
+    /// Every shard loop's handoff queue and waker.
+    links: Vec<ShardLink>,
+    accept_waker: Waker,
+    /// Where each loop copies its counters once per pass.
     shard_stats: Vec<Arc<Mutex<ServerStats>>>,
-    snapshots: Vec<Arc<Mutex<ShardSnapshot>>>,
     model_cache: Arc<ModelCache>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -436,21 +446,46 @@ impl ShardedTransportServer {
         F: Fn() -> SessionBuilder + Send + Sync + 'static,
     {
         assert!(num_shards >= 1, "a sharded server needs at least one shard");
+        let model_cache = ModelCache::new();
+        let session_factory = Arc::new(session_factory);
+        let shards = (0..num_shards)
+            .map(|i| {
+                let mut manager = manager_factory(i);
+                manager.set_model_cache(Arc::clone(&model_cache));
+                let factory = Arc::clone(&session_factory);
+                (manager, Box::new(move || factory()) as SessionFactory)
+            })
+            .collect();
+        Self::spawn_shards(addr, shards, model_cache, config)
+    }
+
+    /// The one spawn path: bind, one event loop per `(manager, factory)`
+    /// fed by its handoff queue, one acceptor thread.
+    fn spawn_shards(
+        addr: impl ToSocketAddrs,
+        shards: Vec<(SessionManager, SessionFactory)>,
+        model_cache: Arc<ModelCache>,
+        config: TransportConfig,
+    ) -> std::io::Result<ShardedTransportServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let model_cache = ModelCache::new();
-        let ids = Arc::new(AtomicU64::new(0));
-        let session_factory = Arc::new(session_factory);
-        let mut handles = Vec::with_capacity(num_shards + 1);
-        let mut shard_stats = Vec::with_capacity(num_shards);
-        let mut snapshots = Vec::with_capacity(num_shards);
+        // One id counter for the whole server, so a session id names one
+        // session across every shard; it starts past whatever sessions the
+        // managers arrived with.
+        let first_id = shards
+            .iter()
+            .flat_map(|(manager, _)| manager.session_ids())
+            .map(|id| id.0 + 1)
+            .max()
+            .unwrap_or(0);
+        let ids = Arc::new(AtomicU64::new(first_id));
         // All handoff channels exist before any loop starts, so every shard
         // can hold every peer's link for cross-shard resume forwarding.
-        let mut links = Vec::with_capacity(num_shards);
-        let mut receivers = Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
+        let mut links = Vec::with_capacity(shards.len());
+        let mut receivers = Vec::with_capacity(shards.len());
+        for _ in 0..shards.len() {
             let (handoffs, rx) = channel::unbounded();
             let (waker, wake_rx) = Waker::pair()?;
             links.push(ShardLink {
@@ -464,28 +499,24 @@ impl ShardedTransportServer {
         // mint the same one.
         let directory = TokenDirectory::default();
         let token_keys = RandomState::new();
-        for (i, (rx, wake_rx)) in receivers.into_iter().enumerate() {
-            let mut manager = manager_factory(i);
-            manager.set_model_cache(Arc::clone(&model_cache));
+        let mut handles = Vec::with_capacity(shards.len() + 1);
+        let mut shard_stats = Vec::with_capacity(shards.len());
+        for (i, ((manager, factory), (handoffs, wake_rx))) in
+            shards.into_iter().zip(receivers).enumerate()
+        {
             let stats = Arc::new(Mutex::new(ServerStats::default()));
-            let snapshot = Arc::new(Mutex::new(ShardSnapshot::default()));
             shard_stats.push(Arc::clone(&stats));
-            snapshots.push(Arc::clone(&snapshot));
-            let factory = Arc::clone(&session_factory);
             let event_loop = EventLoop::new(
-                ConnSource::Shard {
-                    streams: rx,
-                    peers: links.clone(),
-                    ids: Arc::clone(&ids),
-                },
                 manager,
-                Box::new(move || factory()),
+                factory,
                 config.clone(),
                 LoopShared {
                     shutdown: Arc::clone(&shutdown),
                     wake_rx,
+                    handoffs,
+                    peers: links.clone(),
+                    ids: Arc::clone(&ids),
                     stats,
-                    snapshot_out: Some(snapshot),
                 },
                 ResumeTable::new(i, directory.clone(), token_keys.clone(), &config),
             );
@@ -494,10 +525,9 @@ impl ShardedTransportServer {
                 .spawn(move || event_loop.run())?;
             handles.push(handle);
         }
-        let mut wakers: Vec<Arc<Waker>> = links.iter().map(|l| Arc::clone(&l.waker)).collect();
         let (accept_waker, accept_wake_rx) = Waker::pair()?;
-        wakers.push(Arc::new(accept_waker));
         let accept_shutdown = Arc::clone(&shutdown);
+        let accept_links = links.clone();
         let acceptor = std::thread::Builder::new()
             .name("khameleon-shard-accept".into())
             .spawn(move || {
@@ -512,7 +542,7 @@ impl ShardedTransportServer {
                             // Round-robin fan-out over an unbounded handoff
                             // queue: a shard busy tearing sessions down (or
                             // wedged on slow peers) can never stall accepts.
-                            links[next % links.len()].send(Handoff::Fresh(stream));
+                            accept_links[next % accept_links.len()].send(Handoff::Fresh(stream));
                             next = next.wrapping_add(1);
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -535,9 +565,9 @@ impl ShardedTransportServer {
         Ok(ShardedTransportServer {
             local_addr,
             shutdown,
-            wakers,
+            links,
+            accept_waker,
             shard_stats,
-            snapshots,
             model_cache,
             handles,
         })
@@ -550,32 +580,15 @@ impl ShardedTransportServer {
 
     /// Number of shard event loops.
     pub fn num_shards(&self) -> usize {
-        self.snapshots.len()
+        self.links.len()
     }
 
-    /// Transport counters summed across every shard loop.
+    /// Transport counters merged across every shard loop, as each last
+    /// published them.  Reads the published copies only: no loop is woken.
     pub fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
         for stats in &self.shard_stats {
-            let s = stats.lock().unwrap_or_else(PoisonError::into_inner).clone();
-            total.accepted += s.accepted;
-            total.disconnected += s.disconnected;
-            total.active += s.active;
-            total.frames_in += s.frames_in;
-            total.frames_out += s.frames_out;
-            total.blocks_sent += s.blocks_sent;
-            total.resyncs += s.resyncs;
-            total.backpressure_skips += s.backpressure_skips;
-            total.peak_queue_frames = total.peak_queue_frames.max(s.peak_queue_frames);
-            total.decode_errors += s.decode_errors;
-            total.parked += s.parked;
-            total.resumed += s.resumed;
-            total.replayed_events += s.replayed_events;
-            total.shed_blocks += s.shed_blocks;
-            total.refused_sessions += s.refused_sessions;
-            total.faults_injected += s.faults_injected;
-            total.loop_passes += s.loop_passes;
-            total.timer_wakeups += s.timer_wakeups;
+            total.merge(&stats.lock().unwrap_or_else(PoisonError::into_inner));
         }
         total
     }
@@ -583,27 +596,27 @@ impl ShardedTransportServer {
     /// Session-layer counters merged across shards, with the shared model
     /// cache's live-model count — the same shape the in-process
     /// [`ShardedSessionManager`](khameleon_core::ShardedSessionManager)
-    /// reports.  The transport-only counters of each [`ShardSnapshot`] are
-    /// read here from that shard's [`ServerStats`], their one writer.
+    /// reports.  Computed on request: every loop is asked over its handoff
+    /// queue and sweeps its sessions in its next pass, so this costs each
+    /// shard one pass and blocks the caller until the slowest has answered.
+    /// After `shutdown()` every shard reads as default.
     pub fn shard_stats(&self) -> ShardStats {
-        let per_shard: Vec<ShardSnapshot> = self
-            .snapshots
+        // Ask every shard before waiting on any, so the sweeps overlap.
+        let replies: Vec<Receiver<ShardSnapshot>> = self
+            .links
             .iter()
-            .zip(&self.shard_stats)
-            .map(|(snapshot, stats)| {
-                let mut snap = snapshot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
-                let s = stats.lock().unwrap_or_else(PoisonError::into_inner);
-                snap.parked_sessions = s.parked;
-                snap.resumed_sessions = s.resumed;
-                snap.backpressure_skips = s.backpressure_skips;
-                snap.replayed_events = s.replayed_events;
-                snap.shed_blocks = s.shed_blocks;
-                snap.refused_sessions = s.refused_sessions;
-                snap
+            .map(|link| {
+                let (reply, answer) = channel::bounded(1);
+                link.send(Handoff::Stats(reply));
+                answer
             })
+            .collect();
+        let per_shard = replies
+            .iter()
+            // lint:allow(blocking-recv) -- blocks the caller of shard_stats(),
+            // never a loop; a loop that has exited dropped its queue and the
+            // reply sender in it, which ends the wait with an error.
+            .map(|answer| answer.recv().unwrap_or_default())
             .collect();
         ShardStats::merge(per_shard, self.model_cache.live_models())
     }
@@ -616,8 +629,9 @@ impl ShardedTransportServer {
     /// Stops the acceptor and every shard loop, joining their threads.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
+        self.accept_waker.wake();
+        for link in &self.links {
+            link.waker.wake();
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -631,137 +645,36 @@ impl Drop for ShardedTransportServer {
     }
 }
 
-/// Wall-clock microseconds since loop start, used as the session layer's
-/// logical `now` outside lockstep mode.
-struct ClockSource {
-    // lint:allow(wall-clock) -- the transport is the real-time boundary; sim
-    // code never runs through this path.
-    start: std::time::Instant,
-}
-
-impl ClockSource {
-    fn new() -> Self {
-        ClockSource {
-            // lint:allow(wall-clock) -- real transport needs a real clock
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Wall-clock time since loop start; what the pacing gate and the
-    /// wait's deadlines run on, lockstep or not.
-    fn wall(&self) -> Time {
-        Time::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
-    fn now(&self, lockstep: bool) -> Time {
-        if lockstep {
-            // Lockstep runs must be reproducible: freeze the logical clock so
-            // a TCP run and an in-process run see identical timestamps.
-            return Time::ZERO;
-        }
-        self.wall()
-    }
-}
-
-/// Where an event loop gets its connections from: its own listener
-/// (standalone mode), or a handoff queue fed by a shared acceptor thread
-/// (one shard of a [`ShardedTransportServer`]).
-enum ConnSource {
-    Listen {
-        listener: TcpListener,
-        accept: Accept,
-    },
-    Shard {
-        streams: Receiver<Handoff>,
-        /// Every shard's handoff link (self included), for forwarding
-        /// cross-shard resumes.
-        peers: Vec<ShardLink>,
-        /// Globally unique session ids, shared by every shard so a session
-        /// id names one session across the whole server.
-        ids: Arc<AtomicU64>,
-    },
-}
-
-/// What a standalone loop knows about its listener.
-enum Accept {
-    /// A wait reported the listener readable (or nothing was tried yet):
-    /// accept this pass.
-    Ready,
-    /// `accept` said `WouldBlock`: wait for the listener to turn readable.
-    Drained,
-    /// `accept` failed (out of descriptors, say) while the listener stays
-    /// readable: leave it out of the next wait and retry one tick later.
-    Failed,
-}
-
-/// The way to hand a connection to a shard: queue it, then wake the shard's
-/// loop out of its wait.
-#[derive(Clone)]
-struct ShardLink {
-    handoffs: Sender<Handoff>,
-    waker: Arc<Waker>,
-}
-
-impl ShardLink {
-    fn send(&self, handoff: Handoff) {
-        let _ = self.handoffs.send(handoff);
-        self.waker.wake();
-    }
-}
-
-impl ConnSource {
-    /// Nonblocking poll for the next incoming connection, if any.
-    fn poll(&mut self) -> Option<Handoff> {
-        match self {
-            ConnSource::Listen { listener, accept } => {
-                if !matches!(accept, Accept::Ready) {
-                    return None;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => Some(Handoff::Fresh(stream)),
-                    Err(e) => {
-                        *accept = if e.kind() == ErrorKind::WouldBlock {
-                            Accept::Drained
-                        } else {
-                            Accept::Failed
-                        };
-                        None
-                    }
-                }
-            }
-            ConnSource::Shard { streams, .. } => streams.try_recv().ok(),
-        }
-    }
-
-    /// In sharded mode, draws the next globally unique session id.
-    fn forced_id(&self) -> Option<SessionId> {
-        match self {
-            ConnSource::Listen { .. } => None,
-            ConnSource::Shard { ids, .. } => Some(SessionId(ids.fetch_add(1, Ordering::Relaxed))),
-        }
-    }
-}
-
-/// What an event loop shares with the handle that spawned it.
+/// What an event loop shares with the handle that spawned it, the acceptor
+/// and its sibling loops.
 struct LoopShared {
     shutdown: Arc<AtomicBool>,
     /// Read end of this loop's [`Waker`].
     wake_rx: UnixStream,
+    /// This loop's handoff queue: its only source of connections.
+    handoffs: Receiver<Handoff>,
+    /// Every shard's handoff link (self included), for forwarding
+    /// cross-shard resumes.
+    peers: Vec<ShardLink>,
+    /// The server's one session-id counter.
+    ids: Arc<AtomicU64>,
+    /// Where the loop copies `EventLoop::stats` once per pass.
     stats: Arc<Mutex<ServerStats>>,
-    /// In sharded mode, where this shard publishes its session-layer
-    /// counters each pass (merged by `ShardedTransportServer::shard_stats`).
-    snapshot_out: Option<Arc<Mutex<ShardSnapshot>>>,
 }
 
 struct EventLoop {
-    source: ConnSource,
     manager: SessionManager,
-    factory: Box<dyn FnMut() -> SessionBuilder + Send>,
+    factory: SessionFactory,
     config: TransportConfig,
     conns: Vec<Conn>,
     shared: LoopShared,
+    /// This loop's counters; copied to `shared.stats` once per pass.
+    stats: ServerStats,
     scratch: Vec<u8>,
-    clock: ClockSource,
+    /// When the loop started; both its clocks count from here.
+    // lint:allow(wall-clock) -- the transport is the real-time boundary; sim
+    // code never runs through this path.
+    started: std::time::Instant,
     /// Paced mode: when the next block may go.
     gate: PacingGate,
     /// Resume state — and, while parked, the session itself — for every
@@ -770,7 +683,7 @@ struct EventLoop {
     /// Accept-order lane counter feeding [`Conn::lane`].
     next_lane: usize,
     /// The wait's descriptor set, rebuilt from `conns` at every wait: the
-    /// wake socket, the listener, then one slot per connection in order.
+    /// wake socket, then one slot per connection in order.
     pollfds: Vec<PollFd>,
     /// The pass in progress left work only another pass can pick up (a full
     /// queue gained room, a disconnect re-divided the bandwidth): do not
@@ -783,22 +696,22 @@ struct EventLoop {
 
 impl EventLoop {
     fn new(
-        source: ConnSource,
         manager: SessionManager,
-        factory: Box<dyn FnMut() -> SessionBuilder + Send>,
+        factory: SessionFactory,
         config: TransportConfig,
         shared: LoopShared,
         resume: ResumeTable,
     ) -> EventLoop {
         EventLoop {
-            source,
             manager,
             factory,
             config,
             conns: Vec::new(),
             shared,
+            stats: ServerStats::default(),
             scratch: vec![0u8; 64 * 1024],
-            clock: ClockSource::new(),
+            // lint:allow(wall-clock) -- real transport needs a real clock
+            started: std::time::Instant::now(),
             gate: PacingGate::default(),
             resume,
             next_lane: 0,
@@ -812,25 +725,40 @@ impl EventLoop {
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             self.rerun = false;
             self.wake_at = None;
-            let now = self.clock.now(self.config.lockstep);
+            let now = self.now();
             // Reclaim parks whose TTL elapsed on the logical clock.
-            let shed = self.resume.evict(now);
-            if shed > 0 {
-                self.with_stats(|s| s.shed_blocks += shed);
-            }
+            self.stats.shed_blocks += self.resume.evict(now);
             self.accept_new(now);
             self.read_sockets();
             self.dispatch_handoffs();
+            self.refuse_silent();
             self.schedule_blocks();
+            self.publish_stats();
             self.flush_sockets();
             self.reap_dead();
-            self.publish_stats();
             self.wait();
         }
         // Final flush attempt so Closed frames reach clients that are still
         // reading, then let the sockets drop.
         self.flush_sockets();
         self.publish_stats();
+    }
+
+    /// Wall-clock time since loop start; what the pacing gate and the
+    /// wait's deadlines run on, lockstep or not.
+    fn wall(&self) -> Time {
+        Time::from_micros(self.started.elapsed().as_micros() as u64)
+    }
+
+    /// The session layer's logical `now`: the wall clock, except that
+    /// lockstep runs must be reproducible and freeze it at zero, so a TCP
+    /// run and an in-process run see identical timestamps.
+    fn now(&self) -> Time {
+        if self.config.lockstep {
+            Time::ZERO
+        } else {
+            self.wall()
+        }
     }
 
     /// Asks for the next pass no later than `at` on the wall clock.
@@ -840,7 +768,7 @@ impl EventLoop {
 
     /// Asks for another pass one [`TICK`](Self::TICK) from now.
     fn tick(&mut self) {
-        self.wake_by(self.clock.wall() + Self::TICK);
+        self.wake_by(self.wall() + Self::TICK);
     }
 
     /// Sleeps until there is something for a pass to do: a socket the loop
@@ -857,26 +785,11 @@ impl EventLoop {
                 self.wake_by(expiry);
             }
         }
-        let mut listener_fd = -1;
-        let mut accept_failed = false;
-        if let ConnSource::Listen { listener, accept } = &mut self.source {
-            if matches!(accept, Accept::Failed) {
-                *accept = Accept::Ready;
-                accept_failed = true;
-            } else {
-                listener_fd = listener.as_raw_fd();
-            }
-        }
-        if accept_failed {
-            self.tick();
-        }
         self.pollfds.clear();
         self.pollfds.push(PollFd::new(
             self.shared.wake_rx.as_raw_fd(),
             PollFlags::POLLIN,
         ));
-        self.pollfds
-            .push(PollFd::new(listener_fd, PollFlags::POLLIN));
         for conn in &self.conns {
             let mut events = PollFlags::empty();
             if conn.wants_read() {
@@ -898,15 +811,13 @@ impl EventLoop {
         let timeout = if self.rerun {
             Some(std::time::Duration::ZERO)
         } else {
-            let wall = self.clock.wall();
+            let wall = self.wall();
             self.wake_at
                 .map(|at| std::time::Duration::from_micros(at.saturating_sub(wall).as_micros()))
         };
         let ready = ppoll(&mut self.pollfds, timeout);
         if matches!(ready, Ok(0)) {
-            if !self.rerun {
-                self.with_stats(|s| s.timer_wakeups += 1);
-            }
+            self.stats.timer_wakeups += u64::from(!self.rerun);
             return;
         }
         // An error (a signal, most likely) reported nothing, so look at
@@ -914,15 +825,12 @@ impl EventLoop {
         let all = ready.is_err();
         let hung_up = PollFlags::POLLERR | PollFlags::POLLHUP | PollFlags::POLLNVAL;
         let everything = PollFlags::POLLIN | PollFlags::POLLOUT | hung_up;
-        if all || reported(&self.pollfds[0]) {
+        // (Bits this build does not name count as a report: better one
+        // wasted read than a missed one.)
+        if all || self.pollfds[0].revents() != Some(PollFlags::empty()) {
             drain_wakes(&self.shared.wake_rx, &mut self.scratch);
         }
-        if all || reported(&self.pollfds[1]) {
-            if let ConnSource::Listen { accept, .. } = &mut self.source {
-                *accept = Accept::Ready;
-            }
-        }
-        for (conn, slot) in self.conns.iter_mut().zip(&self.pollfds[2..]) {
+        for (conn, slot) in self.conns.iter_mut().zip(&self.pollfds[1..]) {
             let got = if all {
                 everything
             } else {
@@ -948,37 +856,66 @@ impl EventLoop {
     /// connection now has a session.
     fn admit(&mut self, i: usize) -> bool {
         if self.at_capacity() {
-            self.conns[i].queue_frame(encode_server_event_frame(0, &ServerEvent::Busy));
-            self.conns[i].dying = true;
-            self.with_stats(|s| {
-                s.refused_sessions += 1;
-                s.frames_out += 1;
-            });
+            self.refuse(i);
             return false;
         }
-        self.conns[i].session = Some(match self.source.forced_id() {
-            Some(id) => self.manager.add_session_with_id(id, (self.factory)()),
-            None => self.manager.add_session((self.factory)()),
-        });
+        let id = SessionId(self.shared.ids.fetch_add(1, Ordering::Relaxed));
+        self.manager.add_session_with_id(id, (self.factory)());
+        self.conns[i].session = Some(id);
         true
+    }
+
+    /// Tells `conns[i]` the server is `Busy` and closes it after the flush.
+    fn refuse(&mut self, i: usize) {
+        self.queue_frame(i, encode_server_event_frame(0, &ServerEvent::Busy));
+        self.conns[i].dying = true;
+        self.stats.refused_sessions += 1;
+    }
+
+    /// Queues an encoded frame toward `conns[i]`'s peer: the one place
+    /// `frames_out` counts.
+    fn queue_frame(&mut self, i: usize, frame: Vec<u8>) {
+        self.conns[i].outbuf.push_back(frame);
+        self.stats.frames_out += 1;
+    }
+
+    /// A connection taken on at the admission cap waits session-less for
+    /// its first frame.  One that has not sent a whole frame
+    /// [`FIRST_FRAME`](Self::FIRST_FRAME) later is refused like any other,
+    /// so a silent peer cannot hold a socket and a poll slot forever.
+    fn refuse_silent(&mut self) {
+        let wall = self.wall();
+        for i in 0..self.conns.len() {
+            let conn = &self.conns[i];
+            if conn.session.is_some() || conn.dying || conn.pending_handoff.is_some() {
+                continue;
+            }
+            let due = conn.opened + Self::FIRST_FRAME;
+            if wall >= due {
+                self.refuse(i);
+            } else {
+                self.wake_by(due);
+            }
+        }
     }
 
     /// Starts tracking `stream` on the next accept-order lane; returns its
     /// index in `conns`.
     fn push_conn(&mut self, stream: TcpStream) -> usize {
-        self.conns.push(Conn::new(stream, self.next_lane));
+        let conn = Conn::new(stream, self.next_lane, self.wall());
+        self.conns.push(conn);
         self.next_lane += 1;
         self.conns.len() - 1
     }
 
     fn accept_new(&mut self, now: Time) {
-        while let Some(handoff) = self.source.poll() {
+        while let Ok(handoff) = self.shared.handoffs.try_recv() {
             match handoff {
                 Handoff::Fresh(stream) => {
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    self.with_stats(|s| s.accepted += 1);
+                    self.stats.accepted += 1;
                     let i = self.push_conn(stream);
                     // At the cap the socket stays session-less until its
                     // first frame: the holder of a parked session must be
@@ -1009,29 +946,30 @@ impl EventLoop {
                         self.drain_frames(i, now);
                     }
                 }
+                Handoff::Stats(reply) => {
+                    // The `O(sessions)` sweep, run because someone asked.
+                    let _ = reply.try_send(self.manager.stats_snapshot());
+                }
             }
         }
     }
 
     /// Reads the sockets the last wait reported, and only those.
     fn read_sockets(&mut self) {
-        let now = self.clock.now(self.config.lockstep);
+        let now = self.now();
         for i in 0..self.conns.len() {
             if !std::mem::take(&mut self.conns[i].readable) || !self.conns[i].wants_read() {
                 continue;
             }
             loop {
                 let n = match self.conns[i].stream.read(&mut self.scratch) {
-                    Ok(0) => {
-                        // EOF: the client is gone.  Tear the session down so
-                        // the scheduler stops planning slots for it.
-                        self.disconnect(i);
-                        break;
-                    }
-                    Ok(n) => n,
+                    Ok(n) if n > 0 => n,
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    Ok(_) | Err(_) => {
+                        // EOF or a dead socket: the client is gone.  Tear the
+                        // session down so the scheduler stops planning slots
+                        // for it.
                         self.disconnect(i);
                         break;
                     }
@@ -1050,26 +988,20 @@ impl EventLoop {
     /// Returns `false` if the connection was torn down.
     fn drain_frames(&mut self, i: usize, now: Time) -> bool {
         loop {
-            let body = match self.conns[i].inbuf.next_frame() {
-                Ok(Some(body)) => body,
+            let decoded = match self.conns[i].inbuf.next_frame() {
+                Ok(Some(body)) => crate::wire::decode_client_frame(&body),
                 Ok(None) => return true,
-                Err(_) => {
-                    // A corrupt length prefix poisons the whole stream: there
-                    // is no resynchronization point, so drop the peer.
-                    self.with_stats(|s| s.decode_errors += 1);
-                    self.disconnect(i);
-                    return false;
-                }
+                Err(e) => Err(e),
             };
-            let frame = match crate::wire::decode_client_frame(&body) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    self.with_stats(|s| s.decode_errors += 1);
-                    self.disconnect(i);
-                    return false;
-                }
+            let Ok(frame) = decoded else {
+                // Protocol garbage — and a corrupt length prefix poisons the
+                // whole stream, there is no resynchronization point: drop
+                // the peer.
+                self.stats.decode_errors += 1;
+                self.disconnect(i);
+                return false;
             };
-            self.with_stats(|s| s.frames_in += 1);
+            self.stats.frames_in += 1;
             // A connection accepted at the cap learns its fate here: only a
             // `Resume` may proceed without a session.
             let conn = &self.conns[i];
@@ -1101,20 +1033,14 @@ impl EventLoop {
                     };
                     match self.manager.on_message(session, &message, now) {
                         Some(event @ ServerEvent::Resync { .. }) => {
-                            self.with_stats(|s| {
-                                s.resyncs += 1;
-                                s.frames_out += 1;
-                            });
+                            self.stats.resyncs += 1;
                             self.queue_event(i, &event);
                         }
                         Some(event @ ServerEvent::Closed { .. }) => {
                             // The manager already removed the session; tell
                             // the peer, flush, then drop the socket.  A clean
                             // close is final — nothing left to resume.
-                            self.with_stats(|s| {
-                                s.frames_out += 1;
-                                s.disconnected += 1;
-                            });
+                            self.stats.disconnected += 1;
                             self.queue_event(i, &event);
                             self.conns[i].dying = true;
                             self.conns[i].session = None;
@@ -1142,8 +1068,7 @@ impl EventLoop {
                 (token, 0)
             }
         };
-        self.conns[i].queue_frame(encode_welcome(token, epoch, session));
-        self.with_stats(|s| s.frames_out += 1);
+        self.queue_frame(i, encode_welcome(token, epoch, session));
     }
 
     /// Resolves a `Resume { token, last_seq }` for `conns[i]`:
@@ -1181,22 +1106,17 @@ impl EventLoop {
                 // registered token is never minted twice — so the entry
                 // being resumed is untouched.
                 self.release_accept_session(i);
-                let conn = &mut self.conns[i];
-                conn.session = Some(id);
-                conn.token = Some(token);
-                conn.queue_frame(encode_welcome(token, epoch, id));
-                let replayed = replay.len() as u64;
+                self.conns[i].session = Some(id);
+                self.conns[i].token = Some(token);
+                self.queue_frame(i, encode_welcome(token, epoch, id));
+                self.stats.replayed_events += replay.len() as u64;
                 for frame in replay {
-                    conn.queue_frame(frame);
+                    self.queue_frame(i, frame);
                 }
-                self.with_stats(|s| {
-                    s.frames_out += 1 + replayed;
-                    s.replayed_events += replayed;
-                    s.resumed += 1;
-                });
+                self.stats.resumed += 1;
                 return;
             }
-            Resumed::Refused { shed } => self.with_stats(|s| s.shed_blocks += shed),
+            Resumed::Refused { shed } => self.stats.shed_blocks += shed,
             Resumed::Unknown { owner: Some(owner) } if hops == 0 => {
                 // A sibling shard owns this token: ship the whole
                 // connection there instead of duplicating the session.
@@ -1242,16 +1162,14 @@ impl EventLoop {
             };
             let mut conn = self.conns.swap_remove(i);
             let leftover = conn.inbuf.take_remaining();
-            if let ConnSource::Shard { peers, .. } = &self.source {
-                peers[target].send(Handoff::Resume {
-                    stream: conn.stream,
-                    token,
-                    last_seq,
-                    leftover,
-                    credits: conn.credits,
-                    hops: 1,
-                });
-            }
+            self.shared.peers[target].send(Handoff::Resume {
+                stream: conn.stream,
+                token,
+                last_seq,
+                leftover,
+                credits: conn.credits,
+                hops: 1,
+            });
         }
     }
 
@@ -1262,18 +1180,16 @@ impl EventLoop {
         let token = self.conns[i].token;
         let frame = match token.and_then(|t| self.resume.stamp(t, event)) {
             Some((frame, shed)) => {
-                if shed > 0 {
-                    self.with_stats(|s| s.shed_blocks += shed);
-                }
+                self.stats.shed_blocks += shed;
                 frame
             }
             None => encode_server_event_frame(0, event),
         };
-        self.conns[i].queue_frame(frame);
+        self.queue_frame(i, frame);
     }
 
     fn schedule_blocks(&mut self) {
-        let now = self.clock.now(self.config.lockstep);
+        let now = self.now();
         loop {
             // Respect the shared budget: at most one block per pacing
             // interval across all sessions.  The pacing interval tracks
@@ -1284,22 +1200,21 @@ impl EventLoop {
             } else {
                 Duration::ZERO
             };
-            let wall = self.clock.wall();
+            let wall = self.wall();
             if interval > Duration::ZERO && !self.gate.is_open(wall) {
                 self.wake_by(self.gate.next_send());
                 break;
             }
-            // Sessions eligible for the next block: connection alive, queue
-            // below capacity, and (lockstep) holding credit.
+            // Sessions eligible for the next block: connection alive (one
+            // that is dying or on its way to another shard has given its
+            // session up), queue below capacity, and (lockstep) holding
+            // credit.
             let mut skipped = 0u64;
             let mut eligible: Vec<SessionId> = Vec::with_capacity(self.conns.len());
             for c in &self.conns {
                 let Some(session) = c.session else {
                     continue;
                 };
-                if c.dying || c.pending_handoff.is_some() {
-                    continue;
-                }
                 if c.outbuf.len() >= self.config.max_queued_frames {
                     skipped += 1;
                     continue;
@@ -1309,9 +1224,7 @@ impl EventLoop {
                 }
                 eligible.push(session);
             }
-            if skipped > 0 {
-                self.with_stats(|s| s.backpressure_skips += skipped);
-            }
+            self.stats.backpressure_skips += skipped;
             if eligible.is_empty() {
                 // Input (a credit, a first frame) or a drained queue makes a
                 // session eligible, and the wait reports both.
@@ -1335,20 +1248,16 @@ impl EventLoop {
                         let conn = &mut self.conns[i];
                         conn.credits = conn.credits.saturating_sub(1);
                         let depth = conn.outbuf.len();
-                        self.with_stats(|s| {
-                            s.blocks_sent += 1;
-                            s.frames_out += 1;
-                            s.peak_queue_frames = s.peak_queue_frames.max(depth);
-                        });
+                        self.stats.blocks_sent += 1;
+                        self.stats.peak_queue_frames = self.stats.peak_queue_frames.max(depth);
                         if self.config.paced {
                             self.gate.note_sent(wall, interval);
                         }
                     }
                 }
                 event @ (ServerEvent::Closed { .. } | ServerEvent::Resync { .. }) => {
-                    let session = match event.session() {
-                        Some(id) => id,
-                        None => break,
+                    let Some(session) = event.session() else {
+                        break;
                     };
                     if let Some(i) = self.conns.iter().position(|c| c.session == Some(session)) {
                         self.queue_event(i, &event);
@@ -1359,7 +1268,6 @@ impl EventLoop {
                             self.conns[i].session = None;
                             self.forget_token(i);
                         }
-                        self.with_stats(|s| s.frames_out += 1);
                     }
                 }
             }
@@ -1370,6 +1278,11 @@ impl EventLoop {
     /// plan's stalls last 500 µs per tick whatever else wakes the loop; also
     /// the retry period after a failed `accept` or a non-final `Idle`.
     const TICK: Duration = Duration(500);
+
+    /// How long a connection taken on at the admission cap may stay silent
+    /// before it is refused.  A client sends its first frame right behind
+    /// `connect`, so a second is generous.
+    const FIRST_FRAME: Duration = Duration(1_000_000);
 
     /// Looks up the fault plan at a new-frame boundary of `conns[i]` and
     /// applies the scheduled fault, if any.  `None`: no fault, write the
@@ -1384,7 +1297,9 @@ impl EventLoop {
             .fault_plan
             .as_ref()
             .and_then(|p| p.lookup(lane, frame_idx))?;
-        self.with_stats(|s| s.faults_injected += 1);
+        self.stats.faults_injected += 1;
+        // Counted after this pass's books closed: have the next one follow.
+        self.rerun = true;
         match kind {
             FaultKind::Drop => {
                 // The frame vanishes on the wire; the connection lives on.
@@ -1395,7 +1310,6 @@ impl EventLoop {
                 // The transport models both as a frozen flush path, thawed
                 // by the passes that follow.
                 self.conns[i].stall_ticks = ticks;
-                self.rerun = true;
                 Some(false)
             }
             FaultKind::Truncate { keep } => {
@@ -1453,11 +1367,7 @@ impl EventLoop {
                 };
                 let remaining = &front[conn.front_written..];
                 match conn.stream.write(remaining) {
-                    Ok(0) => {
-                        self.disconnect(i);
-                        break;
-                    }
-                    Ok(n) => {
+                    Ok(n) if n > 0 => {
                         conn.front_written += n;
                         if conn.front_written == front.len() {
                             self.pop_flushed(i);
@@ -1468,7 +1378,7 @@ impl EventLoop {
                         break;
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    Ok(_) | Err(_) => {
                         self.disconnect(i);
                         break;
                     }
@@ -1510,7 +1420,7 @@ impl EventLoop {
         let gone = detached.is_some();
         let (parked, shed) = match (token, detached) {
             (Some(token), Some(session)) => {
-                let now = self.clock.now(self.config.lockstep);
+                let now = self.now();
                 self.resume.park(token, session, now)
             }
             // The session is already gone: its resume entry dies with the
@@ -1519,35 +1429,28 @@ impl EventLoop {
             // Never said `Hello`: dropping the session is the teardown.
             (None, _) => (false, 0),
         };
-        self.with_stats(|s| {
-            s.disconnected += u64::from(gone);
-            s.parked += u64::from(parked);
-            s.shed_blocks += shed;
-        });
+        self.stats.disconnected += u64::from(gone);
+        self.stats.parked += u64::from(parked);
+        self.stats.shed_blocks += shed;
     }
 
     fn reap_dead(&mut self) {
         self.conns.retain(|c| !(c.dying && c.outbuf.is_empty()));
     }
 
+    /// Closes the pass's books: the one write to the copy the handles read.
+    /// It comes before the pass's socket writes, so whatever a peer has read
+    /// is already counted; the little that is counted while flushing (an
+    /// injected fault, a socket that died under a write) sets `rerun`, so a
+    /// sleeping loop's published counters are always current.
     fn publish_stats(&mut self) {
-        let active = self.conns.iter().filter(|c| !c.dying).count() as u64;
-        self.with_stats(|s| {
-            s.active = active;
-            s.loop_passes += 1;
-        });
-        if let Some(out) = &self.shared.snapshot_out {
-            *out.lock().unwrap_or_else(PoisonError::into_inner) = self.manager.stats_snapshot();
-        }
-    }
-
-    /// Counter updates are single-field increments, valid at every step, so
-    /// a poisoned mutex is recovered like every reader does.
-    fn with_stats(&self, f: impl FnOnce(&mut ServerStats)) {
-        f(&mut self
+        self.stats.active = self.conns.iter().filter(|c| !c.dying).count() as u64;
+        self.stats.loop_passes += 1;
+        let mut published = self
             .shared
             .stats
             .lock()
-            .unwrap_or_else(PoisonError::into_inner));
+            .unwrap_or_else(PoisonError::into_inner);
+        *published = self.stats.clone();
     }
 }

@@ -490,15 +490,21 @@ fn quiescent_passes(stats: impl Fn() -> u64) -> u64 {
 }
 
 /// An idle loop sleeps: with sixteen connections that have drained their
-/// schedules and say nothing, 300 ms pass without a pass.
+/// schedules and say nothing, 300 ms pass without a pass — however often
+/// `stats()` is read meanwhile, since it only reads what the loops last
+/// published.  `shard_stats()` is the one query a loop answers itself, and
+/// it costs each shard at most the one pass that answers it.
 #[test]
 fn idle_connections_cost_no_loop_passes() {
     let cat = catalog(20, 2, 500);
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager_cat = cat.clone();
     let factory_cat = cat.clone();
-    let server = TransportServer::spawn(
+    let server = ShardedTransportServer::spawn(
         "127.0.0.1:0",
-        manager,
+        2,
+        move |_shard| {
+            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+        },
         move || builder(&factory_cat, 2),
         TransportConfig::default(),
     )
@@ -509,14 +515,26 @@ fn idle_connections_cost_no_loop_passes() {
     wait_until(|| server.stats().accepted == 16, "sixteen sessions");
 
     let before = quiescent_passes(|| server.stats().loop_passes);
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let stats = server.stats();
-    assert!(
-        stats.loop_passes - before < 20,
-        "an idle loop made {} passes in 300 ms",
-        stats.loop_passes - before
+    for _ in 0..60 {
+        assert_eq!(server.stats().active, 16);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.stats().loop_passes,
+        before,
+        "an idle server made passes while only stats() was polled"
     );
-    assert_eq!(stats.active, 16);
+
+    let shard = server.shard_stats();
+    assert_eq!(shard.shards, 2);
+    assert_eq!(shard.totals.sessions, 16);
+    assert_eq!(shard.per_shard[0].sessions, 8);
+    let after = quiescent_passes(|| server.stats().loop_passes);
+    assert!(
+        after - before <= 2,
+        "one shard_stats() cost two shards {} passes",
+        after - before
+    );
 }
 
 /// A paced loop wakes on the pacing gate's deadline: about one timer
@@ -579,44 +597,40 @@ fn shutdown_returns(what: &str, shutdown: impl FnOnce() + Send + 'static) {
         .unwrap_or_else(|_| panic!("shutdown of {what} did not return"));
 }
 
-/// `shutdown()` wakes a loop that is asleep with no deadline, or with one
-/// half a minute away (a parked session's expiry), and wakes the sharded
-/// server's acceptor and every shard.
+/// `shutdown()` wakes the acceptor and every loop, whether a loop is asleep
+/// with no deadline or with one half a minute away (a parked session's
+/// expiry) — and a `shard_stats()` that comes after it finds the loops gone
+/// and reads defaults instead of waiting for an answer.
 #[test]
 fn shutdown_wakes_sleeping_loops() {
     let cat = catalog(20, 2, 500);
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
-    let factory_cat = cat.clone();
-    let mut standalone = TransportServer::spawn(
-        "127.0.0.1:0",
-        manager,
-        move || builder(&factory_cat, 2),
-        TransportConfig::default(),
-    )
-    .expect("bind");
-    // One handshaken client that vanishes: its session parks for 30 s.
-    let policy = khameleon_transport::ReconnectPolicy::default();
-    let gone = TransportClient::connect_resumable(standalone.local_addr(), policy)
-        .expect("resumable connect");
-    drop(gone);
-    wait_until(|| standalone.stats().parked == 1, "the park");
-    quiescent_passes(|| standalone.stats().loop_passes);
-    shutdown_returns("an idle standalone server", move || standalone.shutdown());
-
-    let manager_cat = cat.clone();
-    let factory_cat = cat.clone();
-    let mut sharded = ShardedTransportServer::spawn(
-        "127.0.0.1:0",
-        2,
-        move |_shard| {
-            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
-        },
-        move || builder(&factory_cat, 2),
-        TransportConfig::default(),
-    )
-    .expect("bind");
-    quiescent_passes(|| sharded.stats().loop_passes);
-    shutdown_returns("an idle 2-shard server", move || sharded.shutdown());
+    for shards in [1, 2] {
+        let manager_cat = cat.clone();
+        let factory_cat = cat.clone();
+        let mut server = ShardedTransportServer::spawn(
+            "127.0.0.1:0",
+            shards,
+            move |_shard| {
+                SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+            },
+            move || builder(&factory_cat, 2),
+            TransportConfig::default(),
+        )
+        .expect("bind");
+        // One handshaken client that vanishes: its session parks for 30 s.
+        let policy = khameleon_transport::ReconnectPolicy::default();
+        let gone = TransportClient::connect_resumable(server.local_addr(), policy)
+            .expect("resumable connect");
+        drop(gone);
+        wait_until(|| server.stats().parked == 1, "the park");
+        quiescent_passes(|| server.stats().loop_passes);
+        shutdown_returns("an idle server", move || {
+            server.shutdown();
+            let after = server.shard_stats();
+            assert_eq!(after.shards, shards);
+            assert_eq!(after.totals, Default::default());
+        });
+    }
 }
 
 /// [`CatalogBackend`] behind a concurrency limit of one: each ask of the

@@ -10,7 +10,7 @@
 //! a session parked on shard *k* resumes on shard *k* (through the
 //! cross-shard handoff) with its model refcount intact.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 
 use khameleon_core::block::ResponseCatalog;
@@ -284,8 +284,9 @@ fn park_disabled_reconnect_falls_back_to_fresh_session() {
 
 /// At `max_sessions` the server sheds load by refusing new sessions with a
 /// typed `Busy` — and parked sessions still hold their slot, so a crash
-/// loop cannot amplify past the cap.  The slot stays the parked holder's:
-/// its own `Resume` is not refused.
+/// loop cannot amplify past the cap.  A socket that connects at the cap and
+/// then stays silent is refused too, once its first-frame deadline passes.
+/// The slot stays the parked holder's: its own `Resume` is not refused.
 #[test]
 fn capacity_limit_refuses_sessions_with_typed_busy() {
     let cat = catalog(30, 4, 1_000);
@@ -318,6 +319,20 @@ fn capacity_limit_refuses_sessions_with_typed_busy() {
     refused("parked session did not count against the cap");
     assert_eq!(server.stats().refused_sessions, 2);
 
+    // A peer that connects at the cap and never sends a frame does not get
+    // to sit on its socket: the server answers `Busy` on its own and closes.
+    let mut silent = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    silent
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut answer = Vec::new();
+    silent
+        .read_to_end(&mut answer)
+        .expect("the silent socket is closed by the server");
+    assert_eq!(answer, encode_server_event_frame(0, &ServerEvent::Busy));
+    assert_eq!(server.stats().refused_sessions, 3);
+    assert_eq!(server.stats().active, 0, "the silent connection was reaped");
+
     // The holder itself reconnects into the slot it never gave up, and the
     // truncated block is replayed.
     let mut blocks = 0;
@@ -330,7 +345,7 @@ fn capacity_limit_refuses_sessions_with_typed_busy() {
     assert_eq!(holder.fresh_sessions(), 0);
     assert_eq!(server.stats().resumed, 1);
     refused("a third party got in while the holder was live again");
-    assert_eq!(server.stats().refused_sessions, 3);
+    assert_eq!(server.stats().refused_sessions, 4);
 
     // A forged `Resume` at the cap is one refusal, however many frames the
     // peer pipelined behind it.
@@ -343,7 +358,28 @@ fn capacity_limit_refuses_sessions_with_typed_busy() {
     bytes.extend(encode_client_frame(&ClientFrame::Hello));
     forger.write_all(&bytes).expect("forged frames");
     wait_until(|| server.stats().frames_in >= 9, "forged frames decoded");
-    assert_eq!(server.stats().refused_sessions, 4);
+    assert_eq!(server.stats().refused_sessions, 5);
+}
+
+/// Session ids come from the server's one counter, which starts past the
+/// sessions the manager arrived with: the first connection of a manager
+/// already holding session 0 is welcomed as session 1.
+#[test]
+fn accepted_sessions_get_ids_past_the_managers_own() {
+    let cat = catalog(30, 4, 1_000);
+    let mut manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    assert_eq!(manager.add_session(builder(&cat, 4)), SessionId(0));
+    let factory_cat = cat.clone();
+    let server = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || builder(&factory_cat, 4),
+        TransportConfig::default(),
+    )
+    .expect("bind");
+    let client = TransportClient::connect_resumable(server.local_addr(), fast_policy())
+        .expect("the handshake completes");
+    assert_eq!(client.session_id(), Some(SessionId(1)));
 }
 
 /// Client-side sequence dedup against a hand-rolled server that replays

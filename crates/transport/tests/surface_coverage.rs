@@ -1,7 +1,8 @@
 //! Coverage for the transport public surface flagged by the
 //! `untested-pub-fn` dataflow rule (analysis v2): reconnect backoff shape,
 //! explicit client reconnects, uplink accounting, frame-buffer handoff
-//! draining, and server shutdown/model-cache observability.
+//! draining, server shutdown/model-cache observability, and the one
+//! `ServerStats::merge`.
 
 use std::sync::Arc;
 
@@ -14,7 +15,8 @@ use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
 use khameleon_transport::wire::FrameBuffer;
 use khameleon_transport::{
-    ReconnectPolicy, ShardedTransportServer, TransportClient, TransportConfig, TransportServer,
+    ReconnectPolicy, ServerStats, ShardedTransportServer, TransportClient, TransportConfig,
+    TransportServer,
 };
 
 fn catalog(requests: usize, blocks: u32) -> Arc<ResponseCatalog> {
@@ -195,4 +197,61 @@ fn sharded_server_exposes_model_cache_and_shuts_down() {
 
     clients.clear();
     server.shutdown();
+}
+
+/// `ServerStats::merge`, field by field: every counter is summed and the
+/// queue high-water mark is the larger of the two.
+#[test]
+fn server_stats_merge_covers_every_counter() {
+    let a = ServerStats {
+        accepted: 1,
+        disconnected: 2,
+        active: 3,
+        frames_in: 4,
+        frames_out: 5,
+        blocks_sent: 6,
+        resyncs: 7,
+        backpressure_skips: 8,
+        peak_queue_frames: 9,
+        decode_errors: 10,
+        parked: 11,
+        resumed: 12,
+        replayed_events: 13,
+        shed_blocks: 14,
+        refused_sessions: 15,
+        faults_injected: 16,
+        loop_passes: 17,
+        timer_wakeups: 18,
+    };
+    let mut total = ServerStats {
+        peak_queue_frames: 40,
+        ..a.clone()
+    };
+    total.merge(&a);
+    assert_eq!(total.accepted, 2);
+    assert_eq!(total.disconnected, 4);
+    assert_eq!(total.active, 6);
+    assert_eq!(total.frames_in, 8);
+    assert_eq!(total.frames_out, 10);
+    assert_eq!(total.blocks_sent, 12);
+    assert_eq!(total.resyncs, 14);
+    assert_eq!(total.backpressure_skips, 16);
+    assert_eq!(
+        total.peak_queue_frames, 40,
+        "a high-water mark: max, not sum"
+    );
+    assert_eq!(total.decode_errors, 20);
+    assert_eq!(total.parked, 22);
+    assert_eq!(total.resumed, 24);
+    assert_eq!(total.replayed_events, 26);
+    assert_eq!(total.shed_blocks, 28);
+    assert_eq!(total.refused_sessions, 30);
+    assert_eq!(total.faults_injected, 32);
+    assert_eq!(total.loop_passes, 34);
+    assert_eq!(total.timer_wakeups, 36);
+
+    let mut fresh = ServerStats::default();
+    fresh.merge(&a);
+    assert_eq!(fresh.peak_queue_frames, 9);
+    assert_eq!(fresh.timer_wakeups, 18);
 }
