@@ -35,7 +35,8 @@ pub enum AuditCheck {
     BucketCoefficients,
     /// Schedule/eviction-log slot alignment and ring-size invariants.
     SlotAlignment,
-    /// Diff-path model vs. a from-scratch rebuild after `apply_update`.
+    /// Diff-path model vs. a from-scratch per-slot evaluation of the same
+    /// summary (`PredictionSummary::at` on every slot) after `apply_update`.
     DiffSignature,
 }
 

@@ -9,14 +9,17 @@
 //!
 //! | variant | per-block cost | per-update cost (full rebuild / diff) | structure |
 //! |---------|----------------|---------------------------------------|-----------|
-//! | [`Scan`](SamplerVariant::Scan)   | `O(T log T)` (`O(n)` with meta off) | `O(m·C)` / `O(m·s + Δ·b·C)` | rebuild + prefix-scan the candidate weights every draw |
-//! | [`Lazy`](SamplerVariant::Lazy)   | `O(b log m + log T)` | `O(m·C + T log T)` / `O(m·s + Δ·b·C + Δ log m)` | Fenwick trees; per-slot advance touches `b` bucket scalars |
+//! | [`Scan`](SamplerVariant::Scan)   | `O(T log T)` (`O(n)` with meta off) | `O(m·s + u·b·C)` / `O(m·s + u_Δ·b·C)` | rebuild + prefix-scan the candidate weights every draw |
+//! | [`Lazy`](SamplerVariant::Lazy)   | `O(b log m + log T)` | `O(m·s + u·b·C + T log T)` / `O(m·s + u_Δ·b·C + Δ log m)` | Fenwick trees; per-slot advance touches `b` bucket scalars |
 //!
 //! with `T` touched requests (up to the schedule length `C`), `m`
 //! materialized requests, `b` distinct tail *shapes* (`b ≤ m`, and `b = 1`
 //! for the homogeneous-tail workloads real predictors emit), `s` prediction
-//! slices (4 by default), and `Δ` the number of requests whose prediction
-//! actually changed between successive updates.  Every client interaction
+//! slices (4 by default), `Δ` the number of requests whose prediction
+//! actually changed between successive updates, and `u` (`u_Δ` among the
+//! changed ones) the requests whose tail vector has to be materialized to
+//! classify it: one per shape plus the irregular ones, everything else is
+//! classified from its per-slice signature.  Every client interaction
 //! re-sends the whole predicted distribution, so `update_prediction` — not
 //! block sampling — is the hot path once per-block cost is flat: the diff
 //! path ([`HorizonModel::apply_update`](crate::scheduler::HorizonModel))
@@ -24,8 +27,11 @@
 //! is unchanged, applies `O(1)` coefficient rescales for shape-preserving
 //! changes, and falls back to the full rebuild when the structural diff
 //! exceeds `max(64, m/4)`.  For the lazy default that makes a small-diff
-//! update `O(m·s + Δ·b·C + Δ log m)` instead of `O(m·C + T log T)` (the
-//! `update_heavy` rows of the `sampler_json` bin measure the two).
+//! update `O(m·s + u_Δ·b·C + Δ log m)` instead of
+//! `O(m·s + u·b·C + T log T)` (the `update-diff` / `update-rebuild` rows of
+//! the `sampler_json` bin measure the two), and `O(Δ·s + …)` when the
+//! update arrives as a delta
+//! ([`apply_update_sparse`](crate::scheduler::HorizonModel::apply_update_sparse)).
 //!
 //! The structure behind the incremental sampler:
 //!

@@ -1656,10 +1656,13 @@ impl GreedyScheduler {
 
     /// Diff-path signature agreement: rebuilds a shadow model from the same
     /// summary the diff path consumed and compares materialized sets, tails
-    /// at sampled slots, and the residual tail.
+    /// at sampled slots, and the residual tail.  The shadow is the per-slot
+    /// reference evaluator, not [`HorizonModel::build`]: the build shares
+    /// the diff path's slot-plan arithmetic, the reference shares none of
+    /// it.
     fn audit_check_diff_signature(&self, report: &mut AuditReport, summary: &PredictionSummary) {
         report.begin(AuditCheck::DiffSignature);
-        let shadow = HorizonModel::build(
+        let shadow = HorizonModel::build_reference(
             summary,
             self.cfg.cache_blocks,
             self.cfg.slot_duration,
@@ -2382,6 +2385,142 @@ mod tests {
         off.update_prediction(&p1, 0);
         off.update_prediction(&p2, 0);
         assert_eq!(off.diff_applied_updates(), 0);
+    }
+
+    /// Asserts the scheduler's installed model equals `want` to the bit on
+    /// the residual tail and on every request's tail at every slot.
+    fn assert_model_bits(s: &GreedyScheduler, want: &HorizonModel) {
+        let got = s.model_arc();
+        assert_eq!(got.slot_duration(), want.slot_duration());
+        for t in 0..=want.horizon() {
+            assert_eq!(
+                got.residual_tail(t).to_bits(),
+                want.residual_tail(t).to_bits()
+            );
+            for r in (0..want.num_requests()).map(RequestId::from) {
+                assert_eq!(
+                    got.tail(r, t).to_bits(),
+                    want.tail(r, t).to_bits(),
+                    "tail({r:?}, {t})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rate_report_rebuilds_at_the_new_slot_duration() {
+        // A rate report changes the slot duration, and a model built at
+        // another slot duration cannot be diffed: the next prediction takes
+        // the rebuild path, lands on exactly the model a fresh build at the
+        // new duration gives, and the one after it diffs again.
+        let n = 50;
+        let early_late = |early: Vec<(RequestId, f64)>, late: Vec<(RequestId, f64)>| {
+            let slices = PredictionSummary::default_deltas()
+                .into_iter()
+                .enumerate()
+                .map(|(i, delta)| crate::distribution::HorizonSlice {
+                    delta,
+                    dist: crate::distribution::SparseDistribution::from_entries(
+                        n,
+                        if i < 2 { early.clone() } else { late.clone() },
+                        0.4,
+                    ),
+                })
+                .collect();
+            PredictionSummary::new(n, slices, Time::ZERO)
+        };
+        let mut s = mk(n, 4, 64, true);
+        s.set_slot_duration(Duration::from_millis(5));
+        let p1 = early_late(
+            vec![(RequestId(5), 0.4), (RequestId(9), 0.2)],
+            vec![(RequestId(5), 0.1), (RequestId(9), 0.5)],
+        );
+        s.update_prediction(&p1, 0);
+        let _ = s.next_batch(10);
+        let diffed = s.diff_applied_updates();
+
+        s.set_slot_duration(Duration::from_millis(7));
+        let p2 = early_late(
+            vec![(RequestId(5), 0.3), (RequestId(11), 0.3)],
+            vec![(RequestId(5), 0.1), (RequestId(11), 0.5)],
+        );
+        s.update_prediction(&p2, 4);
+        assert_eq!(s.diff_applied_updates(), diffed, "rebuild path taken");
+        let gamma = s.model_arc().gamma();
+        assert_model_bits(
+            &s,
+            &HorizonModel::build(&p2, 64, Duration::from_millis(7), gamma),
+        );
+
+        let _ = s.next_batch(10);
+        let p3 = early_late(
+            vec![(RequestId(5), 0.3), (RequestId(12), 0.3)],
+            vec![(RequestId(5), 0.1), (RequestId(12), 0.5)],
+        );
+        s.update_prediction(&p3, 8);
+        assert_eq!(s.diff_applied_updates(), diffed + 1, "same duration: diffs");
+    }
+
+    #[test]
+    fn forty_slice_summary_installs_and_diffs() {
+        // Wider than any fixed-width explicit mask: request 1 is explicit
+        // only in slices 33.., request 2 only in slices ..4, request 0 in
+        // all of them; 64 slots of 8 ms reach past the last slice (400 ms).
+        let n = 30;
+        let wide = |p0_late: f64| {
+            let slices = (0..40usize)
+                .map(|i| {
+                    let mut entries = vec![(
+                        RequestId(0),
+                        if i < 20 { 0.3 } else { p0_late } + 0.002 * i as f64,
+                    )];
+                    if i >= 33 {
+                        entries.push((RequestId(1), 0.2));
+                    }
+                    if i < 4 {
+                        entries.push((RequestId(2), 0.1 + 0.05 * i as f64));
+                    }
+                    crate::distribution::HorizonSlice {
+                        delta: Duration::from_millis(10 * (i as u64 + 1)),
+                        dist: crate::distribution::SparseDistribution::from_entries(
+                            n, entries, 0.3,
+                        ),
+                    }
+                })
+                .collect();
+            PredictionSummary::new(n, slices, Time::ZERO)
+        };
+        let slot = Duration::from_millis(8);
+        let mut s = mk(n, 4, 64, true);
+        s.set_slot_duration(slot);
+        let gamma = s.model_arc().gamma();
+        let agrees_with_reference = |s: &GreedyScheduler, summary: &PredictionSummary| {
+            let got = s.model_arc();
+            let want = HorizonModel::build_reference(summary, 64, slot, gamma);
+            assert_eq!(got.materialized_count(), 3);
+            for t in 0..=64 {
+                for r in (0..n).map(RequestId::from) {
+                    let (a, b) = (got.tail(r, t), want.tail(r, t));
+                    assert!(
+                        (a - b).abs() <= 1e-9 * b.abs().max(1e-9),
+                        "tail({r:?}, {t}): {a} vs {b}"
+                    );
+                }
+            }
+        };
+        // Install: the default model has four slices, so this is a build.
+        let p1 = wide(0.1);
+        s.update_prediction(&p1, 0);
+        assert_eq!(s.diff_applied_updates(), 0);
+        agrees_with_reference(&s, &p1);
+        assert_eq!(s.next_batch(10).len(), 10);
+        // Same 40 offsets, request 0 reshaped: a diff, no longer refused
+        // for its width.
+        let p2 = wide(0.2);
+        s.update_prediction(&p2, 4);
+        assert_eq!(s.diff_applied_updates(), 1);
+        agrees_with_reference(&s, &p2);
+        assert_eq!(s.next_batch(10).len(), 10);
     }
 
     #[test]

@@ -57,7 +57,7 @@ struct ReplanState {
     /// Updates absorbed as a model diff ([`HorizonModel::apply_update`])
     /// instead of a from-scratch rebuild.  The *plan* is still recomputed
     /// every update — exact solvers have no incremental plan — but the
-    /// `O(m · horizon)` model materialization is skipped.
+    /// model is not re-materialized.
     diff_updates: u64,
 }
 
