@@ -399,6 +399,10 @@ impl Explore for ResumeHarness {
         for table in &self.tables {
             table.check()?;
         }
+        // 4. Each manager's ready index agrees with its live table.
+        for manager in &self.managers {
+            manager.check()?;
+        }
         for (_, entry) in self.entries() {
             let floor = self.seq_floor.get(&entry.session).copied().unwrap_or(0);
             if entry.next_seq < floor {

@@ -1,7 +1,9 @@
 //! Multi-client scheduler benchmarks: throughput of
 //! [`SessionManager::next_event`] as the number of concurrent sessions
-//! grows, under both arbitration policies, plus the cost of routing
-//! prediction updates to one session among many.
+//! grows, under both arbitration policies — including the per-block cost at
+//! 1 000 and 10 000 sessions, which the manager's ready index keeps from
+//! growing with the fleet — plus the cost of routing prediction updates to
+//! one session among many.
 
 use std::sync::Arc;
 
@@ -18,6 +20,14 @@ use khameleon_core::utility::{PowerUtility, UtilityModel};
 
 fn manager(sessions: usize, policy: Box<dyn SharePolicy>) -> SessionManager {
     manager_over(sessions, policy, 500, SamplerVariant::Lazy)
+}
+
+fn policy(weighted: bool) -> Box<dyn SharePolicy> {
+    if weighted {
+        Box::new(WeightedFair::new())
+    } else {
+        Box::new(RoundRobin::new())
+    }
 }
 
 fn manager_over(
@@ -58,14 +68,7 @@ fn bench_next_event(c: &mut Criterion) {
                 &sessions,
                 |b, &sessions| {
                     b.iter_batched(
-                        || {
-                            let policy: Box<dyn SharePolicy> = if weighted {
-                                Box::new(WeightedFair::new())
-                            } else {
-                                Box::new(RoundRobin::new())
-                            };
-                            manager(sessions, policy)
-                        },
+                        || manager(sessions, policy(weighted)),
                         |mut mgr| {
                             for _ in 0..256 {
                                 let _ = mgr.next_event(Time::ZERO);
@@ -76,6 +79,52 @@ fn bench_next_event(c: &mut Criterion) {
                     );
                 },
             );
+        }
+    }
+    group.finish();
+}
+
+/// Per-block arbitration cost at fleet scale: one long-lived manager per
+/// row (building 10 000 sessions per sample would swamp the measurement),
+/// 4 096 blocks per iteration after one warm-up block per session.  The
+/// catalog is small and every block is its own scheduler draw (sender queue
+/// of one), so the rows read a draw plus the manager's pick; the client
+/// cache is smaller still, so no session ever drains.
+fn bench_fleet_block(c: &mut Criterion) {
+    let mut group = c.benchmark_group("session_block_at_fleet_scale");
+    group.sample_size(10);
+    let catalog = Arc::new(ResponseCatalog::uniform(64, 2, 1_000));
+    let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 2);
+    for &sessions in &[1_000usize, 10_000] {
+        for (label, weighted) in [("round_robin", false), ("weighted_fair", true)] {
+            let mut mgr = SessionManager::new(
+                Box::new(CatalogBackend::new(catalog.clone())),
+                policy(weighted),
+            );
+            for i in 0..sessions {
+                mgr.add_session(
+                    Session::builder(utility.clone(), catalog.clone())
+                        .config(ServerConfig {
+                            scheduler: GreedySchedulerConfig {
+                                cache_blocks: 16,
+                                seed: i as u64,
+                                ..Default::default()
+                            },
+                            sender_queue_target: 1,
+                            ..Default::default()
+                        })
+                        .weight(1.0 + (i % 3) as f64),
+                );
+            }
+            let mut serve = |blocks: usize| {
+                for _ in 0..blocks {
+                    assert!(!mgr.next_event(Time::ZERO).is_idle());
+                }
+            };
+            serve(sessions);
+            group.bench_function(BenchmarkId::new(label, sessions), |b| {
+                b.iter(|| serve(4_096));
+            });
         }
     }
     group.finish();
@@ -130,6 +179,7 @@ fn bench_prediction_routing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_next_event,
+    bench_fleet_block,
     bench_large_catalog,
     bench_prediction_routing
 );

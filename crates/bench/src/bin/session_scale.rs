@@ -12,12 +12,9 @@
 //!
 //! The default (quick) scale runs a 1,000-session mixed workload — the
 //! reduced sweep CI uses; `--full` runs the paper-scale 10,000-session
-//! fleet.  The workload is deliberately scan-dominated: a small catalog and
-//! shallow per-session schedules make the scheduler's `O(sessions)`
-//! per-block candidate scan the dominant cost, which is exactly the term
-//! sharding divides — each shard scans only its own sessions, so 4 shards
-//! of `S/4` sessions do ~4x less per-block work than one shard of `S`,
-//! independent of how many cores execute the shard threads.
+//! fleet.  The workload is deliberately arbitration-dominated: a small
+//! catalog and shallow per-session schedules keep the scheduler draw cheap,
+//! so what a cell reads is the session layer's per-block pick.
 //!
 //! Each cell is a mixed workload: weighted sessions, 16 shared predictor
 //! profiles (so model dedup is load-bearing, not incidental), re-predictions
@@ -26,10 +23,15 @@
 //!
 //! Like `transport_stress`, the binary fails on *correctness* violations
 //! (every session served, >=10x model dedup, shard-count-invariant block
-//! totals).  The >=2x blocks/sec acceptance gate is algorithmic rather than
-//! a raw-parallelism bet, so it is asserted whenever the fleet is large
-//! enough (>=256 sessions) for the scan term to dominate — single-core
-//! hosts included — and always recorded in the JSON.
+//! totals).  Its one performance gate is algorithmic: a `SessionManager`
+//! picks from a maintained ready index, so a block costs `O(log sessions)`
+//! and one shard's blocks/sec at the full fleet must stay within
+//! [`FLEET_SCALING_FACTOR`] of its blocks/sec at a tenth of the fleet (a
+//! per-block scan of the fleet would cost the whole factor of ten; both
+//! sides are the best of [`GATE_RUNS`] runs on the same host).  Shards buy
+//! parallelism, not a smaller scan, so the 4-vs-1-shard speedup is recorded
+//! with the host's `parallelism` beside it and gated only where there are
+//! at least four cores to run four shards on.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -52,6 +54,14 @@ const BLOCKS_PER_REQUEST: u32 = 2;
 /// everything useful is scheduled, instead of churning evictions forever.
 const CACHE_BLOCKS: usize = N_REQUESTS * BLOCKS_PER_REQUEST as usize;
 const PROFILES: usize = 16;
+/// How far one shard's blocks/sec may fall when the fleet grows tenfold.
+/// The per-block scan this gate exists to keep out cost 4.6-5.6x from 100
+/// to 1 000 sessions and 15x from 1 000 to 10 000 on the 2-vCPU build host;
+/// the ready index reads 0.9-1.25x and 1.45-1.55x (ten thousand sessions'
+/// scheduler state no longer fits the cache; the pick itself is flat).
+const FLEET_SCALING_FACTOR: f64 = 3.0;
+/// Runs behind each side of the fleet-scaling gate; the fastest counts.
+const GATE_RUNS: usize = 3;
 
 fn catalog() -> Arc<ResponseCatalog> {
     Arc::new(ResponseCatalog::uniform(
@@ -116,7 +126,9 @@ struct CellResult {
 
 /// One cell: a `sessions`-strong mixed fleet on `shards` shards, drained to
 /// idle.  The timer covers the drain — the steady-state scheduling loop —
-/// not fleet setup.
+/// not fleet setup: joins and predictions are forwarded to the shards
+/// without waiting, so the shards are first asked for their stats, which
+/// they answer once everything queued ahead of the request is absorbed.
 fn run_cell(shards: usize, sessions: usize) -> CellResult {
     let cat = catalog();
     let factory_cat = cat.clone();
@@ -160,6 +172,7 @@ fn run_cell(shards: usize, sessions: usize) -> CellResult {
         }
     }
 
+    assert_eq!(fleet.stats().totals.sessions, sessions);
     let start = Instant::now();
     let mut per_session: HashMap<SessionId, u64> = HashMap::new();
     let mut blocks = 0u64;
@@ -182,9 +195,10 @@ fn run_cell(shards: usize, sessions: usize) -> CellResult {
     assert_eq!(stats.totals.sessions, sessions);
     assert_eq!(stats.totals.blocks_sent, blocks);
     // The dedup acceptance gate: 16 predictor profiles across the whole
-    // fleet must collapse to far fewer live models than sessions.
+    // fleet must collapse to far fewer live models than sessions (and to no
+    // more than one per profile in a fleet too small for that to be 10x).
     assert!(
-        stats.live_models * 10 <= sessions,
+        stats.live_models * 10 <= sessions.max(PROFILES * 10),
         "expected >=10x model dedup: {} live models for {sessions} sessions",
         stats.live_models
     );
@@ -222,25 +236,28 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
 
-    let mut cells = Vec::new();
-    for shards in [1usize, 2, 4] {
+    let run = |shards: usize, sessions: usize| {
         eprintln!("# {sessions} sessions on {shards} shard(s) ...");
         let cell = run_cell(shards, sessions);
         eprintln!(
             "#   {} blocks in {:.0} ms -> {:.0} blocks/s, {} live models",
             cell.blocks, cell.elapsed_ms, cell.blocks_per_sec, cell.live_models
         );
-        cells.push(cell);
-    }
+        cell
+    };
+    let fastest_of = |shards: usize, sessions: usize| {
+        (0..GATE_RUNS)
+            .map(|_| run(shards, sessions))
+            .max_by(|a, b| a.blocks_per_sec.total_cmp(&b.blocks_per_sec))
+            .expect("GATE_RUNS is positive")
+    };
 
-    let base = cells
-        .iter()
-        .find(|c| c.shards == 1)
-        .expect("1-shard cell ran");
-    let four = cells
-        .iter()
-        .find(|c| c.shards == 4)
-        .expect("4-shard cell ran");
+    let tenth = fastest_of(1, (sessions / 10).max(1));
+    let mut cells = vec![fastest_of(1, sessions)];
+    cells.extend([2usize, 4].map(|shards| run(shards, sessions)));
+
+    let base = &cells[0];
+    let four = cells.last().expect("4-shard cell ran");
     let speedup = four.blocks_per_sec / base.blocks_per_sec;
     // Shard-count invariance of the policy: identical fleets schedule the
     // same number of blocks at every shard count.
@@ -251,18 +268,23 @@ fn main() {
             cell.shards
         );
     }
-    // The speedup is algorithmic — each shard's per-block candidate scan
-    // covers only its own sessions — so it holds even on a single core; it
-    // just needs a fleet large enough for the scan to dominate.
-    if sessions >= 256 {
+    // The algorithmic gate: per-block cost is logarithmic in the fleet, so
+    // ten times the sessions must not cost one shard anything near ten
+    // times the throughput.
+    let fleet_scaling = base.blocks_per_sec / tenth.blocks_per_sec;
+    assert!(
+        fleet_scaling * FLEET_SCALING_FACTOR >= 1.0,
+        "one shard serves {:.0} blocks/s at {} sessions but only {:.0} at {}: per-block cost grows with the fleet",
+        tenth.blocks_per_sec,
+        tenth.sessions,
+        base.blocks_per_sec,
+        base.sessions
+    );
+    // Four shards need four cores to be four times the scheduler loops.
+    if parallelism >= 4 {
         assert!(
             speedup >= 2.0,
-            "4 shards only {speedup:.2}x faster than 1 on {sessions} sessions"
-        );
-    } else if speedup < 2.0 {
-        eprintln!(
-            "# note: speedup {speedup:.2}x at {sessions} sessions (the 2x \
-             gate applies from 256 sessions up)"
+            "4 shards only {speedup:.2}x faster than 1 on {parallelism} cores"
         );
     }
 
@@ -291,6 +313,11 @@ fn main() {
     let _ = writeln!(json, "  \"speedup_4_shards_vs_1\": {speedup:.2},");
     let _ = writeln!(
         json,
+        "  \"one_shard_fleet_scaling\": {{\"sessions\": {}, \"blocks_per_sec\": {:.0}, \"at_10x_sessions\": {:.2}}},",
+        tenth.sessions, tenth.blocks_per_sec, fleet_scaling
+    );
+    let _ = writeln!(
+        json,
         "  \"dedup\": {{\"sessions\": {}, \"live_models\": {}, \"ratio\": {:.1}}}",
         sessions,
         four.live_models,
@@ -307,4 +334,8 @@ fn main() {
         );
     }
     println!("speedup 4 vs 1: {speedup:.2}x (parallelism {parallelism})");
+    println!(
+        "1 shard at {} sessions: {:.0} blocks/s; at {}: {fleet_scaling:.2}x of that",
+        tenth.sessions, tenth.blocks_per_sec, base.sessions
+    );
 }

@@ -330,6 +330,21 @@ impl GreedyScheduler {
         catalog: Arc<ResponseCatalog>,
         ctx: Arc<GreedyContext>,
     ) -> Self {
+        Self::with_context_and_cache(cfg, utility, catalog, ctx, None)
+    }
+
+    /// [`with_context`](Self::with_context), with the uniform prior resolved
+    /// through `model_cache` when one is supplied — the state
+    /// [`attach_model_cache`](Self::attach_model_cache) leaves a pristine
+    /// scheduler in, without first building a private uniform model only to
+    /// drop it for the cache's shared one.
+    pub(crate) fn with_context_and_cache(
+        cfg: GreedySchedulerConfig,
+        utility: UtilityModel,
+        catalog: Arc<ResponseCatalog>,
+        ctx: Arc<GreedyContext>,
+        model_cache: Option<Arc<crate::scheduler::ModelCache>>,
+    ) -> Self {
         assert!(cfg.cache_blocks > 0, "cache must hold at least one block");
         assert!(cfg.batch_size > 0, "batch size must be positive");
         let num_requests = catalog.num_requests();
@@ -342,20 +357,34 @@ impl GreedyScheduler {
             ctx.utility.same_tables(&utility),
             "shared context derived for a different utility model"
         );
-        let model = Arc::new(HorizonModel::uniform(
-            num_requests,
-            cfg.cache_blocks,
-            cfg.slot_duration,
-            cfg.gamma,
-        ));
+        let (model, model_key) = match &model_cache {
+            Some(cache) => {
+                let (model, key) = cache.resolve_uniform_keyed(
+                    num_requests,
+                    cfg.cache_blocks,
+                    cfg.slot_duration,
+                    cfg.gamma,
+                );
+                (model, Some(key))
+            }
+            None => (
+                Arc::new(HorizonModel::uniform(
+                    num_requests,
+                    cfg.cache_blocks,
+                    cfg.slot_duration,
+                    cfg.gamma,
+                )),
+                None,
+            ),
+        };
         let rng = StdRng::seed_from_u64(cfg.seed);
         let touched_per_class = vec![0; ctx.classes.num_classes()];
         let mut s = GreedyScheduler {
             cfg,
             utility,
             model,
-            model_cache: None,
-            model_key: None,
+            model_cache,
+            model_key,
             rng,
             allocated: HashMap::new(),
             t: 0,

@@ -10,23 +10,26 @@
 //!   [`Scheduler`], a [`ServerPredictor`], the bandwidth/rate state, the
 //!   sender queue, and the per-request sent bookkeeping.
 //! * [`SessionManager`] — owns N sessions plus the shared
-//!   [`Backend`](crate::server::Backend), and on every call to
-//!   [`next_event`](SessionManager::next_event) asks its [`SharePolicy`]
-//!   which session's block goes on the wire next.  A session can be taken
+//!   [`Backend`](crate::server::Backend), and keeps the sessions that may
+//!   still have work in an index ordered by its [`SharePolicy`], so every
+//!   call to [`next_event`](SessionManager::next_event) reads whose block
+//!   goes on the wire next off the front of that order instead of
+//!   re-deriving it from a scan of the fleet.  A session can be taken
 //!   out of scheduling whole and put back later
 //!   ([`detach_session`](SessionManager::detach_session) /
 //!   [`attach_session`](SessionManager::attach_session)); what happens to it
 //!   in between — the transport parks it behind a resume token with a TTL —
 //!   is the caller's business, not the manager's.
-//! * [`SharePolicy`] — pluggable arbitration.  [`RoundRobin`] alternates
-//!   between sessions with work; [`WeightedFair`] divides the link in
-//!   proportion to per-session weights.
+//! * [`SharePolicy`] — pluggable arbitration, expressed as an *order* over
+//!   sessions.  [`RoundRobin`] alternates between sessions with work;
+//!   [`WeightedFair`] divides the link in proportion to per-session weights.
 //!
 //! A single-client [`KhameleonServer`](crate::server::KhameleonServer) is a
 //! thin wrapper over one `Session` and one backend, so both deployments run
 //! exactly the same scheduling code.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::bandwidth::BandwidthEstimator;
@@ -83,13 +86,13 @@ pub struct Session {
     closed: bool,
     /// Memo that the last unconstrained [`next_block_ref`] returned `None`
     /// and nothing has since arrived that could create work.  The manager
-    /// skips exhausted sessions when building arbitration candidates, so a
-    /// mostly-drained fleet costs `O(live)` per block instead of the
-    /// policy re-picking (and re-snapshotting) every drained session —
-    /// at 10k sessions that tail was quadratic.  Cleared by every protocol
+    /// mirrors this flag in its ready index — a session is in the index
+    /// exactly while the flag is clear — so a drained session costs nothing
+    /// per block until something re-opens it.  Cleared by every protocol
     /// message and every slot-duration change (the only inputs that can
     /// re-open a drained scheduler); never set under a backend concurrency
-    /// limit, whose per-candidate allowance split must see the full set.
+    /// limit, where an empty answer may only mean a zero allowance this
+    /// round.
     ///
     /// [`next_block_ref`]: Session::next_block_ref
     exhausted: bool,
@@ -492,13 +495,37 @@ impl SessionBuilder {
 
     /// Sets the share weight used by weighted fair policies (default 1.0).
     pub fn weight(mut self, weight: f64) -> Self {
-        assert!(weight > 0.0, "session weight must be positive");
+        // One infinite weight would turn every other session's share into
+        // `w / ∞ = 0` and its own into `∞ / ∞ = NaN`.
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "session weight must be positive and finite"
+        );
         self.weight = weight;
         self
     }
 
+    /// The bandwidth estimator the built session starts from.
+    fn bandwidth_estimator(&self) -> BandwidthEstimator {
+        let mut bandwidth = BandwidthEstimator::new(self.cfg.initial_bandwidth);
+        bandwidth.set_cap(self.cfg.bandwidth_cap);
+        bandwidth
+    }
+
+    /// `(bandwidth_estimate().bytes_per_sec(), weight())` of the session
+    /// this builder will build.  The shard coordinator keeps its budget
+    /// bookkeeping from this, so a join does not wait for the owning shard
+    /// to build the session and report the same two numbers back.
+    pub(crate) fn initial_share(&self) -> (f64, f64) {
+        (
+            self.bandwidth_estimator().estimate().bytes_per_sec(),
+            self.weight,
+        )
+    }
+
     /// Builds the session.
     pub fn build(self) -> Session {
+        let bandwidth = self.bandwidth_estimator();
         let SessionBuilder {
             cfg,
             utility,
@@ -509,8 +536,6 @@ impl SessionBuilder {
             model_cache,
             weight,
         } = self;
-        let mut bandwidth = BandwidthEstimator::new(cfg.initial_bandwidth);
-        bandwidth.set_cap(cfg.bandwidth_cap);
         let slot = bandwidth.slot_duration(catalog.max_block_size().max(1));
         let scheduler = match scheduler {
             Some(mut s) => {
@@ -522,12 +547,13 @@ impl SessionBuilder {
                 scheduler_cfg.slot_duration = slot;
                 let ctx = greedy_context
                     .unwrap_or_else(|| Arc::new(GreedyContext::new(&utility, &catalog)));
-                let mut greedy =
-                    GreedyScheduler::with_context(scheduler_cfg, utility, catalog.clone(), ctx);
-                if let Some(cache) = model_cache {
-                    greedy.attach_model_cache(cache);
-                }
-                Box::new(greedy)
+                Box::new(GreedyScheduler::with_context_and_cache(
+                    scheduler_cfg,
+                    utility,
+                    catalog.clone(),
+                    ctx,
+                    model_cache,
+                ))
             }
         };
         let predictor = predictor
@@ -570,15 +596,43 @@ pub struct SessionShare {
     pub service: u64,
 }
 
+/// A ready-index entry: a session's [`SharePolicy::key`] and its id.  The
+/// derived tuple order — key first, id as the tiebreak — is the order in
+/// which a [`SessionManager`] offers sessions the wire.
+pub type ReadyEntry = (u64, SessionId);
+
 /// Decides which session's block goes on the wire next.
 ///
-/// `ready` lists the sessions that may still have work, in ascending id
-/// order; the policy returns an index into `ready`.  The manager calls the
-/// policy again (with the exhausted session removed) if the chosen session
-/// turns out to have nothing to send.
+/// A policy is an *order*, not a scan.  The manager keeps every session
+/// that may still have work in a set sorted by [`ReadyEntry`] and re-keys a
+/// session only when its [`SessionShare`] changes (it was served a block,
+/// or it joined), so a pick walks that set from the policy's starting
+/// point until a session yields a block — `O(log sessions)` when the first
+/// one does — instead of snapshotting and comparing the whole fleet per
+/// block.  Sessions the walk offers the wire to that turn out to have
+/// nothing to send are passed over, and dropped from the set until a
+/// message re-opens them.
 pub trait SharePolicy: Send {
-    /// Picks the next session to serve, as an index into `ready`.
-    fn pick(&mut self, ready: &[SessionShare]) -> Option<usize>;
+    /// The session's place in the service order; lower keys are served
+    /// first and equal keys in ascending id order.  Must depend on `share`
+    /// alone: the manager stores the key and recomputes it only when the
+    /// share moves.
+    fn key(&self, share: &SessionShare) -> u64;
+
+    /// Where the next pick starts: the entries strictly after the returned
+    /// one are offered first, then the walk wraps round to the lowest entry
+    /// and ends at the returned one.  `None` (the default) starts every
+    /// pick at the lowest entry.
+    fn resume_after(&self) -> Option<ReadyEntry> {
+        None
+    }
+
+    /// Called for each session a pick offers the wire to, in walk order,
+    /// whether or not it had a block to send; the last call of a pick that
+    /// produced a block names the block's recipient.
+    fn offered(&mut self, session: SessionId) {
+        let _ = session;
+    }
 
     /// Name used in logs and experiment reports.
     fn name(&self) -> &'static str {
@@ -586,7 +640,10 @@ pub trait SharePolicy: Send {
     }
 }
 
-/// Serves sessions in rotation, skipping those without work.
+/// Serves sessions in rotation, skipping those without work: every session
+/// has the same key, so the order is ascending id, and each pick resumes
+/// just after the session offered last ("first ready id above the last
+/// served, else the lowest").
 #[derive(Debug, Default)]
 pub struct RoundRobin {
     last: Option<SessionId>,
@@ -600,16 +657,16 @@ impl RoundRobin {
 }
 
 impl SharePolicy for RoundRobin {
-    fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
-        if ready.is_empty() {
-            return None;
-        }
-        let idx = match self.last {
-            Some(last) => ready.iter().position(|s| s.session > last).unwrap_or(0),
-            None => 0,
-        };
-        self.last = Some(ready[idx].session);
-        Some(idx)
+    fn key(&self, _share: &SessionShare) -> u64 {
+        0
+    }
+
+    fn resume_after(&self) -> Option<ReadyEntry> {
+        self.last.map(|last| (0, last))
+    }
+
+    fn offered(&mut self, session: SessionId) {
+        self.last = Some(session);
     }
 
     fn name(&self) -> &'static str {
@@ -633,18 +690,12 @@ impl WeightedFair {
 }
 
 impl SharePolicy for WeightedFair {
-    fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
-        ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let va = (a.service + 1) as f64 / a.weight.max(f64::EPSILON);
-                let vb = (b.service + 1) as f64 / b.weight.max(f64::EPSILON);
-                va.partial_cmp(&vb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.session.cmp(&b.session))
-            })
-            .map(|(i, _)| i)
+    fn key(&self, share: &SessionShare) -> u64 {
+        // The weighted service the session would reach with one more block.
+        // Finite and non-negative (weights are positive and finite), so the
+        // bit pattern orders exactly as the float does.
+        let virtual_finish = (share.service + 1) as f64 / share.weight.max(f64::EPSILON);
+        virtual_finish.to_bits()
     }
 
     fn name(&self) -> &'static str {
@@ -657,16 +708,26 @@ impl SharePolicy for WeightedFair {
 ///
 /// Each call to [`next_event`](SessionManager::next_event) produces at most
 /// one block — the manager is the single point where the shared link is
-/// allocated, so the policy's choice *is* the bandwidth split.  Incoming
+/// allocated, so the policy's choice *is* the bandwidth split.  That choice
+/// is read off a persistent *ready index* (the live sessions that may still
+/// have work, in policy order) which is updated where the order can change
+/// — a join, a departure, a block served, a session draining or being
+/// re-opened — so the cost of a block does not grow with the fleet.  Incoming
 /// protocol messages are routed to their session with
 /// [`on_message`](SessionManager::on_message); rate reports additionally
 /// update the shared estimate and re-divide per-session slot durations by
 /// weight.
 pub struct SessionManager {
-    /// Live sessions, ascending by id: [`RoundRobin`]'s cursor, the id
-    /// lookups ([`position`](Self::position)) and `next_event_among`'s
-    /// eligibility search all rely on that order.
+    /// Live sessions, ascending by id: the id lookups
+    /// ([`position`](Self::position)) and the backend-concurrency split
+    /// (a candidate's rank is its place in this order) rely on it.
     sessions: Vec<(SessionId, Session)>,
+    /// The ready index: one [`ReadyEntry`] per live session whose
+    /// `exhausted` flag is clear, under the key the policy gives its current
+    /// share.  Everything that adds or removes a session, serves it a block
+    /// or flips its flag updates the index in the same call
+    /// ([`check`](Self::check) compares it against a rebuild).
+    ready: BTreeSet<ReadyEntry>,
     next_id: u64,
     backend: Box<dyn Backend>,
     policy: Box<dyn SharePolicy>,
@@ -709,6 +770,7 @@ impl SessionManager {
     pub fn new(backend: Box<dyn Backend>, policy: Box<dyn SharePolicy>) -> Self {
         SessionManager {
             sessions: Vec::new(),
+            ready: BTreeSet::new(),
             next_id: 0,
             backend,
             policy,
@@ -777,6 +839,7 @@ impl SessionManager {
             session.service_base = (frontier * session.weight()).floor() as u64;
         }
         self.sessions.insert(at, (id, session));
+        self.ready.insert(self.ready_entry(at));
         self.redivide_bandwidth();
         id
     }
@@ -796,6 +859,13 @@ impl SessionManager {
     /// `Err(index)` where it would be inserted to keep the table ascending.
     fn position(&self, id: SessionId) -> Result<usize, usize> {
         self.sessions.binary_search_by_key(&id, |(sid, _)| *sid)
+    }
+
+    /// The ready-index entry of the session at `pos`, from its share as it
+    /// stands now.
+    fn ready_entry(&self, pos: usize) -> ReadyEntry {
+        let (id, session) = &self.sessions[pos];
+        entry_of(self.policy.as_ref(), *id, session)
     }
 
     /// The shared scheduler context for `(utility, catalog)`, derived once
@@ -909,6 +979,9 @@ impl SessionManager {
     /// table parks sessions this way; see `docs/RESILIENCE.md`.)
     pub fn detach_session(&mut self, id: SessionId) -> Option<Session> {
         let pos = self.position(id).ok()?;
+        if !self.sessions[pos].1.exhausted {
+            self.ready.remove(&self.ready_entry(pos));
+        }
         let (_, session) = self.sessions.remove(pos);
         self.redivide_bandwidth();
         Some(session)
@@ -936,7 +1009,13 @@ impl SessionManager {
                 session.service_base += target - current;
             }
         }
+        // Keyed from the re-based service.  A session detached while drained
+        // joins the index when the re-division below re-opens it.
+        let drained = session.exhausted;
         self.sessions.insert(at, (id, session));
+        if !drained {
+            self.ready.insert(self.ready_entry(at));
+        }
         self.redivide_bandwidth();
     }
 
@@ -951,15 +1030,19 @@ impl SessionManager {
         now: Time,
     ) -> Option<ServerEvent> {
         let pos = self.position(id).ok()?;
-        let session = &mut self.sessions[pos].1;
+        // Every message clears the session's `exhausted` flag, so a drained
+        // session is back in the ready index before anything else happens.
+        let was_drained = self.sessions[pos].1.exhausted;
+        let outcome = self.sessions[pos].1.on_message(message, now);
+        if was_drained {
+            self.ready.insert(self.ready_entry(pos));
+        }
         match message {
             ClientMessage::Close => {
-                session.on_message(message, now);
                 self.remove_session(id);
                 Some(ServerEvent::Closed { session: id })
             }
             ClientMessage::RateReport(_) => {
-                session.on_message(message, now);
                 // Rate reports also feed the shared budget.  Each client
                 // only observes its own share of the wire, so the total is
                 // the *sum* of per-session estimates — feeding a single
@@ -982,7 +1065,7 @@ impl SessionManager {
             }
             ClientMessage::Predictor(_)
             | ClientMessage::PredictorFull { .. }
-            | ClientMessage::PredictorDelta(_) => match session.on_message(message, now) {
+            | ClientMessage::PredictorDelta(_) => match outcome {
                 MessageOutcome::NeedsResync => Some(ServerEvent::Resync { session: id }),
                 MessageOutcome::Handled => None,
             },
@@ -992,6 +1075,13 @@ impl SessionManager {
     /// Produces the next block to put on the shared wire, or
     /// [`ServerEvent::Idle`] when no session has useful work.
     ///
+    /// The ready index is walked in policy order from the policy's starting
+    /// point and the first session that yields a block is served; with no
+    /// backend concurrency limit that is `O(log sessions)` and allocates
+    /// nothing.  A session that turns out to be drained leaves the index
+    /// on the way, so it is not asked again until a message or a
+    /// slot-duration change re-opens it.
+    ///
     /// The shared backend's concurrency budget is divided between live
     /// sessions so their per-refill allowances sum to the backend limit —
     /// N sessions cannot jointly drive N × limit distinct requests into one
@@ -1000,48 +1090,24 @@ impl SessionManager {
     /// the §5.4 schedule-shaping heuristic generalized to many clients, not
     /// an exact in-flight tracker.)
     pub fn next_event(&mut self, _now: Time) -> ServerEvent {
-        // Skipping exhausted sessions is outcome-identical to letting the
-        // policy pick and discard them: `WeightedFair` is a stateless min
-        // (absent entries cannot change which live session is minimal) and
-        // `RoundRobin`'s cursor ends at the block recipient either way.
-        // Under a concurrency limit the allowance split depends on the
-        // candidate count, so the full set is kept (and `exhausted` is
-        // never set on that path).
-        let filter_exhausted = self.backend.concurrency_limit().is_none();
-        let all: Vec<usize> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, s))| !filter_exhausted || !s.exhausted)
-            .map(|(i, _)| i)
-            .collect();
-        self.next_event_inner(all)
+        self.pick(None)
     }
 
     /// [`next_event`](SessionManager::next_event) restricted to the sessions
     /// in `eligible` (ascending by id).  Transport servers use this to keep
     /// backpressured connections — whose bounded outbound queues are full —
-    /// out of arbitration entirely: the share policy and the backend
-    /// concurrency budget only see the eligible set, so a slow consumer's
-    /// share flows to live connections instead of accumulating in memory,
-    /// and no scheduler state is mutated for blocks that could not be
-    /// queued.
+    /// out of arbitration entirely: the walk passes over everything else
+    /// without offering it the wire (one step per ready session passed
+    /// over) and the backend concurrency budget is split over the eligible
+    /// set only, so a slow consumer's share flows to live connections
+    /// instead of accumulating in memory, and no scheduler state is mutated
+    /// for blocks that could not be queued.
     pub fn next_event_among(&mut self, _now: Time, eligible: &[SessionId]) -> ServerEvent {
         debug_assert!(
             eligible.windows(2).all(|w| w[0] < w[1]),
             "eligible session list must be ascending"
         );
-        let filter_exhausted = self.backend.concurrency_limit().is_none();
-        let picked: Vec<usize> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, (id, s))| {
-                (!filter_exhausted || !s.exhausted) && eligible.binary_search(id).is_ok()
-            })
-            .map(|(i, _)| i)
-            .collect();
-        self.next_event_inner(picked)
+        self.pick(Some(eligible))
     }
 
     /// Whether an [`ServerEvent::Idle`] answer to
@@ -1053,49 +1119,83 @@ impl SessionManager {
     /// the session holding work may simply have drawn a zero allowance this
     /// round — so an event loop that sleeps on `Idle` must retry on a timer.
     pub fn all_exhausted(&self, eligible: &[SessionId]) -> bool {
-        self.sessions
+        !self
+            .ready
             .iter()
-            .filter(|(id, _)| eligible.binary_search(id).is_ok())
-            .all(|(_, s)| s.exhausted)
+            .any(|(_, id)| eligible.binary_search(id).is_ok())
     }
 
-    fn next_event_inner(&mut self, indices: Vec<usize>) -> ServerEvent {
-        let n = indices.len().max(1);
-        let limits: Vec<Option<usize>> = match self.backend.concurrency_limit() {
-            None => vec![None; n],
-            Some(l) => {
-                let base = l / n;
-                let extra = l % n;
-                (0..n)
-                    .map(|i| Some(base + usize::from((i + n - self.budget_rotor % n) % n < extra)))
-                    .collect()
-            }
+    /// The first ready entry strictly after `after` (the lowest with `None`).
+    fn next_ready(&self, after: Option<ReadyEntry>) -> Option<ReadyEntry> {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.ready.range((from, Bound::Unbounded)).next().copied()
+    }
+
+    /// How many of `ids` are live.
+    fn live_among(&self, ids: &[SessionId]) -> usize {
+        ids.iter().filter(|id| self.position(**id).is_ok()).count()
+    }
+
+    /// The one arbitration routine: walks the ready index in policy order,
+    /// passing over sessions `eligible` excludes, and serves the first
+    /// session that yields a block.
+    fn pick(&mut self, eligible: Option<&[SessionId]>) -> ServerEvent {
+        let limit = self.backend.concurrency_limit();
+        let rotor = self.budget_rotor;
+        self.budget_rotor = rotor.wrapping_add(1);
+        // Under a limit the candidates are the live eligible sessions (no
+        // session is marked exhausted there, so that is also what the index
+        // holds) and each one's allowance follows from how many there are
+        // and its rank among them in id order.
+        let candidates = match (limit, eligible) {
+            (None, _) => 0,
+            (Some(_), None) => self.sessions.len(),
+            (Some(_), Some(eligible)) => self.live_among(eligible),
         };
-        self.budget_rotor = self.budget_rotor.wrapping_add(1);
-        let mut candidates: Vec<(usize, Option<usize>)> = indices.into_iter().zip(limits).collect();
-        while !candidates.is_empty() {
-            let ready: Vec<SessionShare> = candidates
-                .iter()
-                .map(|&(i, _)| {
-                    let (id, s) = &self.sessions[i];
-                    SessionShare {
-                        session: *id,
-                        weight: s.weight(),
-                        blocks_sent: s.blocks_sent(),
-                        service: s.service(),
-                    }
-                })
-                .collect();
-            let Some(pick) = self.policy.pick(&ready) else {
-                break;
+        let start = self.policy.resume_after();
+        // What is left of the walk: the entries strictly after `after` and,
+        // once it has wrapped, no further than `upto`.
+        let (mut after, mut upto) = (start, None);
+        loop {
+            let next = self
+                .next_ready(after)
+                .filter(|entry| upto.is_none_or(|upto| *entry <= upto));
+            let Some(entry) = next else {
+                if upto.is_some() || start.is_none() {
+                    return ServerEvent::Idle;
+                }
+                (after, upto) = (None, start);
+                continue;
             };
-            let (idx, limit) = candidates[pick];
-            let (id, session) = &mut self.sessions[idx];
-            let id = *id;
-            match session.next_block_ref(limit) {
+            after = Some(entry);
+            let id = entry.1;
+            if eligible.is_some_and(|eligible| eligible.binary_search(&id).is_err()) {
+                continue;
+            }
+            let Ok(pos) = self.position(id) else {
+                unreachable!("ready index names session {id}, which is not live");
+            };
+            let allowance = limit.map(|limit| {
+                let rank = match eligible {
+                    None => pos,
+                    Some(eligible) => {
+                        self.live_among(&eligible[..eligible.partition_point(|e| *e < id)])
+                    }
+                };
+                concurrency_share(limit, candidates, rank, rotor)
+            });
+            self.policy.offered(id);
+            let session = &mut self.sessions[pos].1;
+            match session.next_block_ref(allowance) {
                 Some(block_ref) => {
                     if let Some(block) = self.backend.fetch(block_ref) {
                         session.commit(&block.meta);
+                        // The one key a block moves is its recipient's.
+                        let served = self.ready_entry(pos);
+                        if served != entry {
+                            self.ready.remove(&entry);
+                            self.ready.insert(served);
+                        }
                         self.blocks_sent += 1;
                         self.bytes_sent += block.meta.size;
                         return ServerEvent::Block { session: id, block };
@@ -1105,14 +1205,14 @@ impl SessionManager {
                     // a scheduler that keeps producing unresolvable refs
                     // cannot spin this loop forever; the next call serves it
                     // again.
-                    candidates.remove(pick);
                 }
                 None => {
-                    candidates.remove(pick);
+                    if session.exhausted {
+                        self.ready.remove(&entry);
+                    }
                 }
             }
         }
-        ServerEvent::Idle
     }
 
     /// Re-divides the shared bandwidth estimate between sessions by weight,
@@ -1135,11 +1235,17 @@ impl SessionManager {
             return;
         }
         let total = self.shared_bandwidth.estimate();
-        for (_, session) in &mut self.sessions {
+        for (id, session) in &mut self.sessions {
             let share = session.weight() / total_weight;
             let effective = Bandwidth(total.bytes_per_sec() * share);
             let slot = effective.transmit_time(session.max_block_size());
+            // A new slot duration re-opens a drained session.
+            let was_drained = session.exhausted;
             session.set_slot_duration(slot);
+            if was_drained {
+                self.ready
+                    .insert(entry_of(self.policy.as_ref(), *id, session));
+            }
         }
     }
 
@@ -1169,11 +1275,6 @@ impl SessionManager {
         self.position(id).ok().map(|pos| &self.sessions[pos].1)
     }
 
-    /// Mutable access to a live session by id.
-    pub fn session_mut(&mut self, id: SessionId) -> Option<&mut Session> {
-        self.position(id).ok().map(|pos| &mut self.sessions[pos].1)
-    }
-
     /// Total blocks sent across all sessions.
     pub fn blocks_sent(&self) -> u64 {
         self.blocks_sent
@@ -1193,6 +1294,60 @@ impl SessionManager {
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }
+
+    /// The ready index rebuilt from the live table: an entry, under the key
+    /// recomputed from its share, for every session not marked exhausted.
+    fn rebuilt_ready(&self) -> BTreeSet<ReadyEntry> {
+        (0..self.sessions.len())
+            .filter(|&pos| !self.sessions[pos].1.exhausted)
+            .map(|pos| self.ready_entry(pos))
+            .collect()
+    }
+
+    /// Checks the manager's structural invariants: the live table ascends
+    /// by id, and the ready index holds exactly the live sessions not
+    /// marked exhausted, each under the key its share has now.  The
+    /// differential test, the shard-parity property test and the
+    /// interleaving explorer call this after every operation.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.sessions.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("live table is not strictly ascending by id".to_string());
+        }
+        let rebuilt = self.rebuilt_ready();
+        if rebuilt != self.ready {
+            let stale: Vec<_> = self.ready.difference(&rebuilt).collect();
+            let missing: Vec<_> = rebuilt.difference(&self.ready).collect();
+            return Err(format!(
+                "ready index drift: holds {stale:?} that a rebuild does not, lacks {missing:?}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A session's share state as its manager's [`SharePolicy`] sees it.
+fn share_of(id: SessionId, session: &Session) -> SessionShare {
+    SessionShare {
+        session: id,
+        weight: session.weight(),
+        blocks_sent: session.blocks_sent(),
+        service: session.service(),
+    }
+}
+
+/// The ready-index entry `policy` gives `session` for its share as it
+/// stands now.
+fn entry_of(policy: &dyn SharePolicy, id: SessionId, session: &Session) -> ReadyEntry {
+    (policy.key(&share_of(id, session)), id)
+}
+
+/// One candidate's slice of a backend concurrency `limit` split over
+/// `candidates` sessions: `limit / candidates` each, the remainder going to
+/// a window of ranks that `rotor` moves on by one per pick.
+fn concurrency_share(limit: usize, candidates: usize, rank: usize, rotor: usize) -> usize {
+    let n = candidates.max(1);
+    let extra = limit % n;
+    limit / n + usize::from((rank + n - rotor % n) % n < extra)
 }
 
 #[cfg(test)]
@@ -1711,9 +1866,83 @@ mod tests {
 
     #[test]
     fn weighted_fair_requires_positive_weight() {
-        let cat = catalog(4, 2);
-        let result = std::panic::catch_unwind(|| Session::builder(utility(2), cat).weight(0.0));
-        assert!(result.is_err());
+        // Zero and negative weights starve the session; NaN poisons every
+        // comparison; one infinite weight zeroes every other session's
+        // bandwidth share and makes its own `∞ / ∞`.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cat = catalog(4, 2);
+            let result = std::panic::catch_unwind(|| Session::builder(utility(2), cat).weight(bad));
+            assert!(result.is_err(), "weight {bad} must be refused");
+        }
+    }
+
+    #[test]
+    fn builder_adopts_the_cached_uniform_model_without_building_its_own() {
+        // The builder resolves the uniform prior through the model cache
+        // first; the state must be the one `with_context` followed by
+        // `attach_model_cache` reaches (which builds a private uniform model
+        // and drops it for the cache's).
+        let cat = catalog(40, 4);
+        let shared = utility(4);
+        let ctx = Arc::new(GreedyContext::new(&shared, &cat));
+        let cache = ModelCache::new();
+        let cfg = GreedySchedulerConfig {
+            cache_blocks: 32,
+            seed: 9,
+            ..Default::default()
+        };
+        let mut built = Session::builder(shared.clone(), cat.clone())
+            .config(ServerConfig {
+                scheduler: cfg.clone(),
+                ..Default::default()
+            })
+            .greedy_context(ctx.clone())
+            .model_cache(cache.clone())
+            .build();
+        assert_eq!((cache.misses(), cache.hits()), (1, 0), "one model built");
+
+        // The same scheduler configuration the builder derives: the slot
+        // duration comes from the session's own initial estimate.
+        let by_hand_cfg = GreedySchedulerConfig {
+            slot_duration: built.pacing_interval(),
+            ..cfg
+        };
+        let direct = GreedyScheduler::with_context_and_cache(
+            by_hand_cfg.clone(),
+            shared.clone(),
+            cat.clone(),
+            ctx.clone(),
+            Some(cache.clone()),
+        );
+        let mut attached =
+            GreedyScheduler::with_context(by_hand_cfg, shared.clone(), cat.clone(), ctx);
+        attached.attach_model_cache(cache.clone());
+        assert!(Arc::ptr_eq(direct.model_arc(), attached.model_arc()));
+        assert_eq!((cache.misses(), cache.hits()), (1, 2), "both adopt it");
+        // ... and it is the model the built session holds: it survives the
+        // two schedulers.
+        drop(direct);
+        let mut by_hand = Session::builder(shared.clone(), cat)
+            .scheduler(Box::new(attached))
+            .build();
+        assert_eq!(cache.live_models(), 1);
+
+        for step in 0..64 {
+            let (a, b) = (built.next_block_ref(None), by_hand.next_block_ref(None));
+            assert_eq!(a, b, "draw {step} diverged");
+            let Some(block) = a else {
+                panic!("stalled at draw {step}");
+            };
+            let meta = built
+                .catalog()
+                .layout(block.request)
+                .block_meta(block.index);
+            let meta = meta.expect("scheduled blocks exist");
+            built.commit(&meta);
+            by_hand.commit(&meta);
+        }
+        drop(by_hand);
+        assert_eq!(cache.live_models(), 1, "the built session shares it");
     }
 
     #[test]
@@ -1885,6 +2114,378 @@ mod tests {
             }
         }
         assert!(idle_then_block, "no `Idle` was followed by a block");
+    }
+
+    /// The arbitration this module had before the ready index, kept as the
+    /// oracle: a policy is a scan over a snapshot of the candidates, and
+    /// every pick rebuilds the candidate, allowance and snapshot vectors
+    /// from the live table and the sessions' `exhausted` flags.  It never
+    /// reads the manager's ready index or its [`SharePolicy`] cursor.
+    mod differential {
+        use super::*;
+        use crate::block::Block;
+        use proptest::prelude::*;
+
+        trait ScanPolicy {
+            fn pick(&mut self, ready: &[SessionShare]) -> Option<usize>;
+        }
+
+        #[derive(Default)]
+        struct ScanRoundRobin {
+            last: Option<SessionId>,
+        }
+
+        impl ScanPolicy for ScanRoundRobin {
+            fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
+                if ready.is_empty() {
+                    return None;
+                }
+                let idx = match self.last {
+                    Some(last) => ready.iter().position(|s| s.session > last).unwrap_or(0),
+                    None => 0,
+                };
+                self.last = Some(ready[idx].session);
+                Some(idx)
+            }
+        }
+
+        struct ScanWeightedFair;
+
+        impl ScanPolicy for ScanWeightedFair {
+            fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
+                ready
+                    .iter()
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| {
+                        let va = (a.service + 1) as f64 / a.weight.max(f64::EPSILON);
+                        let vb = (b.service + 1) as f64 / b.weight.max(f64::EPSILON);
+                        va.partial_cmp(&vb)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.session.cmp(&b.session))
+                    })
+                    .map(|(i, _)| i)
+            }
+        }
+
+        /// Membership, messages and bandwidth division are `inner`'s own
+        /// (they are not what changed); arbitration is the old code over
+        /// `inner`'s live table.
+        struct ScanManager {
+            inner: SessionManager,
+            policy: Box<dyn ScanPolicy>,
+        }
+
+        impl ScanManager {
+            fn next_event(&mut self) -> ServerEvent {
+                let filter_exhausted = self.inner.backend.concurrency_limit().is_none();
+                let all: Vec<usize> = self
+                    .inner
+                    .sessions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, s))| !filter_exhausted || !s.exhausted)
+                    .map(|(i, _)| i)
+                    .collect();
+                self.next_event_inner(all)
+            }
+
+            fn next_event_among(&mut self, eligible: &[SessionId]) -> ServerEvent {
+                let filter_exhausted = self.inner.backend.concurrency_limit().is_none();
+                let picked: Vec<usize> = self
+                    .inner
+                    .sessions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (id, s))| {
+                        (!filter_exhausted || !s.exhausted) && eligible.binary_search(id).is_ok()
+                    })
+                    .map(|(i, _)| i)
+                    .collect();
+                self.next_event_inner(picked)
+            }
+
+            fn all_exhausted(&self, eligible: &[SessionId]) -> bool {
+                self.inner
+                    .sessions
+                    .iter()
+                    .filter(|(id, _)| eligible.binary_search(id).is_ok())
+                    .all(|(_, s)| s.exhausted)
+            }
+
+            fn next_event_inner(&mut self, indices: Vec<usize>) -> ServerEvent {
+                let event = self.scan(indices);
+                // `inner`'s own membership code maintains its index
+                // incrementally and must find it coherent.
+                self.inner.ready = self.inner.rebuilt_ready();
+                event
+            }
+
+            fn scan(&mut self, indices: Vec<usize>) -> ServerEvent {
+                let mgr = &mut self.inner;
+                let n = indices.len().max(1);
+                let limits: Vec<Option<usize>> = match mgr.backend.concurrency_limit() {
+                    None => vec![None; n],
+                    Some(l) => {
+                        let base = l / n;
+                        let extra = l % n;
+                        (0..n)
+                            .map(|i| {
+                                Some(base + usize::from((i + n - mgr.budget_rotor % n) % n < extra))
+                            })
+                            .collect()
+                    }
+                };
+                mgr.budget_rotor = mgr.budget_rotor.wrapping_add(1);
+                let mut candidates: Vec<(usize, Option<usize>)> =
+                    indices.into_iter().zip(limits).collect();
+                while !candidates.is_empty() {
+                    let ready: Vec<SessionShare> = candidates
+                        .iter()
+                        .map(|&(i, _)| share_of(mgr.sessions[i].0, &mgr.sessions[i].1))
+                        .collect();
+                    let Some(pick) = self.policy.pick(&ready) else {
+                        break;
+                    };
+                    let (idx, limit) = candidates[pick];
+                    let (id, session) = &mut mgr.sessions[idx];
+                    let id = *id;
+                    if let Some(block_ref) = session.next_block_ref(limit) {
+                        if let Some(block) = mgr.backend.fetch(block_ref) {
+                            session.commit(&block.meta);
+                            mgr.blocks_sent += 1;
+                            mgr.bytes_sent += block.meta.size;
+                            return ServerEvent::Block { session: id, block };
+                        }
+                    }
+                    candidates.remove(pick);
+                }
+                ServerEvent::Idle
+            }
+        }
+
+        /// Serves the catalog except for every fifth block reference, which
+        /// does not resolve (the forfeited-turn branch).
+        struct HoleyBackend {
+            inner: CatalogBackend,
+            limit: Option<usize>,
+        }
+
+        impl Backend for HoleyBackend {
+            fn fetch(&mut self, block: BlockRef) -> Option<Block> {
+                if (block.request.0 + block.index) % 5 == 4 {
+                    return None;
+                }
+                self.inner.fetch(block)
+            }
+            fn concurrency_limit(&self) -> Option<usize> {
+                self.limit
+            }
+        }
+
+        const REQUESTS: usize = 6;
+        const BLOCKS: u32 = 2;
+
+        /// Both managers under test and everything the op stream needs to
+        /// keep them in step.
+        struct Pair {
+            cat: Arc<ResponseCatalog>,
+            indexed: SessionManager,
+            scanned: ScanManager,
+            live: Vec<SessionId>,
+            detached: Vec<(SessionId, Session, Session)>,
+            built: u64,
+        }
+
+        impl Pair {
+            fn new(weighted: bool, limit: Option<usize>) -> Self {
+                let cat = catalog(REQUESTS, BLOCKS);
+                let backend = || -> Box<dyn Backend> {
+                    Box::new(HoleyBackend {
+                        inner: CatalogBackend::new(cat.clone()),
+                        limit,
+                    })
+                };
+                let manager = || match weighted {
+                    true => SessionManager::weighted_fair(backend()),
+                    false => SessionManager::round_robin(backend()),
+                };
+                let policy: Box<dyn ScanPolicy> = match weighted {
+                    true => Box::new(ScanWeightedFair),
+                    false => Box::new(ScanRoundRobin::default()),
+                };
+                Pair {
+                    indexed: manager(),
+                    scanned: ScanManager {
+                        inner: manager(),
+                        policy,
+                    },
+                    cat,
+                    live: Vec::new(),
+                    detached: Vec::new(),
+                    built: 0,
+                }
+            }
+
+            /// A session small enough to drain within a few blocks, so the
+            /// `exhausted` transitions are exercised constantly.
+            fn builder(&self, weight: f64) -> SessionBuilder {
+                Session::builder(utility(BLOCKS), self.cat.clone())
+                    .config(ServerConfig {
+                        scheduler: GreedySchedulerConfig {
+                            cache_blocks: REQUESTS * BLOCKS as usize,
+                            seed: self.built,
+                            ..Default::default()
+                        },
+                        sender_queue_target: 2,
+                        ..Default::default()
+                    })
+                    .weight(weight)
+            }
+
+            fn pick_live(&self, a: u32) -> Option<SessionId> {
+                (!self.live.is_empty()).then(|| self.live[a as usize % self.live.len()])
+            }
+
+            /// An ascending id list drawn from `mask`: live ids, ids that
+            /// were never added, possibly nothing at all.
+            fn subset(&self, mask: u32) -> Vec<SessionId> {
+                (0..24)
+                    .filter(|bit| mask & (1 << bit) != 0)
+                    .map(SessionId)
+                    .collect()
+            }
+
+            fn message(&mut self, id: SessionId, message: &ClientMessage) {
+                let a = self.indexed.on_message(id, message, Time::ZERO);
+                let b = self.scanned.inner.on_message(id, message, Time::ZERO);
+                assert_eq!(a, b);
+            }
+
+            fn apply(&mut self, kind: u8, a: u32, b: u32) {
+                let weight = [0.5, 1.0, 2.0, 3.5][b as usize % 4];
+                match kind {
+                    // Join under the next id.
+                    0 => {
+                        let id = self.indexed.add_session(self.builder(weight));
+                        let same = self.scanned.inner.add_session(self.builder(weight));
+                        assert_eq!(id, same);
+                        self.built += 1;
+                        self.live.push(id);
+                    }
+                    // Join under an explicit id, usually below the highest.
+                    1 => {
+                        let id = SessionId(u64::from(a % 24));
+                        let taken = self.live.contains(&id)
+                            || self.detached.iter().any(|(other, ..)| *other == id);
+                        if !taken {
+                            self.indexed.add_session_with_id(id, self.builder(weight));
+                            self.scanned
+                                .inner
+                                .add_session_with_id(id, self.builder(weight));
+                            self.built += 1;
+                            self.live.push(id);
+                        }
+                    }
+                    2 => {
+                        if let Some(id) = self.pick_live(a) {
+                            self.live.retain(|other| *other != id);
+                            let x = self.indexed.detach_session(id).expect("live");
+                            let y = self.scanned.inner.detach_session(id).expect("live");
+                            self.detached.push((id, x, y));
+                        }
+                    }
+                    3 => {
+                        if !self.detached.is_empty() {
+                            let (id, x, y) = self.detached.remove(a as usize % self.detached.len());
+                            self.indexed.attach_session(id, x);
+                            self.scanned.inner.attach_session(id, y);
+                            self.live.push(id);
+                        }
+                    }
+                    4 => {
+                        if let Some(id) = self.pick_live(a) {
+                            self.live.retain(|other| *other != id);
+                            self.message(id, &ClientMessage::Close);
+                        }
+                    }
+                    5 | 6 => {
+                        if let Some(id) = self.pick_live(a) {
+                            let request = RequestId(b % REQUESTS as u32);
+                            let state = PredictorState::LastRequest(request);
+                            self.message(id, &ClientMessage::Predictor(state));
+                        }
+                    }
+                    7 => {
+                        if let Some(id) = self.pick_live(a) {
+                            let rate = Bandwidth::from_mbps((5 + b % 195) as f64 / 10.0);
+                            self.message(id, &ClientMessage::RateReport(rate));
+                        }
+                    }
+                    8 => {
+                        let total = Bandwidth::from_mbps((10 + a % 90) as f64 / 10.0);
+                        let denominator = 1.0 + (b % 16) as f64;
+                        self.indexed.set_shared_budget(total, denominator);
+                        self.scanned.inner.set_shared_budget(total, denominator);
+                    }
+                    9 | 10 => {
+                        let eligible = self.subset(a);
+                        for _ in 0..=b % 4 {
+                            assert_eq!(
+                                self.indexed.next_event_among(Time::ZERO, &eligible),
+                                self.scanned.next_event_among(&eligible),
+                                "next_event_among({eligible:?}) diverged"
+                            );
+                        }
+                    }
+                    _ => {
+                        for _ in 0..=b % 8 {
+                            assert_eq!(
+                                self.indexed.next_event(Time::ZERO),
+                                self.scanned.next_event(),
+                                "next_event diverged"
+                            );
+                        }
+                    }
+                }
+                assert_eq!(self.indexed.check(), Ok(()));
+                assert_eq!(self.scanned.inner.check(), Ok(()));
+                for eligible in [self.subset(a ^ b), self.subset(u32::MAX), Vec::new()] {
+                    assert_eq!(
+                        self.indexed.all_exhausted(&eligible),
+                        self.scanned.all_exhausted(&eligible),
+                        "all_exhausted({eligible:?}) diverged"
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48 })]
+
+            /// The ready-index walk serves exactly the `(session, block)`
+            /// sequence the snapshot-and-scan arbitration served, and
+            /// answers `all_exhausted` the same, under both policies, with
+            /// and without a backend concurrency limit (tight, and looser
+            /// but still below the session count), across joins in and out
+            /// of id order, detach / attach, closes, messages, budget
+            /// changes and unresolvable block references.
+            #[test]
+            fn index_walk_matches_the_scan_it_replaced(
+                ops in proptest::collection::vec((0u8..16, any::<u32>(), any::<u32>()), 1..96),
+            ) {
+                for weighted in [false, true] {
+                    for limit in [None, Some(1), Some(3)] {
+                        let mut pair = Pair::new(weighted, limit);
+                        for weight_class in [1, 2, 1, 0, 3] {
+                            pair.apply(0, 0, weight_class);
+                        }
+                        for &(kind, a, b) in &ops {
+                            pair.apply(kind, a, b);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     mod property {

@@ -1,14 +1,14 @@
 //! Sharded session runtime: N worker threads, one shared bandwidth budget.
 //!
-//! The single-threaded [`SessionManager`] does `O(sessions)` work *per
-//! block* — every [`next_event`](SessionManager::next_event) rebuilds the
-//! candidate list, snapshots a [`SessionShare`](crate::session::SessionShare)
-//! per live session, and runs the share policy over all of them.  At ten
-//! thousand sessions that scan, not the scheduler, dominates.  The
-//! [`ShardedSessionManager`] partitions sessions round-robin across `N`
-//! worker threads, each running its own [`SessionManager`] over a shard-local
-//! policy instance, so per-block arbitration touches `sessions / N` entries
-//! (and on multi-core hosts the shards also *run* concurrently).
+//! A [`SessionManager`] serves a block in `O(log sessions)` — it reads the
+//! next session off a maintained ready index instead of scanning the fleet —
+//! so one thread's per-block cost barely moves with fleet size; what one
+//! thread cannot do is use a second core.  The [`ShardedSessionManager`]
+//! partitions sessions round-robin across `N` worker threads, each running
+//! its own [`SessionManager`] over a shard-local policy instance, so the
+//! shards' scheduler loops, prediction updates and session builds *run*
+//! concurrently.  Shards buy parallelism, not a smaller scan: on a host
+//! with fewer cores than shards they buy nothing.
 //!
 //! ## Budget ownership
 //!
@@ -18,13 +18,37 @@
 //! the per-session estimate, and the coordinator — which alone sees every
 //! shard's sessions — feeds its estimator the **sum of per-session estimates
 //! in global session-insertion order**, exactly the expression the
-//! single-threaded manager evaluates.  It then broadcasts
-//! `SetBudget { total, weight_denominator }` to every shard, where
-//! `weight_denominator` is the global weight sum (again summed in insertion
-//! order), so each shard's division
-//! `slot_i = total · w_i / Σ_global w` is **bit-identical** to the
+//! single-threaded manager evaluates.  The budget a shard needs is
+//! `SetBudget { total, weight_denominator }`, where `weight_denominator` is
+//! the global weight sum (again summed in insertion order), so each shard's
+//! division `slot_i = total · w_i / Σ_global w` is **bit-identical** to the
 //! single-threaded division — f64 arithmetic included.  That is the
 //! foundation of the sharded-vs-single parity guarantee (see the tests).
+//!
+//! ### Budget epochs
+//!
+//! Every join, departure and rate report changes that budget, and starts a
+//! new budget *epoch* in the coordinator; none of them tells any shard.  A
+//! shard is sent `SetBudget` — carrying the `(total, Σw)` current at that
+//! moment — immediately before the first command through which it could
+//! *observe* the budget (`Add`, `Message`, `Pump`, `Remove`, `Stats`: every
+//! command there is except `SetBudget` itself and `Shutdown`), and at most
+//! once per epoch.  The coordinator's own bookkeeping moves first, so the
+//! `SetBudget` in front of an `Add` already counts the joiner and the one in
+//! front of a `Remove` or `Close` no longer counts the leaver.
+//!
+//! What is dropped is therefore exactly the broadcasts nobody could have
+//! observed: a shard that is sent nothing for `k` epochs is sent one
+//! `SetBudget`, not `k`.  Parity still holds because applying a budget is a
+//! *calibration* — [`SessionManager::set_shared_budget`] overwrites the
+//! estimate and the denominator, gives every session its slot duration
+//! (last write wins; see [`Scheduler::set_slot_duration`]) and re-opens
+//! drained sessions — so a shard that applies only the latest budget before
+//! a command is in the state it would have reached by applying every
+//! intermediate one, and each command still sees bit-identical slot
+//! durations and `exhausted` flags.
+//!
+//! [`Scheduler::set_slot_duration`]: crate::scheduler::Scheduler::set_slot_duration
 //!
 //! ## Parity scope
 //!
@@ -142,8 +166,8 @@ impl ShardStats {
 }
 
 /// Commands the coordinator sends to a shard worker.  Per-shard channels are
-/// FIFO, so a `SetBudget` is always applied before any message enqueued
-/// after it.
+/// FIFO, so a `SetBudget` is always applied before the command enqueued
+/// right after it — the one that could observe it.
 enum Command {
     Add {
         id: SessionId,
@@ -170,14 +194,10 @@ enum Command {
 }
 
 /// Replies flowing back on a shard's (FIFO) reply channel.  Every command
-/// except `SetBudget` and `Shutdown` produces exactly one reply; the
+/// except `Add`, `SetBudget` and `Shutdown` produces exactly one reply; the
 /// coordinator counts deferred (async-message) replies per shard and drains
 /// them before reading any synchronous reply.
 enum Reply {
-    Added {
-        estimate: f64,
-        weight: f64,
-    },
     MessageDone {
         event: Option<ServerEvent>,
         /// The session's updated bandwidth estimate, filled for rate
@@ -197,6 +217,8 @@ struct ShardHandle {
     cmd: Sender<Command>,
     reply: Receiver<Reply>,
     join: Option<thread::JoinHandle<()>>,
+    /// The budget epoch of the last `SetBudget` this shard was sent.
+    budget_epoch: u64,
 }
 
 /// Shard worker loop: owns one [`SessionManager`] and serves coordinator
@@ -210,11 +232,6 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
         match command {
             Command::Add { id, builder } => {
                 manager.add_session_with_id(id, builder);
-                let (estimate, weight) = match manager.session(id) {
-                    Some(s) => (s.bandwidth_estimate().bytes_per_sec(), s.weight()),
-                    None => (0.0, 1.0),
-                };
-                let _ = replies.send(Reply::Added { estimate, weight });
             }
             Command::Message { id, message, now } => {
                 let event = manager.on_message(id, &message, now);
@@ -241,6 +258,8 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
                 weight_denominator,
             } => {
                 manager.set_shared_budget(total, weight_denominator);
+                #[cfg(test)]
+                tests::note_budget_applied();
             }
             Command::Remove { id } => {
                 let existed = manager.remove_session(id);
@@ -251,6 +270,10 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
             }
             Command::Shutdown => return,
         }
+        #[cfg(test)]
+        if let Err(violation) = manager.check() {
+            panic!("shard manager invariant broken: {violation}");
+        }
     }
 }
 
@@ -258,11 +281,14 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
 /// surface, sessions partitioned round-robin across `N` worker threads, one
 /// globally consistent bandwidth budget, one shared model-dedup registry.
 ///
-/// Predictor messages are forwarded asynchronously (shards absorb prediction
-/// churn in parallel); membership changes and rate reports round-trip so the
-/// coordinator's bookkeeping — and the budget broadcast derived from it —
-/// stays exact.  Events produced asynchronously (e.g.
-/// [`ServerEvent::Resync`]) surface at the next [`pump`](Self::pump).
+/// Joins and predictor messages are forwarded asynchronously (shards build
+/// sessions and absorb prediction churn in parallel: everything the
+/// coordinator's bookkeeping needs from a join it reads off the
+/// [`SessionBuilder`]); departures and rate reports round-trip, the latter
+/// because the reply carries the session's new estimate.  Budget changes
+/// reach a shard lazily, once per epoch (module docs).  Events produced
+/// asynchronously (e.g. [`ServerEvent::Resync`]) surface at the next
+/// [`pump`](Self::pump).
 pub struct ShardedSessionManager {
     shards: Vec<ShardHandle>,
     /// Deferred `MessageDone` replies owed by each shard, drained before
@@ -278,6 +304,11 @@ pub struct ShardedSessionManager {
     next_id: u64,
     next_shard: usize,
     shared_bandwidth: BandwidthEstimator,
+    /// The current budget epoch: bumped by everything that can change the
+    /// estimate or the weight sum.  A shard whose
+    /// [`budget_epoch`](ShardHandle::budget_epoch) differs is sent
+    /// `SetBudget` before its next command.
+    budget_epoch: u64,
     model_cache: Arc<ModelCache>,
     /// Events produced by deferred replies, surfaced at the next pump.
     pending_events: VecDeque<ServerEvent>,
@@ -312,6 +343,7 @@ impl ShardedSessionManager {
                 cmd: cmd_tx,
                 reply: reply_rx,
                 join: Some(join),
+                budget_epoch: 0,
             });
         }
         ShardedSessionManager {
@@ -323,6 +355,7 @@ impl ShardedSessionManager {
             next_id: 0,
             next_shard: 0,
             shared_bandwidth: BandwidthEstimator::new(ServerConfig::default().initial_bandwidth),
+            budget_epoch: 0,
             model_cache,
             pending_events: VecDeque::new(),
         }
@@ -332,11 +365,34 @@ impl ShardedSessionManager {
     /// [`SessionManager::with_bandwidth_cap`]).
     pub fn with_bandwidth_cap(mut self, cap: Bandwidth) -> Self {
         self.shared_bandwidth.set_cap(Some(cap));
-        self.broadcast_budget();
+        self.budget_epoch += 1;
         self
     }
 
-    fn send(&self, shard: usize, command: Command) {
+    /// Sends `command` to `shard`, first bringing the shard into the
+    /// current budget epoch: every command that goes through here can
+    /// observe the budget, so this is the one place `SetBudget` is sent.
+    fn send(&mut self, shard: usize, command: Command) {
+        if self.shards[shard].budget_epoch != self.budget_epoch {
+            self.shards[shard].budget_epoch = self.budget_epoch;
+            let total = self.shared_bandwidth.estimate();
+            // Insertion-order sum: bit-identical to the single-threaded
+            // manager's local weight sum over its sessions vector.
+            let weight_denominator: f64 = self.members.iter().map(|(_, w)| *w).sum();
+            if weight_denominator > 0.0 {
+                self.send_raw(
+                    shard,
+                    Command::SetBudget {
+                        total,
+                        weight_denominator,
+                    },
+                );
+            }
+        }
+        self.send_raw(shard, command);
+    }
+
+    fn send_raw(&self, shard: usize, command: Command) {
         if self.shards[shard].cmd.send(command).is_err() {
             panic!("shard {shard} thread terminated unexpectedly");
         }
@@ -367,45 +423,22 @@ impl ShardedSessionManager {
         }
     }
 
-    /// Pushes the current budget to every shard: the global total and the
-    /// global weight denominator, so every shard divides exactly as the
-    /// single-threaded manager would.
-    fn broadcast_budget(&mut self) {
-        let total = self.shared_bandwidth.estimate();
-        // Insertion-order sum: bit-identical to the single-threaded
-        // manager's local weight sum over its sessions vector.
-        let weight_denominator: f64 = self.members.iter().map(|(_, w)| *w).sum();
-        if weight_denominator <= 0.0 {
-            return;
-        }
-        for shard in 0..self.shards.len() {
-            self.send(
-                shard,
-                Command::SetBudget {
-                    total,
-                    weight_denominator,
-                },
-            );
-        }
-    }
-
     /// Adds a session under a fresh globally unique id, assigning it to the
-    /// next shard round-robin, and rebroadcasts the budget.
+    /// next shard round-robin.  Does not wait for the shard: the weight and
+    /// initial estimate the budget needs come from the builder, and the
+    /// shard builds the session while the caller goes on (to the next join,
+    /// typically on another shard).
     pub fn add_session(&mut self, builder: SessionBuilder) -> SessionId {
         let id = SessionId(self.next_id);
         self.next_id += 1;
         let shard = self.next_shard;
         self.next_shard = (self.next_shard + 1) % self.shards.len();
-        self.drain_outstanding(shard);
-        self.send(shard, Command::Add { id, builder });
-        let (estimate, weight) = match self.recv_reply(shard) {
-            Reply::Added { estimate, weight } => (estimate, weight),
-            _ => panic!("shard {shard} reply protocol violated"),
-        };
+        let (estimate, weight) = builder.initial_share();
         self.route.insert(id, shard);
         self.members.push((id, weight));
         self.estimates.insert(id, estimate);
-        self.broadcast_budget();
+        self.budget_epoch += 1;
+        self.send(shard, Command::Add { id, builder });
         id
     }
 
@@ -417,30 +450,31 @@ impl ShardedSessionManager {
         let Some(&shard) = self.route.get(&id) else {
             return false;
         };
+        self.forget(id);
         self.drain_outstanding(shard);
         self.send(shard, Command::Remove { id });
-        let existed = match self.recv_reply(shard) {
+        match self.recv_reply(shard) {
             Reply::Removed { existed } => existed,
             _ => panic!("shard {shard} reply protocol violated"),
-        };
-        self.forget(id);
-        self.broadcast_budget();
-        existed
+        }
     }
 
+    /// Drops `id` from the coordinator's bookkeeping, which changes the
+    /// weight sum and so starts a budget epoch.
     fn forget(&mut self, id: SessionId) {
         self.route.remove(&id);
         self.members.retain(|(sid, _)| *sid != id);
         self.estimates.remove(&id);
+        self.budget_epoch += 1;
     }
 
     /// Routes one protocol message to the owning shard.
     ///
-    /// `Close` and `RateReport` round-trip (membership and the shared
-    /// budget must stay exact); predictor messages are forwarded
-    /// asynchronously and their events — e.g. a refused delta's
-    /// [`ServerEvent::Resync`] — surface at the next [`pump`](Self::pump).
-    /// Returns `None` for unknown sessions.
+    /// `Close` and `RateReport` round-trip (the caller gets the `Closed`
+    /// event; the coordinator needs the session's new estimate); predictor
+    /// messages are forwarded asynchronously and their events — e.g. a
+    /// refused delta's [`ServerEvent::Resync`] — surface at the next
+    /// [`pump`](Self::pump).  Returns `None` for unknown sessions.
     pub fn on_message(
         &mut self,
         id: SessionId,
@@ -450,6 +484,7 @@ impl ShardedSessionManager {
         let shard = *self.route.get(&id)?;
         match message {
             ClientMessage::Close => {
+                self.forget(id);
                 self.drain_outstanding(shard);
                 self.send(
                     shard,
@@ -459,13 +494,10 @@ impl ShardedSessionManager {
                         now,
                     },
                 );
-                let event = match self.recv_reply(shard) {
+                match self.recv_reply(shard) {
                     Reply::MessageDone { event, .. } => event,
                     _ => panic!("shard {shard} reply protocol violated"),
-                };
-                self.forget(id);
-                self.broadcast_budget();
-                event
+                }
             }
             ClientMessage::RateReport(_) => {
                 self.drain_outstanding(shard);
@@ -493,7 +525,7 @@ impl ShardedSessionManager {
                     .map(|(sid, _)| self.estimates.get(sid).copied().unwrap_or(0.0))
                     .sum();
                 self.shared_bandwidth.report_rate(Bandwidth(total));
-                self.broadcast_budget();
+                self.budget_epoch += 1;
                 None
             }
             ClientMessage::Predictor(_)
@@ -646,6 +678,32 @@ mod tests {
     const N: usize = 12;
     const BLOCKS: u32 = 2;
 
+    /// `SetBudget` commands applied so far, by shard worker thread.
+    static BUDGETS_APPLIED: std::sync::Mutex<Vec<(thread::ThreadId, usize)>> =
+        std::sync::Mutex::new(Vec::new());
+
+    /// Called by a shard worker each time it applies a `SetBudget`.
+    pub(super) fn note_budget_applied() {
+        let me = thread::current().id();
+        let mut applied = BUDGETS_APPLIED.lock().expect("counter lock");
+        match applied.iter_mut().find(|(worker, _)| *worker == me) {
+            Some((_, count)) => *count += 1,
+            None => applied.push((me, 1)),
+        }
+    }
+
+    /// `SetBudget` commands each of `mgr`'s shards has applied.  Settled
+    /// only for a shard that has replied to everything it was sent.
+    fn budgets_applied(mgr: &ShardedSessionManager) -> Vec<usize> {
+        let applied = BUDGETS_APPLIED.lock().expect("counter lock");
+        let of = |shard: &ShardHandle| {
+            let worker = shard.join.as_ref().expect("running").thread().id();
+            let entry = applied.iter().find(|(thread, _)| *thread == worker);
+            entry.map_or(0, |(_, count)| *count)
+        };
+        mgr.shards.iter().map(of).collect()
+    }
+
     fn catalog() -> Arc<ResponseCatalog> {
         Arc::new(ResponseCatalog::uniform(N, BLOCKS, 10_000))
     }
@@ -711,6 +769,48 @@ mod tests {
         got
     }
 
+    /// A scheduler that schedules nothing and records every slot duration
+    /// it is given.
+    struct SlotProbe {
+        slots: SlotLog,
+    }
+
+    type SlotLog = Arc<std::sync::Mutex<Vec<crate::types::Duration>>>;
+
+    /// A session of weight `weight` driven by a [`SlotProbe`] logging to
+    /// `slots`.
+    fn probed(cat: &Arc<ResponseCatalog>, weight: f64, slots: &SlotLog) -> SessionBuilder {
+        builder(cat, weight, 0).scheduler(Box::new(SlotProbe {
+            slots: slots.clone(),
+        }))
+    }
+
+    fn last_slot(slots: &SlotLog) -> Option<crate::types::Duration> {
+        slots.lock().expect("probe lock").last().copied()
+    }
+
+    impl crate::scheduler::Scheduler for SlotProbe {
+        fn update_prediction(&mut self, _: &crate::distribution::PredictionSummary, _: usize) {}
+        fn next_batch(&mut self, _count: usize) -> crate::scheduler::Schedule {
+            Vec::new()
+        }
+        fn set_slot_duration(&mut self, slot: crate::types::Duration) {
+            self.slots.lock().expect("probe lock").push(slot);
+        }
+        fn simulated_cache(&self) -> HashMap<RequestId, u32> {
+            HashMap::new()
+        }
+        fn expected_utility(&self, _initial: &HashMap<RequestId, u32>) -> f64 {
+            0.0
+        }
+        fn horizon(&self) -> usize {
+            1
+        }
+        fn prediction_updates(&self) -> u64 {
+            0
+        }
+    }
+
     /// Applies one message to both managers and both drains; panics on any
     /// per-session divergence.
     struct ParityRig {
@@ -719,19 +819,32 @@ mod tests {
         sharded: ShardedSessionManager,
         live: Vec<SessionId>,
         added: u64,
+        /// One [`SlotProbe`] session per shard (and its twin in `single`),
+        /// never closed or removed: block sequences barely depend on slot
+        /// durations, so these are what notices a shard left on a stale
+        /// budget.
+        probes: Vec<(SlotLog, SlotLog)>,
     }
 
     impl ParityRig {
         fn new(shards: usize) -> Self {
             let cat = catalog();
-            let single = single_manager(&cat);
-            let sharded = sharded_manager(&cat, shards);
+            let mut single = single_manager(&cat);
+            let mut sharded = sharded_manager(&cat, shards);
+            let probes: Vec<(SlotLog, SlotLog)> = (0..shards).map(|_| Default::default()).collect();
+            for (shard, (in_single, in_sharded)) in probes.iter().enumerate() {
+                let weight = 1.0 + shard as f64 / 2.0;
+                let id = single.add_session(probed(&cat, weight, in_single));
+                assert_eq!(sharded.add_session(probed(&cat, weight, in_sharded)), id);
+                assert_eq!(sharded.shard_of(id), Some(shard));
+            }
             ParityRig {
                 cat,
                 single,
                 sharded,
                 live: Vec::new(),
                 added: 0,
+                probes,
             }
         }
 
@@ -742,6 +855,7 @@ mod tests {
             let b = self.sharded.add_session(builder(&self.cat, weight, seed));
             assert_eq!(a, b, "id allocation diverged");
             self.live.push(a);
+            self.check();
         }
 
         fn message(&mut self, id: SessionId, message: &ClientMessage) {
@@ -750,6 +864,20 @@ mod tests {
             if matches!(message, ClientMessage::Close) {
                 self.live.retain(|sid| *sid != id);
             }
+            self.check();
+        }
+
+        fn remove(&mut self, id: SessionId) {
+            assert!(self.single.remove_session(id));
+            assert!(self.sharded.remove_session(id));
+            self.live.retain(|sid| *sid != id);
+            self.check();
+        }
+
+        /// The single manager's invariants; every shard worker checks its
+        /// own manager after each command it serves.
+        fn check(&self) {
+            assert_eq!(self.single.check(), Ok(()));
         }
 
         /// Drains both runtimes to idle, asserts per-session parity, and
@@ -767,6 +895,14 @@ mod tests {
                     "per-session block sequence diverged for {id}"
                 );
             }
+            for (shard, (in_single, in_sharded)) in self.probes.iter().enumerate() {
+                assert_eq!(
+                    last_slot(in_single),
+                    last_slot(in_sharded),
+                    "shard {shard} drained on a stale budget"
+                );
+            }
+            self.check();
             single.values().map(Vec::len).sum()
         }
     }
@@ -875,9 +1011,104 @@ mod tests {
         rig.drain_and_compare();
     }
 
+    #[test]
+    fn a_budget_epoch_reaches_a_shard_once_and_only_before_it_is_sent_a_command() {
+        const SHARDS: usize = 3;
+        const REPORTS: usize = 5;
+        let cat = catalog();
+        let mut single = single_manager(&cat);
+        let mut sharded = sharded_manager(&cat, SHARDS);
+        // Six sessions, two per shard; each records the slot durations its
+        // scheduler is given, on both runtimes.
+        let probes: Vec<(SlotLog, SlotLog)> = (0..6).map(|_| Default::default()).collect();
+        let mut ids = Vec::new();
+        for (i, (in_single, in_sharded)) in probes.iter().enumerate() {
+            let weight = 1.0 + (i % 3) as f64;
+            ids.push(single.add_session(probed(&cat, weight, in_single)));
+            assert_eq!(
+                sharded.add_session(probed(&cat, weight, in_sharded)),
+                ids[i]
+            );
+        }
+        // The pump's reply follows everything sent before it, so after it
+        // the counters are settled.
+        assert!(sharded.pump(Time::ZERO, 4).is_empty());
+        let settled = budgets_applied(&sharded);
+
+        // `REPORTS` rate reports to sessions of shard 0.  Each report's own
+        // shard is a shard being sent a command, so it is brought up to the
+        // epoch the previous report started; shards 1 and 2 hear nothing.
+        let report = |mbps: f64| ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
+        for k in 0..REPORTS {
+            let id = ids[[0, 3][k % 2]];
+            assert_eq!(sharded.shard_of(id), Some(0));
+            single.on_message(id, &report(2.0 + k as f64), Time::ZERO);
+            sharded.on_message(id, &report(2.0 + k as f64), Time::ZERO);
+        }
+        let after_reports = budgets_applied(&sharded);
+        assert_eq!(after_reports[0], settled[0] + REPORTS - 1);
+        assert_eq!(after_reports[1..], settled[1..]);
+
+        // One command to shard 1 (a rate report: it round-trips, so the
+        // counter is settled when it returns): exactly one `SetBudget`, for
+        // the `REPORTS` epochs it sat out.  Shard 2, sent nothing, still
+        // none.
+        assert_eq!(sharded.shard_of(ids[1]), Some(1));
+        single.on_message(ids[1], &report(7.5), Time::ZERO);
+        sharded.on_message(ids[1], &report(7.5), Time::ZERO);
+        let after_command = budgets_applied(&sharded);
+        assert_eq!(after_command[0], after_reports[0]);
+        assert_eq!(after_command[1], settled[1] + 1);
+        assert_eq!(after_command[2], settled[2]);
+
+        // A pump is a command to every shard: each is brought into the
+        // current epoch with one `SetBudget` — shard 2's first since the
+        // reports began — and a second pump, in the same epoch, sends none.
+        assert!(sharded.pump(Time::ZERO, 4).is_empty());
+        let after_pump = budgets_applied(&sharded);
+        for shard in 0..SHARDS {
+            assert_eq!(after_pump[shard], after_command[shard] + 1, "shard {shard}");
+        }
+        assert!(sharded.pump(Time::ZERO, 4).is_empty());
+        assert_eq!(budgets_applied(&sharded), after_pump);
+
+        // What every session's scheduler ends up with is what the single
+        // manager, which re-divided at every report, gave it.
+        assert!(single.next_event(Time::ZERO).is_idle());
+        for (id, (in_single, in_sharded)) in ids.iter().zip(&probes) {
+            assert_eq!(last_slot(in_single), last_slot(in_sharded), "slot of {id}");
+            assert!(last_slot(in_single).is_some());
+        }
+    }
+
     mod property {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            /// What the coordinator reads off a builder instead of waiting
+            /// for the shard to report it is exactly what the built session
+            /// holds.
+            #[test]
+            fn builder_share_is_the_built_sessions(
+                cap in proptest::collection::vec(1u32..400, 0..2),
+                initial in 1u32..400,
+                weight in 1u32..10_000,
+            ) {
+                let mut builder = builder(&catalog(), f64::from(weight) / 64.0, 0)
+                    .initial_bandwidth(Bandwidth::from_mbps(f64::from(initial) / 8.0));
+                if let Some(cap) = cap.first() {
+                    builder = builder.bandwidth_cap(Bandwidth::from_mbps(f64::from(*cap) / 8.0));
+                }
+                let (estimate, share_weight) = builder.initial_share();
+                let session = builder.build();
+                prop_assert_eq!(
+                    estimate.to_bits(),
+                    session.bandwidth_estimate().bytes_per_sec().to_bits()
+                );
+                prop_assert_eq!(share_weight.to_bits(), session.weight().to_bits());
+            }
+        }
 
         /// Decodes one raw `(kind, a, b)` tuple into a workload step applied
         /// to both managers.  Returns `true` if the step was a drain point.
@@ -907,6 +1138,22 @@ mod tests {
                         rig.message(id, &ClientMessage::RateReport(rate));
                     }
                 }
+                // Remove a live session through the coordinator.
+                4 => {
+                    if !rig.live.is_empty() {
+                        rig.remove(rig.live[a as usize % rig.live.len()]);
+                    }
+                }
+                // A run of budget changes with no pump in between — the
+                // window in which the coordinator tells no shard anything:
+                // joins, removals and rate reports, `1..=8` of them.
+                5 => {
+                    let mut bits = b;
+                    for _ in 0..=a % 8 {
+                        apply(rig, [0, 3, 4, 3][bits as usize % 4], bits >> 2, bits >> 5);
+                        bits = bits.rotate_right(7) ^ a;
+                    }
+                }
                 // Drain both runtimes to idle and compare.
                 _ => {
                     rig.drain_and_compare();
@@ -921,12 +1168,13 @@ mod tests {
 
             /// The tentpole determinism guarantee: a fixed-seed sharded run
             /// produces per-session block sequences identical to the
-            /// single-threaded manager's, across adds, closes, prediction
-            /// churn, rate reports, and drain points.
+            /// single-threaded manager's, across adds, closes, removals,
+            /// prediction churn, rate reports, runs of budget changes that
+            /// reach no shard until the next pump, and drain points.
             #[test]
             fn sharded_matches_single_threaded(
                 shards in 2usize..5,
-                ops in proptest::collection::vec((0u8..5, any::<u32>(), any::<u32>()), 1..24),
+                ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..24),
             ) {
                 let mut rig = ParityRig::new(shards);
                 for weight in [1.0, 2.0, 1.0] {

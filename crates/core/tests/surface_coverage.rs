@@ -153,10 +153,8 @@ fn manager_budget_routing_and_identity_surface() {
         ServerEvent::Idle
     ));
 
-    // Mutable access reaches the live session.
-    let sess = mgr.session_mut(SessionId(42)).expect("live session");
-    sess.on_rate_report(Bandwidth::from_mbps(1.0));
     assert!(mgr.session(SessionId(42)).expect("live").blocks_sent() >= 1);
+    assert_eq!(mgr.check(), Ok(()));
 }
 
 #[test]
