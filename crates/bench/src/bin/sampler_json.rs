@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use khameleon_core::block::ResponseCatalog;
+use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, SamplerVariant};
 use khameleon_core::types::{Duration, RequestId, Time};
@@ -30,8 +31,9 @@ use khameleon_core::utility::{PowerUtility, UtilityModel};
 /// One measured configuration.
 struct Case {
     /// `"steady"` (single schedule), `"wrap"` (horizon ≪ batch), or
-    /// `"update-diff"` / `"update-rebuild"` (prediction-update throughput
-    /// with the diff path on / forced full rebuilds).
+    /// `"update-delta"` / `"update-rebuild"` (prediction-update throughput
+    /// with each update shipped as a delta and diffed / as a whole summary
+    /// and installed).
     case: &'static str,
     variant: SamplerVariant,
     /// Materialized-set size.
@@ -200,8 +202,16 @@ impl DriftingPrediction {
 /// Measures prediction-update throughput: many re-predictions, few blocks
 /// each (the push-based client's hot path).  Each timed iteration applies
 /// `updates` drifting summaries (~1% of entries changed per update),
-/// scheduling a tiny batch after each.
-fn measure_updates(m: usize, cache: usize, diff: bool, updates: usize, iters: usize) -> Case {
+/// scheduling a tiny batch after each.  With an `uplink` they travel as the
+/// wire carries them — deltas, diffed into the model; without, each is a
+/// whole summary, installed.
+fn measure_updates(
+    m: usize,
+    cache: usize,
+    mut uplink: Option<DirectUplink>,
+    updates: usize,
+    iters: usize,
+) -> Case {
     let n = 2 * m;
     let blocks = 50u32;
     let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 10_000));
@@ -210,16 +220,22 @@ fn measure_updates(m: usize, cache: usize, diff: bool, updates: usize, iters: us
             cache_blocks: cache,
             slot_duration: Duration::from_millis(1),
             sampler: SamplerVariant::Lazy,
-            prediction_diff: diff,
             ..Default::default()
         },
         UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks),
         catalog,
     );
+    let mut ship = |s: &mut GreedyScheduler, pred: &PredictionSummary| {
+        let pos = s.position();
+        match &mut uplink {
+            Some(uplink) => uplink.ship(s, pred, pos),
+            None => s.update_prediction(pred, pos),
+        }
+    };
     let mut drift = DriftingPrediction::new(n, m);
-    // Warm up: the first update joins all `m` requests (a full rebuild
-    // regardless of the knob); steady state is the ~1%-diff regime.
-    s.update_prediction(&drift.summary(), 0);
+    // Warm up: the first update joins all `m` requests (an install either
+    // way); steady state is the ~1%-changed regime.
+    ship(&mut s, &drift.summary());
     let _ = s.next_batch(4);
     let mut elapsed = std::time::Duration::ZERO;
     let mut best = f64::INFINITY;
@@ -227,7 +243,7 @@ fn measure_updates(m: usize, cache: usize, diff: bool, updates: usize, iters: us
         let start = Instant::now();
         for _ in 0..updates {
             let pred = drift.advance();
-            s.update_prediction(&pred, s.position());
+            ship(&mut s, &pred);
             let got = s.next_batch(4);
             assert!(!got.is_empty(), "scheduler stalled mid-update-sweep");
         }
@@ -235,17 +251,19 @@ fn measure_updates(m: usize, cache: usize, diff: bool, updates: usize, iters: us
         elapsed += dt;
         best = best.min(dt.as_secs_f64());
     }
-    if diff {
-        assert!(
-            s.diff_applied_updates() > 0,
-            "diff path never engaged on the update-heavy case"
+    let delta = uplink.is_some();
+    if delta {
+        assert_eq!(
+            s.diff_applied_updates(),
+            (updates * iters) as u64,
+            "a ~1% drift must travel as a delta and be diffed"
         );
     } else {
-        assert_eq!(s.diff_applied_updates(), 0, "diff knob not honoured");
+        assert_eq!(s.diff_applied_updates(), 0, "a whole summary is installed");
     }
     Case {
-        case: if diff {
-            "update-diff"
+        case: if delta {
+            "update-delta"
         } else {
             "update-rebuild"
         },
@@ -297,12 +315,12 @@ fn main() {
         iters,
     ));
     // Update-heavy: many re-predictions (~1% of entries changed each), few
-    // blocks per update — the push-based client's hot path.  Diff-based
-    // updates vs. the forced-full-rebuild baseline.
+    // blocks per update — the push-based client's hot path.  Deltas diffed
+    // into the model vs. whole summaries installed.
     let update_m = if quick { 2_000 } else { 10_000 };
     let update_rounds = if quick { 16 } else { 32 };
-    for diff in [true, false] {
-        cases.push(measure_updates(update_m, 512, diff, update_rounds, iters));
+    for uplink in [Some(DirectUplink::new()), None] {
+        cases.push(measure_updates(update_m, 512, uplink, update_rounds, iters));
     }
 
     let mut json = String::new();
@@ -349,10 +367,10 @@ fn main() {
             .find(|c| c.case == case)
             .map(|c| c.blocks_per_sec)
     };
-    if let (Some(diff), Some(rebuild)) = (rate("update-diff"), rate("update-rebuild")) {
+    if let (Some(delta), Some(rebuild)) = (rate("update-delta"), rate("update-rebuild")) {
         println!(
-            "prediction-update speedup (diff vs rebuild, m={update_m}): {:.1}x",
-            diff / rebuild.max(1e-12)
+            "prediction-update speedup (delta vs rebuild, m={update_m}): {:.1}x",
+            delta / rebuild.max(1e-12)
         );
     }
 }

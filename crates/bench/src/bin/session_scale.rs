@@ -18,11 +18,13 @@
 //!
 //! Each cell is a mixed workload: weighted sessions, 16 shared predictor
 //! profiles (so model dedup is load-bearing, not incidental), re-predictions
-//! over half the fleet (the chain-keyed diff path), and periodic rate
+//! over half the fleet, out of step with each other (dedup must not depend
+//! on how or when a session reached its prediction), and periodic rate
 //! reports (the global budget rebalance path).
 //!
 //! Like `transport_stress`, the binary fails on *correctness* violations
-//! (every session served, >=10x model dedup, shard-count-invariant block
+//! (every session served, >=10x model dedup and no more than four live
+//! models per distinct prediction held, shard-count-invariant block
 //! totals).  Its one performance gate is algorithmic: a `SessionManager`
 //! picks from a maintained ready index, so a block costs `O(log sessions)`
 //! and one shard's blocks/sec at the full fleet must stay within
@@ -76,7 +78,7 @@ fn builder(cat: &Arc<ResponseCatalog>, fleet_index: usize) -> SessionBuilder {
     // Mixed fleet: five weight classes, per-session sampler seeds.  Weight
     // classes are keyed by *profile*, not raw index: a session's bandwidth
     // share feeds the model's slot geometry, so only sessions with identical
-    // (prediction history, share weight) can share a `HorizonModel`.
+    // (prediction, share weight) can share a `HorizonModel`.
     // Aligning weights with predictor profiles keeps the dedup measurement
     // honest while still exercising weighted fair sharing.
     let weight = 1.0 + ((fleet_index % PROFILES) % 5) as f64 * 0.25;
@@ -120,7 +122,6 @@ struct CellResult {
     blocks_per_sec: f64,
     live_models: usize,
     prediction_updates: u64,
-    diff_applied_updates: u64,
     sampler_entries: usize,
 }
 
@@ -161,15 +162,26 @@ fn run_cell(shards: usize, sessions: usize) -> CellResult {
             &ClientMessage::Predictor(profile_prediction(profile)),
             Time::ZERO,
         );
-        if i % 2 == 0 {
-            // Half the fleet re-predicts: the chain-keyed diff path, still
-            // profile-shared so the diffed models dedup too.
+    }
+    // Half the fleet re-predicts, out of step: every even session ends on
+    // its profile's re-prediction, but by one of eight routes (directly, or
+    // through another profile's prediction first) and only after the whole
+    // fleet has predicted once.
+    for (i, &id) in ids.iter().enumerate().step_by(2) {
+        let profile = (i % PROFILES) as u32;
+        let detour = (i / PROFILES % 8) as u32;
+        if detour > 0 {
             let _ = fleet.on_message(
                 id,
-                &ClientMessage::Predictor(profile_reprediction(profile)),
+                &ClientMessage::Predictor(profile_prediction((profile + detour) % PROFILES as u32)),
                 Time::ZERO,
             );
         }
+        let _ = fleet.on_message(
+            id,
+            &ClientMessage::Predictor(profile_reprediction(profile)),
+            Time::ZERO,
+        );
     }
 
     assert_eq!(fleet.stats().totals.sessions, sessions);
@@ -202,7 +214,14 @@ fn run_cell(shards: usize, sessions: usize) -> CellResult {
         "expected >=10x model dedup: {} live models for {sessions} sessions",
         stats.live_models
     );
-    assert!(stats.totals.diff_applied_updates > 0, "diff path never ran");
+    // ... and to the predictions actually held (one per profile: its first
+    // prediction for the odd sessions, its re-prediction for the even ones),
+    // whatever route each session took there.
+    assert!(
+        stats.live_models <= 4 * PROFILES,
+        "{} live models for {PROFILES} distinct predictions held",
+        stats.live_models
+    );
 
     CellResult {
         shards,
@@ -212,7 +231,6 @@ fn run_cell(shards: usize, sessions: usize) -> CellResult {
         blocks_per_sec: blocks as f64 / elapsed.max(1e-9),
         live_models: stats.live_models,
         prediction_updates: stats.totals.prediction_updates,
-        diff_applied_updates: stats.totals.diff_applied_updates,
         sampler_entries: stats.totals.sampler_entries,
     }
 }
@@ -296,7 +314,7 @@ fn main() {
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"shards\": {}, \"sessions\": {}, \"blocks\": {}, \"elapsed_ms\": {:.1}, \"blocks_per_sec\": {:.0}, \"live_models\": {}, \"prediction_updates\": {}, \"diff_applied_updates\": {}, \"sampler_entries\": {}}}{}",
+            "    {{\"shards\": {}, \"sessions\": {}, \"blocks\": {}, \"elapsed_ms\": {:.1}, \"blocks_per_sec\": {:.0}, \"live_models\": {}, \"prediction_updates\": {}, \"sampler_entries\": {}}}{}",
             c.shards,
             c.sessions,
             c.blocks,
@@ -304,7 +322,6 @@ fn main() {
             c.blocks_per_sec,
             c.live_models,
             c.prediction_updates,
-            c.diff_applied_updates,
             c.sampler_entries,
             if i + 1 < cells.len() { "," } else { "" }
         );

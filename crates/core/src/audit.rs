@@ -36,7 +36,8 @@ pub enum AuditCheck {
     /// Schedule/eviction-log slot alignment and ring-size invariants.
     SlotAlignment,
     /// Diff-path model vs. a from-scratch per-slot evaluation of the same
-    /// summary (`PredictionSummary::at` on every slot) after `apply_update`.
+    /// summary (`PredictionSummary::at` on every slot) after a delta was
+    /// applied (`apply_update_sparse`).
     DiffSignature,
 }
 

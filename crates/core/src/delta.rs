@@ -1,10 +1,11 @@
 //! Prediction deltas: `O(Δ)` uplink encoding and the server-side shadow.
 //!
-//! The diff path of [`HorizonModel::apply_update`] keeps the *model* update
-//! proportional to the number of changed requests, but it is still fed whole
+//! A scheduler can absorb a prediction in time proportional to the number
+//! of changed requests, but not when it is fed whole
 //! [`PredictionSummary`]s: the client ships `O(m · slices)` floats per
-//! update and the server recomputes `O(m)` signatures just to discover that
-//! most of them are unchanged.  This module closes both gaps:
+//! update and the server has to look at all of them to discover that most
+//! are unchanged — at which point installing the summary afresh costs the
+//! same.  This module closes both gaps:
 //!
 //! * [`DeltaTracker`] (client side) diffs consecutive summaries bit-exactly
 //!   and emits either a [`ClientMessage::PredictorFull`] or a
@@ -29,7 +30,6 @@
 //! [`ServerEvent::Resync`](crate::protocol::ServerEvent::Resync) and the
 //! client answers with a fresh full summary.
 //!
-//! [`HorizonModel::apply_update`]: crate::scheduler::HorizonModel::apply_update
 //! [`HorizonModel::apply_update_sparse`]: crate::scheduler::HorizonModel::apply_update_sparse
 //! [`ClientMessage::PredictorFull`]: crate::protocol::ClientMessage::PredictorFull
 //! [`ClientMessage::PredictorDelta`]: crate::protocol::ClientMessage::PredictorDelta
@@ -183,8 +183,8 @@ pub enum ShadowApply<'a> {
     /// The delta was applied, but a slice's residual-per-request changed
     /// while some materialized request lacks an explicit entry in every
     /// slice — such requests' signatures shifted without appearing in the
-    /// delta, so the sparse path would be unsound.  Drive the full update
-    /// path (still `O(Δ)` on the wire, full-scan on the server).
+    /// delta, so the sparse path would be unsound.  Install the summary
+    /// whole (still `O(Δ)` on the wire).
     Full {
         /// The patched summary (bit-identical to the client's).
         summary: &'a PredictionSummary,
@@ -199,11 +199,11 @@ pub enum ShadowApply<'a> {
 ///
 /// * per-slice explicit mass and adjacent-pair union counts
 ///   ([`SummaryScalars`]), recomputed only for patched slices;
-/// * per-request explicit-slice masks and a count of *partial-mask*
-///   requests, which is what lets it certify the changed-set as complete
-///   (a request explicit in every slice never reads a slice's
-///   residual-per-request, so residual shifts cannot silently change its
-///   signature).
+/// * per-request explicit-slice counts and a tally of *partial* requests
+///   (explicit in some slices but not all), which is what lets it certify
+///   the changed-set as complete (a request explicit in every slice never
+///   reads a slice's residual-per-request, so residual shifts cannot
+///   silently change its signature).
 #[derive(Debug, Default)]
 pub struct ShadowSummary {
     state: Option<ShadowState>,
@@ -215,14 +215,11 @@ struct ShadowState {
     summary: PredictionSummary,
     masses: Vec<f64>,
     pair_unions: Vec<usize>,
-    /// Bit `i` set when slice `i` has an explicit entry for the request.
-    /// Only maintained for summaries of ≤ 32 slices (`wide` otherwise).
-    masks: HashMap<RequestId, u32>,
-    /// Materialized requests whose mask is not the full-slice mask.
+    /// How many slices carry an explicit entry for each materialized
+    /// request.
+    explicit_in: HashMap<RequestId, usize>,
+    /// Materialized requests not explicit in every slice.
     partial: usize,
-    /// More than 32 slices: masks are not tracked and every delta takes the
-    /// full update path (the diff scheduler refuses such summaries anyway).
-    wide: bool,
 }
 
 impl ShadowSummary {
@@ -260,26 +257,22 @@ impl ShadowSummary {
             .windows(2)
             .map(|w| union_count(w[0].dist.explicit_entries(), w[1].dist.explicit_entries()))
             .collect();
-        let wide = slices.len() > 32;
-        let mut masks: HashMap<RequestId, u32> = HashMap::new();
-        let mut partial = 0usize;
-        if !wide {
-            for (i, s) in slices.iter().enumerate() {
-                for &(r, _) in s.dist.explicit_entries() {
-                    *masks.entry(r).or_insert(0) |= 1u32 << i;
-                }
+        let mut explicit_in: HashMap<RequestId, usize> = HashMap::new();
+        for s in slices {
+            for &(r, _) in s.dist.explicit_entries() {
+                *explicit_in.entry(r).or_insert(0) += 1;
             }
-            let full = full_mask(slices.len());
-            partial = masks.values().filter(|&&m| m != full).count();
         }
+        let partial = (explicit_in.values())
+            .filter(|&&c| c != slices.len())
+            .count();
         self.state = Some(ShadowState {
             generation,
             summary,
             masses,
             pair_unions,
-            masks,
+            explicit_in,
             partial,
-            wide,
         });
     }
 
@@ -341,9 +334,9 @@ impl ShadowSummary {
 
         // --- apply (infallible from here) ---
         let nslices = slices.len();
-        let full = full_mask(nslices);
         let mut rpp_changed = false;
         let mut modified = vec![false; nslices];
+        let (explicit_in, partial) = (&mut state.explicit_in, &mut state.partial);
         for (i, sd) in delta.slices.iter().enumerate() {
             if sd.is_empty() {
                 continue;
@@ -354,25 +347,18 @@ impl ShadowSummary {
             let old_entries = dist.explicit_entries();
             let mut merged: Vec<(RequestId, f64)> =
                 Vec::with_capacity(old_entries.len() + sd.upserts.len());
-            let bit = if state.wide { 0 } else { 1u32 << i };
             let (mut ui, mut ri) = (0usize, 0usize);
             for &(r, p) in old_entries {
                 while ui < sd.upserts.len() && sd.upserts[ui].0 < r {
                     merged.push(sd.upserts[ui]);
-                    mask_set(
-                        &mut state.masks,
-                        &mut state.partial,
-                        full,
-                        sd.upserts[ui].0,
-                        bit,
-                    );
+                    note_explicit(explicit_in, partial, nslices, sd.upserts[ui].0, true);
                     ui += 1;
                 }
                 if ui < sd.upserts.len() && sd.upserts[ui].0 == r {
                     merged.push(sd.upserts[ui]);
                     ui += 1;
                 } else if ri < sd.removes.len() && sd.removes[ri] == r {
-                    mask_clear(&mut state.masks, &mut state.partial, full, r, bit);
+                    note_explicit(explicit_in, partial, nslices, r, false);
                     ri += 1;
                 } else {
                     merged.push((r, p));
@@ -384,13 +370,7 @@ impl ShadowSummary {
             }
             while ui < sd.upserts.len() {
                 merged.push(sd.upserts[ui]);
-                mask_set(
-                    &mut state.masks,
-                    &mut state.partial,
-                    full,
-                    sd.upserts[ui].0,
-                    bit,
-                );
+                note_explicit(explicit_in, partial, nslices, sd.upserts[ui].0, true);
                 ui += 1;
             }
             // Same summation order as a full entry scan, so the sparse slot
@@ -415,7 +395,7 @@ impl ShadowSummary {
         state.summary.generated_at = delta.generated_at;
         state.generation = delta.generation;
 
-        if state.wide || (rpp_changed && state.partial > 0) {
+        if rpp_changed && state.partial > 0 {
             // A residual shift changes the signature of every materialized
             // request *not* explicit in the shifted slice; those ids are not
             // in the delta, so the sparse changed-set would be incomplete.
@@ -448,11 +428,24 @@ impl ShadowSummary {
     }
 }
 
-fn full_mask(nslices: usize) -> u32 {
-    if nslices >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << nslices) - 1
+impl ShadowSummary {
+    /// [`apply`](ShadowSummary::apply), then hands `scheduler` the result
+    /// by the one update rule: a delta whose changed-set is certified is
+    /// diffed, anything else installs the (patched) summary whole.  On
+    /// error neither the shadow nor the scheduler is touched.
+    pub fn apply_to<S: crate::scheduler::Scheduler + ?Sized>(
+        &mut self,
+        delta: &PredictionDelta,
+        scheduler: &mut S,
+        sender_position: usize,
+    ) -> Result<(), DeltaError> {
+        match self.apply(delta)? {
+            ShadowApply::Sparse { summary, changes } => {
+                scheduler.update_prediction_sparse(summary, &changes, sender_position)
+            }
+            ShadowApply::Full { summary } => scheduler.update_prediction(summary, sender_position),
+        }
+        Ok(())
     }
 }
 
@@ -479,44 +472,24 @@ fn sorted_intersect(upserts: &[(RequestId, f64)], removes: &[RequestId]) -> bool
     false
 }
 
-fn mask_set(
-    masks: &mut HashMap<RequestId, u32>,
+/// Records that `r` gained (`joined`) or lost an explicit entry in one of
+/// `nslices` slices, keeping `partial` — the number of requests explicit in
+/// some slices but not all — in step.
+fn note_explicit(
+    explicit_in: &mut HashMap<RequestId, usize>,
     partial: &mut usize,
-    full: u32,
+    nslices: usize,
     r: RequestId,
-    bit: u32,
+    joined: bool,
 ) {
-    if bit == 0 {
-        return;
+    let count = explicit_in.entry(r).or_insert(0);
+    let was_partial = *count != 0 && *count != nslices;
+    *count = if joined { *count + 1 } else { *count - 1 };
+    let is_partial = *count != 0 && *count != nslices;
+    if *count == 0 {
+        explicit_in.remove(&r);
     }
-    let m = masks.entry(r).or_insert(0);
-    let old = *m;
-    *m |= bit;
-    let new = *m;
-    *partial += usize::from(new != 0 && new != full);
-    *partial -= usize::from(old != 0 && old != full);
-}
-
-fn mask_clear(
-    masks: &mut HashMap<RequestId, u32>,
-    partial: &mut usize,
-    full: u32,
-    r: RequestId,
-    bit: u32,
-) {
-    if bit == 0 {
-        return;
-    }
-    if let Some(m) = masks.get_mut(&r) {
-        let old = *m;
-        *m &= !bit;
-        let new = *m;
-        *partial += usize::from(new != 0 && new != full);
-        *partial -= usize::from(old != 0 && old != full);
-        if new == 0 {
-            masks.remove(&r);
-        }
-    }
+    *partial = *partial + usize::from(is_partial) - usize::from(was_partial);
 }
 
 /// Client-side generation tracker: turns a stream of prediction summaries
@@ -594,6 +567,61 @@ impl DeltaTracker {
                 generation: self.generation,
                 summary: summary.clone(),
             },
+        }
+    }
+}
+
+/// The uplink with the socket taken out: a [`DeltaTracker`] feeding a
+/// [`ShadowSummary`] feeding a scheduler, the route a prediction takes from
+/// `TransportClient::send_prediction` to a session's scheduler.  For tests,
+/// examples and benches that drive a scheduler directly (they choose the
+/// sender position) but must reach its delta path the way the wire does.
+#[derive(Debug)]
+pub struct DirectUplink {
+    tracker: DeltaTracker,
+    shadow: ShadowSummary,
+}
+
+impl Default for DirectUplink {
+    fn default() -> Self {
+        DirectUplink::new()
+    }
+}
+
+impl DirectUplink {
+    /// A fresh uplink; every change that can travel as a delta does
+    /// (`max_delta_ratio` 1), so toy summaries reach the delta path too.
+    pub fn new() -> Self {
+        DirectUplink {
+            tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
+            shadow: ShadowSummary::new(),
+        }
+    }
+
+    /// Ships `summary` to `scheduler` as a session would receive it: the
+    /// first one, and any the tracker will not encode as a delta, whole; the
+    /// rest as a delta through the shadow, sparse when it certifies the
+    /// changed-set and whole otherwise.
+    pub fn ship<S: crate::scheduler::Scheduler + ?Sized>(
+        &mut self,
+        scheduler: &mut S,
+        summary: &PredictionSummary,
+        sender_position: usize,
+    ) {
+        match self.tracker.encode(summary) {
+            ClientMessage::PredictorDelta(delta) => {
+                if let Err(e) = self.shadow.apply_to(&delta, scheduler, sender_position) {
+                    unreachable!("tracker and shadow advance together: {e}");
+                }
+            }
+            ClientMessage::PredictorFull {
+                generation,
+                summary,
+            } => {
+                scheduler.update_prediction(&summary, sender_position);
+                self.shadow.install(generation, summary);
+            }
+            other => unreachable!("the tracker encodes predictions only: {other:?}"),
         }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is a seeded schedule of faults keyed by `(lane, index)`:
 //! for the transport the lane is the connection's accept-order index and the
-//! index counts outbound frames on that connection; for the simulator the
+//! index counts outbound frames on that connection, starting with the first
+//! one queued after the peer's first frame was handled; for the simulator the
 //! lane is the session index and the index counts uplink messages. Keeping
 //! the plan in `khameleon-core` lets both layers share one grammar without a
 //! dependency cycle, and keying by logical indices (never wall-clock time)

@@ -20,18 +20,17 @@
 //! changed ones) the requests whose tail vector has to be materialized to
 //! classify it: one per shape plus the irregular ones, everything else is
 //! classified from its per-slice signature.  Every client interaction
-//! re-sends the whole predicted distribution, so `update_prediction` — not
-//! block sampling — is the hot path once per-block cost is flat: the diff
-//! path ([`HorizonModel::apply_update`](crate::scheduler::HorizonModel))
-//! keeps bucket membership and Fenwick state for requests whose prediction
-//! is unchanged, applies `O(1)` coefficient rescales for shape-preserving
-//! changes, and falls back to the full rebuild when the structural diff
-//! exceeds `max(64, m/4)`.  For the lazy default that makes a small-diff
-//! update `O(m·s + u_Δ·b·C + Δ log m)` instead of
-//! `O(m·s + u·b·C + T log T)` (the `update-diff` / `update-rebuild` rows of
-//! the `sampler_json` bin measure the two), and `O(Δ·s + …)` when the
-//! update arrives as a delta
-//! ([`apply_update_sparse`](crate::scheduler::HorizonModel::apply_update_sparse)).
+//! re-predicts, so the prediction update — not block sampling — is the hot
+//! path once per-block cost is flat.  A whole summary installs the
+//! canonical build and rebuilds the sampler, `O(m·s + u·b·C + T log T)`;
+//! a prediction *delta* is diffed
+//! ([`apply_update_sparse`](crate::scheduler::HorizonModel::apply_update_sparse)):
+//! bucket membership and Fenwick state are kept for requests whose
+//! prediction is unchanged, shape-preserving changes are `O(1)`
+//! coefficient rescales, and a structural diff beyond `max(64, m/4)` falls
+//! back to the install — `O(Δ·s + u_Δ·b·C + Δ log m)` for the lazy default
+//! (the `update-delta` / `update-rebuild` rows of the `sampler_json` bin
+//! measure the two).
 //!
 //! The structure behind the incremental sampler:
 //!

@@ -11,48 +11,34 @@
 //! scales with the number of *distinct* predictions, not the number of
 //! sessions.
 //!
-//! ## History-keyed registration
+//! ## The invariant
 //!
-//! Entries are keyed by the model's *derivation*, not by raw content.  A
-//! fresh [`HorizonModel::build`] (or [`HorizonModel::uniform`]) is keyed by
-//! the fingerprint of its build input; a diff-updated model
-//! ([`HorizonModel::apply_update`]) is keyed by a **chain key** — the hash
-//! of its base model's key plus the applied summary's fingerprint.  Both
-//! `build` and `apply_update` are pure functions of those inputs, so two
-//! sessions resolving the same key always hold *bit-identical* content —
-//! even if a cross-thread race makes them build it twice and only one
-//! registration wins.  That is what keeps dedup deterministic: a session's
-//! model content is a function of its own update history alone, never of
-//! which other sessions happen to be live.  (Keying by raw content instead
-//! would NOT be safe: a diff-updated tail differs from a fresh build at the
-//! ulp level — `coef *= c` versus re-summed suffixes — so diffed and built
-//! models must never alias, and the chain key's distinct tag word guarantees
-//! they cannot.)
-//!
-//! Diffed entries also carry the [`ModelDiff`] that produced them, so a
-//! session hitting the chain key adopts the shared model *and* replays the
-//! same point updates into its private sampler — no `O(n)` sampler rebuild.
-//!
-//! ## Copy-on-write divergence
-//!
-//! A scheduler whose prediction diverges from its shared model's chain
-//! misses the cache and applies the diff through [`Arc::make_mut`]: the
-//! first divergent re-prediction clones the model privately (the CoW split)
-//! and leaves every other session on the shared instance.  The divergent
-//! result registers under its own chain key, so sessions that later follow
-//! the same history share *it* too.
+//! *A shared model is always `build(summary, params)` (or the uniform
+//! prior); a diffed model is always private.*  Entries are keyed by the
+//! fingerprint of their build input, and [`HorizonModel::build`] is a pure
+//! function of it, so two sessions resolving the same key hold
+//! *bit-identical* content — even if a cross-thread race makes them build it
+//! twice and only one registration wins — whatever either predicted before
+//! and whichever other sessions happen to be live.  A scheduler applying a
+//! prediction *delta* mutates through [`Arc::make_mut`]: the first delta
+//! clones a shared model privately (the copy-on-write split, leaving every
+//! other holder on the shared instance) and later ones patch that private
+//! copy in place; its next whole summary resolves here again and rejoins
+//! the shared build.  A diffed tail differs from a fresh build at the ulp
+//! level (`coef *= c` versus re-summed suffixes), which is why it is never
+//! registered.
 
 use std::sync::{Arc, Mutex, Weak};
 
 use crate::distribution::PredictionSummary;
-use crate::scheduler::{HorizonModel, ModelDiff};
+use crate::scheduler::HorizonModel;
 use crate::types::Duration;
 
-/// A 128-bit derivation fingerprint plus the build parameters it was taken
+/// A 128-bit build-input fingerprint plus the build parameters it was taken
 /// under.  The parameters are compared explicitly (not only hashed) so a
 /// fingerprint collision across different horizons can never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ModelKey {
+struct ModelKey {
     fingerprint: u128,
     n: usize,
     horizon: usize,
@@ -100,7 +86,14 @@ impl Fnv2 {
 /// per-request explicit probabilities (bit-exact), and residual masses all
 /// match — exactly the inputs [`HorizonModel::build`] consumes (the
 /// client-side `generated_at` stamp is deliberately excluded).
-fn hash_summary(h: &mut Fnv2, summary: &PredictionSummary) {
+fn fingerprint_summary(
+    summary: &PredictionSummary,
+    horizon: usize,
+    slot_duration: Duration,
+    gamma: f64,
+) -> ModelKey {
+    let mut h = Fnv2::new();
+    h.word(1); // tag: summary-built model
     h.word(summary.num_requests() as u64);
     h.word(summary.slices().len() as u64);
     for slice in summary.slices() {
@@ -113,43 +106,12 @@ fn hash_summary(h: &mut Fnv2, summary: &PredictionSummary) {
             h.word(p.to_bits());
         }
     }
-}
-
-fn fingerprint_summary(
-    summary: &PredictionSummary,
-    horizon: usize,
-    slot_duration: Duration,
-    gamma: f64,
-) -> ModelKey {
-    let mut h = Fnv2::new();
-    h.word(1); // tag: summary-built model
-    hash_summary(&mut h, summary);
     ModelKey {
         fingerprint: h.finish(),
         n: summary.num_requests(),
         horizon,
         slot_micros: slot_duration.as_micros(),
         gamma_bits: gamma.to_bits(),
-    }
-}
-
-/// The chain key of applying `summary` as a diff on top of the model keyed
-/// `base`: derivation history compressed to 128 bits.  Only sessions with
-/// the *same* update history (same base chain, same new summary) resolve to
-/// the same chain key, and [`HorizonModel::apply_update`] is a pure function
-/// of (base content, summary), so equal keys imply bit-identical content.
-pub(crate) fn chain_key(base: &ModelKey, summary: &PredictionSummary) -> ModelKey {
-    let mut h = Fnv2::new();
-    h.word(2); // tag: diff-chained model
-    h.word((base.fingerprint >> 64) as u64);
-    h.word(base.fingerprint as u64);
-    hash_summary(&mut h, summary);
-    ModelKey {
-        fingerprint: h.finish(),
-        n: summary.num_requests(),
-        horizon: base.horizon,
-        slot_micros: base.slot_micros,
-        gamma_bits: base.gamma_bits,
     }
 }
 
@@ -186,14 +148,10 @@ pub struct ModelCache {
     misses: std::sync::atomic::AtomicU64,
 }
 
-/// One registered model.  `diff` is present for chain-keyed (diff-derived)
-/// entries so a hitting session can replay the same point updates into its
-/// sampler; it lives exactly as long as the entry (pruned with the weak).
 #[derive(Debug)]
 struct Entry {
     key: ModelKey,
     model: Weak<HorizonModel>,
-    diff: Option<Arc<ModelDiff>>,
 }
 
 impl ModelCache {
@@ -212,24 +170,10 @@ impl ModelCache {
         slot_duration: Duration,
         gamma: f64,
     ) -> Arc<HorizonModel> {
-        self.resolve_build_keyed(summary, horizon, slot_duration, gamma)
-            .0
-    }
-
-    /// [`resolve_build`](Self::resolve_build), also returning the key so the
-    /// scheduler can chain later diff updates off it.
-    pub(crate) fn resolve_build_keyed(
-        &self,
-        summary: &PredictionSummary,
-        horizon: usize,
-        slot_duration: Duration,
-        gamma: f64,
-    ) -> (Arc<HorizonModel>, ModelKey) {
         let key = fingerprint_summary(summary, horizon, slot_duration, gamma);
-        let model = self.resolve_with(key, || {
+        self.resolve_with(key, || {
             HorizonModel::build(summary, horizon, slot_duration, gamma)
-        });
-        (model, key)
+        })
     }
 
     /// Resolves the canonical uniform-prior model for the given parameters.
@@ -240,74 +184,10 @@ impl ModelCache {
         slot_duration: Duration,
         gamma: f64,
     ) -> Arc<HorizonModel> {
-        self.resolve_uniform_keyed(n, horizon, slot_duration, gamma)
-            .0
-    }
-
-    /// [`resolve_uniform`](Self::resolve_uniform), also returning the key.
-    pub(crate) fn resolve_uniform_keyed(
-        &self,
-        n: usize,
-        horizon: usize,
-        slot_duration: Duration,
-        gamma: f64,
-    ) -> (Arc<HorizonModel>, ModelKey) {
         let key = fingerprint_uniform(n, horizon, slot_duration, gamma);
-        let model = self.resolve_with(key, || {
+        self.resolve_with(key, || {
             HorizonModel::uniform(n, horizon, slot_duration, gamma)
-        });
-        (model, key)
-    }
-
-    /// Looks up a diff-derived model by chain key.  On a hit, returns the
-    /// shared model together with the [`ModelDiff`] that produced it (for
-    /// the hitting session's sampler replay).
-    pub(crate) fn lookup_diffed(
-        &self,
-        key: &ModelKey,
-    ) -> Option<(Arc<HorizonModel>, Arc<ModelDiff>)> {
-        use std::sync::atomic::Ordering;
-        let mut entries = self.lock_entries();
-        entries.retain(|e| e.model.strong_count() > 0);
-        for entry in entries.iter() {
-            if entry.key == *key {
-                if let (Some(model), Some(diff)) = (entry.model.upgrade(), entry.diff.clone()) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((model, diff));
-                }
-            }
-        }
-        None
-    }
-
-    /// Registers a freshly diff-derived model under its chain key, returning
-    /// the winning `(model, diff)` pair: if a concurrent session registered
-    /// the same key first, its (bit-identical) instance is adopted instead.
-    pub(crate) fn register_diffed(
-        &self,
-        key: ModelKey,
-        model: Arc<HorizonModel>,
-        diff: Arc<ModelDiff>,
-    ) -> (Arc<HorizonModel>, Arc<ModelDiff>) {
-        use std::sync::atomic::Ordering;
-        let mut entries = self.lock_entries();
-        for entry in entries.iter() {
-            if entry.key == key {
-                if let (Some(theirs), Some(their_diff)) =
-                    (entry.model.upgrade(), entry.diff.clone())
-                {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (theirs, their_diff);
-                }
-            }
-        }
-        entries.push(Entry {
-            key,
-            model: Arc::downgrade(&model),
-            diff: Some(diff.clone()),
-        });
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (model, diff)
+        })
     }
 
     fn lock_entries(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
@@ -350,7 +230,6 @@ impl ModelCache {
         entries.push(Entry {
             key,
             model: Arc::downgrade(&built),
-            diff: None,
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
         built
@@ -440,82 +319,83 @@ mod tests {
     }
 
     #[test]
-    fn chained_updates_share_and_split_on_divergence() {
+    fn desynchronised_histories_converge() {
         use crate::block::ResponseCatalog;
-        use crate::scheduler::{GreedyScheduler, GreedySchedulerConfig};
+        use crate::delta::DirectUplink;
+        use crate::scheduler::{GreedyContext, GreedyScheduler, GreedySchedulerConfig};
         use crate::utility::{LinearUtility, UtilityModel};
 
         let catalog = Arc::new(ResponseCatalog::uniform(64, 2, 100));
         let utility = UtilityModel::homogeneous(&LinearUtility, 2);
+        let ctx = Arc::new(GreedyContext::new(&utility, &catalog));
         let cache = ModelCache::new();
-        let cfg = GreedySchedulerConfig {
-            cache_blocks: 32,
-            ..Default::default()
-        };
-        let mut a = GreedyScheduler::new(cfg.clone(), utility.clone(), catalog.clone());
-        let mut b = GreedyScheduler::new(cfg, utility, catalog);
-        a.attach_model_cache(cache.clone());
-        b.attach_model_cache(cache.clone());
-        assert!(
-            Arc::ptr_eq(a.model_arc(), b.model_arc()),
-            "pristine sessions share the uniform prior"
-        );
-
-        // Identical update histories stay on one shared instance, whether
-        // each step resolves as a rebuild or as a chain-keyed diff.
-        let s1 = summary(&[(3, 0.5)]);
-        a.update_prediction(&s1, 0);
-        b.update_prediction(&s1, 0);
-        assert!(
-            Arc::ptr_eq(a.model_arc(), b.model_arc()),
-            "identical histories must share after an update"
-        );
-        let s2 = summary(&[(3, 0.4), (7, 0.2)]);
-        a.update_prediction(&s2, 0);
-        b.update_prediction(&s2, 0);
-        assert!(
-            Arc::ptr_eq(a.model_arc(), b.model_arc()),
-            "identical histories must share across chained updates"
-        );
-        assert!(
-            b.diff_applied_updates() >= 1,
-            "same-structure re-predictions should take the diff path"
-        );
-
-        // A divergent prediction is the copy-on-write split: `b` walks away
-        // with its own instance, `a` keeps the shared one.
-        let shared = a.model_arc().clone();
-        b.update_prediction(&summary(&[(9, 0.7)]), 0);
-        assert!(
-            !Arc::ptr_eq(a.model_arc(), b.model_arc()),
-            "divergent prediction must split the shared model"
-        );
-        assert!(
-            Arc::ptr_eq(a.model_arc(), &shared),
-            "the non-divergent session stays on the shared instance"
-        );
-        // Both chain tips are registered: a later session replaying either
-        // history would share, so exactly two live models remain (the
-        // uniform prior died when both sessions moved off it).
-        assert_eq!(cache.live_models(), 2);
-
-        // Convergence: replaying b's full history shares b's instance.
-        let mut c = GreedyScheduler::new(
-            GreedySchedulerConfig {
+        let mk = || {
+            let cfg = GreedySchedulerConfig {
                 cache_blocks: 32,
                 ..Default::default()
-            },
-            UtilityModel::homogeneous(&LinearUtility, 2),
-            Arc::new(ResponseCatalog::uniform(64, 2, 100)),
-        );
-        c.attach_model_cache(cache.clone());
-        c.update_prediction(&s1, 0);
-        c.update_prediction(&s2, 0);
-        c.update_prediction(&summary(&[(9, 0.7)]), 0);
-        assert!(
-            Arc::ptr_eq(b.model_arc(), c.model_arc()),
-            "replaying the same history must converge onto the shared instance"
-        );
+            };
+            let (u, cat, ctx) = (utility.clone(), catalog.clone(), ctx.clone());
+            GreedyScheduler::with_context_and_cache(cfg, u, cat, ctx, Some(cache.clone()))
+        };
+        let (mut a, mut b, mut c) = (mk(), mk(), mk());
+        assert!(Arc::ptr_eq(a.model_arc(), b.model_arc()));
+        assert_eq!(cache.live_models(), 1, "one uniform prior for all three");
+
+        // Three routes to `s`: through `x` then `y`, through `y` then `x`,
+        // and directly.  What a session predicted before, and when, is not
+        // part of a model's identity.
+        let wide = |p3: f64| {
+            summary(&[
+                (1, 0.1),
+                (3, p3),
+                (5, 0.1),
+                (7, 0.5 - p3),
+                (9, 0.1),
+                (11, 0.1),
+            ])
+        };
+        let (s, x, y) = (wide(0.3), summary(&[(3, 0.5)]), summary(&[(9, 0.7)]));
+        a.update_prediction(&x, 0);
+        b.update_prediction(&y, 0);
+        assert_eq!(cache.live_models(), 3, "x, y and c's uniform prior");
+        a.update_prediction(&y, 0);
+        b.update_prediction(&x, 0);
+        assert_eq!(cache.live_models(), 3);
+        for sched in [&mut a, &mut b, &mut c] {
+            sched.update_prediction(&s, 0);
+        }
+        assert!(Arc::ptr_eq(a.model_arc(), b.model_arc()));
+        assert!(Arc::ptr_eq(a.model_arc(), c.model_arc()));
+        assert_eq!(cache.live_models(), 1, "one distinct prediction held");
+
+        // A delta on one of them is the copy-on-write split: `b` walks away
+        // with a private, unregistered copy; the other two keep sharing.
+        let shared = a.model_arc().clone();
+        let mut uplink = DirectUplink::new();
+        uplink.ship(&mut b, &s, 0);
+        assert!(Arc::ptr_eq(b.model_arc(), &shared), "whole: same build");
+        let s2 = wide(0.2);
+        uplink.ship(&mut b, &s2, 0);
+        assert_eq!(b.diff_applied_updates(), 1, "s → s2 travelled as a delta");
+        assert!(!Arc::ptr_eq(b.model_arc(), &shared));
+        assert!(Arc::ptr_eq(a.model_arc(), &shared));
+        assert!(Arc::ptr_eq(c.model_arc(), &shared));
+        assert_eq!(cache.live_models(), 1, "a diffed model is never registered");
+        // ... not even for a session that then installs the same summary.
+        a.update_prediction(&s2, 0);
+        assert!(!Arc::ptr_eq(a.model_arc(), b.model_arc()));
+        assert_eq!(cache.live_models(), 2, "s (held by c) and s2 (by a)");
+
+        // The next whole summary rejoins the shared build.
+        b.update_prediction(&s2, 0);
+        assert!(Arc::ptr_eq(a.model_arc(), b.model_arc()));
+        b.update_prediction(&s, 0);
+        assert!(Arc::ptr_eq(b.model_arc(), c.model_arc()));
+        // One entry per distinct (summary, slot duration, γ, horizon) held.
+        c.set_slot_duration(Duration::from_millis(2));
+        c.update_prediction(&s, 0);
+        assert!(!Arc::ptr_eq(b.model_arc(), c.model_arc()));
+        assert_eq!(cache.live_models(), 3, "s2, s at 1 ms, s at 2 ms");
     }
 
     #[test]

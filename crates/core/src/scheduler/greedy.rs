@@ -62,18 +62,18 @@
 //!
 //! Three further hot-path properties:
 //!
-//! * **Diff-based prediction updates**: the client re-sends its whole
-//!   predicted distribution on every interaction, so `update_prediction` is
-//!   the hot path once per-block cost is flat.  Successive predictions
-//!   usually share most materialized requests, so the update is applied as
-//!   a diff ([`HorizonModel::apply_update`]): unchanged requests keep their
-//!   tails, bucket membership, and Fenwick entries; shape-preserving
-//!   changes are `O(1)` coefficient rescales; only the structurally changed
-//!   set is recomputed, reclassified, and mirrored into the sampler as
-//!   point updates (tombstoned removals + appends).  Oversized diffs,
-//!   changed horizon parameters, and bucket-cap pressure fall back to the
-//!   full rebuild ([`GreedySchedulerConfig::prediction_diff`] disables the
-//!   path entirely for the ablation baseline).
+//! * **One update rule**: a whole summary installs the canonical
+//!   [`HorizonModel::build`] (resolved through the shared
+//!   [`ModelCache`](crate::scheduler::ModelCache) when one is attached) and
+//!   rebuilds the sampler — `O(m · slices)` plus an `O(T log T)` sampler
+//!   rebuild; only a prediction *delta* is diffed
+//!   ([`HorizonModel::apply_update_sparse`], `O(Δ · slices)`): unchanged
+//!   requests keep their tails, bucket membership, and Fenwick entries,
+//!   shape-preserving changes are `O(1)` coefficient rescales, and only the
+//!   structurally changed set is recomputed, reclassified, and mirrored
+//!   into the sampler as point updates (tombstoned removals + appends).
+//!   Oversized deltas, changed horizon parameters, and bucket-cap pressure
+//!   fall back to the install.
 //! * **Wrap carry-over**: when a schedule completes (`t` reaches `C`) the
 //!   horizon model is unchanged and tails are reusable at `t = 0`, so
 //!   [`reset_schedule`](GreedyScheduler::next_batch) carries the explicit
@@ -129,12 +129,6 @@ pub struct GreedySchedulerConfig {
     /// draw identical schedules under a fixed seed; only the per-block cost
     /// differs (see the module docs).
     pub sampler: SamplerVariant,
-    /// Apply prediction updates as diffs against the previous prediction
-    /// ([`HorizonModel::apply_update`]) instead of rebuilding the model and
-    /// sampler from scratch.  Falls back to a full rebuild automatically
-    /// when the diff is too large; disable only to measure the rebuild
-    /// baseline.
-    pub prediction_diff: bool,
     /// Cap on sender-ahead gap-slot creation per prediction update, as a
     /// fraction of the schedule horizon.  A buggy or adversarial sender
     /// repeatedly claiming positions near `C` would otherwise force a
@@ -163,7 +157,6 @@ impl Default for GreedySchedulerConfig {
             slot_duration: Duration::from_millis(1),
             use_meta_request: true,
             sampler: SamplerVariant::Lazy,
-            prediction_diff: true,
             max_gap_fraction: 0.5,
             seed: 0x5eed,
         }
@@ -223,24 +216,15 @@ pub struct GreedyScheduler {
     utility: UtilityModel,
     /// The probability model, behind an `Arc` so sessions with bit-identical
     /// predictions can share one instance via a [`ModelCache`]
-    /// (`crate::scheduler::ModelCache`).  Reads go through the `Arc`; the
-    /// diff path mutates via [`Arc::make_mut`], which *is* the
-    /// copy-on-write split when the model is shared.
+    /// (`crate::scheduler::ModelCache`).  Reads go through the `Arc`; a
+    /// delta mutates via [`Arc::make_mut`], which *is* the copy-on-write
+    /// split when the model is shared.
     model: Arc<HorizonModel>,
     /// Shared dedup registry; `None` outside multi-session deployments.
-    /// Full rebuilds resolve through it by build-input fingerprint; full
-    /// diff updates resolve through it by *chain key* (base key + summary
-    /// fingerprint), so sessions with identical update histories share one
-    /// model at every step — see [`crate::scheduler::dedup`].
+    /// Every whole-summary install resolves through it by build-input
+    /// fingerprint — see [`crate::scheduler::dedup`].
     model_cache: Option<Arc<crate::scheduler::ModelCache>>,
-    /// The derivation key of `model` in the attached cache; `None` when the
-    /// model is private (no cache, sparse-updated, or pre-attach history),
-    /// which routes the next full update through a canonical rebuild.
-    model_key: Option<crate::scheduler::dedup::ModelKey>,
     rng: StdRng,
-    /// Blocks allocated per request during the current schedule (Listing 1's
-    /// `B`), kept sparse because only touched requests matter.
-    allocated: HashMap<RequestId, u32>,
     /// Position within the current schedule (Listing 1's `t`).
     t: usize,
     /// Slot-aligned log of the current schedule: entry `k` is the block
@@ -288,12 +272,9 @@ pub struct GreedyScheduler {
     sampler: GainSampler,
     /// Number of prediction updates received (for instrumentation).
     updates: u64,
-    /// Prediction updates applied through the diff path (the rest fell back
-    /// to a full rebuild).
+    /// Prediction deltas applied as a model diff (whole summaries, and
+    /// deltas the model refused, installed the canonical build instead).
     diff_updates: u64,
-    /// Diff-path updates that additionally used a precomputed changed-set
-    /// ([`Self::update_prediction_sparse`]) — no signature scan at all.
-    sparse_updates: u64,
     /// Total blocks scheduled since creation (for instrumentation).
     scheduled_blocks: u64,
     /// Schedule slots skipped because the sender reported a position ahead
@@ -333,11 +314,9 @@ impl GreedyScheduler {
         Self::with_context_and_cache(cfg, utility, catalog, ctx, None)
     }
 
-    /// [`with_context`](Self::with_context), with the uniform prior resolved
-    /// through `model_cache` when one is supplied — the state
-    /// [`attach_model_cache`](Self::attach_model_cache) leaves a pristine
-    /// scheduler in, without first building a private uniform model only to
-    /// drop it for the cache's shared one.
+    /// [`with_context`](Self::with_context), with the uniform prior — and
+    /// every later whole-summary install — resolved through `model_cache`
+    /// when one is supplied.
     pub(crate) fn with_context_and_cache(
         cfg: GreedySchedulerConfig,
         utility: UtilityModel,
@@ -357,25 +336,16 @@ impl GreedyScheduler {
             ctx.utility.same_tables(&utility),
             "shared context derived for a different utility model"
         );
-        let (model, model_key) = match &model_cache {
+        let model = match &model_cache {
             Some(cache) => {
-                let (model, key) = cache.resolve_uniform_keyed(
-                    num_requests,
-                    cfg.cache_blocks,
-                    cfg.slot_duration,
-                    cfg.gamma,
-                );
-                (model, Some(key))
+                cache.resolve_uniform(num_requests, cfg.cache_blocks, cfg.slot_duration, cfg.gamma)
             }
-            None => (
-                Arc::new(HorizonModel::uniform(
-                    num_requests,
-                    cfg.cache_blocks,
-                    cfg.slot_duration,
-                    cfg.gamma,
-                )),
-                None,
-            ),
+            None => Arc::new(HorizonModel::uniform(
+                num_requests,
+                cfg.cache_blocks,
+                cfg.slot_duration,
+                cfg.gamma,
+            )),
         };
         let rng = StdRng::seed_from_u64(cfg.seed);
         let touched_per_class = vec![0; ctx.classes.num_classes()];
@@ -384,9 +354,7 @@ impl GreedyScheduler {
             utility,
             model,
             model_cache,
-            model_key,
             rng,
-            allocated: HashMap::new(),
             t: 0,
             current_schedule: Vec::new(),
             eviction_log: Vec::new(),
@@ -399,7 +367,6 @@ impl GreedyScheduler {
             sampler: GainSampler::new(),
             updates: 0,
             diff_updates: 0,
-            sparse_updates: 0,
             scheduled_blocks: 0,
             gap_slots: 0,
             gap_slots_rejected: 0,
@@ -413,26 +380,6 @@ impl GreedyScheduler {
     /// The shared catalog/utility context backing this scheduler.
     pub fn context(&self) -> &Arc<GreedyContext> {
         &self.ctx
-    }
-
-    /// Attaches a shared [`ModelCache`](crate::scheduler::ModelCache): full
-    /// model rebuilds from now on resolve through it, so sessions fed
-    /// bit-identical predictions share one `HorizonModel`.  When the
-    /// scheduler is still pristine (no prediction applied) its uniform prior
-    /// is itself canonical and is registered immediately, deduplicating even
-    /// sessions that never receive a prediction.
-    pub fn attach_model_cache(&mut self, cache: Arc<crate::scheduler::ModelCache>) {
-        if self.updates == 0 {
-            let (model, key) = cache.resolve_uniform_keyed(
-                self.model.num_requests(),
-                self.cfg.cache_blocks,
-                self.cfg.slot_duration,
-                self.cfg.gamma,
-            );
-            self.model = model;
-            self.model_key = Some(key);
-        }
-        self.model_cache = Some(cache);
     }
 
     /// The shared probability model (diagnostic: lets tests observe dedup
@@ -482,17 +429,11 @@ impl GreedyScheduler {
         self.gap_slots_rejected
     }
 
-    /// Prediction updates applied through the diff path (the remainder of
-    /// [`GreedyScheduler::prediction_updates`] fell back to a full rebuild).
+    /// Prediction deltas applied as a model diff (the remainder of
+    /// [`GreedyScheduler::prediction_updates`] installed the canonical
+    /// build).
     pub fn diff_applied_updates(&self) -> u64 {
         self.diff_updates
-    }
-
-    /// Diff-path updates that used a precomputed changed-set (the
-    /// prediction-delta path); always ≤
-    /// [`diff_applied_updates`](Self::diff_applied_updates).
-    pub fn sparse_applied_updates(&self) -> u64 {
-        self.sparse_updates
     }
 
     /// The scan variant's draw layout (requests in walk order with weights)
@@ -559,7 +500,9 @@ impl GreedyScheduler {
         self.cfg.slot_duration = slot;
     }
 
-    /// Applies a fresh prediction from the client.
+    /// Applies a fresh prediction from the client, shipped as a whole
+    /// summary: installs the canonical [`HorizonModel::build`] and rebuilds
+    /// the sampler.
     ///
     /// Per §5.3.2, scheduling work already handed to the sender is immutable:
     /// the caller passes `sender_position`, the number of blocks of the
@@ -576,30 +519,70 @@ impl GreedyScheduler {
     /// invariant is debug-asserted), instead of mispairing blocks with
     /// slots.
     pub fn update_prediction(&mut self, summary: &PredictionSummary, sender_position: usize) {
-        self.update_prediction_inner(summary, None, sender_position);
+        self.move_to_sender(sender_position);
+        self.install(summary);
     }
 
-    /// Sparse prediction update: `changes` carries the precomputed
+    /// Applies a prediction *delta*: `changes` carries the precomputed
     /// changed-set and slot-plan scalars from the prediction-delta shadow
-    /// (see [`crate::delta`]), so the model diff plans in `O(Δ · slices)`
-    /// via [`HorizonModel::apply_update_sparse`] instead of scanning every
-    /// materialized signature.  Rollback, fallback, and sampler mirroring
-    /// are identical to [`update_prediction`](Self::update_prediction).
+    /// (see [`crate::delta`]), so the model is diffed in `O(Δ · slices)`
+    /// via [`HorizonModel::apply_update_sparse`] and the sampler takes point
+    /// updates.  Rollback is identical to
+    /// [`update_prediction`](Self::update_prediction), which is also the
+    /// fallback when the model refuses the diff (too large, changed horizon
+    /// parameters, bucket-cap pressure).
     pub fn update_prediction_sparse(
         &mut self,
         summary: &PredictionSummary,
         changes: &crate::delta::PredictionChanges,
         sender_position: usize,
     ) {
-        self.update_prediction_inner(summary, Some(changes), sender_position);
+        let mut rolled = self.move_to_sender(sender_position);
+        let diffable = self.model.horizon() == self.cfg.cache_blocks
+            && self.model.slot_duration() == self.cfg.slot_duration
+            && self.model.gamma().to_bits() == self.cfg.gamma.to_bits();
+        // `make_mut` is the copy-on-write split: a scheduler on a shared
+        // model clones it privately before the diff lands, and stays private
+        // until its next whole summary.
+        let diff = diffable
+            .then(|| Arc::make_mut(&mut self.model).apply_update_sparse(summary, changes))
+            .flatten();
+        match diff {
+            Some(diff) => {
+                self.diff_updates += 1;
+                rolled.sort_unstable();
+                rolled.dedup();
+                self.apply_model_diff(&diff, &rolled);
+                #[cfg(feature = "audit")]
+                self.audit_on_update(summary, true);
+            }
+            None => self.install(summary),
+        }
     }
 
-    fn update_prediction_inner(
-        &mut self,
-        summary: &PredictionSummary,
-        sparse: Option<&crate::delta::PredictionChanges>,
-        sender_position: usize,
-    ) {
+    /// Installs the canonical model for `summary` — the shared instance when
+    /// a cache is attached — and rebuilds the touched set and sampler.
+    fn install(&mut self, summary: &PredictionSummary) {
+        let (horizon, slot, gamma) = (
+            self.cfg.cache_blocks,
+            self.cfg.slot_duration,
+            self.cfg.gamma,
+        );
+        self.model = match &self.model_cache {
+            Some(cache) => cache.resolve_build(summary, horizon, slot, gamma),
+            None => Arc::new(HorizonModel::build(summary, horizon, slot, gamma)),
+        };
+        self.rebuild_touched();
+        #[cfg(feature = "audit")]
+        self.audit_on_update(summary, false);
+    }
+
+    /// Counts one prediction update and brings the schedule position to the
+    /// sender's: rolls back the not-yet-sent tail, or opens (rate-limited)
+    /// sender-ahead gap slots.  Returns the requests whose simulated
+    /// residency the rollback touched, unsorted; their gains must be
+    /// re-derived even when a model diff leaves them untouched.
+    fn move_to_sender(&mut self, sender_position: usize) -> Vec<RequestId> {
         self.updates += 1;
         let sender_position = sender_position.min(self.cfg.cache_blocks);
         // Rate-limit sender-ahead gap creation: a sender repeatedly claiming
@@ -618,21 +601,12 @@ impl GreedyScheduler {
             sender_position
         };
         self.check_slot_aligned();
-        // Requests whose allocations or simulated residency the rollback
-        // touches; their gains must be re-derived even when the prediction
-        // diff leaves them untouched.
         let mut rolled: Vec<RequestId> = Vec::new();
         if sender_position < self.t {
             // Roll back the not-yet-sent tail of the current schedule.
             while self.t > sender_position {
                 match self.current_schedule.pop() {
                     Some(Some(block)) => {
-                        if let Some(c) = self.allocated.get_mut(&block.request) {
-                            *c = c.saturating_sub(1);
-                            if *c == 0 {
-                                self.allocated.remove(&block.request);
-                            }
-                        }
                         let evicted = self.eviction_log.pop().flatten();
                         rolled.push(block.request);
                         if let Some(old) = evicted {
@@ -668,104 +642,7 @@ impl GreedyScheduler {
             }
         }
         self.check_slot_aligned();
-        // Diff the new prediction against the previous one and apply point
-        // updates; fall back to the full rebuild when the model can't (too
-        // large a diff, changed horizon parameters, bucket-cap pressure).
-        let diffable = self.cfg.prediction_diff
-            && self.model.horizon() == self.cfg.cache_blocks
-            && self.model.slot_duration() == self.cfg.slot_duration
-            && self.model.gamma().to_bits() == self.cfg.gamma.to_bits();
-        let diff: Option<Arc<crate::scheduler::ModelDiff>> = if diffable {
-            match (self.model_cache.clone(), self.model_key, sparse) {
-                // Cache attached, keyed base, full update: resolve by chain
-                // key so identical-history sessions keep sharing storage.
-                // `apply_update` is a pure function of (base content,
-                // summary), so a hit's adopted instance is bit-identical to
-                // what this session would have computed — determinism never
-                // depends on which other sessions happen to be live.
-                (Some(cache), Some(base_key), None) => {
-                    let key = crate::scheduler::dedup::chain_key(&base_key, summary);
-                    match cache.lookup_diffed(&key) {
-                        Some((model, diff)) => {
-                            self.model = model;
-                            self.model_key = Some(key);
-                            Some(diff)
-                        }
-                        None => {
-                            // `make_mut` is the copy-on-write split: a
-                            // scheduler diverging from a shared model clones
-                            // it privately before the diff lands.
-                            match Arc::make_mut(&mut self.model).apply_update(summary) {
-                                Some(diff) => {
-                                    let (model, diff) = cache.register_diffed(
-                                        key,
-                                        self.model.clone(),
-                                        Arc::new(diff),
-                                    );
-                                    self.model = model;
-                                    self.model_key = Some(key);
-                                    Some(diff)
-                                }
-                                None => {
-                                    self.model_key = None;
-                                    None
-                                }
-                            }
-                        }
-                    }
-                }
-                // No cache, unkeyed model, or sparse (delta-encoded) update:
-                // private in-place diff.  Sparse application is not keyed —
-                // its change list comes off the wire and is not derivable
-                // from the summary alone — so the model drops out of the
-                // share chain until its next full rebuild.
-                _ => {
-                    self.model_key = None;
-                    let model = Arc::make_mut(&mut self.model);
-                    let applied = match sparse {
-                        Some(changes) => model.apply_update_sparse(summary, changes),
-                        None => model.apply_update(summary),
-                    };
-                    applied.map(Arc::new)
-                }
-            }
-        } else {
-            None
-        };
-        match diff {
-            Some(diff) => {
-                self.diff_updates += 1;
-                self.sparse_updates += u64::from(sparse.is_some());
-                rolled.sort_unstable();
-                rolled.dedup();
-                self.apply_model_diff(&diff, &rolled);
-                #[cfg(feature = "audit")]
-                self.audit_on_update(summary, true);
-            }
-            None => {
-                self.model = match &self.model_cache {
-                    Some(cache) => {
-                        let (model, key) = cache.resolve_build_keyed(
-                            summary,
-                            self.cfg.cache_blocks,
-                            self.cfg.slot_duration,
-                            self.cfg.gamma,
-                        );
-                        self.model_key = Some(key);
-                        model
-                    }
-                    None => Arc::new(HorizonModel::build(
-                        summary,
-                        self.cfg.cache_blocks,
-                        self.cfg.slot_duration,
-                        self.cfg.gamma,
-                    )),
-                };
-                self.rebuild_touched();
-                #[cfg(feature = "audit")]
-                self.audit_on_update(summary, false);
-            }
-        }
+        rolled
     }
 
     /// Mirrors a [`ModelDiff`] into the scheduler's touched/shared
@@ -803,7 +680,7 @@ impl GreedyScheduler {
             }
         }
         for &r in &diff.departed {
-            let keep = self.allocated.contains_key(&r) || self.resident.contains_key(&r);
+            let keep = self.resident.contains_key(&r);
             if !keep {
                 self.untouch(r);
             }
@@ -819,7 +696,7 @@ impl GreedyScheduler {
             if self.model.is_materialized(r) {
                 continue;
             }
-            let keep = self.allocated.contains_key(&r) || self.resident.contains_key(&r);
+            let keep = self.resident.contains_key(&r);
             if keep && !self.touched[r.index()] {
                 self.mark_touched(r);
                 if self.cfg.use_meta_request {
@@ -993,8 +870,6 @@ impl GreedyScheduler {
         self.touched.fill(false);
         self.touched_per_class.fill(0);
         let mut touched_ids: Vec<RequestId> = self.model.materialized().collect();
-        // lint:allow(hash-iter) -- collected into touched_ids, which is canonically re-sorted below
-        touched_ids.extend(self.allocated.keys().copied());
         // lint:allow(hash-iter) -- collected into touched_ids, which is canonically re-sorted below
         touched_ids.extend(self.resident.keys().copied());
         touched_ids.retain(|&r| self.mark_touched(r));
@@ -1177,8 +1052,8 @@ impl GreedyScheduler {
     /// (as a renderable contiguous prefix) or will hold once the pending
     /// schedule is delivered.
     ///
-    /// The simulated ring already includes the blocks allocated in the
-    /// current schedule (they are "delivered" to the simulation as they are
+    /// The simulated ring already includes the blocks of the current
+    /// schedule (they are "delivered" to the simulation as they are
     /// scheduled), so it is the single source of truth.  The prefix — not
     /// the raw count — is used so that a response whose early blocks were
     /// evicted gets its prefix repaired before its tail is extended.
@@ -1325,7 +1200,7 @@ impl GreedyScheduler {
         let mut out = Vec::with_capacity(want);
         while out.len() < want {
             if self.t >= self.cfg.cache_blocks {
-                // Full schedule allocated: reset (ring has overwritten itself).
+                // Full schedule planned: reset (ring has overwritten itself).
                 self.reset_schedule();
             }
             let Some(q) = self.sample_request() else {
@@ -1333,7 +1208,6 @@ impl GreedyScheduler {
             };
             let have = self.effective_blocks(q);
             let block = BlockRef::new(q, have);
-            *self.allocated.entry(q).or_insert(0) += 1;
             let newly_touched = self.mark_touched(q);
             if newly_touched {
                 // Only a meta draw reaches an untouched request, and
@@ -1354,6 +1228,15 @@ impl GreedyScheduler {
             #[cfg(feature = "audit")]
             self.audit_on_block();
         }
+        // Why no per-request count of this schedule's blocks is kept: each
+        // is among the ring's newest `t ≤ C` entries, so its request stays
+        // resident — hence touched — until the wrap.
+        debug_assert!(
+            (self.current_schedule.iter().flatten())
+                .all(|b| self.resident.contains_key(&b.request)),
+            "a block of slots ..{} left the simulated ring",
+            self.t
+        );
         out
     }
 
@@ -1396,23 +1279,22 @@ impl GreedyScheduler {
     /// (untouched) resident prefixes, so bucket membership and the stored
     /// bucket values are all reusable at `t = 0` — a wrap costs `O(b)`
     /// factor resets plus the irregular exact-refresh set.  The only
-    /// membership change is requests whose sole claim to the touched set was
-    /// a since-cleared allocation: they return to their meta class, and the
+    /// membership change is requests whose last resident block the finished
+    /// schedule evicted: they return to their meta class, and the
     /// shared segment is compacted (preserving survivor order, identically
     /// in `shared_order` and the sampler, so both variants keep drawing the
     /// same layout).
     fn reset_schedule(&mut self) {
         self.t = 0;
         if self.cfg.use_meta_request {
-            // Requests touched only through the cleared allocations return
-            // to their meta class.  (With meta off, every unmaterialized
-            // request stays in the shared segment permanently.)  Only
-            // requests the finished schedule allocated to — or whose blocks
-            // it evicted — can depart, so the scan is bounded by the
-            // schedule length, never by the touched-set size.
-            // lint:allow(hash-iter) -- snapshot is sorted and deduped two lines below
-            let mut candidates: Vec<RequestId> = self.allocated.keys().copied().collect();
-            candidates.extend(self.eviction_log.iter().flatten().map(|b| b.request));
+            // (With meta off, every unmaterialized request stays in the
+            // shared segment permanently.)  The schedule's own requests are
+            // still resident, so only those whose blocks it evicted can
+            // depart: the scan is bounded by the schedule length, never by
+            // the touched-set size.
+            let mut candidates: Vec<RequestId> = (self.eviction_log.iter().flatten())
+                .map(|b| b.request)
+                .collect();
             candidates.sort_unstable();
             candidates.dedup();
             let mut departed = false;
@@ -1435,7 +1317,6 @@ impl GreedyScheduler {
                 }
             }
         }
-        self.allocated.clear();
         self.current_schedule.clear();
         self.eviction_log.clear();
         if self.incremental() {
@@ -1826,6 +1707,7 @@ fn resident_prefix_len(set: &BTreeSet<u32>) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DirectUplink;
     use crate::types::Time;
     use crate::utility::{GainTable, LinearUtility, PiecewiseUtility, PowerUtility};
 
@@ -2385,35 +2267,26 @@ mod tests {
     #[test]
     fn overlapping_predictions_take_the_diff_path() {
         let mut s = mk(50, 4, 30, true);
+        let mut uplink = DirectUplink::new();
         let p1 = sparse_pred(50, vec![(RequestId(5), 0.4), (RequestId(9), 0.2)], 0.4);
-        s.update_prediction(&p1, 0);
+        uplink.ship(&mut s, &p1, 0);
+        assert_eq!(s.diff_applied_updates(), 0, "a first summary is installed");
         let _ = s.next_batch(10);
         // Overlapping re-prediction: reweight 5, drop 9, join 11.
         let p2 = sparse_pred(50, vec![(RequestId(5), 0.3), (RequestId(11), 0.3)], 0.4);
+        uplink.ship(&mut s, &p2, 4);
+        assert_eq!(s.diff_applied_updates(), 1, "the delta is diffed");
+        // The same prediction as a whole summary is installed, not diffed.
         s.update_prediction(&p2, 4);
-        assert_eq!(s.diff_applied_updates(), 2, "both updates should diff");
-        // An incompatible slice layout falls back to the full rebuild.
+        assert_eq!(s.diff_applied_updates(), 1);
+        // An incompatible slice layout cannot travel as a delta at all.
         let slices = vec![crate::distribution::HorizonSlice {
             delta: Duration::from_millis(10),
             dist: crate::distribution::SparseDistribution::point(50, RequestId(2)),
         }];
-        s.update_prediction(&PredictionSummary::new(50, slices, Time::ZERO), 0);
-        assert_eq!(s.diff_applied_updates(), 2);
-        assert_eq!(s.prediction_updates(), 3);
-        // Disabling the knob forces rebuilds.
-        let catalog = Arc::new(ResponseCatalog::uniform(50, 4, 1000));
-        let mut off = GreedyScheduler::new(
-            GreedySchedulerConfig {
-                cache_blocks: 30,
-                prediction_diff: false,
-                ..Default::default()
-            },
-            UtilityModel::homogeneous(&LinearUtility, 4),
-            catalog,
-        );
-        off.update_prediction(&p1, 0);
-        off.update_prediction(&p2, 0);
-        assert_eq!(off.diff_applied_updates(), 0);
+        uplink.ship(&mut s, &PredictionSummary::new(50, slices, Time::ZERO), 0);
+        assert_eq!(s.diff_applied_updates(), 1);
+        assert_eq!(s.prediction_updates(), 4);
     }
 
     /// Asserts the scheduler's installed model equals `want` to the bit on
@@ -2439,9 +2312,9 @@ mod tests {
     #[test]
     fn rate_report_rebuilds_at_the_new_slot_duration() {
         // A rate report changes the slot duration, and a model built at
-        // another slot duration cannot be diffed: the next prediction takes
-        // the rebuild path, lands on exactly the model a fresh build at the
-        // new duration gives, and the one after it diffs again.
+        // another slot duration cannot be diffed: the next delta installs
+        // instead, lands on exactly the model a fresh build at the new
+        // duration gives, and the delta after it diffs again.
         let n = 50;
         let early_late = |early: Vec<(RequestId, f64)>, late: Vec<(RequestId, f64)>| {
             let slices = PredictionSummary::default_deltas()
@@ -2459,12 +2332,13 @@ mod tests {
             PredictionSummary::new(n, slices, Time::ZERO)
         };
         let mut s = mk(n, 4, 64, true);
+        let mut uplink = DirectUplink::new();
         s.set_slot_duration(Duration::from_millis(5));
         let p1 = early_late(
             vec![(RequestId(5), 0.4), (RequestId(9), 0.2)],
             vec![(RequestId(5), 0.1), (RequestId(9), 0.5)],
         );
-        s.update_prediction(&p1, 0);
+        uplink.ship(&mut s, &p1, 0);
         let _ = s.next_batch(10);
         let diffed = s.diff_applied_updates();
 
@@ -2473,8 +2347,9 @@ mod tests {
             vec![(RequestId(5), 0.3), (RequestId(11), 0.3)],
             vec![(RequestId(5), 0.1), (RequestId(11), 0.5)],
         );
-        s.update_prediction(&p2, 4);
-        assert_eq!(s.diff_applied_updates(), diffed, "rebuild path taken");
+        uplink.ship(&mut s, &p2, 4);
+        assert_eq!(s.prediction_updates(), 2);
+        assert_eq!(s.diff_applied_updates(), diffed, "delta installed");
         let gamma = s.model_arc().gamma();
         assert_model_bits(
             &s,
@@ -2486,32 +2361,35 @@ mod tests {
             vec![(RequestId(5), 0.3), (RequestId(12), 0.3)],
             vec![(RequestId(5), 0.1), (RequestId(12), 0.5)],
         );
-        s.update_prediction(&p3, 8);
+        uplink.ship(&mut s, &p3, 8);
         assert_eq!(s.diff_applied_updates(), diffed + 1, "same duration: diffs");
     }
 
     #[test]
     fn forty_slice_summary_installs_and_diffs() {
         // Wider than any fixed-width explicit mask: request 1 is explicit
-        // only in slices 33.., request 2 only in slices ..4, request 0 in
-        // all of them; 64 slots of 8 ms reach past the last slice (400 ms).
+        // only in slices 33.., request 2 only in slices ..4, requests 0 and
+        // 3 in all of them; 64 slots of 8 ms reach past the last slice
+        // (400 ms).  Requests 0 and 3 trade mass, so every slice keeps its
+        // residual to the bit and the shadow can certify a delta between
+        // two of these even with requests 1 and 2 explicit only in part.
         let n = 30;
         let wide = |p0_late: f64| {
             let slices = (0..40usize)
                 .map(|i| {
-                    let mut entries = vec![(
-                        RequestId(0),
-                        if i < 20 { 0.3 } else { p0_late } + 0.002 * i as f64,
-                    )];
-                    if i >= 33 {
-                        entries.push((RequestId(1), 0.2));
-                    }
-                    if i < 4 {
-                        entries.push((RequestId(2), 0.1 + 0.05 * i as f64));
-                    }
+                    let p0 = if i < 20 { 0.2 } else { p0_late } + 0.002 * i as f64;
+                    let p1 = if i >= 33 { 0.2 } else { 0.0 };
+                    let p2 = if i < 4 { 0.1 + 0.05 * i as f64 } else { 0.0 };
+                    let mut entries = vec![
+                        (RequestId(0), p0),
+                        (RequestId(1), p1),
+                        (RequestId(2), p2),
+                        (RequestId(3), 0.7 - p0 - p1 - p2),
+                    ];
+                    entries.retain(|e| e.1 > 0.0);
                     crate::distribution::HorizonSlice {
                         delta: Duration::from_millis(10 * (i as u64 + 1)),
-                        dist: crate::distribution::SparseDistribution::from_entries(
+                        dist: crate::distribution::SparseDistribution::from_normalized(
                             n, entries, 0.3,
                         ),
                     }
@@ -2521,12 +2399,13 @@ mod tests {
         };
         let slot = Duration::from_millis(8);
         let mut s = mk(n, 4, 64, true);
+        let mut uplink = DirectUplink::new();
         s.set_slot_duration(slot);
         let gamma = s.model_arc().gamma();
         let agrees_with_reference = |s: &GreedyScheduler, summary: &PredictionSummary| {
             let got = s.model_arc();
             let want = HorizonModel::build_reference(summary, 64, slot, gamma);
-            assert_eq!(got.materialized_count(), 3);
+            assert_eq!(got.materialized_count(), 4);
             for t in 0..=64 {
                 for r in (0..n).map(RequestId::from) {
                     let (a, b) = (got.tail(r, t), want.tail(r, t));
@@ -2537,16 +2416,15 @@ mod tests {
                 }
             }
         };
-        // Install: the default model has four slices, so this is a build.
         let p1 = wide(0.1);
-        s.update_prediction(&p1, 0);
+        uplink.ship(&mut s, &p1, 0);
         assert_eq!(s.diff_applied_updates(), 0);
         agrees_with_reference(&s, &p1);
         assert_eq!(s.next_batch(10).len(), 10);
-        // Same 40 offsets, request 0 reshaped: a diff, no longer refused
-        // for its width.
+        // Same 40 offsets, requests 0 and 3 reshaped: a delta, refused
+        // neither by the shadow nor by the model for its width.
         let p2 = wide(0.2);
-        s.update_prediction(&p2, 4);
+        uplink.ship(&mut s, &p2, 4);
         assert_eq!(s.diff_applied_updates(), 1);
         agrees_with_reference(&s, &p2);
         assert_eq!(s.next_batch(10).len(), 10);
@@ -2554,20 +2432,20 @@ mod tests {
 
     #[test]
     fn diff_updates_match_full_rebuild_state() {
-        // Drive a diff-enabled and a rebuild-every-time scheduler through
-        // the same overlapping update sequence (with scheduling and
-        // rollbacks in between) and compare the *semantic* sampling state:
-        // every candidate weight as the scan walk derives it.  (The two may
-        // legally emit different blocks — the diffed layout appends where a
-        // rebuild re-sorts — so block-level equality is checked separately
-        // against the scan variant by the parity proptest.)
+        // Drive one scheduler through the uplink (deltas after the first
+        // summary) and one with whole summaries (an install every time)
+        // through the same overlapping update sequence and compare the
+        // *semantic* sampling state: every candidate weight as the scan
+        // walk derives it.  (The two may legally emit different blocks — the
+        // diffed layout appends where an install re-sorts — so block-level
+        // equality is checked separately against the scan variant by the
+        // parity proptest.)
         let n = 40;
-        let mk_one = |diff: bool| {
+        let mk_one = || {
             let catalog = Arc::new(ResponseCatalog::uniform(n, 4, 1000));
             GreedyScheduler::new(
                 GreedySchedulerConfig {
                     cache_blocks: 24,
-                    prediction_diff: diff,
                     seed: 11,
                     ..Default::default()
                 },
@@ -2589,12 +2467,20 @@ mod tests {
             sparse_pred(n, vec![(RequestId(12), 0.5), (RequestId(20), 0.1)], 0.4),
             sparse_pred(n, vec![(RequestId(12), 0.45), (RequestId(20), 0.2)], 0.35),
         ];
-        let mut with_diff = mk_one(true);
-        let mut rebuild = mk_one(false);
+        let weight = |s: &GreedyScheduler, r: RequestId| {
+            if s.model.is_materialized(r) {
+                s.gain_for(r)
+            } else {
+                s.marginal_gain(r) * s.model.residual_tail(s.t)
+            }
+        };
+        let mut with_diff = mk_one();
+        let mut uplink = DirectUplink::new();
+        let mut rebuild = mk_one();
         for (i, pred) in updates.iter().enumerate() {
             // Updates-only (identical observable state on both sides):
             // compare every candidate weight.
-            with_diff.update_prediction(pred, 0);
+            uplink.ship(&mut with_diff, pred, 0);
             rebuild.update_prediction(pred, 0);
             assert!(
                 with_diff.debug_weight_divergence().is_empty(),
@@ -2602,38 +2488,45 @@ mod tests {
                 with_diff.debug_weight_divergence()
             );
             for r in (0..n).map(RequestId::from) {
-                let scale_d = with_diff.model.residual_tail(with_diff.t);
-                let scale_r = rebuild.model.residual_tail(rebuild.t);
-                let wd = if with_diff.model.is_materialized(r) {
-                    with_diff.gain_for(r)
-                } else {
-                    with_diff.marginal_gain(r) * scale_d
-                };
-                let wr = if rebuild.model.is_materialized(r) {
-                    rebuild.gain_for(r)
-                } else {
-                    rebuild.marginal_gain(r) * scale_r
-                };
+                let (wd, wr) = (weight(&with_diff, r), weight(&rebuild, r));
                 assert!(
                     (wd - wr).abs() <= 1e-9 * wr.abs().max(1e-9),
                     "weight({r:?}) diverged after update {i}: diff {wd} vs rebuild {wr}"
                 );
             }
         }
-        assert_eq!(with_diff.diff_applied_updates(), 4);
+        assert_eq!(with_diff.diff_applied_updates(), 3, "all but the first");
         assert_eq!(rebuild.diff_applied_updates(), 0);
         // With scheduling and rollbacks interleaved, the diffed sampler must
-        // stay internally consistent with its own model.
-        let mut s = mk_one(true);
-        for (i, pred) in updates.iter().enumerate() {
+        // stay internally consistent with its own model, and within 1e-9 of
+        // an install of the same summary at the same position (checked on
+        // every other update, so deltas land on diffed and on freshly built
+        // models alike).
+        let mut s = mk_one();
+        let mut uplink = DirectUplink::new();
+        for (i, pred) in updates.iter().chain(&updates).enumerate() {
             let _ = s.next_batch(10);
-            s.update_prediction(pred, i % (s.position() + 1));
+            let pos = i % (s.position() + 1);
+            uplink.ship(&mut s, pred, pos);
             assert!(
                 s.debug_weight_divergence().is_empty(),
                 "inconsistent after interleaved update {i}: {:?}",
                 s.debug_weight_divergence()
             );
+            if i % 2 == 0 {
+                continue;
+            }
+            let diffed: Vec<f64> = (0..n).map(|r| weight(&s, RequestId::from(r))).collect();
+            s.update_prediction(pred, s.position());
+            for (r, wd) in diffed.into_iter().enumerate() {
+                let wr = weight(&s, RequestId::from(r));
+                assert!(
+                    (wd - wr).abs() <= 1e-9 * wr.abs().max(1e-9),
+                    "weight({r}) diverged after interleaved update {i}: diff {wd} vs rebuild {wr}"
+                );
+            }
         }
+        assert!(s.diff_applied_updates() >= 6);
     }
 
     #[test]
@@ -2800,25 +2693,33 @@ mod tests {
                 catalog,
             );
             let mut client = ClientReplay::new(cache);
-            for &(kind, a, b) in ops {
+            // Predictions travel as they do on the wire, so a point
+            // prediction after another is a delta and its rollback runs
+            // through the diff path.  Every sequence ends on one (kind 6,
+            // which the generator never draws).
+            let mut uplink = DirectUplink::new();
+            let delta_tail = [(2, 0, 0), (0, 4, 0), (6, 1, 1)];
+            for &(kind, a, b) in ops.iter().chain(&delta_tail) {
                 match kind {
                     0 | 1 => {
                         let k = a % 5 + 1;
                         let batch = s.next_batch(k);
                         client.on_batch(k, &batch);
                     }
-                    2 => {
+                    2 | 6 => {
                         // A real sender reports a position within the
                         // scheduled tail: a rollback.
                         let pos = b % (s.position() + 1);
                         let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
-                        s.update_prediction(&pred, pos);
+                        let diffed = s.diff_applied_updates();
+                        uplink.ship(&mut s, &pred, pos);
                         client.on_update(pos);
+                        prop_assert!(kind == 2 || s.diff_applied_updates() > diffed);
                     }
                     3 => {
                         let pos = b % (s.position() + 1);
                         let pred = PredictionSummary::uniform(n, Time::ZERO);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &pred, pos);
                         client.on_update(pos);
                     }
                     _ => {
@@ -2830,7 +2731,7 @@ mod tests {
                         // settled on.
                         let pos = (s.position() + b % 4).min(cache);
                         let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &pred, pos);
                         client.on_update(s.position());
                     }
                 }
@@ -2961,10 +2862,21 @@ mod tests {
                 catalog,
             );
             let mut emitted = Vec::new();
+            // Every prediction travels as it does on the wire: whole the
+            // first time and whenever the slice layout changes, as a delta
+            // otherwise — which is what reaches the scheduler's diff path.
+            let mut uplink = DirectUplink::new();
             // Drifting prediction state for the overlapping-update ops
-            // (kinds 6–7): successive summaries share most entries, so the
-            // scheduler's diff path — not the full rebuild — is exercised.
+            // (kinds 6–7): successive summaries share most entries.
             let mut evolving: Vec<(usize, f64)> = vec![(0, 0.3), (1 % n, 0.2)];
+            let drifting = |evolving: &[(usize, f64)]| {
+                let entries: Vec<(RequestId, f64)> = evolving
+                    .iter()
+                    .map(|&(r, p)| (RequestId::from(r), p))
+                    .collect();
+                let mass: f64 = evolving.iter().map(|e| e.1).sum();
+                sparse_pred(n, entries, (1.0 - mass).max(0.1))
+            };
             for &(kind, a, b) in ops {
                 match kind {
                     // Batches large relative to the cache horizon force
@@ -2981,7 +2893,7 @@ mod tests {
                             1.0 - p1 - p2,
                         );
                         let pos = b % (s.position() + 1);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &pred, pos);
                     }
                     4 => {
                         // Time-varying prediction: early mass on one request,
@@ -3007,14 +2919,14 @@ mod tests {
                         ];
                         let pred = PredictionSummary::new(n, slices, Time::ZERO);
                         let pos = a % (s.position() + 1);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &pred, pos);
                     }
                     5 => {
                         // Sender-ahead gap, then keep scheduling below it
                         // later via the rollback ops above.
                         let pos = (s.position() + b % 3).min(cache);
                         let pred = PredictionSummary::uniform(n, Time::ZERO);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &pred, pos);
                     }
                     6 => {
                         // Overlapping re-prediction: mutate ONE entry of the
@@ -3038,21 +2950,16 @@ mod tests {
                                 evolving[i].1 *= (a % 5 + 1) as f64 / 3.0;
                             }
                         }
-                        let entries: Vec<(RequestId, f64)> = evolving
-                            .iter()
-                            .map(|&(r, p)| (RequestId::from(r), p))
-                            .collect();
-                        let mass: f64 = evolving.iter().map(|e| e.1).sum();
-                        let pred = sparse_pred(n, entries, (1.0 - mass).max(0.1));
                         let pos = a % (s.position() + 1);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &drifting(&evolving), pos);
                     }
                     _ => {
                         // Overlapping *shape-changing* re-prediction over
                         // the same slice offsets: early mass follows `a`,
                         // late mass follows the drifting entries, so
                         // successive updates move requests between shape
-                        // buckets through the diff path.
+                        // buckets — through the diff path when the shadow
+                        // can certify the delta.
                         let early = crate::distribution::SparseDistribution::from_entries(
                             n,
                             vec![(RequestId::from(a % n), 0.6)],
@@ -3078,10 +2985,22 @@ mod tests {
                             .collect();
                         let pred = PredictionSummary::new(n, slices, Time::ZERO);
                         let pos = b % (s.position() + 1);
-                        s.update_prediction(&pred, pos);
+                        uplink.ship(&mut s, &pred, pos);
                     }
                 }
             }
+            // Every case ends on the delta path, whatever state the ops
+            // above left behind: the drifting summary, then one reweighted
+            // entry of it under a rollback, then a batch drawn from the
+            // diffed sampler.
+            let pos = s.position();
+            uplink.ship(&mut s, &drifting(&evolving), pos);
+            emitted.extend(s.next_batch(cache));
+            evolving[0].1 *= 0.5;
+            let (diffed, pos) = (s.diff_applied_updates(), s.position() / 2);
+            uplink.ship(&mut s, &drifting(&evolving), pos);
+            assert!(s.diff_applied_updates() > diffed, "delta not diffed");
+            emitted.extend(s.next_batch(cache));
             // The incremental weight structure must agree with a
             // from-scratch recomputation of every candidate weight after any
             // op sequence — the diff path may never leave stale state.
@@ -3103,7 +3022,8 @@ mod tests {
             /// time-varying predictions (multiple tail-shape buckets),
             /// rollbacks, sender-ahead gaps, and *sequences of overlapping
             /// prediction updates* (add / remove / reweight / shape-change,
-            /// exercising the diff path) — under a fixed seed the legacy
+            /// shipped as deltas through the diff path, which every case
+            /// is asserted to reach) — under a fixed seed the legacy
             /// scan and the lazy-bucket sampler must emit identical schedules
             /// and identical simulated rings.
             #[test]

@@ -64,12 +64,12 @@ pub trait Scheduler: Send {
     /// of blocks of the current schedule already placed on the network.
     fn update_prediction(&mut self, summary: &PredictionSummary, sender_position: usize);
 
-    /// Sparse variant of [`update_prediction`](Scheduler::update_prediction):
+    /// Delta variant of [`update_prediction`](Scheduler::update_prediction):
     /// the caller (the prediction-delta path, see [`crate::delta`]) already
     /// knows exactly which requests' per-slice probabilities changed and
     /// carries the summary scalars a slot plan needs, so a diff-capable
-    /// scheduler can skip the `O(m · slices)` signature scan entirely.  The
-    /// default ignores the hint and runs the full update; only schedulers
+    /// scheduler can patch its model in `O(Δ · slices)`.  The default
+    /// ignores the hint and installs the whole summary; only schedulers
     /// with an incremental model ([`GreedyScheduler`]) override it.
     fn update_prediction_sparse(
         &mut self,
@@ -115,8 +115,8 @@ pub trait Scheduler: Send {
     /// Number of prediction updates applied so far.
     fn prediction_updates(&self) -> u64;
 
-    /// Prediction updates applied through a model *diff*
-    /// ([`HorizonModel::apply_update`]) rather than a full rebuild; the
+    /// Prediction deltas applied as a model *diff*
+    /// ([`HorizonModel::apply_update_sparse`]) rather than an install; the
     /// default covers schedulers with no diff path.  Aggregated across
     /// sessions by [`ShardStats`](crate::shard::ShardStats).
     fn diff_applied_updates(&self) -> u64 {
@@ -174,7 +174,7 @@ pub trait Scheduler: Send {
 /// `O(m · horizon)` — while it is being built as well as afterwards, since
 /// [`HorizonModel::build`] classifies by per-slice signature and materializes
 /// one tail vector per distinct shape — and a magnitude-only prediction
-/// change is a single scalar update (see [`HorizonModel::apply_update`]).
+/// change is a single scalar update (see [`HorizonModel::apply_update_sparse`]).
 /// Only irregular requests keep a full per-slot vector.
 #[derive(Debug, Clone)]
 pub struct HorizonModel {
@@ -249,14 +249,14 @@ pub enum ExplicitPlacement {
 }
 
 /// The result of one incremental prediction update
-/// ([`HorizonModel::apply_update`]): exactly which requests entered, left,
+/// ([`HorizonModel::apply_update_sparse`]): exactly which requests entered, left,
 /// moved within, or rescaled inside the explicit layout, so a sampler
 /// mirroring the layout can apply point updates instead of rebuilding.
 ///
 /// All request lists are ascending; `removed` covers every structural
 /// removal (departures plus moves) and `placed` every structural insertion
 /// (joins plus moves), in the order they were applied to the partition.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelDiff {
     /// Requests that left the materialized set entirely.
     pub departed: Vec<RequestId>,
@@ -306,7 +306,7 @@ const SHAPE_EPS: f64 = 1e-9;
 ///
 /// At build time membership lists are ascending by request id (the
 /// partition is built from the id-sorted materialized set); under diff
-/// updates ([`HorizonModel::apply_update`]) joiners are appended, so lists
+/// updates ([`HorizonModel::apply_update_sparse`]) joiners are appended, so lists
 /// stay deterministic — a function of the update sequence — but not sorted.
 /// Determinism of the layout, not sortedness, is what seed-reproducible
 /// sampling requires.
@@ -601,19 +601,13 @@ impl HorizonModel {
         (self.tail(request, k) - self.tail(request, k + 1)) / d
     }
 
-    /// Applies a fresh prediction *incrementally*: diffs `summary` against
-    /// the summary this model was built from, keeps tails and bucket
-    /// membership for requests whose signature is unchanged, rescales
-    /// shape-preserving changes in `O(1)`, and recomputes + reclassifies only
-    /// the structurally changed set.  Returns the [`ModelDiff`] a sampler
-    /// mirroring the layout needs to apply matching point updates.
-    ///
-    /// Returns `None` — leaving the model untouched — when the update cannot
-    /// be applied as a small diff and the caller must fall back to
-    /// [`HorizonModel::build`]: a changed horizon / slot duration / γ /
-    /// slice-offset set, a structurally changed set larger than
-    /// `max(64, m/4)`, or a new tail shape arriving while the bucket cap is
-    /// reached with stale (empty) buckets worth reclaiming.
+    /// The whole-summary *oracle* of
+    /// [`apply_update_sparse`](HorizonModel::apply_update_sparse): finds the
+    /// changed set itself, by an `O(m · slices)` merge scan of every
+    /// signature, then applies the same plan.  No scheduler calls it — a
+    /// whole summary installs [`HorizonModel::build`], which costs the same
+    /// scan; the sparse planner is tested against it (same [`ModelDiff`],
+    /// bit-identical model) and the repo benchmark's shadow model times it.
     pub fn apply_update(&mut self, summary: &PredictionSummary) -> Option<ModelDiff> {
         let slices = summary.slices();
         if self.n != summary.num_requests()
@@ -687,19 +681,25 @@ impl HorizonModel {
         )
     }
 
-    /// Sparse variant of [`apply_update`](HorizonModel::apply_update), fed by
-    /// the prediction-delta path: `changes.changed` lists (a provably
+    /// Applies a prediction delta *incrementally*: keeps tails and bucket
+    /// membership for requests whose signature is unchanged, rescales
+    /// shape-preserving changes in `O(1)`, and recomputes + reclassifies only
+    /// the structurally changed set.  `changes.changed` lists (a provably
     /// complete superset of) the requests whose per-slice probabilities
     /// differ from the summary this model was built from, and
     /// `changes.scalars` carries the per-slice masses and adjacent-union
     /// counts the slot plan needs — both produced by the per-session
     /// [`ShadowSummary`](crate::delta::ShadowSummary) while patching the
-    /// client's delta in.  Diff planning is `O(Δ · slices)` instead of the
-    /// full path's `O(m · slices)` signature scan; classification, the
-    /// residual-tail recompute, the returned [`ModelDiff`], and every
-    /// bail-out rule match [`apply_update`](HorizonModel::apply_update)
-    /// exactly (the scalars are computed in the same summation order, so the
-    /// two paths build bit-identical plans).
+    /// client's delta in — so planning is `O(Δ · slices)`.  Returns the
+    /// [`ModelDiff`] a sampler mirroring the layout needs to apply matching
+    /// point updates.
+    ///
+    /// Returns `None` — leaving the model untouched — when the update cannot
+    /// be applied as a small diff and the caller must fall back to
+    /// [`HorizonModel::build`]: a changed slice-offset set, a structurally
+    /// changed set larger than `max(64, m/4)`, or a new tail shape arriving
+    /// while the bucket cap is reached with stale (empty) buckets worth
+    /// reclaiming.
     pub fn apply_update_sparse(
         &mut self,
         summary: &PredictionSummary,
@@ -2208,6 +2208,325 @@ mod tests {
         /// The generator reaches every regime the comparison is meant to
         /// cover (a generator that stopped producing, say, irregular
         /// overflow would leave the property above vacuously green there).
+        #[test]
+        fn generator_reaches_every_regime() {
+            let mut reached = [false; REGIMES.len()];
+            for seed in 0..400 {
+                for (seen, now) in reached.iter_mut().zip(check(seed)) {
+                    *seen |= now;
+                }
+            }
+            let missed: Vec<&str> = REGIMES
+                .iter()
+                .zip(reached)
+                .filter_map(|(name, seen)| (!seen).then_some(*name))
+                .collect();
+            assert!(missed.is_empty(), "never generated: {missed:?}");
+        }
+    }
+
+    /// [`HorizonModel::apply_update_sparse`], fed the way a session feeds it
+    /// ([`DeltaTracker`] → [`ShadowSummary`]), pinned to the whole-summary
+    /// oracle [`HorizonModel::apply_update`]: same [`ModelDiff`] (or the same
+    /// refusal), and a model identical to the bit.
+    ///
+    /// [`DeltaTracker`]: crate::delta::DeltaTracker
+    /// [`ShadowSummary`]: crate::delta::ShadowSummary
+    mod sparse_planner {
+        use super::*;
+        use crate::delta::{
+            DeltaTracker, PredictionChanges, PredictionDelta, ShadowApply, ShadowSummary,
+            SliceDelta,
+        };
+        use crate::protocol::ClientMessage;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// What one case must be able to exercise; [`check`] reports which of
+        /// them it did, in this order.
+        const REGIMES: [&str; 11] = [
+            "rescale in place",
+            "join",
+            "departure",
+            "move between spots",
+            "new bucket",
+            "irregular placement",
+            "more than 32 slices",
+            "refused: too many changes",
+            "refused: bucket cap hit with stale buckets to reclaim",
+            // The shadow could not certify the delta (a residual shifted
+            // under requests explicit in only some slices); the sparse
+            // planner is then fed every materialized id, old and new.
+            "uncertified delta",
+            "delta on a diffed model",
+        ];
+
+        /// Per-slice multiplier of palette shape `s` (29 distinct vectors,
+        /// none proportional to another).
+        fn shape(s: usize, slice: usize) -> f64 {
+            1.0 + ((s * 7 + slice * (s + 3)) % 29) as f64 * 0.125
+        }
+
+        /// One request of a generated prediction: palette shape, magnitude,
+        /// and the slices that carry an explicit entry for it.
+        #[derive(Clone)]
+        struct Entry {
+            shape: usize,
+            magnitude: f64,
+            explicit: Vec<bool>,
+        }
+
+        /// A prediction as the generator evolves it: entries are stored as
+        /// given (`from_normalized`), so a request the perturbation leaves
+        /// alone keeps its bits and stays out of the delta.
+        #[derive(Clone)]
+        struct Prediction {
+            deltas: Vec<Duration>,
+            requests: Vec<Option<Entry>>,
+            /// Residual mass per slice.
+            residual: Vec<f64>,
+        }
+
+        impl Prediction {
+            fn summary(&self) -> PredictionSummary {
+                let n = self.requests.len();
+                let unit = 0.9 / (8.0 * 4.625 * n as f64);
+                let slices = (self.deltas.iter().enumerate())
+                    .map(|(i, &delta)| {
+                        let entries = (self.requests.iter().enumerate())
+                            .filter_map(|(r, e)| {
+                                let e = e.as_ref()?;
+                                let p = unit * e.magnitude * shape(e.shape, i);
+                                e.explicit[i].then_some((RequestId::from(r), p))
+                            })
+                            .collect();
+                        let dist =
+                            SparseDistribution::from_normalized(n, entries, self.residual[i]);
+                        HorizonSlice { delta, dist }
+                    })
+                    .collect();
+                PredictionSummary::new(n, slices, Time::ZERO)
+            }
+
+            fn random_entry(&self, rng: &mut StdRng, shapes: usize) -> Entry {
+                let slices = self.deltas.len();
+                let explicit = if rng.gen_bool(0.25) {
+                    let mut some: Vec<bool> = (0..slices).map(|_| rng.gen_bool(0.5)).collect();
+                    some[rng.gen_range(0..slices)] = true;
+                    some
+                } else {
+                    vec![true; slices]
+                };
+                Entry {
+                    shape: rng.gen_range(0..shapes),
+                    magnitude: [0.0, 1.0, 2.0, 4.0, 8.0][rng.gen_range(0..5)],
+                    explicit,
+                }
+            }
+
+            /// One step of drift: a handful of rescales, reshapes, joins and
+            /// departures; now and then a residual shift, a vacated shape
+            /// (which leaves a stale bucket behind) or a wholesale reshape.
+            fn perturb(&mut self, rng: &mut StdRng, shapes: usize) {
+                let n = self.requests.len();
+                for _ in 0..rng.gen_range(1..=6) {
+                    let r = rng.gen_range(0..n);
+                    let fresh = self.random_entry(rng, shapes);
+                    match (rng.gen_range(0..4), self.requests[r].as_mut()) {
+                        (0, Some(e)) => e.magnitude = if e.magnitude > 0.0 { 1.0 } else { 2.0 },
+                        (1, Some(e)) => e.shape = fresh.shape,
+                        (2, Some(_)) => self.requests[r] = None,
+                        _ => self.requests[r] = Some(fresh),
+                    }
+                }
+                match rng.gen_range(0..10) {
+                    0 => {
+                        let i = rng.gen_range(0..self.residual.len());
+                        self.residual[i] = [0.0, 0.02, 0.05][rng.gen_range(0..3)];
+                    }
+                    1 => {
+                        let vacated = rng.gen_range(0..shapes);
+                        for e in &mut self.requests {
+                            if e.as_ref().is_some_and(|e| e.shape == vacated) {
+                                *e = None;
+                            }
+                        }
+                    }
+                    2 => {
+                        for e in self.requests.iter_mut().flatten() {
+                            e.shape = (e.shape + 1) % shapes;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        fn assert_identical(a: &HorizonModel, b: &HorizonModel, seed: u64) {
+            assert_eq!(a.materialized_ids, b.materialized_ids, "seed {seed}");
+            assert_eq!(a.signatures, b.signatures, "seed {seed}");
+            assert_eq!(bits(&a.residual), bits(&b.residual), "seed {seed}");
+            assert_eq!(a.partition.irregular, b.partition.irregular, "seed {seed}");
+            assert_eq!(a.partition.buckets.len(), b.partition.buckets.len());
+            for (x, y) in a.partition.buckets.iter().zip(&b.partition.buckets) {
+                assert_eq!((x.rep, &x.members), (y.rep, &y.members), "seed {seed}");
+                assert_eq!(bits(&x.shape), bits(&y.shape), "seed {seed}");
+            }
+            assert_eq!(a.explicit.len(), b.explicit.len(), "seed {seed}");
+            for &r in &a.materialized_ids {
+                match (&a.explicit[&r], &b.explicit[&r]) {
+                    (
+                        ExplicitTail::Scaled { bucket, coef },
+                        ExplicitTail::Scaled {
+                            bucket: other,
+                            coef: other_coef,
+                        },
+                    ) => assert_eq!(
+                        (bucket, coef.to_bits()),
+                        (other, other_coef.to_bits()),
+                        "seed {seed}: {r:?}"
+                    ),
+                    (ExplicitTail::Full(x), ExplicitTail::Full(y)) => {
+                        assert_eq!(bits(x), bits(y), "seed {seed}: {r:?}")
+                    }
+                    _ => panic!("seed {seed}: {r:?} is stored two ways"),
+                }
+            }
+        }
+
+        fn check(seed: u64) -> [bool; REGIMES.len()] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(8usize..140);
+            let num_slices = if rng.gen_bool(0.15) {
+                rng.gen_range(33usize..=40)
+            } else {
+                rng.gen_range(1usize..=5)
+            };
+            let mut delta_ms = 0u64;
+            let deltas: Vec<Duration> = (0..num_slices)
+                .map(|_| {
+                    delta_ms += rng.gen_range(10u64..60);
+                    Duration::from_millis(delta_ms)
+                })
+                .collect();
+            let (slot, horizon) = match rng.gen_range(0..2) {
+                0 => (Duration::from_millis(5), rng.gen_range(8usize..96)),
+                _ => (Duration::from_millis(20), rng.gen_range(8usize..64)),
+            };
+            let gamma = [0.8, 1.0][rng.gen_range(0..2)];
+            // Few shapes: every request finds a bucket.  Many: the cap is
+            // reached and the rest go irregular.
+            let shapes = [2, 6, 29][rng.gen_range(0..3)];
+
+            let mut prediction = Prediction {
+                deltas,
+                requests: vec![None; n],
+                residual: vec![0.05; num_slices],
+            };
+            let share = [0.3, 0.9][rng.gen_range(0..2)];
+            for r in 0..n {
+                if rng.gen_bool(share) {
+                    prediction.requests[r] = Some(prediction.random_entry(&mut rng, shapes));
+                }
+            }
+
+            // Deltas whenever the slice layout allows, whatever their size.
+            let mut tracker = DeltaTracker::new().with_max_delta_ratio(f64::INFINITY);
+            let mut shadow = ShadowSummary::new();
+            let base = prediction.summary();
+            let ClientMessage::PredictorFull {
+                generation,
+                summary,
+            } = tracker.encode(&base)
+            else {
+                panic!("a tracker's first message is a whole summary");
+            };
+            shadow.install(generation, summary);
+            let mut model = HorizonModel::build(&base, horizon, slot, gamma);
+            let mut diffed = false;
+            let mut reached = [false; REGIMES.len()];
+            reached[6] = num_slices > 32;
+
+            for _ in 0..rng.gen_range(1..=4) {
+                prediction.perturb(&mut rng, shapes);
+                let next = prediction.summary();
+                let ClientMessage::PredictorDelta(delta) = tracker.encode(&next) else {
+                    panic!("seed {seed}: same slice layout, yet not a delta");
+                };
+                let mut oracle = model.clone();
+                let want = oracle.apply_update(&next);
+                let got = match shadow.apply(&delta).expect("tracker and shadow agree") {
+                    ShadowApply::Sparse { summary, changes } => {
+                        assert_eq!(summary, &next, "seed {seed}: shadow drifted");
+                        model.apply_update_sparse(summary, &changes)
+                    }
+                    ShadowApply::Full { .. } => {
+                        reached[9] = true;
+                        // An empty delta is always certified: it hands out
+                        // the shadow's scalars for `next`.
+                        let empty = PredictionDelta {
+                            base_generation: delta.generation,
+                            generation: delta.generation,
+                            generated_at: delta.generated_at,
+                            slices: vec![SliceDelta::default(); num_slices],
+                        };
+                        let Ok(ShadowApply::Sparse { summary, changes }) = shadow.apply(&empty)
+                        else {
+                            panic!("seed {seed}: an empty delta was not certified");
+                        };
+                        let mut changed = model.materialized_ids.clone();
+                        changed.extend(next.materialized_requests());
+                        changed.sort_unstable();
+                        changed.dedup();
+                        let changes = PredictionChanges { changed, ..changes };
+                        model.apply_update_sparse(summary, &changes)
+                    }
+                };
+                assert_eq!(got, want, "seed {seed}");
+                let stale = model.partition.buckets.len() == MAX_SHAPE_BUCKETS
+                    && model.partition.buckets.iter().any(|b| b.members.is_empty());
+                match &want {
+                    Some(diff) => {
+                        use ExplicitPlacement::Irregular;
+                        reached[0] |= !diff.rescaled.is_empty();
+                        reached[1] |= !diff.joined.is_empty();
+                        reached[2] |= !diff.departed.is_empty();
+                        reached[3] |= diff.removed.len() > diff.departed.len();
+                        reached[4] |= diff.buckets_added > 0;
+                        reached[5] |= diff.placed.iter().any(|&(_, p)| p == Irregular);
+                        reached[10] |= diffed;
+                        diffed = true;
+                    }
+                    // A refusal leaves both models as they were; the caller
+                    // installs the build.
+                    None => {
+                        reached[if stale { 8 } else { 7 }] = true;
+                        assert_identical(&model, &oracle, seed);
+                        model = HorizonModel::build(&next, horizon, slot, gamma);
+                        oracle = model.clone();
+                        diffed = false;
+                    }
+                }
+                assert_identical(&model, &oracle, seed);
+            }
+            reached
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn sparse_update_matches_whole_summary_oracle(seed in any::<u64>()) {
+                check(seed);
+            }
+        }
+
+        /// See `oracle::generator_reaches_every_regime`.
         #[test]
         fn generator_reaches_every_regime() {
             let mut reached = [false; REGIMES.len()];

@@ -54,11 +54,6 @@ struct ReplanState {
     /// schedule drain), this count is exact.
     confirmed: usize,
     updates: u64,
-    /// Updates absorbed as a model diff ([`HorizonModel::apply_update`])
-    /// instead of a from-scratch rebuild.  The *plan* is still recomputed
-    /// every update — exact solvers have no incremental plan — but the
-    /// model is not re-materialized.
-    diff_updates: u64,
 }
 
 impl ReplanState {
@@ -76,24 +71,13 @@ impl ReplanState {
             issued: Vec::new(),
             confirmed: 0,
             updates: 0,
-            diff_updates: 0,
         }
     }
 
-    /// Brings the model up to date with `summary`: a diff against the
-    /// current model when the parameters still match (the common case — the
-    /// horizon is fixed and the slot duration only changes with the
-    /// bandwidth estimate), a full rebuild otherwise.
+    /// Replaces the model with the build for `summary` at the current slot
+    /// duration.
     fn refresh_model(&mut self, summary: &PredictionSummary) {
-        let diffable = self.model.horizon() == self.horizon
-            && self.model.slot_duration() == self.slot_duration
-            && self.model.gamma().to_bits() == self.gamma.to_bits()
-            && self.model.apply_update(summary).is_some();
-        if diffable {
-            self.diff_updates += 1;
-        } else {
-            self.model = HorizonModel::build(summary, self.horizon, self.slot_duration, self.gamma);
-        }
+        self.model = HorizonModel::build(summary, self.horizon, self.slot_duration, self.gamma);
         self.updates += 1;
     }
 
@@ -294,10 +278,6 @@ macro_rules! impl_replan_scheduler {
 
             fn prediction_updates(&self) -> u64 {
                 self.state.updates
-            }
-
-            fn diff_applied_updates(&self) -> u64 {
-                self.state.diff_updates
             }
 
             fn name(&self) -> &'static str {
@@ -556,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn replans_absorb_same_structure_updates_as_diffs() {
+    fn replan_after_a_second_update_matches_a_fresh_scheduler() {
         fn spread(n: usize, weights: &[(u32, f64)]) -> PredictionSummary {
             PredictionSummary::new(
                 n,
@@ -576,25 +556,21 @@ mod tests {
         let n = 6;
         let catalog = Arc::new(ResponseCatalog::uniform(n, 3, 100));
         let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 3);
-        let mut incremental = OptimalScheduler::new(utility.clone(), catalog.clone());
+        let mut twice = OptimalScheduler::new(utility.clone(), catalog.clone());
         let mut fresh = OptimalScheduler::new(utility, catalog);
 
         let s1 = spread(n, &[(0, 0.55), (1, 0.3), (2, 0.15)]);
         let s2 = spread(n, &[(3, 0.55), (1, 0.3), (0, 0.15)]);
-        Scheduler::update_prediction(&mut incremental, &s1, 0);
-        Scheduler::update_prediction(&mut incremental, &s2, 0);
+        Scheduler::update_prediction(&mut twice, &s1, 0);
+        Scheduler::update_prediction(&mut twice, &s2, 0);
         Scheduler::update_prediction(&mut fresh, &s2, 0);
-        assert!(
-            incremental.diff_applied_updates() >= 1,
-            "a same-structure re-prediction must be absorbed as a model diff"
-        );
-        // The diff-updated model must produce the same plan as a fresh
-        // build from the final summary (no blocks issued in between, so
-        // both plans start from an empty cache).
+        // A whole summary replaces the model: nothing of `s1` may survive
+        // into the plan (no blocks issued in between, so both plans start
+        // from an empty cache).
         assert_eq!(
-            Scheduler::next_batch(&mut incremental, 2 * n),
+            Scheduler::next_batch(&mut twice, 2 * n),
             Scheduler::next_batch(&mut fresh, 2 * n),
-            "diff-applied replan diverged from a from-scratch rebuild"
+            "replan after a second update diverged from a fresh scheduler"
         );
     }
 

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use crate::bandwidth::BandwidthEstimator;
 use crate::block::{BlockMeta, ResponseCatalog};
-use crate::delta::{PredictionDelta, ShadowApply, ShadowSummary};
+use crate::delta::{PredictionDelta, ShadowSummary};
 use crate::distribution::PredictionSummary;
 use crate::predictor::simple::SimpleServerPredictor;
 use crate::predictor::{PredictorState, ServerPredictor};
@@ -167,31 +167,23 @@ impl Session {
     }
 
     /// Applies a prediction delta against the shadow summary and re-plans
-    /// through the sparse scheduler path (`O(Δ)` — no signature scan).
+    /// through the scheduler's diff path (`O(Δ)`) — or, when the shadow
+    /// cannot certify the changed-set, by installing the patched summary.
     /// Returns [`MessageOutcome::NeedsResync`] if the delta's base
     /// generation does not match the shadow, leaving the schedule running
     /// on the last applied prediction.
     pub fn on_predictor_delta(&mut self, delta: &PredictionDelta) -> MessageOutcome {
-        let this = &mut *self;
-        match this.shadow.apply(delta) {
-            Ok(ShadowApply::Sparse { summary, changes }) => {
-                this.queue.clear();
-                this.scheduler
-                    .update_prediction_sparse(summary, &changes, this.sent_in_schedule);
-                this.delta_updates += 1;
-                MessageOutcome::Handled
-            }
-            Ok(ShadowApply::Full { summary }) => {
-                // Applied, but the changed-set could not be certified
-                // complete (partial-mask signatures shifted): full scan.
-                this.queue.clear();
-                this.scheduler
-                    .update_prediction(summary, this.sent_in_schedule);
-                this.delta_updates += 1;
+        let applied = self
+            .shadow
+            .apply_to(delta, &mut *self.scheduler, self.sent_in_schedule);
+        match applied {
+            Ok(()) => {
+                self.queue.clear();
+                self.delta_updates += 1;
                 MessageOutcome::Handled
             }
             Err(_) => {
-                this.resync_requests += 1;
+                self.resync_requests += 1;
                 MessageOutcome::NeedsResync
             }
         }
@@ -349,8 +341,8 @@ impl Session {
         self.scheduler.prediction_updates()
     }
 
-    /// Prediction updates the scheduler absorbed as a model diff instead of
-    /// a full rebuild (see [`Scheduler::diff_applied_updates`]).
+    /// Prediction deltas the scheduler absorbed as a model diff instead of
+    /// an install (see [`Scheduler::diff_applied_updates`]).
     pub fn diff_applied_updates(&self) -> u64 {
         self.scheduler.diff_applied_updates()
     }
@@ -1878,10 +1870,9 @@ mod tests {
 
     #[test]
     fn builder_adopts_the_cached_uniform_model_without_building_its_own() {
-        // The builder resolves the uniform prior through the model cache
-        // first; the state must be the one `with_context` followed by
-        // `attach_model_cache` reaches (which builds a private uniform model
-        // and drops it for the cache's).
+        // The builder resolves the uniform prior through the model cache,
+        // building it once; the state must be the one a scheduler handed
+        // the same cache directly reaches.
         let cat = catalog(40, 4);
         let shared = utility(4);
         let ctx = Arc::new(GreedyContext::new(&shared, &cat));
@@ -1908,22 +1899,15 @@ mod tests {
             ..cfg
         };
         let direct = GreedyScheduler::with_context_and_cache(
-            by_hand_cfg.clone(),
+            by_hand_cfg,
             shared.clone(),
             cat.clone(),
-            ctx.clone(),
+            ctx,
             Some(cache.clone()),
         );
-        let mut attached =
-            GreedyScheduler::with_context(by_hand_cfg, shared.clone(), cat.clone(), ctx);
-        attached.attach_model_cache(cache.clone());
-        assert!(Arc::ptr_eq(direct.model_arc(), attached.model_arc()));
-        assert_eq!((cache.misses(), cache.hits()), (1, 2), "both adopt it");
-        // ... and it is the model the built session holds: it survives the
-        // two schedulers.
-        drop(direct);
+        assert_eq!((cache.misses(), cache.hits()), (1, 1), "adopted, not built");
         let mut by_hand = Session::builder(shared.clone(), cat)
-            .scheduler(Box::new(attached))
+            .scheduler(Box::new(direct))
             .build();
         assert_eq!(cache.live_models(), 1);
 
@@ -1986,7 +1970,7 @@ mod tests {
 
     #[test]
     fn park_holds_model_cache_refcounts() {
-        // Two sessions with identical prediction histories share one model.
+        // Two sessions holding the same prediction share one model.
         // Parking one must keep the shared model alive; dropping the park
         // releases it.
         let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);

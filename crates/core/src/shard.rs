@@ -96,7 +96,7 @@ pub struct ShardSnapshot {
     pub bytes_sent: u64,
     /// Prediction summaries applied across sessions.
     pub prediction_updates: u64,
-    /// Prediction updates applied as model diffs instead of full rebuilds.
+    /// Prediction deltas applied as model diffs instead of installs.
     pub diff_applied_updates: u64,
     /// Scheduled slots rejected by the gap heuristic.
     pub rejected_gap_slots: u64,
@@ -824,6 +824,12 @@ mod tests {
         /// durations, so these are what notices a shard left on a stale
         /// budget.
         probes: Vec<(SlotLog, SlotLog)>,
+        /// What fixes the model each live session holds, for those that
+        /// have predicted: the prediction, and — standing in for the slot
+        /// duration it was installed at — the session's weight and the
+        /// first probe's slot at that moment.
+        held: HashMap<SessionId, (u32, u64, Option<crate::types::Duration>)>,
+        weights: HashMap<SessionId, f64>,
     }
 
     impl ParityRig {
@@ -845,6 +851,8 @@ mod tests {
                 live: Vec::new(),
                 added: 0,
                 probes,
+                held: HashMap::new(),
+                weights: HashMap::new(),
             }
         }
 
@@ -855,7 +863,16 @@ mod tests {
             let b = self.sharded.add_session(builder(&self.cat, weight, seed));
             assert_eq!(a, b, "id allocation diverged");
             self.live.push(a);
+            self.weights.insert(a, weight);
             self.check();
+        }
+
+        /// Moves session `id` to `spread_prediction(base)`.
+        fn predict(&mut self, id: SessionId, base: u32) {
+            self.message(id, &ClientMessage::Predictor(spread_prediction(base)));
+            let slot = last_slot(&self.probes[0].0);
+            self.held
+                .insert(id, (base % N as u32, self.weights[&id].to_bits(), slot));
         }
 
         fn message(&mut self, id: SessionId, message: &ClientMessage) {
@@ -863,6 +880,7 @@ mod tests {
             self.sharded.on_message(id, message, Time::ZERO);
             if matches!(message, ClientMessage::Close) {
                 self.live.retain(|sid| *sid != id);
+                self.held.remove(&id);
             }
             self.check();
         }
@@ -871,6 +889,7 @@ mod tests {
             assert!(self.single.remove_session(id));
             assert!(self.sharded.remove_session(id));
             self.live.retain(|sid| *sid != id);
+            self.held.remove(&id);
             self.check();
         }
 
@@ -903,6 +922,17 @@ mod tests {
                 );
             }
             self.check();
+            // Dedup does not depend on when a session re-predicted or on
+            // what it held before: one model per distinct (prediction, slot
+            // duration) held — at most distinct predictions × distinct slot
+            // durations — plus the uniform prior of those yet to predict.
+            let mut distinct: Vec<_> = self.held.values().collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let bound = distinct.len() + usize::from(self.held.len() < self.live.len());
+            let (in_single, in_sharded) = (self.single.live_models(), self.sharded.live_models());
+            assert!(in_single <= bound, "{in_single} models, {bound} distinct");
+            assert!(in_sharded <= bound, "{in_sharded} models, {bound} distinct");
             single.values().map(Vec::len).sum()
         }
     }
@@ -989,8 +1019,15 @@ mod tests {
         }
         let ids = rig.live.clone();
         for (i, id) in ids.iter().enumerate() {
-            rig.message(*id, &ClientMessage::Predictor(spread_prediction(i as u32)));
+            rig.predict(*id, i as u32);
         }
+        // The three weight-1 sessions meet on one prediction, coming from
+        // three different ones, one of them by way of a fourth.
+        rig.predict(ids[2], 9);
+        for id in [ids[0], ids[2], ids[4]] {
+            rig.predict(id, 5);
+        }
+        assert_eq!(rig.single.live_models(), 3, "1, 3, and 0/2/4 together");
         rig.message(
             ids[1],
             &ClientMessage::RateReport(Bandwidth::from_mbps(3.0)),
@@ -1003,7 +1040,7 @@ mod tests {
         rig.message(ids[2], &ClientMessage::Close);
         rig.add(2.0);
         let joined = *rig.live.last().expect("just added");
-        rig.message(joined, &ClientMessage::Predictor(spread_prediction(7)));
+        rig.predict(joined, 7);
         rig.message(
             ids[0],
             &ClientMessage::RateReport(Bandwidth::from_mbps(9.0)),
@@ -1126,8 +1163,7 @@ mod tests {
                 // Prediction churn.
                 2 => {
                     if !rig.live.is_empty() {
-                        let id = rig.live[a as usize % rig.live.len()];
-                        rig.message(id, &ClientMessage::Predictor(spread_prediction(b)));
+                        rig.predict(rig.live[a as usize % rig.live.len()], b);
                     }
                 }
                 // Rate report (re-divides the shared budget).
@@ -1154,6 +1190,20 @@ mod tests {
                         bits = bits.rotate_right(7) ^ a;
                     }
                 }
+                // Re-predictions out of step: `1..=8` sessions move to one
+                // prediction, each by way of a detour of its own, so they
+                // meet on it at different rounds, coming from different ones.
+                6 => {
+                    let mut bits = b;
+                    for _ in 0..=a % 8 {
+                        if !rig.live.is_empty() {
+                            let id = rig.live[bits as usize % rig.live.len()];
+                            rig.predict(id, 3 + (bits >> 8) % 5);
+                            rig.predict(id, a % 3);
+                        }
+                        bits = bits.rotate_right(7) ^ a;
+                    }
+                }
                 // Drain both runtimes to idle and compare.
                 _ => {
                     rig.drain_and_compare();
@@ -1169,12 +1219,14 @@ mod tests {
             /// The tentpole determinism guarantee: a fixed-seed sharded run
             /// produces per-session block sequences identical to the
             /// single-threaded manager's, across adds, closes, removals,
-            /// prediction churn, rate reports, runs of budget changes that
-            /// reach no shard until the next pump, and drain points.
+            /// prediction churn (in step and out of it), rate reports, runs
+            /// of budget changes that reach no shard until the next pump,
+            /// and drain points — and neither side holds more models than
+            /// there are distinct predictions held.
             #[test]
             fn sharded_matches_single_threaded(
                 shards in 2usize..5,
-                ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..24),
+                ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..24),
             ) {
                 let mut rig = ParityRig::new(shards);
                 for weight in [1.0, 2.0, 1.0] {

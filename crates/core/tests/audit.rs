@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use khameleon_core::audit::{AuditCheck, AuditConfig};
 use khameleon_core::block::ResponseCatalog;
+use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig};
 use khameleon_core::types::{RequestId, Time};
@@ -37,7 +38,7 @@ fn scheduler(n: usize, cache: usize) -> GreedyScheduler {
 }
 
 /// A churning sequence of predictions over a fixed materialized core plus a
-/// rotating fringe — structurally small diffs, so most updates take the
+/// rotating fringe — small deltas on the wire, so all but the first take the
 /// diff path (exercising the diff-signature shadow rebuild).
 fn churn_pred(n: usize, round: usize) -> PredictionSummary {
     let core = [
@@ -61,6 +62,7 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
     let cache = 48;
     let mut s = scheduler(n, cache);
     s.audit_attach(AuditConfig::every_event());
+    let mut uplink = DirectUplink::new();
     for round in 0..40 {
         // Alternate forward progress with partial rollbacks so the audited
         // state covers scheduling, eviction, schedule wrap, and re-planning.
@@ -69,11 +71,11 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
         } else {
             s.position()
         };
-        s.update_prediction(&churn_pred(n, round), sender_position);
+        uplink.ship(&mut s, &churn_pred(n, round), sender_position);
         s.next_batch(12);
     }
     assert!(
-        s.diff_applied_updates() > 0,
+        s.diff_applied_updates() >= 30,
         "churn workload must exercise the diff path"
     );
     let report = s.audit_report().expect("auditor attached");

@@ -17,7 +17,7 @@
 //!   `shards` isolates the *cost* of the session layer — the policy never
 //!   moves (see `docs/SHARDING.md`).
 //! * **Model dedup is observable.**  Sessions sharing a predictor profile
-//!   have bit-identical prediction histories and resolve to one shared
+//!   hold bit-identical predictions and resolve to one shared
 //!   `HorizonModel`; `ShardStats::live_models` reports the fleet-wide
 //!   distinct-model count.
 

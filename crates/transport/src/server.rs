@@ -232,8 +232,16 @@ struct Conn {
     dying: bool,
     /// Cross-shard resume in flight: `(token, last_seq, target shard)`.
     pending_handoff: Option<(u64, u64, usize)>,
-    /// Frames fully written to the socket; the fault plan's frame key.
+    /// Frames that have left the queue (written out, or swallowed by a
+    /// `Drop` fault).
     flushed_frames: u64,
+    /// How many frames were queued before the peer's first frame was
+    /// handled (`None` until it is).  The fault plan counts a connection's
+    /// frames from there and leaves the earlier ones alone: a streaming
+    /// session emits blocks from the moment it is accepted, and a fault
+    /// landing among those could cut the connection before its `Hello` is
+    /// read, let alone answered.
+    fault_base: Option<u64>,
     /// Frame index the fault plan has been consulted up to (fire-once).
     fault_checked: u64,
     /// Flush passes this connection remains frozen for (injected stall).
@@ -261,6 +269,7 @@ impl Conn {
             dying: false,
             pending_handoff: None,
             flushed_frames: 0,
+            fault_base: None,
             fault_checked: 0,
             stall_ticks: 0,
             // A client sends its first frame right behind `connect`: reading
@@ -937,6 +946,8 @@ impl EventLoop {
                     // handle_resume either re-attaches the parked one or
                     // falls back to a fresh session here.
                     let i = self.push_conn(stream);
+                    // Its first frame, the `Resume`, was read by the sibling.
+                    self.conns[i].fault_base = Some(0);
                     self.conns[i].credits = credits;
                     self.conns[i].inbuf.extend(&leftover);
                     self.handle_resume(i, token, last_seq, hops, now);
@@ -1002,6 +1013,9 @@ impl EventLoop {
                 return false;
             };
             self.stats.frames_in += 1;
+            let conn = &mut self.conns[i];
+            let queued = conn.flushed_frames + conn.outbuf.len() as u64;
+            conn.fault_base.get_or_insert(queued);
             // A connection accepted at the cap learns its fate here: only a
             // `Resume` may proceed without a session.
             let conn = &self.conns[i];
@@ -1287,11 +1301,12 @@ impl EventLoop {
     /// Looks up the fault plan at a new-frame boundary of `conns[i]` and
     /// applies the scheduled fault, if any.  `None`: no fault, write the
     /// frame normally (a `Corrupt` fault lands here after mutating the
-    /// frame in place).  `Some(true)`: fault consumed the frame, keep
-    /// flushing.  `Some(false)`: stop flushing this connection.
+    /// frame in place; a frame queued before the peer's first is never
+    /// faulted).  `Some(true)`: fault consumed the frame, keep flushing.
+    /// `Some(false)`: stop flushing this connection.
     fn apply_flush_fault(&mut self, i: usize) -> Option<bool> {
         let lane = self.conns[i].lane;
-        let frame_idx = self.conns[i].flushed_frames;
+        let frame_idx = (self.conns[i].flushed_frames).checked_sub(self.conns[i].fault_base?)?;
         let kind = self
             .config
             .fault_plan

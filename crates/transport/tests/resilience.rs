@@ -22,7 +22,8 @@ use khameleon_core::session::{Session, SessionBuilder, SessionManager};
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
 use khameleon_transport::wire::{
-    encode_client_frame, encode_server_event_frame, encode_welcome, ClientFrame,
+    decode_server_frame, encode_client_frame, encode_server_event_frame, encode_welcome,
+    ClientFrame, FrameBuffer, ServerFrame,
 };
 use khameleon_transport::{
     ReconnectPolicy, ShardedTransportServer, TransportClient, TransportConfig, TransportError,
@@ -280,6 +281,59 @@ fn park_disabled_reconnect_falls_back_to_fresh_session() {
         ServerEvent::Block { .. } => {}
         other => panic!("expected block, got {other:?}"),
     }
+}
+
+/// A streaming session emits blocks from the moment its connection is
+/// accepted, `Hello` or no `Hello`.  The fault plan counts a connection's
+/// frames from the peer's first frame, so however late that `Hello` arrives
+/// its `Welcome` is frame 0 and gets through whole: the fault on frame 2
+/// used to cut the connection among the unanswered blocks, and
+/// `connect_resumable` read EOF where it expected `Welcome`.
+#[test]
+fn fault_plan_counts_frames_from_the_first_client_frame() {
+    // More blocks than a session's ring holds: the stream never runs dry.
+    let cat = catalog(600, 4, 1_200);
+    let plan = FaultPlan::new().with(0, 2, FaultKind::Truncate { keep: 4 });
+    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let factory_cat = cat.clone();
+    let server = TransportServer::spawn(
+        "127.0.0.1:0",
+        manager,
+        move || builder(&factory_cat, 4),
+        TransportConfig {
+            fault_plan: Some(plan),
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind");
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    // Long enough for the server to stream far past frame 2 unanswered.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    raw.write_all(&encode_client_frame(&ClientFrame::Hello))
+        .expect("hello");
+    let mut bytes = Vec::new();
+    raw.read_to_end(&mut bytes)
+        .expect("the truncation closes the socket");
+
+    let mut stream = FrameBuffer::new();
+    stream.extend(&bytes);
+    let (mut before, mut after, mut welcomed) = (0, 0, false);
+    while let Some(body) = stream.next_frame().expect("well-framed") {
+        match decode_server_frame(&body).expect("intact frame") {
+            ServerFrame::Welcome { .. } => welcomed = true,
+            ServerFrame::Event { .. } if welcomed => after += 1,
+            ServerFrame::Event { .. } => before += 1,
+        }
+    }
+    assert!(welcomed, "cut after {before} frames, before any `Welcome`");
+    assert!(before > 2, "only {before} frames streamed ahead of `Hello`");
+    assert_eq!(after, 1, "frames 0 and 1 are `Welcome` and one block");
+    assert_eq!(stream.pending_bytes(), 4, "frame 2 is the truncated one");
+    // Counted in the pass after the one that cut the socket.
+    wait_until(|| server.stats().faults_injected == 1, "the fault's count");
 }
 
 /// At `max_sessions` the server sheds load by refusing new sessions with a

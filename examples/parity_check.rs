@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use khameleon_core::block::ResponseCatalog;
+use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, SamplerVariant};
 use khameleon_core::types::{BlockRef, Duration, RequestId, Time};
@@ -63,9 +64,19 @@ fn drive(
         catalog,
     );
     let mut emitted = Vec::new();
-    // Drifting prediction state for the overlapping-update ops (kinds 6–7),
-    // mirroring the in-tree proptest's diff-path grammar.
+    // Every prediction travels as it does on the wire (whole, or as a delta
+    // through the scheduler's diff path), as in the in-tree proptest.
+    let mut uplink = DirectUplink::new();
+    // Drifting prediction state for the overlapping-update ops (kinds 6–7).
     let mut evolving: Vec<(usize, f64)> = vec![(0, 0.3), (1 % n, 0.2)];
+    let drifting = |evolving: &[(usize, f64)]| {
+        let entries: Vec<(RequestId, f64)> = evolving
+            .iter()
+            .map(|&(r, p)| (RequestId::from(r), p))
+            .collect();
+        let mass: f64 = evolving.iter().map(|e| e.1).sum();
+        sparse_pred(n, entries, (1.0 - mass).max(0.1))
+    };
     for &(kind, a, b) in ops {
         match kind {
             0..=2 => emitted.extend(s.next_batch(a % (2 * cache) + 1)),
@@ -78,7 +89,7 @@ fn drive(
                     1.0 - p1 - p2,
                 );
                 let pos = b % (s.position() + 1);
-                s.update_prediction(&pred, pos);
+                uplink.ship(&mut s, &pred, pos);
             }
             4 => {
                 let slices = vec![
@@ -101,12 +112,12 @@ fn drive(
                 ];
                 let pred = PredictionSummary::new(n, slices, Time::ZERO);
                 let pos = a % (s.position() + 1);
-                s.update_prediction(&pred, pos);
+                uplink.ship(&mut s, &pred, pos);
             }
             5 => {
                 let pos = (s.position() + b % 3).min(cache);
                 let pred = PredictionSummary::uniform(n, Time::ZERO);
-                s.update_prediction(&pred, pos);
+                uplink.ship(&mut s, &pred, pos);
             }
             6 => {
                 // Overlapping re-prediction: mutate one entry of the
@@ -129,19 +140,13 @@ fn drive(
                         evolving[i].1 *= (a % 5 + 1) as f64 / 3.0;
                     }
                 }
-                let entries: Vec<(RequestId, f64)> = evolving
-                    .iter()
-                    .map(|&(r, p)| (RequestId::from(r), p))
-                    .collect();
-                let mass: f64 = evolving.iter().map(|e| e.1).sum();
-                let pred = sparse_pred(n, entries, (1.0 - mass).max(0.1));
                 let pos = a % (s.position() + 1);
-                s.update_prediction(&pred, pos);
+                uplink.ship(&mut s, &drifting(&evolving), pos);
             }
             _ => {
                 // Overlapping shape-changing re-prediction over the default
-                // slice offsets: moves requests between shape buckets
-                // through the diff path.
+                // slice offsets: moves requests between shape buckets —
+                // through the diff path when the shadow certifies the delta.
                 let early =
                     SparseDistribution::from_entries(n, vec![(RequestId::from(a % n), 0.6)], 0.4);
                 let entries: Vec<(RequestId, f64)> = evolving
@@ -160,10 +165,21 @@ fn drive(
                     .collect();
                 let pred = PredictionSummary::new(n, slices, Time::ZERO);
                 let pos = b % (s.position() + 1);
-                s.update_prediction(&pred, pos);
+                uplink.ship(&mut s, &pred, pos);
             }
         }
     }
+    // Every case ends on the delta path: the drifting summary, then one
+    // reweighted entry of it under a rollback, then a batch drawn from the
+    // diffed sampler.
+    let pos = s.position();
+    uplink.ship(&mut s, &drifting(&evolving), pos);
+    emitted.extend(s.next_batch(cache));
+    evolving[0].1 *= 0.5;
+    let (diffed, pos) = (s.diff_applied_updates(), s.position() / 2);
+    uplink.ship(&mut s, &drifting(&evolving), pos);
+    assert!(s.diff_applied_updates() > diffed, "delta not diffed");
+    emitted.extend(s.next_batch(cache));
     assert!(
         s.debug_weight_divergence().is_empty(),
         "sampler diverged from model: {:?}",
