@@ -5,7 +5,8 @@
 //! [`BlockStore`] holds (or lazily synthesizes) the per-block payloads for an
 //! entire [`ResponseCatalog`] and implements
 //! [`khameleon_core::server::Backend`] so it can be plugged directly into a
-//! [`khameleon_core::server::KhameleonServer`].
+//! [`khameleon_core::session::SessionManager`] (or, for one client, a
+//! [`khameleon_core::server::ServerBuilder`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -6,6 +6,13 @@
 //! its receive rate and the server uses the **harmonic mean of the past five
 //! rates** as the estimate for the next timestep.  A user-specified cap
 //! (e.g. to respect a data plan) can bound the estimate.
+//!
+//! With N clients on one link the same estimator holds the link's shared
+//! estimate, and the budget rule is written here once:
+//! [`BandwidthEstimator::fold_report`] takes a client's report into it and
+//! [`weighted_share`] divides it.  A client sees only its own share of the
+//! wire, so a sample is a *sum* over the clients; with one client it is the
+//! client's own report and the rule is the paper's.
 
 use std::collections::VecDeque;
 
@@ -66,18 +73,27 @@ impl BandwidthEstimator {
         self.samples.push_back(rate.bytes_per_sec());
     }
 
-    /// Overrides the estimate with an externally computed value: clears the
-    /// sample window and installs `rate` as the fallback, so
-    /// [`estimate`](Self::estimate) returns exactly `rate` (bounded by the
-    /// cap) until new reports arrive.  Used by sharded deployments where a
-    /// coordinator owns the real estimator and pushes per-shard budgets down
-    /// (see [`crate::shard`]); non-positive rates are ignored.
-    pub fn force_estimate(&mut self, rate: Bandwidth) {
-        if rate.bytes_per_sec() <= 0.0 {
+    /// The budget rule's fold: records a member's `raw` rate report in the
+    /// estimator of the link all `estimates`' members share, as the sum over
+    /// the members (in the order given — callers pass ascending ids, so the
+    /// `f64` sum is reproducible) of the reporter at `raw` and the others at
+    /// their own estimates; the reporter is smoothed once, here.  A report
+    /// [`report_rate`](Self::report_rate) ignores adds no sample.
+    pub fn fold_report<K: PartialEq>(
+        &mut self,
+        estimates: impl IntoIterator<Item = (K, f64)>,
+        reporter: K,
+        raw: Bandwidth,
+    ) {
+        if raw.bytes_per_sec() <= 0.0 {
             return;
         }
-        self.samples.clear();
-        self.fallback = rate;
+        let counted = |(member, estimate)| match member == reporter {
+            true => raw.bytes_per_sec(),
+            false => estimate,
+        };
+        let total: f64 = estimates.into_iter().map(counted).sum();
+        self.report_rate(Bandwidth(total));
     }
 
     /// Records a receive-rate report expressed as bytes received over a
@@ -119,6 +135,12 @@ impl BandwidthEstimator {
         }
         bw.transmit_time(block_size)
     }
+}
+
+/// The budget rule's share: `total · w / Σw`, the slice of a shared estimate
+/// that goes to a member of weight `weight` among members weighing `weight_sum`.
+pub fn weighted_share(total: Bandwidth, weight: f64, weight_sum: f64) -> Bandwidth {
+    Bandwidth(total.bytes_per_sec() * (weight / weight_sum))
 }
 
 #[cfg(test)]
@@ -172,6 +194,39 @@ mod tests {
         e.report_rate(Bandwidth(-3.0));
         e.report_bytes(1000, Duration::ZERO);
         assert_eq!(e.sample_count(), 0);
+    }
+
+    #[test]
+    fn fold_counts_the_reporter_raw_and_the_others_at_their_estimates() {
+        let estimates = [(1u8, 100.0), (2, 250.0), (3, 50.0)];
+        let mut shared = BandwidthEstimator::new(Bandwidth(1.0));
+        shared.fold_report(estimates, 2, Bandwidth(700.0));
+        assert!((shared.estimate().bytes_per_sec() - (100.0 + 700.0 + 50.0)).abs() < 1e-9);
+        assert_eq!(shared.sample_count(), 1);
+        // One member: the shared estimator sees the raw report stream, so it
+        // is the per-client estimator.
+        let mut alone = BandwidthEstimator::new(Bandwidth(1.0));
+        let mut client = alone.clone();
+        for raw in [300.0, 0.0, 120.0, 90.0, -4.0, 500.0, 75.0, 310.0] {
+            alone.fold_report(
+                [((), client.estimate().bytes_per_sec())],
+                (),
+                Bandwidth(raw),
+            );
+            client.report_rate(Bandwidth(raw));
+            assert_eq!(alone.estimate().0.to_bits(), client.estimate().0.to_bits());
+            assert_eq!(alone.sample_count(), client.sample_count());
+        }
+        // A report the estimator ignores adds no sample for anyone.
+        shared.fold_report(estimates, 1, Bandwidth(0.0));
+        assert_eq!(shared.sample_count(), 1);
+    }
+
+    #[test]
+    fn weighted_share_is_the_weights_fraction_of_the_total() {
+        let total = Bandwidth::from_mbps(12.0);
+        assert_eq!(weighted_share(total, 1.0, 4.0), Bandwidth::from_mbps(3.0));
+        assert_eq!(weighted_share(total, 2.5, 2.5), total);
     }
 
     #[test]

@@ -36,14 +36,16 @@
 //!
 //! Servers are assembled with [`server::ServerBuilder`]; every component
 //! (scheduler, predictor, backend) is swappable, and the defaults give the
-//! paper's deployment: greedy scheduler over a catalog-backed store.
+//! paper's deployment: greedy scheduler over a catalog-backed store.  It
+//! builds a [`session::SessionManager`] holding one session, id 0 — one
+//! client is the one-session case of the runtime the next section shares.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use khameleon_core::block::ResponseCatalog;
 //! use khameleon_core::client::CacheManager;
 //! use khameleon_core::predictor::PredictorState;
-//! use khameleon_core::protocol::{ClientMessage, ServerEvent};
+//! use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
 //! use khameleon_core::server::ServerBuilder;
 //! use khameleon_core::types::{RequestId, Time};
 //! use khameleon_core::utility::{LinearUtility, UtilityModel};
@@ -61,10 +63,11 @@
 //! let now = Time::ZERO;
 //! assert!(client.register(RequestId(7), now).is_none());
 //! server.on_message(
+//!     SessionId(0),
 //!     &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7))),
 //!     now,
 //! );
-//! let ServerEvent::Block { block, .. } = server.poll(now) else {
+//! let ServerEvent::Block { block, .. } = server.next_event(now) else {
 //!     panic!("server has blocks to push");
 //! };
 //! let upcalls = client.on_block(block.meta, Time::from_millis(5));
@@ -143,7 +146,7 @@ pub use scheduler::{
     HorizonModel, ModelCache, ModelDiff, OptimalScheduler, Scheduler, ShapeBucket,
     TailShapePartition,
 };
-pub use server::{Backend, CatalogBackend, KhameleonServer, ServerBuilder, ServerConfig};
+pub use server::{Backend, CatalogBackend, ServerBuilder, ServerConfig};
 pub use session::{
     RoundRobin, Session, SessionBuilder, SessionManager, SessionShare, SharePolicy, WeightedFair,
 };

@@ -43,11 +43,11 @@ pub type Schedule = Vec<BlockRef>;
 /// The pluggable scheduling interface of the server (§5).
 ///
 /// A scheduler turns a stream of prediction updates into an ordered stream of
-/// blocks for the sender.  [`KhameleonServer`](crate::server::KhameleonServer)
-/// and [`Session`](crate::session::Session) hold a `Box<dyn Scheduler>`, so
-/// the greedy sampler of §5.3, the assignment-based optimal solver of §5.2,
-/// the exhaustive [`BruteForceScheduler`], and user-supplied strategies are
-/// interchangeable without touching the server plumbing.
+/// blocks for the sender.  Every [`Session`](crate::session::Session) holds
+/// a `Box<dyn Scheduler>`, so the greedy sampler of §5.3, the
+/// assignment-based optimal solver of §5.2, the exhaustive
+/// [`BruteForceScheduler`], and user-supplied strategies are interchangeable
+/// without touching the server plumbing.
 ///
 /// The contract mirrors the sender-coordination protocol of §5.3.2:
 ///

@@ -1,13 +1,12 @@
 //! Server-side library: scheduler + sender orchestration (§3.2, §5.3.2).
 //!
-//! [`KhameleonServer`] is the single-client deployment: one
-//! [`Session`](crate::session::Session) (boxed [`Scheduler`], server-side
-//! predictor, bandwidth estimator, sender queue) plus a [`Backend`] that
-//! resolves block references into actual blocks.  Multi-client deployments
-//! use a [`SessionManager`](crate::session::SessionManager), which drives
-//! the same session code over a shared backend.
-//!
-//! Servers are constructed through [`ServerBuilder`]:
+//! What a deployment plugs in — the [`Backend`] that resolves block
+//! references into actual blocks, the [`ServerConfig`] — and
+//! [`ServerBuilder`], which assembles the single-client deployment: a
+//! [`SessionManager`] holding one [`Session`](crate::session::Session)
+//! (boxed [`Scheduler`], server-side predictor, bandwidth estimator, sender
+//! queue).  There is no single-client server type: one client is the
+//! one-session case of the runtime many clients share.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -19,6 +18,7 @@
 //! let utility = UtilityModel::homogeneous(&LinearUtility, 10);
 //! let server = ServerBuilder::new(utility, catalog).build();
 //! assert_eq!(server.backend_name(), "catalog");
+//! assert_eq!(server.num_sessions(), 1);
 //! ```
 //!
 //! Sender coordination follows §5.3.2: when a fresh prediction arrives, the
@@ -26,15 +26,13 @@
 //! of the current schedule is rolled back and re-planned, and the sender
 //! simply continues from its position.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::block::{Block, ResponseCatalog};
-use crate::predictor::{PredictorState, ServerPredictor};
-use crate::protocol::{ClientMessage, ServerEvent, SessionId};
+use crate::predictor::ServerPredictor;
 use crate::scheduler::{GreedySchedulerConfig, Scheduler};
-use crate::session::{MessageOutcome, Session, SessionBuilder};
-use crate::types::{Bandwidth, BlockRef, RequestId, Time};
+use crate::session::{SessionBuilder, SessionManager};
+use crate::types::{Bandwidth, BlockRef};
 use crate::utility::UtilityModel;
 
 /// A data backend that can resolve block references (§3.3: file system,
@@ -56,8 +54,8 @@ pub trait Backend: Send {
     }
 }
 
-/// Configuration of [`KhameleonServer`] and
-/// [`Session`](crate::session::Session)s.
+/// Configuration of a [`Session`](crate::session::Session), and of the
+/// single-client server [`ServerBuilder`] assembles around one.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Scheduler configuration (cache size, batch size, γ, ...), used when
@@ -82,7 +80,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fluent constructor for [`KhameleonServer`].
+/// Fluent constructor for the single-client server: a round-robin
+/// [`SessionManager`] holding one session.
 ///
 /// Every component is optional: by default the server gets a greedy
 /// scheduler built from [`ServerConfig::scheduler`], a
@@ -90,7 +89,6 @@ impl Default for ServerConfig {
 /// sized to the catalog, and a [`CatalogBackend`].
 pub struct ServerBuilder {
     session: SessionBuilder,
-    catalog: Arc<ResponseCatalog>,
     backend: Option<Box<dyn Backend>>,
 }
 
@@ -98,8 +96,7 @@ impl ServerBuilder {
     /// Starts a builder for the given utility model and catalog.
     pub fn new(utility: UtilityModel, catalog: Arc<ResponseCatalog>) -> Self {
         ServerBuilder {
-            session: SessionBuilder::new(utility, catalog.clone()),
-            catalog,
+            session: SessionBuilder::new(utility, catalog),
             backend: None,
         }
     }
@@ -141,136 +138,22 @@ impl ServerBuilder {
         self
     }
 
-    /// Builds the server.
-    pub fn build(self) -> KhameleonServer {
+    /// Builds the server: a [`SessionManager`] over the backend, seeded with
+    /// the configuration's `initial_bandwidth` and `bandwidth_cap`, holding
+    /// the one session under [`SessionId`](crate::protocol::SessionId) 0.
+    /// With one session the shared estimate *is* the client's (§5.4).
+    pub fn build(self) -> SessionManager {
         let backend = self
             .backend
-            .unwrap_or_else(|| Box::new(CatalogBackend::new(self.catalog.clone())));
-        KhameleonServer {
-            session: self.session.build(),
-            backend,
+            .unwrap_or_else(|| Box::new(CatalogBackend::new(self.session.catalog.clone())));
+        let cfg = &self.session.cfg;
+        let mut manager =
+            SessionManager::round_robin(backend).with_initial_bandwidth(cfg.initial_bandwidth);
+        if let Some(cap) = cfg.bandwidth_cap {
+            manager = manager.with_bandwidth_cap(cap);
         }
-    }
-}
-
-/// The single-client Khameleon server: one session plus a backend.
-pub struct KhameleonServer {
-    session: Session,
-    backend: Box<dyn Backend>,
-}
-
-impl KhameleonServer {
-    /// Starts building a server (see [`ServerBuilder`]).
-    pub fn builder(utility: UtilityModel, catalog: Arc<ResponseCatalog>) -> ServerBuilder {
-        ServerBuilder::new(utility, catalog)
-    }
-
-    /// Handles one typed protocol message from the client.  Returns
-    /// [`MessageOutcome::NeedsResync`] when a prediction delta could not be
-    /// applied and the client must resend a full summary.
-    pub fn on_message(&mut self, message: &ClientMessage, now: Time) -> MessageOutcome {
-        self.session.on_message(message, now)
-    }
-
-    /// Produces the next protocol event for the client: the next block on
-    /// the wire, or [`ServerEvent::Idle`] when nothing useful remains.
-    /// Single-client servers always report [`SessionId`] 0.
-    pub fn poll(&mut self, now: Time) -> ServerEvent {
-        match self.next_block(now) {
-            Some(block) => ServerEvent::Block {
-                session: SessionId(0),
-                block,
-            },
-            None => ServerEvent::Idle,
-        }
-    }
-
-    /// The current bandwidth estimate.
-    pub fn bandwidth_estimate(&self) -> Bandwidth {
-        self.session.bandwidth_estimate()
-    }
-
-    /// Total blocks sent since creation.
-    pub fn blocks_sent(&self) -> u64 {
-        self.session.blocks_sent()
-    }
-
-    /// Total bytes sent since creation.
-    pub fn bytes_sent(&self) -> u64 {
-        self.session.bytes_sent()
-    }
-
-    /// Number of prediction updates the scheduler has applied.
-    pub fn prediction_updates(&self) -> u64 {
-        self.session.prediction_updates()
-    }
-
-    /// Name of the scheduler in use.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.session.scheduler_name()
-    }
-
-    /// Attaches a runtime invariant auditor to the scheduler (see
-    /// [`crate::audit`]).
-    #[cfg(feature = "audit")]
-    pub fn audit_attach(&mut self, cfg: crate::audit::AuditConfig) {
-        self.session.audit_attach(cfg);
-    }
-
-    /// The scheduler's accumulated audit report, when an auditor is
-    /// attached.
-    #[cfg(feature = "audit")]
-    pub fn audit_report(&self) -> Option<crate::audit::AuditReport> {
-        self.session.audit_report()
-    }
-
-    /// Name of the backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Handles a receive-rate report from the client (§5.4).
-    pub fn on_rate_report(&mut self, rate: Bandwidth) {
-        self.session.on_rate_report(rate);
-    }
-
-    /// Handles a predictor-state message from the client: decodes it and
-    /// re-plans the unsent portion of the schedule (§5.3.2).
-    pub fn on_predictor_state(&mut self, state: &PredictorState, now: Time) {
-        self.session.on_predictor_state(state, now);
-    }
-
-    /// Returns the next block the sender should push, fetching it from the
-    /// backend, or `None` when no useful block remains (everything scheduled
-    /// and resident).
-    pub fn next_block(&mut self, _now: Time) -> Option<Block> {
-        let limit = self.backend.concurrency_limit();
-        let block_ref = self.session.next_block_ref(limit)?;
-        let block = self.backend.fetch(block_ref)?;
-        self.session.commit(&block.meta);
-        Some(block)
-    }
-
-    /// Time the sender should wait between consecutive blocks to pace at the
-    /// estimated bandwidth.
-    pub fn pacing_interval(&self) -> crate::types::Duration {
-        self.session.pacing_interval()
-    }
-
-    /// The scheduler's view of the client cache (for tests/diagnostics).
-    pub fn simulated_client_cache(&self) -> HashMap<RequestId, u32> {
-        self.session.simulated_cache()
-    }
-
-    /// Expected utility (Eq. 2) of the pending schedule from the cache
-    /// allocation `initial`.
-    pub fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64 {
-        self.session.expected_utility(initial)
-    }
-
-    /// The session backing this server (for diagnostics).
-    pub fn session(&self) -> &Session {
-        &self.session
+        manager.add_session(self.session);
+        manager
     }
 }
 
@@ -307,9 +190,30 @@ impl Backend for CatalogBackend {
 mod tests {
     use super::*;
     use crate::predictor::simple::SimpleServerPredictor;
+    use crate::predictor::PredictorState;
+    use crate::protocol::{ClientMessage, ServerEvent, SessionId};
+    use crate::types::{RequestId, Time};
     use crate::utility::LinearUtility;
 
-    fn server(n: usize, blocks: u32, cache_blocks: usize) -> KhameleonServer {
+    /// The id [`ServerBuilder::build`] gives its one session.
+    const CLIENT: SessionId = SessionId(0);
+
+    fn predict(s: &mut SessionManager, request: u32, now: Time) {
+        let state = PredictorState::LastRequest(RequestId(request));
+        s.on_message(CLIENT, &ClientMessage::Predictor(state), now);
+    }
+
+    fn next_block(s: &mut SessionManager, now: Time) -> Option<Block> {
+        match s.next_event(now) {
+            ServerEvent::Block { session, block } => {
+                assert_eq!(session, CLIENT);
+                Some(block)
+            }
+            _ => None,
+        }
+    }
+
+    fn server(n: usize, blocks: u32, cache_blocks: usize) -> SessionManager {
         let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 10_000));
         let cfg = ServerConfig {
             scheduler: GreedySchedulerConfig {
@@ -328,7 +232,7 @@ mod tests {
     fn streams_blocks_without_any_prediction() {
         let mut s = server(10, 4, 20);
         let mut got = 0;
-        while let Some(b) = s.next_block(Time::ZERO) {
+        while let Some(b) = next_block(&mut s, Time::ZERO) {
             assert!(b.meta.block.request.index() < 10);
             got += 1;
             if got > 100 {
@@ -345,11 +249,11 @@ mod tests {
     #[test]
     fn prediction_steers_the_stream() {
         let mut s = server(100, 5, 50);
-        s.on_predictor_state(&PredictorState::LastRequest(RequestId(42)), Time::ZERO);
-        assert_eq!(s.prediction_updates(), 1);
+        predict(&mut s, 42, Time::ZERO);
+        assert_eq!(s.session(CLIENT).unwrap().prediction_updates(), 1);
         let mut first_blocks = Vec::new();
         for _ in 0..5 {
-            if let Some(b) = s.next_block(Time::ZERO) {
+            if let Some(b) = next_block(&mut s, Time::ZERO) {
                 first_blocks.push(b.meta.block);
             }
         }
@@ -366,16 +270,13 @@ mod tests {
     #[test]
     fn new_prediction_replans_unsent_blocks() {
         let mut s = server(50, 5, 40);
-        s.on_predictor_state(&PredictorState::LastRequest(RequestId(1)), Time::ZERO);
+        predict(&mut s, 1, Time::ZERO);
         // Send a couple of blocks for request 1.
-        let _ = s.next_block(Time::ZERO);
-        let _ = s.next_block(Time::ZERO);
+        let _ = next_block(&mut s, Time::ZERO);
+        let _ = next_block(&mut s, Time::ZERO);
         // Prediction changes to request 2: subsequent blocks switch over.
-        s.on_predictor_state(
-            &PredictorState::LastRequest(RequestId(2)),
-            Time::from_millis(10),
-        );
-        let b = s.next_block(Time::from_millis(10)).unwrap();
+        predict(&mut s, 2, Time::from_millis(10));
+        let b = next_block(&mut s, Time::from_millis(10)).unwrap();
         assert_eq!(b.meta.block.request, RequestId(2));
         assert_eq!(b.meta.block.index, 0);
     }
@@ -384,7 +285,11 @@ mod tests {
     fn rate_reports_update_pacing() {
         let mut s = server(10, 2, 10);
         let before = s.pacing_interval();
-        s.on_rate_report(Bandwidth::from_mbps(1.0));
+        s.on_message(
+            CLIENT,
+            &ClientMessage::RateReport(Bandwidth::from_mbps(1.0)),
+            Time::ZERO,
+        );
         let after = s.pacing_interval();
         assert!(after > before, "pacing should slow down at lower bandwidth");
         assert!((s.bandwidth_estimate().as_mbps() - 1.0).abs() < 1e-9);
@@ -394,21 +299,23 @@ mod tests {
     fn typed_protocol_drives_the_server() {
         let mut s = server(50, 4, 30);
         s.on_message(
+            CLIENT,
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(9))),
             Time::ZERO,
         );
         s.on_message(
+            CLIENT,
             &ClientMessage::RateReport(Bandwidth::from_mbps(2.0)),
             Time::ZERO,
         );
-        match s.poll(Time::ZERO) {
+        match s.next_event(Time::ZERO) {
             ServerEvent::Block { session, block } => {
                 assert_eq!(session, SessionId(0));
                 assert_eq!(block.meta.block.request, RequestId(9));
             }
             other => panic!("expected a block, got {other:?}"),
         }
-        assert_eq!(s.scheduler_name(), "greedy");
+        assert_eq!(s.session(CLIENT).unwrap().scheduler_name(), "greedy");
     }
 
     #[test]
@@ -471,7 +378,7 @@ mod tests {
         .build();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..30 {
-            if let Some(b) = s.next_block(Time::ZERO) {
+            if let Some(b) = next_block(&mut s, Time::ZERO) {
                 seen.insert(b.meta.block.request);
             }
         }

@@ -24,15 +24,17 @@
 //!   sessions.  [`RoundRobin`] alternates between sessions with work;
 //!   [`WeightedFair`] divides the link in proportion to per-session weights.
 //!
-//! A single-client [`KhameleonServer`](crate::server::KhameleonServer) is a
-//! thin wrapper over one `Session` and one backend, so both deployments run
-//! exactly the same scheduling code.
+//! A single-client deployment is a `SessionManager` holding one session
+//! ([`ServerBuilder::build`](crate::server::ServerBuilder::build)), so one
+//! client and many run the same code; the tests pin it, bit for bit, to the
+//! paper's single-client server — a bare [`Session`] and a backend driven
+//! by hand.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use crate::bandwidth::BandwidthEstimator;
+use crate::bandwidth::{weighted_share, BandwidthEstimator};
 use crate::block::{BlockMeta, ResponseCatalog};
 use crate::delta::{PredictionDelta, ShadowSummary};
 use crate::distribution::PredictionSummary;
@@ -404,9 +406,9 @@ impl Session {
 /// Fluent constructor for [`Session`]s (and, via
 /// [`ServerBuilder`](crate::server::ServerBuilder), single-client servers).
 pub struct SessionBuilder {
-    cfg: ServerConfig,
+    pub(crate) cfg: ServerConfig,
     utility: UtilityModel,
-    catalog: Arc<ResponseCatalog>,
+    pub(crate) catalog: Arc<ResponseCatalog>,
     scheduler: Option<Box<dyn Scheduler>>,
     predictor: Option<Box<dyn ServerPredictor>>,
     /// Shared catalog/utility-derived scheduler context; when absent the
@@ -723,7 +725,7 @@ pub struct SessionManager {
     next_id: u64,
     backend: Box<dyn Backend>,
     policy: Box<dyn SharePolicy>,
-    shared_bandwidth: BandwidthEstimator,
+    pub(crate) shared_bandwidth: BandwidthEstimator,
     /// One shared [`GreedyContext`] per distinct `(utility, catalog)` pair:
     /// the utility-class catalog and per-request block counts are
     /// session-independent, so N sessions over the same catalog share one
@@ -736,15 +738,14 @@ pub struct SessionManager {
     /// [`ShardedSessionManager`](crate::shard::ShardedSessionManager) share
     /// one registry across threads.
     model_cache: Arc<ModelCache>,
-    /// When set, [`redivide_bandwidth`](Self::redivide_bandwidth) divides by
-    /// this weight denominator instead of the local weight sum — under
-    /// sharding, the *global* weight sum, so per-session slot durations come
-    /// out bit-identical to the single-threaded division.
+    /// Set once a budget was pushed
+    /// ([`set_shared_budget`](Self::set_shared_budget)): from then on rate
+    /// reports update only their session's estimate here, and
+    /// [`redivide_bandwidth`](Self::redivide_bandwidth) divides by this
+    /// denominator instead of the local weight sum — under sharding the
+    /// *global* one, so slot durations come out bit-identical to the
+    /// single-threaded division.
     weight_denominator: Option<f64>,
-    /// When true, rate reports update only their session's estimate; the
-    /// shared budget is owned externally (by a shard coordinator) and
-    /// arrives via [`set_shared_budget`](Self::set_shared_budget).
-    external_budget: bool,
     /// Rotates the backend-concurrency remainder between sessions across
     /// [`next_event`](SessionManager::next_event) calls.
     budget_rotor: usize,
@@ -770,7 +771,6 @@ impl SessionManager {
             context_cache: Vec::new(),
             model_cache: ModelCache::new(),
             weight_denominator: None,
-            external_budget: false,
             budget_rotor: 0,
             max_block_size: 1,
             blocks_sent: 0,
@@ -795,6 +795,21 @@ impl SessionManager {
         self
     }
 
+    /// Sets the shared estimate used before any rate report arrives (the
+    /// default is [`ServerConfig::default`]'s `initial_bandwidth`).
+    pub fn with_initial_bandwidth(mut self, initial: Bandwidth) -> Self {
+        self.reseed_shared_bandwidth(initial);
+        self.redivide_bandwidth();
+        self
+    }
+
+    /// Restarts the shared estimator from `estimate`, keeping its cap.
+    fn reseed_shared_bandwidth(&mut self, estimate: Bandwidth) {
+        let cap = self.shared_bandwidth.cap();
+        self.shared_bandwidth = BandwidthEstimator::new(estimate);
+        self.shared_bandwidth.set_cap(cap);
+    }
+
     /// Adds a session and returns its id.
     ///
     /// The new session is anchored at the current virtual service time: its
@@ -816,23 +831,14 @@ impl SessionManager {
     /// if the id is already live; bumps the internal id allocator past `id`
     /// so a later [`add_session`](Self::add_session) cannot collide.
     pub fn add_session_with_id(&mut self, id: SessionId, mut builder: SessionBuilder) -> SessionId {
-        let Err(at) = self.position(id) else {
-            panic!("session id {id} is already live");
-        };
-        self.next_id = self.next_id.max(id.0 + 1);
         if builder.scheduler.is_none() && builder.greedy_context.is_none() {
             builder.greedy_context = Some(self.context_for(&builder.utility, &builder.catalog));
         }
         if builder.scheduler.is_none() && builder.model_cache.is_none() {
             builder.model_cache = Some(self.model_cache.clone());
         }
-        let mut session = builder.build();
-        if let Some(frontier) = self.service_frontier() {
-            session.service_base = (frontier * session.weight()).floor() as u64;
-        }
-        self.sessions.insert(at, (id, session));
-        self.ready.insert(self.ready_entry(at));
-        self.redivide_bandwidth();
+        // A fresh session has no service: attaching anchors it at the frontier.
+        self.attach_session(id, builder.build());
         id
     }
 
@@ -909,22 +915,16 @@ impl SessionManager {
         self.model_cache.live_models()
     }
 
-    /// Hands ownership of the shared budget to an external coordinator:
-    /// rate reports stop feeding this manager's own shared estimate (the
-    /// coordinator sees every shard's sessions and pushes the corrected
-    /// division via [`set_shared_budget`](Self::set_shared_budget)).
-    pub fn set_external_budget(&mut self, external: bool) {
-        self.external_budget = external;
-    }
-
-    /// Installs an externally computed bandwidth budget: `total` becomes the
-    /// shared estimate and per-session shares divide by `weight_denominator`
-    /// instead of the local weight sum.  With the global weight sum as
+    /// Installs an externally computed bandwidth budget, whose owner (a
+    /// shard coordinator, which sees every shard's sessions) folds the rate
+    /// reports from now on: `total` becomes the shared estimate and
+    /// per-session shares divide by `weight_denominator` instead of the
+    /// local weight sum.  With the global weight sum as
     /// denominator, a shard's division is bit-identical to the
     /// single-threaded manager's (`slot_i = total · w_i / Σ_global w`) —
     /// the foundation of the sharded-vs-single parity guarantee.
     pub fn set_shared_budget(&mut self, total: Bandwidth, weight_denominator: f64) {
-        self.shared_bandwidth.force_estimate(total);
+        self.reseed_shared_bandwidth(total);
         self.weight_denominator = Some(weight_denominator);
         self.redivide_bandwidth();
     }
@@ -979,9 +979,9 @@ impl SessionManager {
         Some(session)
     }
 
-    /// Re-attaches a session taken out by
-    /// [`detach_session`](Self::detach_session) under its old id.  Panics if
-    /// `id` is live.
+    /// Attaches a built session under `id`: one just built (every join ends
+    /// here) or one taken out by [`detach_session`](Self::detach_session),
+    /// under its old id.  Panics if `id` is live.
     ///
     /// The session's fair-queueing anchor is re-based *upward only*: if the
     /// live service frontier moved past it while detached, its counter
@@ -1034,23 +1034,16 @@ impl SessionManager {
                 self.remove_session(id);
                 Some(ServerEvent::Closed { session: id })
             }
-            ClientMessage::RateReport(_) => {
-                // Rate reports also feed the shared budget.  Each client
-                // only observes its own share of the wire, so the total is
-                // the *sum* of per-session estimates — feeding a single
-                // client's rate in as the total would systematically halve
-                // the estimate with every concurrent session.  Under an
-                // external budget owner (a shard coordinator that sees
-                // *every* shard's sessions), only the per-session estimate
-                // is updated here; the corrected division arrives via
-                // [`set_shared_budget`](Self::set_shared_budget).
-                if !self.external_budget {
-                    let total: f64 = self
+            ClientMessage::RateReport(rate) => {
+                // Rate reports also feed the shared budget, unless one was
+                // pushed: its owner runs the same fold over every shard's
+                // sessions and pushes the corrected division.
+                if self.weight_denominator.is_none() {
+                    let estimates = self
                         .sessions
                         .iter()
-                        .map(|(_, s)| s.bandwidth_estimate().bytes_per_sec())
-                        .sum();
-                    self.shared_bandwidth.report_rate(Bandwidth(total));
+                        .map(|(sid, s)| (*sid, s.bandwidth_estimate().bytes_per_sec()));
+                    self.shared_bandwidth.fold_report(estimates, id, *rate);
                     self.redivide_bandwidth();
                 }
                 None
@@ -1209,8 +1202,8 @@ impl SessionManager {
 
     /// Re-divides the shared bandwidth estimate between sessions by weight,
     /// updating each scheduler's slot duration.  The weight denominator is
-    /// the local weight sum, unless an external budget owner supplied the
-    /// global one (see [`set_shared_budget`](Self::set_shared_budget)).
+    /// the local weight sum, unless a pushed budget supplied the global one
+    /// (see [`set_shared_budget`](Self::set_shared_budget)).
     /// Every change to the live table ends here, so this is also where the
     /// cached [`max_block_size`](Self::max_block_size) is refreshed.
     fn redivide_bandwidth(&mut self) {
@@ -1228,9 +1221,8 @@ impl SessionManager {
         }
         let total = self.shared_bandwidth.estimate();
         for (id, session) in &mut self.sessions {
-            let share = session.weight() / total_weight;
-            let effective = Bandwidth(total.bytes_per_sec() * share);
-            let slot = effective.transmit_time(session.max_block_size());
+            let share = weighted_share(total, session.weight(), total_weight);
+            let slot = share.transmit_time(session.max_block_size());
             // A new slot duration re-opens a drained session.
             let was_drained = session.exhausted;
             session.set_slot_duration(slot);
@@ -2467,6 +2459,270 @@ mod tests {
                             pair.apply(kind, a, b);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ignored_rate_report_leaves_both_estimates_where_they_were() {
+        // The wire admits `RateReport(0.0)`; the session's estimator ignores
+        // it, and so must the fold — a sample of any size would slide the
+        // shared window.
+        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 2.0], 20, 2);
+        let report = |mbps: f64| ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
+        for (k, &id) in ids.iter().cycle().take(7).enumerate() {
+            mgr.on_message(id, &report(1.5 + k as f64), Time::ZERO);
+        }
+        let bits = |mgr: &SessionManager| {
+            let of = |id| mgr.session(id).unwrap().bandwidth_estimate().0.to_bits();
+            (mgr.bandwidth_estimate().0.to_bits(), of(ids[0]), of(ids[1]))
+        };
+        let (before, pacing) = (bits(&mgr), mgr.pacing_interval());
+        for &id in &ids {
+            assert_eq!(mgr.on_message(id, &report(0.0), Time::ZERO), None);
+            assert_eq!(bits(&mgr), before);
+            assert_eq!(mgr.pacing_interval(), pacing);
+        }
+        // The window did not slide either: the next real report lands on the
+        // same five samples in a manager that never saw the zeros.
+        let (mut twin, twin_ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 2.0], 20, 2);
+        for (k, &id) in twin_ids.iter().cycle().take(7).enumerate() {
+            twin.on_message(id, &report(1.5 + k as f64), Time::ZERO);
+        }
+        mgr.on_message(ids[0], &report(4.0), Time::ZERO);
+        twin.on_message(twin_ids[0], &report(4.0), Time::ZERO);
+        assert_eq!(bits(&mgr), bits(&twin));
+    }
+
+    #[test]
+    fn initial_bandwidth_seeds_the_shared_estimate_under_the_cap() {
+        let cat = catalog(4, 2);
+        let backend = || Box::new(CatalogBackend::new(cat.clone()));
+        let seeded = SessionManager::round_robin(backend())
+            .with_initial_bandwidth(Bandwidth::from_mbps(2.0));
+        assert_eq!(seeded.bandwidth_estimate(), Bandwidth::from_mbps(2.0));
+        // Either order: the cap outlives a re-seed.
+        let capped = SessionManager::round_robin(backend())
+            .with_bandwidth_cap(Bandwidth::from_mbps(3.0))
+            .with_initial_bandwidth(Bandwidth::from_mbps(40.0));
+        assert_eq!(capped.bandwidth_estimate(), Bandwidth::from_mbps(3.0));
+    }
+
+    /// A `ServerBuilder`-built one-session manager against the paper's
+    /// single-client server: a bare [`Session`] plus a backend, driven by
+    /// hand.
+    mod single_client {
+        use super::*;
+        use crate::delta::DeltaTracker;
+        use crate::distribution::{HorizonSlice, SparseDistribution};
+        use crate::server::ServerBuilder;
+        use proptest::prelude::*;
+
+        const REQUESTS: usize = 12;
+        const BLOCKS: u32 = 3;
+        const CLIENT: SessionId = SessionId(0);
+
+        struct HandDriven {
+            session: Session,
+            backend: Box<dyn Backend>,
+        }
+
+        impl HandDriven {
+            fn next_block(&mut self) -> Option<BlockRef> {
+                let limit = self.backend.concurrency_limit();
+                let block = self.backend.fetch(self.session.next_block_ref(limit)?)?;
+                self.session.commit(&block.meta);
+                Some(block.meta.block)
+            }
+        }
+
+        fn next_block(manager: &mut SessionManager) -> Option<BlockRef> {
+            match manager.next_event(Time::ZERO) {
+                ServerEvent::Block { session, block } => {
+                    assert_eq!(session, CLIENT);
+                    Some(block.meta.block)
+                }
+                _ => None,
+            }
+        }
+
+        /// A two-slice summary whose explicit entries follow `a` and `b`.
+        fn summary(a: u32, b: u32) -> PredictionSummary {
+            let n = REQUESTS as u32;
+            let slice = |shift: u32, millis: u64| HorizonSlice {
+                delta: Duration::from_millis(millis),
+                dist: SparseDistribution::from_weights(
+                    REQUESTS,
+                    vec![
+                        (RequestId((a + shift) % n), 1.0 + f64::from(b % 5)),
+                        (RequestId((a + shift + 1 + b % 3) % n), 1.0),
+                    ],
+                ),
+            };
+            PredictionSummary::new(REQUESTS, vec![slice(0, 50), slice(2, 250)], Time::ZERO)
+        }
+
+        /// The two servers, and the one client-side tracker feeding both.
+        struct Pair {
+            manager: SessionManager,
+            by_hand: HandDriven,
+            tracker: DeltaTracker,
+        }
+
+        impl Pair {
+            fn new(
+                initial: Bandwidth,
+                cap: Option<Bandwidth>,
+                limit: Option<usize>,
+                sender_queue_target: usize,
+            ) -> Self {
+                let cat = catalog(REQUESTS, BLOCKS);
+                let cfg = ServerConfig {
+                    scheduler: GreedySchedulerConfig {
+                        cache_blocks: 16,
+                        seed: 11,
+                        ..Default::default()
+                    },
+                    initial_bandwidth: initial,
+                    bandwidth_cap: cap,
+                    sender_queue_target,
+                };
+                let backend = || -> Box<dyn Backend> {
+                    let inner = CatalogBackend::new(cat.clone());
+                    match limit {
+                        Some(limit) => Box::new(LimitedCatalog { inner, limit }),
+                        None => Box::new(inner),
+                    }
+                };
+                let pair = Pair {
+                    manager: ServerBuilder::new(utility(BLOCKS), cat.clone())
+                        .config(cfg.clone())
+                        .backend(backend())
+                        .build(),
+                    by_hand: HandDriven {
+                        session: Session::builder(utility(BLOCKS), cat.clone())
+                            .config(cfg)
+                            .build(),
+                        backend: backend(),
+                    },
+                    tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
+                };
+                pair.compare("the join");
+                pair
+            }
+
+            fn message(&mut self, message: &ClientMessage) {
+                let event = self.manager.on_message(CLIENT, message, Time::ZERO);
+                // By hand: the typed entry points the protocol dispatches to.
+                let session = &mut self.by_hand.session;
+                let outcome = match message {
+                    ClientMessage::Predictor(state) => {
+                        session.on_predictor_state(state, Time::ZERO);
+                        MessageOutcome::Handled
+                    }
+                    ClientMessage::RateReport(rate) => {
+                        session.on_rate_report(*rate);
+                        MessageOutcome::Handled
+                    }
+                    other => session.on_message(other, Time::ZERO),
+                };
+                let resync = outcome == MessageOutcome::NeedsResync;
+                assert_eq!(
+                    event,
+                    resync.then_some(ServerEvent::Resync { session: CLIENT })
+                );
+                if resync {
+                    self.tracker.reset();
+                }
+            }
+
+            fn apply(&mut self, kind: u8, a: u32, b: u32) {
+                match kind {
+                    0 => {
+                        let request = RequestId(a % REQUESTS as u32);
+                        let state = match b % 3 {
+                            0 => PredictorState::LastRequest(request),
+                            1 => PredictorState::TopK(vec![(request, 0.7), (RequestId(0), 0.2)]),
+                            _ => PredictorState::Summary(summary(a, b)),
+                        };
+                        self.message(&ClientMessage::Predictor(state));
+                    }
+                    // Full or delta, as the tracker decides.
+                    1 | 2 => {
+                        let message = self.tracker.encode(&summary(a, b));
+                        self.message(&message);
+                    }
+                    // Ignored, tiny, typical and huge receive rates.
+                    3 | 4 => {
+                        let rate = match a % 4 {
+                            0 => Bandwidth(0.0),
+                            1 => Bandwidth(1.0 + f64::from(b % 7)),
+                            2 => Bandwidth::from_mbps(f64::from(1 + b % 200) / 8.0),
+                            _ => Bandwidth(1e12 + f64::from(b)),
+                        };
+                        self.message(&ClientMessage::RateReport(rate));
+                    }
+                    _ => {
+                        for poll in 0..=a % 40 {
+                            assert_eq!(
+                                next_block(&mut self.manager),
+                                self.by_hand.next_block(),
+                                "poll {poll} diverged"
+                            );
+                        }
+                    }
+                }
+                self.compare(&format!("op ({kind}, {a}, {b})"));
+                assert_eq!(self.manager.check(), Ok(()));
+            }
+
+            fn compare(&self, at: &str) {
+                let (manager, session) = (&self.manager, &self.by_hand.session);
+                assert_eq!(
+                    manager.bandwidth_estimate().0.to_bits(),
+                    session.bandwidth_estimate().0.to_bits(),
+                    "estimates differ after {at}"
+                );
+                assert_eq!(
+                    manager.pacing_interval(),
+                    session.pacing_interval(),
+                    "pacing differs after {at}"
+                );
+                let joined = manager.session(CLIENT).expect("one session");
+                assert_eq!(joined.prediction_updates(), session.prediction_updates());
+                assert_eq!(
+                    joined.bandwidth_estimate().0.to_bits(),
+                    session.bandwidth_estimate().0.to_bits()
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48 })]
+
+            /// One client through the shared runtime is the paper's
+            /// single-client server, bit for bit: every block reference,
+            /// the bandwidth estimate, the pacing interval and the
+            /// prediction-update count agree after every operation, for
+            /// any initial estimate, with and without a cap, under every
+            /// backend concurrency limit and sender queue depth.
+            #[test]
+            fn one_session_manager_is_the_single_client_server(
+                initial in 1u32..400,
+                cap in proptest::collection::vec(1u32..400, 0..2),
+                limit in 0usize..3,
+                queue in 0usize..3,
+                ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..48),
+            ) {
+                let mut pair = Pair::new(
+                    Bandwidth::from_mbps(f64::from(initial) / 8.0),
+                    cap.first().map(|cap| Bandwidth::from_mbps(f64::from(*cap) / 8.0)),
+                    [None, Some(1), Some(3)][limit],
+                    [1, 4, 32][queue],
+                );
+                for (kind, a, b) in ops {
+                    pair.apply(kind, a, b);
                 }
             }
         }

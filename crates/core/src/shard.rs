@@ -12,18 +12,20 @@
 //!
 //! ## Budget ownership
 //!
-//! The coordinator owns the real [`BandwidthEstimator`].  Shard-local
-//! managers run with an *external budget*
-//! ([`SessionManager::set_external_budget`]): their rate reports update only
-//! the per-session estimate, and the coordinator — which alone sees every
-//! shard's sessions — feeds its estimator the **sum of per-session estimates
-//! in global session-insertion order**, exactly the expression the
-//! single-threaded manager evaluates.  The budget a shard needs is
+//! The coordinator owns the real [`BandwidthEstimator`].  A shard-local
+//! manager that has been pushed a budget
+//! ([`SessionManager::set_shared_budget`]) updates only the per-session
+//! estimate on a rate report; the coordinator — which alone sees every
+//! shard's sessions — folds the report in with
+//! [`BandwidthEstimator::fold_report`] over its members in global
+//! session-insertion order, the routine the single-threaded manager calls
+//! over its own sessions.  The budget a shard needs is
 //! `SetBudget { total, weight_denominator }`, where `weight_denominator` is
 //! the global weight sum (again summed in insertion order), so each shard's
-//! division `slot_i = total · w_i / Σ_global w` is **bit-identical** to the
-//! single-threaded division — f64 arithmetic included.  That is the
-//! foundation of the sharded-vs-single parity guarantee (see the tests).
+//! division ([`weighted_share`](crate::bandwidth::weighted_share)) `slot_i =
+//! total · w_i / Σ_global w` is **bit-identical** to the single-threaded
+//! division — f64 arithmetic included.  That is the foundation of the
+//! sharded-vs-single parity guarantee (see the tests).
 //!
 //! ### Budget epochs
 //!
@@ -78,7 +80,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use crate::bandwidth::BandwidthEstimator;
 use crate::protocol::{ClientMessage, ServerEvent, SessionId};
 use crate::scheduler::ModelCache;
-use crate::server::ServerConfig;
 use crate::session::{SessionBuilder, SessionManager};
 use crate::types::{Bandwidth, Time};
 
@@ -295,12 +296,11 @@ pub struct ShardedSessionManager {
     /// any synchronous reply is read from that shard.
     outstanding: Vec<usize>,
     route: HashMap<SessionId, usize>,
-    /// `(session, weight)` in global insertion order — ids are allocated
+    /// The live sessions in global insertion order — ids are allocated
     /// monotonically, so this is the ascending-id order the single-threaded
     /// manager's `sessions` vector holds, and f64 weight/estimate sums
     /// reproduce its results bit-for-bit.
-    members: Vec<(SessionId, f64)>,
-    estimates: HashMap<SessionId, f64>,
+    members: Vec<Member>,
     next_id: u64,
     next_shard: usize,
     shared_bandwidth: BandwidthEstimator,
@@ -314,11 +314,22 @@ pub struct ShardedSessionManager {
     pending_events: VecDeque<ServerEvent>,
 }
 
+/// What the budget needs to know of one live session.
+struct Member {
+    id: SessionId,
+    weight: f64,
+    /// The session's own estimate (bytes/s): its builder's, then whatever
+    /// its shard last replied to a rate report with.
+    estimate: f64,
+}
+
 impl ShardedSessionManager {
     /// Spawns `num_shards` worker threads, each owning the
     /// [`SessionManager`] produced by `factory(shard_index)`.  Every
-    /// shard-local manager is switched to external-budget mode and onto one
-    /// shared [`ModelCache`] before it starts serving.
+    /// shard-local manager is moved onto one shared [`ModelCache`] before it
+    /// starts serving.  The coordinator's estimator starts as shard 0's —
+    /// initial estimate and cap — so the factory should configure every
+    /// shard alike.
     pub fn spawn<F>(num_shards: usize, mut factory: F) -> Self
     where
         F: FnMut(usize) -> SessionManager,
@@ -326,9 +337,9 @@ impl ShardedSessionManager {
         assert!(num_shards > 0, "need at least one shard");
         let model_cache = ModelCache::new();
         let mut shards = Vec::with_capacity(num_shards);
-        for i in 0..num_shards {
-            let mut manager = factory(i);
-            manager.set_external_budget(true);
+        let managers: Vec<SessionManager> = (0..num_shards).map(&mut factory).collect();
+        let shared_bandwidth = managers[0].shared_bandwidth.clone();
+        for (i, mut manager) in managers.into_iter().enumerate() {
             manager.set_model_cache(model_cache.clone());
             let (cmd_tx, cmd_rx) = unbounded();
             let (reply_tx, reply_rx) = unbounded();
@@ -351,22 +362,13 @@ impl ShardedSessionManager {
             shards,
             route: HashMap::new(),
             members: Vec::new(),
-            estimates: HashMap::new(),
             next_id: 0,
             next_shard: 0,
-            shared_bandwidth: BandwidthEstimator::new(ServerConfig::default().initial_bandwidth),
+            shared_bandwidth,
             budget_epoch: 0,
             model_cache,
             pending_events: VecDeque::new(),
         }
-    }
-
-    /// Caps the shared outgoing budget (mirrors
-    /// [`SessionManager::with_bandwidth_cap`]).
-    pub fn with_bandwidth_cap(mut self, cap: Bandwidth) -> Self {
-        self.shared_bandwidth.set_cap(Some(cap));
-        self.budget_epoch += 1;
-        self
     }
 
     /// Sends `command` to `shard`, first bringing the shard into the
@@ -378,7 +380,7 @@ impl ShardedSessionManager {
             let total = self.shared_bandwidth.estimate();
             // Insertion-order sum: bit-identical to the single-threaded
             // manager's local weight sum over its sessions vector.
-            let weight_denominator: f64 = self.members.iter().map(|(_, w)| *w).sum();
+            let weight_denominator: f64 = self.members.iter().map(|m| m.weight).sum();
             if weight_denominator > 0.0 {
                 self.send_raw(
                     shard,
@@ -435,8 +437,11 @@ impl ShardedSessionManager {
         self.next_shard = (self.next_shard + 1) % self.shards.len();
         let (estimate, weight) = builder.initial_share();
         self.route.insert(id, shard);
-        self.members.push((id, weight));
-        self.estimates.insert(id, estimate);
+        self.members.push(Member {
+            id,
+            weight,
+            estimate,
+        });
         self.budget_epoch += 1;
         self.send(shard, Command::Add { id, builder });
         id
@@ -463,8 +468,7 @@ impl ShardedSessionManager {
     /// weight sum and so starts a budget epoch.
     fn forget(&mut self, id: SessionId) {
         self.route.remove(&id);
-        self.members.retain(|(sid, _)| *sid != id);
-        self.estimates.remove(&id);
+        self.members.retain(|member| member.id != id);
         self.budget_epoch += 1;
     }
 
@@ -482,67 +486,42 @@ impl ShardedSessionManager {
         now: Time,
     ) -> Option<ServerEvent> {
         let shard = *self.route.get(&id)?;
-        match message {
-            ClientMessage::Close => {
-                self.forget(id);
-                self.drain_outstanding(shard);
-                self.send(
-                    shard,
-                    Command::Message {
-                        id,
-                        message: message.clone(),
-                        now,
-                    },
-                );
-                match self.recv_reply(shard) {
-                    Reply::MessageDone { event, .. } => event,
-                    _ => panic!("shard {shard} reply protocol violated"),
-                }
-            }
-            ClientMessage::RateReport(_) => {
-                self.drain_outstanding(shard);
-                self.send(
-                    shard,
-                    Command::Message {
-                        id,
-                        message: message.clone(),
-                        now,
-                    },
-                );
-                let estimate = match self.recv_reply(shard) {
-                    Reply::MessageDone { estimate, .. } => estimate,
-                    _ => panic!("shard {shard} reply protocol violated"),
-                };
-                if let Some(estimate) = estimate {
-                    self.estimates.insert(id, estimate);
-                }
-                // The single-threaded manager sums per-session estimates in
-                // its sessions vector's insertion order; `members` holds
-                // that same global order, so this f64 sum is bit-identical.
-                let total: f64 = self
-                    .members
-                    .iter()
-                    .map(|(sid, _)| self.estimates.get(sid).copied().unwrap_or(0.0))
-                    .sum();
-                self.shared_bandwidth.report_rate(Bandwidth(total));
-                self.budget_epoch += 1;
-                None
-            }
+        let command = Command::Message {
+            id,
+            message: message.clone(),
+            now,
+        };
+        let report = match message {
             ClientMessage::Predictor(_)
             | ClientMessage::PredictorFull { .. }
             | ClientMessage::PredictorDelta(_) => {
-                self.send(
-                    shard,
-                    Command::Message {
-                        id,
-                        message: message.clone(),
-                        now,
-                    },
-                );
+                self.send(shard, command);
                 self.outstanding[shard] += 1;
+                return None;
+            }
+            ClientMessage::Close => {
+                self.forget(id);
                 None
             }
+            ClientMessage::RateReport(rate) => Some(*rate),
+        };
+        self.drain_outstanding(shard);
+        self.send(shard, command);
+        let Reply::MessageDone { event, estimate } = self.recv_reply(shard) else {
+            panic!("shard {shard} reply protocol violated");
+        };
+        if let Some(rate) = report {
+            let at = self.members.binary_search_by_key(&id, |member| member.id);
+            if let (Some(estimate), Ok(at)) = (estimate, at) {
+                self.members[at].estimate = estimate;
+            }
+            // `members` holds the order of the single-threaded manager's
+            // sessions vector, so the fold's f64 sum is bit-identical.
+            let estimates = self.members.iter().map(|m| (m.id, m.estimate));
+            self.shared_bandwidth.fold_report(estimates, id, rate);
+            self.budget_epoch += 1;
         }
+        event
     }
 
     /// Asks every shard for up to `max_per_shard` blocks *concurrently* and
@@ -627,7 +606,7 @@ impl ShardedSessionManager {
 
     /// Live session ids in global insertion order.
     pub fn session_ids(&self) -> Vec<SessionId> {
-        self.members.iter().map(|(id, _)| *id).collect()
+        self.members.iter().map(|member| member.id).collect()
     }
 
     /// The shard owning `id`, if the session is live.
@@ -670,7 +649,7 @@ mod tests {
     use crate::block::ResponseCatalog;
     use crate::predictor::PredictorState;
     use crate::scheduler::GreedySchedulerConfig;
-    use crate::server::CatalogBackend;
+    use crate::server::{CatalogBackend, ServerConfig};
     use crate::session::Session;
     use crate::types::{BlockRef, RequestId};
     use crate::utility::{LinearUtility, UtilityModel};
@@ -1046,6 +1025,62 @@ mod tests {
             &ClientMessage::RateReport(Bandwidth::from_mbps(9.0)),
         );
         rig.drain_and_compare();
+    }
+
+    #[test]
+    fn coordinator_budget_starts_as_the_factorys() {
+        let cat = catalog();
+        let factory_cat = cat.clone();
+        let mut mgr = ShardedSessionManager::spawn(2, move |_| {
+            single_manager(&factory_cat)
+                .with_initial_bandwidth(Bandwidth::from_mbps(2.0))
+                .with_bandwidth_cap(Bandwidth::from_mbps(3.0))
+        });
+        assert_eq!(mgr.bandwidth_estimate(), Bandwidth::from_mbps(2.0));
+        let id = mgr.add_session(builder(&cat, 1.0, 0));
+        let report = ClientMessage::RateReport(Bandwidth::from_mbps(100.0));
+        mgr.on_message(id, &report, Time::ZERO);
+        assert_eq!(mgr.bandwidth_estimate(), Bandwidth::from_mbps(3.0));
+    }
+
+    #[test]
+    fn ignored_rate_report_moves_nothing_through_the_coordinator() {
+        // `RateReport(0.0)`: the session's estimator ignores it on its
+        // shard, and the coordinator's fold must add no sample either.
+        let cat = catalog();
+        let mut single = single_manager(&cat);
+        let mut sharded = sharded_manager(&cat, 2);
+        let probes: Vec<(SlotLog, SlotLog)> = (0..3).map(|_| Default::default()).collect();
+        let mut ids = Vec::new();
+        for (i, (in_single, in_sharded)) in probes.iter().enumerate() {
+            let weight = 1.0 + i as f64;
+            ids.push(single.add_session(probed(&cat, weight, in_single)));
+            sharded.add_session(probed(&cat, weight, in_sharded));
+        }
+        let report = |mbps: f64| ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
+        for (k, &id) in ids.iter().cycle().take(7).enumerate() {
+            single.on_message(id, &report(2.0 + k as f64), Time::ZERO);
+            sharded.on_message(id, &report(2.0 + k as f64), Time::ZERO);
+        }
+        let before = sharded.bandwidth_estimate().0.to_bits();
+        assert_eq!(before, single.bandwidth_estimate().0.to_bits());
+        for &id in &ids {
+            assert_eq!(sharded.on_message(id, &report(0.0), Time::ZERO), None);
+            assert_eq!(sharded.bandwidth_estimate().0.to_bits(), before);
+        }
+        // Neither the shared window nor any session's slid: the next real
+        // report lands where it does in a manager that never saw the zeros.
+        single.on_message(ids[1], &report(4.5), Time::ZERO);
+        sharded.on_message(ids[1], &report(4.5), Time::ZERO);
+        assert_eq!(
+            sharded.bandwidth_estimate().0.to_bits(),
+            single.bandwidth_estimate().0.to_bits()
+        );
+        assert!(sharded.pump(Time::ZERO, 4).is_empty());
+        assert!(single.next_event(Time::ZERO).is_idle());
+        for (id, (in_single, in_sharded)) in ids.iter().zip(&probes) {
+            assert_eq!(last_slot(in_single), last_slot(in_sharded), "slot of {id}");
+        }
     }
 
     #[test]

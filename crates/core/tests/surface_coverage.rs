@@ -129,9 +129,7 @@ fn manager_budget_routing_and_identity_surface() {
     mgr.set_model_cache(cache.clone());
     assert!(Arc::ptr_eq(mgr.model_cache(), &cache));
 
-    // External-budget mode with an explicit shared budget (the sharded
-    // coordinator's protocol).
-    mgr.set_external_budget(true);
+    // A pushed shared budget (the sharded coordinator's protocol).
     mgr.set_shared_budget(Bandwidth::from_mbps(8.0), 1.0);
 
     let s = summary(n, &[(5, 0.7)], 0.1);
@@ -199,10 +197,11 @@ fn sharded_manager_builder_knobs_apply_before_serving() {
     let n = 30;
     let cat = catalog(n, 4);
     let factory_cat = cat.clone();
+    // The factory's cap is the fleet's: the coordinator adopts it.
     let mut mgr = ShardedSessionManager::spawn(2, move |_shard| {
         SessionManager::round_robin(Box::new(CatalogBackend::new(factory_cat.clone())))
-    })
-    .with_bandwidth_cap(Bandwidth::from_mbps(12.0));
+            .with_bandwidth_cap(Bandwidth::from_mbps(12.0))
+    });
 
     let ids: Vec<SessionId> = (0..2).map(|_| mgr.add_session(builder(n, 4))).collect();
     let s = summary(n, &[(5, 0.7)], 0.1);

@@ -1,7 +1,8 @@
 //! End-to-end simulation of a Khameleon deployment.
 //!
-//! Wires the real library components — a [`KhameleonServer`] assembled
-//! through [`ServerBuilder`] (pluggable scheduler, bandwidth estimator,
+//! Wires the real library components — the one-session
+//! [`SessionManager`](khameleon_core::session::SessionManager) that
+//! [`ServerBuilder`] assembles (pluggable scheduler, bandwidth estimator,
 //! backend), [`CacheManager`] (ring cache, upcalls, preemption),
 //! [`PredictorManager`] — to a simulated duplex network path and an
 //! interaction-trace replay, all driven by the deterministic event queue.
@@ -22,9 +23,9 @@ use khameleon_core::delta::DeltaTracker;
 use khameleon_core::predictor::{
     ClientPredictor, InteractionEvent, PredictorManager, PredictorManagerConfig, ServerPredictor,
 };
-use khameleon_core::protocol::{ClientMessage, ServerEvent};
+use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
 use khameleon_core::scheduler::GreedySchedulerConfig;
-use khameleon_core::server::{KhameleonServer, ServerBuilder, ServerConfig};
+use khameleon_core::server::{ServerBuilder, ServerConfig};
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::UtilityModel;
 use khameleon_net::estimator::ReceiveRateMeter;
@@ -187,14 +188,21 @@ pub fn run_khameleon(
         bandwidth_cap: None,
         sender_queue_target: 32,
     };
-    let mut server: KhameleonServer = ServerBuilder::new(utility.clone(), catalog.clone())
+    let mut server = ServerBuilder::new(utility.clone(), catalog.clone())
         .config(server_cfg)
         .predictor(server_predictor)
         .backend(Box::new(backend_store))
         .build();
+    // The id the builder gives its one session.
+    let session = SessionId(0);
     #[cfg(feature = "audit")]
     if cfg.audit {
-        server.audit_attach(khameleon_core::audit::AuditConfig::default());
+        // The manager lends no `&mut Session`: take the session out, attach,
+        // put it back (bit-exact for a lone session that has sent nothing).
+        if let Some(mut detached) = server.detach_session(session) {
+            detached.audit_attach(khameleon_core::audit::AuditConfig::default());
+            server.attach_session(session, detached);
+        }
     }
 
     // --- client ---
@@ -299,8 +307,7 @@ pub fn run_khameleon(
                 queue.schedule(now + cfg.prediction_interval, Event::PredictionPoll);
             }
             Event::Uplink(message) => {
-                if server.on_message(&message, now)
-                    == khameleon_core::session::MessageOutcome::NeedsResync
+                if let Some(ServerEvent::Resync { .. }) = server.on_message(session, &message, now)
                 {
                     // The simulated downlink has no Resync frame to carry:
                     // resetting the tracker makes the next poll ship in full,
@@ -320,7 +327,7 @@ pub fn run_khameleon(
                     queue.schedule(downlink.busy_until(), Event::SenderWake);
                     continue;
                 }
-                match server.poll(now) {
+                match server.next_event(now) {
                     ServerEvent::Block { block, .. } => {
                         let request = block.meta.block.request;
                         // First touch of a request triggers backend
@@ -390,7 +397,7 @@ pub fn run_khameleon(
         uplink_delta_updates,
         faults_injected: faults.injected(),
         #[cfg(feature = "audit")]
-        audit: server.audit_report(),
+        audit: server.session(session).and_then(|s| s.audit_report()),
     }
 }
 

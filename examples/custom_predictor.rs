@@ -16,6 +16,7 @@ use khameleon::core::distribution::{HorizonSlice, PredictionSummary, SparseDistr
 use khameleon::core::predictor::{
     ClientPredictor, InteractionEvent, PredictorState, RequestLayout, ServerPredictor,
 };
+use khameleon::core::protocol::{ClientMessage, ServerEvent, SessionId};
 use khameleon::core::server::{CatalogBackend, ServerBuilder};
 use khameleon::core::types::{Duration, RequestId, Time};
 use khameleon::core::utility::{PiecewiseUtility, UtilityModel};
@@ -121,16 +122,26 @@ fn main() {
         });
     }
     let state = client_pred.state(Time::from_millis(200));
-    server.on_predictor_state(&state, Time::from_millis(200));
+    server.on_message(
+        SessionId(0),
+        &ClientMessage::Predictor(state),
+        Time::from_millis(200),
+    );
 
     // The scheduler should now hedge along the direction of travel: 43 (the
     // current widget) plus 44, 45, 46 ahead of it.
     println!("first 12 blocks pushed after the momentum prediction:");
+    let mut ahead = 0;
     for _ in 0..12 {
-        if let Some(block) = server.next_block(Time::from_millis(200)) {
+        if let ServerEvent::Block { block, .. } = server.next_event(Time::from_millis(200)) {
             let (row, col) = layout.cell(block.meta.block.request);
             println!("  {} -> grid cell ({row},{col})", block.meta.block);
+            ahead += usize::from(row == 4 && (3..=6).contains(&col));
         }
     }
+    assert!(
+        ahead >= 8,
+        "only {ahead} of 12 blocks lie along the direction of travel"
+    );
     let _ = Duration::from_millis(0); // keep the prelude import exercised
 }

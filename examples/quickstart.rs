@@ -17,11 +17,15 @@ fn main() {
     // 2. Build the server: greedy scheduler + bandwidth estimator + a backend
     //    that serves blocks straight from the catalog (a pre-loaded "file
     //    system").  Every component has a sensible default; the builder makes
-    //    the predictor explicit just to show where it plugs in.
+    //    the predictor explicit just to show where it plugs in.  What comes
+    //    back is a `SessionManager` holding this one client as session 0 —
+    //    the same runtime that serves many (see `live_pipeline`).
     let mut server = ServerBuilder::new(utility.clone(), catalog.clone())
         .predictor(Box::new(SimpleServerPredictor::new(100)))
         .backend(Box::new(CatalogBackend::new(catalog.clone())))
         .build();
+
+    let session = SessionId(0);
 
     // 3. Build the client: a 64-block ring cache plus upcall bookkeeping.
     let mut client = CacheManager::new(64, catalog, utility);
@@ -31,14 +35,15 @@ fn main() {
     //    prioritize.
     let now = Time::ZERO;
     assert!(client.register(RequestId(7), now).is_none());
-    server.on_predictor_state(&PredictorState::LastRequest(RequestId(7)), now);
+    let prediction = ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7)));
+    server.on_message(session, &prediction, now);
 
     // 5. The server streams blocks; the first block for request 7 triggers an
     //    application upcall with a renderable (low quality) response, and
     //    later blocks keep improving it.
     let mut t = now;
     for _ in 0..20 {
-        let Some(block) = server.next_block(t) else {
+        let ServerEvent::Block { block, .. } = server.next_event(t) else {
             break;
         };
         t += server.pacing_interval();
@@ -58,6 +63,7 @@ fn main() {
         client.current_blocks(RequestId(7)),
         client.current_utility(RequestId(7))
     );
+    assert_eq!(client.current_blocks(RequestId(7)), 10);
     println!(
         "server pushed {} blocks ({} bytes) without ever receiving an explicit request",
         server.blocks_sent(),

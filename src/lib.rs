@@ -4,9 +4,10 @@
 //! (SIGMOD 2020): a framework that combines **progressive response encoding**,
 //! **push-based streaming**, and a **server-side scheduler** that jointly
 //! optimizes prefetching and response quality for interactive data
-//! visualization and exploration (DVE) applications.  Servers are assembled
-//! with [`core::server::ServerBuilder`]; multi-client deployments multiplex
-//! sessions over a shared backend with [`core::session::SessionManager`].
+//! visualization and exploration (DVE) applications.  Clients are served by
+//! a [`core::session::SessionManager`], which multiplexes sessions over a
+//! shared backend; [`core::server::ServerBuilder`] assembles the one-session
+//! case.
 //!
 //! This facade crate re-exports the workspace's crates under one roof:
 //!
@@ -44,9 +45,7 @@ pub mod prelude {
     };
     pub use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
     pub use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
-    pub use khameleon_core::server::{
-        CatalogBackend, KhameleonServer, ServerBuilder, ServerConfig,
-    };
+    pub use khameleon_core::server::{CatalogBackend, ServerBuilder, ServerConfig};
     pub use khameleon_core::session::{
         RoundRobin, Session, SessionManager, SharePolicy, WeightedFair,
     };

@@ -40,12 +40,12 @@ fn hand_wired_pipeline_prefetches_the_predicted_widget() {
     }
     let now = Time::from_millis(600);
     let state = predictor.state(now);
-    server.on_predictor_state(&state, now);
+    server.on_message(SessionId(0), &ClientMessage::Predictor(state), now);
 
     // Stream for a while.
     let mut t = now;
     for _ in 0..64 {
-        let Some(block) = server.next_block(t) else {
+        let ServerEvent::Block { block, .. } = server.next_event(t) else {
             break;
         };
         t += Duration::from_millis(2);
@@ -85,8 +85,8 @@ fn backend_limit_is_respected_end_to_end() {
         .build();
     let mut distinct = std::collections::HashSet::new();
     for _ in 0..24 {
-        if let Some(b) = server.next_block(Time::ZERO) {
-            distinct.insert(b.meta.block.request);
+        if let ServerEvent::Block { block, .. } = server.next_event(Time::ZERO) {
+            distinct.insert(block.meta.block.request);
         }
     }
     assert!(

@@ -4,9 +4,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use khameleon::core::block::ResponseCatalog;
+use khameleon::core::block::{Block, ResponseCatalog};
 use khameleon::core::distribution::PredictionSummary;
-use khameleon::core::protocol::{ClientMessage, ServerEvent};
+use khameleon::core::protocol::{ClientMessage, ServerEvent, SessionId};
 use khameleon::core::scheduler::{
     GreedyScheduler, GreedySchedulerConfig, OptimalScheduler, Scheduler,
 };
@@ -17,6 +17,17 @@ use khameleon::core::utility::{LinearUtility, PowerUtility, UtilityModel};
 
 fn catalog(n: usize, blocks: u32) -> Arc<ResponseCatalog> {
     Arc::new(ResponseCatalog::uniform(n, blocks, 10_000))
+}
+
+/// The id `ServerBuilder::build` gives its one session.
+const CLIENT: SessionId = SessionId(0);
+
+/// The next block a `ServerBuilder`-built server puts on the wire, if any.
+fn next_block(server: &mut SessionManager, now: Time) -> Option<Block> {
+    match server.next_event(now) {
+        ServerEvent::Block { block, .. } => Some(block),
+        _ => None,
+    }
 }
 
 fn greedy(n: usize, blocks: u32, cache: usize, seed: u64) -> GreedyScheduler {
@@ -99,12 +110,12 @@ fn builder_with_boxed_scheduler_matches_default_server() {
     let msg = ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
         RequestId(5),
     ));
-    default_server.on_message(&msg, Time::ZERO);
-    explicit_server.on_message(&msg, Time::ZERO);
+    default_server.on_message(CLIENT, &msg, Time::ZERO);
+    explicit_server.on_message(CLIENT, &msg, Time::ZERO);
 
     for _ in 0..40 {
-        let a = default_server.next_block(Time::ZERO).map(|b| b.meta.block);
-        let b = explicit_server.next_block(Time::ZERO).map(|b| b.meta.block);
+        let a = next_block(&mut default_server, Time::ZERO).map(|b| b.meta.block);
+        let b = next_block(&mut explicit_server, Time::ZERO).map(|b| b.meta.block);
         assert_eq!(a, b, "streams diverged");
     }
 }
@@ -121,18 +132,19 @@ fn optimal_scheduler_drives_a_server() {
             OptimalScheduler::new(utility, cat).with_horizon(12),
         ))
         .build();
-    assert_eq!(server.scheduler_name(), "optimal");
+    assert_eq!(server.session(CLIENT).unwrap().scheduler_name(), "optimal");
     server.on_message(
+        CLIENT,
         &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
             RequestId(2),
         )),
         Time::ZERO,
     );
-    let first = server.next_block(Time::ZERO).expect("a block");
+    let first = next_block(&mut server, Time::ZERO).expect("a block");
     assert_eq!(first.meta.block.request, RequestId(2));
     assert_eq!(first.meta.block.index, 0);
     // The exact solver schedules the certain request's full prefix first.
-    let second = server.next_block(Time::ZERO).expect("a second block");
+    let second = next_block(&mut server, Time::ZERO).expect("a second block");
     assert_eq!(
         second.meta.block,
         khameleon::core::types::BlockRef::new(RequestId(2), 1)
@@ -158,17 +170,19 @@ fn optimal_scheduler_replans_queued_but_unsent_blocks() {
     // Prime the schedule and let exactly one block (of request 0's plan) go
     // out; the rest of the 12-block plan sits in the sender queue.
     server.on_message(
+        CLIENT,
         &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
             RequestId(0),
         )),
         Time::ZERO,
     );
-    let first = server.next_block(Time::ZERO).expect("first block");
+    let first = next_block(&mut server, Time::ZERO).expect("first block");
     assert_eq!(first.meta.block.request, RequestId(0));
 
     // A new prediction arrives: the queued-but-unsent blocks are discarded
     // by the session and must be re-planned, not considered delivered.
     server.on_message(
+        CLIENT,
         &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
             RequestId(3),
         )),
@@ -176,7 +190,7 @@ fn optimal_scheduler_replans_queued_but_unsent_blocks() {
     );
     let mut delivered = std::collections::HashSet::new();
     delivered.insert(first.meta.block);
-    while let Some(b) = server.next_block(Time::from_millis(10)) {
+    while let Some(b) = next_block(&mut server, Time::from_millis(10)) {
         assert!(delivered.insert(b.meta.block), "duplicate {b:?}");
         if delivered.len() > 64 {
             panic!("runaway stream");
@@ -210,6 +224,7 @@ fn optimal_scheduler_survives_full_schedule_drain_between_updates() {
         .build();
 
     server.on_message(
+        CLIENT,
         &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
             RequestId(1),
         )),
@@ -218,7 +233,7 @@ fn optimal_scheduler_survives_full_schedule_drain_between_updates() {
     // Drain exactly one full schedule (8 blocks, all of request 1).
     let mut sent = std::collections::HashSet::new();
     for _ in 0..horizon {
-        let b = server.next_block(Time::ZERO).expect("schedule block");
+        let b = next_block(&mut server, Time::ZERO).expect("schedule block");
         sent.insert(b.meta.block);
     }
     assert_eq!(sent.len(), horizon);
@@ -226,13 +241,14 @@ fn optimal_scheduler_survives_full_schedule_drain_between_updates() {
     // Same prediction again after the wrap: nothing new to say, so the
     // already-sent blocks must NOT be re-sent.
     server.on_message(
+        CLIENT,
         &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
             RequestId(1),
         )),
         Time::from_millis(10),
     );
     let mut extra = 0;
-    while let Some(b) = server.next_block(Time::from_millis(10)) {
+    while let Some(b) = next_block(&mut server, Time::from_millis(10)) {
         assert!(
             sent.insert(b.meta.block),
             "already-sent block {b:?} re-sent after schedule drain"
