@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks for the schedulers (Figures 15/16 companions):
 //! greedy schedule generation across request-space sizes, the meta-request
 //! ablation, the incremental (Fenwick) vs. legacy-scan sampling comparison
-//! at 1k/10k/100k requests, prediction updates, and the optimal scheduler
-//! on small instances.
+//! at 1k/10k/100k requests, prediction updates, the delta path at fixed Δ
+//! across prediction sizes, and the optimal scheduler on small instances.
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use khameleon_core::block::ResponseCatalog;
+use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::scheduler::{
     GreedyScheduler, GreedySchedulerConfig, HorizonModel, OptimalScheduler, SamplerVariant,
@@ -168,6 +169,134 @@ fn bench_prediction_update(c: &mut Criterion) {
     group.finish();
 }
 
+/// A prediction of `m` explicit entries (of `2m` ids) over four slices whose
+/// entries can be rescaled or swapped for free ids, 100 ids an op: the
+/// `update_heavy` churn with the prediction size as the only variable.
+struct ChurningPrediction {
+    raised: Vec<bool>,
+    shape: Vec<u8>,
+    is_explicit: Vec<bool>,
+    explicit_ids: Vec<u32>,
+    free_ids: Vec<u32>,
+    rng: u64,
+}
+
+impl ChurningPrediction {
+    const CHANGED_IDS: usize = 100;
+    const SHAPES: [[f64; 4]; 3] = [
+        [1.0, 1.0, 1.0, 1.0],
+        [1.0, 0.9, 0.8, 0.7],
+        [0.7, 0.8, 0.9, 1.0],
+    ];
+
+    fn new(m: usize) -> Self {
+        ChurningPrediction {
+            raised: vec![false; 2 * m],
+            shape: (0..2 * m).map(|r| (r % 3) as u8).collect(),
+            is_explicit: (0..2 * m).map(|r| r % 2 == 0).collect(),
+            explicit_ids: (0..2 * m as u32).step_by(2).collect(),
+            free_ids: (1..2 * m as u32).step_by(2).collect(),
+            rng: 0x9e37_79b9_7f4a_7c15,
+        }
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        // xorshift64: the draws only have to be spread, not good.
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        (self.rng % n as u64) as usize
+    }
+
+    fn rescale(&mut self) {
+        for _ in 0..Self::CHANGED_IDS {
+            let at = self.below(self.explicit_ids.len());
+            let r = self.explicit_ids[at] as usize;
+            self.raised[r] = !self.raised[r];
+        }
+    }
+
+    fn swap_members(&mut self) {
+        for _ in 0..Self::CHANGED_IDS / 2 {
+            let (leave_at, join_at) = (
+                self.below(self.explicit_ids.len()),
+                self.below(self.free_ids.len()),
+            );
+            let (leaver, joiner) = (self.explicit_ids[leave_at], self.free_ids[join_at]);
+            self.explicit_ids[leave_at] = joiner;
+            self.free_ids[join_at] = leaver;
+            self.is_explicit[joiner as usize] = true;
+            self.is_explicit[leaver as usize] = false;
+        }
+    }
+
+    fn summary(&self) -> PredictionSummary {
+        let n = self.raised.len();
+        let unit = 0.5 / self.explicit_ids.len() as f64;
+        let slices = PredictionSummary::default_deltas()
+            .into_iter()
+            .enumerate()
+            .map(|(s, delta)| {
+                let mut mass = 0.0;
+                let mut entries = Vec::with_capacity(self.explicit_ids.len());
+                for r in (0..n).filter(|&r| self.is_explicit[r]) {
+                    let lift = if self.raised[r] { 1.25 } else { 1.0 };
+                    let p = unit * lift * Self::SHAPES[self.shape[r] as usize][s];
+                    mass += p;
+                    entries.push((RequestId::from(r), p));
+                }
+                HorizonSlice {
+                    delta,
+                    dist: SparseDistribution::from_normalized(n, entries, 1.0 - mass),
+                }
+            })
+            .collect();
+        PredictionSummary::new(n, slices, Time::ZERO)
+    }
+}
+
+/// The delta path end to end — `DeltaTracker::encode` → `ShadowSummary::apply`
+/// → `update_prediction_sparse`, i.e. one [`DirectUplink::ship`] — at a fixed
+/// Δ of 100 changed ids while the prediction grows 40×.  Building the next
+/// summary is the client's predictor, not the path, and stays out of the
+/// timing.  What is `O(Δ)` should read flat across `m`; what still passes
+/// over the prediction (the tracker's diff, one mass re-sum per touched
+/// slice, the memmove behind a join) grows with it.
+fn bench_delta_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("delta_path");
+    group.sample_size(60);
+    for &m in &[1_000usize, 10_000, 40_000] {
+        for (kind, op) in [
+            (
+                "rescale",
+                ChurningPrediction::rescale as fn(&mut ChurningPrediction),
+            ),
+            ("structural", ChurningPrediction::swap_members),
+        ] {
+            let mut prediction = ChurningPrediction::new(m);
+            let mut s = greedy(2 * m, 1_024, 8, true);
+            let mut uplink = DirectUplink::new();
+            uplink.ship(&mut s, &prediction.summary(), 0);
+            group.bench_with_input(BenchmarkId::new(kind, m), &m, |b, _| {
+                b.iter_batched(
+                    || {
+                        op(&mut prediction);
+                        prediction.summary()
+                    },
+                    |summary| {
+                        let position = s.position();
+                        uplink.ship(&mut s, &summary, position);
+                        s.next_batch(4)
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+            assert_eq!(s.diff_applied_updates(), s.prediction_updates() - 1);
+        }
+    }
+    group.finish();
+}
+
 fn bench_optimal(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimal_schedule");
     group.sample_size(10);
@@ -185,6 +314,7 @@ fn bench_optimal(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_delta_path,
     bench_greedy_schedule,
     bench_meta_request_ablation,
     bench_sampling_scan_vs_fenwick,

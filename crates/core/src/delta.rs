@@ -21,9 +21,40 @@
 //! Bit-exactness is load-bearing: the shadow must reproduce the *exact*
 //! bits the client's summary holds, or unchanged requests would grow
 //! spurious signature diffs and the sparse changed-set would be dishonest.
-//! That is why the shadow patches slices through
-//! [`SparseDistribution::from_normalized`] (no renormalization) and why
+//! That is why both mirrors move by overwriting stored entries
+//! ([`SparseDistribution::apply_patch`], no renormalization) and why
 //! [`DeltaTracker`] compares probabilities by bit pattern, not by value.
+//!
+//! # What a delta costs
+//!
+//! Between whole summaries each mirror — the tracker's copy of what it last
+//! shipped, the shadow's copy of what it last received — moves only by that
+//! one in-place patch; nothing is cloned or rebuilt.  Per delta of `Δ`
+//! changed entries over an `m`-entry prediction:
+//!
+//! * `O(Δ)`, with `O(log)` factors: locating the patch (a forward galloping
+//!   walk per slice, which is also what proves every remove present),
+//!   overwriting the hits, the explicit-slice tallies behind the
+//!   changed-set's completeness proof, the adjacent-pair unions `|A ∪ B|`
+//!   (kept as exact integers under single-element updates: each id that
+//!   joined or left a slice is probed against the two neighbouring slices,
+//!   nothing is re-merged), and the changed-set itself.
+//! * One memmove per structurally changed slice, from the first join or
+//!   remove to the end of the entry vector: the price of keeping entries
+//!   sorted in one allocation.  A rescale-only delta moves nothing.
+//! * One read-only pass per *touched* slice to re-sum its explicit mass in
+//!   entry order.  It stays because the sum has to carry the bits
+//!   [`SlotPlan::new`](crate::scheduler) gets from a full scan, and floating
+//!   addition is not associative: an order-free accumulator is `O(Δ)` but
+//!   rounds differently from the entry-order sum (a 2⁻⁸⁰ fixed-point one
+//!   was tried, and tripped `scheduler::tests::oracle` on an ε-borderline
+//!   seed).
+//! * The tracker's diff is one read-only walk of both summaries — it has no
+//!   changed-set to start from; finding one is its job — that passes runs of
+//!   unchanged entries in a tight comparison, notes the sites of the changes
+//!   on the way (so its own mirror is patched without being searched), and
+//!   stops the moment the delta outgrows the size at which a whole summary
+//!   ships instead.
 //!
 //! A delta that names a base generation the shadow does not hold is refused
 //! with [`DeltaError::GenerationMismatch`]; servers surface this as
@@ -33,10 +64,11 @@
 //! [`HorizonModel::apply_update_sparse`]: crate::scheduler::HorizonModel::apply_update_sparse
 //! [`ClientMessage::PredictorFull`]: crate::protocol::ClientMessage::PredictorFull
 //! [`ClientMessage::PredictorDelta`]: crate::protocol::ClientMessage::PredictorDelta
+//! [`SparseDistribution::apply_patch`]: crate::distribution::SparseDistribution
 
 use std::collections::HashMap;
 
-use crate::distribution::{union_count, PredictionSummary, SparseDistribution};
+use crate::distribution::{union_count, PatchSites, PredictionSummary};
 use crate::protocol::ClientMessage;
 use crate::types::{RequestId, Time};
 
@@ -59,7 +91,17 @@ impl SliceDelta {
     pub fn is_empty(&self) -> bool {
         self.upserts.is_empty() && self.removes.is_empty() && self.residual.is_none()
     }
+
+    /// This slice's share of [`PredictionDelta::wire_size_bytes`].
+    fn wire_bytes(&self) -> u64 {
+        let counts = 4;
+        let residual = if self.residual.is_some() { 8 } else { 0 };
+        counts + 12 * self.upserts.len() as u64 + 4 * self.removes.len() as u64 + residual
+    }
 }
+
+/// Generations and timestamp of a [`PredictionDelta`] on the wire.
+const DELTA_HEADER_BYTES: u64 = 24;
 
 /// A prediction update expressed as the difference against a previous
 /// summary, identified by a generation chain: applying this delta to the
@@ -93,25 +135,16 @@ impl PredictionDelta {
     /// probability, a remove costs an id, plus small per-slice and
     /// per-message headers.
     pub fn wire_size_bytes(&self) -> u64 {
-        let mut bytes = 24u64; // generations + timestamp
-        for s in &self.slices {
-            bytes += 4; // per-slice counts
-            bytes += 12 * s.upserts.len() as u64;
-            bytes += 4 * s.removes.len() as u64;
-            if s.residual.is_some() {
-                bytes += 8;
-            }
-        }
-        bytes
+        DELTA_HEADER_BYTES + self.slices.iter().map(SliceDelta::wire_bytes).sum::<u64>()
     }
 }
 
 /// Per-slice scalars of a summary that a slot plan would otherwise derive
 /// by scanning every explicit entry: explicit probability mass per slice
-/// and `|A ∪ B|` per adjacent slice pair.  The shadow recomputes them
-/// during the flat merge it already performs per patched slice, in the same
-/// summation order as the full-scan path, so the two paths produce
-/// identical plans.
+/// and `|A ∪ B|` per adjacent slice pair.  The shadow re-sums the mass of
+/// each slice a delta touched in entry order — the summation order of the
+/// full-scan path — and keeps the unions as exact counts, so the two paths
+/// produce identical plans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryScalars {
     /// Explicit probability mass per slice, in slice order.
@@ -197,8 +230,9 @@ pub enum ShadowApply<'a> {
 /// Alongside the summary the shadow maintains, incrementally, everything
 /// the sparse scheduler path needs:
 ///
-/// * per-slice explicit mass and adjacent-pair union counts
-///   ([`SummaryScalars`]), recomputed only for patched slices;
+/// * per-slice explicit mass ([`SummaryScalars`]), re-summed only for
+///   touched slices, and adjacent-pair union counts, moved by the ids that
+///   joined or left a slice;
 /// * per-request explicit-slice counts and a tally of *partial* requests
 ///   (explicit in some slices but not all), which is what lets it certify
 ///   the changed-set as complete (a request explicit in every slice never
@@ -297,6 +331,9 @@ impl ShadowSummary {
         let n = state.summary.num_requests();
 
         // --- validate everything before mutating anything ---
+        // Locating the patch is part of it: the forward walk that finds
+        // where each entry lands is also what proves every remove present.
+        let mut sites: Vec<Option<PatchSites>> = Vec::with_capacity(slices.len());
         for (sd, slice) in delta.slices.iter().zip(slices) {
             if !strictly_ascending(sd.upserts.iter().map(|&(r, _)| r)) {
                 return Err(DeltaError::Malformed("upserts not sorted/unique"));
@@ -317,81 +354,75 @@ impl ShadowSummary {
             if sorted_intersect(&sd.upserts, &sd.removes) {
                 return Err(DeltaError::Malformed("id both upserted and removed"));
             }
-            let entries = slice.dist.explicit_entries();
-            if sd
-                .removes
-                .iter()
-                .any(|&r| entries.binary_search_by_key(&r, |&(x, _)| x).is_err())
-            {
-                return Err(DeltaError::Malformed("remove of absent entry"));
-            }
             if let Some(res) = sd.residual {
                 if !res.is_finite() || res < 0.0 {
                     return Err(DeltaError::Malformed("residual non-finite or negative"));
                 }
             }
+            sites.push(if sd.is_empty() {
+                None
+            } else {
+                let located = slice.dist.locate_patch(&sd.upserts, &sd.removes);
+                Some(located.ok_or(DeltaError::Malformed("remove of absent entry"))?)
+            });
         }
 
         // --- apply (infallible from here) ---
         let nslices = slices.len();
         let mut rpp_changed = false;
-        let mut modified = vec![false; nslices];
-        let (explicit_in, partial) = (&mut state.explicit_in, &mut state.partial);
-        for (i, sd) in delta.slices.iter().enumerate() {
-            if sd.is_empty() {
-                continue;
-            }
-            modified[i] = true;
-            let dist = &state.summary.slices()[i].dist;
+        for (i, (sd, sites)) in delta.slices.iter().zip(&sites).enumerate() {
+            let Some(sites) = sites else { continue };
+            let dist = state.summary.dist_mut(i);
             let old_rpp = dist.residual_per_request().to_bits();
-            let old_entries = dist.explicit_entries();
-            let mut merged: Vec<(RequestId, f64)> =
-                Vec::with_capacity(old_entries.len() + sd.upserts.len());
-            let (mut ui, mut ri) = (0usize, 0usize);
-            for &(r, p) in old_entries {
-                while ui < sd.upserts.len() && sd.upserts[ui].0 < r {
-                    merged.push(sd.upserts[ui]);
-                    note_explicit(explicit_in, partial, nslices, sd.upserts[ui].0, true);
-                    ui += 1;
-                }
-                if ui < sd.upserts.len() && sd.upserts[ui].0 == r {
-                    merged.push(sd.upserts[ui]);
-                    ui += 1;
-                } else if ri < sd.removes.len() && sd.removes[ri] == r {
-                    note_explicit(explicit_in, partial, nslices, r, false);
-                    ri += 1;
-                } else {
-                    merged.push((r, p));
-                }
-                while ri < sd.removes.len() && sd.removes[ri] < r {
-                    // Validated above: every remove hits an existing entry.
-                    ri += 1;
-                }
+            dist.apply_patch(sites, &sd.upserts, sd.residual);
+            rpp_changed |= dist.residual_per_request().to_bits() != old_rpp;
+            // One read-only pass in entry order — the summation order of a
+            // full entry scan, which an order-free accumulator cannot
+            // reproduce — so the sparse slot plan is bit-identical to the
+            // full one.
+            state.masses[i] = dist.explicit_entries().iter().map(|&(_, p)| p).sum();
+
+            // Membership moved only for joins and removes: tallies and pair
+            // unions follow those ids, not the slice.
+            let joined: Vec<RequestId> = (sites.upserts.iter().zip(&sd.upserts))
+                .filter_map(|(site, &(r, _))| site.is_err().then_some(r))
+                .collect();
+            for &r in &joined {
+                note_explicit(&mut state.explicit_in, &mut state.partial, nslices, r, true);
             }
-            while ui < sd.upserts.len() {
-                merged.push(sd.upserts[ui]);
-                note_explicit(explicit_in, partial, nslices, sd.upserts[ui].0, true);
-                ui += 1;
-            }
-            // Same summation order as a full entry scan, so the sparse slot
-            // plan is bit-identical to the full one.
-            state.masses[i] = merged.iter().map(|&(_, p)| p).sum();
-            let residual = sd.residual.unwrap_or(dist.residual_mass());
-            let patched = SparseDistribution::from_normalized(n, merged, residual);
-            if patched.residual_per_request().to_bits() != old_rpp {
-                rpp_changed = true;
-            }
-            state.summary.set_slice_dist(i, patched);
-        }
-        for pi in 0..nslices.saturating_sub(1) {
-            if modified[pi] || modified[pi + 1] {
-                let s = state.summary.slices();
-                state.pair_unions[pi] = union_count(
-                    s[pi].dist.explicit_entries(),
-                    s[pi + 1].dist.explicit_entries(),
+            for &r in &sd.removes {
+                note_explicit(
+                    &mut state.explicit_in,
+                    &mut state.partial,
+                    nslices,
+                    r,
+                    false,
                 );
             }
+            if joined.is_empty() && sd.removes.is_empty() {
+                continue;
+            }
+            // `|A ∪ B|` moves by one per id that joined or left this slice
+            // and is absent from the neighbour as the neighbour stands now
+            // (already patched below `i`, not yet above): single-element
+            // updates of an exact integer, in sequence.
+            let neighbours = [
+                i.checked_sub(1).map(|below| (below, below)),
+                (i + 1 < nslices).then_some((i, i + 1)),
+            ];
+            for (pair, neighbour) in neighbours.into_iter().flatten() {
+                let other = &state.summary.slices()[neighbour].dist;
+                let absent = |ids: &[RequestId]| ids.len() - other.count_explicit(ids);
+                let union = &mut state.pair_unions[pair];
+                *union = *union + absent(&joined) - absent(&sd.removes);
+            }
         }
+        debug_assert!(
+            (state.summary.slices().windows(2).zip(&state.pair_unions)).all(|(w, &u)| {
+                u == union_count(w[0].dist.explicit_entries(), w[1].dist.explicit_entries())
+            }),
+            "maintained pair unions drifted from a fresh merge"
+        );
         state.summary.generated_at = delta.generated_at;
         state.generation = delta.generation;
 
@@ -543,30 +574,44 @@ impl DeltaTracker {
 
     /// Encodes `summary` as a delta against the previously encoded summary
     /// when possible (and worthwhile), or as a full summary otherwise.
+    ///
+    /// A delta moves the tracker's mirror by the same in-place patch the
+    /// server's shadow applies to its own, at the sites the diff walk just
+    /// passed; only a whole summary is copied, and the only clone made is
+    /// the one the message carries.
     pub fn encode(&mut self, summary: &PredictionSummary) -> ClientMessage {
-        let delta = match &self.last {
-            Some(prev) if same_structure(prev, summary) => Some(diff_summaries(prev, summary)),
-            _ => None,
-        };
         let base = self.generation;
         self.generation += 1;
-        self.last = Some(summary.clone());
-        match delta {
-            Some(slices)
-                if estimated_delta_bytes(&slices)
-                    <= (self.max_delta_ratio * summary.wire_size_bytes() as f64) as u64 =>
-            {
-                ClientMessage::PredictorDelta(PredictionDelta {
+        let cutoff = (self.max_delta_ratio * summary.wire_size_bytes() as f64) as u64;
+        let mirror = self.last.as_mut();
+        if let Some(last) = mirror.filter(|last| same_structure(last, summary)) {
+            let delta = diff_summaries(last, summary, cutoff);
+            last.generated_at = summary.generated_at;
+            if let Some((slices, sites)) = delta {
+                for (i, (sd, sites)) in slices.iter().zip(&sites).enumerate() {
+                    if !sd.is_empty() {
+                        (last.dist_mut(i)).apply_patch(sites, &sd.upserts, sd.residual);
+                    }
+                }
+                debug_assert!(same_bits(last, summary), "the patched mirror drifted");
+                return ClientMessage::PredictorDelta(PredictionDelta {
                     base_generation: base,
                     generation: self.generation,
                     generated_at: summary.generated_at,
                     slices,
-                })
+                });
             }
-            _ => ClientMessage::PredictorFull {
-                generation: self.generation,
-                summary: summary.clone(),
-            },
+            // Too much moved for a delta: the mirror takes the summary into
+            // the entry vectors it already has.
+            for (i, slice) in summary.slices().iter().enumerate() {
+                last.dist_mut(i).copy_from(&slice.dist);
+            }
+        } else {
+            self.last = Some(summary.clone());
+        }
+        ClientMessage::PredictorFull {
+            generation: self.generation,
+            summary: summary.clone(),
         }
     }
 }
@@ -635,65 +680,83 @@ fn same_structure(a: &PredictionSummary, b: &PredictionSummary) -> bool {
             .all(|(x, y)| x.delta == y.delta)
 }
 
-fn estimated_delta_bytes(slices: &[SliceDelta]) -> u64 {
-    let mut bytes = 24u64;
-    for s in slices {
-        bytes += 4 + 12 * s.upserts.len() as u64 + 4 * s.removes.len() as u64;
-        if s.residual.is_some() {
-            bytes += 8;
-        }
-    }
-    bytes
+/// Whether two same-structure summaries hold the same bits (`==` would call
+/// `0.0` and `-0.0` equal).
+fn same_bits(a: &PredictionSummary, b: &PredictionSummary) -> bool {
+    a.generated_at == b.generated_at
+        && a.slices().iter().zip(b.slices()).all(|(x, y)| {
+            let (ex, ey) = (x.dist.explicit_entries(), y.dist.explicit_entries());
+            x.dist.residual_mass().to_bits() == y.dist.residual_mass().to_bits()
+                && ex.len() == ey.len()
+                && (ex.iter().zip(ey)).all(|(p, q)| p.0 == q.0 && p.1.to_bits() == q.1.to_bits())
+        })
 }
 
-fn diff_summaries(prev: &PredictionSummary, next: &PredictionSummary) -> Vec<SliceDelta> {
-    prev.slices()
-        .iter()
-        .zip(next.slices())
-        .map(|(a, b)| {
-            let (ea, eb) = (a.dist.explicit_entries(), b.dist.explicit_entries());
-            let mut upserts = Vec::new();
-            let mut removes = Vec::new();
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ea.len() || j < eb.len() {
-                match (ea.get(i), eb.get(j)) {
-                    (Some(&(ra, pa)), Some(&(rb, pb))) if ra == rb => {
-                        if pa.to_bits() != pb.to_bits() {
-                            upserts.push((rb, pb));
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&(ra, _)), Some(&(rb, _))) if ra < rb => {
-                        removes.push(ra);
-                        i += 1;
-                    }
-                    (Some(_), None) => {
-                        removes.push(ea[i].0);
-                        i += 1;
-                    }
-                    (_, Some(&(rb, pb))) => {
-                        upserts.push((rb, pb));
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
+/// The per-slice changes that turn `prev` into `next`, each with the sites
+/// in `prev` where they land (the merge walk passes them anyway, so the
+/// mirror is patched without being searched).  `None` the moment the delta's
+/// wire size passes `cutoff` bytes: a summary that moved everywhere is not
+/// diffed to the end only to be shipped whole.
+fn diff_summaries(
+    prev: &PredictionSummary,
+    next: &PredictionSummary,
+    cutoff: u64,
+) -> Option<(Vec<SliceDelta>, Vec<PatchSites>)> {
+    let mut budget = cutoff.checked_sub(DELTA_HEADER_BYTES)?;
+    let mut deltas = Vec::with_capacity(prev.slices().len());
+    let mut all_sites = Vec::with_capacity(prev.slices().len());
+    for (a, b) in prev.slices().iter().zip(next.slices()) {
+        let (ea, eb) = (a.dist.explicit_entries(), b.dist.explicit_entries());
+        let mut sd = SliceDelta {
+            residual: (a.dist.residual_mass().to_bits() != b.dist.residual_mass().to_bits())
+                .then(|| b.dist.residual_mass()),
+            ..SliceDelta::default()
+        };
+        let mut sites = PatchSites::default();
+        let (mut i, mut j) = (0usize, 0usize);
+        loop {
+            // Unchanged entries are the bulk of both lists: pass each run
+            // of them in one tight comparison of ids and bits.
+            let same = (ea[i..].iter().zip(&eb[j..]))
+                .take_while(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+                .count();
+            i += same;
+            j += same;
+            match (ea.get(i), eb.get(j)) {
+                (None, None) => break,
+                (Some(&(ra, _)), Some(&(rb, pb))) if ra == rb => {
+                    sd.upserts.push((rb, pb));
+                    sites.upserts.push(Ok(i));
+                    i += 1;
+                    j += 1;
                 }
+                (Some(&(ra, _)), rb) if rb.is_none_or(|&(rb, _)| ra < rb) => {
+                    sd.removes.push(ra);
+                    sites.removes.push(i);
+                    i += 1;
+                }
+                (_, Some(&(rb, pb))) => {
+                    sd.upserts.push((rb, pb));
+                    sites.upserts.push(Err(i));
+                    j += 1;
+                }
+                (Some(_), None) => unreachable!("a lone old entry is a remove"),
             }
-            let residual = (a.dist.residual_mass().to_bits() != b.dist.residual_mass().to_bits())
-                .then(|| b.dist.residual_mass());
-            SliceDelta {
-                upserts,
-                removes,
-                residual,
+            if sd.wire_bytes() > budget {
+                return None;
             }
-        })
-        .collect()
+        }
+        budget = budget.checked_sub(sd.wire_bytes())?;
+        deltas.push(sd);
+        all_sites.push(sites);
+    }
+    Some((deltas, all_sites))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::HorizonSlice;
+    use crate::distribution::{HorizonSlice, SparseDistribution};
 
     fn summary(n: usize, per_slice: Vec<Vec<(u32, f64)>>, residual: f64) -> PredictionSummary {
         let deltas = PredictionSummary::default_deltas();
@@ -907,6 +970,500 @@ mod tests {
                 );
             }
             other => panic!("expected delta, got {other:?}"),
+        }
+    }
+
+    /// The patched mirrors against a from-scratch reference, op by op: after
+    /// every update the [`ShadowSummary`] must be indistinguishable from one
+    /// freshly [`install`](ShadowSummary::install)ed from the client's
+    /// summary, the [`DeltaTracker`]'s mirror must hold the shipped summary
+    /// bit for bit, and the message itself must be the naive diff.  Only
+    /// public calls drive the mirrors, so the test holds for any
+    /// implementation of them — it is what says a cheaper patch is the same
+    /// function.
+    mod differential {
+        use super::*;
+        use crate::block::ResponseCatalog;
+        use crate::scheduler::{GreedyScheduler, GreedySchedulerConfig};
+        use crate::types::Duration;
+        use crate::utility::{LinearUtility, UtilityModel};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        /// What the op mix must be able to exercise; [`check`] reports which
+        /// of them it did, in this order.
+        const REGIMES: [&str; 8] = [
+            "delta certified (sparse)",
+            "delta uncertified (full verdict)",
+            "whole summary shipped",
+            "empty delta",
+            "slice with every id explicit",
+            "join and leave in one delta",
+            "residual-only slice delta",
+            "malformed delta refused",
+        ];
+
+        /// The client's prediction as the generator evolves it: per slice,
+        /// explicit id → probability, stored as given.
+        struct Prediction {
+            n: usize,
+            deltas: Vec<Duration>,
+            slices: Vec<BTreeMap<u32, f64>>,
+            residual: Vec<f64>,
+            unit: f64,
+            tick: u64,
+        }
+
+        impl Prediction {
+            fn summary(&self) -> PredictionSummary {
+                let slices = (self.deltas.iter().zip(&self.slices).zip(&self.residual))
+                    .map(|((&delta, entries), &residual)| HorizonSlice {
+                        delta,
+                        dist: SparseDistribution::from_normalized(
+                            self.n,
+                            entries.iter().map(|(&r, &p)| (RequestId(r), p)).collect(),
+                            residual,
+                        ),
+                    })
+                    .collect();
+                PredictionSummary::new(self.n, slices, Time::from_micros(self.tick))
+            }
+
+            fn materialized(&self) -> Vec<u32> {
+                let mut ids: Vec<u32> =
+                    self.slices.iter().flat_map(|s| s.keys().copied()).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            }
+
+            fn magnitude(&self, rng: &mut StdRng) -> f64 {
+                self.unit * [0.0, 1.0, 1.0, 2.0, 4.0][rng.gen_range(0..5)]
+            }
+
+            /// One op of the mix.  `batch` bounds how many entries it moves.
+            fn perturb(&mut self, rng: &mut StdRng, batch: usize) {
+                self.tick += 1;
+                let nslices = self.slices.len();
+                let live = self.materialized();
+                let some_live = |rng: &mut StdRng| -> Vec<u32> {
+                    if live.is_empty() {
+                        return Vec::new();
+                    }
+                    (0..rng.gen_range(1..=batch))
+                        .map(|_| live[rng.gen_range(0..live.len())])
+                        .collect()
+                };
+                match rng.gen_range(0..12) {
+                    // Rescale: the same factor in every slice.
+                    0..=2 => {
+                        for r in some_live(rng) {
+                            let c = [0.8, 1.25][rng.gen_range(0..2)];
+                            for s in &mut self.slices {
+                                if let Some(p) = s.get_mut(&r) {
+                                    *p *= c;
+                                }
+                            }
+                        }
+                    }
+                    // Joins and leaves together, in every slice or in some.
+                    3..=5 => {
+                        for r in some_live(rng) {
+                            if rng.gen_bool(0.8) {
+                                for s in &mut self.slices {
+                                    s.remove(&r);
+                                }
+                            } else {
+                                self.slices[rng.gen_range(0..nslices)].remove(&r);
+                            }
+                        }
+                        for _ in 0..rng.gen_range(1..=batch) {
+                            let r = rng.gen_range(0..self.n) as u32;
+                            let p = self.magnitude(rng);
+                            if rng.gen_bool(0.8) {
+                                for s in &mut self.slices {
+                                    s.insert(r, p);
+                                }
+                            } else {
+                                self.slices[rng.gen_range(0..nslices)].insert(r, p);
+                            }
+                        }
+                    }
+                    // Per-slice shape change.
+                    6 | 7 => {
+                        let i = rng.gen_range(0..nslices);
+                        for r in some_live(rng) {
+                            if let Some(p) = self.slices[i].get_mut(&r) {
+                                *p = *p * 1.5 + self.unit;
+                            }
+                        }
+                    }
+                    // Residual change alone.
+                    8 => {
+                        let i = rng.gen_range(0..nslices);
+                        self.residual[i] = [0.0, 0.02, 0.05, 0.1][rng.gen_range(0..4)];
+                    }
+                    // Nothing changes.
+                    9 => {}
+                    // Whole refresh: every entry moves.
+                    10 => {
+                        let c = 1.0 + rng.gen_range(1..=5) as f64 * 0.01;
+                        (self.slices.iter_mut().flat_map(|s| s.values_mut())).for_each(|p| *p *= c);
+                    }
+                    // One slice gains an explicit entry for every id (its
+                    // stored residual becomes 0), or loses every entry.
+                    _ => {
+                        let i = rng.gen_range(0..nslices);
+                        if self.n <= 4_096 && self.slices[i].len() < self.n {
+                            for r in 0..self.n as u32 {
+                                let p = self.magnitude(rng);
+                                self.slices[i].entry(r).or_insert(p);
+                            }
+                        } else {
+                            self.slices[i].clear();
+                        }
+                    }
+                }
+            }
+        }
+
+        type SliceBits = (Duration, Vec<(u32, u64)>, u64);
+        type SummaryBits = (usize, Time, Vec<SliceBits>);
+        type SliceDeltaBits = (Vec<(u32, u64)>, Vec<u32>, Option<u64>);
+
+        /// Every stored bit of a summary.
+        fn summary_bits(s: &PredictionSummary) -> SummaryBits {
+            let slices = (s.slices().iter())
+                .map(|sl| {
+                    let entries = (sl.dist.explicit_entries().iter())
+                        .map(|&(r, p)| (r.0, p.to_bits()))
+                        .collect();
+                    (sl.delta, entries, sl.dist.residual_mass().to_bits())
+                })
+                .collect();
+            (s.num_requests(), s.generated_at, slices)
+        }
+
+        /// Everything a shadow holds, in comparable form.
+        #[derive(Debug, PartialEq)]
+        struct ShadowBits {
+            generation: u64,
+            summary: SummaryBits,
+            masses: Vec<u64>,
+            pair_unions: Vec<usize>,
+            explicit_in: BTreeMap<RequestId, usize>,
+            partial: usize,
+        }
+
+        fn shadow_bits(shadow: &ShadowSummary) -> ShadowBits {
+            let state = shadow.state.as_ref().expect("a summary is installed");
+            ShadowBits {
+                generation: state.generation,
+                summary: summary_bits(&state.summary),
+                masses: state.masses.iter().map(|m| m.to_bits()).collect(),
+                pair_unions: state.pair_unions.clone(),
+                explicit_in: state.explicit_in.iter().map(|(&r, &c)| (r, c)).collect(),
+                partial: state.partial,
+            }
+        }
+
+        /// The delta between two same-structure summaries, by lookup.
+        fn naive_delta(prev: &PredictionSummary, next: &PredictionSummary) -> Vec<SliceDelta> {
+            (prev.slices().iter().zip(next.slices()))
+                .map(|(a, b)| {
+                    let old: BTreeMap<RequestId, f64> =
+                        a.dist.explicit_entries().iter().copied().collect();
+                    let new: BTreeMap<RequestId, f64> =
+                        b.dist.explicit_entries().iter().copied().collect();
+                    let (ra, rb) = (a.dist.residual_mass(), b.dist.residual_mass());
+                    SliceDelta {
+                        upserts: (new.iter())
+                            .filter(|&(r, p)| old.get(r).map(|q| q.to_bits()) != Some(p.to_bits()))
+                            .map(|(&r, &p)| (r, p))
+                            .collect(),
+                        removes: old
+                            .keys()
+                            .filter(|r| !new.contains_key(r))
+                            .copied()
+                            .collect(),
+                        residual: (ra.to_bits() != rb.to_bits()).then_some(rb),
+                    }
+                })
+                .collect()
+        }
+
+        fn delta_bits(slices: &[SliceDelta]) -> Vec<SliceDeltaBits> {
+            (slices.iter())
+                .map(|s| {
+                    (
+                        s.upserts.iter().map(|&(r, p)| (r.0, p.to_bits())).collect(),
+                        s.removes.iter().map(|r| r.0).collect(),
+                        s.residual.map(f64::to_bits),
+                    )
+                })
+                .collect()
+        }
+
+        /// A copy of `good` broken in one way [`ShadowSummary::apply`] must
+        /// refuse; `current` is the summary the shadow holds.
+        fn malformed(
+            rng: &mut StdRng,
+            good: &PredictionDelta,
+            current: &PredictionSummary,
+        ) -> PredictionDelta {
+            let mut bad = good.clone();
+            let n = current.num_requests();
+            let i = rng.gen_range(0..bad.slices.len());
+            let explicit: Vec<RequestId> = (current.slices()[i].dist.explicit_entries().iter())
+                .map(|&(r, _)| r)
+                .collect();
+            let sd = &mut bad.slices[i];
+            let kind = rng.gen_range(0..10);
+            match kind {
+                0 if sd.upserts.len() >= 2 => sd.upserts.swap(0, 1),
+                0 | 1 if !sd.upserts.is_empty() => sd.upserts.push(sd.upserts[0]),
+                2 if sd.removes.len() >= 2 => sd.removes.swap(0, 1),
+                2 | 3 if !sd.removes.is_empty() => sd.removes.push(sd.removes[0]),
+                4 => sd
+                    .upserts
+                    .push((RequestId::from(n + rng.gen_range(0..3)), 0.1)),
+                5 => sd.removes.push(RequestId::from(n + rng.gen_range(0..3))),
+                // An id both upserted and removed.
+                6 if !sd.upserts.is_empty() => {
+                    sd.removes
+                        .push(sd.upserts[rng.gen_range(0..sd.upserts.len())].0);
+                    sd.removes.sort_unstable();
+                    sd.removes.dedup();
+                }
+                // Remove of an id the slice does not hold.
+                7 if explicit.len() < n => {
+                    let absent = (0..n)
+                        .map(RequestId::from)
+                        .find(|r| explicit.binary_search(r).is_err())
+                        .expect("fewer explicit entries than ids");
+                    sd.upserts.retain(|&(r, _)| r != absent);
+                    sd.removes.push(absent);
+                    sd.removes.sort_unstable();
+                    sd.removes.dedup();
+                }
+                8 => {
+                    let p = [f64::NAN, f64::INFINITY, -0.25][rng.gen_range(0..3)];
+                    match sd.upserts.first_mut() {
+                        Some(first) if rng.gen_bool(0.5) => first.1 = p,
+                        _ => sd.residual = Some(p),
+                    }
+                }
+                9 if rng.gen_bool(0.5) => bad.slices.push(SliceDelta::default()),
+                _ => bad.base_generation += 1 + rng.gen_range(0..2),
+            }
+            bad
+        }
+
+        fn check(seed: u64) -> [bool; REGIMES.len()] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = [0usize, 1, 50, 50, 50, 2_000][rng.gen_range(0..6)];
+            // Ids dense in the space (a slice can hold every one) or sparse.
+            let n = if rng.gen_bool(0.5) {
+                m.max(1) + rng.gen_range(0..3)
+            } else {
+                8 * m + 64
+            };
+            let nslices = rng.gen_range(1usize..=5);
+            let mut offset_ms = 0u64;
+            let deltas: Vec<Duration> = (0..nslices)
+                .map(|_| {
+                    offset_ms += rng.gen_range(10u64..60);
+                    Duration::from_millis(offset_ms)
+                })
+                .collect();
+            let mut prediction = Prediction {
+                n,
+                deltas,
+                slices: vec![BTreeMap::new(); nslices],
+                residual: vec![0.05; nslices],
+                unit: 0.5 / m.max(1) as f64,
+                tick: 0,
+            };
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            for k in 0..m {
+                ids.swap(k, rng.gen_range(k..n));
+                let p = prediction.magnitude(&mut rng);
+                for s in &mut prediction.slices {
+                    s.insert(ids[k], p);
+                }
+            }
+            let batch = (m / 20).clamp(1, 40);
+
+            let ratio = [0.5, 1.0, f64::INFINITY][rng.gen_range(0..3)];
+            let mut tracker = DeltaTracker::new().with_max_delta_ratio(ratio);
+            let mut shadow = ShadowSummary::new();
+            let mut scheduler = GreedyScheduler::new(
+                GreedySchedulerConfig {
+                    cache_blocks: 16,
+                    ..Default::default()
+                },
+                UtilityModel::homogeneous(&LinearUtility, 2),
+                Arc::new(ResponseCatalog::uniform(n, 2, 1_000)),
+            );
+            let mut reached = [false; REGIMES.len()];
+            let mut prev: Option<PredictionSummary> = None;
+
+            for _ in 0..rng.gen_range(4..=14) {
+                if prev.is_some() {
+                    prediction.perturb(&mut rng, batch);
+                }
+                if rng.gen_range(0..16) == 0 {
+                    tracker.reset();
+                    prev = None;
+                }
+                let next = prediction.summary();
+                reached[4] |= next
+                    .slices()
+                    .iter()
+                    .any(|s| s.dist.explicit_entries().len() == n);
+                let base = tracker.generation();
+                let message = tracker.encode(&next);
+                assert_eq!(tracker.generation(), base + 1, "seed {seed}");
+                assert_eq!(
+                    tracker.last.as_ref().map(summary_bits),
+                    Some(summary_bits(&next)),
+                    "seed {seed}: the tracker's mirror is not what it shipped"
+                );
+                // Same slice layout throughout, so only size decides.
+                let want = prev
+                    .as_ref()
+                    .map(|p| naive_delta(p, &next))
+                    .filter(|slices| {
+                        let wire = PredictionDelta {
+                            base_generation: 0,
+                            generation: 0,
+                            generated_at: Time::ZERO,
+                            slices: slices.clone(),
+                        }
+                        .wire_size_bytes();
+                        wire <= (ratio * next.wire_size_bytes() as f64) as u64
+                    });
+                match message {
+                    ClientMessage::PredictorFull {
+                        generation,
+                        summary,
+                    } => {
+                        assert!(
+                            want.is_none(),
+                            "seed {seed}: a worthwhile delta shipped whole"
+                        );
+                        assert_eq!(generation, base + 1, "seed {seed}");
+                        assert_eq!(summary_bits(&summary), summary_bits(&next), "seed {seed}");
+                        reached[2] |= prev.is_some();
+                        scheduler.update_prediction(&summary, 0);
+                        shadow.install(generation, summary);
+                    }
+                    ClientMessage::PredictorDelta(delta) => {
+                        let want = want.unwrap_or_else(|| panic!("seed {seed}: unexpected delta"));
+                        assert_eq!(delta_bits(&delta.slices), delta_bits(&want), "seed {seed}");
+                        assert_eq!(
+                            (delta.base_generation, delta.generation, delta.generated_at),
+                            (base, base + 1, next.generated_at),
+                            "seed {seed}"
+                        );
+                        reached[3] |= delta.slices.iter().all(SliceDelta::is_empty);
+                        reached[5] |= (delta.slices.iter())
+                            .any(|s| !s.removes.is_empty() && s.upserts.len() > 1);
+                        reached[6] |= (delta.slices.iter()).any(|s| {
+                            s.residual.is_some() && s.upserts.is_empty() && s.removes.is_empty()
+                        });
+
+                        // A broken copy first: refused, nothing moves.
+                        if rng.gen_bool(0.5) {
+                            let held = prev.as_ref().expect("a delta has a base");
+                            let bad = malformed(&mut rng, &delta, held);
+                            let before = shadow_bits(&shadow);
+                            let updates = scheduler.prediction_updates();
+                            let refused = shadow.apply_to(&bad, &mut scheduler, 0);
+                            assert!(refused.is_err(), "seed {seed}: accepted {bad:?}");
+                            assert_eq!(shadow_bits(&shadow), before, "seed {seed}: {refused:?}");
+                            assert_eq!(scheduler.prediction_updates(), updates, "seed {seed}");
+                            reached[7] = true;
+                        }
+
+                        let mut fresh = ShadowSummary::new();
+                        fresh.install(delta.generation, next.clone());
+                        let fresh = shadow_bits(&fresh);
+                        let rpp_moved = (prev.iter().flat_map(|p| p.slices()).zip(next.slices()))
+                            .any(|(a, b)| {
+                                a.dist.residual_per_request().to_bits()
+                                    != b.dist.residual_per_request().to_bits()
+                            });
+                        let mut ids: Vec<RequestId> = (delta.slices.iter())
+                            .flat_map(|s| {
+                                (s.upserts.iter().map(|&(r, _)| r)).chain(s.removes.iter().copied())
+                            })
+                            .collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        match shadow.apply(&delta).expect("tracker and shadow agree") {
+                            ShadowApply::Sparse { summary, changes } => {
+                                assert!(!(rpp_moved && fresh.partial > 0), "seed {seed}: unsound");
+                                assert_eq!(
+                                    summary_bits(summary),
+                                    summary_bits(&next),
+                                    "seed {seed}"
+                                );
+                                assert_eq!(changes.changed, ids, "seed {seed}");
+                                let masses: Vec<u64> =
+                                    changes.scalars.masses.iter().map(|m| m.to_bits()).collect();
+                                assert_eq!(masses, fresh.masses, "seed {seed}");
+                                assert_eq!(changes.scalars.pair_unions, fresh.pair_unions);
+                                scheduler.update_prediction_sparse(summary, &changes, 0);
+                                reached[0] = true;
+                            }
+                            ShadowApply::Full { summary } => {
+                                assert!(rpp_moved && fresh.partial > 0, "seed {seed}: needless");
+                                assert_eq!(
+                                    summary_bits(summary),
+                                    summary_bits(&next),
+                                    "seed {seed}"
+                                );
+                                scheduler.update_prediction(summary, 0);
+                                reached[1] = true;
+                            }
+                        }
+                        assert_eq!(shadow_bits(&shadow), fresh, "seed {seed}: shadow drifted");
+                    }
+                    other => panic!("seed {seed}: the tracker encodes predictions only: {other:?}"),
+                }
+                prev = Some(next);
+            }
+            reached
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            #[test]
+            fn patched_mirrors_match_fresh_installs(seed in any::<u64>()) {
+                check(seed);
+            }
+        }
+
+        /// See `scheduler::tests::oracle::generator_reaches_every_regime`.
+        #[test]
+        fn generator_reaches_every_regime() {
+            let mut reached = [false; REGIMES.len()];
+            for seed in 0..200 {
+                for (seen, now) in reached.iter_mut().zip(check(seed)) {
+                    *seen |= now;
+                }
+            }
+            let missed: Vec<&str> = REGIMES
+                .iter()
+                .zip(reached)
+                .filter_map(|(name, seen)| (!seen).then_some(*name))
+                .collect();
+            assert!(missed.is_empty(), "never generated: {missed:?}");
         }
     }
 }

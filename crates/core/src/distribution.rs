@@ -151,6 +151,123 @@ impl SparseDistribution {
         }
     }
 
+    /// Where each of `ids` (strictly ascending) sits in the explicit list —
+    /// `Ok(index)`, or `Err(index it would be inserted at)` — by one forward
+    /// galloping walk: `Δ` ids cost `O(Δ · log(m / Δ))` probes that only ever
+    /// move forward, not `Δ` cold binary searches over the whole list.
+    fn sites_of<'a>(
+        &'a self,
+        ids: impl Iterator<Item = RequestId> + 'a,
+    ) -> impl Iterator<Item = Result<usize, usize>> + 'a {
+        let mut from = 0;
+        ids.map(move |r| {
+            let site = gallop(&self.explicit, from, r);
+            from = site.unwrap_or_else(|i| i);
+            site
+        })
+    }
+
+    /// Finds where a sorted patch lands in the explicit list, read-only, so
+    /// a caller can validate every slice of a delta before mutating any.
+    /// Both id lists must be strictly ascending and disjoint.  `None` if a
+    /// remove names an id with no explicit entry.
+    pub(crate) fn locate_patch(
+        &self,
+        upserts: &[(RequestId, f64)],
+        removes: &[RequestId],
+    ) -> Option<PatchSites> {
+        Some(PatchSites {
+            upserts: self.sites_of(upserts.iter().map(|&(r, _)| r)).collect(),
+            removes: (self.sites_of(removes.iter().copied()))
+                .map(Result::ok)
+                .collect::<Option<_>>()?,
+        })
+    }
+
+    /// Applies a located patch inside the entry vector: hits are overwritten
+    /// where they sit, removed entries are compacted out forward, and joins
+    /// are opened from the back, so nothing is rebuilt and only the stretch
+    /// between the first structural change and the end moves.  `residual`
+    /// replaces the residual mass when given; as in
+    /// [`from_normalized`](SparseDistribution::from_normalized), a list that
+    /// covers the whole request space stores a residual of 0.
+    ///
+    /// This is the only way a prediction mirror (the client's
+    /// [`DeltaTracker`](crate::delta::DeltaTracker), the server's
+    /// [`ShadowSummary`](crate::delta::ShadowSummary)) moves between whole
+    /// summaries.  `sites` must come from
+    /// [`locate_patch`](SparseDistribution::locate_patch) (or an equivalent
+    /// walk) over this distribution and these `upserts`.
+    pub(crate) fn apply_patch(
+        &mut self,
+        sites: &PatchSites,
+        upserts: &[(RequestId, f64)],
+        residual: Option<f64>,
+    ) {
+        debug_assert_eq!(sites.upserts.len(), upserts.len());
+        let entries = &mut self.explicit;
+        for (site, &entry) in sites.upserts.iter().zip(upserts) {
+            if let Ok(i) = *site {
+                debug_assert_eq!(entries[i].0, entry.0);
+                entries[i] = entry;
+            }
+        }
+        if let Some(&first) = sites.removes.first() {
+            let mut kept = first;
+            for (k, &gone) in sites.removes.iter().enumerate() {
+                let next = sites.removes.get(k + 1).map_or(entries.len(), |&i| i);
+                entries.copy_within(gone + 1..next, kept);
+                kept += next - (gone + 1);
+            }
+            entries.truncate(kept);
+        }
+        let mut joins = sites.upserts.iter().filter(|s| s.is_err()).count();
+        if joins > 0 {
+            // `end` is where the not yet shifted prefix stops; a join's site
+            // indexes the list as located, so removes before it pull it left.
+            let mut end = entries.len();
+            let mut removed_before = sites.removes.len();
+            entries.resize(end + joins, (RequestId(0), 0.0));
+            for (site, &entry) in sites.upserts.iter().zip(upserts).rev() {
+                let Err(site) = *site else { continue };
+                while removed_before > 0 && sites.removes[removed_before - 1] >= site {
+                    removed_before -= 1;
+                }
+                let at = site - removed_before;
+                entries.copy_within(at..end, at + joins);
+                joins -= 1;
+                entries[at + joins] = entry;
+                end = at;
+            }
+        }
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "a patch keeps entries sorted by ascending unique id"
+        );
+        let residual = residual.unwrap_or(self.residual);
+        self.residual = if entries.len() >= self.n {
+            0.0
+        } else {
+            residual
+        };
+    }
+
+    /// Overwrites this distribution with `src` (same request space), keeping
+    /// the entry vector's allocation when it is large enough: how a mirror
+    /// takes a whole summary without a second clone of it.
+    pub(crate) fn copy_from(&mut self, src: &SparseDistribution) {
+        debug_assert_eq!(self.n, src.n, "slice request-space mismatch");
+        self.explicit.clone_from(&src.explicit);
+        self.residual = src.residual;
+    }
+
+    /// How many of `ids` (strictly ascending) have an explicit entry.
+    pub(crate) fn count_explicit(&self, ids: &[RequestId]) -> usize {
+        self.sites_of(ids.iter().copied())
+            .filter(Result::is_ok)
+            .count()
+    }
+
     /// Probability of `request`.
     pub fn prob(&self, request: RequestId) -> f64 {
         match self.explicit.binary_search_by_key(&request, |&(r, _)| r) {
@@ -353,13 +470,11 @@ impl PredictionSummary {
         self.slices.last().expect("non-empty").dist.prob(request)
     }
 
-    /// Replaces the distribution of slice `idx` in place.  Used by the
-    /// prediction-delta shadow to patch exactly the slices a delta touched
-    /// (the public constructor would force re-sorting and re-validation of
-    /// every slice).
-    pub(crate) fn set_slice_dist(&mut self, idx: usize, dist: SparseDistribution) {
-        debug_assert_eq!(dist.num_requests(), self.n, "slice request-space mismatch");
-        self.slices[idx].dist = dist;
+    /// The distribution of slice `idx`, for the prediction-delta mirrors to
+    /// patch in place ([`SparseDistribution::apply_patch`]); the request
+    /// space of a slice never changes, so no summary invariant can break.
+    pub(crate) fn dist_mut(&mut self, idx: usize) -> &mut SparseDistribution {
+        &mut self.slices[idx].dist
     }
 
     /// The set of requests with an explicit entry in *any* slice — the
@@ -374,6 +489,33 @@ impl PredictionSummary {
         ids.sort();
         ids.dedup();
         ids
+    }
+}
+
+/// Where a sorted patch lands in a [`SparseDistribution`]'s explicit list,
+/// as indices into the list *before* the patch.
+#[derive(Debug, Default)]
+pub(crate) struct PatchSites {
+    /// Per upsert: `Ok(i)` overwrites entry `i`, `Err(i)` joins before it.
+    pub(crate) upserts: Vec<Result<usize, usize>>,
+    /// Per remove: the index of the entry that goes.
+    pub(crate) removes: Vec<usize>,
+}
+
+/// `binary_search` for `id` over `entries[from..]`, galloping: doubling
+/// strides from `from` bracket the id, then a binary search inside the last
+/// stride — `O(log distance)`, and the cache lines touched lie forward of
+/// `from`.  Every entry before `from` must be below `id`.
+fn gallop(entries: &[(RequestId, f64)], from: usize, id: RequestId) -> Result<usize, usize> {
+    let (mut lo, mut stride) = (from, 1);
+    while lo + stride <= entries.len() && entries[lo + stride - 1].0 < id {
+        lo += stride;
+        stride *= 2;
+    }
+    let hi = (lo + stride).min(entries.len());
+    match entries[lo..hi].binary_search_by_key(&id, |&(r, _)| r) {
+        Ok(i) => Ok(lo + i),
+        Err(i) => Err(lo + i),
     }
 }
 
@@ -550,6 +692,61 @@ mod tests {
                 for i in 0..n {
                     let p = d.prob(RequestId::from(i));
                     prop_assert!((-1e-9..=1.0 + 1e-9).contains(&p));
+                }
+            }
+
+            /// The in-place patch is the rebuild it replaced: same entries,
+            /// same bits, same residual rule; a remove of an absent id is
+            /// caught while locating, before anything moves.
+            #[test]
+            fn patch_matches_rebuild(
+                n in 1usize..48,
+                old in proptest::collection::vec((0u32..48, 0.0f64..1.0), 0..48),
+                ops in proptest::collection::vec((0u32..48, 0.0f64..1.0, 0u32..3), 0..48),
+                residual in (0u32..2, 0.0f64..1.0)
+            ) {
+                use std::collections::BTreeMap;
+                let in_range = |r: u32| (r as usize) < n;
+                let old: BTreeMap<RequestId, f64> = (old.into_iter())
+                    .filter(|&(r, _)| in_range(r))
+                    .map(|(r, p)| (RequestId(r), p))
+                    .collect();
+                // Last op per id wins; one in three is a remove.
+                let ops: BTreeMap<RequestId, Option<f64>> = (ops.into_iter())
+                    .filter(|&(r, _, _)| in_range(r))
+                    .map(|(r, p, kind)| (RequestId(r), (kind > 0).then_some(p)))
+                    .collect();
+                let upserts: Vec<(RequestId, f64)> =
+                    ops.iter().filter_map(|(&r, p)| p.map(|p| (r, p))).collect();
+                let removes: Vec<RequestId> =
+                    ops.iter().filter(|(_, p)| p.is_none()).map(|(&r, _)| r).collect();
+                let residual = (residual.0 > 0).then_some(residual.1);
+
+                let mut dist =
+                    SparseDistribution::from_normalized(n, old.clone().into_iter().collect(), 0.25);
+                let present = removes.iter().filter(|r| old.contains_key(r)).count();
+                prop_assert_eq!(dist.count_explicit(&removes), present);
+                match dist.locate_patch(&upserts, &removes) {
+                    None => prop_assert!(present < removes.len(), "every remove was present"),
+                    Some(sites) => {
+                        prop_assert_eq!(present, removes.len());
+                        let mut want = old;
+                        want.extend(upserts.iter().copied());
+                        want.retain(|r, _| !removes.contains(r));
+                        let want = SparseDistribution::from_normalized(
+                            n,
+                            want.into_iter().collect(),
+                            residual.unwrap_or(dist.residual_mass()),
+                        );
+                        dist.apply_patch(&sites, &upserts, residual);
+                        let bits = |d: &SparseDistribution| {
+                            let entries: Vec<(u32, u64)> = (d.explicit_entries().iter())
+                                .map(|&(r, p)| (r.0, p.to_bits()))
+                                .collect();
+                            (entries, d.residual_mass().to_bits())
+                        };
+                        prop_assert_eq!(bits(&dist), bits(&want));
+                    }
                 }
             }
 

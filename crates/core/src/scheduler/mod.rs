@@ -26,6 +26,7 @@ pub mod optimal;
 mod reference;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::distribution::PredictionSummary;
 use crate::types::{BlockRef, Duration, RequestId};
@@ -176,6 +177,15 @@ pub trait Scheduler: Send {
 /// one tail vector per distinct shape — and a magnitude-only prediction
 /// change is a single scalar update (see [`HorizonModel::apply_update_sparse`]).
 /// Only irregular requests keep a full per-slot vector.
+///
+/// The model also keeps the *skeleton* of the slot plan it was built under —
+/// per slot, the discount `γ^t` and the bracketing slice pair with its blend
+/// fraction.  Those depend on the slice offsets, the horizon, the slot
+/// duration and `γ` and on nothing a prediction carries, and a delta is only
+/// ever diffed against a model whose four still hold, so
+/// [`HorizonModel::apply_update_sparse`] lays each delta's plan over the kept
+/// skeleton instead of deriving `horizon` discounts and brackets again
+/// (`8 · horizon` bytes plus `24 · horizon`, shared between clones).
 #[derive(Debug, Clone)]
 pub struct HorizonModel {
     n: usize,
@@ -201,6 +211,9 @@ pub struct HorizonModel {
     /// The slice offsets of the summary this model was built from; a summary
     /// with different offsets cannot be diffed against this model.
     slice_deltas: Vec<Duration>,
+    /// The slot plan's skeleton under `(slice_deltas, horizon,
+    /// slot_duration, gamma)`, kept from the build for every delta's plan.
+    skeleton: SlotSkeleton,
 }
 
 /// Tail storage of one materialized request.
@@ -502,6 +515,7 @@ impl HorizonModel {
             explicit,
             residual: plan.residual_tail(),
             partition,
+            skeleton: plan.skeleton(),
             signatures: materialized.iter().copied().zip(sigs).collect(),
             materialized_ids: materialized,
             slice_deltas: slices.iter().map(|s| s.delta).collect(),
@@ -677,7 +691,7 @@ impl HorizonModel {
             pending,
             fast_rescale,
             &new_sigs,
-            new_ids,
+            Some(new_ids),
         )
     }
 
@@ -690,9 +704,10 @@ impl HorizonModel {
     /// `changes.scalars` carries the per-slice masses and adjacent-union
     /// counts the slot plan needs — both produced by the per-session
     /// [`ShadowSummary`](crate::delta::ShadowSummary) while patching the
-    /// client's delta in — so planning is `O(Δ · slices)`.  Returns the
-    /// [`ModelDiff`] a sampler mirroring the layout needs to apply matching
-    /// point updates.
+    /// client's delta in — so planning is `O(Δ · slices)`, plus one pass of
+    /// scalar arithmetic per slot over the skeleton kept from the build.
+    /// Returns the [`ModelDiff`] a sampler mirroring the layout needs to
+    /// apply matching point updates.
     ///
     /// Returns `None` — leaving the model untouched — when the update cannot
     /// be applied as a small diff and the caller must fall back to
@@ -721,8 +736,6 @@ impl HorizonModel {
         {
             return None;
         }
-        let horizon = self.horizon;
-
         // --- phase 1: plan, visiting only the changed requests ---
         let mut new_sigs: HashMap<RequestId, TailSignature> =
             HashMap::with_capacity(changes.changed.len());
@@ -765,12 +778,13 @@ impl HorizonModel {
             return None;
         }
         // Splice departures/joins into the sorted id list: a flat merge with
-        // no per-id signature work (the one remaining O(m) term, and it is a
-        // straight memcpy).
-        let new_ids = splice_sorted(&self.materialized_ids, &departed, &joined);
+        // no per-id signature work.  It is the one O(m) term left here (a
+        // straight memcpy), and only an update that changes the materialized
+        // set pays it; a rescale-only delta keeps the list it has.
+        let new_ids = (!departed.is_empty() || !joined.is_empty())
+            .then(|| splice_sorted(&self.materialized_ids, &departed, &joined));
 
-        let plan =
-            SlotPlan::from_scalars(summary, horizon, self.slot_duration, self.gamma, scalars);
+        let plan = SlotPlan::from_scalars(summary, &self.skeleton, scalars);
         self.apply_planned(
             &plan,
             departed,
@@ -786,7 +800,8 @@ impl HorizonModel {
     /// [`apply_update_sparse`](HorizonModel::apply_update_sparse): classifies
     /// the pending tails against bucket shapes (read-only; may still bail to
     /// a full rebuild) and then applies removals, placements, and rescales.
-    /// `new_sigs` must cover `pending` and `fast_rescale`.
+    /// `new_sigs` must cover `pending` and `fast_rescale`; `new_ids` is the
+    /// new materialized set, `None` when it is the old one.
     #[allow(clippy::too_many_arguments)]
     fn apply_planned(
         &mut self,
@@ -796,7 +811,7 @@ impl HorizonModel {
         pending: Vec<RequestId>,
         fast_rescale: Vec<(RequestId, f64)>,
         new_sigs: &HashMap<RequestId, TailSignature>,
-        new_ids: Vec<RequestId>,
+        new_ids: Option<Vec<RequestId>>,
     ) -> Option<ModelDiff> {
         // Classify the pending requests against existing bucket shapes (and
         // shapes created earlier in this same update) — by signature where
@@ -950,7 +965,9 @@ impl HorizonModel {
         }
         rescaled.sort_unstable();
         self.residual = plan.residual_tail();
-        self.materialized_ids = new_ids;
+        if let Some(new_ids) = new_ids {
+            self.materialized_ids = new_ids;
+        }
 
         Some(ModelDiff {
             departed,
@@ -1048,15 +1065,16 @@ struct SlotPlan {
     n: usize,
     /// `(a, b, frac)` per slot: bracketing slice indices and blend fraction;
     /// `a == b` means the slot clamps to slice `a` (no renormalization).
-    slots: Vec<(u32, u32, f64)>,
+    /// Part of the [`SlotSkeleton`].
+    slots: Arc<[(u32, u32, f64)]>,
     /// Per-slot renormalization total (what `from_entries` divides by).
     totals: Vec<f64>,
     /// Per-slot residual-per-request after renormalization.
     resid_pp: Vec<f64>,
     /// Slots whose interpolated mass degenerated to zero (uniform fallback).
     uniform: Vec<bool>,
-    /// The discount `γ^t` of each slot.
-    discount: Vec<f64>,
+    /// The discount `γ^t` of each slot.  Part of the [`SlotSkeleton`].
+    discount: Arc<[f64]>,
     /// Per slice, the discounted count of slots clamped to it: what one unit
     /// of probability at that slice adds to a tail's slot-0 value.
     clamp_weight: Vec<f64>,
@@ -1064,6 +1082,67 @@ struct SlotPlan {
     blend_weight: Vec<BlendWeight>,
     /// Slot-0 tail value every request collects from uniform-fallback slots.
     uniform_weight: f64,
+}
+
+/// The part of a [`SlotPlan`] that `(slice offsets, horizon, slot_duration,
+/// γ)` fix by themselves: no prediction over the same slices moves it, so a
+/// [`HorizonModel`] keeps the one its build derived and every delta's plan
+/// shares it — same bits, without a `powi` and a bracket search per slot per
+/// update.
+#[derive(Debug, Clone)]
+struct SlotSkeleton {
+    /// See [`SlotPlan::slots`].
+    slots: Arc<[(u32, u32, f64)]>,
+    /// See [`SlotPlan::discount`].
+    discount: Arc<[f64]>,
+}
+
+impl SlotSkeleton {
+    fn new(
+        slices: &[crate::distribution::HorizonSlice],
+        horizon: usize,
+        slot_duration: Duration,
+        gamma: f64,
+    ) -> Self {
+        let slots = (0..horizon as u64)
+            .map(|k| {
+                // Slots are evaluated at their midpoint.
+                let delta = Duration::from_micros(
+                    slot_duration.as_micros() * k + slot_duration.as_micros() / 2,
+                );
+                // The pair of slices bracketing the slot, or the end slice
+                // the slot clamps to.
+                let bracket = if delta <= slices[0].delta {
+                    Err(0)
+                } else {
+                    slices
+                        .windows(2)
+                        .position(|w| delta <= w[1].delta)
+                        .ok_or(slices.len() - 1)
+                };
+                match bracket {
+                    Err(s) => (s as u32, s as u32, 0.0),
+                    Ok(pi) => {
+                        let (lo, hi) = (
+                            slices[pi].delta.as_micros(),
+                            slices[pi + 1].delta.as_micros(),
+                        );
+                        let span = (hi - lo) as f64;
+                        let frac = if span <= 0.0 {
+                            1.0
+                        } else {
+                            (delta.as_micros() - lo) as f64 / span
+                        };
+                        (pi as u32, (pi + 1) as u32, frac)
+                    }
+                }
+            })
+            .collect();
+        SlotSkeleton {
+            slots,
+            discount: (0..horizon).map(|t| gamma.powi(t as i32)).collect(),
+        }
+    }
 }
 
 /// Adjacent-pair scalars: |A ∪ B| and each side's probability mass over the
@@ -1108,36 +1187,35 @@ impl SlotPlan {
                 )
             })
             .collect();
-        Self::from_parts(summary, horizon, slot_duration, gamma, &mass, &unions)
+        let skeleton = SlotSkeleton::new(slices, horizon, slot_duration, gamma);
+        Self::from_parts(summary, &skeleton, &mass, &unions)
     }
 
-    /// Builds the plan from precomputed per-slice masses and adjacent-union
-    /// counts (see [`crate::delta::SummaryScalars`]), skipping the
-    /// `O(m · slices)` entry scans of [`SlotPlan::new`].  The shadow computes
-    /// the scalars in the same summation/merge order, so the resulting plan
-    /// is bit-identical.
+    /// Builds the plan over a kept skeleton from precomputed per-slice
+    /// masses and adjacent-union counts (see
+    /// [`crate::delta::SummaryScalars`]), skipping the `O(m · slices)` entry
+    /// scans of [`SlotPlan::new`] and its per-slot derivations.  The shadow
+    /// sums each mass in entry order and keeps each union an exact count, so
+    /// the resulting plan is bit-identical.
     fn from_scalars(
         summary: &PredictionSummary,
-        horizon: usize,
-        slot_duration: Duration,
-        gamma: f64,
+        skeleton: &SlotSkeleton,
         scalars: &crate::delta::SummaryScalars,
     ) -> Self {
-        Self::from_parts(
-            summary,
-            horizon,
-            slot_duration,
-            gamma,
-            &scalars.masses,
-            &scalars.pair_unions,
-        )
+        Self::from_parts(summary, skeleton, &scalars.masses, &scalars.pair_unions)
+    }
+
+    /// The skeleton this plan was laid over, for the model to keep.
+    fn skeleton(&self) -> SlotSkeleton {
+        SlotSkeleton {
+            slots: self.slots.clone(),
+            discount: self.discount.clone(),
+        }
     }
 
     fn from_parts(
         summary: &PredictionSummary,
-        horizon: usize,
-        slot_duration: Duration,
-        gamma: f64,
+        skeleton: &SlotSkeleton,
         mass: &[f64],
         unions: &[usize],
     ) -> Self {
@@ -1161,76 +1239,48 @@ impl SlotPlan {
             })
             .collect();
 
-        let discount: Vec<f64> = (0..horizon).map(|t| gamma.powi(t as i32)).collect();
-        let mut slots = Vec::with_capacity(horizon);
+        let SlotSkeleton { slots, discount } = skeleton.clone();
+        let horizon = slots.len();
         let mut totals = Vec::with_capacity(horizon);
         let mut resid_pp = Vec::with_capacity(horizon);
         let mut uniform = vec![false; horizon];
         let mut clamp_weight = vec![0.0; slices.len()];
         let mut blend_weight = vec![BlendWeight::default(); pairs.len()];
         let mut uniform_weight = 0.0;
-        for (k, &d) in discount.iter().enumerate() {
-            // Slots are evaluated at their midpoint.
-            let delta = Duration::from_micros(
-                slot_duration.as_micros() * (k as u64) + slot_duration.as_micros() / 2,
-            );
-            // The pair of slices bracketing the slot, or the end slice the
-            // slot clamps to.
-            let bracket = if delta <= slices[0].delta {
-                Err(0)
+        for (k, (&d, &(a, b, frac))) in discount.iter().zip(slots.iter()).enumerate() {
+            if a == b {
+                totals.push(1.0);
+                resid_pp.push(rpp[a as usize]);
+                clamp_weight[a as usize] += d;
+                continue;
+            }
+            let pi = a as usize;
+            let p = &pairs[pi];
+            let e = (1.0 - frac) * p.sum_a + frac * p.sum_b;
+            let resid_raw = if p.union >= n {
+                0.0
             } else {
-                slices
-                    .windows(2)
-                    .position(|w| delta <= w[1].delta)
-                    .ok_or(slices.len() - 1)
+                (1.0 - e).max(0.0)
             };
-            match bracket {
-                Err(s) => {
-                    slots.push((s as u32, s as u32, 0.0));
-                    totals.push(1.0);
-                    resid_pp.push(rpp[s]);
-                    clamp_weight[s] += d;
-                }
-                Ok(pi) => {
-                    let (lo, hi) = (
-                        slices[pi].delta.as_micros(),
-                        slices[pi + 1].delta.as_micros(),
-                    );
-                    let span = (hi - lo) as f64;
-                    let frac = if span <= 0.0 {
-                        1.0
-                    } else {
-                        (delta.as_micros() - lo) as f64 / span
-                    };
-                    let p = &pairs[pi];
-                    let e = (1.0 - frac) * p.sum_a + frac * p.sum_b;
-                    let resid_raw = if p.union >= n {
-                        0.0
-                    } else {
-                        (1.0 - e).max(0.0)
-                    };
-                    let total = e + resid_raw;
-                    let weight = &mut blend_weight[pi];
-                    weight.reached = true;
-                    slots.push((pi as u32, (pi + 1) as u32, frac));
-                    if total <= 0.0 {
-                        uniform[k] = true;
-                        totals.push(1.0);
-                        resid_pp.push(1.0 / n as f64);
-                        uniform_weight += d / n as f64;
-                    } else {
-                        let resid = if p.union >= n {
-                            0.0
-                        } else {
-                            (resid_raw / total) / (n - p.union) as f64
-                        };
-                        totals.push(total);
-                        resid_pp.push(resid);
-                        weight.on_a += d * (1.0 - frac) / total;
-                        weight.on_b += d * frac / total;
-                        weight.residual += d * resid;
-                    }
-                }
+            let total = e + resid_raw;
+            let weight = &mut blend_weight[pi];
+            weight.reached = true;
+            if total <= 0.0 {
+                uniform[k] = true;
+                totals.push(1.0);
+                resid_pp.push(1.0 / n as f64);
+                uniform_weight += d / n as f64;
+            } else {
+                let resid = if p.union >= n {
+                    0.0
+                } else {
+                    (resid_raw / total) / (n - p.union) as f64
+                };
+                totals.push(total);
+                resid_pp.push(resid);
+                weight.on_a += d * (1.0 - frac) / total;
+                weight.on_b += d * frac / total;
+                weight.residual += d * resid;
             }
         }
         SlotPlan {

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 use super::{
-    normalized_shape, signature_of, ExplicitTail, HorizonModel, ShapeBucket, TailShapePartition,
-    MAX_SHAPE_BUCKETS, SHAPE_EPS,
+    normalized_shape, signature_of, ExplicitTail, HorizonModel, ShapeBucket, SlotSkeleton,
+    TailShapePartition, MAX_SHAPE_BUCKETS, SHAPE_EPS,
 };
 use crate::distribution::PredictionSummary;
 use crate::types::{Duration, RequestId};
@@ -96,6 +96,7 @@ impl HorizonModel {
                 .collect(),
             materialized_ids: materialized,
             slice_deltas: slices.iter().map(|s| s.delta).collect(),
+            skeleton: SlotSkeleton::new(slices, horizon, slot_duration, gamma),
         }
     }
 }
