@@ -421,7 +421,7 @@ pub struct SessionBuilder {
     /// with bit-identical predictions share one `HorizonModel`.
     /// [`SessionManager`] fills this from its own cache.
     model_cache: Option<Arc<ModelCache>>,
-    weight: f64,
+    pub(crate) weight: f64,
 }
 
 impl SessionBuilder {
@@ -499,22 +499,14 @@ impl SessionBuilder {
         self
     }
 
-    /// The bandwidth estimator the built session starts from.
-    fn bandwidth_estimator(&self) -> BandwidthEstimator {
+    /// The bandwidth estimator the built session starts from.  The shard
+    /// coordinator keeps its own copy per session and feeds it the reports
+    /// it forwards, so neither a join nor a report waits for the owning
+    /// shard to say what the session's estimate is.
+    pub(crate) fn bandwidth_estimator(&self) -> BandwidthEstimator {
         let mut bandwidth = BandwidthEstimator::new(self.cfg.initial_bandwidth);
         bandwidth.set_cap(self.cfg.bandwidth_cap);
         bandwidth
-    }
-
-    /// `(bandwidth_estimate().bytes_per_sec(), weight())` of the session
-    /// this builder will build.  The shard coordinator keeps its budget
-    /// bookkeeping from this, so a join does not wait for the owning shard
-    /// to build the session and report the same two numbers back.
-    pub(crate) fn initial_share(&self) -> (f64, f64) {
-        (
-            self.bandwidth_estimator().estimate().bytes_per_sec(),
-            self.weight,
-        )
     }
 
     /// Builds the session.

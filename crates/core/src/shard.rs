@@ -12,17 +12,23 @@
 //!
 //! ## Budget ownership
 //!
-//! The coordinator owns the real [`BandwidthEstimator`].  A shard-local
-//! manager that has been pushed a budget
-//! ([`SessionManager::set_shared_budget`]) updates only the per-session
-//! estimate on a rate report; the coordinator — which alone sees every
-//! shard's sessions — folds the report in with
+//! The coordinator owns the budget and everything it is computed from: the
+//! real [`BandwidthEstimator`], the members' weights with their sum, and —
+//! per member — the session's *own* estimator, started from the same
+//! [`SessionBuilder`] the shard builds the session from and fed every rate
+//! report the coordinator forwards.  Mirror and session are one estimator
+//! given one input stream, so the coordinator never asks a shard what a
+//! session's estimate is.  A shard-local manager that has been pushed a
+//! budget ([`SessionManager::set_shared_budget`]) updates only the
+//! per-session estimate on a rate report; the coordinator — which alone sees
+//! every shard's sessions — folds the report in with
 //! [`BandwidthEstimator::fold_report`] over its members in global
 //! session-insertion order, the routine the single-threaded manager calls
 //! over its own sessions.  The budget a shard needs is
 //! `SetBudget { total, weight_denominator }`, where `weight_denominator` is
-//! the global weight sum (again summed in insertion order), so each shard's
-//! division ([`weighted_share`](crate::bandwidth::weighted_share)) `slot_i =
+//! the global weight sum (again summed in insertion order, when a member
+//! joins or leaves), so each shard's division
+//! ([`weighted_share`](crate::bandwidth::weighted_share)) `slot_i =
 //! total · w_i / Σ_global w` is **bit-identical** to the single-threaded
 //! division — f64 arithmetic included.  That is the foundation of the
 //! sharded-vs-single parity guarantee (see the tests).
@@ -33,14 +39,24 @@
 //! new budget *epoch* in the coordinator; none of them tells any shard.  A
 //! shard is sent `SetBudget` — carrying the `(total, Σw)` current at that
 //! moment — immediately before the first command through which it could
-//! *observe* the budget (`Add`, `Message`, `Pump`, `Remove`, `Stats`: every
-//! command there is except `SetBudget` itself and `Shutdown`), and at most
-//! once per epoch.  The coordinator's own bookkeeping moves first, so the
-//! `SetBudget` in front of an `Add` already counts the joiner and the one in
-//! front of a `Remove` or `Close` no longer counts the leaver.
+//! *observe* the budget (`Add`, a predictor `Message`, `Pump`, `Remove`,
+//! `Stats`), and at most once per epoch.  The coordinator's own bookkeeping
+//! moves first, so the `SetBudget` in front of an `Add` already counts the
+//! joiner and the one in front of a `Remove` no longer counts the leaver.
 //!
-//! What is dropped is therefore exactly the broadcasts nobody could have
-//! observed: a shard that is sent nothing for `k` epochs is sent one
+//! A rate report is the one command that cannot observe the budget: under a
+//! pushed budget [`SessionManager::on_message`] touches only the reporting
+//! session — re-opens it, feeds its estimator, writes its slot duration
+//! from its *own* estimate.  So a report is forwarded with no `SetBudget` in
+//! front and leaves its shard's epoch stale; the `SetBudget` before that
+//! shard's next observing command overwrites the reporter's self-written
+//! slot with its share.  A report the estimators ignore (`≤ 0`) writes that
+//! slot all the same, which is why it starts an epoch too.  A burst of `k`
+//! reports therefore costs its shard no re-division at all, and the next
+//! pump one.
+//!
+//! What is dropped is exactly the broadcasts nobody could have observed: a
+//! shard that is sent nothing but reports for `k` epochs is sent one
 //! `SetBudget`, not `k`.  Parity still holds because applying a budget is a
 //! *calibration* — [`SessionManager::set_shared_budget`] overwrites the
 //! estimate and the denominator, gives every session its slot duration
@@ -58,7 +74,7 @@
 //! to the single-threaded manager's, under two documented conditions:
 //! the backend reports `concurrency_limit() == None` (a finite limit is
 //! divided among *local* candidates, and `local ≠ global`), and comparison
-//! happens at drain-to-idle points (the coordinator surfaces async events at
+//! happens at drain-to-idle points (events of unanswered messages surface at
 //! pumps, so mid-burst interleavings differ while per-session end states do
 //! not).  Cross-session *ordering* onto the wire is shard-local by design —
 //! the guarantee is per-session content, not global interleaving.
@@ -71,7 +87,7 @@
 //! [`crate::scheduler::dedup`] for the canonical-build-only rule that makes
 //! this deterministic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
@@ -168,12 +184,16 @@ impl ShardStats {
 
 /// Commands the coordinator sends to a shard worker.  Per-shard channels are
 /// FIFO, so a `SetBudget` is always applied before the command enqueued
-/// right after it — the one that could observe it.
+/// right after it — the one that could observe it.  `Pump`, `Remove` (which
+/// is also how a `Close` travels) and `Stats` are answered; the rest are
+/// not.
 enum Command {
     Add {
         id: SessionId,
         builder: SessionBuilder,
     },
+    /// A predictor message or a rate report.  The event it produces, if
+    /// any, rides at the head of the next `Reply::Pumped`.
     Message {
         id: SessionId,
         message: ClientMessage,
@@ -194,23 +214,12 @@ enum Command {
     Shutdown,
 }
 
-/// Replies flowing back on a shard's (FIFO) reply channel.  Every command
-/// except `Add`, `SetBudget` and `Shutdown` produces exactly one reply; the
-/// coordinator counts deferred (async-message) replies per shard and drains
-/// them before reading any synchronous reply.
+/// Replies flowing back on a shard's (FIFO) reply channel, one per `Pump`,
+/// `Remove` or `Stats`.  The coordinator reads each as soon as it has sent
+/// the command, so the channel never holds a reply to anything else.
 enum Reply {
-    MessageDone {
-        event: Option<ServerEvent>,
-        /// The session's updated bandwidth estimate, filled for rate
-        /// reports so the coordinator can maintain the global sum.
-        estimate: Option<f64>,
-    },
-    Pumped {
-        events: Vec<ServerEvent>,
-    },
-    Removed {
-        existed: bool,
-    },
+    Pumped { events: Vec<ServerEvent> },
+    Removed { existed: bool },
     Stats(Box<ShardSnapshot>),
 }
 
@@ -225,6 +234,9 @@ struct ShardHandle {
 /// Shard worker loop: owns one [`SessionManager`] and serves coordinator
 /// commands until `Shutdown` (or a dropped command channel).
 fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sender<Reply>) {
+    // Events of messages served since the last pump (a refused delta's
+    // `Resync`; rare).
+    let mut unsurfaced: Vec<ServerEvent> = Vec::new();
     loop {
         let command = match commands.recv() {
             Ok(c) => c,
@@ -235,17 +247,10 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
                 manager.add_session_with_id(id, builder);
             }
             Command::Message { id, message, now } => {
-                let event = manager.on_message(id, &message, now);
-                let estimate = match &message {
-                    ClientMessage::RateReport(_) => manager
-                        .session(id)
-                        .map(|s| s.bandwidth_estimate().bytes_per_sec()),
-                    _ => None,
-                };
-                let _ = replies.send(Reply::MessageDone { event, estimate });
+                unsurfaced.extend(manager.on_message(id, &message, now));
             }
             Command::Pump { now, max } => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut unsurfaced);
                 for _ in 0..max {
                     match manager.next_event(now) {
                         ServerEvent::Idle => break,
@@ -282,44 +287,46 @@ fn worker(mut manager: SessionManager, commands: Receiver<Command>, replies: Sen
 /// surface, sessions partitioned round-robin across `N` worker threads, one
 /// globally consistent bandwidth budget, one shared model-dedup registry.
 ///
-/// Joins and predictor messages are forwarded asynchronously (shards build
-/// sessions and absorb prediction churn in parallel: everything the
-/// coordinator's bookkeeping needs from a join it reads off the
-/// [`SessionBuilder`]); departures and rate reports round-trip, the latter
-/// because the reply carries the session's new estimate.  Budget changes
-/// reach a shard lazily, once per epoch (module docs).  Events produced
-/// asynchronously (e.g. [`ServerEvent::Resync`]) surface at the next
+/// Joins, predictor messages and rate reports are forwarded without waiting
+/// (shards build sessions and absorb prediction churn in parallel:
+/// everything the coordinator's bookkeeping needs from a join it reads off
+/// the [`SessionBuilder`], and everything it needs from a report it
+/// computes on its own copy of the session's estimator); only a departure,
+/// a pump and a stats read wait for their shard.  Budget changes reach a
+/// shard lazily, once per epoch (module docs).  Events produced by
+/// forwarded messages (e.g. [`ServerEvent::Resync`]) surface at the next
 /// [`pump`](Self::pump).
 pub struct ShardedSessionManager {
     shards: Vec<ShardHandle>,
-    /// Deferred `MessageDone` replies owed by each shard, drained before
-    /// any synchronous reply is read from that shard.
-    outstanding: Vec<usize>,
     route: HashMap<SessionId, usize>,
     /// The live sessions in global insertion order — ids are allocated
     /// monotonically, so this is the ascending-id order the single-threaded
     /// manager's `sessions` vector holds, and f64 weight/estimate sums
     /// reproduce its results bit-for-bit.
     members: Vec<Member>,
+    /// `Σ weight` over `members`, summed in that order whenever a member
+    /// joins or leaves: the `weight_denominator` of every `SetBudget`.
+    weight_sum: f64,
     next_id: u64,
     next_shard: usize,
     shared_bandwidth: BandwidthEstimator,
     /// The current budget epoch: bumped by everything that can change the
     /// estimate or the weight sum.  A shard whose
     /// [`budget_epoch`](ShardHandle::budget_epoch) differs is sent
-    /// `SetBudget` before its next command.
+    /// `SetBudget` before its next command that can observe the budget.
     budget_epoch: u64,
     model_cache: Arc<ModelCache>,
-    /// Events produced by deferred replies, surfaced at the next pump.
-    pending_events: VecDeque<ServerEvent>,
 }
 
 /// What the budget needs to know of one live session.
 struct Member {
     id: SessionId,
     weight: f64,
-    /// The session's own estimate (bytes/s): its builder's, then whatever
-    /// its shard last replied to a rate report with.
+    /// The session's own estimator: its builder's, then fed every rate
+    /// report forwarded to the session.
+    estimator: BandwidthEstimator,
+    /// `estimator.estimate()` in bytes/s, so a fold reads one number per
+    /// member instead of taking 2 000 harmonic means.
     estimate: f64,
 }
 
@@ -358,35 +365,30 @@ impl ShardedSessionManager {
             });
         }
         ShardedSessionManager {
-            outstanding: vec![0; num_shards],
             shards,
             route: HashMap::new(),
             members: Vec::new(),
+            weight_sum: 0.0,
             next_id: 0,
             next_shard: 0,
             shared_bandwidth,
             budget_epoch: 0,
             model_cache,
-            pending_events: VecDeque::new(),
         }
     }
 
-    /// Sends `command` to `shard`, first bringing the shard into the
-    /// current budget epoch: every command that goes through here can
-    /// observe the budget, so this is the one place `SetBudget` is sent.
+    /// Sends `shard` a command that can observe the budget, first bringing
+    /// the shard into the current budget epoch: this is the one place
+    /// `SetBudget` is sent.
     fn send(&mut self, shard: usize, command: Command) {
         if self.shards[shard].budget_epoch != self.budget_epoch {
             self.shards[shard].budget_epoch = self.budget_epoch;
-            let total = self.shared_bandwidth.estimate();
-            // Insertion-order sum: bit-identical to the single-threaded
-            // manager's local weight sum over its sessions vector.
-            let weight_denominator: f64 = self.members.iter().map(|m| m.weight).sum();
-            if weight_denominator > 0.0 {
+            if self.weight_sum > 0.0 {
                 self.send_raw(
                     shard,
                     Command::SetBudget {
-                        total,
-                        weight_denominator,
+                        total: self.shared_bandwidth.estimate(),
+                        weight_denominator: self.weight_sum,
                     },
                 );
             }
@@ -400,6 +402,7 @@ impl ShardedSessionManager {
         }
     }
 
+    /// Waits for `shard`'s reply to the answered command just sent to it.
     fn recv_reply(&self, shard: usize) -> Reply {
         match self.shards[shard].reply.recv() {
             Ok(reply) => reply,
@@ -407,42 +410,52 @@ impl ShardedSessionManager {
         }
     }
 
-    /// Drains the deferred (async-message) replies a shard owes, queueing
-    /// any events they carry.  Must run before reading a synchronous reply
-    /// from that shard: reply channels are FIFO, so afterwards the next
-    /// reply is the synchronous one.
-    fn drain_outstanding(&mut self, shard: usize) {
-        while self.outstanding[shard] > 0 {
-            match self.recv_reply(shard) {
-                Reply::MessageDone { event, .. } => {
-                    if let Some(event) = event {
-                        self.pending_events.push_back(event);
-                    }
-                }
-                _ => panic!("shard {shard} reply protocol violated"),
-            }
-            self.outstanding[shard] -= 1;
-        }
+    /// The membership changed: re-sums the weights in insertion order —
+    /// bit-identical to the single-threaded manager's sum over its sessions
+    /// vector — and starts a budget epoch.
+    fn members_changed(&mut self) {
+        self.weight_sum = self.members.iter().map(|m| m.weight).sum();
+        self.budget_epoch += 1;
+    }
+
+    /// Takes member `id`'s rate report into the budget without asking its
+    /// shard for anything: the coordinator's copy of the session's estimator
+    /// takes the report as the session's will, the shared estimator folds
+    /// it in, and a budget epoch starts — also for a report both estimators
+    /// ignore (module docs).
+    fn fold_report(&mut self, id: SessionId, rate: Bandwidth) {
+        let Ok(at) = self.members.binary_search_by_key(&id, |member| member.id) else {
+            unreachable!("routed session {id} is not a member");
+        };
+        let member = &mut self.members[at];
+        member.estimator.report_rate(rate);
+        member.estimate = member.estimator.estimate().bytes_per_sec();
+        // `members` holds the order of the single-threaded manager's
+        // sessions vector, so the fold's f64 sum is bit-identical.
+        let estimates = self.members.iter().map(|m| (m.id, m.estimate));
+        self.shared_bandwidth.fold_report(estimates, id, rate);
+        self.budget_epoch += 1;
     }
 
     /// Adds a session under a fresh globally unique id, assigning it to the
     /// next shard round-robin.  Does not wait for the shard: the weight and
-    /// initial estimate the budget needs come from the builder, and the
-    /// shard builds the session while the caller goes on (to the next join,
+    /// the estimator the budget needs come from the builder, and the shard
+    /// builds the session while the caller goes on (to the next join,
     /// typically on another shard).
     pub fn add_session(&mut self, builder: SessionBuilder) -> SessionId {
         let id = SessionId(self.next_id);
         self.next_id += 1;
         let shard = self.next_shard;
         self.next_shard = (self.next_shard + 1) % self.shards.len();
-        let (estimate, weight) = builder.initial_share();
+        let estimator = builder.bandwidth_estimator();
         self.route.insert(id, shard);
         self.members.push(Member {
             id,
-            weight,
-            estimate,
+            weight: builder.weight,
+            estimate: estimator.estimate().bytes_per_sec(),
+            estimator,
         });
-        self.budget_epoch += 1;
+        self.members_changed();
         self.send(shard, Command::Add { id, builder });
         id
     }
@@ -452,11 +465,11 @@ impl ShardedSessionManager {
     /// frees its session (and its model refcounts) without touching any
     /// other shard.
     pub fn remove_session(&mut self, id: SessionId) -> bool {
-        let Some(&shard) = self.route.get(&id) else {
+        let Some(shard) = self.route.remove(&id) else {
             return false;
         };
-        self.forget(id);
-        self.drain_outstanding(shard);
+        self.members.retain(|member| member.id != id);
+        self.members_changed();
         self.send(shard, Command::Remove { id });
         match self.recv_reply(shard) {
             Reply::Removed { existed } => existed,
@@ -464,21 +477,15 @@ impl ShardedSessionManager {
         }
     }
 
-    /// Drops `id` from the coordinator's bookkeeping, which changes the
-    /// weight sum and so starts a budget epoch.
-    fn forget(&mut self, id: SessionId) {
-        self.route.remove(&id);
-        self.members.retain(|member| member.id != id);
-        self.budget_epoch += 1;
-    }
-
     /// Routes one protocol message to the owning shard.
     ///
-    /// `Close` and `RateReport` round-trip (the caller gets the `Closed`
-    /// event; the coordinator needs the session's new estimate); predictor
-    /// messages are forwarded asynchronously and their events — e.g. a
-    /// refused delta's [`ServerEvent::Resync`] — surface at the next
-    /// [`pump`](Self::pump).  Returns `None` for unknown sessions.
+    /// `Close` is a departure: it waits for the shard and returns the
+    /// `Closed` event.  Predictor messages and rate reports are forwarded
+    /// without waiting — the coordinator folds a report into the budget
+    /// from its own copy of the session's estimator — and the events of
+    /// forwarded messages (a refused delta's [`ServerEvent::Resync`])
+    /// surface at the next [`pump`](Self::pump).  Returns `None` for
+    /// unknown sessions.
     pub fn on_message(
         &mut self,
         id: SessionId,
@@ -486,51 +493,42 @@ impl ShardedSessionManager {
         now: Time,
     ) -> Option<ServerEvent> {
         let shard = *self.route.get(&id)?;
+        let observes_budget = match message {
+            ClientMessage::Predictor(_)
+            | ClientMessage::PredictorFull { .. }
+            | ClientMessage::PredictorDelta(_) => true,
+            ClientMessage::RateReport(rate) => {
+                self.fold_report(id, *rate);
+                false
+            }
+            ClientMessage::Close => {
+                // On a shard, `Close` is `remove_session` plus this event.
+                return self
+                    .remove_session(id)
+                    .then_some(ServerEvent::Closed { session: id });
+            }
+        };
         let command = Command::Message {
             id,
             message: message.clone(),
             now,
         };
-        let report = match message {
-            ClientMessage::Predictor(_)
-            | ClientMessage::PredictorFull { .. }
-            | ClientMessage::PredictorDelta(_) => {
-                self.send(shard, command);
-                self.outstanding[shard] += 1;
-                return None;
-            }
-            ClientMessage::Close => {
-                self.forget(id);
-                None
-            }
-            ClientMessage::RateReport(rate) => Some(*rate),
-        };
-        self.drain_outstanding(shard);
-        self.send(shard, command);
-        let Reply::MessageDone { event, estimate } = self.recv_reply(shard) else {
-            panic!("shard {shard} reply protocol violated");
-        };
-        if let Some(rate) = report {
-            let at = self.members.binary_search_by_key(&id, |member| member.id);
-            if let (Some(estimate), Ok(at)) = (estimate, at) {
-                self.members[at].estimate = estimate;
-            }
-            // `members` holds the order of the single-threaded manager's
-            // sessions vector, so the fold's f64 sum is bit-identical.
-            let estimates = self.members.iter().map(|m| (m.id, m.estimate));
-            self.shared_bandwidth.fold_report(estimates, id, rate);
-            self.budget_epoch += 1;
+        match observes_budget {
+            true => self.send(shard, command),
+            // A rate report (module docs): no `SetBudget` in front, and the
+            // shard stays in its stale epoch.
+            false => self.send_raw(shard, command),
         }
-        event
+        None
     }
 
     /// Asks every shard for up to `max_per_shard` blocks *concurrently* and
     /// returns the merged events.  Pump commands go out to all shards
     /// before any reply is read, so shard scheduler loops overlap; results
-    /// are merged in shard-index order (deterministic).  Deferred events
-    /// (resyncs from async predictor messages) are included.
+    /// are merged in shard-index order (deterministic).  Each shard's part
+    /// starts with the events of the messages forwarded to it since its
+    /// last pump, so a session's `Resync` precedes its later blocks.
     pub fn pump(&mut self, now: Time, max_per_shard: usize) -> Vec<ServerEvent> {
-        let mut events: Vec<ServerEvent> = self.pending_events.drain(..).collect();
         for shard in 0..self.shards.len() {
             self.send(
                 shard,
@@ -540,10 +538,8 @@ impl ShardedSessionManager {
                 },
             );
         }
+        let mut events = Vec::new();
         for shard in 0..self.shards.len() {
-            // FIFO per shard: deferred MessageDone replies first, then the
-            // Pumped reply for the command above.
-            self.drain_outstanding(shard);
             match self.recv_reply(shard) {
                 Reply::Pumped {
                     events: shard_events,
@@ -551,7 +547,6 @@ impl ShardedSessionManager {
                 _ => panic!("shard {shard} reply protocol violated"),
             }
         }
-        events.extend(self.pending_events.drain(..));
         events
     }
 
@@ -581,7 +576,6 @@ impl ShardedSessionManager {
     /// Aggregates per-shard counters into one [`ShardStats`] snapshot.
     pub fn stats(&mut self) -> ShardStats {
         for shard in 0..self.shards.len() {
-            self.drain_outstanding(shard);
             self.send(shard, Command::Stats);
         }
         let mut per_shard = Vec::with_capacity(self.shards.len());
@@ -1107,9 +1101,10 @@ mod tests {
         assert!(sharded.pump(Time::ZERO, 4).is_empty());
         let settled = budgets_applied(&sharded);
 
-        // `REPORTS` rate reports to sessions of shard 0.  Each report's own
-        // shard is a shard being sent a command, so it is brought up to the
-        // epoch the previous report started; shards 1 and 2 hear nothing.
+        // `REPORTS` rate reports to sessions of shard 0, each starting an
+        // epoch and none of them able to observe one: no shard is sent a
+        // `SetBudget`, shard 0 included.  A report is not answered, so the
+        // counters are read after the pump below.
         let report = |mbps: f64| ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
         for k in 0..REPORTS {
             let id = ids[[0, 3][k % 2]];
@@ -1117,31 +1112,26 @@ mod tests {
             single.on_message(id, &report(2.0 + k as f64), Time::ZERO);
             sharded.on_message(id, &report(2.0 + k as f64), Time::ZERO);
         }
-        let after_reports = budgets_applied(&sharded);
-        assert_eq!(after_reports[0], settled[0] + REPORTS - 1);
-        assert_eq!(after_reports[1..], settled[1..]);
-
-        // One command to shard 1 (a rate report: it round-trips, so the
-        // counter is settled when it returns): exactly one `SetBudget`, for
-        // the `REPORTS` epochs it sat out.  Shard 2, sent nothing, still
-        // none.
+        // One observing command to shard 1, a predictor message: the
+        // `SetBudget` for the `REPORTS` epochs it sat out goes in front.
         assert_eq!(sharded.shard_of(ids[1]), Some(1));
-        single.on_message(ids[1], &report(7.5), Time::ZERO);
-        sharded.on_message(ids[1], &report(7.5), Time::ZERO);
-        let after_command = budgets_applied(&sharded);
-        assert_eq!(after_command[0], after_reports[0]);
-        assert_eq!(after_command[1], settled[1] + 1);
-        assert_eq!(after_command[2], settled[2]);
+        let predict = ClientMessage::Predictor(spread_prediction(1));
+        single.on_message(ids[1], &predict, Time::ZERO);
+        sharded.on_message(ids[1], &predict, Time::ZERO);
 
-        // A pump is a command to every shard: each is brought into the
-        // current epoch with one `SetBudget` — shard 2's first since the
-        // reports began — and a second pump, in the same epoch, sends none.
+        // A pump is an observing command to every shard.  Shards 0 and 2
+        // are brought into the current epoch in front of it, shard 1 is
+        // there already: one `SetBudget` each since the reports began, where
+        // a report that brought its own shard up to date would have cost
+        // shard 0 `REPORTS - 1` more.
         assert!(sharded.pump(Time::ZERO, 4).is_empty());
         let after_pump = budgets_applied(&sharded);
         for shard in 0..SHARDS {
-            assert_eq!(after_pump[shard], after_command[shard] + 1, "shard {shard}");
+            assert_eq!(after_pump[shard], settled[shard] + 1, "shard {shard}");
         }
+        // A second pump, and a stats read, in the same epoch send none.
         assert!(sharded.pump(Time::ZERO, 4).is_empty());
+        assert_eq!(sharded.stats().totals.sessions, 6);
         assert_eq!(budgets_applied(&sharded), after_pump);
 
         // What every session's scheduler ends up with is what the single
@@ -1153,32 +1143,210 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_burst_of_reports_costs_each_shard_one_budget_at_its_next_observing_command() {
+        // One benchmark round in small: 2 shards × 100 sessions, 20 rate
+        // reports, 10 re-predictions, then pumps.
+        let mut rig = ParityRig::new(2);
+        for i in 0..200 {
+            rig.add(1.0 + (i % 5) as f64 / 2.0);
+        }
+        let ids = rig.live.clone();
+        for (i, id) in ids.iter().enumerate() {
+            rig.predict(*id, i as u32 % 16);
+        }
+        assert!(rig.drain_and_compare() > 0);
+        let settled = budgets_applied(&rig.sharded);
+
+        for k in 0..20 {
+            let rate = Bandwidth::from_mbps(2.0 + (k % 7) as f64);
+            rig.message(ids[k * 9 % 200], &ClientMessage::RateReport(rate));
+        }
+        for k in 0..10 {
+            rig.predict(ids[k * 19 % 200], 3 + k as u32);
+        }
+        // The first pump of the drain settles the counters; the later ones
+        // are in its epoch.  Each shard was brought up to date once — in
+        // front of its first re-prediction — not once per report.
+        assert!(rig.drain_and_compare() > 0);
+        let after = budgets_applied(&rig.sharded);
+        for shard in 0..2 {
+            assert_eq!(after[shard], settled[shard] + 1, "shard {shard}");
+        }
+    }
+
+    #[test]
+    fn one_sessions_reports_slide_its_window_alike_on_both_runtimes() {
+        let mut rig = ParityRig::new(2);
+        for weight in [1.0, 2.5, 1.0, 3.0] {
+            rig.add(weight);
+        }
+        let ids = rig.live.clone();
+        for (i, id) in ids.iter().enumerate() {
+            rig.predict(*id, i as u32);
+        }
+        rig.drain_and_compare();
+        // Six reports in a row from one session: the sixth evicts the first
+        // from its window of five, in the session and in the coordinator's
+        // copy of its estimator alike.
+        for mbps in [3.0, 11.0, 0.5, 7.25, 2.0, 19.0] {
+            let report = ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
+            rig.message(ids[1], &report);
+            assert_eq!(
+                rig.sharded.bandwidth_estimate().0.to_bits(),
+                rig.single.bandwidth_estimate().0.to_bits()
+            );
+        }
+        // Another member's report counts the six-time reporter at its
+        // estimate, which now depends on the window having slid.
+        let report = ClientMessage::RateReport(Bandwidth::from_mbps(4.0));
+        rig.message(ids[2], &report);
+        assert_eq!(
+            rig.sharded.bandwidth_estimate().0.to_bits(),
+            rig.single.bandwidth_estimate().0.to_bits()
+        );
+        rig.predict(ids[0], 9);
+        rig.drain_and_compare();
+    }
+
+    /// A delta off a generation no session ever installed.
+    fn refused_delta() -> ClientMessage {
+        ClientMessage::PredictorDelta(crate::delta::PredictionDelta {
+            base_generation: 7,
+            generation: 8,
+            generated_at: Time::ZERO,
+            slices: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn a_refused_deltas_resync_surfaces_once_at_the_next_pump_ahead_of_its_sessions_blocks() {
+        let cat = catalog();
+        let mut mgr = sharded_manager(&cat, 2);
+        let ids: Vec<SessionId> = (0..4)
+            .map(|i| mgr.add_session(builder(&cat, 1.0, i)))
+            .collect();
+        assert_eq!(mgr.on_message(ids[1], &refused_delta(), Time::ZERO), None);
+        let predict = ClientMessage::Predictor(spread_prediction(2));
+        assert_eq!(mgr.on_message(ids[1], &predict, Time::ZERO), None);
+        // The shard has served the delta by the time it answers a stats
+        // read, and a stats read carries no event.
+        assert_eq!(mgr.stats().totals.resync_requests, 1);
+
+        let events = mgr.pump(Time::ZERO, 8);
+        let resync = ServerEvent::Resync { session: ids[1] };
+        let resyncs = events.iter().filter(|e| **e == resync).count();
+        assert_eq!(resyncs, 1);
+        let at = events.iter().position(|e| *e == resync);
+        let first_block = events
+            .iter()
+            .position(|e| matches!(e, ServerEvent::Block { session, .. } if *session == ids[1]));
+        assert!(first_block.is_some(), "session {} was served", ids[1]);
+        assert!(
+            at < first_block,
+            "resync at {at:?}, block at {first_block:?}"
+        );
+        let later = mgr.pump_until_idle(Time::ZERO, 64);
+        assert!(!later.contains(&resync));
+    }
+
+    /// Forty messages nobody answers, to sessions of shard 0.
+    fn unanswered_burst(mgr: &mut ShardedSessionManager, to: &[SessionId]) {
+        for k in 0..40 {
+            let id = to[k % to.len()];
+            assert_eq!(mgr.shard_of(id), Some(0));
+            let message = match k % 3 {
+                0 => ClientMessage::Predictor(spread_prediction(k as u32)),
+                1 => ClientMessage::RateReport(Bandwidth::from_mbps(1.0 + k as f64)),
+                _ => refused_delta(),
+            };
+            assert_eq!(mgr.on_message(id, &message, Time::ZERO), None);
+        }
+    }
+
+    #[test]
+    fn a_departure_straight_after_unanswered_messages_reads_its_own_reply() {
+        let cat = catalog();
+        let mut mgr = sharded_manager(&cat, 2);
+        let ids: Vec<SessionId> = (0..6)
+            .map(|i| mgr.add_session(builder(&cat, 1.0, i)))
+            .collect();
+        let on_shard_0 = [ids[0], ids[2], ids[4]];
+        unanswered_burst(&mut mgr, &on_shard_0);
+        assert!(mgr.remove_session(ids[0]));
+        assert!(!mgr.remove_session(ids[0]));
+        unanswered_burst(&mut mgr, &on_shard_0[1..]);
+        let closed = ServerEvent::Closed { session: ids[2] };
+        assert_eq!(
+            mgr.on_message(ids[2], &ClientMessage::Close, Time::ZERO),
+            Some(closed)
+        );
+        assert_eq!(
+            mgr.on_message(ids[2], &ClientMessage::Close, Time::ZERO),
+            None
+        );
+        unanswered_burst(&mut mgr, &on_shard_0[2..]);
+        assert_eq!(mgr.num_sessions(), 4);
+        assert_eq!(mgr.stats().totals.sessions, 4);
+    }
+
+    #[test]
+    fn dropping_the_manager_with_unanswered_messages_in_flight_joins_its_shards() {
+        let cat = catalog();
+        let mut mgr = sharded_manager(&cat, 2);
+        let ids: Vec<SessionId> = (0..6)
+            .map(|i| mgr.add_session(builder(&cat, 1.0, i)))
+            .collect();
+        let models = mgr.model_cache().clone();
+        for _ in 0..5 {
+            unanswered_burst(&mut mgr, &[ids[0], ids[2], ids[4]]);
+        }
+        drop(mgr);
+        // Joined, not detached: every shard has served its queue, dropped
+        // its manager and with it the sessions' models.
+        assert_eq!(models.live_models(), 0);
+    }
+
     mod property {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// What the coordinator reads off a builder instead of waiting
-            /// for the shard to report it is exactly what the built session
-            /// holds.
+            /// What the coordinator keeps of a session instead of asking its
+            /// shard — the builder's estimator, fed the reports it forwards,
+            /// and the builder's weight — is what the built session holds,
+            /// after the build and after every report, ignored ones
+            /// (`≤ 0`) and repeats included.
             #[test]
             fn builder_share_is_the_built_sessions(
                 cap in proptest::collection::vec(1u32..400, 0..2),
                 initial in 1u32..400,
                 weight in 1u32..10_000,
+                reports in proptest::collection::vec(-40i32..400, 0..13),
             ) {
                 let mut builder = builder(&catalog(), f64::from(weight) / 64.0, 0)
                     .initial_bandwidth(Bandwidth::from_mbps(f64::from(initial) / 8.0));
                 if let Some(cap) = cap.first() {
                     builder = builder.bandwidth_cap(Bandwidth::from_mbps(f64::from(*cap) / 8.0));
                 }
-                let (estimate, share_weight) = builder.initial_share();
-                let session = builder.build();
+                let mut mirror = builder.bandwidth_estimator();
+                let share_weight = builder.weight;
+                let mut session = builder.build();
+                prop_assert_eq!(share_weight.to_bits(), session.weight().to_bits());
                 prop_assert_eq!(
-                    estimate.to_bits(),
+                    mirror.estimate().bytes_per_sec().to_bits(),
                     session.bandwidth_estimate().bytes_per_sec().to_bits()
                 );
-                prop_assert_eq!(share_weight.to_bits(), session.weight().to_bits());
+                for report in reports {
+                    // Eighths rounded toward zero: zeros, negatives, repeats.
+                    let rate = Bandwidth::from_mbps(f64::from(report / 8) / 4.0);
+                    mirror.report_rate(rate);
+                    session.on_rate_report(rate);
+                    prop_assert_eq!(
+                        mirror.estimate().bytes_per_sec().to_bits(),
+                        session.bandwidth_estimate().bytes_per_sec().to_bits()
+                    );
+                }
             }
         }
 
