@@ -229,7 +229,6 @@ impl ResumeHarness {
         // nothing explored here depends on what gets scheduled.
         let mut config = ServerConfig::default();
         config.scheduler.cache_blocks = 8;
-        config.scheduler.batch_size = 4;
         let utility = UtilityModel::homogeneous(&LinearUtility, 2);
         let builder = Session::builder(utility, self.catalog.clone()).config(config);
         self.managers[shard].add_session_with_id(id, builder);

@@ -3,16 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use khameleon_core::block::BlockMeta;
 use khameleon_core::cache::{LruCache, RingCache};
 use khameleon_core::types::{BlockRef, RequestId};
 
-fn meta(req: u32, idx: u32) -> BlockMeta {
-    BlockMeta {
-        block: BlockRef::new(RequestId(req), idx),
-        total_blocks: 20,
-        size: 100_000,
-    }
+fn blk(req: u32, idx: u32) -> BlockRef {
+    BlockRef::new(RequestId(req), idx)
 }
 
 fn bench_ring_insert(c: &mut Criterion) {
@@ -26,7 +21,7 @@ fn bench_ring_insert(c: &mut Criterion) {
                     || RingCache::new(capacity),
                     |mut cache| {
                         for i in 0..10_000u32 {
-                            cache.insert(meta(i % 500, i % 20));
+                            cache.insert(blk(i % 500, i % 20));
                         }
                         cache
                     },
@@ -41,7 +36,7 @@ fn bench_ring_insert(c: &mut Criterion) {
 fn bench_ring_lookup(c: &mut Criterion) {
     let mut cache = RingCache::new(4_096);
     for i in 0..20_000u32 {
-        cache.insert(meta(i % 500, i % 20));
+        cache.insert(blk(i % 500, i % 20));
     }
     c.bench_function("ring_cache_prefix_lookup", |b| {
         b.iter(|| {

@@ -4,7 +4,11 @@
 //! replacement (§3.3): the `i`-th block received from the server is stored in
 //! slot `i % C`, where `C` is the capacity in blocks.  The determinism of this
 //! policy is what allows the server-side scheduler to simulate the client's
-//! cache contents without any coordination.
+//! cache contents without any coordination — and it simulates it with the
+//! same type: [`RingCache`] is the one FIFO ring, run by the client's
+//! [`CacheManager`](crate::client::CacheManager) and by the
+//! [`GreedyScheduler`](crate::scheduler::GreedyScheduler), whose §5.3.2
+//! rollback is [`RingCache::undo_insert`].
 //!
 //! Baseline prefetching systems (§6.1) use a conventional byte-capacity
 //! [`LruCache`] instead, which this module also provides.
@@ -12,21 +16,25 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use crate::block::BlockMeta;
-use crate::types::{Bytes, RequestId};
+use crate::types::{BlockRef, Bytes, RequestId};
 
-/// Fixed-capacity ring-buffer block cache with FIFO replacement.
+/// Fixed-capacity ring-buffer block cache with FIFO replacement: the client's
+/// cache, and the scheduler's simulation of it.
 ///
-/// Stores block *metadata*; payload storage is the embedding application's
-/// concern (the simulator only needs sizes, the live example keeps payloads in
-/// an application-side map keyed by [`BlockMeta::block`]).
+/// Stores block *references*; payloads and sizes are the embedding
+/// application's concern (the live example keeps payloads in an
+/// application-side map keyed by [`BlockRef`]).  Slots are filled as blocks
+/// arrive, not preallocated: a ring that has received `k < C` blocks holds
+/// `k` slots, which is what a fleet of mostly idle sessions pays for.
 #[derive(Debug, Clone)]
 pub struct RingCache {
-    /// Slot contents; `None` until first written.
-    slots: Vec<Option<BlockMeta>>,
-    /// Next write position (total number of blocks ever inserted).
+    capacity: usize,
+    /// Slot contents, `slots[i % capacity]` for the `i`-th insert; grows to
+    /// `capacity` and stays there.
+    slots: Vec<BlockRef>,
+    /// Next write position: blocks inserted minus inserts undone.
     cursor: u64,
-    /// Number of blocks currently cached per request, for O(1) lookup.
+    /// Blocks currently cached per request, for O(1) lookup.
     per_request: HashMap<RequestId, CachedResponse>,
 }
 
@@ -35,13 +43,10 @@ pub struct RingCache {
 struct CachedResponse {
     /// Sorted block indices currently resident.
     indices: Vec<u32>,
-    /// Total blocks in the response (copied from the last block seen).
-    total_blocks: u32,
 }
 
 impl CachedResponse {
-    fn insert(&mut self, index: u32, total: u32) {
-        self.total_blocks = total;
+    fn insert(&mut self, index: u32) {
         if let Err(pos) = self.indices.binary_search(&index) {
             self.indices.insert(pos, index);
         }
@@ -71,7 +76,8 @@ impl RingCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         RingCache {
-            slots: vec![None; capacity],
+            capacity,
+            slots: Vec::new(),
             cursor: 0,
             per_request: HashMap::new(),
         }
@@ -79,22 +85,23 @@ impl RingCache {
 
     /// Capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Total number of blocks inserted since creation (monotonic).
+    /// Total number of blocks inserted since creation, less the inserts
+    /// undone.
     pub fn blocks_received(&self) -> u64 {
         self.cursor
     }
 
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
-        (self.cursor as usize).min(self.slots.len())
+        self.slots.len()
     }
 
     /// Whether the cache holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.cursor == 0
+        self.slots.is_empty()
     }
 
     /// Inserts a block into the next ring slot and returns the block it
@@ -104,24 +111,72 @@ impl RingCache {
     /// consume a slot — mirroring the paper's design where the server never
     /// re-sends a block within a schedule, so duplicates only arise across
     /// schedule boundaries and are rare.
-    pub fn insert(&mut self, block: BlockMeta) -> Option<BlockMeta> {
-        let slot = (self.cursor % self.slots.len() as u64) as usize;
+    pub fn insert(&mut self, block: BlockRef) -> Option<BlockRef> {
+        let slot = self.slot(self.cursor);
         self.cursor += 1;
-        let evicted = self.slots[slot].take();
-        if let Some(ev) = &evicted {
-            if let Some(entry) = self.per_request.get_mut(&ev.block.request) {
-                entry.remove(ev.block.index);
-                if entry.indices.is_empty() {
-                    self.per_request.remove(&ev.block.request);
-                }
+        let evicted = match self.slots.get_mut(slot) {
+            Some(s) => Some(std::mem::replace(s, block)),
+            None => {
+                self.slots.push(block);
+                None
+            }
+        };
+        if let Some(old) = evicted {
+            self.forget(old);
+        }
+        self.remember(block);
+        evicted
+    }
+
+    /// Undoes the newest [`insert`](Self::insert), which stored `block` and
+    /// returned `evicted`: its exact inverse, the evicted block back in its
+    /// slot.  The scheduler's §5.3.2 rollback: the client never received a
+    /// rolled-back block, so its real ring still holds what that delivery
+    /// evicted in the simulation.
+    pub fn undo_insert(&mut self, block: BlockRef, evicted: Option<BlockRef>) {
+        debug_assert!(self.cursor > 0, "undo_insert on a ring with no inserts");
+        self.cursor -= 1;
+        let slot = self.slot(self.cursor);
+        debug_assert_eq!(
+            self.slots.get(slot),
+            Some(&block),
+            "undo_insert must undo the newest insert"
+        );
+        self.forget(block);
+        match evicted {
+            Some(old) => {
+                self.slots[slot] = old;
+                self.remember(old);
+            }
+            None => {
+                debug_assert_eq!(
+                    slot + 1,
+                    self.slots.len(),
+                    "only a ring with room evicts nothing"
+                );
+                self.slots.pop();
             }
         }
+    }
+
+    fn slot(&self, position: u64) -> usize {
+        (position % self.capacity as u64) as usize
+    }
+
+    fn remember(&mut self, block: BlockRef) {
         self.per_request
-            .entry(block.block.request)
+            .entry(block.request)
             .or_default()
-            .insert(block.block.index, block.total_blocks);
-        self.slots[slot] = Some(block);
-        evicted
+            .insert(block.index);
+    }
+
+    fn forget(&mut self, block: BlockRef) {
+        if let Some(entry) = self.per_request.get_mut(&block.request) {
+            entry.remove(block.index);
+            if entry.indices.is_empty() {
+                self.per_request.remove(&block.request);
+            }
+        }
     }
 
     /// Number of blocks currently cached for `request` (resident, possibly
@@ -146,29 +201,36 @@ impl RingCache {
     /// Whether at least one block for `request` is cached — the cache-hit
     /// condition used throughout the paper's evaluation (§6.1).
     pub fn contains(&self, request: RequestId) -> bool {
-        self.cached_blocks(request) > 0
+        self.per_request.contains_key(&request)
     }
 
-    /// Fraction of the response currently cached as a contiguous prefix, in
-    /// `[0, 1]`.  Returns 0 if nothing is cached.
-    pub fn prefix_fraction(&self, request: RequestId) -> f64 {
-        match self.per_request.get(&request) {
-            Some(e) if e.total_blocks > 0 => e.prefix_len() as f64 / e.total_blocks as f64,
-            _ => 0.0,
-        }
+    /// The requests with at least one cached block, in hash order.
+    pub fn requests(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.per_request.keys().copied()
     }
 
-    /// Iterates over currently cached blocks in slot order (oldest slots
-    /// first).
-    pub fn iter(&self) -> impl Iterator<Item = &BlockMeta> {
-        self.slots.iter().filter_map(|s| s.as_ref())
+    /// `(request, cached_blocks)` for every request with a cached block, in
+    /// hash order.
+    pub fn resident_counts(&self) -> impl Iterator<Item = (RequestId, u32)> + '_ {
+        self.per_request
+            .iter()
+            .map(|(&r, e)| (r, e.indices.len() as u32))
+    }
+
+    /// Iterates over the cached blocks in arrival order, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &BlockRef> {
+        let oldest = if self.slots.len() < self.capacity {
+            0
+        } else {
+            self.slot(self.cursor)
+        };
+        let (newer, older) = self.slots.split_at(oldest);
+        older.iter().chain(newer)
     }
 
     /// Clears the cache, keeping its capacity.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.slots.clear();
         self.cursor = 0;
         self.per_request.clear();
     }
@@ -331,27 +393,22 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::BlockRef;
 
-    fn meta(req: u32, idx: u32, total: u32) -> BlockMeta {
-        BlockMeta {
-            block: BlockRef::new(RequestId(req), idx),
-            total_blocks: total,
-            size: 1000,
-        }
+    fn blk(req: u32, idx: u32) -> BlockRef {
+        BlockRef::new(RequestId(req), idx)
     }
 
     #[test]
     fn ring_inserts_wrap_and_evict() {
         let mut c = RingCache::new(3);
         assert!(c.is_empty());
-        assert_eq!(c.insert(meta(0, 0, 2)), None);
-        assert_eq!(c.insert(meta(1, 0, 2)), None);
-        assert_eq!(c.insert(meta(2, 0, 2)), None);
+        assert_eq!(c.insert(blk(0, 0)), None);
+        assert_eq!(c.insert(blk(1, 0)), None);
+        assert_eq!(c.insert(blk(2, 0)), None);
         assert_eq!(c.len(), 3);
         // Fourth insert overwrites slot 0 (block of request 0).
-        let evicted = c.insert(meta(3, 0, 2)).unwrap();
-        assert_eq!(evicted.block.request, RequestId(0));
+        let evicted = c.insert(blk(3, 0)).unwrap();
+        assert_eq!(evicted.request, RequestId(0));
         assert!(!c.contains(RequestId(0)));
         assert!(c.contains(RequestId(3)));
         assert_eq!(c.blocks_received(), 4);
@@ -361,25 +418,23 @@ mod tests {
     #[test]
     fn ring_prefix_tracking() {
         let mut c = RingCache::new(10);
-        c.insert(meta(5, 0, 4));
-        c.insert(meta(5, 2, 4));
+        c.insert(blk(5, 0));
+        c.insert(blk(5, 2));
         assert_eq!(c.cached_blocks(RequestId(5)), 2);
         // Block 1 missing: prefix stops after block 0.
         assert_eq!(c.prefix_len(RequestId(5)), 1);
-        assert!((c.prefix_fraction(RequestId(5)) - 0.25).abs() < 1e-12);
-        c.insert(meta(5, 1, 4));
+        c.insert(blk(5, 1));
         assert_eq!(c.prefix_len(RequestId(5)), 3);
-        assert!((c.prefix_fraction(RequestId(5)) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn ring_eviction_updates_prefix() {
         let mut c = RingCache::new(2);
-        c.insert(meta(1, 0, 3));
-        c.insert(meta(1, 1, 3));
+        c.insert(blk(1, 0));
+        c.insert(blk(1, 1));
         assert_eq!(c.prefix_len(RequestId(1)), 2);
         // Overwrites slot 0 (block 0 of request 1): prefix collapses to 0.
-        c.insert(meta(2, 0, 3));
+        c.insert(blk(2, 0));
         assert_eq!(c.cached_blocks(RequestId(1)), 1);
         assert_eq!(c.prefix_len(RequestId(1)), 0);
     }
@@ -387,7 +442,7 @@ mod tests {
     #[test]
     fn ring_clear_resets() {
         let mut c = RingCache::new(4);
-        c.insert(meta(0, 0, 1));
+        c.insert(blk(0, 0));
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.cached_blocks(RequestId(0)), 0);
@@ -435,8 +490,125 @@ mod tests {
     mod property {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// The FIFO ring `GreedyScheduler` kept beside this type before it
+        /// simulated the client with `RingCache` (`deliver_to_ring` /
+        /// `undo_ring_delivery` / `resident_prefix_len`), kept as the oracle.
+        ///
+        /// One deliberate difference: the deleted code added the new block's
+        /// index before dropping the evicted one's, so a block that evicted
+        /// its own duplicate left its request without it.  The scheduler
+        /// never delivers a resident block, so no schedule reaches that case;
+        /// a client can, and its slot does hold the block.
+        struct SchedulerRing {
+            cap: usize,
+            ring: VecDeque<BlockRef>,
+            resident: HashMap<RequestId, BTreeSet<u32>>,
+        }
+
+        impl SchedulerRing {
+            fn forget(&mut self, old: BlockRef) {
+                if let Some(set) = self.resident.get_mut(&old.request) {
+                    set.remove(&old.index);
+                    if set.is_empty() {
+                        self.resident.remove(&old.request);
+                    }
+                }
+            }
+
+            fn deliver(&mut self, block: BlockRef) -> Option<BlockRef> {
+                self.ring.push_back(block);
+                let mut evicted = None;
+                if self.ring.len() > self.cap {
+                    if let Some(old) = self.ring.pop_front() {
+                        self.forget(old);
+                        evicted = Some(old);
+                    }
+                }
+                self.resident
+                    .entry(block.request)
+                    .or_default()
+                    .insert(block.index);
+                evicted
+            }
+
+            fn undo(&mut self, block: BlockRef, evicted: Option<BlockRef>) {
+                if self.ring.back() == Some(&block) {
+                    self.ring.pop_back();
+                    self.forget(block);
+                }
+                if let Some(old) = evicted {
+                    self.ring.push_front(old);
+                    self.resident
+                        .entry(old.request)
+                        .or_default()
+                        .insert(old.index);
+                }
+            }
+
+            fn prefix_len(&self, request: RequestId) -> u32 {
+                let mut len = 0;
+                for &idx in self.resident.get(&request).into_iter().flatten() {
+                    if idx != len {
+                        break;
+                    }
+                    len += 1;
+                }
+                len
+            }
+        }
 
         proptest! {
+            /// `insert` and `undo_insert` move the ring exactly as the
+            /// scheduler's deleted private ring did, through duplicates,
+            /// wraps and LIFO undos that cross a wrap.
+            #[test]
+            fn ring_matches_the_scheduler_ring_it_replaced(
+                cap in 1usize..32,
+                ops in proptest::collection::vec((0u8..3, 0u32..16, 0u32..8), 0..200)
+            ) {
+                let mut c = RingCache::new(cap);
+                let mut oracle = SchedulerRing {
+                    cap,
+                    ring: VecDeque::new(),
+                    resident: HashMap::new(),
+                };
+                // Inserts not yet undone, newest last.
+                let mut undoable: Vec<(BlockRef, Option<BlockRef>)> = Vec::new();
+                for (kind, req, idx) in ops {
+                    match undoable.last().copied() {
+                        Some((block, evicted)) if kind == 0 => {
+                            undoable.pop();
+                            c.undo_insert(block, evicted);
+                            oracle.undo(block, evicted);
+                        }
+                        _ => {
+                            let block = blk(req, idx);
+                            let evicted = c.insert(block);
+                            prop_assert_eq!(evicted, oracle.deliver(block));
+                            undoable.push((block, evicted));
+                        }
+                    }
+                    let contents: Vec<BlockRef> = c.iter().copied().collect();
+                    let expected: Vec<BlockRef> = oracle.ring.iter().copied().collect();
+                    prop_assert_eq!(contents, expected);
+                    prop_assert_eq!(c.len(), oracle.ring.len());
+                    prop_assert_eq!(c.blocks_received(), undoable.len() as u64);
+                    for r in (0..16).map(RequestId) {
+                        let set = oracle.resident.get(&r);
+                        prop_assert_eq!(c.contains(r), set.is_some());
+                        prop_assert_eq!(c.cached_blocks(r), set.map_or(0, |s| s.len() as u32));
+                        prop_assert_eq!(c.prefix_len(r), oracle.prefix_len(r));
+                    }
+                    let mut counts: Vec<(RequestId, u32)> = c.resident_counts().collect();
+                    counts.sort_unstable();
+                    let mut requests: Vec<RequestId> = c.requests().collect();
+                    requests.sort_unstable();
+                    prop_assert_eq!(requests, counts.iter().map(|&(r, _)| r).collect::<Vec<_>>());
+                }
+            }
+
             /// The ring cache never holds more blocks than its capacity and the
             /// per-request counts always sum to the number of occupied slots.
             #[test]
@@ -448,7 +620,7 @@ mod tests {
                 let mut requests_seen = std::collections::HashSet::new();
                 for (req, idx) in inserts {
                     requests_seen.insert(req);
-                    c.insert(meta(req, idx, 8));
+                    c.insert(blk(req, idx));
                     prop_assert!(c.len() <= cap);
                     // Per-request counts track distinct resident blocks, so they
                     // never exceed the number of occupied slots (duplicates of

@@ -137,7 +137,7 @@ impl CacheManager {
     /// data).
     pub fn on_block(&mut self, block: BlockMeta, now: Time) -> Vec<Upcall> {
         self.metrics.record_pushed(block.size);
-        self.cache.insert(block);
+        self.cache.insert(block.block);
         // Answer the *newest* pending request that now has data; older ones
         // will be preempted by its upcall.
         let candidate = self
@@ -192,7 +192,7 @@ impl CacheManager {
     fn mark_used(&mut self, request: RequestId) {
         let mut newly_used = 0;
         for b in self.cache.iter() {
-            if b.block.request == request && self.used_blocks.insert(b.block) {
+            if b.request == request && self.used_blocks.insert(*b) {
                 newly_used += 1;
             }
         }

@@ -722,32 +722,6 @@ impl GainSampler {
         &self.shared_ids
     }
 
-    /// The draw layout as (request, weight) pairs in segment order, live
-    /// slots only.  Diagnostic only.
-    #[doc(hidden)]
-    pub fn debug_layout(&self) -> Vec<(RequestId, f64)> {
-        let mut out = Vec::new();
-        for (bi, b) in self.buckets.iter().enumerate() {
-            for (pos, &r) in b.ids.iter().enumerate() {
-                if self.explicit_slots[r.index()] == ExplicitSlot::bucket(bi as u32, pos as u32) {
-                    out.push((r, b.tree.get(pos) * b.factor));
-                }
-            }
-        }
-        for (pos, &r) in self.irregular_ids.iter().enumerate() {
-            if self.explicit_slots[r.index()] == ExplicitSlot::irregular(pos as u32) {
-                out.push((r, self.irregular.get(pos) * self.irregular_scale));
-            }
-        }
-        for &r in &self.shared_ids {
-            out.push((
-                r,
-                self.shared.get(self.shared_slots[&r]) * self.shared_scale,
-            ));
-        }
-        out
-    }
-
     /// The effective draw weight currently stored for `r` (explicit slot ×
     /// factor, or shared gain × scale), if `r` is indexed anywhere.
     /// Diagnostic only — used by consistency checks and tests.

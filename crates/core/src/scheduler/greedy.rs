@@ -2,10 +2,12 @@
 //!
 //! Each scheduling step computes, for every request, the expected utility
 //! gain of giving it one more block — `P_{i,t} · g(B_i + 1)` — and samples a
-//! request proportionally to that gain.  Batches of up to `bs` blocks are
-//! emitted at a time so the sender is never blocked; after a full schedule of
-//! `C` blocks (the client cache size) the per-schedule allocation state
-//! resets, mirroring the ring buffer overwriting itself (§5.3.1).
+//! request proportionally to that gain.  Blocks are emitted in batches of
+//! whatever size the caller asks for (a session tops its sender queue up to
+//! `ServerConfig::sender_queue_target`), so the sender is never blocked;
+//! after a full schedule of `C` blocks (the client cache size) the
+//! per-schedule allocation state resets, mirroring the ring buffer
+//! overwriting itself (§5.3.1).
 //!
 //! Three refinements from / beyond the paper are implemented:
 //!
@@ -16,12 +18,13 @@
 //!   [`GreedySchedulerConfig::use_meta_request`] turns it off for Figure
 //!   16's ablation.
 //! * **Client-cache tracking**: the scheduler simulates the client's
-//!   deterministic FIFO ring (§3.3) so it knows which block index to send
-//!   next for each request and never re-pushes a block that is still
-//!   resident.  A per-schedule eviction log lets re-predictions roll the
-//!   simulated ring back *exactly* — including restoring entries that the
-//!   rolled-back deliveries had evicted — so the simulation re-converges
-//!   with the client's real ring (§5.3.2).
+//!   deterministic FIFO ring (§3.3) with the client's own
+//!   [`RingCache`], so it knows which block index to send next for each
+//!   request and never re-pushes a block that is still resident.  A
+//!   per-schedule eviction log lets re-predictions roll the simulated ring
+//!   back *exactly* ([`RingCache::undo_insert`], which restores the entries
+//!   the rolled-back deliveries had evicted), so the simulation stays equal
+//!   to the client's real ring (§5.3.2).
 //! * **Incremental sampling** ([`crate::sampling`]): per-request gain
 //!   weights live in Fenwick sum trees instead of being rebuilt, sorted,
 //!   and prefix-scanned for every block; materialized requests whose tails
@@ -89,7 +92,7 @@
 //!   so an adversarial sender repeatedly claiming positions near `C`
 //!   cannot force a schedule wrap per update.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -98,6 +101,7 @@ use rand::{Rng, SeedableRng};
 #[cfg(feature = "audit")]
 use crate::audit::{AuditCheck, AuditConfig, AuditReport, AuditViolation, SamplerAuditor};
 use crate::block::ResponseCatalog;
+use crate::cache::RingCache;
 use crate::distribution::PredictionSummary;
 use crate::sampling::{GainSampler, SampledGroup, SamplerVariant};
 use crate::scheduler::{HorizonModel, Schedule};
@@ -109,9 +113,6 @@ use crate::utility::{UtilityClassCatalog, UtilityModel};
 pub struct GreedySchedulerConfig {
     /// Client cache size in blocks — the scheduling horizon `C`.
     pub cache_blocks: usize,
-    /// Maximum number of blocks scheduled per iteration before checking for a
-    /// fresh prediction (`bs`, default 100).
-    pub batch_size: usize,
     /// Future discount γ ∈ [0, 1] (Eq. 1).  The default of 0.8 per slot keeps
     /// a confident short-term prediction from being swamped by the
     /// near-uniform residual mass that accumulates when the scheduling
@@ -152,7 +153,6 @@ impl Default for GreedySchedulerConfig {
     fn default() -> Self {
         GreedySchedulerConfig {
             cache_blocks: 1024,
-            batch_size: 100,
             gamma: 0.80,
             slot_duration: Duration::from_millis(1),
             use_meta_request: true,
@@ -240,13 +240,11 @@ pub struct GreedyScheduler {
     /// block and therefore never evicted anything).  Slot-aligned with
     /// `current_schedule`.
     eviction_log: Vec<Option<BlockRef>>,
-    /// Exact simulation of the client's ring-buffer contents (block refs in
-    /// arrival order).
-    ring: VecDeque<BlockRef>,
-    /// Per-request resident block indices (a view over `ring`): tracking the
-    /// exact indices lets the scheduler repair prefix gaps after evictions,
-    /// since renderable quality depends on the contiguous prefix (§3.3).
-    resident: HashMap<RequestId, BTreeSet<u32>>,
+    /// Exact simulation of the client's ring-buffer cache, in the client's
+    /// own type.  Its per-request resident indices let the scheduler repair
+    /// prefix gaps after evictions, since renderable quality depends on the
+    /// contiguous prefix (§3.3).
+    ring: RingCache,
     /// Requests currently excluded from the meta group because they have
     /// explicit probability, allocations, or resident blocks — dense flags
     /// indexed by request, so the per-block membership checks are single
@@ -325,7 +323,6 @@ impl GreedyScheduler {
         model_cache: Option<Arc<crate::scheduler::ModelCache>>,
     ) -> Self {
         assert!(cfg.cache_blocks > 0, "cache must hold at least one block");
-        assert!(cfg.batch_size > 0, "batch size must be positive");
         let num_requests = catalog.num_requests();
         assert_eq!(
             ctx.num_requests(),
@@ -349,6 +346,7 @@ impl GreedyScheduler {
         };
         let rng = StdRng::seed_from_u64(cfg.seed);
         let touched_per_class = vec![0; ctx.classes.num_classes()];
+        let ring = RingCache::new(cfg.cache_blocks);
         let mut s = GreedyScheduler {
             cfg,
             utility,
@@ -358,8 +356,7 @@ impl GreedyScheduler {
             t: 0,
             current_schedule: Vec::new(),
             eviction_log: Vec::new(),
-            ring: VecDeque::new(),
-            resident: HashMap::new(),
+            ring,
             touched: vec![false; num_requests],
             shared_order: Vec::new(),
             ctx,
@@ -434,28 +431,6 @@ impl GreedyScheduler {
     /// build).
     pub fn diff_applied_updates(&self) -> u64 {
         self.diff_updates
-    }
-
-    /// The scan variant's draw layout (requests in walk order with weights)
-    /// and the sampler's mirrored layout.  Diagnostic only.
-    #[doc(hidden)]
-    #[allow(clippy::type_complexity)]
-    pub fn debug_layouts(&self) -> (Vec<(RequestId, f64)>, Vec<(RequestId, f64)>) {
-        let scale = self.model.residual_tail(self.t);
-        let part = self.model.shape_partition();
-        let mut scan = Vec::new();
-        for b in &part.buckets {
-            for &r in &b.members {
-                scan.push((r, self.gain_for(r)));
-            }
-        }
-        for &r in &part.irregular {
-            scan.push((r, self.gain_for(r)));
-        }
-        for &r in &self.shared_order {
-            scan.push((r, self.marginal_gain(r) * scale));
-        }
-        (scan, self.sampler.debug_layout())
     }
 
     /// Compares the incrementally maintained sampler weights against a
@@ -612,7 +587,7 @@ impl GreedyScheduler {
                         if let Some(old) = evicted {
                             rolled.push(old.request);
                         }
-                        self.undo_ring_delivery(block, evicted);
+                        self.ring.undo_insert(block, evicted);
                     }
                     Some(None) => {
                         // A sender-ahead gap slot: nothing was scheduled,
@@ -680,7 +655,7 @@ impl GreedyScheduler {
             }
         }
         for &r in &diff.departed {
-            let keep = self.resident.contains_key(&r);
+            let keep = self.ring.contains(r);
             if !keep {
                 self.untouch(r);
             }
@@ -696,7 +671,7 @@ impl GreedyScheduler {
             if self.model.is_materialized(r) {
                 continue;
             }
-            let keep = self.resident.contains_key(&r);
+            let keep = self.ring.contains(r);
             if keep && !self.touched[r.index()] {
                 self.mark_touched(r);
                 if self.cfg.use_meta_request {
@@ -826,35 +801,6 @@ impl GreedyScheduler {
         );
     }
 
-    /// Reverses one `deliver_to_ring`: removes the rolled-back block and
-    /// restores the entry (if any) its delivery had evicted.  The client
-    /// never received the rolled-back block, so its real ring still holds
-    /// the older entry; without the restore the simulation silently loses
-    /// it forever and the two rings diverge.
-    fn undo_ring_delivery(&mut self, block: BlockRef, evicted: Option<BlockRef>) {
-        debug_assert_eq!(
-            self.ring.back(),
-            Some(&block),
-            "rollback must pop deliveries in reverse order"
-        );
-        if self.ring.back() == Some(&block) {
-            self.ring.pop_back();
-            if let Some(set) = self.resident.get_mut(&block.request) {
-                set.remove(&block.index);
-                if set.is_empty() {
-                    self.resident.remove(&block.request);
-                }
-            }
-        }
-        if let Some(old) = evicted {
-            self.ring.push_front(old);
-            self.resident
-                .entry(old.request)
-                .or_default()
-                .insert(old.index);
-        }
-    }
-
     /// Marks `r` touched, maintaining the count and per-class tallies.
     /// Returns whether `r` was previously untouched.
     fn mark_touched(&mut self, r: RequestId) -> bool {
@@ -870,15 +816,15 @@ impl GreedyScheduler {
         self.touched.fill(false);
         self.touched_per_class.fill(0);
         let mut touched_ids: Vec<RequestId> = self.model.materialized().collect();
-        // lint:allow(hash-iter) -- collected into touched_ids, which is canonically re-sorted below
-        touched_ids.extend(self.resident.keys().copied());
+        // The ring yields its requests in hash order, which differs between
+        // runs; only the sort below keeps the draw layout deterministic.
+        touched_ids.extend(self.ring.requests());
         touched_ids.retain(|&r| self.mark_touched(r));
-        // Canonical shared-segment order: sorted at rebuild (hash-map
-        // iteration order is not deterministic), appended in touch order
-        // thereafter.  With the meta-request optimization off, *every*
-        // unmaterialized request sits in the shared segment permanently (the
-        // unoptimized Figure 16 / §5.3.1 baseline), so membership never
-        // shifts mid-schedule.
+        // Canonical shared-segment order: sorted at rebuild, appended in
+        // touch order thereafter.  With the meta-request optimization off,
+        // *every* unmaterialized request sits in the shared segment
+        // permanently (the unoptimized Figure 16 / §5.3.1 baseline), so
+        // membership never shifts mid-schedule.
         self.shared_order.clear();
         if self.cfg.use_meta_request {
             self.shared_order.extend(
@@ -1058,10 +1004,7 @@ impl GreedyScheduler {
     /// the raw count — is used so that a response whose early blocks were
     /// evicted gets its prefix repaired before its tail is extended.
     fn effective_blocks(&self, request: RequestId) -> u32 {
-        self.resident
-            .get(&request)
-            .map(resident_prefix_len)
-            .unwrap_or(0)
+        self.ring.prefix_len(request)
     }
 
     /// Marginal utility gain `g(B_i + 1)` of the next block for `request`
@@ -1193,8 +1136,8 @@ impl GreedyScheduler {
     ///
     /// Returns the blocks in push order.  Resets the per-schedule allocation
     /// state after a full schedule of `C` blocks, per Listing 1 lines 21–23.
-    /// Callers that want Listing 1's "check for a new distribution every `bs`
-    /// blocks" behaviour use [`GreedyScheduler::next_default_batch`].
+    /// The caller picks `count`, and so how often Listing 1 checks for a new
+    /// distribution: a session asks for what its sender queue lacks.
     pub fn next_batch(&mut self, count: usize) -> Schedule {
         let want = count;
         let mut out = Vec::with_capacity(want);
@@ -1220,7 +1163,10 @@ impl GreedyScheduler {
             self.t += 1;
             self.scheduled_blocks += 1;
             self.current_schedule.push(Some(block));
-            let evicted = self.deliver_to_ring(block);
+            // Delivered to the simulated ring as it is scheduled; the logged
+            // eviction is what a rollback of this slot restores.
+            let evicted = self.ring.insert(block);
+            self.eviction_log.push(evicted);
             out.push(block);
             if self.incremental() {
                 self.refresh_after_allocation(q, evicted, newly_touched);
@@ -1232,43 +1178,11 @@ impl GreedyScheduler {
         // is among the ring's newest `t ≤ C` entries, so its request stays
         // resident — hence touched — until the wrap.
         debug_assert!(
-            (self.current_schedule.iter().flatten())
-                .all(|b| self.resident.contains_key(&b.request)),
+            (self.current_schedule.iter().flatten()).all(|b| self.ring.contains(b.request)),
             "a block of slots ..{} left the simulated ring",
             self.t
         );
         out
-    }
-
-    /// Schedules one full batch of `bs` blocks (the per-iteration unit of
-    /// Listing 1).
-    pub fn next_default_batch(&mut self) -> Schedule {
-        self.next_batch(self.cfg.batch_size)
-    }
-
-    /// Delivers `block` to the simulated client ring, returning the entry it
-    /// evicted (if the ring was full) and logging that eviction for exact
-    /// rollback.
-    fn deliver_to_ring(&mut self, block: BlockRef) -> Option<BlockRef> {
-        self.ring.push_back(block);
-        self.resident
-            .entry(block.request)
-            .or_default()
-            .insert(block.index);
-        let mut evicted = None;
-        if self.ring.len() > self.cfg.cache_blocks {
-            if let Some(old) = self.ring.pop_front() {
-                if let Some(set) = self.resident.get_mut(&old.request) {
-                    set.remove(&old.index);
-                    if set.is_empty() {
-                        self.resident.remove(&old.request);
-                    }
-                }
-                evicted = Some(old);
-            }
-        }
-        self.eviction_log.push(evicted);
-        evicted
     }
 
     /// Resets the per-schedule allocation state after a full schedule of `C`
@@ -1302,7 +1216,7 @@ impl GreedyScheduler {
                 if !self.touched[r.index()] {
                     continue;
                 }
-                let keep = self.model.is_materialized(r) || self.resident.contains_key(&r);
+                let keep = self.model.is_materialized(r) || self.ring.contains(r);
                 if !keep {
                     self.touched[r.index()] = false;
                     self.touched_per_class[self.ctx.classes.class_of(r)] -= 1;
@@ -1333,11 +1247,7 @@ impl GreedyScheduler {
     /// The scheduler's current belief about the client's per-request resident
     /// block counts.
     pub fn simulated_cache(&self) -> HashMap<RequestId, u32> {
-        // lint:allow(hash-iter) -- order-insensitive: collected straight into another hash map
-        self.resident
-            .iter()
-            .map(|(&r, set)| (r, set.len() as u32))
-            .collect()
+        self.ring.resident_counts().collect()
     }
 
     /// The simulated client ring contents in arrival order, oldest first.
@@ -1507,8 +1417,7 @@ impl GreedyScheduler {
     }
 
     /// The promoted slot-alignment invariants: log lengths vs. the slot
-    /// index, gap pairing (an empty schedule slot never evicts), and the
-    /// simulated ring's capacity bound.
+    /// index, and gap pairing (an empty schedule slot never evicts).
     fn audit_check_slot_alignment(&self, report: &mut AuditReport) {
         report.begin(AuditCheck::SlotAlignment);
         if self.current_schedule.len() != self.t {
@@ -1549,18 +1458,6 @@ impl GreedyScheduler {
                     detail: "sender-ahead gap slot paired with an eviction entry".to_string(),
                 });
             }
-        }
-        if self.ring.len() > self.cfg.cache_blocks {
-            report.record(AuditViolation {
-                check: AuditCheck::SlotAlignment,
-                slot: Some(self.t),
-                request: None,
-                detail: format!(
-                    "simulated ring holds {} blocks, cache capacity is {}",
-                    self.ring.len(),
-                    self.cfg.cache_blocks
-                ),
-            });
         }
     }
 
@@ -1691,19 +1588,6 @@ impl crate::scheduler::Scheduler for GreedyScheduler {
     }
 }
 
-/// Length of the contiguous prefix (starting at block 0) in a resident set.
-fn resident_prefix_len(set: &BTreeSet<u32>) -> u32 {
-    let mut len = 0;
-    for &idx in set {
-        if idx == len {
-            len += 1;
-        } else {
-            break;
-        }
-    }
-    len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1715,7 +1599,6 @@ mod tests {
         let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 1000));
         let cfg = GreedySchedulerConfig {
             cache_blocks,
-            batch_size: 100,
             use_meta_request: meta,
             ..Default::default()
         };
