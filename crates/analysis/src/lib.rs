@@ -274,26 +274,31 @@ pub fn test_line_mask(tokens: &[Tok], line_count: usize) -> Vec<bool> {
             }
             return mask;
         }
-        // Mark from the attribute through the end of the annotated item:
-        // either the matching `}` of its first brace, or a `;` at depth 0.
+        // Mark from the attribute through the end of the annotated item,
+        // tracking `(`/`[`/`{` nesting together: the item ends at a `;` or
+        // `,` at depth 0 (a `use`, a field, a parameter, an argument), at the
+        // matching `}` of a brace opened at depth 0 (a `fn` or `mod` body),
+        // or just before a closer it did not open (the last field of a
+        // struct literal, the last parameter of a signature).
         let start_line = tokens[i].line;
-        let mut m = k + 1;
-        let mut brace = 0usize;
         let mut end_line = start_line;
-        while m < tokens.len() {
-            let t = &tokens[m];
-            end_line = t.line;
-            if t.is("{") {
-                brace += 1;
-            } else if t.is("}") {
-                brace -= 1;
-                if brace == 0 {
-                    break;
-                }
-            } else if t.is(";") && brace == 0 {
+        let mut depth = 0usize;
+        for t in &tokens[k + 1..] {
+            let closer = t.is(")") || t.is("]") || t.is("}");
+            if closer && depth == 0 {
                 break;
             }
-            m += 1;
+            end_line = t.line;
+            if t.is("(") || t.is("[") || t.is("{") {
+                depth += 1;
+            } else if closer {
+                depth -= 1;
+                if depth == 0 && t.is("}") {
+                    break;
+                }
+            } else if depth == 0 && (t.is(";") || t.is(",")) {
+                break;
+            }
         }
         for l in start_line..=end_line {
             if let Some(slot) = mask.get_mut(l as usize) {
@@ -444,6 +449,41 @@ mod tests {
         let mask = test_line_mask(&lexed.tokens, src.lines().count());
         assert!(mask[1] && mask[2]);
         assert!(!mask[3]);
+    }
+
+    #[test]
+    fn test_mask_ends_a_struct_literal_field_at_its_closer() {
+        // The last field: the item ends before the literal's `}`.
+        let src = "fn g() -> S {\n    S { a: 1, #[cfg(test)]\n    b: 2 }\n}\nfn lib() {}\n";
+        let lexed = lex(src);
+        let mask = test_line_mask(&lexed.tokens, src.lines().count());
+        assert!(!mask[1]);
+        assert!(mask[2] && mask[3]);
+        assert!(!mask[4] && !mask[5]);
+        // A middle field: the item ends at its `,`.
+        let src = "fn g() -> S {\n    S {\n        #[cfg(test)] b: 2,\n        a: 1,\n    }\n}\n";
+        let lexed = lex(src);
+        let mask = test_line_mask(&lexed.tokens, src.lines().count());
+        assert!(mask[3]);
+        assert!(!mask[2] && !mask[4] && !mask[5]);
+    }
+
+    #[test]
+    fn test_mask_ends_a_parameter_before_the_body() {
+        let src = "fn f(#[cfg(test)]\n    x: [u32; 2],\n    y: u32,\n) -> u32 {\n    y\n}\n";
+        let lexed = lex(src);
+        let mask = test_line_mask(&lexed.tokens, src.lines().count());
+        assert!(mask[1] && mask[2]);
+        assert!((3..=6).all(|l| !mask[l]), "{mask:?}");
+        // The last parameter ends before the `)`, so the body's lint hits
+        // are not hidden as test code.
+        let src = "fn f(#[cfg(test)] x: u32) -> u32 {\n    let v: Option<u32> = None;\n    v.unwrap()\n}\n";
+        let lexed = lex(src);
+        let mask = test_line_mask(&lexed.tokens, src.lines().count());
+        assert!(mask[1]);
+        assert!(!mask[2] && !mask[3] && !mask[4]);
+        let d = scan_source("crates/core/src/fx.rs", src);
+        assert!(d.iter().any(|d| d.rule == "unwrap" && d.line == 3), "{d:?}");
     }
 
     #[test]

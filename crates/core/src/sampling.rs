@@ -292,8 +292,8 @@ pub enum SampledGroup {
 
 /// Where a materialized request lives inside the explicit layout, packed as
 /// `bucket << 32 | position` (bucket `u32::MAX` = the irregular tree) so the
-/// whole index is one dense flat array — the per-block hot path does a
-/// single indexed load instead of hashing into a map whose buckets spill
+/// whole index is one flat array — the per-block hot path does a single
+/// bounds-checked load instead of hashing into a map whose buckets spill
 /// out of cache at large `m`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ExplicitSlot(u64);
@@ -379,9 +379,13 @@ pub struct GainSampler {
     irregular_dead: usize,
     /// The irregular group's draw-time scale `γ^t`.
     irregular_scale: f64,
-    /// Where each materialized request lives, densely indexed by request;
-    /// `NO_SLOT` for unmaterialized requests.  Rebuilds reset only the
-    /// previous layout's entries, so the cost stays `O(m)`, not `O(n)`.
+    /// Where each materialized request lives, indexed by request id and
+    /// read through [`slot`](Self::slot): `NO_SLOT` for unmaterialized
+    /// requests and for every id past the end.  It grows only to store a
+    /// real slot, so it is empty until the session's first prediction and
+    /// then as long as its largest explicit id ever placed (8 bytes an
+    /// entry), never as long as the catalog for its own sake.
+    /// Rebuilds reset only the previous layout's entries, in `O(m)`.
     explicit_slots: Vec<ExplicitSlot>,
     /// Dense slot of each shared-group request, assigned on first insertion.
     shared_slots: HashMap<RequestId, usize>,
@@ -421,38 +425,62 @@ impl GainSampler {
         }
     }
 
+    /// Where `r` sits in the explicit layout; `NO_SLOT` for an
+    /// unmaterialized request, including every id past the index's end.
+    fn slot(&self, r: RequestId) -> ExplicitSlot {
+        self.explicit_slots
+            .get(r.index())
+            .copied()
+            .unwrap_or(NO_SLOT)
+    }
+
+    /// Records `r`'s slot, growing the index only to store a real one:
+    /// storing `NO_SLOT` past the end is a no-op, since it already reads so.
+    fn set_slot(&mut self, r: RequestId, slot: ExplicitSlot) {
+        let i = r.index();
+        if i >= self.explicit_slots.len() {
+            if slot == NO_SLOT {
+                return;
+            }
+            self.explicit_slots.resize(i + 1, NO_SLOT);
+        }
+        self.explicit_slots[i] = slot;
+    }
+
     /// Resets all weights and installs a new explicit layout (`partition`)
     /// and meta-class gain catalog (`meta_gains`, one exact first-block gain
-    /// per utility class) over a request space of size `n`, in `O(m)`;
-    /// weights, factors, coefficients, and untouched counts start at zero.
+    /// per utility class), in `O(m)`; weights, factors, coefficients, and
+    /// untouched counts start at zero.
     ///
     /// Shared-group slots are re-assigned in subsequent insertion order;
     /// callers that need seed-determinism must re-insert in a deterministic
     /// order (the scheduler inserts its canonical shared order).
-    pub fn rebuild(&mut self, partition: &TailShapePartition, meta_gains: &[f64], n: usize) {
-        // Un-index the previous layout (O(m_prev)), then grow the dense
-        // index if the request space did.  Tombstoned slots still name their
-        // old request, which may have been re-indexed elsewhere since — only
-        // clear entries that still point at the slot being dropped.
-        for (bi, b) in self.buckets.iter().enumerate() {
-            for (pos, &r) in b.ids.iter().enumerate() {
-                if self.explicit_slots[r.index()] == ExplicitSlot::bucket(bi as u32, pos as u32) {
-                    self.explicit_slots[r.index()] = NO_SLOT;
-                }
+    pub fn rebuild(&mut self, partition: &TailShapePartition, meta_gains: &[f64]) {
+        // Un-index the previous layout (O(m_prev)).  Every indexed request
+        // holds a live or tombstoned slot of that layout, so this leaves the
+        // whole index `NO_SLOT`.
+        for b in std::mem::take(&mut self.buckets) {
+            for r in b.ids {
+                self.set_slot(r, NO_SLOT);
             }
         }
-        for (pos, &r) in self.irregular_ids.iter().enumerate() {
-            if self.explicit_slots[r.index()] == ExplicitSlot::irregular(pos as u32) {
-                self.explicit_slots[r.index()] = NO_SLOT;
-            }
+        for r in std::mem::take(&mut self.irregular_ids) {
+            self.set_slot(r, NO_SLOT);
         }
-        if self.explicit_slots.len() < n {
-            self.explicit_slots.resize(n, NO_SLOT);
-        }
-        self.buckets.clear();
+        // One exact allocation for the new layout instead of amortized
+        // doubling: the index of a session that predicts once then stays
+        // as long as its largest explicit id, never twice that.
+        let needed = (partition.buckets.iter())
+            .flat_map(|b| &b.members)
+            .chain(&partition.irregular)
+            .map(|r| r.index() + 1)
+            .max()
+            .unwrap_or(0);
+        self.explicit_slots
+            .reserve_exact(needed.saturating_sub(self.explicit_slots.len()));
         for (bi, b) in partition.buckets.iter().enumerate() {
             for (pos, &r) in b.members.iter().enumerate() {
-                self.explicit_slots[r.index()] = ExplicitSlot::bucket(bi as u32, pos as u32);
+                self.set_slot(r, ExplicitSlot::bucket(bi as u32, pos as u32));
             }
             self.buckets.push(BucketTree {
                 ids: b.members.clone(),
@@ -463,7 +491,7 @@ impl GainSampler {
             });
         }
         for (pos, &r) in partition.irregular.iter().enumerate() {
-            self.explicit_slots[r.index()] = ExplicitSlot::irregular(pos as u32);
+            self.set_slot(r, ExplicitSlot::irregular(pos as u32));
         }
         self.irregular_ids = partition.irregular.clone();
         self.irregular = FenwickTree::new(self.irregular_ids.len());
@@ -490,7 +518,7 @@ impl GainSampler {
     /// once tombstones outnumber live members), so removal is an `O(log m)`
     /// point update instead of a layout rebuild.
     pub fn remove_explicit(&mut self, r: RequestId) {
-        match self.explicit_slots[r.index()].decode() {
+        match self.slot(r).decode() {
             Some((IRREGULAR_BUCKET, pos)) => {
                 self.irregular.set(pos as usize, 0.0);
                 self.irregular_dead += 1;
@@ -503,16 +531,17 @@ impl GainSampler {
             }
             None => panic!("request not in the explicit layout"),
         }
-        self.explicit_slots[r.index()] = NO_SLOT;
+        self.set_slot(r, NO_SLOT);
         self.maybe_compact();
     }
 
     /// Appends `r` to shape bucket `b` with zero weight (the caller sets the
     /// coefficient and value next).  `r` must not already be explicit.
     pub fn append_bucket_member(&mut self, b: usize, r: RequestId) {
-        debug_assert_eq!(self.explicit_slots[r.index()], NO_SLOT);
+        debug_assert_eq!(self.slot(r), NO_SLOT);
+        let pos = self.buckets[b].ids.len() as u32;
+        self.set_slot(r, ExplicitSlot::bucket(b as u32, pos));
         let bucket = &mut self.buckets[b];
-        self.explicit_slots[r.index()] = ExplicitSlot::bucket(b as u32, bucket.ids.len() as u32);
         bucket.ids.push(r);
         bucket.coefs.push(0.0);
         bucket.tree.push(0.0);
@@ -521,8 +550,8 @@ impl GainSampler {
     /// Appends `r` to the irregular set with zero weight.  `r` must not
     /// already be explicit.
     pub fn append_irregular(&mut self, r: RequestId) {
-        debug_assert_eq!(self.explicit_slots[r.index()], NO_SLOT);
-        self.explicit_slots[r.index()] = ExplicitSlot::irregular(self.irregular_ids.len() as u32);
+        debug_assert_eq!(self.slot(r), NO_SLOT);
+        self.set_slot(r, ExplicitSlot::irregular(self.irregular_ids.len() as u32));
         self.irregular_ids.push(r);
         self.irregular.push(0.0);
     }
@@ -551,10 +580,10 @@ impl GainSampler {
         self.compactions += 1;
         self.compaction_moved += old_ids.len() as u64;
         for (pos, &r) in old_ids.iter().enumerate() {
-            if self.explicit_slots[r.index()] == ExplicitSlot::bucket(b as u32, pos as u32) {
+            if self.slot(r) == ExplicitSlot::bucket(b as u32, pos as u32) {
+                let new_pos = self.buckets[b].ids.len() as u32;
+                self.set_slot(r, ExplicitSlot::bucket(b as u32, new_pos));
                 let bucket = &mut self.buckets[b];
-                self.explicit_slots[r.index()] =
-                    ExplicitSlot::bucket(b as u32, bucket.ids.len() as u32);
                 bucket.ids.push(r);
                 bucket.coefs.push(old_coefs[pos]);
                 bucket.tree.push(old_tree.get(pos));
@@ -569,9 +598,8 @@ impl GainSampler {
         self.compactions += 1;
         self.compaction_moved += old_ids.len() as u64;
         for (pos, &r) in old_ids.iter().enumerate() {
-            if self.explicit_slots[r.index()] == ExplicitSlot::irregular(pos as u32) {
-                self.explicit_slots[r.index()] =
-                    ExplicitSlot::irregular(self.irregular_ids.len() as u32);
+            if self.slot(r) == ExplicitSlot::irregular(pos as u32) {
+                self.set_slot(r, ExplicitSlot::irregular(self.irregular_ids.len() as u32));
                 self.irregular_ids.push(r);
                 self.irregular.push(old_tree.get(pos));
             }
@@ -635,7 +663,7 @@ impl GainSampler {
     /// (`None` when `r` is irregular or not explicit).
     #[cfg(feature = "audit")]
     pub fn audit_bucket_coef(&self, r: RequestId) -> Option<f64> {
-        match self.explicit_slots[r.index()].decode() {
+        match self.slot(r).decode() {
             Some((b, pos)) if b != IRREGULAR_BUCKET => {
                 Some(self.buckets[b as usize].coefs[pos as usize])
             }
@@ -644,19 +672,16 @@ impl GainSampler {
     }
 
     /// Whether request `r` is in the explicit (materialized) layout — a
-    /// dense-index mirror of the model's materialized set, cheap enough for
+    /// slot-index mirror of the model's materialized set, cheap enough for
     /// the per-block path.
     pub fn is_explicit(&self, r: RequestId) -> bool {
-        self.explicit_slots[r.index()] != NO_SLOT
+        self.slot(r) != NO_SLOT
     }
 
     /// Whether materialized request `r` sits in the irregular
     /// (exact-refresh) set rather than a shape bucket.
     pub fn is_irregular(&self, r: RequestId) -> bool {
-        matches!(
-            self.explicit_slots[r.index()].decode(),
-            Some((IRREGULAR_BUCKET, _))
-        )
+        matches!(self.slot(r).decode(), Some((IRREGULAR_BUCKET, _)))
     }
 
     /// Sets shape bucket `b`'s scale factor `s(t)`.
@@ -669,7 +694,7 @@ impl GainSampler {
     /// `r`, cached for [`GainSampler::set_explicit_gain`].  No-op for
     /// irregular members (their weights are always set in full).
     pub fn set_explicit_coef(&mut self, r: RequestId, coef: f64) {
-        if let Some((b, pos)) = self.explicit_slots[r.index()].decode() {
+        if let Some((b, pos)) = self.slot(r).decode() {
             if b != IRREGULAR_BUCKET {
                 self.buckets[b as usize].coefs[pos as usize] = coef;
             }
@@ -680,7 +705,7 @@ impl GainSampler {
     /// cached coefficient — the lazy variant's `O(log m)` per-block gain
     /// update, touching no model state.  `r` must be a bucket member.
     pub fn set_explicit_gain(&mut self, r: RequestId, g: f64) {
-        match self.explicit_slots[r.index()].decode() {
+        match self.slot(r).decode() {
             Some((b, pos)) if b != IRREGULAR_BUCKET => {
                 let bucket = &mut self.buckets[b as usize];
                 let v = g * bucket.coefs[pos as usize];
@@ -695,7 +720,7 @@ impl GainSampler {
     /// current weight `g · tail(t) · γ^{-t}` for irregular members.  `r`
     /// must be in the installed layout.
     pub fn set_explicit_value(&mut self, r: RequestId, v: f64) {
-        match self.explicit_slots[r.index()].decode() {
+        match self.slot(r).decode() {
             Some((IRREGULAR_BUCKET, pos)) => self.irregular.set(pos as usize, v),
             Some((b, pos)) => self.buckets[b as usize].tree.set(pos as usize, v),
             None => panic!("request not in the explicit layout"),
@@ -727,13 +752,7 @@ impl GainSampler {
     /// Diagnostic only — used by consistency checks and tests.
     #[doc(hidden)]
     pub fn debug_weight(&self, r: RequestId) -> Option<f64> {
-        match self
-            .explicit_slots
-            .get(r.index())
-            .copied()
-            .unwrap_or(NO_SLOT)
-            .decode()
-        {
+        match self.slot(r).decode() {
             Some((IRREGULAR_BUCKET, pos)) => {
                 Some(self.irregular.get(pos as usize) * self.irregular_scale)
             }
@@ -1020,7 +1039,6 @@ mod tests {
         s.rebuild(
             &partition(vec![vec![3, 7], vec![2]], vec![11]),
             &[0.25, 0.5],
-            32,
         );
         assert_eq!(s.num_buckets(), 2);
         assert!(s.is_irregular(RequestId(11)));
@@ -1052,7 +1070,7 @@ mod tests {
     #[test]
     fn sampler_lazy_factor_rescales_bucket() {
         let mut s = GainSampler::new();
-        s.rebuild(&partition(vec![vec![0, 1]], vec![]), &[], 32);
+        s.rebuild(&partition(vec![vec![0, 1]], vec![]), &[]);
         s.set_explicit_value(RequestId(0), 3.0);
         s.set_explicit_value(RequestId(1), 1.0);
         s.set_bucket_factor(0, 1.0);
@@ -1071,7 +1089,7 @@ mod tests {
     #[test]
     fn sampler_shared_slots_reuse_and_update() {
         let mut s = GainSampler::new();
-        s.rebuild(&TailShapePartition::default(), &[], 32);
+        s.rebuild(&TailShapePartition::default(), &[]);
         s.set_shared_scale(1.0);
         s.set_shared_gain(RequestId(5), 1.0);
         s.set_shared_gain(RequestId(9), 2.0);
@@ -1086,7 +1104,7 @@ mod tests {
     #[test]
     fn sampler_compact_shared_preserves_survivor_order() {
         let mut s = GainSampler::new();
-        s.rebuild(&TailShapePartition::default(), &[], 32);
+        s.rebuild(&TailShapePartition::default(), &[]);
         s.set_shared_scale(1.0);
         for (r, g) in [(4, 1.0), (2, 2.0), (9, 3.0), (7, 4.0)] {
             s.set_shared_gain(RequestId(r), g);
@@ -1107,13 +1125,13 @@ mod tests {
     #[test]
     fn sampler_rebuild_clears_previous_weights() {
         let mut s = GainSampler::new();
-        s.rebuild(&TailShapePartition::default(), &[0.1], 32);
+        s.rebuild(&TailShapePartition::default(), &[0.1]);
         s.set_shared_gain(RequestId(5), 1.0);
         s.set_shared_gain(RequestId(9), 2.0);
         s.set_shared_scale(1.0);
         s.set_meta_untouched(0, 3);
         assert!((s.total() - 3.3).abs() < 1e-12);
-        s.rebuild(&TailShapePartition::default(), &[0.1], 32);
+        s.rebuild(&TailShapePartition::default(), &[0.1]);
         assert_eq!(s.total(), 0.0);
         s.set_shared_scale(1.0);
         assert_eq!(s.total(), 0.0, "old shared weights must be cleared");
@@ -1132,11 +1150,7 @@ mod tests {
             let mut s = GainSampler::new();
             let bucket_members: Vec<usize> = (0..m).collect();
             let irregular_members: Vec<usize> = (m..2 * m).collect();
-            s.rebuild(
-                &partition(vec![bucket_members], irregular_members),
-                &[],
-                4 * m,
-            );
+            s.rebuild(&partition(vec![bucket_members], irregular_members), &[]);
             s.set_bucket_factor(0, 1.0);
             for i in 0..2 * m {
                 s.set_explicit_value(RequestId::from(i), 1.0);
@@ -1180,9 +1194,60 @@ mod tests {
     }
 
     #[test]
+    fn explicit_index_grows_on_demand() {
+        let far = RequestId(1_000_000);
+        // A session that never predicted has no index at all.
+        let mut s = GainSampler::new();
+        s.rebuild(&TailShapePartition::default(), &[0.5]);
+        assert_eq!(s.explicit_slots.capacity(), 0);
+        assert!(!s.is_explicit(far));
+        assert_eq!(s.debug_weight(far), None);
+        // Appending id k grows it to k + 1, bucket member or irregular.
+        s.push_bucket();
+        s.append_bucket_member(0, RequestId(40));
+        assert_eq!(s.explicit_slots.len(), 41);
+        s.append_irregular(RequestId(90));
+        assert_eq!(s.explicit_slots.len(), 91);
+        assert!(s.is_explicit(RequestId(40)) && !s.is_irregular(RequestId(40)));
+        assert!(s.is_irregular(RequestId(90)));
+        assert!(!s.is_explicit(RequestId(89)) && !s.is_explicit(far));
+
+        // Remove past the tombstone threshold in both groups: compaction
+        // re-indexes the survivors, the removed ids read as unmaterialized,
+        // and ids past the end stay so.
+        s.rebuild(
+            &partition(vec![(0..48).collect()], (100..148).collect()),
+            &[],
+        );
+        assert_eq!(s.explicit_slots.len(), 148);
+        s.set_bucket_factor(0, 1.0);
+        for i in (0..48).chain(100..148) {
+            s.set_explicit_value(RequestId(i), i as f64 + 1.0);
+        }
+        for i in (0..40).chain(100..140) {
+            s.remove_explicit(RequestId(i));
+        }
+        assert_eq!(s.compaction_stats().0, 2, "both groups compacted");
+        for i in (0..40).chain(100..140) {
+            let r = RequestId(i);
+            assert!(!s.is_explicit(r) && !s.is_irregular(r), "{i} removed");
+            assert_eq!(s.debug_weight(r), None);
+        }
+        for i in (40..48).chain(140..148) {
+            let r = RequestId(i);
+            assert!(s.is_explicit(r));
+            assert_eq!(s.is_irregular(r), i >= 100);
+            assert_eq!(s.debug_weight(r), Some(i as f64 + 1.0));
+        }
+        assert!(!s.is_explicit(far) && !s.is_irregular(far));
+        assert_eq!(s.debug_weight(far), None);
+        assert!((s.total() - (41..49).chain(141..149).sum::<usize>() as f64).abs() < 1e-9);
+    }
+
+    #[test]
     fn sampler_zero_scale_disables_shared_and_meta() {
         let mut s = GainSampler::new();
-        s.rebuild(&partition(vec![], vec![0]), &[0.5], 32);
+        s.rebuild(&partition(vec![], vec![0]), &[0.5]);
         s.set_explicit_value(RequestId(0), 1.5);
         s.set_shared_gain(RequestId(4), 9.0);
         s.set_meta_untouched(0, 9);

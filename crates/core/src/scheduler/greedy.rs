@@ -246,11 +246,11 @@ pub struct GreedyScheduler {
     /// contiguous prefix (§3.3).
     ring: RingCache,
     /// Requests currently excluded from the meta group because they have
-    /// explicit probability, allocations, or resident blocks — dense flags
-    /// indexed by request, so the per-block membership checks are single
-    /// byte loads instead of hash probes into a table that outgrows the
-    /// cache at large `m`.
-    touched: Vec<bool>,
+    /// explicit probability, allocations, or resident blocks — a bitset
+    /// indexed by request (bit `r % 64` of word `r / 64`, read through
+    /// [`is_touched`]), so a membership check is one word load and a shift
+    /// instead of a hash probe, and the set costs `n / 8` bytes, not `n`.
+    touched: Vec<u64>,
     /// Canonical draw order of the shared-tail segment: the
     /// touched-but-unmaterialized requests (or, with the meta-request
     /// optimization off, *every* unmaterialized request) in
@@ -357,7 +357,7 @@ impl GreedyScheduler {
             current_schedule: Vec::new(),
             eviction_log: Vec::new(),
             ring,
-            touched: vec![false; num_requests],
+            touched: vec![0; num_requests.div_ceil(64)],
             shared_order: Vec::new(),
             ctx,
             touched_per_class,
@@ -672,12 +672,12 @@ impl GreedyScheduler {
                 continue;
             }
             let keep = self.ring.contains(r);
-            if keep && !self.touched[r.index()] {
+            if keep && !is_touched(&self.touched, r) {
                 self.mark_touched(r);
                 if self.cfg.use_meta_request {
                     add_to_shared.push(r);
                 }
-            } else if !keep && self.touched[r.index()] {
+            } else if !keep && is_touched(&self.touched, r) {
                 self.untouch(r);
                 if self.cfg.use_meta_request {
                     drop_from_shared.push(r);
@@ -718,7 +718,7 @@ impl GreedyScheduler {
         // Rolled-back shared members: their gain part changed.
         for &r in rolled {
             if !self.sampler.is_explicit(r)
-                && (self.touched[r.index()] || !self.cfg.use_meta_request)
+                && (is_touched(&self.touched, r) || !self.cfg.use_meta_request)
             {
                 let g = self.marginal_gain(r);
                 self.sampler.set_shared_gain(r, g);
@@ -732,8 +732,8 @@ impl GreedyScheduler {
     /// Clears `r`'s touched flag (no-op if already untouched), maintaining
     /// the per-class tallies.
     fn untouch(&mut self, r: RequestId) {
-        if self.touched[r.index()] {
-            self.touched[r.index()] = false;
+        if is_touched(&self.touched, r) {
+            clear_touched(&mut self.touched, r);
             self.touched_per_class[self.ctx.classes.class_of(r)] -= 1;
         }
     }
@@ -804,16 +804,16 @@ impl GreedyScheduler {
     /// Marks `r` touched, maintaining the count and per-class tallies.
     /// Returns whether `r` was previously untouched.
     fn mark_touched(&mut self, r: RequestId) -> bool {
-        if self.touched[r.index()] {
+        if is_touched(&self.touched, r) {
             return false;
         }
-        self.touched[r.index()] = true;
+        set_touched(&mut self.touched, r);
         self.touched_per_class[self.ctx.classes.class_of(r)] += 1;
         true
     }
 
     fn rebuild_touched(&mut self) {
-        self.touched.fill(false);
+        self.touched.fill(0);
         self.touched_per_class.fill(0);
         let mut touched_ids: Vec<RequestId> = self.model.materialized().collect();
         // The ring yields its requests in hash order, which differs between
@@ -854,11 +854,8 @@ impl GreedyScheduler {
         if !self.incremental() {
             return;
         }
-        self.sampler.rebuild(
-            self.model.shape_partition(),
-            &self.ctx.meta_gains,
-            self.model.num_requests(),
-        );
+        self.sampler
+            .rebuild(self.model.shape_partition(), &self.ctx.meta_gains);
         // Bucket members: cache the slot-invariant coefficient (so per-block
         // gain updates never touch the model's tail vectors) and store the
         // slot-invariant value.  Factors and the irregular set follow.
@@ -1125,11 +1122,11 @@ impl GreedyScheduler {
         // pathological cases.
         for _ in 0..64 {
             let candidate = class.member(self.rng.gen_range(0..len));
-            if !self.touched[candidate.index()] {
+            if !is_touched(&self.touched, candidate) {
                 return Some(candidate);
             }
         }
-        class.members().find(|r| !self.touched[r.index()])
+        class.members().find(|&r| !is_touched(&self.touched, r))
     }
 
     /// Schedules up to `count` blocks.
@@ -1213,21 +1210,20 @@ impl GreedyScheduler {
             candidates.dedup();
             let mut departed = false;
             for r in candidates {
-                if !self.touched[r.index()] {
+                if !is_touched(&self.touched, r) {
                     continue;
                 }
                 let keep = self.model.is_materialized(r) || self.ring.contains(r);
                 if !keep {
-                    self.touched[r.index()] = false;
-                    self.touched_per_class[self.ctx.classes.class_of(r)] -= 1;
+                    self.untouch(r);
                     departed = true;
                 }
             }
             if departed {
                 let touched = &self.touched;
-                self.shared_order.retain(|r| touched[r.index()]);
+                self.shared_order.retain(|&r| is_touched(touched, r));
                 if self.incremental() {
-                    self.sampler.compact_shared(|r| touched[r.index()]);
+                    self.sampler.compact_shared(|r| is_touched(touched, r));
                 }
             }
         }
@@ -1258,6 +1254,19 @@ impl GreedyScheduler {
     pub fn simulated_ring(&self) -> Vec<BlockRef> {
         self.ring.iter().copied().collect()
     }
+}
+
+/// Whether `r` is in the request-indexed bitset `touched`.
+fn is_touched(touched: &[u64], r: RequestId) -> bool {
+    touched[r.index() / 64] & (1 << (r.index() % 64)) != 0
+}
+
+fn set_touched(touched: &mut [u64], r: RequestId) {
+    touched[r.index() / 64] |= 1 << (r.index() % 64);
+}
+
+fn clear_touched(touched: &mut [u64], r: RequestId) {
+    touched[r.index() / 64] &= !(1 << (r.index() % 64));
 }
 
 impl GreedyScheduler {
