@@ -334,8 +334,8 @@ mod tests {
                 cache_blocks: 32,
                 ..Default::default()
             };
-            let (u, cat, ctx) = (utility.clone(), catalog.clone(), ctx.clone());
-            GreedyScheduler::with_context_and_cache(cfg, u, cat, ctx, Some(cache.clone()))
+            let (cat, ctx) = (catalog.clone(), ctx.clone());
+            GreedyScheduler::with_context_and_cache(cfg, cat, ctx, Some(cache.clone()))
         };
         let (mut a, mut b, mut c) = (mk(), mk(), mk());
         assert!(Arc::ptr_eq(a.model_arc(), b.model_arc()));

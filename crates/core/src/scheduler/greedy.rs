@@ -164,17 +164,17 @@ impl Default for GreedySchedulerConfig {
 }
 
 /// Catalog- and utility-derived scheduler state that is identical for every
-/// scheduler built over the same `(UtilityModel, ResponseCatalog)` pair: the
-/// utility-class catalog, per-class first-block gains, and per-request block
-/// counts.  Multi-session servers share one instance via `Arc` (see
+/// scheduler built over an equal `(UtilityModel, ResponseCatalog)` pair: the
+/// utility model itself, the utility-class catalog, per-class first-block
+/// gains, and per-request block counts.  Multi-session servers share one
+/// instance via `Arc` between sessions whose models are equal by value
+/// ([`UtilityModel::same_tables`]; see
 /// [`SessionManager`](crate::session::SessionManager)) instead of
 /// re-deriving `O(n)` state per client.
 #[derive(Debug)]
 pub struct GreedyContext {
-    /// The utility model the context was derived from, kept so
-    /// [`GreedyScheduler::with_context`] can reject a context paired with a
-    /// different model (same-sized catalogs would otherwise be silently
-    /// mis-priced).
+    /// The utility model the context was derived from: the one every
+    /// scheduler holding the context prices blocks with.
     utility: UtilityModel,
     /// Per-utility-class view of the catalog (one class per distinct gain
     /// table): exact first-block gains for the per-class meta-entries.
@@ -208,12 +208,16 @@ impl GreedyContext {
     pub fn num_requests(&self) -> usize {
         self.num_blocks.len()
     }
+
+    /// The utility model the context was derived from.
+    pub(crate) fn utility(&self) -> &UtilityModel {
+        &self.utility
+    }
 }
 
 /// The greedy scheduler of §5.3.
 pub struct GreedyScheduler {
     cfg: GreedySchedulerConfig,
-    utility: UtilityModel,
     /// The probability model, behind an `Arc` so sessions with bit-identical
     /// predictions can share one instance via a [`ModelCache`]
     /// (`crate::scheduler::ModelCache`).  Reads go through the `Arc`; a
@@ -258,8 +262,9 @@ pub struct GreedyScheduler {
     /// directly; the incremental sampler's shared group mirrors it slot for
     /// slot, which is what makes the variants draw identically.
     shared_order: Vec<RequestId>,
-    /// Shared catalog/utility-derived state (classes, meta gains, block
-    /// counts) — one `Arc` per `(utility, catalog)` pair across sessions.
+    /// Shared catalog/utility-derived state (the utility model, classes,
+    /// meta gains, block counts) — one `Arc` per `(utility value, catalog)`
+    /// pair across sessions.
     ctx: Arc<GreedyContext>,
     /// Touched-request count per utility class; the complement (against the
     /// class size) is each meta-entry's untouched member count.
@@ -296,20 +301,19 @@ impl GreedyScheduler {
         catalog: Arc<ResponseCatalog>,
     ) -> Self {
         let ctx = Arc::new(GreedyContext::new(&utility, &catalog));
-        Self::with_context(cfg, utility, catalog, ctx)
+        Self::with_context(cfg, catalog, ctx)
     }
 
     /// Creates a scheduler reusing a shared [`GreedyContext`] (derived from
-    /// the same utility model and catalog) instead of computing its own —
-    /// the multi-session path, where N sessions over one catalog share one
-    /// `O(n)` context.
+    /// the catalog and the utility model to price blocks with) instead of
+    /// computing its own — the multi-session path, where N sessions over one
+    /// catalog share one `O(n)` context.
     pub fn with_context(
         cfg: GreedySchedulerConfig,
-        utility: UtilityModel,
         catalog: Arc<ResponseCatalog>,
         ctx: Arc<GreedyContext>,
     ) -> Self {
-        Self::with_context_and_cache(cfg, utility, catalog, ctx, None)
+        Self::with_context_and_cache(cfg, catalog, ctx, None)
     }
 
     /// [`with_context`](Self::with_context), with the uniform prior — and
@@ -317,7 +321,6 @@ impl GreedyScheduler {
     /// when one is supplied.
     pub(crate) fn with_context_and_cache(
         cfg: GreedySchedulerConfig,
-        utility: UtilityModel,
         catalog: Arc<ResponseCatalog>,
         ctx: Arc<GreedyContext>,
         model_cache: Option<Arc<crate::scheduler::ModelCache>>,
@@ -328,10 +331,6 @@ impl GreedyScheduler {
             ctx.num_requests(),
             num_requests,
             "shared context derived for a different catalog"
-        );
-        assert!(
-            ctx.utility.same_tables(&utility),
-            "shared context derived for a different utility model"
         );
         let model = match &model_cache {
             Some(cache) => {
@@ -349,7 +348,6 @@ impl GreedyScheduler {
         let ring = RingCache::new(cfg.cache_blocks);
         let mut s = GreedyScheduler {
             cfg,
-            utility,
             model,
             model_cache,
             rng,
@@ -1012,7 +1010,7 @@ impl GreedyScheduler {
         if have >= nb {
             return 0.0;
         }
-        self.utility.table(request.index()).next_gain(have)
+        self.ctx.utility.table(request.index()).next_gain(have)
     }
 
     /// Expected utility gain of giving one more block to `request` at the
@@ -1278,7 +1276,7 @@ impl GreedyScheduler {
         crate::scheduler::schedule_expected_utility_slots(
             &self.current_schedule,
             &self.model,
-            &self.utility,
+            &self.ctx.utility,
             initial,
         )
     }

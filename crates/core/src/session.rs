@@ -413,8 +413,8 @@ pub struct SessionBuilder {
     predictor: Option<Box<dyn ServerPredictor>>,
     /// Shared catalog/utility-derived scheduler context; when absent the
     /// default greedy scheduler derives its own.  [`SessionManager`] fills
-    /// this from its per-`(utility, catalog)` cache so N sessions share one
-    /// `O(n)` context.
+    /// this from its per-`(utility value, catalog)` cache so N sessions
+    /// share one `O(n)` context.
     greedy_context: Option<Arc<GreedyContext>>,
     /// Shared prediction-model dedup registry; when present, the default
     /// greedy scheduler resolves full model builds through it so sessions
@@ -459,9 +459,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Reuses a shared [`GreedyContext`] (derived from the same utility
-    /// model and catalog) for the default greedy scheduler instead of
-    /// deriving a per-session copy.
+    /// Reuses a shared [`GreedyContext`] for the default greedy scheduler
+    /// instead of deriving a per-session copy.  The scheduler prices blocks
+    /// with the context's utility model, so [`build`](Self::build) panics
+    /// unless it is equal by value to this builder's
+    /// ([`UtilityModel::same_tables`]).
     pub fn greedy_context(mut self, ctx: Arc<GreedyContext>) -> Self {
         self.greedy_context = Some(ctx);
         self
@@ -533,9 +535,12 @@ impl SessionBuilder {
                 scheduler_cfg.slot_duration = slot;
                 let ctx = greedy_context
                     .unwrap_or_else(|| Arc::new(GreedyContext::new(&utility, &catalog)));
+                assert!(
+                    ctx.utility().same_tables(&utility),
+                    "shared context derived for a different utility model"
+                );
                 Box::new(GreedyScheduler::with_context_and_cache(
                     scheduler_cfg,
-                    utility,
                     catalog.clone(),
                     ctx,
                     model_cache,
@@ -718,11 +723,15 @@ pub struct SessionManager {
     backend: Box<dyn Backend>,
     policy: Box<dyn SharePolicy>,
     pub(crate) shared_bandwidth: BandwidthEstimator,
-    /// One shared [`GreedyContext`] per distinct `(utility, catalog)` pair:
-    /// the utility-class catalog and per-request block counts are
-    /// session-independent, so N sessions over the same catalog share one
-    /// `O(n)` derivation instead of each computing its own.
-    context_cache: Vec<(UtilityModel, Arc<ResponseCatalog>, Arc<GreedyContext>)>,
+    /// One shared [`GreedyContext`] per distinct `(utility value, catalog)`
+    /// pair: the utility model, utility-class catalog and per-request block
+    /// counts are session-independent, so N sessions over the same catalog
+    /// share one `O(n)` derivation instead of each computing its own, even
+    /// when each brings its own equal `UtilityModel`.  The catalog is
+    /// matched by `Arc` identity, not value: comparing catalogs is `O(n)`,
+    /// and a caller that builds one catalog per session already pays
+    /// `O(n)` per session.
+    context_cache: Vec<(Arc<ResponseCatalog>, Arc<GreedyContext>)>,
     /// Shared prediction-model dedup registry handed to every
     /// default-scheduler session (see [`crate::scheduler::dedup`]).  Owned
     /// per manager by default; [`set_model_cache`](Self::set_model_cache)
@@ -859,7 +868,8 @@ impl SessionManager {
     }
 
     /// The shared scheduler context for `(utility, catalog)`, derived once
-    /// and cached by storage identity (`Arc` pointer equality).
+    /// and cached by utility value ([`UtilityModel::same_tables`]) and
+    /// catalog identity (`Arc` pointer equality).
     fn context_for(
         &mut self,
         utility: &UtilityModel,
@@ -870,20 +880,20 @@ impl SessionManager {
         // fresh catalog Arc would pin every dead context — and its catalog
         // — forever.
         self.context_cache
-            .retain(|(_, _, ctx)| Arc::strong_count(ctx) > 1);
-        for (u, c, ctx) in &self.context_cache {
-            if u.same_tables(utility) && Arc::ptr_eq(c, catalog) {
+            .retain(|(_, ctx)| Arc::strong_count(ctx) > 1);
+        for (c, ctx) in &self.context_cache {
+            if Arc::ptr_eq(c, catalog) && ctx.utility().same_tables(utility) {
                 return ctx.clone();
             }
         }
         let ctx = Arc::new(GreedyContext::new(utility, catalog));
-        self.context_cache
-            .push((utility.clone(), catalog.clone(), ctx.clone()));
+        self.context_cache.push((catalog.clone(), ctx.clone()));
         ctx
     }
 
-    /// Number of distinct shared scheduler contexts derived so far
-    /// (diagnostic; one per distinct `(utility, catalog)` pair).
+    /// Number of shared scheduler contexts the manager holds (diagnostic;
+    /// one per distinct `(utility value, catalog)` pair, dead ones pruned
+    /// at the next derivation).
     pub fn shared_context_count(&self) -> usize {
         self.context_cache.len()
     }
@@ -1331,7 +1341,7 @@ mod tests {
     use super::*;
     use crate::scheduler::GreedySchedulerConfig;
     use crate::server::CatalogBackend;
-    use crate::utility::LinearUtility;
+    use crate::utility::{GainTable, LinearUtility, PowerUtility, UtilityFunction};
 
     fn catalog(n: usize, blocks: u32) -> Arc<ResponseCatalog> {
         Arc::new(ResponseCatalog::uniform(n, blocks, 10_000))
@@ -1804,40 +1814,119 @@ mod tests {
     #[test]
     fn sessions_share_one_scheduler_context_per_catalog() {
         // The utility-class catalog / block-count context is derived from
-        // `(utility, catalog)` only; sessions sharing both (by storage
-        // identity) must share one Arc'd context instead of re-deriving
-        // O(n) state each.
-        let cat = catalog(50, 4);
-        let shared_utility = utility(4);
+        // `(utility, catalog)` only; sessions with equal utility models (by
+        // value, however each was built) over one catalog `Arc` must share
+        // one Arc'd context instead of re-deriving O(n) state each.
+        let n = 50;
+        let cat = catalog(n, 4);
         let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
         for _ in 0..3 {
-            mgr.add_session(Session::builder(shared_utility.clone(), cat.clone()));
+            mgr.add_session(Session::builder(utility(4), cat.clone()));
         }
         assert_eq!(mgr.shared_context_count(), 1);
         // One Arc held by the cache plus one per session's scheduler.
-        assert_eq!(Arc::strong_count(&mgr.context_cache[0].2), 4);
-        // A distinct utility (different table storage) gets its own context;
-        // a distinct catalog Arc likewise.
-        mgr.add_session(Session::builder(utility(4), cat.clone()));
+        assert_eq!(Arc::strong_count(&mgr.context_cache[0].1), 4);
+
+        // Per-request models compare table by table: two built separately
+        // from the same curves share one context.
+        let per_request = |last: &dyn UtilityFunction| {
+            let mut tables = vec![GainTable::new(&LinearUtility, 4); n - 1];
+            tables.push(GainTable::new(last, 4));
+            UtilityModel::per_request(tables)
+        };
+        mgr.add_session(Session::builder(per_request(&LinearUtility), cat.clone()));
+        mgr.add_session(Session::builder(per_request(&LinearUtility), cat.clone()));
         assert_eq!(mgr.shared_context_count(), 2);
-        let other_cat = catalog(50, 4);
-        mgr.add_session(Session::builder(shared_utility.clone(), other_cat));
+
+        // A different curve, a different block count, or one request's
+        // table differing in its last gain alone each get their own.
+        struct ShortLastBlock;
+        impl UtilityFunction for ShortLastBlock {
+            fn utility(&self, fraction: f64) -> f64 {
+                fraction.min(0.999)
+            }
+        }
+        let concave = UtilityModel::homogeneous(&PowerUtility::new(0.5), 4);
+        mgr.add_session(Session::builder(concave, cat.clone()));
         assert_eq!(mgr.shared_context_count(), 3);
+        mgr.add_session(Session::builder(utility(2), cat.clone()));
+        assert_eq!(mgr.shared_context_count(), 4);
+        mgr.add_session(Session::builder(per_request(&ShortLastBlock), cat.clone()));
+        assert_eq!(mgr.shared_context_count(), 5);
+
+        // A distinct catalog Arc gets its own, even with equal contents.
+        mgr.add_session(Session::builder(utility(4), catalog(n, 4)));
+        assert_eq!(mgr.shared_context_count(), 6);
+
         // Sessions with an explicit custom scheduler never touch the cache.
-        let custom = GreedyScheduler::new(
-            GreedySchedulerConfig::default(),
-            shared_utility.clone(),
-            cat.clone(),
-        );
-        mgr.add_session(Session::builder(shared_utility, cat).scheduler(Box::new(custom)));
-        assert_eq!(mgr.shared_context_count(), 3);
+        let custom =
+            GreedyScheduler::new(GreedySchedulerConfig::default(), utility(4), cat.clone());
+        mgr.add_session(Session::builder(utility(4), cat).scheduler(Box::new(custom)));
+        assert_eq!(mgr.shared_context_count(), 6);
         // Removing every session releases the contexts; the next derivation
         // prunes the dead entries instead of pinning them forever.
         for id in mgr.session_ids() {
             mgr.remove_session(id);
         }
-        mgr.add_session(Session::builder(utility(4), catalog(50, 4)));
+        mgr.add_session(Session::builder(utility(4), catalog(n, 4)));
         assert_eq!(mgr.shared_context_count(), 1);
+    }
+
+    #[test]
+    fn sessions_with_equal_utilities_schedule_as_with_one_shared_model() {
+        // Sharing a context by value must not be visible in a schedule: a
+        // manager whose sessions each bring their own equal `UtilityModel`
+        // serves, block for block, what one whose sessions all clone a
+        // single model serves, given the same seeds, messages and pumps.
+        let n = 60u32;
+        let cat = catalog(n as usize, 4);
+        let curve = || UtilityModel::homogeneous(&PowerUtility::new(0.5), 4);
+        let shared = curve();
+        let run = |own_models: bool| {
+            let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
+            let ids: Vec<SessionId> = (0..4)
+                .map(|i| {
+                    let utility = if own_models { curve() } else { shared.clone() };
+                    let cfg = ServerConfig {
+                        scheduler: GreedySchedulerConfig {
+                            cache_blocks: 64,
+                            seed: 7 + i,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    };
+                    mgr.add_session(Session::builder(utility, cat.clone()).config(cfg))
+                })
+                .collect();
+            assert_eq!(mgr.shared_context_count(), 1);
+            let mut blocks = Vec::new();
+            for round in 0..6 {
+                for (k, &id) in (0u32..).zip(&ids) {
+                    let last = RequestId((round * 7 + k * 13) % n);
+                    let msg = ClientMessage::Predictor(PredictorState::LastRequest(last));
+                    mgr.on_message(id, &msg, Time::ZERO);
+                }
+                for _ in 0..40 {
+                    if let ServerEvent::Block { session, block } = mgr.next_event(Time::ZERO) {
+                        blocks.push((session, block.meta.block));
+                    }
+                }
+            }
+            blocks
+        };
+        let (cloned, own) = (run(false), run(true));
+        let served: BTreeSet<SessionId> = cloned.iter().map(|(s, _)| *s).collect();
+        assert_eq!(served.len(), 4, "every session is served");
+        assert_eq!(cloned, own);
+    }
+
+    #[test]
+    #[should_panic(expected = "shared context derived for a different utility model")]
+    fn builder_refuses_a_context_derived_for_another_utility() {
+        let cat = catalog(20, 4);
+        let ctx = Arc::new(GreedyContext::new(&utility(4), &cat));
+        let concave = UtilityModel::homogeneous(&PowerUtility::new(0.5), 4);
+        Session::builder(concave, cat).greedy_context(ctx).build();
     }
 
     #[test]
@@ -1884,7 +1973,6 @@ mod tests {
         };
         let direct = GreedyScheduler::with_context_and_cache(
             by_hand_cfg,
-            shared.clone(),
             cat.clone(),
             ctx,
             Some(cache.clone()),

@@ -125,8 +125,8 @@ pub struct ShardSnapshot {
     pub resync_requests: u64,
     /// Delta messages applied in place.
     pub delta_updates: u64,
-    /// Distinct shared `GreedyContext`s derived (one per distinct
-    /// `(utility, catalog)` pair).
+    /// Distinct shared `GreedyContext`s held (one per distinct
+    /// `(utility value, catalog)` pair per shard).
     pub shared_context_count: usize,
     /// Runtime invariant-auditor violations (zero unless the `audit`
     /// feature is enabled and an auditor is attached).

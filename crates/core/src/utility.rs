@@ -231,6 +231,17 @@ impl GainTable {
     pub fn gains(&self) -> &[f64] {
         &self.gains
     }
+
+    /// Bit-for-bit equality of gains and cumulative steps (unlike
+    /// `PartialEq`, `-0.0` and `0.0` differ and a `NaN` equals itself).
+    fn same_bits(&self, other: &GainTable) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits()))
+        };
+        same(&self.gains, &other.gains) && same(&self.cumulative, &other.cumulative)
+    }
 }
 
 /// Per-request gain tables for a whole request space.
@@ -258,13 +269,22 @@ impl UtilityModel {
         UtilityModel::PerRequest(Arc::new(tables))
     }
 
-    /// Whether two models share the *same* underlying gain-table storage
-    /// (`Arc` identity, not value equality).  Sessions whose models pass
-    /// this test can share one catalog-derived scheduler context.
+    /// Whether two models have bit-for-bit equal gain tables: the same
+    /// variant, the same number of tables, and every gain and cumulative
+    /// step equal by [`f64::to_bits`].  Sessions whose models pass this test
+    /// can share one catalog-derived scheduler context, which is then
+    /// exactly the one each would have derived.  Shared storage (`Arc`
+    /// identity) answers in `O(1)`; otherwise a per-request model compares
+    /// in `O(n)`, no more than deriving the context it would share.
     pub fn same_tables(&self, other: &UtilityModel) -> bool {
         match (self, other) {
-            (UtilityModel::Homogeneous(a), UtilityModel::Homogeneous(b)) => Arc::ptr_eq(a, b),
-            (UtilityModel::PerRequest(a), UtilityModel::PerRequest(b)) => Arc::ptr_eq(a, b),
+            (UtilityModel::Homogeneous(a), UtilityModel::Homogeneous(b)) => {
+                Arc::ptr_eq(a, b) || a.same_bits(b)
+            }
+            (UtilityModel::PerRequest(a), UtilityModel::PerRequest(b)) => {
+                Arc::ptr_eq(a, b)
+                    || (a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.same_bits(y)))
+            }
             _ => false,
         }
     }

@@ -8,8 +8,9 @@
 //! file is its own test binary, so it counts only this test), and the
 //! session layer's shared state — the catalog's `GreedyContext` and the
 //! uniform prior — is paid once by a warm-up session before measuring.  The
-//! sessions share one `UtilityModel`: the manager shares a context between
-//! sessions whose gain tables are the same `Arc`.
+//! manager shares a context between sessions whose gain tables are equal by
+//! value, so a session costs the same whether it clones one `UtilityModel`
+//! or, like a connection factory, builds its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,8 +56,8 @@ fn manager(catalog: &Arc<ResponseCatalog>) -> SessionManager {
         .with_bandwidth_cap(Bandwidth::from_mbps(CAP_MBPS))
 }
 
-fn silent_session(catalog: &Arc<ResponseCatalog>, utility: &UtilityModel) -> SessionBuilder {
-    Session::builder(utility.clone(), catalog.clone()).config(ServerConfig {
+fn silent_session(catalog: &Arc<ResponseCatalog>, utility: UtilityModel) -> SessionBuilder {
+    Session::builder(utility, catalog.clone()).config(ServerConfig {
         scheduler: GreedySchedulerConfig {
             cache_blocks: CACHE_BLOCKS,
             slot_duration: Bandwidth::from_mbps(CAP_MBPS).transmit_time(BLOCK_BYTES),
@@ -66,34 +67,55 @@ fn silent_session(catalog: &Arc<ResponseCatalog>, utility: &UtilityModel) -> Ses
     })
 }
 
+fn utility() -> UtilityModel {
+    UtilityModel::homogeneous(&LinearUtility, BLOCKS)
+}
+
 /// Live heap bytes each of `count` silent sessions adds to a manager over
-/// `requests` requests, after a warm-up session paid for the shared state.
-fn bytes_per_silent_session(requests: usize, count: usize) -> usize {
+/// `requests` requests, after a warm-up session paid for the shared state,
+/// and the number of scheduler contexts the manager then holds.  Each
+/// session's `UtilityModel` comes from `utility`.
+fn bytes_per_silent_session(
+    requests: usize,
+    count: usize,
+    utility: impl Fn() -> UtilityModel,
+) -> (usize, usize) {
     let catalog = Arc::new(ResponseCatalog::uniform(requests, BLOCKS, BLOCK_BYTES));
-    let utility = UtilityModel::homogeneous(&LinearUtility, BLOCKS);
     let mut manager = manager(&catalog);
-    manager.add_session(silent_session(&catalog, &utility));
+    manager.add_session(silent_session(&catalog, utility()));
     let before = LIVE.load(Ordering::Relaxed);
     for _ in 0..count {
-        manager.add_session(silent_session(&catalog, &utility));
+        manager.add_session(silent_session(&catalog, utility()));
     }
     let after = LIVE.load(Ordering::Relaxed);
+    let contexts = manager.shared_context_count();
     drop(manager);
-    after.saturating_sub(before) / count
+    (after.saturating_sub(before) / count, contexts)
 }
 
 // One test, so nothing else in this binary allocates while it measures.
 #[test]
 fn a_silent_session_costs_what_it_touched_not_the_catalog() {
-    let each = bytes_per_silent_session(4_096, 128);
+    let shared = utility();
+    let (each, _) = bytes_per_silent_session(4_096, 128, || shared.clone());
     println!("silent session over 4 096 requests: {each} B");
     assert!(
         each <= 4_096,
         "a silent session holds {each} B over 4 096 requests"
     );
 
+    // A connection factory builds a `UtilityModel` per connection; equal
+    // models must still share one context rather than each derive its own.
+    let (own, contexts) = bytes_per_silent_session(4_096, 128, utility);
+    println!("silent session over 4 096 requests, own utility model: {own} B");
+    assert_eq!(contexts, 1, "equal utility models share one context");
+    assert!(
+        own <= 4_096,
+        "a silent session with its own utility model holds {own} B over 4 096 requests"
+    );
+
     let n = 65_536;
-    let one = bytes_per_silent_session(n, 1);
+    let (one, _) = bytes_per_silent_session(n, 1, || shared.clone());
     println!("silent session over {n} requests: {one} B");
     assert!(
         one <= n / 8 + 4_096,
