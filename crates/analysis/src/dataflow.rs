@@ -48,6 +48,8 @@ pub const BLOCKING_RECV: &str = "blocking-recv";
 pub const UNMERGED_COUNTER: &str = "unmerged-counter";
 /// `untested-pub-fn` rule id.
 pub const UNTESTED_PUB_FN: &str = "untested-pub-fn";
+/// `unreferenced-pub` rule id.
+pub const UNREFERENCED_PUB: &str = "unreferenced-pub";
 
 /// All dataflow rules, in reporting order.
 pub const INDEX_RULES: &[IndexRule] = &[
@@ -75,6 +77,12 @@ pub const INDEX_RULES: &[IndexRule] = &[
         desc: "pub fns on the concurrency/protocol surface need a #[test] referencing them",
         in_scope: scope_untested,
         check: check_untested_pub_fn,
+    },
+    IndexRule {
+        id: UNREFERENCED_PUB,
+        desc: "a pub item needs a non-test reference somewhere in the workspace or kbench",
+        in_scope: |p| p.starts_with("crates/") && p.contains("/src/"),
+        check: check_unreferenced_pub,
     },
 ];
 
@@ -308,14 +316,75 @@ fn check_untested_pub_fn(ctx: &IndexCtx<'_>) -> Vec<RawDiag> {
     out
 }
 
+// ---------------------------------------------------------------------------
+// unreferenced-pub
+// ---------------------------------------------------------------------------
+
+/// A bare-`pub` `fn`, `struct`, `enum`, `trait`, `type` or `const` whose name
+/// no non-test token uses ([`RefCorpus::idents`](crate::parser::RefCorpus)):
+/// only its own tests, `tests/` directories, docs, `use` re-exports or
+/// `impl` headers name it.
+///
+/// The workspace pass reads the scanned crates' `src/`, the root `src/`,
+/// `examples/`, `crates/bench/benches`, `crates/analysis/src` and
+/// `kbench/src` as references, test regions masked.
+///
+/// Blind spot: names are matched, not resolved, so a method looks referenced
+/// when any other item or method of the same name is called (`new`, `len`).
+fn check_unreferenced_pub(ctx: &IndexCtx<'_>) -> Vec<RawDiag> {
+    let fns = ctx
+        .index
+        .fns
+        .iter()
+        .filter(|f| f.is_pub && f.name != "main")
+        .map(|f| ("fn", f.name.as_str(), f.line));
+    let decls = ctx
+        .index
+        .pub_decls
+        .iter()
+        .map(|d| (d.keyword.as_str(), d.name.as_str(), d.line));
+    fns.chain(decls)
+        .filter(|(_, name, _)| !ctx.corpus.idents.contains(*name))
+        .map(|(keyword, name, line)| RawDiag {
+            line,
+            message: format!(
+                "pub {keyword} `{name}` has no non-test reference; delete it or narrow its visibility"
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::scan_source;
+    use super::UNREFERENCED_PUB;
+    use crate::lexer::lex;
+    use crate::parser::RefCorpus;
+    use crate::{scan_lexed, scan_source, test_line_mask};
 
     fn rules_at(path: &str, src: &str) -> Vec<(String, u32)> {
         scan_source(path, src)
             .into_iter()
             .map(|d| (d.rule, d.line))
+            .collect()
+    }
+
+    /// Lines of `files[0]` that `rule` flags when every file feeds the
+    /// reference corpus, as `scan_workspace` builds it.
+    fn flagged_in_first(rule: &str, files: &[(&str, &str)]) -> Vec<u32> {
+        let mut corpus = RefCorpus::default();
+        let lexed: Vec<_> = files
+            .iter()
+            .map(|(_, src)| {
+                let lexed = lex(src);
+                let mask = test_line_mask(&lexed.tokens, src.lines().count());
+                corpus.add_tokens(&lexed.tokens, &mask);
+                (lexed, mask)
+            })
+            .collect();
+        scan_lexed(files[0].0, &lexed[0].0, &lexed[0].1, &corpus)
+            .into_iter()
+            .filter(|d| d.rule == rule)
+            .map(|d| d.line)
             .collect()
     }
 
@@ -361,16 +430,88 @@ mod tests {
 
     #[test]
     fn untested_pub_fn_scope_and_corpus() {
+        let untested = |path: &str, src: &str| -> Vec<u32> {
+            let d = rules_at(path, src).into_iter();
+            d.filter(|d| d.0 == "untested-pub-fn")
+                .map(|d| d.1)
+                .collect()
+        };
         // In single-file mode the corpus is the file's own test regions.
         let covered =
             "pub fn park() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { park(); }\n}\n";
-        assert!(rules_at("crates/core/src/fault.rs", covered).is_empty());
+        assert!(untested("crates/core/src/fault.rs", covered).is_empty());
 
         let uncovered = "pub fn orphan() {}\n";
-        let d = rules_at("crates/core/src/fault.rs", uncovered);
-        assert_eq!(d, vec![("untested-pub-fn".to_string(), 1)]);
+        assert_eq!(untested("crates/core/src/fault.rs", uncovered), vec![1]);
 
         // Out of scope: ordinary library files are not held to this bar.
-        assert!(rules_at("crates/core/src/cache.rs", uncovered).is_empty());
+        assert!(untested("crates/core/src/cache.rs", uncovered).is_empty());
+    }
+
+    #[test]
+    fn a_non_test_call_in_another_file_clears_unreferenced_pub() {
+        let def = (
+            "crates/core/src/a.rs",
+            "pub fn helper() -> u32 {\n    1\n}\n",
+        );
+        assert_eq!(flagged_in_first(UNREFERENCED_PUB, &[def]), vec![1]);
+
+        let caller = (
+            "crates/sim/src/b.rs",
+            "fn run() -> u32 {\n    khameleon_core::a::helper()\n}\n",
+        );
+        assert!(flagged_in_first(UNREFERENCED_PUB, &[def, caller]).is_empty());
+
+        // A call from a test region is not a reference.
+        let test_caller = (
+            "crates/sim/src/b.rs",
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        helper();\n    }\n}\n",
+        );
+        assert_eq!(
+            flagged_in_first(UNREFERENCED_PUB, &[def, test_caller]),
+            vec![1]
+        );
+    }
+
+    #[test]
+    fn pub_use_and_impl_headers_are_not_references() {
+        let def = (
+            "crates/core/src/a.rs",
+            "pub struct Widget;\nimpl Widget {\n    pub fn spin(&self) {}\n}\n",
+        );
+        let reexport = (
+            "crates/core/src/lib.rs",
+            "pub use crate::a::Widget;\nimpl std::fmt::Debug for Widget {\n    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n        Ok(())\n    }\n}\n",
+        );
+        assert_eq!(
+            flagged_in_first(UNREFERENCED_PUB, &[def, reexport]),
+            vec![1, 3]
+        );
+        // `impl Trait` in type position is a use of the trait.
+        let trait_def = ("crates/core/src/t.rs", "pub trait Spin {}\n");
+        let user = ("crates/sim/src/u.rs", "fn go(_: impl Spin) {}\n");
+        assert!(flagged_in_first(UNREFERENCED_PUB, &[trait_def, user]).is_empty());
+    }
+
+    #[test]
+    fn an_allow_with_a_reason_silences_unreferenced_pub() {
+        let bare = "pub const LIMIT: u32 = 4;\n";
+        assert_eq!(
+            rules_at("crates/core/src/a.rs", bare),
+            vec![(UNREFERENCED_PUB.to_string(), 1)]
+        );
+        let allowed =
+            "// lint:allow(unreferenced-pub) -- read by the loopback tests\npub const LIMIT: u32 = 4;\n";
+        assert!(rules_at("crates/core/src/a.rs", allowed).is_empty());
+        // Without a reason the directive is malformed and the finding stays.
+        let unexplained = "// lint:allow(unreferenced-pub)\npub const LIMIT: u32 = 4;\n";
+        let d = rules_at("crates/core/src/a.rs", unexplained);
+        assert!(d.contains(&("allow-syntax".to_string(), 1)), "{d:?}");
+        assert!(d.contains(&(UNREFERENCED_PUB.to_string(), 2)), "{d:?}");
+        // `main`, `pub(crate)` items and files outside a crate's `src/` are
+        // not held to it.
+        let exempt = "pub fn main() {}\npub(crate) fn inner() {}\n";
+        assert!(rules_at("crates/bench/src/bin/x.rs", exempt).is_empty());
+        assert!(rules_at("crates/core/tests/x.rs", bare).is_empty());
     }
 }

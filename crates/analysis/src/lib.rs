@@ -333,8 +333,9 @@ struct PreparedFile {
 /// the crates in [`SCANNED_CRATES`], rooted at `root`.  Integration-test
 /// files are treated as all-test regions (only the unsafe inventory and the
 /// allowlist audit apply), and their identifiers feed the reference corpus
-/// that powers the cross-file `untested-pub-fn` rule.  Returns
-/// (files scanned, diagnostics).
+/// that powers the cross-file `untested-pub-fn` rule; the non-test code of
+/// the scanned crates and of the reference-only roots feeds the corpus of
+/// `unreferenced-pub`.  Returns (files scanned, diagnostics).
 pub fn scan_workspace(root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
     let mut files: Vec<PathBuf> = Vec::new();
     for krate in SCANNED_CRATES {
@@ -342,11 +343,22 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> 
         collect_rs_files(&dir.join("src"), &mut files)?;
         collect_rs_files(&dir.join("tests"), &mut files)?;
     }
-    // The analysis crate's own integration tests reference the explorer and
-    // conformance surfaces; they join the corpus (fixtures excluded — they
-    // are deliberately broken inputs, not references).
+    // Read as references, not linted: the analysis crate (its explorer
+    // drives the session and resume code; its integration tests reference
+    // the explorer and conformance surfaces, fixtures excluded as broken
+    // inputs), the facade crate, the examples, the criterion benches and the
+    // benchmark package.
     let mut corpus_only: Vec<PathBuf> = Vec::new();
-    collect_rs_files(&root.join("crates/analysis/tests"), &mut corpus_only)?;
+    for dir in [
+        "crates/analysis/tests",
+        "crates/analysis/src",
+        "src",
+        "examples",
+        "crates/bench/benches",
+        "kbench/src",
+    ] {
+        collect_rs_files(&root.join(dir), &mut corpus_only)?;
+    }
     corpus_only.retain(|p| !p.to_string_lossy().contains("fixtures"));
     files.sort();
     files.dedup();

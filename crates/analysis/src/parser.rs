@@ -47,6 +47,18 @@ pub struct StructItem {
     pub fields: Vec<FieldItem>,
 }
 
+/// One bare-`pub` `struct`, `enum`, `trait`, `type` or `const` item (`pub`
+/// fns are the [`FnItem`]s with `is_pub`).
+#[derive(Debug, Clone)]
+pub struct PubDecl {
+    /// The introducing keyword.
+    pub keyword: String,
+    /// The item's name.
+    pub name: String,
+    /// 1-based line of the keyword.
+    pub line: u32,
+}
+
 /// The parsed item inventory of one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileIndex {
@@ -54,6 +66,8 @@ pub struct FileIndex {
     pub fns: Vec<FnItem>,
     /// Every `struct` item with its named fields.
     pub structs: Vec<StructItem>,
+    /// Every bare-`pub` type, trait or const item, in source order.
+    pub pub_decls: Vec<PubDecl>,
 }
 
 impl FileIndex {
@@ -70,24 +84,57 @@ impl FileIndex {
     }
 }
 
-/// Identifiers referenced from test code anywhere in the scan set: the
-/// corpus the `untested-pub-fn` rule resolves names against.
+/// Identifiers referenced anywhere in the scan set: the corpus the
+/// `untested-pub-fn` and `unreferenced-pub` rules resolve names against.
 #[derive(Debug, Clone, Default)]
 pub struct RefCorpus {
     /// Every identifier token appearing inside a test region (or a file
     /// under a `tests/` directory).
     pub test_idents: BTreeSet<String>,
+    /// Every identifier token outside test regions that *uses* a name: the
+    /// name token of a definition, `use` statements and item `impl`
+    /// headers are left out.
+    pub idents: BTreeSet<String>,
 }
+
+/// Keywords whose following identifier is the name being defined.
+const DEF_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+];
 
 impl RefCorpus {
     /// Fold `tokens` into the corpus; `mask` flags the test-only lines
     /// (pass an all-true mask for integration-test files).
     pub fn add_tokens(&mut self, tokens: &[Tok], mask: &[bool]) {
-        for t in tokens {
-            if t.kind == TokKind::Ident && mask.get(t.line as usize).copied().unwrap_or(false) {
-                self.test_idents.insert(t.text.clone());
+        let mut i = 0usize;
+        while i < tokens.len() {
+            let t = &tokens[i];
+            if t.kind != TokKind::Ident {
+                i += 1;
+                continue;
             }
+            if mask.get(t.line as usize).copied().unwrap_or(false) {
+                self.test_idents.insert(t.text.clone());
+            } else if t.is("use") || (t.is("impl") && is_item_impl(tokens, i)) {
+                // Skip to the statement's `;` or the impl body's `{`.
+                let end = if t.is("use") { ";" } else { "{" };
+                while i + 1 < tokens.len() && !tokens[i].is(end) {
+                    i += 1;
+                }
+            } else if !(i > 0 && DEF_KEYWORDS.iter().any(|k| tokens[i - 1].is_ident(k))) {
+                self.idents.insert(t.text.clone());
+            }
+            i += 1;
         }
+    }
+}
+
+/// Is the `impl` at `at` an item header rather than `impl Trait` in type
+/// position (`-> impl Iterator`, `f: impl Fn()`)?
+fn is_item_impl(tokens: &[Tok], at: usize) -> bool {
+    at == 0 || {
+        let p = &tokens[at - 1];
+        p.is("}") || p.is(";") || p.is("{") || p.is("]") || p.is_ident("unsafe")
     }
 }
 
@@ -127,6 +174,23 @@ pub fn index_file(tokens: &[Tok]) -> FileIndex {
                 // Do not skip the body: nested fns and closures stay visible.
                 i = next;
                 continue;
+            }
+        }
+        if ["struct", "enum", "trait", "type", "const"]
+            .iter()
+            .any(|k| t.is_ident(k))
+        {
+            if let Some(name) = tokens.get(i + 1).filter(|n| {
+                n.kind == TokKind::Ident
+                    && !n.is("fn")
+                    && !n.is("_")
+                    && visibility_before(tokens, i).0
+            }) {
+                index.pub_decls.push(PubDecl {
+                    keyword: t.text.clone(),
+                    name: name.text.clone(),
+                    line: t.line,
+                });
             }
         }
         if t.is_ident("struct") {

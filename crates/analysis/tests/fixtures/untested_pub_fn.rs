@@ -14,6 +14,11 @@ fn private_helper() {}
 
 pub(crate) fn crate_visible_helper() {}
 
+/// Non-test callers, so `unreferenced-pub` stays quiet here.
+fn drive() -> bool {
+    orphan_resume_path(covered_park_path(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,6 +21,7 @@ const FIXTURES: &[&str] = &[
     "blocking_recv.rs",
     "unmerged_counter.rs",
     "untested_pub_fn.rs",
+    "unreferenced_pub.rs",
 ];
 
 fn fixture_dir() -> std::path::PathBuf {
@@ -158,4 +159,58 @@ fn a_server_stats_field_left_out_of_merge_fails_the_scan() {
     };
     assert_eq!(unmerged(&grown), vec![line]);
     assert!(unmerged(&src).is_empty());
+}
+
+/// Copies every `.rs` file under `from` into `to`, keeping the layout.
+fn copy_rs_tree(from: &Path, to: &Path) {
+    let Ok(entries) = std::fs::read_dir(from) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("dir entry").path();
+        let target = to.join(path.file_name().expect("file name"));
+        if path.is_dir() {
+            copy_rs_tree(&path, &target);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            std::fs::create_dir_all(to).expect("mkdir");
+            std::fs::copy(&path, &target).expect("copy");
+        }
+    }
+}
+
+/// `unreferenced-pub` holds the public surface: putting back
+/// `SessionManager::backend_name`, deleted because nothing but its own test
+/// called it, into a copy of the workspace fails the workspace pass on the
+/// re-added line, and only there.
+#[test]
+fn a_re_added_dead_fn_fails_the_workspace_scan() {
+    let root = workspace_root();
+    let copy = Path::new(env!("CARGO_TARGET_TMPDIR")).join("unreferenced_pub_workspace");
+    let _ = std::fs::remove_dir_all(&copy);
+    for dir in ["crates", "src", "examples", "kbench/src"] {
+        copy_rs_tree(&root.join(dir), &copy.join(dir));
+    }
+    let path = "crates/core/src/session.rs";
+    let src = std::fs::read_to_string(root.join(path)).expect("session.rs");
+    let anchor = "    /// Total bytes sent across all sessions.\n    pub fn bytes_sent(&self) -> u64 {\n        self.bytes_sent\n    }\n";
+    assert_eq!(src.matches(anchor).count(), 1, "the anchor moved");
+    let grown = src.replace(
+        anchor,
+        &format!("{anchor}\n    /// Name of the shared backend.\n    pub fn backend_name(&self) -> &'static str {{\n        self.backend.name()\n    }}\n"),
+    );
+    let line = grown[..grown.find("pub fn backend_name").expect("inserted")]
+        .lines()
+        .count() as u32;
+    std::fs::write(copy.join(path), grown).expect("write");
+
+    let (_, diags) = khameleon_analysis::scan_workspace(&copy).expect("scan");
+    // session.rs is also on the `untested-pub-fn` surface, so that rule
+    // fires on the same line.
+    let found: Vec<(String, u32)> = diags
+        .into_iter()
+        .filter(|d| d.rule == "unreferenced-pub")
+        .map(|d| (d.file, d.line))
+        .collect();
+    assert_eq!(found, vec![(path.to_string(), line)]);
+    let _ = std::fs::remove_dir_all(&copy);
 }

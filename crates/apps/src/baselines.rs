@@ -94,12 +94,6 @@ impl AccPrefetcher {
         }
     }
 
-    /// Overrides the outstanding-request cap.
-    pub fn with_max_outstanding(mut self, cap: usize) -> Self {
-        self.max_outstanding = cap;
-        self
-    }
-
     /// The configured accuracy.
     pub fn accuracy(&self) -> f64 {
         self.accuracy
@@ -210,12 +204,6 @@ mod tests {
             let got = p.prefetch_after(&t, i);
             assert_ne!(got[0], t.requests[i + 1].1);
         }
-    }
-
-    #[test]
-    fn outstanding_cap_override() {
-        let p = AccPrefetcher::new(1.0, 2, 10, 1).with_max_outstanding(7);
-        assert_eq!(p.max_outstanding(), Some(7));
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! A dense 100×100 mosaic of thumbnails; hovering over a thumbnail loads the
 //! corresponding 1.3–2 MB full-resolution image.  This module bundles the
 //! pieces Khameleon needs to serve it: the widget layout, the progressive
-//! image corpus (catalog + SSIM utility), the block-store backend, and the
-//! predictors used in the evaluation (Kalman, point, uniform, oracle).
+//! image corpus (catalog + SSIM utility), and the predictors used in the
+//! evaluation (Kalman, point, uniform, oracle).
 
 use std::sync::Arc;
 
-use khameleon_backend::blockstore::BlockStore;
 use khameleon_backend::image::{ImageCorpus, ImageCorpusConfig};
 use khameleon_core::block::ResponseCatalog;
 use khameleon_core::predictor::kalman::{GaussianLayoutDecoder, KalmanMousePredictor};
@@ -108,11 +107,6 @@ impl ImageExplorationApp {
         &self.corpus
     }
 
-    /// A pre-loaded block-store backend (the paper's file-system backend).
-    pub fn block_store(&self) -> BlockStore {
-        BlockStore::new(self.catalog())
-    }
-
     /// Builds the client-side predictor of the requested kind.  The oracle
     /// needs the trace that will be replayed.
     pub fn client_predictor(
@@ -156,8 +150,6 @@ mod tests {
         // Utility is concave (SSIM-like).
         let u = app.utility();
         assert!(u.step(0, 5) > 0.5);
-        let store = app.block_store();
-        assert_eq!(store.catalog().num_requests(), 100);
     }
 
     #[test]
@@ -206,7 +198,11 @@ mod tests {
         let state = client.state(Time::from_millis(400));
         let summary = server.decode(&state, Time::from_millis(400));
         let d = summary.at(khameleon_core::types::Duration::from_millis(50));
-        assert_eq!(d.argmax(), Some(RequestId(55)));
+        let top = d
+            .explicit_entries()
+            .iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        assert_eq!(top.map(|e| e.0), Some(RequestId(55)));
     }
 
     #[test]
@@ -221,10 +217,9 @@ mod tests {
         match p.state(Time::from_millis(90)) {
             PredictorState::Summary(s) => {
                 assert!(
-                    s.prob_at(
-                        RequestId(9),
-                        khameleon_core::types::Duration::from_millis(50)
-                    ) > 0.99
+                    s.at(khameleon_core::types::Duration::from_millis(50))
+                        .prob(RequestId(9))
+                        > 0.99
                 );
             }
             other => panic!("unexpected state {other:?}"),

@@ -61,12 +61,6 @@ impl GridLayout {
         self.rows as f64 * self.cell_height
     }
 
-    /// Center of the widget for `request`.
-    pub fn center(&self, request: RequestId) -> (f64, f64) {
-        let (x0, y0, x1, y1) = self.bounds(request);
-        ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    }
-
     /// The `(row, col)` of `request`.
     pub fn cell(&self, request: RequestId) -> (usize, usize) {
         let i = request.index();
@@ -154,12 +148,6 @@ impl ChartRowLayout {
     pub fn charts(&self) -> usize {
         self.charts
     }
-
-    /// Center of chart `i`.
-    pub fn center(&self, i: usize) -> (f64, f64) {
-        let (x0, y0, x1, y1) = self.bounds(RequestId::from(i));
-        ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    }
 }
 
 impl RequestLayout for ChartRowLayout {
@@ -209,8 +197,6 @@ mod tests {
         assert_eq!(g.cell(r), (2, 3));
         let (x0, y0, x1, y1) = g.bounds(r);
         assert_eq!((x0, y0, x1, y1), (30.0, 40.0, 40.0, 60.0));
-        let (cx, cy) = g.center(r);
-        assert_eq!((cx, cy), (35.0, 50.0));
         // Out of bounds.
         assert!(g.request_at(-1.0, 5.0).is_none());
         assert!(g.request_at(51.0, 5.0).is_none());
@@ -252,8 +238,7 @@ mod tests {
         assert_eq!(l.num_requests(), 6);
         assert_eq!(l.charts(), 6);
         // Center of chart 2.
-        let (cx, cy) = l.center(2);
-        assert_eq!(l.request_at(cx, cy), Some(RequestId(2)));
+        assert_eq!(l.request_at(790.0, 100.0), Some(RequestId(2)));
         // In the gap between charts 0 and 1: no request.
         assert_eq!(l.request_at(310.0, 100.0), None);
         // Outside vertically.

@@ -74,16 +74,6 @@ impl InteractionTrace {
         }
     }
 
-    /// Average request rate (requests per second).
-    pub fn request_rate(&self) -> f64 {
-        let d = self.duration().as_secs_f64();
-        if d <= 0.0 {
-            0.0
-        } else {
-            self.num_requests() as f64 / d
-        }
-    }
-
     /// Retimes the trace so every inter-request gap equals `think_time`
     /// (Figure 9's synthetic think-time sweep).  Mouse samples within each
     /// original gap are linearly re-timed into the new gap so predictors
@@ -455,7 +445,6 @@ mod tests {
         };
         assert_eq!(t.duration(), Duration::ZERO);
         assert_eq!(t.mean_think_time(), Duration::ZERO);
-        assert_eq!(t.request_rate(), 0.0);
         assert!(t.think_times_ms().is_empty());
         let r = t.with_think_time(Duration::from_millis(50));
         assert_eq!(r.num_requests(), 0);

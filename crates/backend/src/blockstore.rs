@@ -60,20 +60,10 @@ impl BlockStore {
         }
     }
 
-    /// Registers an explicit payload for `block`.
-    pub fn insert_payload(&mut self, block: BlockRef, payload: Vec<u8>) {
-        self.payloads.insert(block, payload);
-    }
-
     /// Emulates a store with a bounded concurrency (§5.4).
     pub fn with_concurrency_limit(mut self, limit: usize) -> Self {
         self.concurrency_limit = Some(limit);
         self
-    }
-
-    /// Number of stored explicit payloads.
-    pub fn payload_count(&self) -> usize {
-        self.payloads.len()
     }
 
     /// Number of fetches served.
@@ -135,7 +125,6 @@ mod tests {
     fn synthetic_payloads_match_natural_sizes() {
         let catalog = Arc::new(ResponseCatalog::uniform(3, 2, 64));
         let mut s = BlockStore::with_synthetic_payloads(catalog);
-        assert_eq!(s.payload_count(), 6);
         let b = s.fetch(BlockRef::new(RequestId(1), 0)).unwrap();
         let payload = b.payload.unwrap();
         assert_eq!(payload.len(), 64);
@@ -146,12 +135,12 @@ mod tests {
     #[test]
     fn explicit_payload_and_limit() {
         let catalog = Arc::new(ResponseCatalog::uniform(2, 1, 10));
-        let mut s = BlockStore::new(catalog).with_concurrency_limit(5);
-        s.insert_payload(BlockRef::new(RequestId(0), 0), vec![7; 10]);
+        let mut s = BlockStore::with_synthetic_payloads(catalog).with_concurrency_limit(5);
         assert_eq!(s.concurrency_limit(), Some(5));
-        let b = s.fetch(BlockRef::new(RequestId(0), 0)).unwrap();
-        assert_eq!(b.payload.unwrap(), vec![7; 10]);
-        assert!(s
+        let b = s.fetch(BlockRef::new(RequestId(1), 0)).unwrap();
+        assert_eq!(b.payload.unwrap(), vec![1; 10]);
+        let mut bare = BlockStore::new(s.catalog().clone()).with_concurrency_limit(5);
+        assert!(bare
             .fetch(BlockRef::new(RequestId(1), 0))
             .unwrap()
             .payload

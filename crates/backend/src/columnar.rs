@@ -3,11 +3,11 @@
 //! The Falcon experiments (§6.4) issue filtered aggregation queries ("data
 //! cube slices") against a PostgreSQL database holding the flights dataset.
 //! This module provides the columnar substrate those queries run on in this
-//! reproduction: typed columns, a table abstraction, range predicates, and
-//! filtered histogram (group-by-bin count) evaluation.  It is deliberately
-//! small — enough to execute every query shape Falcon generates — but it is a
-//! real scan-based engine, not a mock: filters and aggregations touch every
-//! row.
+//! reproduction: typed columns, a table abstraction and range predicates;
+//! [`crate::cube`] evaluates the filtered group-by-bin counts over them.  It
+//! is deliberately small — enough to execute every query shape Falcon
+//! generates — but it is a real scan-based engine, not a mock: filters and
+//! aggregations touch every row.
 
 use std::collections::HashMap;
 
@@ -128,16 +128,6 @@ impl Table {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Column names (unsorted).
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.keys().map(String::as_str).collect()
-    }
-
     /// Looks up a column by name.
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.get(name)
@@ -169,13 +159,15 @@ impl Table {
     pub fn count(&self, filters: &[(String, RangeFilter)]) -> u64 {
         self.filter_mask(filters).iter().filter(|&&m| m).count() as u64
     }
+}
 
+/// The one-dimensional filtered histogram the engine's and the flights
+/// generator's tests read distributions through.
+#[cfg(test)]
+impl Table {
     /// Computes a filtered histogram of `dim`: `bins` equal-width buckets over
     /// `[lo, hi)`, counting rows that satisfy `filters`.
-    ///
-    /// This is the "data cube slice" primitive Falcon issues when the user
-    /// interacts with one chart and all other charts must update (§2, §6.4).
-    pub fn histogram(
+    pub(crate) fn histogram(
         &self,
         dim: &str,
         lo: f64,
@@ -203,23 +195,6 @@ impl Table {
             counts[b] += 1;
         }
         counts
-    }
-
-    /// Cumulative (prefix-sum) histogram — Falcon's charts render cumulative
-    /// counts so that range-selection deltas are O(1) on the client.
-    pub fn cumulative_histogram(
-        &self,
-        dim: &str,
-        lo: f64,
-        hi: f64,
-        bins: usize,
-        filters: &[(String, RangeFilter)],
-    ) -> Vec<u64> {
-        let mut h = self.histogram(dim, lo, hi, bins, filters);
-        for i in 1..h.len() {
-            h[i] += h[i - 1];
-        }
-        h
     }
 }
 
@@ -270,13 +245,9 @@ mod tests {
     fn table_basic_metadata() {
         let t = table();
         assert_eq!(t.num_rows(), 10);
-        assert_eq!(t.num_columns(), 2);
         assert!(t.column("x").is_some());
         assert!(t.column("z").is_none());
         assert_eq!(t.byte_size(), 160);
-        let mut names = t.column_names();
-        names.sort_unstable();
-        assert_eq!(names, vec!["x", "y"]);
     }
 
     #[test]
@@ -319,13 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_histogram_is_prefix_sum() {
-        let t = table();
-        let c = t.cumulative_histogram("x", 0.0, 10.0, 5, &[]);
-        assert_eq!(c, vec![2, 4, 6, 8, 10]);
-    }
-
-    #[test]
     #[should_panic(expected = "unknown filter column")]
     fn unknown_filter_column_panics() {
         table().count(&[("nope".to_string(), RangeFilter::all())]);
@@ -336,21 +300,13 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Histogram counts never exceed the filtered row count and the
-            /// cumulative histogram is monotone.
+            /// Histogram counts add up to the row count.
             #[test]
             fn histogram_invariants(values in proptest::collection::vec(0.0f64..100.0, 1..200), bins in 1usize..20) {
                 let mut t = Table::new();
                 t.add_column("v", Column::Float(values.clone()));
                 let h = t.histogram("v", 0.0, 100.0, bins, &[]);
                 prop_assert_eq!(h.iter().sum::<u64>() as usize, values.len());
-                let c = t.cumulative_histogram("v", 0.0, 100.0, bins, &[]);
-                let mut prev = 0;
-                for &x in &c {
-                    prop_assert!(x >= prev);
-                    prev = x;
-                }
-                prop_assert_eq!(*c.last().unwrap() as usize, values.len());
             }
         }
     }

@@ -35,11 +35,6 @@ impl CubeSliceQuery {
         self.active_bins * self.target_bins
     }
 
-    /// Result payload size in bytes (8-byte counts).
-    pub fn result_bytes(&self) -> u64 {
-        (self.result_cells() * 8) as u64
-    }
-
     /// Executes the slice against `table` with a single scan.
     pub fn execute(&self, table: &Table) -> CubeSlice {
         let active = table
@@ -239,7 +234,6 @@ mod tests {
         assert!(group[1].filters.is_empty());
         assert_eq!(group[0].filters.len(), 1);
         assert_eq!(group[0].result_cells(), 16);
-        assert_eq!(group[0].result_bytes(), 128);
     }
 
     #[test]

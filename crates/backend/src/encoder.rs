@@ -52,6 +52,7 @@ impl RoundRobinEncoder {
 
     /// Decodes a prefix of blocks into a sparse reconstruction: `Some(v)`
     /// where the value is known, `None` where it is not yet available.
+    // lint:allow(unreferenced-pub) -- tests/falcon_stack.rs decodes a slice's block prefix with it
     pub fn decode_prefix(&self, blocks: &[EncodedBlock]) -> Vec<Option<u64>> {
         let total = blocks.first().map(|b| b.total_len).unwrap_or(0);
         let mut out = vec![None; total];
@@ -61,21 +62,6 @@ impl RoundRobinEncoder {
                     out[i as usize] = Some(v);
                 }
             }
-        }
-        out
-    }
-
-    /// Decodes a prefix and fills the gaps by nearest-known-value
-    /// interpolation — how a chart renders a partially transferred histogram.
-    pub fn decode_prefix_interpolated(&self, blocks: &[EncodedBlock]) -> Vec<u64> {
-        let sparse = self.decode_prefix(blocks);
-        let mut out = vec![0u64; sparse.len()];
-        let mut last_known: Option<u64> = None;
-        for (i, v) in sparse.iter().enumerate() {
-            if let Some(x) = v {
-                last_known = Some(*x);
-            }
-            out[i] = last_known.unwrap_or(0);
         }
         out
     }
@@ -150,16 +136,16 @@ impl ByteRangeEncoder {
             .map(<[u8]>::to_vec)
             .collect()
     }
-
-    /// Reassembles a prefix of blocks into the payload prefix.
-    pub fn decode_prefix(&self, blocks: &[Vec<u8>]) -> Vec<u8> {
-        blocks.iter().flatten().copied().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reassembles a prefix of byte-range blocks into the payload prefix.
+    fn reassemble(blocks: &[Vec<u8>]) -> Vec<u8> {
+        blocks.iter().flatten().copied().collect()
+    }
 
     #[test]
     fn round_robin_roundtrip() {
@@ -193,19 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn interpolated_decode_fills_gaps() {
-        let enc = RoundRobinEncoder::new(2);
-        let values = vec![10u64, 20, 30, 40];
-        let blocks = enc.encode(&values);
-        // Only block 0 (indices 0 and 2): gaps filled with the previous known
-        // value.
-        let approx = enc.decode_prefix_interpolated(&blocks[..1]);
-        assert_eq!(approx, vec![10, 10, 30, 30]);
-        let exact = enc.decode_prefix_interpolated(&blocks);
-        assert_eq!(exact, values);
-    }
-
-    #[test]
     fn round_robin_layout_sizes() {
         let enc = RoundRobinEncoder::new(4);
         let layout = enc.layout(RequestId(3), 10);
@@ -226,8 +199,8 @@ mod tests {
         let blocks = enc.encode(&payload);
         assert_eq!(blocks.len(), 3);
         assert_eq!(blocks[2], vec![8, 9]);
-        assert_eq!(enc.decode_prefix(&blocks), payload);
-        assert_eq!(enc.decode_prefix(&blocks[..1]), vec![0, 1, 2, 3]);
+        assert_eq!(reassemble(&blocks), payload);
+        assert_eq!(reassemble(&blocks[..1]), vec![0, 1, 2, 3]);
         assert_eq!(enc.num_blocks(10), 3);
         assert_eq!(enc.num_blocks(0), 1);
         let layout = enc.layout(RequestId(1), 10);
@@ -259,7 +232,7 @@ mod tests {
             fn byte_range_lossless(payload in proptest::collection::vec(any::<u8>(), 0..500), block in 1u64..64) {
                 let enc = ByteRangeEncoder::new(block);
                 let blocks = enc.encode(&payload);
-                prop_assert_eq!(enc.decode_prefix(&blocks), payload);
+                prop_assert_eq!(reassemble(&blocks), payload);
             }
         }
     }

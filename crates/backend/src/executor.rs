@@ -7,7 +7,7 @@
 //!   modeled by [`CostModel::scalable`];
 //! * **limited backends** (PostgreSQL) that serve up to ~15 concurrent queries
 //!   before per-query latency degrades sharply — modeled by
-//!   [`CostModel::concurrency_limited`].
+//!   [`CostModel::postgres_like`].
 //!
 //! [`QueryExecutor`] ties a cost model to a real [`Table`] so experiments both
 //! compute correct results and account for realistic latency under the
@@ -61,18 +61,6 @@ impl CostModel {
         }
     }
 
-    /// A key-value / file-system style model: sub-millisecond lookups, no
-    /// concurrency limit (§3.3's pre-loaded file system backend).
-    pub fn key_value() -> Self {
-        CostModel {
-            base_latency: Duration::from_micros(200),
-            latency_per_mrow: Duration::ZERO,
-            concurrency_limit: None,
-            overload_penalty: 0.0,
-            name: "kv-store".to_string(),
-        }
-    }
-
     /// Latency of one query that scans `rows` rows while `concurrent` queries
     /// (including this one) are in flight.
     pub fn latency(&self, rows: usize, concurrent: usize) -> Duration {
@@ -84,15 +72,6 @@ impl CostModel {
                 Duration::from_secs_f64(base.as_secs_f64() * (1.0 + self.overload_penalty * excess))
             }
             _ => base,
-        }
-    }
-
-    /// Whether issuing one more query at `concurrent` in-flight queries would
-    /// push the backend into its degraded regime.
-    pub fn would_overload(&self, concurrent: usize) -> bool {
-        match self.concurrency_limit {
-            Some(limit) => concurrent + 1 > limit,
-            None => false,
         }
     }
 }
@@ -158,9 +137,7 @@ mod tests {
         );
         // Within the limit there is no penalty; beyond it latency grows.
         assert_eq!(m.latency(1_000_000, 15), small);
-        assert!(m.latency(1_000_000, 30) > small.mul(2));
-        assert!(m.would_overload(15));
-        assert!(!m.would_overload(10));
+        assert!(m.latency(1_000_000, 30) > small + small);
     }
 
     #[test]
@@ -168,9 +145,6 @@ mod tests {
         let m = CostModel::scalable(Duration::from_millis(120));
         assert_eq!(m.latency(7_000_000, 1), Duration::from_millis(120));
         assert_eq!(m.latency(7_000_000, 500), Duration::from_millis(120));
-        assert!(!m.would_overload(1_000));
-        let kv = CostModel::key_value();
-        assert!(kv.latency(1, 100).as_millis_f64() < 1.0);
     }
 
     #[test]
@@ -178,7 +152,7 @@ mod tests {
         let mut t = Table::new();
         t.add_column("a", Column::Float(vec![0.1, 0.6, 0.3, 0.9]));
         t.add_column("b", Column::Float(vec![0.2, 0.8, 0.4, 0.1]));
-        let mut ex = QueryExecutor::new(t, CostModel::key_value());
+        let mut ex = QueryExecutor::new(t, CostModel::scalable(Duration::from_micros(200)));
         let q = CubeSliceQuery {
             active_dim: "a".into(),
             target_dim: "b".into(),
@@ -192,7 +166,7 @@ mod tests {
         assert_eq!(slice.total(), 3);
         assert!(latency.as_micros() > 0);
         assert_eq!(ex.executed(), 1);
-        assert_eq!(ex.cost_model().name, "kv-store");
+        assert_eq!(ex.cost_model().name, "scalable-sql");
         assert_eq!(ex.table().num_rows(), 4);
     }
 }

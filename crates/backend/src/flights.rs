@@ -103,17 +103,6 @@ pub fn generate_flights(rows: usize, seed: u64) -> Table {
     t
 }
 
-/// The paper's *Small* dataset: 1 M rows.  (Tests and examples use smaller
-/// row counts; the bench harness scales up.)
-pub fn small_flights(seed: u64) -> Table {
-    generate_flights(1_000_000, seed)
-}
-
-/// The paper's *Big* dataset: 7 M rows.
-pub fn big_flights(seed: u64) -> Table {
-    generate_flights(7_000_000, seed)
-}
-
 /// Samples a normal variable via the Box–Muller transform (keeps the crate's
 /// dependency surface to plain `rand`).
 fn sample_normal(rng: &mut StdRng, mean: f64, std: f64) -> f64 {
@@ -132,7 +121,6 @@ mod tests {
     fn generates_requested_rows_and_columns() {
         let t = generate_flights(10_000, 1);
         assert_eq!(t.num_rows(), 10_000);
-        assert_eq!(t.num_columns(), 6);
         for d in FLIGHT_DIMENSIONS {
             assert!(t.column(d).is_some(), "missing dimension {d}");
             let (lo, hi) = dimension_range(d);

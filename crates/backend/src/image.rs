@@ -50,7 +50,6 @@ impl Default for ImageCorpusConfig {
 #[derive(Debug, Clone)]
 pub struct ImageCorpus {
     cfg: ImageCorpusConfig,
-    sizes: Vec<Bytes>,
     catalog: Arc<ResponseCatalog>,
 }
 
@@ -61,19 +60,14 @@ impl ImageCorpus {
         assert!(cfg.max_bytes >= cfg.min_bytes, "size range inverted");
         assert!(cfg.blocks_per_image > 0, "images need at least one block");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let sizes: Vec<Bytes> = (0..cfg.num_images)
-            .map(|_| rng.gen_range(cfg.min_bytes..=cfg.max_bytes))
-            .collect();
-        let layouts = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                ResponseLayout::split_evenly(RequestId::from(i), s, cfg.blocks_per_image)
+        let layouts = (0..cfg.num_images)
+            .map(|i| {
+                let size = rng.gen_range(cfg.min_bytes..=cfg.max_bytes);
+                ResponseLayout::split_evenly(RequestId::from(i), size, cfg.blocks_per_image)
             })
             .collect();
         ImageCorpus {
             catalog: Arc::new(ResponseCatalog::new(layouts)),
-            sizes,
             cfg,
         }
     }
@@ -106,16 +100,6 @@ impl ImageCorpus {
         self.cfg.num_images
     }
 
-    /// Full-resolution size of image `i`.
-    pub fn image_bytes(&self, i: usize) -> Bytes {
-        self.sizes[i]
-    }
-
-    /// Mean full-resolution image size.
-    pub fn mean_image_bytes(&self) -> f64 {
-        self.sizes.iter().sum::<u64>() as f64 / self.sizes.len() as f64
-    }
-
     /// The response catalog (block layouts) for the corpus.
     pub fn catalog(&self) -> Arc<ResponseCatalog> {
         self.catalog.clone()
@@ -131,15 +115,20 @@ impl ImageCorpus {
 mod tests {
     use super::*;
 
+    /// Full-resolution size of image `i`.
+    fn image_bytes(c: &ImageCorpus, i: usize) -> Bytes {
+        c.catalog().layout(RequestId::from(i)).total_size()
+    }
+
     #[test]
     fn corpus_sizes_in_range() {
         let c = ImageCorpus::small(200, 1);
         assert_eq!(c.num_images(), 200);
         for i in 0..200 {
-            let s = c.image_bytes(i);
+            let s = image_bytes(&c, i);
             assert!((1_300_000..=2_000_000).contains(&s), "image {i} size {s}");
         }
-        let mean = c.mean_image_bytes();
+        let mean = (0..200).map(|i| image_bytes(&c, i)).sum::<u64>() as f64 / 200.0;
         assert!(mean > 1_400_000.0 && mean < 1_900_000.0);
     }
 
@@ -148,10 +137,9 @@ mod tests {
         let c = ImageCorpus::small(10, 2);
         let catalog = c.catalog();
         assert_eq!(catalog.num_requests(), 10);
-        for i in 0..10 {
+        for i in 0..10usize {
             let layout = catalog.layout(RequestId::from(i));
             assert_eq!(layout.num_blocks(), c.config().blocks_per_image);
-            assert_eq!(layout.total_size(), c.image_bytes(i));
         }
     }
 
@@ -172,8 +160,8 @@ mod tests {
         let a = ImageCorpus::small(50, 9);
         let b = ImageCorpus::small(50, 9);
         let c = ImageCorpus::small(50, 10);
-        assert_eq!(a.image_bytes(25), b.image_bytes(25));
-        assert_ne!(a.image_bytes(25), c.image_bytes(25));
+        assert_eq!(image_bytes(&a, 25), image_bytes(&b, 25));
+        assert_ne!(image_bytes(&a, 25), image_bytes(&c, 25));
     }
 
     #[test]

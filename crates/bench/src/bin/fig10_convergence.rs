@@ -42,7 +42,8 @@ fn main() {
             },
             SystemKind::Baseline,
         ] {
-            for (elapsed, utility) in run_baseline_convergence(&app, system, &trace, &cfg) {
+            for (elapsed, utility) in run_baseline_convergence(&app, system, &trace, &cfg, observe)
+            {
                 rows.push(format!(
                     "{level},{},{:.1},{:.4}",
                     system.label(),

@@ -95,17 +95,6 @@ impl Default for AuditConfig {
     }
 }
 
-impl AuditConfig {
-    /// Check on every block and every update — what the regression tests use.
-    pub fn every_event() -> Self {
-        AuditConfig {
-            block_every: 1,
-            update_every: 1,
-            ..Self::default()
-        }
-    }
-}
-
 /// One localized invariant violation.
 #[derive(Debug, Clone)]
 pub struct AuditViolation {

@@ -96,21 +96,6 @@ impl BandwidthEstimator {
         self.report_rate(Bandwidth(total));
     }
 
-    /// Records a receive-rate report expressed as bytes received over a
-    /// duration.
-    pub fn report_bytes(&mut self, bytes: Bytes, over: Duration) {
-        let secs = over.as_secs_f64();
-        if secs <= 0.0 {
-            return;
-        }
-        self.report_rate(Bandwidth(bytes as f64 / secs));
-    }
-
-    /// Number of samples currently in the window.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Current bandwidth estimate: the harmonic mean of the window, bounded
     /// by the cap; the fallback (also capped) before any report arrives.
     pub fn estimate(&self) -> Bandwidth {
@@ -147,11 +132,16 @@ pub fn weighted_share(total: Bandwidth, weight: f64, weight_sum: f64) -> Bandwid
 mod tests {
     use super::*;
 
+    /// Number of samples currently in the window.
+    fn sample_count(e: &BandwidthEstimator) -> usize {
+        e.samples.len()
+    }
+
     #[test]
     fn fallback_before_reports() {
         let e = BandwidthEstimator::new(Bandwidth::from_mbps(5.0));
         assert!((e.estimate().as_mbps() - 5.0).abs() < 1e-9);
-        assert_eq!(e.sample_count(), 0);
+        assert_eq!(sample_count(&e), 0);
     }
 
     #[test]
@@ -172,7 +162,7 @@ mod tests {
         e.report_rate(Bandwidth::from_mbps(4.0));
         // The 100 MB/s sample has been evicted.
         assert!((e.estimate().as_mbps() - 4.0).abs() < 1e-9);
-        assert_eq!(e.sample_count(), 2);
+        assert_eq!(sample_count(&e), 2);
     }
 
     #[test]
@@ -192,8 +182,7 @@ mod tests {
         let mut e = BandwidthEstimator::new(Bandwidth::from_mbps(5.0));
         e.report_rate(Bandwidth(0.0));
         e.report_rate(Bandwidth(-3.0));
-        e.report_bytes(1000, Duration::ZERO);
-        assert_eq!(e.sample_count(), 0);
+        assert_eq!(sample_count(&e), 0);
     }
 
     #[test]
@@ -202,7 +191,7 @@ mod tests {
         let mut shared = BandwidthEstimator::new(Bandwidth(1.0));
         shared.fold_report(estimates, 2, Bandwidth(700.0));
         assert!((shared.estimate().bytes_per_sec() - (100.0 + 700.0 + 50.0)).abs() < 1e-9);
-        assert_eq!(shared.sample_count(), 1);
+        assert_eq!(sample_count(&shared), 1);
         // One member: the shared estimator sees the raw report stream, so it
         // is the per-client estimator.
         let mut alone = BandwidthEstimator::new(Bandwidth(1.0));
@@ -215,11 +204,11 @@ mod tests {
             );
             client.report_rate(Bandwidth(raw));
             assert_eq!(alone.estimate().0.to_bits(), client.estimate().0.to_bits());
-            assert_eq!(alone.sample_count(), client.sample_count());
+            assert_eq!(sample_count(&alone), sample_count(&client));
         }
         // A report the estimator ignores adds no sample for anyone.
         shared.fold_report(estimates, 1, Bandwidth(0.0));
-        assert_eq!(shared.sample_count(), 1);
+        assert_eq!(sample_count(&shared), 1);
     }
 
     #[test]
@@ -227,13 +216,6 @@ mod tests {
         let total = Bandwidth::from_mbps(12.0);
         assert_eq!(weighted_share(total, 1.0, 4.0), Bandwidth::from_mbps(3.0));
         assert_eq!(weighted_share(total, 2.5, 2.5), total);
-    }
-
-    #[test]
-    fn report_bytes_converts() {
-        let mut e = BandwidthEstimator::new(Bandwidth::from_mbps(5.0));
-        e.report_bytes(1_000_000, Duration::from_millis(500));
-        assert!((e.estimate().as_mbps() - 2.0).abs() < 1e-9);
     }
 
     #[test]

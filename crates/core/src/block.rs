@@ -145,12 +145,6 @@ impl ResponseLayout {
         self.block_sizes.iter().sum()
     }
 
-    /// Total padded size (what actually traverses the network / occupies the
-    /// cache if the whole response is pushed).
-    pub fn total_padded_size(&self) -> Bytes {
-        self.padded_size * self.num_blocks() as u64
-    }
-
     /// Metadata for block `index`, or `None` if out of range.
     pub fn block_meta(&self, index: u32) -> Option<BlockMeta> {
         if (index as usize) < self.block_sizes.len() {
@@ -268,7 +262,6 @@ mod tests {
         assert_eq!(l.num_blocks(), 10);
         assert_eq!(l.padded_block_size(), 4096);
         assert_eq!(l.total_size(), 40_960);
-        assert_eq!(l.total_padded_size(), 40_960);
         assert_eq!(l.prefix_fraction(5), 0.5);
         assert_eq!(l.prefix_fraction(20), 1.0);
     }
@@ -288,7 +281,6 @@ mod tests {
         let l = ResponseLayout::from_sizes(RequestId(1), vec![100, 300, 200]);
         assert_eq!(l.padded_block_size(), 300);
         assert_eq!(l.total_size(), 600);
-        assert_eq!(l.total_padded_size(), 900);
         let m = l.block_meta(1).unwrap();
         assert_eq!(m.size, 300);
         assert_eq!(m.total_blocks, 3);

@@ -179,15 +179,6 @@ impl RingCache {
         }
     }
 
-    /// Number of blocks currently cached for `request` (resident, possibly
-    /// non-contiguous).
-    pub fn cached_blocks(&self, request: RequestId) -> u32 {
-        self.per_request
-            .get(&request)
-            .map(|e| e.indices.len() as u32)
-            .unwrap_or(0)
-    }
-
     /// Length of the contiguous prefix of blocks (starting at block 0)
     /// currently cached for `request`.  This is the quantity that determines
     /// renderable quality for progressive encodings.
@@ -209,7 +200,7 @@ impl RingCache {
         self.per_request.keys().copied()
     }
 
-    /// `(request, cached_blocks)` for every request with a cached block, in
+    /// `(request, resident blocks)` for every request with a cached block, in
     /// hash order.
     pub fn resident_counts(&self) -> impl Iterator<Item = (RequestId, u32)> + '_ {
         self.per_request
@@ -369,11 +360,6 @@ impl LruCache {
         self.entries.contains_key(&request)
     }
 
-    /// Number of blocks cached for `request` (0 when absent).
-    pub fn cached_blocks(&self, request: RequestId) -> u32 {
-        self.entries.get(&request).map(|e| e.blocks).unwrap_or(0)
-    }
-
     /// Fraction of the response cached for `request` (0 when absent).
     pub fn prefix_fraction(&self, request: RequestId) -> f64 {
         match self.entries.get(&request) {
@@ -398,6 +384,14 @@ mod tests {
         BlockRef::new(RequestId(req), idx)
     }
 
+    /// Number of blocks currently cached for `request` (resident, possibly
+    /// non-contiguous).
+    fn cached_blocks(c: &RingCache, request: RequestId) -> u32 {
+        c.per_request
+            .get(&request)
+            .map_or(0, |e| e.indices.len() as u32)
+    }
+
     #[test]
     fn ring_inserts_wrap_and_evict() {
         let mut c = RingCache::new(3);
@@ -420,7 +414,7 @@ mod tests {
         let mut c = RingCache::new(10);
         c.insert(blk(5, 0));
         c.insert(blk(5, 2));
-        assert_eq!(c.cached_blocks(RequestId(5)), 2);
+        assert_eq!(cached_blocks(&c, RequestId(5)), 2);
         // Block 1 missing: prefix stops after block 0.
         assert_eq!(c.prefix_len(RequestId(5)), 1);
         c.insert(blk(5, 1));
@@ -435,7 +429,7 @@ mod tests {
         assert_eq!(c.prefix_len(RequestId(1)), 2);
         // Overwrites slot 0 (block 0 of request 1): prefix collapses to 0.
         c.insert(blk(2, 0));
-        assert_eq!(c.cached_blocks(RequestId(1)), 1);
+        assert_eq!(cached_blocks(&c, RequestId(1)), 1);
         assert_eq!(c.prefix_len(RequestId(1)), 0);
     }
 
@@ -445,7 +439,7 @@ mod tests {
         c.insert(blk(0, 0));
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.cached_blocks(RequestId(0)), 0);
+        assert_eq!(cached_blocks(&c, RequestId(0)), 0);
         assert_eq!(c.iter().count(), 0);
     }
 
@@ -478,7 +472,6 @@ mod tests {
         c.insert(RequestId(0), 1, 1, 5_000);
         assert!(c.is_empty());
         c.insert(RequestId(1), 2, 4, 600);
-        assert_eq!(c.cached_blocks(RequestId(1)), 2);
         assert!((c.prefix_fraction(RequestId(1)) - 0.5).abs() < 1e-12);
         // Replacing the same request updates bytes rather than double counting.
         c.insert(RequestId(1), 4, 4, 800);
@@ -598,7 +591,7 @@ mod tests {
                     for r in (0..16).map(RequestId) {
                         let set = oracle.resident.get(&r);
                         prop_assert_eq!(c.contains(r), set.is_some());
-                        prop_assert_eq!(c.cached_blocks(r), set.map_or(0, |s| s.len() as u32));
+                        prop_assert_eq!(cached_blocks(&c, r), set.map_or(0, |s| s.len() as u32));
                         prop_assert_eq!(c.prefix_len(r), oracle.prefix_len(r));
                     }
                     let mut counts: Vec<(RequestId, u32)> = c.resident_counts().collect();
@@ -627,7 +620,7 @@ mod tests {
                     // the same block occupy a slot but count once).
                     let total: u32 = requests_seen
                         .iter()
-                        .map(|&r| c.cached_blocks(RequestId(r)))
+                        .map(|&r| cached_blocks(&c, RequestId(r)))
                         .sum();
                     prop_assert!(total as usize <= c.len());
                     prop_assert!(total >= 1);

@@ -66,9 +66,6 @@ pub struct CacheManager {
     utility: UtilityModel,
     pending: Vec<Pending>,
     next_ts: u64,
-    /// The most recently *answered* request; later blocks for it improve the
-    /// rendered quality (tracked for convergence experiments).
-    active: Option<RequestId>,
     /// Blocks that have contributed to an upcall (for overpush accounting).
     used_blocks: HashSet<BlockRef>,
     metrics: MetricsCollector,
@@ -83,7 +80,6 @@ impl CacheManager {
             utility,
             pending: Vec::new(),
             next_ts: 0,
-            active: None,
             used_blocks: HashSet::new(),
             metrics: MetricsCollector::new(),
         }
@@ -166,7 +162,6 @@ impl CacheManager {
 
         let blocks = self.cache.prefix_len(pending.request);
         let utility = self.utility.step(pending.request.index(), blocks);
-        self.active = Some(pending.request);
         self.mark_used(pending.request);
 
         let upcall = Upcall {
@@ -201,11 +196,6 @@ impl CacheManager {
         }
     }
 
-    /// The most recently answered request.
-    pub fn active_request(&self) -> Option<RequestId> {
-        self.active
-    }
-
     /// Current renderable utility of `request`, given the blocks cached right
     /// now (used by the convergence experiments, Figure 10).
     pub fn current_utility(&self, request: RequestId) -> f64 {
@@ -216,16 +206,6 @@ impl CacheManager {
     /// Current contiguous block prefix cached for `request`.
     pub fn current_blocks(&self, request: RequestId) -> u32 {
         self.cache.prefix_len(request)
-    }
-
-    /// Whether any data is cached for `request`.
-    pub fn has_data(&self, request: RequestId) -> bool {
-        self.cache.contains(request)
-    }
-
-    /// Number of requests still waiting for data.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Records that a prediction message was sent (uplink accounting).
@@ -274,6 +254,11 @@ mod tests {
         )
     }
 
+    /// Number of requests still waiting for data.
+    fn pending_count(m: &CacheManager) -> usize {
+        m.pending.len()
+    }
+
     fn meta(catalog: &ResponseCatalog, req: u32, idx: u32) -> BlockMeta {
         catalog.layout(RequestId(req)).block_meta(idx).unwrap()
     }
@@ -283,7 +268,7 @@ mod tests {
         let mut m = manager(4, 2, 8);
         let cat = m.catalog().clone();
         assert!(m.register(RequestId(1), Time::from_millis(0)).is_none());
-        assert_eq!(m.pending_count(), 1);
+        assert_eq!(pending_count(&m), 1);
         let ups = m.on_block(meta(&cat, 1, 0), Time::from_millis(30));
         assert_eq!(ups.len(), 1);
         let u = ups[0];
@@ -292,8 +277,7 @@ mod tests {
         assert!((u.utility - 0.5).abs() < 1e-12);
         assert!(!u.cache_hit);
         assert_eq!(u.latency(), Duration::from_millis(30));
-        assert_eq!(m.pending_count(), 0);
-        assert_eq!(m.active_request(), Some(RequestId(1)));
+        assert_eq!(pending_count(&m), 0);
     }
 
     #[test]
@@ -322,7 +306,7 @@ mod tests {
         let ups = m.on_block(meta(&cat, 2, 0), Time::from_millis(20));
         assert_eq!(ups.len(), 1);
         assert_eq!(ups[0].request, RequestId(2));
-        assert_eq!(m.pending_count(), 0);
+        assert_eq!(pending_count(&m), 0);
         let s = m.metrics().summary();
         assert_eq!(s.preempted, 2);
         assert_eq!(s.completed, 1);
@@ -345,7 +329,7 @@ mod tests {
         let ups = m.on_block(meta(&cat, 0, 0), Time::from_millis(8));
         assert_eq!(ups.len(), 1);
         assert_eq!(ups[0].request, RequestId(0));
-        assert_eq!(m.pending_count(), 1);
+        assert_eq!(pending_count(&m), 1);
         // Then request 1's data arrives and answers it.
         let ups = m.on_block(meta(&cat, 1, 0), Time::from_millis(9));
         assert_eq!(ups[0].request, RequestId(1));
@@ -387,7 +371,7 @@ mod tests {
         assert!(m.register(RequestId(3), Time::ZERO).is_none());
         m.finalize();
         assert_eq!(m.metrics().summary().preempted, 1);
-        assert_eq!(m.pending_count(), 0);
+        assert_eq!(pending_count(&m), 0);
     }
 
     #[test]

@@ -276,34 +276,6 @@ impl SparseDistribution {
         }
     }
 
-    /// Total probability mass (should be ≈ 1); exposed for tests and debug
-    /// assertions.
-    pub fn total_mass(&self) -> f64 {
-        self.explicit.iter().map(|&(_, p)| p).sum::<f64>() + self.residual
-    }
-
-    /// The most probable request, breaking ties toward lower ids.  Returns
-    /// `None` only when the distribution is fully uniform (no explicit entry
-    /// beats the residual).
-    pub fn argmax(&self) -> Option<RequestId> {
-        let per_resid = self.residual_per_request();
-        self.explicit
-            .iter()
-            .copied()
-            .filter(|&(_, p)| p > per_resid)
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(r, _)| r)
-    }
-
-    /// The `k` most probable requests in descending probability order
-    /// (explicit entries only; the uniform tail is never enumerated).
-    pub fn top_k(&self, k: usize) -> Vec<(RequestId, f64)> {
-        let mut v = self.explicit.clone();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v.truncate(k);
-        v
-    }
-
     /// Linear interpolation between two distributions over the same request
     /// space: `(1 - w) * self + w * other`.
     pub fn lerp(&self, other: &SparseDistribution, w: f64) -> SparseDistribution {
@@ -446,30 +418,6 @@ impl PredictionSummary {
         self.slices.last().expect("non-empty").dist.clone()
     }
 
-    /// Probability of `request` at offset `delta` (interpolated).
-    pub fn prob_at(&self, request: RequestId, delta: Duration) -> f64 {
-        // Fast path: interpolate the scalar probability directly instead of
-        // materializing a full distribution.
-        let first = &self.slices[0];
-        if delta <= first.delta {
-            return first.dist.prob(request);
-        }
-        for w in self.slices.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if delta <= b.delta {
-                let span = (b.delta.as_micros() - a.delta.as_micros()) as f64;
-                let frac = if span <= 0.0 {
-                    1.0
-                } else {
-                    (delta.as_micros() - a.delta.as_micros()) as f64 / span
-                };
-                return (1.0 - frac) * a.dist.prob(request) + frac * b.dist.prob(request);
-            }
-        }
-        // lint:allow(unwrap) -- Prediction slices are non-empty by construction (checked in the constructor)
-        self.slices.last().expect("non-empty").dist.prob(request)
-    }
-
     /// The distribution of slice `idx`, for the prediction-delta mirrors to
     /// patch in place ([`SparseDistribution::apply_patch`]); the request
     /// space of a slice never changes, so no summary invariant can break.
@@ -545,6 +493,28 @@ pub(crate) fn union_count(a: &[(RequestId, f64)], b: &[(RequestId, f64)]) -> usi
     union
 }
 
+/// Observers the predictor modules' tests read.
+#[cfg(test)]
+impl SparseDistribution {
+    /// Total probability mass (should be ≈ 1).
+    pub(crate) fn total_mass(&self) -> f64 {
+        self.explicit.iter().map(|&(_, p)| p).sum::<f64>() + self.residual
+    }
+
+    /// The most probable request, breaking ties toward lower ids.  Returns
+    /// `None` only when the distribution is fully uniform (no explicit entry
+    /// beats the residual).
+    pub(crate) fn argmax(&self) -> Option<RequestId> {
+        let per_resid = self.residual_per_request();
+        self.explicit
+            .iter()
+            .copied()
+            .filter(|&(_, p)| p > per_resid)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(r, _)| r)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,22 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_orders_by_probability() {
-        let d = SparseDistribution::from_weights(
-            10,
-            vec![
-                (RequestId(2), 0.1),
-                (RequestId(7), 0.5),
-                (RequestId(4), 0.4),
-            ],
-        );
-        let top = d.top_k(2);
-        assert_eq!(top[0].0, RequestId(7));
-        assert_eq!(top[1].0, RequestId(4));
-        assert_eq!(d.top_k(100).len(), 3);
-    }
-
-    #[test]
     fn lerp_blends_probabilities() {
         let a = SparseDistribution::point(4, RequestId(0));
         let b = SparseDistribution::point(4, RequestId(1));
@@ -647,22 +601,19 @@ mod tests {
         ];
         let s = PredictionSummary::new(n, slices, Time::ZERO);
         // Before the first slice: first distribution.
-        assert!((s.prob_at(RequestId(0), Duration::from_millis(10)) - 1.0).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(10)).prob(RequestId(0)) - 1.0).abs() < 1e-9);
         // Midway: blend.
-        let p = s.prob_at(RequestId(0), Duration::from_millis(100));
+        let p = s.at(Duration::from_millis(100)).prob(RequestId(0));
         assert!((p - 0.5).abs() < 1e-9);
         // Past the last slice: last distribution.
-        assert!((s.prob_at(RequestId(1), Duration::from_millis(400)) - 1.0).abs() < 1e-9);
-        // `at` agrees with `prob_at`.
-        let d = s.at(Duration::from_millis(100));
-        assert!((d.prob(RequestId(0)) - 0.5).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(400)).prob(RequestId(1)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn summary_defaults() {
         let u = PredictionSummary::uniform(100, Time::ZERO);
         assert_eq!(u.slices().len(), 4);
-        assert!((u.prob_at(RequestId(42), Duration::from_millis(75)) - 0.01).abs() < 1e-9);
+        assert!((u.at(Duration::from_millis(75)).prob(RequestId(42)) - 0.01).abs() < 1e-9);
         assert!(u.materialized_requests().is_empty());
 
         let p = PredictionSummary::point(100, RequestId(3), Time::ZERO);

@@ -260,8 +260,6 @@ pub struct Histogram {
     min: f64,
     max: f64,
     buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
     count: u64,
 }
 
@@ -274,24 +272,19 @@ impl Histogram {
             min,
             max,
             buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
             count: 0,
         }
     }
 
-    /// Records a value.
+    /// Records a value; one outside the range is counted but not bucketed.
     pub fn record(&mut self, v: f64) {
         self.count += 1;
-        if v < self.min {
-            self.underflow += 1;
-        } else if v >= self.max {
-            self.overflow += 1;
-        } else {
-            let width = (self.max - self.min) / self.buckets.len() as f64;
-            let idx = (((v - self.min) / width) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
+        if v < self.min || v >= self.max {
+            return;
         }
+        let width = (self.max - self.min) / self.buckets.len() as f64;
+        let idx = (((v - self.min) / width) as usize).min(self.buckets.len() - 1);
+        self.buckets[idx] += 1;
     }
 
     /// Total recorded values.
@@ -307,11 +300,6 @@ impl Histogram {
             .enumerate()
             .map(|(i, &c)| (self.min + i as f64 * width, c))
             .collect()
-    }
-
-    /// Values outside the range (below, above).
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
     }
 }
 
@@ -415,7 +403,8 @@ mod tests {
         assert_eq!(buckets.len(), 5);
         assert_eq!(buckets[0].1, 2); // 0.5, 1.5
         assert_eq!(buckets[4].1, 1); // 9.9
-        assert_eq!(h.out_of_range(), (1, 2));
+        let bucketed: u64 = buckets.iter().map(|b| b.1).sum();
+        assert_eq!(bucketed, 4, "-1.0, 10.0 and 100.0 are out of range");
     }
 
     mod property {

@@ -53,18 +53,6 @@ pub struct Gaussian2d {
 }
 
 impl Gaussian2d {
-    /// A Gaussian with equal variance `sigma^2` in both axes and no cross
-    /// covariance.
-    pub fn isotropic(mean: Point2d, sigma: f64) -> Self {
-        let var = (sigma * sigma).max(MIN_VARIANCE);
-        Gaussian2d {
-            mean,
-            var_x: var,
-            var_y: var,
-            cov_xy: 0.0,
-        }
-    }
-
     /// Creates a Gaussian from mean and full covariance entries; variances are
     /// floored at a small positive value so the density stays proper.
     pub fn new(mean: Point2d, var_x: f64, var_y: f64, cov_xy: f64) -> Self {
@@ -215,7 +203,7 @@ mod tests {
 
     #[test]
     fn rect_mass_centered() {
-        let g = Gaussian2d::isotropic(Point2d::new(0.0, 0.0), 1.0);
+        let g = Gaussian2d::new(Point2d::new(0.0, 0.0), 1.0, 1.0, 0.0);
         // ±3 sigma box captures essentially all the mass.
         let m = g.rect_mass(-3.0, -3.0, 3.0, 3.0);
         assert!(m > 0.99);
@@ -234,7 +222,7 @@ mod tests {
         let g = Gaussian2d::new(p, 0.0, -1.0, 0.0);
         assert!(g.var_x >= MIN_VARIANCE);
         assert!(g.var_y >= MIN_VARIANCE);
-        assert!(Gaussian2d::isotropic(p, 2.0).sigma_x() > 1.99);
+        assert!(Gaussian2d::new(p, 4.0, 4.0, 0.0).sigma_x() > 1.99);
     }
 
     #[test]
@@ -245,7 +233,7 @@ mod tests {
             height: 10.0,
         };
         // Cursor in the middle of widget 5 with small uncertainty.
-        let g = Gaussian2d::isotropic(Point2d::new(55.0, 5.0), 2.0);
+        let g = Gaussian2d::new(Point2d::new(55.0, 5.0), 4.0, 4.0, 0.0);
         let d = g.to_request_distribution(&layout, 3.0);
         let p5 = d.prob(RequestId(5));
         assert!(p5 > d.prob(RequestId(4)));
@@ -261,7 +249,7 @@ mod tests {
             width: 10.0,
             height: 10.0,
         };
-        let g = Gaussian2d::isotropic(Point2d::new(50.0, 5.0), 200.0);
+        let g = Gaussian2d::new(Point2d::new(50.0, 5.0), 40_000.0, 40_000.0, 0.0);
         let d = g.to_request_distribution(&layout, 3.0);
         // With huge uncertainty every widget gets little mass and the residual
         // (off-interface) mass dominates, spread uniformly.
@@ -295,7 +283,7 @@ mod tests {
                 sigma in 0.5f64..100.0
             ) {
                 let layout = StripLayout { n: 10, width: 10.0, height: 10.0 };
-                let g = Gaussian2d::isotropic(Point2d::new(mx, my), sigma);
+                let g = Gaussian2d::new(Point2d::new(mx, my), sigma * sigma, sigma * sigma, 0.0);
                 let d = g.to_request_distribution(&layout, 3.0);
                 prop_assert!((d.total_mass() - 1.0).abs() < 1e-6);
             }

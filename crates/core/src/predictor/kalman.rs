@@ -1,6 +1,6 @@
 //! Kalman-filter mouse predictor.
 //!
-//! The paper's experiments use a "naive Kalman Filter [77]" on the client to
+//! The paper's experiments use a "naive Kalman Filter \[77\]" on the client to
 //! estimate the cursor's future position (§4, §6.1): a constant-velocity
 //! model whose state is `[x, y, vx, vy]`, updated from mouse-move events, and
 //! propagated forward by Δ ∈ {50, 150, 250, 500} ms to produce one Gaussian
@@ -27,11 +27,6 @@ pub struct KalmanConfig {
     pub measurement_noise: f64,
     /// Future offsets to predict for.
     pub deltas: Vec<Duration>,
-    /// When propagating the state forward the velocity uncertainty grows with
-    /// the horizon; `uniform_beyond` marks the offset at (and after) which the
-    /// prediction falls back to uniform, matching the paper's use of a uniform
-    /// distribution for the 500 ms slice (§6.1).
-    pub uniform_beyond: Option<Duration>,
 }
 
 #[allow(clippy::derivable_impls)]
@@ -41,15 +36,7 @@ impl Default for KalmanConfig {
             process_noise: 4_000.0,
             measurement_noise: 4.0,
             deltas: PredictionSummary::default_deltas(),
-            uniform_beyond: Some(Duration::from_millis(500)),
         }
-    }
-}
-
-impl KalmanConfig {
-    /// Clones the configured deltas.
-    pub fn deltas(&self) -> Vec<Duration> {
-        self.deltas.clone()
     }
 }
 
@@ -144,19 +131,9 @@ impl KalmanMousePredictor {
         Self::new(KalmanConfig::default())
     }
 
-    /// Whether the filter has seen at least one mouse position.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// The filter's current position estimate.
     pub fn position(&self) -> Point2d {
         Point2d::new(self.axis[0].pos, self.axis[1].pos)
-    }
-
-    /// The filter's current velocity estimate (pixels per second).
-    pub fn velocity(&self) -> (f64, f64) {
-        (self.axis[0].vel, self.axis[1].vel)
     }
 
     fn ingest_position(&mut self, x: f64, y: f64, at: Time) {
@@ -226,33 +203,21 @@ impl ClientPredictor for KalmanMousePredictor {
 /// distributions by integrating over a static widget layout.
 pub struct GaussianLayoutDecoder {
     layout: Arc<dyn RequestLayout>,
-    /// How many standard deviations around the mean to materialize explicitly.
-    radius_sigmas: f64,
-    /// Offsets at (or beyond) which the prediction is replaced by uniform.
-    uniform_beyond: Option<Duration>,
 }
+
+/// How many standard deviations around the mean the decoder materializes
+/// explicitly.
+const RADIUS_SIGMAS: f64 = 3.0;
+
+/// The offset (500 ms) at and beyond which the decoder predicts uniform: the
+/// velocity uncertainty grows with the horizon, and the paper uses a uniform
+/// distribution for the 500 ms slice (§6.1).
+const UNIFORM_BEYOND: Duration = Duration(500_000);
 
 impl GaussianLayoutDecoder {
     /// Creates a decoder for `layout`.
     pub fn new(layout: Arc<dyn RequestLayout>) -> Self {
-        GaussianLayoutDecoder {
-            layout,
-            radius_sigmas: 3.0,
-            uniform_beyond: Some(Duration::from_millis(500)),
-        }
-    }
-
-    /// Overrides the materialization radius (in standard deviations).
-    pub fn with_radius_sigmas(mut self, r: f64) -> Self {
-        self.radius_sigmas = r;
-        self
-    }
-
-    /// Overrides (or disables) the offset beyond which predictions are
-    /// uniform.
-    pub fn with_uniform_beyond(mut self, d: Option<Duration>) -> Self {
-        self.uniform_beyond = d;
-        self
+        GaussianLayoutDecoder { layout }
     }
 }
 
@@ -264,11 +229,10 @@ impl ServerPredictor for GaussianLayoutDecoder {
                 let slices = gs
                     .iter()
                     .map(|&(delta, g)| {
-                        let uniform = self.uniform_beyond.map(|u| delta >= u).unwrap_or(false);
-                        let dist = if uniform {
+                        let dist = if delta >= UNIFORM_BEYOND {
                             SparseDistribution::uniform(n)
                         } else {
-                            g.to_request_distribution(self.layout.as_ref(), self.radius_sigmas)
+                            g.to_request_distribution(self.layout.as_ref(), RADIUS_SIGMAS)
                         };
                         HorizonSlice { delta, dist }
                     })
@@ -335,10 +299,10 @@ mod tests {
     #[test]
     fn filter_tracks_constant_velocity() {
         let mut p = KalmanMousePredictor::with_defaults();
-        assert!(!p.is_initialized());
+        assert!(!p.initialized);
         feed_linear_motion(&mut p, 50, 200.0); // 200 px/s to the right
-        assert!(p.is_initialized());
-        let (vx, vy) = p.velocity();
+        assert!(p.initialized);
+        let (vx, vy) = (p.axis[0].vel, p.axis[1].vel);
         assert!((vx - 200.0).abs() < 40.0, "vx = {vx}");
         assert!(vy.abs() < 20.0, "vy = {vy}");
     }
@@ -378,7 +342,7 @@ mod tests {
             request: RequestId(1),
             at: Time::ZERO,
         });
-        assert!(!p.is_initialized());
+        assert!(!p.initialized);
     }
 
     #[test]
@@ -406,18 +370,18 @@ mod tests {
 
     #[test]
     fn decoder_handles_all_state_variants() {
-        let mut dec = GaussianLayoutDecoder::new(Arc::new(StripLayout)).with_uniform_beyond(None);
+        let mut dec = GaussianLayoutDecoder::new(Arc::new(StripLayout));
         let s = dec.decode(&PredictorState::Empty, Time::ZERO);
-        assert!((s.prob_at(RequestId(3), Duration::from_millis(50)) - 0.1).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(50)).prob(RequestId(3)) - 0.1).abs() < 1e-9);
 
         let s = dec.decode(&PredictorState::LastRequest(RequestId(2)), Time::ZERO);
-        assert!((s.prob_at(RequestId(2), Duration::from_millis(50)) - 1.0).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(50)).prob(RequestId(2)) - 1.0).abs() < 1e-9);
 
         let s = dec.decode(
             &PredictorState::TopK(vec![(RequestId(1), 3.0), (RequestId(2), 1.0)]),
             Time::ZERO,
         );
-        assert!((s.prob_at(RequestId(1), Duration::from_millis(50)) - 0.75).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(50)).prob(RequestId(1)) - 0.75).abs() < 1e-9);
 
         let inner = PredictionSummary::point(10, RequestId(9), Time::ZERO);
         let s = dec.decode(&PredictorState::Summary(inner.clone()), Time::ZERO);

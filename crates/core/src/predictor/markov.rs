@@ -5,7 +5,7 @@
 //! This implementation keeps per-request transition counts with add-one
 //! smoothing and emits its prediction as a top-k state, matching the paper's
 //! example configuration where "the client may simply send ... a list of the
-//! top k most likely requests" while "the server component assum[es] that all
+//! top k most likely requests" while "the server component assum\[es\] that all
 //! non-top-k requests have probability ≈ 0%".
 
 use std::collections::HashMap;
@@ -37,16 +37,6 @@ impl MarkovPredictor {
             transitions: HashMap::new(),
             last: None,
             observed_transitions: 0,
-        }
-    }
-
-    /// Pre-trains the chain from a historical request sequence.
-    pub fn train(&mut self, sequence: &[RequestId]) {
-        for w in sequence.windows(2) {
-            self.record(w[0], w[1]);
-        }
-        if let Some(&last) = sequence.last() {
-            self.last = Some(last);
         }
     }
 
@@ -127,6 +117,13 @@ mod tests {
         }
     }
 
+    /// Observes a historical request sequence, 10 ms apart.
+    fn replay(m: &mut MarkovPredictor, history: &[u32]) {
+        for (i, &r) in history.iter().enumerate() {
+            m.observe(&req(r, i as u64 * 10));
+        }
+    }
+
     #[test]
     fn learns_dominant_transition() {
         let mut m = MarkovPredictor::new(10, 3);
@@ -164,13 +161,7 @@ mod tests {
     #[test]
     fn train_from_history() {
         let mut m = MarkovPredictor::new(6, 1);
-        m.train(&[
-            RequestId(0),
-            RequestId(1),
-            RequestId(2),
-            RequestId(1),
-            RequestId(2),
-        ]);
+        replay(&mut m, &[0, 1, 2, 1, 2]);
         assert_eq!(m.observed_transitions(), 4);
         let top = m.top_successors(RequestId(1));
         assert_eq!(top, vec![(RequestId(2), 1.0)]);
@@ -197,14 +188,7 @@ mod tests {
     #[test]
     fn top_k_truncates() {
         let mut m = MarkovPredictor::new(10, 2);
-        m.train(&[
-            RequestId(0),
-            RequestId(1),
-            RequestId(0),
-            RequestId(2),
-            RequestId(0),
-            RequestId(3),
-        ]);
+        replay(&mut m, &[0, 1, 0, 2, 0, 3]);
         assert_eq!(m.top_successors(RequestId(0)).len(), 2);
     }
 }

@@ -221,7 +221,7 @@ mod tests {
         assert!(PredictorState::LastRequest(RequestId(3)).wire_size_bytes() > 1);
         let g = PredictorState::MouseGaussians(vec![(
             Duration::from_millis(50),
-            Gaussian2d::isotropic(Point2d { x: 0.0, y: 0.0 }, 1.0),
+            Gaussian2d::new(Point2d { x: 0.0, y: 0.0 }, 1.0, 1.0, 0.0),
         )]);
         assert_eq!(g.wire_size_bytes(), 1 + 56);
         let k = PredictorState::TopK(vec![(RequestId(0), 0.5), (RequestId(1), 0.5)]);

@@ -9,13 +9,12 @@
 
 use crate::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use crate::predictor::{ClientPredictor, InteractionEvent, PredictorState};
-use crate::types::{Duration, RequestId, Time};
+use crate::types::{RequestId, Time};
 
 /// A predictor with perfect knowledge of the future request sequence.
 #[derive(Debug, Clone)]
 pub struct OraclePredictor {
     n: usize,
-    deltas: Vec<Duration>,
     /// `(time, request)` pairs sorted by time — the full future trace.
     schedule: Vec<(Time, RequestId)>,
 }
@@ -26,18 +25,7 @@ impl OraclePredictor {
     pub fn new(n: usize, mut schedule: Vec<(Time, RequestId)>) -> Self {
         assert!(n > 0, "request space must be non-empty");
         schedule.sort_by_key(|&(t, _)| t);
-        OraclePredictor {
-            n,
-            deltas: PredictionSummary::default_deltas(),
-            schedule,
-        }
-    }
-
-    /// Overrides the future offsets the oracle predicts for.
-    pub fn with_deltas(mut self, deltas: Vec<Duration>) -> Self {
-        assert!(!deltas.is_empty(), "need at least one prediction offset");
-        self.deltas = deltas;
-        self
+        OraclePredictor { n, schedule }
     }
 
     /// The request the trace will be interacting with at time `at`: the most
@@ -62,10 +50,9 @@ impl ClientPredictor for OraclePredictor {
     }
 
     fn state(&mut self, now: Time) -> PredictorState {
-        let slices: Vec<HorizonSlice> = self
-            .deltas
-            .iter()
-            .map(|&delta| {
+        let slices: Vec<HorizonSlice> = PredictionSummary::default_deltas()
+            .into_iter()
+            .map(|delta| {
                 let dist = match self.request_at(now + delta) {
                     Some(r) => SparseDistribution::point(self.n, r),
                     None => SparseDistribution::uniform(self.n),
@@ -84,6 +71,7 @@ impl ClientPredictor for OraclePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Duration;
 
     fn oracle() -> OraclePredictor {
         OraclePredictor::new(
@@ -120,18 +108,8 @@ mod tests {
         let PredictorState::Summary(s) = state else {
             panic!("oracle emits summaries");
         };
-        assert!((s.prob_at(RequestId(1), Duration::from_millis(50)) - 1.0).abs() < 1e-9);
-        assert!((s.prob_at(RequestId(2), Duration::from_millis(250)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn custom_deltas_respected() {
-        let mut o = oracle().with_deltas(vec![Duration::from_millis(10)]);
-        let PredictorState::Summary(s) = o.state(Time::from_millis(380)) else {
-            panic!("oracle emits summaries");
-        };
-        assert_eq!(s.slices().len(), 1);
-        assert!((s.prob_at(RequestId(2), Duration::from_millis(10)) - 1.0).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(50)).prob(RequestId(1)) - 1.0).abs() < 1e-9);
+        assert!((s.at(Duration::from_millis(250)).prob(RequestId(2)) - 1.0).abs() < 1e-9);
     }
 
     #[test]

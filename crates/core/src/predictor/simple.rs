@@ -39,11 +39,6 @@ impl PointPredictor {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The most recent request observed, if any.
-    pub fn last_request(&self) -> Option<RequestId> {
-        self.last
-    }
 }
 
 impl ClientPredictor for PointPredictor {
@@ -143,7 +138,7 @@ mod tests {
             request: RequestId(7),
             at: Time::from_millis(2),
         });
-        assert_eq!(p.last_request(), Some(RequestId(7)));
+        assert_eq!(p.last, Some(RequestId(7)));
         assert_eq!(
             p.state(Time::ZERO),
             PredictorState::LastRequest(RequestId(7))
@@ -156,16 +151,16 @@ mod tests {
         let d50 = Duration::from_millis(50);
 
         let uni = s.decode(&PredictorState::Empty, Time::ZERO);
-        assert!((uni.prob_at(RequestId(3), d50) - 0.05).abs() < 1e-9);
+        assert!((uni.at(d50).prob(RequestId(3)) - 0.05).abs() < 1e-9);
 
         let pt = s.decode(&PredictorState::LastRequest(RequestId(4)), Time::ZERO);
-        assert!((pt.prob_at(RequestId(4), d50) - 1.0).abs() < 1e-9);
+        assert!((pt.at(d50).prob(RequestId(4)) - 1.0).abs() < 1e-9);
 
         let topk = s.decode(
             &PredictorState::TopK(vec![(RequestId(0), 1.0), (RequestId(1), 1.0)]),
             Time::ZERO,
         );
-        assert!((topk.prob_at(RequestId(0), d50) - 0.5).abs() < 1e-9);
+        assert!((topk.at(d50).prob(RequestId(0)) - 0.5).abs() < 1e-9);
 
         let inner = PredictionSummary::point(20, RequestId(9), Time::ZERO);
         assert_eq!(
@@ -174,7 +169,7 @@ mod tests {
         );
 
         let opaque = s.decode(&PredictorState::Opaque(vec![1, 2, 3]), Time::ZERO);
-        assert!((opaque.prob_at(RequestId(0), d50) - 0.05).abs() < 1e-9);
+        assert!((opaque.at(d50).prob(RequestId(0)) - 0.05).abs() < 1e-9);
     }
 
     #[test]

@@ -613,15 +613,9 @@ impl GainSampler {
 
     /// Lifetime `(compactions, entries moved)` of the tombstone-compaction
     /// heuristic — the observable its amortized-O(1) bound is asserted on.
+    // lint:allow(unreferenced-pub) -- ROADMAP 10(d): the audit soak bounds tombstone compaction with it
     pub fn compaction_stats(&self) -> (u64, u64) {
         (self.compactions, self.compaction_moved)
-    }
-
-    /// Total explicit-layout slot capacity currently allocated (live +
-    /// tombstoned, buckets + irregular).  Bounded by the compaction
-    /// heuristic to O(live members).
-    pub fn explicit_capacity(&self) -> usize {
-        self.buckets.iter().map(|b| b.ids.len()).sum::<usize>() + self.irregular_ids.len()
     }
 
     /// Live (non-tombstoned) weight entries across every group — buckets,
@@ -916,6 +910,12 @@ impl Default for GainSampler {
 mod tests {
     use super::*;
 
+    /// Total explicit-layout slot capacity currently allocated (live +
+    /// tombstoned, buckets + irregular).
+    fn explicit_capacity(s: &GainSampler) -> usize {
+        s.buckets.iter().map(|b| b.ids.len()).sum::<usize>() + s.irregular_ids.len()
+    }
+
     fn naive_locate(weights: &[f64], x: f64) -> Option<usize> {
         let mut acc = 0.0;
         for (i, &w) in weights.iter().enumerate() {
@@ -1177,9 +1177,9 @@ mod tests {
                 "amortized bound violated at m={m}: {moved} entries moved over {ops} ops"
             );
             assert!(
-                s.explicit_capacity() <= 4 * m + 96,
+                explicit_capacity(&s) <= 4 * m + 96,
                 "slot capacity {} not bounded by live membership at m={m}",
-                s.explicit_capacity()
+                explicit_capacity(&s)
             );
             // Compaction preserved every live weight and the total mass.
             assert!((s.total() - 2.0 * m as f64).abs() < 1e-9 * m as f64);

@@ -91,21 +91,21 @@ pub fn limit_distinct_requests(
     out
 }
 
-/// Counts the number of distinct requests a schedule refers to.
-pub fn distinct_requests(schedule: &[BlockRef]) -> usize {
-    schedule
-        .iter()
-        .map(|b| b.request)
-        .collect::<HashSet<_>>()
-        .len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn b(r: u32, i: u32) -> BlockRef {
         BlockRef::new(RequestId(r), i)
+    }
+
+    /// Counts the number of distinct requests a schedule refers to.
+    fn distinct_requests(schedule: &[BlockRef]) -> usize {
+        schedule
+            .iter()
+            .map(|b| b.request)
+            .collect::<HashSet<_>>()
+            .len()
     }
 
     #[test]

@@ -136,9 +136,10 @@ fn fingerprint_uniform(n: usize, horizon: usize, slot_duration: Duration, gamma:
 /// some scheduler holds it, so a departing session's models are reclaimed
 /// without any explicit eviction protocol.
 ///
-/// One instance is shared by every session of a [`SessionManager`]
-/// (`crate::session::SessionManager`) and, under sharding, by every shard of
-/// a [`ShardedSessionManager`](crate::shard::ShardedSessionManager) — the
+/// One instance is shared by every session of a
+/// [`SessionManager`](crate::session::SessionManager) and, under sharding,
+/// by every shard of a
+/// [`ShardedSessionManager`](crate::shard::ShardedSessionManager) — the
 /// interior mutex makes cross-thread resolution safe, and the
 /// canonical-build-only rule (module docs) makes it *deterministic*.
 #[derive(Debug, Default)]

@@ -88,9 +88,9 @@
 //!   `t` (the sender drained its queue past the planner) is represented as
 //!   explicit empty slots in the slot-aligned schedule log, so a later
 //!   rollback below the gap pops exactly the right entries; per-update gap
-//!   creation is rate-limited ([`GreedySchedulerConfig::max_gap_fraction`])
-//!   so an adversarial sender repeatedly claiming positions near `C`
-//!   cannot force a schedule wrap per update.
+//!   creation is rate-limited to half the horizon (`MAX_GAP_FRACTION`) so
+//!   an adversarial sender repeatedly claiming positions near `C` cannot
+//!   force a schedule wrap per update.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -130,23 +130,21 @@ pub struct GreedySchedulerConfig {
     /// draw identical schedules under a fixed seed; only the per-block cost
     /// differs (see the module docs).
     pub sampler: SamplerVariant,
-    /// Cap on sender-ahead gap-slot creation per prediction update, as a
-    /// fraction of the schedule horizon.  A buggy or adversarial sender
-    /// repeatedly claiming positions near `C` would otherwise force a
-    /// schedule wrap per update; positions beyond the cap are clamped and
-    /// counted in [`GreedyScheduler::rejected_gap_slots`].
-    pub max_gap_fraction: f64,
     /// RNG seed for the proportional sampling, for reproducibility.
     pub seed: u64,
 }
 
-impl GreedySchedulerConfig {
-    /// Maximum sender-ahead gap slots one prediction update may create (at
-    /// least 1, at most the horizon).
-    pub fn max_gap_slots(&self) -> usize {
-        ((self.cache_blocks as f64 * self.max_gap_fraction).ceil() as usize)
-            .clamp(1, self.cache_blocks)
-    }
+/// Cap on sender-ahead gap-slot creation per prediction update, as a
+/// fraction of the schedule horizon.  A buggy or adversarial sender
+/// repeatedly claiming positions near `C` would otherwise force a schedule
+/// wrap per update; positions beyond the cap are clamped and counted in
+/// [`GreedyScheduler::rejected_gap_slots`].
+const MAX_GAP_FRACTION: f64 = 0.5;
+
+/// Maximum sender-ahead gap slots one prediction update may create over a
+/// horizon of `cache_blocks` (at least 1, at most the horizon).
+fn max_gap_slots(cache_blocks: usize) -> usize {
+    ((cache_blocks as f64 * MAX_GAP_FRACTION).ceil() as usize).clamp(1, cache_blocks)
 }
 
 impl Default for GreedySchedulerConfig {
@@ -157,7 +155,6 @@ impl Default for GreedySchedulerConfig {
             slot_duration: Duration::from_millis(1),
             use_meta_request: true,
             sampler: SamplerVariant::Lazy,
-            max_gap_fraction: 0.5,
             seed: 0x5eed,
         }
     }
@@ -284,7 +281,7 @@ pub struct GreedyScheduler {
     /// of the scheduler (for instrumentation).
     gap_slots: u64,
     /// Sender-ahead gap slots rejected by the per-update cap
-    /// ([`GreedySchedulerConfig::max_gap_fraction`]).
+    /// ([`MAX_GAP_FRACTION`]).
     gap_slots_rejected: u64,
     /// Attached runtime invariant auditor (`None` until
     /// [`GreedyScheduler::audit_attach`]); absent entirely without the
@@ -372,18 +369,6 @@ impl GreedyScheduler {
         s
     }
 
-    /// The shared catalog/utility context backing this scheduler.
-    pub fn context(&self) -> &Arc<GreedyContext> {
-        &self.ctx
-    }
-
-    /// The shared probability model (diagnostic: lets tests observe dedup
-    /// sharing and copy-on-write splits via [`Arc::ptr_eq`]).
-    #[doc(hidden)]
-    pub fn model_arc(&self) -> &Arc<HorizonModel> {
-        &self.model
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &GreedySchedulerConfig {
         &self.cfg
@@ -417,8 +402,8 @@ impl GreedyScheduler {
         self.gap_slots
     }
 
-    /// Sender-ahead gap slots *rejected* by the per-update creation cap
-    /// ([`GreedySchedulerConfig::max_gap_fraction`]): claimed positions the
+    /// Sender-ahead gap slots *rejected* by the per-update creation cap of
+    /// half the horizon (`MAX_GAP_FRACTION`): claimed positions the
     /// scheduler refused to materialize as empty slots.
     pub fn rejected_gap_slots(&self) -> u64 {
         self.gap_slots_rejected
@@ -563,7 +548,8 @@ impl GreedyScheduler {
         // update may open at most `max_gap_slots` new gaps; the excess is
         // rejected (and counted) rather than materialized.
         let sender_position = if sender_position > self.t {
-            let allowed = (self.t + self.cfg.max_gap_slots()).min(self.cfg.cache_blocks);
+            let allowed =
+                (self.t + max_gap_slots(self.cfg.cache_blocks)).min(self.cfg.cache_blocks);
             if sender_position > allowed {
                 self.gap_slots_rejected += (sender_position - allowed) as u64;
                 allowed
@@ -1302,6 +1288,7 @@ impl GreedyScheduler {
     /// promoted alignment checks (and their rollback behaviour) can be
     /// exercised.
     #[doc(hidden)]
+    // lint:allow(unreferenced-pub) -- the seeded fault of crates/core/tests/audit.rs
     pub fn audit_inject_eviction_log_truncation(&mut self) {
         self.eviction_log.pop();
     }
@@ -1592,6 +1579,16 @@ impl crate::scheduler::Scheduler for GreedyScheduler {
 
     fn name(&self) -> &'static str {
         "greedy"
+    }
+}
+
+/// What the scheduler tests of this module and of `dedup` observe.
+#[cfg(test)]
+impl GreedyScheduler {
+    /// The shared probability model: dedup sharing and copy-on-write splits
+    /// show through [`Arc::ptr_eq`].
+    pub(crate) fn model_arc(&self) -> &Arc<HorizonModel> {
+        &self.model
     }
 }
 
@@ -2138,20 +2135,6 @@ mod tests {
         assert_eq!(s.position(), 20);
         assert_eq!(s.gap_slots(), 20);
         assert_eq!(s.rejected_gap_slots(), 10);
-        // A fraction of 1.0 disables the limit (the pre-cap behaviour).
-        let catalog = Arc::new(ResponseCatalog::uniform(10, 4, 1000));
-        let mut s = GreedyScheduler::new(
-            GreedySchedulerConfig {
-                cache_blocks: 20,
-                max_gap_fraction: 1.0,
-                ..Default::default()
-            },
-            UtilityModel::homogeneous(&LinearUtility, 4),
-            catalog,
-        );
-        s.update_prediction(&pred, 20);
-        assert_eq!(s.position(), 20);
-        assert_eq!(s.rejected_gap_slots(), 0);
     }
 
     #[test]

@@ -602,19 +602,6 @@ impl HorizonModel {
         self.residual[t.min(self.horizon)]
     }
 
-    /// Per-slot probability of `request` at slot `k` (recovered from the
-    /// discounted suffix sums).
-    pub fn slot_prob(&self, request: RequestId, k: usize) -> f64 {
-        if k >= self.horizon {
-            return 0.0;
-        }
-        let d = self.gamma.powi(k as i32);
-        if d <= 0.0 {
-            return 0.0;
-        }
-        (self.tail(request, k) - self.tail(request, k + 1)) / d
-    }
-
     /// The whole-summary *oracle* of
     /// [`apply_update_sparse`](HorizonModel::apply_update_sparse): finds the
     /// changed set itself, by an `O(m · slices)` merge scan of every
@@ -1445,6 +1432,19 @@ mod tests {
         PredictionSummary::point(n, r, Time::ZERO)
     }
 
+    /// Per-slot probability of `request` at slot `k` (recovered from the
+    /// discounted suffix sums).
+    fn slot_prob(m: &HorizonModel, request: RequestId, k: usize) -> f64 {
+        if k >= m.horizon {
+            return 0.0;
+        }
+        let d = m.gamma.powi(k as i32);
+        if d <= 0.0 {
+            return 0.0;
+        }
+        (m.tail(request, k) - m.tail(request, k + 1)) / d
+    }
+
     #[test]
     fn uniform_model_tails_decrease() {
         let m = HorizonModel::uniform(10, 8, Duration::from_millis(10), 1.0);
@@ -1486,8 +1486,8 @@ mod tests {
         // tail(0) = 1 + 0.5 + 0.25 + 0.125 = 1.875
         assert!((m.tail(RequestId(0), 0) - 1.875).abs() < 1e-9);
         // slot probabilities recover the undiscounted per-slot values.
-        assert!((m.slot_prob(RequestId(0), 3) - 1.0).abs() < 1e-9);
-        assert_eq!(m.slot_prob(RequestId(0), 4), 0.0);
+        assert!((slot_prob(&m, RequestId(0), 3) - 1.0).abs() < 1e-9);
+        assert_eq!(slot_prob(&m, RequestId(0), 4), 0.0);
     }
 
     #[test]
@@ -1506,8 +1506,8 @@ mod tests {
         let s = PredictionSummary::new(4, slices, Time::ZERO);
         let m = HorizonModel::build(&s, 40, Duration::from_millis(10), 1.0);
         // Early slots favor request 0; late slots favor request 1.
-        assert!(m.slot_prob(RequestId(0), 0) > m.slot_prob(RequestId(1), 0));
-        assert!(m.slot_prob(RequestId(1), 39) > m.slot_prob(RequestId(0), 39));
+        assert!(slot_prob(&m, RequestId(0), 0) > slot_prob(&m, RequestId(1), 0));
+        assert!(slot_prob(&m, RequestId(1), 39) > slot_prob(&m, RequestId(0), 39));
     }
 
     #[test]

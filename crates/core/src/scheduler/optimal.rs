@@ -158,6 +158,7 @@ impl OptimalScheduler {
     /// Sets the horizon used when this scheduler is driven through the
     /// [`Scheduler`] trait (one-shot [`schedule`](Self::schedule) calls take
     /// the horizon from the model instead).
+    // lint:allow(unreferenced-pub) -- tests/session_api.rs serves sessions from a 12-slot exact scheduler
     pub fn with_horizon(mut self, horizon: usize) -> Self {
         assert!(horizon > 0, "horizon must be positive");
         self.state = ReplanState::new(self.catalog.num_requests(), horizon);
@@ -414,18 +415,6 @@ impl BruteForceScheduler {
             catalog,
             state,
         }
-    }
-
-    /// Sets the horizon used when driven through the [`Scheduler`] trait.
-    /// Must stay tiny (≤ 6) or exhaustive search will not terminate in
-    /// reasonable time.
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        assert!(
-            (1..=6).contains(&horizon),
-            "brute force horizon must be in 1..=6"
-        );
-        self.state = ReplanState::new(self.catalog.num_requests(), horizon);
-        self
     }
 
     /// Finds the utility-maximizing schedule by exhaustive search.

@@ -17,7 +17,6 @@
 //! let catalog = Arc::new(ResponseCatalog::uniform(100, 10, 10_000));
 //! let utility = UtilityModel::homogeneous(&LinearUtility, 10);
 //! let server = ServerBuilder::new(utility, catalog).build();
-//! assert_eq!(server.backend_name(), "catalog");
 //! assert_eq!(server.num_sessions(), 1);
 //! ```
 //!
@@ -123,18 +122,6 @@ impl ServerBuilder {
     /// Uses a custom backend instead of the default [`CatalogBackend`].
     pub fn backend(mut self, backend: Box<dyn Backend>) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Caps the server's bandwidth estimate.
-    pub fn bandwidth_cap(mut self, cap: Bandwidth) -> Self {
-        self.session = self.session.bandwidth_cap(cap);
-        self
-    }
-
-    /// Sets the initial bandwidth estimate used before rate reports arrive.
-    pub fn initial_bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.session = self.session.initial_bandwidth(bandwidth);
         self
     }
 

@@ -199,11 +199,6 @@ impl Session {
             .set_slot_duration(self.bandwidth.slot_duration(self.max_block_size()));
     }
 
-    /// Whether the client asked to close this session.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// The next block reference the sender should push for this session, or
     /// `None` when nothing useful remains.  `concurrency_limit` is the shared
     /// backend's limit, applied when the sender queue is refilled.
@@ -332,12 +327,6 @@ impl Session {
         self.resync_requests
     }
 
-    /// The generation of the installed shadow summary, if a
-    /// [`ClientMessage::PredictorFull`] has been applied.
-    pub fn shadow_generation(&self) -> Option<u64> {
-        self.shadow.generation()
-    }
-
     /// Number of prediction updates the scheduler has applied.
     pub fn prediction_updates(&self) -> u64 {
         self.scheduler.prediction_updates()
@@ -362,6 +351,7 @@ impl Session {
     }
 
     /// The scheduler driving this session.
+    // lint:allow(unreferenced-pub) -- tests/session_api.rs checks which scheduler a session runs
     pub fn scheduler_name(&self) -> &'static str {
         self.scheduler.name()
     }
@@ -389,12 +379,6 @@ impl Session {
     /// anchor assigned when this session joined its manager.
     pub fn service(&self) -> u64 {
         self.blocks_sent + self.service_base
-    }
-
-    /// Number of requests currently tracked in the per-request sent map
-    /// (diagnostic; exercised by the pruning tests).
-    pub fn tracked_requests(&self) -> usize {
-        self.sent_per_request.len()
     }
 
     /// The catalog this session serves from.
@@ -474,18 +458,6 @@ impl SessionBuilder {
     /// with bit-identical predictions (see [`crate::scheduler::dedup`]).
     pub fn model_cache(mut self, cache: Arc<ModelCache>) -> Self {
         self.model_cache = Some(cache);
-        self
-    }
-
-    /// Caps this session's bandwidth estimate.
-    pub fn bandwidth_cap(mut self, cap: Bandwidth) -> Self {
-        self.cfg.bandwidth_cap = Some(cap);
-        self
-    }
-
-    /// Sets the initial bandwidth estimate used before rate reports arrive.
-    pub fn initial_bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.cfg.initial_bandwidth = bandwidth;
         self
     }
 
@@ -1271,16 +1243,6 @@ impl SessionManager {
         self.bytes_sent
     }
 
-    /// Name of the arbitration policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Name of the shared backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// The ready index rebuilt from the live table: an entry, under the key
     /// recomputed from its share, for every session not marked exhausted.
     fn rebuilt_ready(&self) -> BTreeSet<ReadyEntry> {
@@ -1393,7 +1355,7 @@ mod tests {
     #[test]
     fn round_robin_splits_evenly() {
         let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 100, 10);
-        assert_eq!(mgr.policy_name(), "round-robin");
+        assert_eq!(mgr.policy.name(), "round-robin");
         let counts = drive(&mut mgr, 400);
         let a = counts[&ids[0]] as f64;
         let b = counts[&ids[1]] as f64;
@@ -1421,7 +1383,7 @@ mod tests {
     #[test]
     fn weighted_fair_honours_weights() {
         let (mut mgr, ids) = manager_with(Box::new(WeightedFair::new()), &[2.0, 1.0], 100, 10);
-        assert_eq!(mgr.policy_name(), "weighted-fair");
+        assert_eq!(mgr.policy.name(), "weighted-fair");
         let counts = drive(&mut mgr, 300);
         let heavy = counts[&ids[0]] as f64;
         let light = counts[&ids[1]] as f64;
@@ -1616,7 +1578,7 @@ mod tests {
         // the fully-pushed request 0 and kept the partially-pushed 1–3;
         // request 4 was committed after it.
         assert_eq!(
-            session.tracked_requests(),
+            session.sent_per_request.len(),
             4,
             "wrap pruning must drop exactly the fully-pushed requests"
         );
@@ -1655,9 +1617,9 @@ mod tests {
         // pruning it stays bounded by the ring (8 blocks) plus the entries
         // touched since the last wrap.
         assert!(
-            session.tracked_requests() <= 16,
+            session.sent_per_request.len() <= 16,
             "sent_per_request leaked: {} entries",
-            session.tracked_requests()
+            session.sent_per_request.len()
         );
     }
 

@@ -603,11 +603,6 @@ impl ShardedSessionManager {
         self.members.iter().map(|member| member.id).collect()
     }
 
-    /// The shard owning `id`, if the session is live.
-    pub fn shard_of(&self, id: SessionId) -> Option<usize> {
-        self.route.get(&id).copied()
-    }
-
     /// Distinct live `HorizonModel`s across all shards.
     pub fn live_models(&self) -> usize {
         self.model_cache.live_models()
@@ -815,7 +810,7 @@ mod tests {
                 let weight = 1.0 + shard as f64 / 2.0;
                 let id = single.add_session(probed(&cat, weight, in_single));
                 assert_eq!(sharded.add_session(probed(&cat, weight, in_sharded)), id);
-                assert_eq!(sharded.shard_of(id), Some(shard));
+                assert_eq!(sharded.route.get(&id).copied(), Some(shard));
             }
             ParityRig {
                 cat,
@@ -920,7 +915,7 @@ mod tests {
         assert_eq!(mgr.num_shards(), 3);
         assert_eq!(mgr.num_sessions(), 7);
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(mgr.shard_of(*id), Some(i % 3));
+            assert_eq!(mgr.route.get(id).copied(), Some(i % 3));
         }
         assert!(mgr.remove_session(ids[2]));
         assert!(!mgr.remove_session(ids[2]));
@@ -1108,13 +1103,13 @@ mod tests {
         let report = |mbps: f64| ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
         for k in 0..REPORTS {
             let id = ids[[0, 3][k % 2]];
-            assert_eq!(sharded.shard_of(id), Some(0));
+            assert_eq!(sharded.route.get(&id).copied(), Some(0));
             single.on_message(id, &report(2.0 + k as f64), Time::ZERO);
             sharded.on_message(id, &report(2.0 + k as f64), Time::ZERO);
         }
         // One observing command to shard 1, a predictor message: the
         // `SetBudget` for the `REPORTS` epochs it sat out goes in front.
-        assert_eq!(sharded.shard_of(ids[1]), Some(1));
+        assert_eq!(sharded.route.get(&ids[1]).copied(), Some(1));
         let predict = ClientMessage::Predictor(spread_prediction(1));
         single.on_message(ids[1], &predict, Time::ZERO);
         sharded.on_message(ids[1], &predict, Time::ZERO);
@@ -1254,7 +1249,7 @@ mod tests {
     fn unanswered_burst(mgr: &mut ShardedSessionManager, to: &[SessionId]) {
         for k in 0..40 {
             let id = to[k % to.len()];
-            assert_eq!(mgr.shard_of(id), Some(0));
+            assert_eq!(mgr.route.get(&id).copied(), Some(0));
             let message = match k % 3 {
                 0 => ClientMessage::Predictor(spread_prediction(k as u32)),
                 1 => ClientMessage::RateReport(Bandwidth::from_mbps(1.0 + k as f64)),
@@ -1324,11 +1319,10 @@ mod tests {
                 weight in 1u32..10_000,
                 reports in proptest::collection::vec(-40i32..400, 0..13),
             ) {
-                let mut builder = builder(&catalog(), f64::from(weight) / 64.0, 0)
-                    .initial_bandwidth(Bandwidth::from_mbps(f64::from(initial) / 8.0));
-                if let Some(cap) = cap.first() {
-                    builder = builder.bandwidth_cap(Bandwidth::from_mbps(f64::from(*cap) / 8.0));
-                }
+                let mut builder = builder(&catalog(), f64::from(weight) / 64.0, 0);
+                builder.cfg.initial_bandwidth = Bandwidth::from_mbps(f64::from(initial) / 8.0);
+                builder.cfg.bandwidth_cap =
+                    cap.first().map(|&cap| Bandwidth::from_mbps(f64::from(cap) / 8.0));
                 let mut mirror = builder.bandwidth_estimator();
                 let share_weight = builder.weight;
                 let mut session = builder.build();

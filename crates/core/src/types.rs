@@ -232,13 +232,6 @@ impl Duration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Multiplies the duration by an integer factor.
-    #[inline]
-    #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, k: u64) -> Duration {
-        Duration(self.0 * k)
-    }
 }
 
 impl std::ops::Add for Duration {
@@ -358,7 +351,6 @@ mod tests {
         let d = Duration::from_millis(2) + Duration::from_micros(500);
         assert_eq!(d.as_micros(), 2_500);
         assert_eq!((d - Duration::from_micros(500)).as_millis_f64(), 2.0);
-        assert_eq!(Duration::from_millis(3).mul(4), Duration::from_millis(12));
     }
 
     #[test]

@@ -160,9 +160,6 @@ impl UtilityFunction for PiecewiseUtility {
     }
 }
 
-/// A shareable, dynamically dispatched utility function.
-pub type SharedUtility = Arc<dyn UtilityFunction>;
-
 /// Precomputed per-request discretization of a utility function: the step
 /// approximation `~U` and its marginal gains `g(i)` from §5.2.
 ///
@@ -307,27 +304,6 @@ impl UtilityModel {
         self.table(request).next_gain(held)
     }
 
-    /// The largest first-block marginal gain `g(1)` across the catalog — the
-    /// valid per-member weight bound for the meta-request group of untouched
-    /// requests (§5.3.1), which all hold zero blocks.
-    ///
-    /// For a [`UtilityModel::Homogeneous`] model every request shares one
-    /// table, so the bound is exact and computed in `O(1)` (the common fast
-    /// path).  For [`UtilityModel::PerRequest`] models the maximum over all
-    /// tables is taken once; callers should compute this at construction and
-    /// cache it rather than re-deriving it per scheduling step.
-    ///
-    /// The greedy scheduler no longer hedges against this catalog-wide bound:
-    /// [`UtilityModel::class_catalog`] groups requests by identical gain
-    /// table, so each utility class carries its *exact* first-block gain.
-    /// The bound remains the right tool for single-number summaries.
-    pub fn max_first_block_gain(&self) -> f64 {
-        match self {
-            UtilityModel::Homogeneous(t) => t.next_gain(0),
-            UtilityModel::PerRequest(ts) => ts.iter().map(|t| t.next_gain(0)).fold(0.0, f64::max),
-        }
-    }
-
     /// Groups the `n` requests of the catalog into utility classes — one per
     /// *distinct* gain table — and records each class's exact first-block
     /// gain `g(1)`.
@@ -464,15 +440,6 @@ impl UtilityClass {
         self.len() == 0
     }
 
-    /// Number of contiguous id runs backing the member set (1 for the
-    /// homogeneous fast path) — the catalog's actual memory footprint.
-    pub fn span_count(&self) -> usize {
-        match &self.members {
-            ClassMembers::All(n) => usize::from(*n > 0),
-            ClassMembers::Intervals(m) => m.runs.len(),
-        }
-    }
-
     /// The `idx`-th member in ascending request order (`idx < len`).
     pub fn member(&self, idx: usize) -> RequestId {
         match &self.members {
@@ -527,6 +494,15 @@ impl UtilityClassCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of contiguous id runs backing a class's member set (1 for the
+    /// homogeneous fast path) — the catalog's actual memory footprint.
+    fn span_count(class: &UtilityClass) -> usize {
+        match &class.members {
+            ClassMembers::All(n) => usize::from(*n > 0),
+            ClassMembers::Intervals(m) => m.runs.len(),
+        }
+    }
 
     #[test]
     fn linear_utility_is_identity() {
@@ -618,24 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn max_first_block_gain_over_heterogeneous_tables() {
-        // Homogeneous fast path: the shared table's own first gain.
-        let m = UtilityModel::homogeneous(&LinearUtility, 4);
-        assert!((m.max_first_block_gain() - 0.25).abs() < 1e-12);
-
-        // Heterogeneous: the bound is the maximum, not table 0's value.
-        let tiny_first = PiecewiseUtility::from_points(vec![(0.5, 0.01)], "tiny-first");
-        let tables = vec![
-            GainTable::new(&tiny_first, 2),             // g(1) = 0.01
-            GainTable::new(&LinearUtility, 2),          // g(1) = 0.5
-            GainTable::new(&PowerUtility::new(0.5), 4), // g(1) = 0.5
-        ];
-        let m = UtilityModel::per_request(tables);
-        assert!((m.table(0).next_gain(0) - 0.01).abs() < 1e-12);
-        assert!((m.max_first_block_gain() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn class_catalog_homogeneous_single_class() {
         let m = UtilityModel::homogeneous(&LinearUtility, 4);
         let cat = m.class_catalog(1000);
@@ -694,7 +652,7 @@ mod tests {
         let cat = UtilityModel::per_request(tables).class_catalog(n);
         assert_eq!(cat.num_classes(), 2);
         for c in 0..2 {
-            assert_eq!(cat.class(c).span_count(), 1);
+            assert_eq!(span_count(cat.class(c)), 1);
             assert_eq!(cat.class(c).len(), 50);
         }
         for i in 0..50 {
@@ -721,7 +679,7 @@ mod tests {
         let cat = UtilityModel::per_request(tables).class_catalog(12);
         assert_eq!(cat.num_classes(), 2);
         let ca = cat.class(0);
-        assert_eq!(ca.span_count(), 3);
+        assert_eq!(span_count(ca), 3);
         assert_eq!(ca.len(), a.len());
         let got: Vec<usize> = ca.members().map(|r| r.index()).collect();
         assert_eq!(got, a.to_vec());

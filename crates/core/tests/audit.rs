@@ -26,6 +26,15 @@ fn sparse_pred(n: usize, entries: Vec<(RequestId, f64)>, residual: f64) -> Predi
     PredictionSummary::new(n, slices, Time::ZERO)
 }
 
+/// Check on every block and every update.
+fn every_event() -> AuditConfig {
+    AuditConfig {
+        block_every: 1,
+        update_every: 1,
+        ..AuditConfig::default()
+    }
+}
+
 fn scheduler(n: usize, cache: usize) -> GreedyScheduler {
     GreedyScheduler::new(
         GreedySchedulerConfig {
@@ -61,7 +70,7 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
     let n = 80;
     let cache = 48;
     let mut s = scheduler(n, cache);
-    s.audit_attach(AuditConfig::every_event());
+    s.audit_attach(every_event());
     let mut uplink = DirectUplink::new();
     for round in 0..40 {
         // Alternate forward progress with partial rollbacks so the audited
@@ -105,7 +114,7 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
 fn misaligned_rollback_is_counted_not_aborted() {
     let n = 40;
     let mut s = scheduler(n, 32);
-    s.audit_attach(AuditConfig::every_event());
+    s.audit_attach(every_event());
     s.update_prediction(&churn_pred(n, 0), 0);
     s.next_batch(10);
     let before = s.audit_report().expect("auditor attached");

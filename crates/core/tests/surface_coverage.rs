@@ -63,34 +63,34 @@ fn predictor_full_delta_and_resync_paths() {
     let s = summary(n, &[(3, 0.6), (9, 0.3)], 0.05);
 
     sess.on_predictor_full(1, &s);
-    assert_eq!(sess.shadow_generation(), Some(1));
     assert!(
         sess.sampler_entries() > 0,
         "an installed prediction must populate the sampler"
     );
 
-    // A chained delta advances the shadow generation in place.
+    // A delta off the installed generation applies and advances the shadow.
     let outcome = sess.on_predictor_delta(&empty_delta(1, 2, s.slices().len()));
     assert!(matches!(outcome, MessageOutcome::Handled));
-    assert_eq!(sess.shadow_generation(), Some(2));
     assert_eq!(sess.resync_requests(), 0);
 
     // A delta off an unknown base must be refused and counted.
     let outcome = sess.on_predictor_delta(&empty_delta(99, 100, s.slices().len()));
     assert!(matches!(outcome, MessageOutcome::NeedsResync));
     assert_eq!(sess.resync_requests(), 1);
-    assert_eq!(
-        sess.shadow_generation(),
-        Some(2),
+    let outcome = sess.on_predictor_delta(&empty_delta(2, 3, s.slices().len()));
+    assert!(
+        matches!(outcome, MessageOutcome::Handled),
         "a refused delta must not move the shadow"
     );
 
     // Slot recalibration clears exhaustion and the session keeps serving.
     sess.set_slot_duration(Duration::from_millis(7));
     assert!(sess.next_block_ref(None).is_some());
-    assert!(!sess.is_closed());
     sess.on_message(&ClientMessage::Close, Time::ZERO);
-    assert!(sess.is_closed());
+    assert!(
+        sess.next_block_ref(None).is_none(),
+        "a closed session serves nothing"
+    );
 }
 
 #[test]
@@ -101,10 +101,13 @@ fn session_builder_knobs_feed_the_built_session() {
     let ctx = Arc::new(GreedyContext::new(&util, &cat));
     let cache = ModelCache::new();
     let sess = Session::builder(util, cat)
+        .config(ServerConfig {
+            bandwidth_cap: Some(Bandwidth::from_mbps(4.0)),
+            initial_bandwidth: Bandwidth::from_mbps(2.0),
+            ..Default::default()
+        })
         .greedy_context(ctx)
         .model_cache(cache.clone())
-        .bandwidth_cap(Bandwidth::from_mbps(4.0))
-        .initial_bandwidth(Bandwidth::from_mbps(2.0))
         .build();
     // The cap binds the estimate from below the seed.
     assert!(sess.bandwidth_estimate().0 <= Bandwidth::from_mbps(4.0).0);
@@ -117,7 +120,6 @@ fn manager_budget_routing_and_identity_surface() {
     let cat = catalog(n, 4);
     let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat)))
         .with_bandwidth_cap(Bandwidth::from_mbps(16.0));
-    assert_eq!(mgr.backend_name(), "catalog");
 
     // Explicit-id admission is what the transport resume path uses.
     let id = mgr.add_session_with_id(SessionId(42), builder(n, 4));

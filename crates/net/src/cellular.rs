@@ -45,11 +45,6 @@ impl RateTrace {
         &self.name
     }
 
-    /// Number of segments before the trace wraps.
-    pub fn num_segments(&self) -> usize {
-        self.rates.len()
-    }
-
     /// Duration of one segment.
     pub fn segment(&self) -> Duration {
         self.segment
@@ -59,26 +54,6 @@ impl RateTrace {
     pub fn mean_rate(&self) -> Bandwidth {
         let sum: f64 = self.rates.iter().map(|r| r.bytes_per_sec()).sum();
         Bandwidth(sum / self.rates.len() as f64)
-    }
-
-    /// Minimum rate over the whole trace.
-    pub fn min_rate(&self) -> Bandwidth {
-        Bandwidth(
-            self.rates
-                .iter()
-                .map(|r| r.bytes_per_sec())
-                .fold(f64::INFINITY, f64::min),
-        )
-    }
-
-    /// Maximum rate over the whole trace.
-    pub fn max_rate(&self) -> Bandwidth {
-        Bandwidth(
-            self.rates
-                .iter()
-                .map(|r| r.bytes_per_sec())
-                .fold(0.0, f64::max),
-        )
     }
 
     /// Synthesizes an LTE-like trace via a mean-reverting log-space random
@@ -140,6 +115,26 @@ impl BandwidthModel for RateTrace {
 mod tests {
     use super::*;
 
+    /// Minimum rate over the whole trace.
+    fn min_rate(t: &RateTrace) -> Bandwidth {
+        Bandwidth(
+            t.rates
+                .iter()
+                .map(|r| r.bytes_per_sec())
+                .fold(f64::INFINITY, f64::min),
+        )
+    }
+
+    /// Maximum rate over the whole trace.
+    fn max_rate(t: &RateTrace) -> Bandwidth {
+        Bandwidth(
+            t.rates
+                .iter()
+                .map(|r| r.bytes_per_sec())
+                .fold(0.0, f64::max),
+        )
+    }
+
     #[test]
     fn trace_lookup_wraps() {
         let t = RateTrace::new(
@@ -151,11 +146,11 @@ mod tests {
         assert_eq!(t.rate_at(Time::from_millis(150)).as_mbps(), 2.0);
         // Wraps after 200 ms.
         assert_eq!(t.rate_at(Time::from_millis(250)).as_mbps(), 1.0);
-        assert_eq!(t.num_segments(), 2);
+        assert_eq!(t.rates.len(), 2);
         assert_eq!(t.name(), "toy");
         assert!((t.mean_rate().as_mbps() - 1.5).abs() < 1e-9);
-        assert_eq!(t.min_rate().as_mbps(), 1.0);
-        assert_eq!(t.max_rate().as_mbps(), 2.0);
+        assert_eq!(min_rate(&t).as_mbps(), 1.0);
+        assert_eq!(max_rate(&t).as_mbps(), 2.0);
     }
 
     #[test]
@@ -177,12 +172,12 @@ mod tests {
         // depends on).
         assert!(v.mean_rate().as_mbps() > a.mean_rate().as_mbps());
         // Substantial variation: max is at least 3x min.
-        assert!(v.max_rate().as_mbps() / v.min_rate().as_mbps() > 3.0);
-        assert!(a.max_rate().as_mbps() / a.min_rate().as_mbps() > 3.0);
+        assert!(max_rate(&v).as_mbps() / min_rate(&v).as_mbps() > 3.0);
+        assert!(max_rate(&a).as_mbps() / min_rate(&a).as_mbps() > 3.0);
         // All rates are positive and bounded.
         for t in [&v, &a] {
-            assert!(t.min_rate().as_mbps() > 0.0);
-            assert!(t.max_rate().as_mbps() < 60.0);
+            assert!(min_rate(t).as_mbps() > 0.0);
+            assert!(max_rate(t).as_mbps() < 60.0);
         }
     }
 
@@ -191,12 +186,12 @@ mod tests {
         let a = RateTrace::verizon_lte(7);
         let b = RateTrace::verizon_lte(7);
         let c = RateTrace::verizon_lte(8);
-        for i in 0..a.num_segments() {
+        for i in 0..a.rates.len() {
             let t = Time::from_secs(i as u64);
             assert_eq!(a.rate_at(t).as_mbps(), b.rate_at(t).as_mbps());
         }
         // Different seeds produce different traces.
-        let differs = (0..a.num_segments()).any(|i| {
+        let differs = (0..a.rates.len()).any(|i| {
             let t = Time::from_secs(i as u64);
             (a.rate_at(t).as_mbps() - c.rate_at(t).as_mbps()).abs() > 1e-9
         });

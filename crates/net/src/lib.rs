@@ -17,4 +17,4 @@ pub mod link;
 
 pub use cellular::RateTrace;
 pub use estimator::ReceiveRateMeter;
-pub use link::{BandwidthModel, ConstantRate, DuplexPath, Link};
+pub use link::{BandwidthModel, ConstantRate, Link};

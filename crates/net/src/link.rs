@@ -105,11 +105,6 @@ impl Link {
         }
     }
 
-    /// A fixed-rate link (netem style).
-    pub fn fixed(rate: Bandwidth, propagation: Duration) -> Self {
-        Self::new(Box::new(ConstantRate(rate)), propagation)
-    }
-
     /// The one-way propagation delay.
     pub fn propagation(&self) -> Duration {
         self.propagation
@@ -144,12 +139,6 @@ impl Link {
         self.busy_until <= now
     }
 
-    /// Queueing delay a transmission submitted at `now` would experience
-    /// before starting to serialize.
-    pub fn queueing_delay(&self, now: Time) -> Duration {
-        self.busy_until.saturating_sub(now)
-    }
-
     /// Instantaneous rate of the underlying profile at `now`.
     pub fn rate_at(&self, now: Time) -> Bandwidth {
         self.model.rate_at(now)
@@ -174,43 +163,14 @@ impl Link {
     }
 }
 
-/// A full request/response path: an uplink (client → server, for requests and
-/// predictions) and a downlink (server → client, for blocks and responses).
-///
-/// The paper's "request latency" (20–400 ms) bundles network propagation and
-/// backend processing; experiment harnesses configure the two directions
-/// separately and add backend latency on the server side.
-pub struct DuplexPath {
-    /// Client → server direction.
-    pub uplink: Link,
-    /// Server → client direction.
-    pub downlink: Link,
-}
-
-impl DuplexPath {
-    /// Creates a duplex path with the same rate in both directions (uplink
-    /// traffic — requests and predictions — is tiny, so its rate is rarely a
-    /// factor).
-    pub fn symmetric(rate: Bandwidth, one_way_propagation: Duration) -> Self {
-        DuplexPath {
-            uplink: Link::fixed(rate, one_way_propagation),
-            downlink: Link::fixed(rate, one_way_propagation),
-        }
-    }
-
-    /// Creates a path with an explicit downlink model and an uncongested
-    /// uplink (the common DVE deployment shape).
-    pub fn with_downlink(model: Box<dyn BandwidthModel>, one_way_propagation: Duration) -> Self {
-        DuplexPath {
-            uplink: Link::fixed(Bandwidth::from_mbps(100.0), one_way_propagation),
-            downlink: Link::new(model, one_way_propagation),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fixed-rate link (netem style).
+    fn fixed(rate: Bandwidth, propagation: Duration) -> Link {
+        Link::new(Box::new(ConstantRate(rate)), propagation)
+    }
 
     #[test]
     fn constant_rate_transmit_time() {
@@ -228,7 +188,7 @@ mod tests {
 
     #[test]
     fn link_serializes_and_propagates() {
-        let mut l = Link::fixed(Bandwidth::from_mbps(1.0), Duration::from_millis(50));
+        let mut l = fixed(Bandwidth::from_mbps(1.0), Duration::from_millis(50));
         // 100 KB at 1 MB/s = 100 ms serialization + 50 ms propagation.
         let arrival = l.send(100_000, Time::ZERO);
         assert_eq!(arrival, Time::from_millis(150));
@@ -238,17 +198,14 @@ mod tests {
 
     #[test]
     fn link_queues_fifo() {
-        let mut l = Link::fixed(Bandwidth::from_mbps(1.0), Duration::from_millis(10));
+        let mut l = fixed(Bandwidth::from_mbps(1.0), Duration::from_millis(10));
         let a1 = l.send(100_000, Time::ZERO); // serializes 0..100ms
         let a2 = l.send(100_000, Time::ZERO); // queues: serializes 100..200ms
         assert_eq!(a1, Time::from_millis(110));
         assert_eq!(a2, Time::from_millis(210));
         assert!(!l.is_idle(Time::from_millis(150)));
         assert!(l.is_idle(Time::from_millis(250)));
-        assert_eq!(
-            l.queueing_delay(Time::from_millis(50)),
-            Duration::from_millis(150)
-        );
+        assert_eq!(l.busy_until(), Time::from_millis(200));
         // A transmission after the queue drains starts immediately.
         let a3 = l.send(1_000, Time::from_millis(300));
         assert_eq!(a3, Time::from_millis(311));
@@ -256,7 +213,7 @@ mod tests {
 
     #[test]
     fn link_reset_clears_queue() {
-        let mut l = Link::fixed(Bandwidth::from_mbps(1.0), Duration::ZERO);
+        let mut l = fixed(Bandwidth::from_mbps(1.0), Duration::ZERO);
         l.send(1_000_000, Time::ZERO);
         l.reset();
         assert!(l.is_idle(Time::ZERO));
@@ -265,7 +222,7 @@ mod tests {
 
     #[test]
     fn zero_byte_send_is_instant_plus_propagation() {
-        let mut l = Link::fixed(Bandwidth::from_mbps(5.0), Duration::from_millis(25));
+        let mut l = fixed(Bandwidth::from_mbps(5.0), Duration::from_millis(25));
         assert_eq!(l.send(0, Time::from_millis(7)), Time::from_millis(32));
     }
 
@@ -299,20 +256,6 @@ mod tests {
         assert!((avg - 1.0).abs() < 0.05, "{avg}");
     }
 
-    #[test]
-    fn duplex_constructors() {
-        let p = DuplexPath::symmetric(Bandwidth::from_mbps(5.0), Duration::from_millis(20));
-        assert_eq!(p.uplink.propagation(), Duration::from_millis(20));
-        let mut p = DuplexPath::with_downlink(
-            Box::new(ConstantRate(Bandwidth::from_mbps(1.0))),
-            Duration::from_millis(5),
-        );
-        // Uplink is fast, downlink is slow.
-        let up = p.uplink.send(100_000, Time::ZERO);
-        let down = p.downlink.send(100_000, Time::ZERO);
-        assert!(up < down);
-    }
-
     mod property {
         use super::*;
         use proptest::prelude::*;
@@ -325,7 +268,7 @@ mod tests {
                 sizes in proptest::collection::vec(1u64..500_000, 1..20),
                 rate in 0.5f64..20.0
             ) {
-                let mut l = Link::fixed(Bandwidth::from_mbps(rate), Duration::from_millis(10));
+                let mut l = fixed(Bandwidth::from_mbps(rate), Duration::from_millis(10));
                 let mut prev = Time::ZERO;
                 for (i, &s) in sizes.iter().enumerate() {
                     let now = Time::from_millis(i as u64);

@@ -189,6 +189,20 @@ pub fn run_baseline(
     for _ in &pending {
         metrics.record_preempted();
     }
+    // The convergence step of the trace's final request (Figure 10): utility
+    // 0 until its response lands, then that response's utility.
+    let convergence = trace
+        .requests
+        .last()
+        .and_then(|&(at, probe)| {
+            metrics
+                .responses
+                .iter()
+                .rev()
+                .find(|r| r.request == probe && r.registered_at == at)
+        })
+        .map(|r| vec![(Duration::ZERO, 0.0), (r.latency(), r.utility)])
+        .unwrap_or_default();
 
     RunResult {
         label: match options.granularity {
@@ -196,7 +210,7 @@ pub fn run_baseline(
             FetchGranularity::FirstBlockOnly => format!("{}-progressive", policy.name()),
         },
         summary: metrics.summary(),
-        convergence: Vec::new(),
+        convergence,
         blocks_sent,
         bytes_sent,
         uplink_full_updates: 0,
@@ -414,5 +428,61 @@ mod tests {
         assert!(s.preempted_rate >= 0.0 && s.preempted_rate <= 1.0);
         assert!(s.overpush_rate >= 0.0 && s.overpush_rate <= 1.0);
         assert_eq!(s.completed + s.preempted, s.requests);
+    }
+
+    #[test]
+    fn convergence_steps_at_the_final_requests_own_latency() {
+        // Four requests for image 0 a second apart (one cold fetch, then
+        // cache hits), then a cold request for image 1: the run's median
+        // latency is a hit's zero, the final request's is a full fetch.
+        let (app, _) = setup();
+        let at = |ms| Time::from_millis(ms);
+        let trace = InteractionTrace {
+            samples: vec![],
+            requests: vec![
+                (at(0), RequestId(0)),
+                (at(1_000), RequestId(0)),
+                (at(2_000), RequestId(0)),
+                (at(3_000), RequestId(0)),
+                (at(4_000), RequestId(1)),
+            ],
+            name: "warm-then-cold".into(),
+        };
+        let cfg = ExperimentConfig::paper_default();
+        let r = run_baseline(
+            app.catalog(),
+            app.utility(),
+            Box::new(NoPrefetch),
+            &trace,
+            &cfg,
+            BaselineOptions {
+                drain: Duration::from_secs(5),
+                ..Default::default()
+            },
+        );
+        assert_eq!(r.summary.completed, 5);
+        assert_eq!(r.summary.p50_latency_ms, 0.0);
+        let final_latency = r.convergence[1].0;
+        // Request there and back, backend processing, then the transfer.
+        let floor =
+            cfg.network_propagation() + cfg.network_propagation() + cfg.backend_processing();
+        assert!(final_latency > floor, "{final_latency} <= {floor}");
+        assert_eq!(r.convergence.len(), 2);
+        assert_eq!(r.convergence[0], (Duration::ZERO, 0.0));
+        assert!((r.convergence[1].1 - 1.0).abs() < 1e-9, "full response");
+
+        // A final request that is never answered leaves the curve empty.
+        let cut = run_baseline(
+            app.catalog(),
+            app.utility(),
+            Box::new(NoPrefetch),
+            &trace,
+            &cfg,
+            BaselineOptions {
+                drain: Duration::from_millis(50),
+                ..Default::default()
+            },
+        );
+        assert!(cut.convergence.is_empty());
     }
 }

@@ -69,15 +69,6 @@ pub struct ExperimentConfig {
     /// the crate is built with the `audit` feature; ignored (and free)
     /// otherwise.
     pub audit: bool,
-    /// Session-layer worker shards for fleet runs
-    /// ([`run_session_fleet`](crate::fleet::run_session_fleet)): sessions
-    /// are partitioned round-robin across this many scheduler threads
-    /// sharing one global bandwidth budget and one model-dedup cache.  `1`
-    /// (the default) serves the whole fleet from a single shard; the
-    /// single-client simulators ignore this knob.  Fixed-seed fleet runs
-    /// produce per-session block-identical schedules at any shard count
-    /// (see `docs/SHARDING.md`).
-    pub shards: usize,
     /// Deterministic uplink fault schedule, keyed by
     /// `(session index, uplink message index)`: `Drop`/`Truncate`/`Corrupt`
     /// lose the prediction update, `Delay` adds propagation, `Stall`
@@ -99,7 +90,6 @@ impl ExperimentConfig {
             gamma: 1.0,
             prediction_delta: false,
             audit: false,
-            shards: 1,
             faults: None,
             seed: 0x5eed,
         }
@@ -176,30 +166,9 @@ impl ExperimentConfig {
 
     /// Toggles delta-encoded prediction uploads (off by default; see
     /// [`ExperimentConfig::prediction_delta`]).
+    // lint:allow(unreferenced-pub) -- crates/sim/tests/pinned_figures.rs pins the delta-uplink row with it
     pub fn with_prediction_delta(mut self, delta: bool) -> Self {
         self.prediction_delta = delta;
-        self
-    }
-
-    /// Toggles the scheduler's runtime invariant auditor (off by default;
-    /// see [`ExperimentConfig::audit`]).
-    pub fn with_audit(mut self, audit: bool) -> Self {
-        self.audit = audit;
-        self
-    }
-
-    /// Sets the session-layer shard count for fleet runs (default 1; see
-    /// [`ExperimentConfig::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "a fleet needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// Installs a deterministic uplink fault schedule (none by default; see
-    /// [`ExperimentConfig::faults`]).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
         self
     }
 }
@@ -236,23 +205,11 @@ mod tests {
             .with_bandwidth(Bandwidth::from_mbps(2.0))
             .with_cache_bytes(1_000_000)
             .with_request_latency(Duration::from_millis(400))
-            .with_prediction_interval(Duration::from_millis(50))
-            .with_shards(4);
+            .with_prediction_interval(Duration::from_millis(50));
         assert_eq!(c.bandwidth.nominal().as_mbps(), 2.0);
         assert_eq!(c.cache_bytes, 1_000_000);
         assert_eq!(c.request_latency, Duration::from_millis(400));
         assert_eq!(c.prediction_interval, Duration::from_millis(50));
-        assert_eq!(c.shards, 4);
-        assert_eq!(ExperimentConfig::paper_default().shards, 1);
-    }
-
-    #[test]
-    fn with_faults_installs_a_plan() {
-        use khameleon_core::fault::FaultKind;
-        let plan = FaultPlan::new().with(0, 2, FaultKind::Drop);
-        let c = ExperimentConfig::paper_default().with_faults(plan.clone());
-        assert_eq!(c.faults, Some(plan));
-        assert!(ExperimentConfig::paper_default().faults.is_none());
     }
 
     #[test]

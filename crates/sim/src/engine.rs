@@ -84,11 +84,6 @@ impl<E> EventQueue<E> {
         Some((self.now, entry.event))
     }
 
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -105,6 +100,11 @@ mod tests {
     use super::*;
     use khameleon_core::types::Duration;
 
+    /// Time of the next pending event, if any.
+    fn peek_time<E>(q: &EventQueue<E>) -> Option<Time> {
+        q.heap.peek().map(|Reverse(e)| e.at)
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
@@ -112,7 +112,7 @@ mod tests {
         q.schedule(Time::from_millis(10), "a");
         q.schedule(Time::from_millis(20), "b");
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(Time::from_millis(10)));
+        assert_eq!(peek_time(&q), Some(Time::from_millis(10)));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
         assert!(q.is_empty());
@@ -146,7 +146,7 @@ mod tests {
     fn default_and_empty() {
         let mut q: EventQueue<()> = EventQueue::default();
         assert!(q.pop().is_none());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(peek_time(&q), None);
         assert_eq!(q.now() + Duration::ZERO, Time::ZERO);
     }
 }

@@ -10,7 +10,7 @@ use khameleon_apps::falcon_app::{
 };
 use khameleon_apps::image_app::{ImageExplorationApp, PredictorKind};
 use khameleon_apps::traces::InteractionTrace;
-use khameleon_core::types::{Duration, RequestId};
+use khameleon_core::types::Duration;
 
 use crate::baseline_sim::{run_baseline, BaselineOptions};
 use crate::config::ExperimentConfig;
@@ -80,6 +80,22 @@ pub fn run_image_system(
     trace: &InteractionTrace,
     cfg: &ExperimentConfig,
 ) -> RunResult {
+    run_image_system_draining(app, system, trace, cfg, BaselineOptions::default().drain)
+}
+
+/// [`run_image_system`], with a baseline system simulating `baseline_drain`
+/// past the end of the trace.
+fn run_image_system_draining(
+    app: &ImageExplorationApp,
+    system: SystemKind,
+    trace: &InteractionTrace,
+    cfg: &ExperimentConfig,
+    baseline_drain: Duration,
+) -> RunResult {
+    let baseline = |granularity| BaselineOptions {
+        granularity,
+        drain: baseline_drain,
+    };
     let mut result = match system {
         SystemKind::Khameleon(kind) => run_khameleon(
             app.catalog(),
@@ -117,7 +133,7 @@ pub fn run_image_system(
             Box::new(NoPrefetch),
             trace,
             cfg,
-            BaselineOptions::default(),
+            baseline(FetchGranularity::FullResponse),
         ),
         SystemKind::Progressive => run_baseline(
             app.catalog(),
@@ -125,10 +141,7 @@ pub fn run_image_system(
             Box::new(NoPrefetch),
             trace,
             cfg,
-            BaselineOptions {
-                granularity: FetchGranularity::FirstBlockOnly,
-                ..Default::default()
-            },
+            baseline(FetchGranularity::FirstBlockOnly),
         ),
         SystemKind::Acc { accuracy, horizon } => run_baseline(
             app.catalog(),
@@ -141,7 +154,7 @@ pub fn run_image_system(
             )),
             trace,
             cfg,
-            BaselineOptions::default(),
+            baseline(FetchGranularity::FullResponse),
         ),
     };
     result.label = system.label();
@@ -189,37 +202,18 @@ pub fn run_convergence(
     result.convergence
 }
 
-/// Convergence of a baseline system: the time at which the probe request's
-/// full response lands (baselines are all-or-nothing, §6.2 footnote 5).
+/// Convergence of a baseline system over the probe of [`run_convergence`],
+/// the trace's final request, watched for `observe_for` after the trace ends:
+/// utility 0 until the probe's response lands, then that response's utility
+/// (baselines are all-or-nothing, §6.2 footnote 5).  Empty if it never lands.
 pub fn run_baseline_convergence(
     app: &ImageExplorationApp,
     system: SystemKind,
     trace: &InteractionTrace,
     cfg: &ExperimentConfig,
+    observe_for: Duration,
 ) -> Vec<(Duration, f64)> {
-    let result = run_image_system(app, system, trace, cfg);
-    let Some(&(pause_at, probe)) = trace.requests.last() else {
-        return Vec::new();
-    };
-    // Find the probe's response sample, if it completed.
-    result
-        .summary
-        .completed
-        .checked_sub(0)
-        .map(|_| {
-            // Reconstruct from the mean: baselines report utility 0 until the
-            // full response arrives; approximate with the recorded latency of
-            // the final request if present.
-            let _ = (pause_at, probe);
-            vec![
-                (Duration::from_millis(0), 0.0),
-                (
-                    Duration::from_millis_f64(result.summary.p50_latency_ms.max(1.0)),
-                    1.0,
-                ),
-            ]
-        })
-        .unwrap_or_default()
+    run_image_system_draining(app, system, trace, cfg, observe_for).convergence
 }
 
 /// Runs one Falcon configuration cell of Figure 14.
@@ -258,11 +252,6 @@ pub fn run_falcon(
         app.config().blocks_per_response
     );
     result
-}
-
-/// Convenience: the probe request id of a trace (its final request).
-pub fn probe_request(trace: &InteractionTrace) -> Option<RequestId> {
-    trace.requests.last().map(|r| r.1)
 }
 
 #[cfg(test)]
@@ -364,7 +353,13 @@ mod tests {
         let best = samples.iter().map(|s| s.1).fold(0.0, f64::max);
         assert!(best >= first);
         assert!(best > 0.5, "probe never converged past {best}");
-        let b = run_baseline_convergence(&app, SystemKind::Baseline, &trace, &cfg);
+        let b = run_baseline_convergence(
+            &app,
+            SystemKind::Baseline,
+            &trace,
+            &cfg,
+            Duration::from_secs(15),
+        );
         assert_eq!(b.len(), 2);
     }
 
@@ -408,14 +403,5 @@ mod tests {
         // The scalable backend should not be slower than the contended
         // PostgreSQL backend.
         assert!(sc.summary.mean_latency_ms <= pg.summary.mean_latency_ms + 1e-6);
-    }
-
-    #[test]
-    fn probe_request_is_last() {
-        let (_, trace) = image_setup();
-        assert_eq!(
-            probe_request(&trace),
-            Some(trace.requests.last().unwrap().1)
-        );
     }
 }

@@ -569,7 +569,9 @@ mod tests {
             delta.summary.prediction_bytes,
             full.summary.prediction_bytes
         );
-        assert!(delta.uplink_bytes_per_update() < full.uplink_bytes_per_update());
+        let per_update =
+            |r: &RunResult| r.summary.prediction_bytes as f64 / r.summary.predictions_sent as f64;
+        assert!(per_update(&delta) < per_update(&full));
     }
 
     #[test]
@@ -587,7 +589,10 @@ mod tests {
         let faulty = run(
             &app,
             &trace,
-            &base.clone().with_faults(plan.clone()),
+            &ExperimentConfig {
+                faults: Some(plan.clone()),
+                ..base.clone()
+            },
             PredictorKind::Kalman,
         );
         assert_eq!(clean.faults_injected, 0);
@@ -601,7 +606,10 @@ mod tests {
         let again = run(
             &app,
             &trace,
-            &base.clone().with_faults(plan),
+            &ExperimentConfig {
+                faults: Some(plan),
+                ..base.clone()
+            },
             PredictorKind::Kalman,
         );
         assert_eq!(faulty.summary.to_csv_row(), again.summary.to_csv_row());
@@ -616,7 +624,10 @@ mod tests {
         let plan = FaultPlan::new()
             .with(0, 1, FaultKind::Delay { ticks: 250_000 })
             .with(0, 3, FaultKind::Stall { ticks: 400_000 });
-        let cfg = ExperimentConfig::paper_default().with_faults(plan);
+        let cfg = ExperimentConfig {
+            faults: Some(plan),
+            ..ExperimentConfig::paper_default()
+        };
         let r = run(&app, &trace, &cfg, PredictorKind::Kalman);
         // Timing faults disturb the run without losing messages.
         assert_eq!(r.faults_injected, 2);

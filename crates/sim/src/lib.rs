@@ -10,8 +10,6 @@
 //!   predictor manager and bandwidth estimator wired to a simulated network;
 //! * [`baseline_sim`] — the request/response baselines (Baseline,
 //!   Progressive, ACC-\<acc\>-\<hor\>) with an LRU cache;
-//! * [`fleet`] — multi-session fleet runs over the sharded session layer
-//!   (the `ExperimentConfig::shards` knob);
 //! * [`harness`] — one function per experiment cell (image app, Falcon,
 //!   convergence probes);
 //! * [`result`] — run results and CSV formatting.
@@ -22,7 +20,6 @@
 pub mod baseline_sim;
 pub mod config;
 pub mod engine;
-pub mod fleet;
 pub mod harness;
 pub mod khameleon_sim;
 pub mod result;
@@ -30,7 +27,6 @@ pub mod result;
 pub use baseline_sim::{run_baseline, BaselineOptions};
 pub use config::{BandwidthSpec, ExperimentConfig};
 pub use engine::EventQueue;
-pub use fleet::{run_session_fleet, FleetOptions, FleetRunResult};
 pub use harness::{
     run_convergence, run_falcon, run_image_comparison, run_image_system, SystemKind,
 };

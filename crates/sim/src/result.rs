@@ -10,8 +10,10 @@ pub struct RunResult {
     pub label: String,
     /// Aggregated client-side metrics (§6.1's reporting set).
     pub summary: MetricsSummary,
-    /// Utility-over-time samples for the convergence probe (Figure 10);
-    /// empty unless a probe was configured.
+    /// Utility-over-time samples for the convergence probe (Figure 10):
+    /// for Khameleon, empty unless a probe was configured; for a baseline,
+    /// the step from 0 to the utility of the trace's final request when its
+    /// response landed, empty if it never did.
     pub convergence: Vec<(Duration, f64)>,
     /// Blocks the server pushed.
     pub blocks_sent: u64,
@@ -43,16 +45,6 @@ impl RunResult {
     /// CSV header matching [`RunResult::to_csv_row`].
     pub fn csv_header() -> String {
         format!("system,{}", MetricsSummary::csv_header())
-    }
-
-    /// Mean uplink bytes per prediction update (from the client metrics).
-    /// With [`prediction_delta`](crate::config::ExperimentConfig::prediction_delta)
-    /// on, this is where the delta-vs-full saving shows up.
-    pub fn uplink_bytes_per_update(&self) -> f64 {
-        if self.summary.predictions_sent == 0 {
-            return 0.0;
-        }
-        self.summary.prediction_bytes as f64 / self.summary.predictions_sent as f64
     }
 }
 

@@ -24,10 +24,12 @@ fn mixed_churn_simulation_audits_to_zero_violations() {
     );
     // Tight resources force evictions, schedule wraps, and rollbacks — the
     // states the auditor's slot-alignment and diff-signature checks guard.
-    let base = ExperimentConfig::paper_default()
-        .with_bandwidth(Bandwidth::from_mbps(2.0))
-        .with_cache_bytes(2_000_000)
-        .with_audit(true);
+    let base = ExperimentConfig {
+        audit: true,
+        ..ExperimentConfig::paper_default()
+            .with_bandwidth(Bandwidth::from_mbps(2.0))
+            .with_cache_bytes(2_000_000)
+    };
     // The paper's configuration ships opaque Kalman states, which the
     // server decodes into whole summaries and installs; only a prediction
     // that travels as a *delta* is diffed, so the diff-signature check needs
@@ -112,7 +114,10 @@ fn audit_flag_is_deterministically_inert_on_traffic() {
             },
         )
     };
-    let audited = run(&base.clone().with_audit(true));
+    let audited = run(&ExperimentConfig {
+        audit: true,
+        ..base.clone()
+    });
     let plain = run(&base);
     assert_eq!(audited.blocks_sent, plain.blocks_sent);
     assert_eq!(audited.bytes_sent, plain.bytes_sent);

@@ -239,6 +239,7 @@ impl TransportClient {
     /// Enables automatic receive-rate reports every `interval` of received
     /// traffic (measured on the client's own clock, reported upstream as
     /// [`ClientMessage::RateReport`]).
+    // lint:allow(unreferenced-pub) -- ROADMAP 1(iv)/4(f) turn trace_replay's rate reports on with it
     pub fn with_rate_reports(mut self, interval: Duration) -> Self {
         self.meter = Some(ReceiveRateMeter::new(interval));
         self
@@ -547,6 +548,7 @@ impl TransportClient {
     }
 
     /// The server-side session id from the latest `Welcome`.
+    // lint:allow(unreferenced-pub) -- crates/transport/tests/resilience.rs checks the resumed session id
     pub fn session_id(&self) -> Option<SessionId> {
         self.session
     }

@@ -68,7 +68,10 @@ mod tests {
             sent += 1;
             assert!(!gate.is_open(now), "one block per interval");
         }
-        assert_eq!(gate.next_send(), Time::ZERO + INTERVAL.mul(sent));
+        assert_eq!(
+            gate.next_send(),
+            Time::ZERO + Duration(INTERVAL.as_micros() * sent)
+        );
     }
 
     #[test]
@@ -85,7 +88,7 @@ mod tests {
     fn ten_idle_intervals_release_one_backlog_block_not_ten() {
         let mut gate = PacingGate::default();
         assert_eq!(drain(&mut gate, Time::ZERO), 1);
-        let woke = Time::ZERO + INTERVAL.mul(11);
+        let woke = Time::ZERO + Duration(INTERVAL.as_micros() * 11);
         // The block due now plus one forgiven interval of backlog — a gate
         // that kept the whole backlog would release eleven here.
         assert_eq!(drain(&mut gate, woke), 2);

@@ -38,9 +38,9 @@
 //!
 //! Every `0x80..=0x84` server frame carries a leading **sequence number**
 //! varint right after the tag.  Connections that never handshake see `0` —
-//! the legacy wrappers [`encode_server_event`]/[`decode_server_event`] hide
-//! it entirely — while resumable sessions use it to deduplicate the overlap
-//! replayed after a [`ClientFrame::Resume`].
+//! the legacy decoder [`decode_server_event`] drops it — while resumable
+//! sessions use it to deduplicate the overlap replayed after a
+//! [`ClientFrame::Resume`].
 //!
 //! Decoding is strict: unknown versions/tags, truncated bodies, trailing
 //! bytes, non-finite or negative probabilities, unsorted explicit entries and
@@ -468,12 +468,6 @@ pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
     finish_frame(body)
 }
 
-/// Encodes a server event as one wire frame with sequence number 0 — the
-/// legacy shape used by non-resumable connections and existing tests.
-pub fn encode_server_event(event: &ServerEvent) -> Vec<u8> {
-    encode_server_event_frame(0, event)
-}
-
 /// Encodes a server event stamped with `seq` as one wire frame (length
 /// prefix included).
 pub fn encode_server_event_frame(seq: u64, event: &ServerEvent) -> Vec<u8> {
@@ -726,11 +720,6 @@ impl FrameBuffer {
         Ok(Some(frame))
     }
 
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
     /// Drains every unconsumed byte, leaving the buffer empty.  Used when a
     /// connection is handed to another event loop (cross-shard resume): the
     /// receiving loop seeds its own buffer with exactly these bytes so no
@@ -801,7 +790,7 @@ mod tests {
             ),
         };
         for ev in [meta_only, with_payload] {
-            let enc = encode_server_event(&ev);
+            let enc = encode_server_event_frame(0, &ev);
             assert_eq!(decode_server_event(strip_prefix(&enc)), Ok(ev));
         }
     }
@@ -846,7 +835,7 @@ mod tests {
             }
         }
         assert_eq!(out.len(), 3);
-        assert_eq!(fb.pending_bytes(), 0);
+        assert!(fb.take_remaining().is_empty());
     }
 
     #[test]
@@ -917,7 +906,7 @@ mod tests {
 
     #[test]
     fn legacy_event_wrappers_stamp_seq_zero() {
-        let enc = encode_server_event(&ServerEvent::Idle);
+        let enc = encode_server_event_frame(0, &ServerEvent::Idle);
         assert_eq!(
             decode_server_frame(strip_prefix(&enc)),
             Ok(ServerFrame::Event {

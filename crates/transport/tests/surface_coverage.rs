@@ -100,7 +100,7 @@ fn frame_buffer_take_remaining_hands_off_partial_frames_losslessly() {
     // left empty, ready to be dropped with its connection.
     let rest = buf.take_remaining();
     assert_eq!(rest, partial);
-    assert_eq!(buf.pending_bytes(), 0);
+    assert!(buf.take_remaining().is_empty());
     assert_eq!(buf.next_frame().expect("wire ok"), None);
 
     // Seeding a fresh buffer with the remainder resumes the stream.

@@ -10,7 +10,8 @@ use khameleon_core::predictor::PredictorState;
 use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
 use khameleon_core::types::{Bandwidth, BlockRef, Duration, RequestId, Time};
 use khameleon_transport::wire::{
-    decode_client_frame, decode_server_event, encode_client_frame, encode_server_event, ClientFrame,
+    decode_client_frame, decode_server_event, encode_client_frame, encode_server_event_frame,
+    ClientFrame,
 };
 use proptest::prelude::*;
 
@@ -157,7 +158,7 @@ proptest! {
             ServerEvent::Closed { session: SessionId(session) },
             ServerEvent::Resync { session: SessionId(session) },
         ] {
-            let encoded = encode_server_event(&event);
+            let encoded = encode_server_event_frame(0, &event);
             let decoded = decode_server_event(&encoded[4..]).expect("well-formed event decodes");
             prop_assert_eq!(decoded, event);
         }

@@ -6,7 +6,7 @@ use khameleon::apps::falcon_app::{FalconApp, FalconAppConfig, FalconBackendKind,
 use khameleon::backend::columnar::RangeFilter;
 use khameleon::backend::encoder::RoundRobinEncoder;
 use khameleon::backend::executor::{CostModel, QueryExecutor};
-use khameleon::core::types::RequestId;
+use khameleon::core::types::{Duration, RequestId};
 
 fn app() -> FalconApp {
     FalconApp::new(FalconAppConfig {
@@ -96,7 +96,7 @@ fn cost_models_capture_backend_scalability() {
         sc.latency(FalconDataset::Small.rows(), 40)
     );
     // And the executor actually runs queries under those models.
-    let mut ex = QueryExecutor::new(app.table(), CostModel::key_value());
+    let mut ex = QueryExecutor::new(app.table(), CostModel::scalable(Duration::from_micros(200)));
     let q = &app.query_group(RequestId(3), &[])[0];
     let (slice, latency) = ex.execute(q, 1);
     assert!(slice.total() > 0);

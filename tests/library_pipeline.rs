@@ -55,7 +55,7 @@ fn hand_wired_pipeline_prefetches_the_predicted_widget() {
     // The widget under the (predicted) cursor position should be cached.
     let hovered = layout.request_at(160.0, 105.0).unwrap();
     assert!(
-        client.has_data(hovered),
+        client.cache().contains(hovered),
         "predicted widget {hovered} was not prefetched"
     );
     // Registering the request is answered instantly from cache.
