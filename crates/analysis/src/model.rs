@@ -183,7 +183,7 @@ impl ResumeHarness {
         };
         for shard in 0..shards {
             let backend = CatalogBackend::new(harness.catalog.clone());
-            let mut manager = SessionManager::round_robin(Box::new(backend));
+            let mut manager = SessionManager::weighted_fair(Box::new(backend));
             manager.set_model_cache(harness.cache.clone());
             harness.managers.push(manager);
             let directory = harness.directory.clone();

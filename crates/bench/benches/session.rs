@@ -1,7 +1,6 @@
 //! Multi-client scheduler benchmarks: throughput of
 //! [`SessionManager::next_event`] as the number of concurrent sessions
-//! grows, under both arbitration policies — including the per-block cost at
-//! 1 000 and 10 000 sessions, which the manager's ready index keeps from
+//! grows — including the per-block cost at 1 000 and 10 000 sessions, which the manager's ready index keeps from
 //! growing with the fleet — plus the cost of routing prediction updates to
 //! one session among many, and one benchmark-shaped round (re-predictions,
 //! rate reports, a pump) through a two-shard [`ShardedSessionManager`] with
@@ -17,33 +16,20 @@ use khameleon_core::predictor::PredictorState;
 use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
 use khameleon_core::scheduler::{GreedySchedulerConfig, SamplerVariant};
 use khameleon_core::server::{CatalogBackend, ServerConfig};
-use khameleon_core::session::{RoundRobin, Session, SessionManager, SharePolicy, WeightedFair};
+use khameleon_core::session::{Session, SessionManager};
 use khameleon_core::types::{Bandwidth, Duration, RequestId, Time};
 use khameleon_core::utility::{LinearUtility, PowerUtility, UtilityModel};
 use khameleon_core::ShardedSessionManager;
 
-fn manager(sessions: usize, policy: Box<dyn SharePolicy>) -> SessionManager {
-    manager_over(sessions, policy, 500, SamplerVariant::Lazy)
+fn manager(sessions: usize) -> SessionManager {
+    manager_over(sessions, 500, SamplerVariant::Lazy)
 }
 
-fn policy(weighted: bool) -> Box<dyn SharePolicy> {
-    if weighted {
-        Box::new(WeightedFair::new())
-    } else {
-        Box::new(RoundRobin::new())
-    }
-}
-
-fn manager_over(
-    sessions: usize,
-    policy: Box<dyn SharePolicy>,
-    n: usize,
-    sampler: SamplerVariant,
-) -> SessionManager {
+fn manager_over(sessions: usize, n: usize, sampler: SamplerVariant) -> SessionManager {
     let blocks = 10u32;
     let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 10_000));
     let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks);
-    let mut mgr = SessionManager::new(Box::new(CatalogBackend::new(catalog.clone())), policy);
+    let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(catalog.clone())));
     for i in 0..sessions {
         mgr.add_session(
             Session::builder(utility.clone(), catalog.clone())
@@ -66,24 +52,22 @@ fn bench_next_event(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_next_event");
     group.sample_size(10);
     for &sessions in &[1usize, 4, 16] {
-        for (label, weighted) in [("round_robin", false), ("weighted_fair", true)] {
-            group.bench_with_input(
-                BenchmarkId::new(label, sessions),
-                &sessions,
-                |b, &sessions| {
-                    b.iter_batched(
-                        || manager(sessions, policy(weighted)),
-                        |mut mgr| {
-                            for _ in 0..256 {
-                                let _ = mgr.next_event(Time::ZERO);
-                            }
-                            mgr
-                        },
-                        criterion::BatchSize::SmallInput,
-                    );
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::from_parameter(sessions),
+            &sessions,
+            |b, &sessions| {
+                b.iter_batched(
+                    || manager(sessions),
+                    |mut mgr| {
+                        for _ in 0..256 {
+                            let _ = mgr.next_event(Time::ZERO);
+                        }
+                        mgr
+                    },
+                    criterion::BatchSize::SmallInput,
+                );
+            },
+        );
     }
     group.finish();
 }
@@ -100,36 +84,31 @@ fn bench_fleet_block(c: &mut Criterion) {
     let catalog = Arc::new(ResponseCatalog::uniform(64, 2, 1_000));
     let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 2);
     for &sessions in &[1_000usize, 10_000] {
-        for (label, weighted) in [("round_robin", false), ("weighted_fair", true)] {
-            let mut mgr = SessionManager::new(
-                Box::new(CatalogBackend::new(catalog.clone())),
-                policy(weighted),
-            );
-            for i in 0..sessions {
-                mgr.add_session(
-                    Session::builder(utility.clone(), catalog.clone())
-                        .config(ServerConfig {
-                            scheduler: GreedySchedulerConfig {
-                                cache_blocks: 16,
-                                seed: i as u64,
-                                ..Default::default()
-                            },
-                            sender_queue_target: 1,
+        let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(catalog.clone())));
+        for i in 0..sessions {
+            mgr.add_session(
+                Session::builder(utility.clone(), catalog.clone())
+                    .config(ServerConfig {
+                        scheduler: GreedySchedulerConfig {
+                            cache_blocks: 16,
+                            seed: i as u64,
                             ..Default::default()
-                        })
-                        .weight(1.0 + (i % 3) as f64),
-                );
-            }
-            let mut serve = |blocks: usize| {
-                for _ in 0..blocks {
-                    assert!(!mgr.next_event(Time::ZERO).is_idle());
-                }
-            };
-            serve(sessions);
-            group.bench_function(BenchmarkId::new(label, sessions), |b| {
-                b.iter(|| serve(4_096));
-            });
+                        },
+                        sender_queue_target: 1,
+                        ..Default::default()
+                    })
+                    .weight(1.0 + (i % 3) as f64),
+            );
         }
+        let mut serve = |blocks: usize| {
+            for _ in 0..blocks {
+                assert!(!mgr.next_event(Time::ZERO).is_idle());
+            }
+        };
+        serve(sessions);
+        group.bench_function(BenchmarkId::from_parameter(sessions), |b| {
+            b.iter(|| serve(4_096));
+        });
     }
     group.finish();
 }
@@ -143,7 +122,7 @@ fn bench_large_catalog(c: &mut Criterion) {
     for variant in [SamplerVariant::Lazy, SamplerVariant::Scan] {
         group.bench_function(variant.label(), |b| {
             b.iter_batched(
-                || manager_over(1, Box::new(RoundRobin::new()), 100_000, variant),
+                || manager_over(1, 100_000, variant),
                 |mut mgr| {
                     for _ in 0..256 {
                         let _ = mgr.next_event(Time::ZERO);
@@ -165,7 +144,7 @@ fn bench_prediction_routing(c: &mut Criterion) {
             BenchmarkId::from_parameter(sessions),
             &sessions,
             |b, &sessions| {
-                let mut mgr = manager(sessions, Box::new(RoundRobin::new()));
+                let mut mgr = manager(sessions);
                 let ids = mgr.session_ids();
                 let msg = ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7)));
                 let mut i = 0usize;

@@ -59,7 +59,7 @@ fn summary(n: usize, hot: &[(u32, f64)], residual: f64) -> PredictionSummary {
 }
 
 fn spawn_server(cat: &Arc<ResponseCatalog>, config: TransportConfig) -> TransportServer {
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     TransportServer::spawn(
         "127.0.0.1:0",

@@ -78,7 +78,7 @@ struct ConcurrencyResult {
 fn run_concurrency(conns: usize, rounds: usize) -> ConcurrencyResult {
     let n_requests = 64usize;
     let cat = Arc::new(ResponseCatalog::uniform(n_requests, 4, 1_200));
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -250,7 +250,7 @@ fn run_backpressure() -> BackpressureResult {
     let queue_cap = 4usize;
     let payload = 256 * 1024usize;
     let cat = Arc::new(ResponseCatalog::uniform(16, 8, payload as u64));
-    let manager = SessionManager::round_robin(Box::new(PayloadBackend {
+    let manager = SessionManager::weighted_fair(Box::new(PayloadBackend {
         catalog: cat.clone(),
         payload,
     }));

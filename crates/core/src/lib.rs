@@ -22,9 +22,9 @@
 //!    cache's horizon, paced by a bandwidth estimator ([`bandwidth`]) and
 //!    served from a pluggable [`server::Backend`];
 //! 4. **multiplexes** many concurrent clients over one shared backend and
-//!    bandwidth budget ([`session::SessionManager`]), with a pluggable
-//!    [`session::SharePolicy`] dividing the wire between sessions, all
-//!    speaking the typed [`protocol`].
+//!    bandwidth budget ([`session::SessionManager`]), dividing the wire
+//!    between sessions by weighted-fair queueing, all speaking the typed
+//!    [`protocol`].
 //!
 //! The sibling crates build substrates on top of this core: network link
 //! models (`khameleon-net`), data backends and progressive encoders
@@ -76,8 +76,8 @@
 //!
 //! ## Quick start: many clients
 //!
-//! A [`session::SessionManager`] serves N sessions from one backend, with a
-//! [`session::SharePolicy`] deciding whose block goes on the wire next:
+//! A [`session::SessionManager`] serves N sessions from one backend, and
+//! weighted-fair queueing decides whose block goes on the wire next:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -91,11 +91,12 @@
 //! let catalog = Arc::new(ResponseCatalog::uniform(50, 4, 10_000));
 //! let utility = UtilityModel::homogeneous(&LinearUtility, 4);
 //!
-//! let mut manager = SessionManager::round_robin(Box::new(CatalogBackend::new(catalog.clone())));
+//! let mut manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(catalog.clone())));
 //! let a = manager.add_session(Session::builder(utility.clone(), catalog.clone()));
 //! let b = manager.add_session(Session::builder(utility, catalog).weight(2.0));
 //!
-//! // The policy alternates between the two sessions' schedules.
+//! // Both sessions are served; over a long run `b`, at twice the weight,
+//! // gets twice the blocks.
 //! let mut served = std::collections::HashSet::new();
 //! for _ in 0..4 {
 //!     if let ServerEvent::Block { session, .. } = manager.next_event(Time::ZERO) {
@@ -147,9 +148,7 @@ pub use scheduler::{
     TailShapePartition,
 };
 pub use server::{Backend, CatalogBackend, ServerBuilder, ServerConfig};
-pub use session::{
-    RoundRobin, Session, SessionBuilder, SessionManager, SessionShare, SharePolicy, WeightedFair,
-};
+pub use session::{Session, SessionBuilder, SessionManager};
 pub use shard::{ShardSnapshot, ShardStats, ShardedSessionManager};
 pub use types::{Bandwidth, BlockRef, Duration, RequestId, Time};
 pub use utility::{

@@ -79,8 +79,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fluent constructor for the single-client server: a round-robin
-/// [`SessionManager`] holding one session.
+/// Fluent constructor for the single-client server: a [`SessionManager`]
+/// holding one session.
 ///
 /// Every component is optional: by default the server gets a greedy
 /// scheduler built from [`ServerConfig::scheduler`], a
@@ -135,7 +135,7 @@ impl ServerBuilder {
             .unwrap_or_else(|| Box::new(CatalogBackend::new(self.session.catalog.clone())));
         let cfg = &self.session.cfg;
         let mut manager =
-            SessionManager::round_robin(backend).with_initial_bandwidth(cfg.initial_bandwidth);
+            SessionManager::weighted_fair(backend).with_initial_bandwidth(cfg.initial_bandwidth);
         if let Some(cap) = cfg.bandwidth_cap {
             manager = manager.with_bandwidth_cap(cap);
         }

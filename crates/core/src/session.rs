@@ -9,20 +9,17 @@
 //! * [`Session`] — everything private to one client: a boxed
 //!   [`Scheduler`], a [`ServerPredictor`], the bandwidth/rate state, the
 //!   sender queue, and the per-request sent bookkeeping.
-//! * [`SessionManager`] — owns N sessions plus the shared
-//!   [`Backend`](crate::server::Backend), and keeps the sessions that may
-//!   still have work in an index ordered by its [`SharePolicy`], so every
-//!   call to [`next_event`](SessionManager::next_event) reads whose block
-//!   goes on the wire next off the front of that order instead of
-//!   re-deriving it from a scan of the fleet.  A session can be taken
+//! * [`SessionManager`] — owns N sessions plus the shared [`Backend`], and
+//!   divides the link between them by weighted-fair queueing: the sessions
+//!   that may still have work sit in an index ordered by weighted service,
+//!   so every call to [`next_event`](SessionManager::next_event) reads
+//!   whose block goes on the wire next off the front of that order instead
+//!   of re-deriving it from a scan of the fleet.  A session can be taken
 //!   out of scheduling whole and put back later
 //!   ([`detach_session`](SessionManager::detach_session) /
 //!   [`attach_session`](SessionManager::attach_session)); what happens to it
 //!   in between — the transport parks it behind a resume token with a TTL —
 //!   is the caller's business, not the manager's.
-//! * [`SharePolicy`] — pluggable arbitration, expressed as an *order* over
-//!   sessions.  [`RoundRobin`] alternates between sessions with work;
-//!   [`WeightedFair`] divides the link in proportion to per-session weights.
 //!
 //! A single-client deployment is a `SessionManager` holding one session
 //! ([`ServerBuilder::build`](crate::server::ServerBuilder::build)), so one
@@ -72,8 +69,8 @@ pub struct Session {
     bytes_sent: u64,
     weight: f64,
     /// Virtual-time anchor set by the [`SessionManager`] when this session
-    /// joins: fair-queueing policies see `blocks_sent + service_base`, so a
-    /// late joiner starts at the wire's current service level.
+    /// joins: weighted-fair arbitration sees `blocks_sent + service_base`,
+    /// so a late joiner starts at the wire's current service level.
     service_base: u64,
     /// Server-side mirror of the client's last full prediction summary,
     /// patched in place by [`ClientMessage::PredictorDelta`]s (see
@@ -370,7 +367,8 @@ impl Session {
         self.scheduler.audit_report()
     }
 
-    /// The share weight used by weighted policies.
+    /// The share weight: both the bandwidth division and weighted-fair
+    /// arbitration give this session a slice proportional to it.
     pub fn weight(&self) -> f64 {
         self.weight
     }
@@ -461,7 +459,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the share weight used by weighted fair policies (default 1.0).
+    /// Sets the share weight (default 1.0): the session's slice of the
+    /// shared bandwidth and of the wire's blocks is proportional to it.
     pub fn weight(mut self, weight: f64) -> Self {
         // One infinite weight would turn every other session's share into
         // `w / ∞ = 0` and its own into `∞ / ∞ = NaN`.
@@ -543,139 +542,26 @@ impl SessionBuilder {
     }
 }
 
-/// A session's public share state, as seen by a [`SharePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionShare {
-    /// The session's id.
-    pub session: SessionId,
-    /// The session's share weight.
-    pub weight: f64,
-    /// Blocks sent on behalf of this session so far.
-    pub blocks_sent: u64,
-    /// Service counter for fair-queueing policies: `blocks_sent` plus the
-    /// virtual-time anchor assigned when the session joined, so late joiners
-    /// start at the current service level instead of monopolizing the wire
-    /// until their lifetime count catches up.
-    pub service: u64,
-}
-
-/// A ready-index entry: a session's [`SharePolicy::key`] and its id.  The
-/// derived tuple order — key first, id as the tiebreak — is the order in
-/// which a [`SessionManager`] offers sessions the wire.
-pub type ReadyEntry = (u64, SessionId);
-
-/// Decides which session's block goes on the wire next.
-///
-/// A policy is an *order*, not a scan.  The manager keeps every session
-/// that may still have work in a set sorted by [`ReadyEntry`] and re-keys a
-/// session only when its [`SessionShare`] changes (it was served a block,
-/// or it joined), so a pick walks that set from the policy's starting
-/// point until a session yields a block — `O(log sessions)` when the first
-/// one does — instead of snapshotting and comparing the whole fleet per
-/// block.  Sessions the walk offers the wire to that turn out to have
-/// nothing to send are passed over, and dropped from the set until a
-/// message re-opens them.
-pub trait SharePolicy: Send {
-    /// The session's place in the service order; lower keys are served
-    /// first and equal keys in ascending id order.  Must depend on `share`
-    /// alone: the manager stores the key and recomputes it only when the
-    /// share moves.
-    fn key(&self, share: &SessionShare) -> u64;
-
-    /// Where the next pick starts: the entries strictly after the returned
-    /// one are offered first, then the walk wraps round to the lowest entry
-    /// and ends at the returned one.  `None` (the default) starts every
-    /// pick at the lowest entry.
-    fn resume_after(&self) -> Option<ReadyEntry> {
-        None
-    }
-
-    /// Called for each session a pick offers the wire to, in walk order,
-    /// whether or not it had a block to send; the last call of a pick that
-    /// produced a block names the block's recipient.
-    fn offered(&mut self, session: SessionId) {
-        let _ = session;
-    }
-
-    /// Name used in logs and experiment reports.
-    fn name(&self) -> &'static str {
-        "share-policy"
-    }
-}
-
-/// Serves sessions in rotation, skipping those without work: every session
-/// has the same key, so the order is ascending id, and each pick resumes
-/// just after the session offered last ("first ready id above the last
-/// served, else the lowest").
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    last: Option<SessionId>,
-}
-
-impl RoundRobin {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        RoundRobin::default()
-    }
-}
-
-impl SharePolicy for RoundRobin {
-    fn key(&self, _share: &SessionShare) -> u64 {
-        0
-    }
-
-    fn resume_after(&self) -> Option<ReadyEntry> {
-        self.last.map(|last| (0, last))
-    }
-
-    fn offered(&mut self, session: SessionId) {
-        self.last = Some(session);
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Divides the link in proportion to session weights: always serves the
-/// session with the lowest weighted service so far (`service / weight`,
-/// where `service` is anchored at the wire's virtual time when the session
-/// joins), i.e. a virtual-time weighted-fair queueing discipline at block
-/// granularity.
-#[derive(Debug, Default)]
-pub struct WeightedFair;
-
-impl WeightedFair {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        WeightedFair
-    }
-}
-
-impl SharePolicy for WeightedFair {
-    fn key(&self, share: &SessionShare) -> u64 {
-        // The weighted service the session would reach with one more block.
-        // Finite and non-negative (weights are positive and finite), so the
-        // bit pattern orders exactly as the float does.
-        let virtual_finish = (share.service + 1) as f64 / share.weight.max(f64::EPSILON);
-        virtual_finish.to_bits()
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted-fair"
-    }
-}
+/// A ready-index entry: a session's [`fair_key`] and its id.  The derived
+/// tuple order — key first, id as the tiebreak — is the order in which a
+/// [`SessionManager`] offers sessions the wire.
+type ReadyEntry = (u64, SessionId);
 
 /// Multiplexes N client sessions over one shared backend and one shared
 /// bandwidth budget.
 ///
 /// Each call to [`next_event`](SessionManager::next_event) produces at most
 /// one block — the manager is the single point where the shared link is
-/// allocated, so the policy's choice *is* the bandwidth split.  That choice
-/// is read off a persistent *ready index* (the live sessions that may still
-/// have work, in policy order) which is updated where the order can change
-/// — a join, a departure, a block served, a session draining or being
-/// re-opened — so the cost of a block does not grow with the fleet.  Incoming
+/// allocated, so whose block it picks *is* the bandwidth split.  The pick is
+/// virtual-time weighted-fair queueing at block granularity: the block goes
+/// to the session with the lowest weighted service `(service + 1) / weight`
+/// (`service` anchored at the wire's virtual time when the session joins),
+/// ties to the lower id — so always-ready sessions of equal weight are
+/// served in ascending-id rotation.  The order is read off a persistent
+/// *ready index* (the live sessions that may still have work, in that
+/// order) which is updated where the order can change — a join, a
+/// departure, a block served, a session draining or being re-opened — so
+/// the cost of a block does not grow with the fleet.  Incoming
 /// protocol messages are routed to their session with
 /// [`on_message`](SessionManager::on_message); rate reports additionally
 /// update the shared estimate and re-divide per-session slot durations by
@@ -686,14 +572,13 @@ pub struct SessionManager {
     /// (a candidate's rank is its place in this order) rely on it.
     sessions: Vec<(SessionId, Session)>,
     /// The ready index: one [`ReadyEntry`] per live session whose
-    /// `exhausted` flag is clear, under the key the policy gives its current
-    /// share.  Everything that adds or removes a session, serves it a block
+    /// `exhausted` flag is clear, under the key its current service gives
+    /// it.  Everything that adds or removes a session, serves it a block
     /// or flips its flag updates the index in the same call
     /// ([`check`](Self::check) compares it against a rebuild).
     ready: BTreeSet<ReadyEntry>,
     next_id: u64,
     backend: Box<dyn Backend>,
-    policy: Box<dyn SharePolicy>,
     pub(crate) shared_bandwidth: BandwidthEstimator,
     /// One shared [`GreedyContext`] per distinct `(utility value, catalog)`
     /// pair: the utility model, utility-class catalog and per-request block
@@ -732,14 +617,14 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// Creates a manager over `backend` with the given arbitration policy.
-    pub fn new(backend: Box<dyn Backend>, policy: Box<dyn SharePolicy>) -> Self {
+    /// Creates a manager over `backend`, dividing the wire between its
+    /// sessions by weighted-fair queueing.
+    pub fn weighted_fair(backend: Box<dyn Backend>) -> Self {
         SessionManager {
             sessions: Vec::new(),
             ready: BTreeSet::new(),
             next_id: 0,
             backend,
-            policy,
             shared_bandwidth: BandwidthEstimator::new(ServerConfig::default().initial_bandwidth),
             context_cache: Vec::new(),
             model_cache: ModelCache::new(),
@@ -749,16 +634,6 @@ impl SessionManager {
             blocks_sent: 0,
             bytes_sent: 0,
         }
-    }
-
-    /// Convenience: a manager with [`RoundRobin`] arbitration.
-    pub fn round_robin(backend: Box<dyn Backend>) -> Self {
-        Self::new(backend, Box::new(RoundRobin::new()))
-    }
-
-    /// Convenience: a manager with [`WeightedFair`] arbitration.
-    pub fn weighted_fair(backend: Box<dyn Backend>) -> Self {
-        Self::new(backend, Box::new(WeightedFair::new()))
     }
 
     /// Caps the shared outgoing bandwidth budget.
@@ -832,11 +707,11 @@ impl SessionManager {
         self.sessions.binary_search_by_key(&id, |(sid, _)| *sid)
     }
 
-    /// The ready-index entry of the session at `pos`, from its share as it
-    /// stands now.
+    /// The ready-index entry of the session at `pos`, from its service as
+    /// it stands now.
     fn ready_entry(&self, pos: usize) -> ReadyEntry {
         let (id, session) = &self.sessions[pos];
-        entry_of(self.policy.as_ref(), *id, session)
+        (fair_key(session), *id)
     }
 
     /// The shared scheduler context for `(utility, catalog)`, derived once
@@ -1034,8 +909,8 @@ impl SessionManager {
     /// Produces the next block to put on the shared wire, or
     /// [`ServerEvent::Idle`] when no session has useful work.
     ///
-    /// The ready index is walked in policy order from the policy's starting
-    /// point and the first session that yields a block is served; with no
+    /// The ready index is walked in weighted-fair order from its lowest
+    /// entry and the first session that yields a block is served; with no
     /// backend concurrency limit that is `O(log sessions)` and allocates
     /// nothing.  A session that turns out to be drained leaves the index
     /// on the way, so it is not asked again until a message or a
@@ -1095,9 +970,9 @@ impl SessionManager {
         ids.iter().filter(|id| self.position(**id).is_ok()).count()
     }
 
-    /// The one arbitration routine: walks the ready index in policy order,
-    /// passing over sessions `eligible` excludes, and serves the first
-    /// session that yields a block.
+    /// The one arbitration routine: walks the ready index in weighted-fair
+    /// order, passing over sessions `eligible` excludes, and serves the
+    /// first session that yields a block.
     fn pick(&mut self, eligible: Option<&[SessionId]>) -> ServerEvent {
         let limit = self.backend.concurrency_limit();
         let rotor = self.budget_rotor;
@@ -1111,21 +986,8 @@ impl SessionManager {
             (Some(_), None) => self.sessions.len(),
             (Some(_), Some(eligible)) => self.live_among(eligible),
         };
-        let start = self.policy.resume_after();
-        // What is left of the walk: the entries strictly after `after` and,
-        // once it has wrapped, no further than `upto`.
-        let (mut after, mut upto) = (start, None);
-        loop {
-            let next = self
-                .next_ready(after)
-                .filter(|entry| upto.is_none_or(|upto| *entry <= upto));
-            let Some(entry) = next else {
-                if upto.is_some() || start.is_none() {
-                    return ServerEvent::Idle;
-                }
-                (after, upto) = (None, start);
-                continue;
-            };
+        let mut after = None;
+        while let Some(entry) = self.next_ready(after) {
             after = Some(entry);
             let id = entry.1;
             if eligible.is_some_and(|eligible| eligible.binary_search(&id).is_err()) {
@@ -1143,7 +1005,6 @@ impl SessionManager {
                 };
                 concurrency_share(limit, candidates, rank, rotor)
             });
-            self.policy.offered(id);
             let session = &mut self.sessions[pos].1;
             match session.next_block_ref(allowance) {
                 Some(block_ref) => {
@@ -1172,6 +1033,7 @@ impl SessionManager {
                 }
             }
         }
+        ServerEvent::Idle
     }
 
     /// Re-divides the shared bandwidth estimate between sessions by weight,
@@ -1201,8 +1063,7 @@ impl SessionManager {
             let was_drained = session.exhausted;
             session.set_slot_duration(slot);
             if was_drained {
-                self.ready
-                    .insert(entry_of(self.policy.as_ref(), *id, session));
+                self.ready.insert((fair_key(session), *id));
             }
         }
     }
@@ -1244,7 +1105,7 @@ impl SessionManager {
     }
 
     /// The ready index rebuilt from the live table: an entry, under the key
-    /// recomputed from its share, for every session not marked exhausted.
+    /// recomputed from its service, for every session not marked exhausted.
     fn rebuilt_ready(&self) -> BTreeSet<ReadyEntry> {
         (0..self.sessions.len())
             .filter(|&pos| !self.sessions[pos].1.exhausted)
@@ -1254,7 +1115,7 @@ impl SessionManager {
 
     /// Checks the manager's structural invariants: the live table ascends
     /// by id, and the ready index holds exactly the live sessions not
-    /// marked exhausted, each under the key its share has now.  The
+    /// marked exhausted, each under the key its service gives it now.  The
     /// differential test, the shard-parity property test and the
     /// interleaving explorer call this after every operation.
     pub fn check(&self) -> Result<(), String> {
@@ -1273,20 +1134,13 @@ impl SessionManager {
     }
 }
 
-/// A session's share state as its manager's [`SharePolicy`] sees it.
-fn share_of(id: SessionId, session: &Session) -> SessionShare {
-    SessionShare {
-        session: id,
-        weight: session.weight(),
-        blocks_sent: session.blocks_sent(),
-        service: session.service(),
-    }
-}
-
-/// The ready-index entry `policy` gives `session` for its share as it
-/// stands now.
-fn entry_of(policy: &dyn SharePolicy, id: SessionId, session: &Session) -> ReadyEntry {
-    (policy.key(&share_of(id, session)), id)
+/// The session's place in the weighted-fair order: the bit pattern of the
+/// weighted service it would reach with one more block, `(service + 1) /
+/// weight`.  Finite and non-negative (weights are positive and finite), so
+/// the bits order exactly as the float does.
+fn fair_key(session: &Session) -> u64 {
+    let virtual_finish = (session.service() + 1) as f64 / session.weight().max(f64::EPSILON);
+    virtual_finish.to_bits()
 }
 
 /// One candidate's slice of a backend concurrency `limit` split over
@@ -1313,14 +1167,9 @@ mod tests {
         UtilityModel::homogeneous(&LinearUtility, blocks)
     }
 
-    fn manager_with(
-        policy: Box<dyn SharePolicy>,
-        weights: &[f64],
-        n: usize,
-        blocks: u32,
-    ) -> (SessionManager, Vec<SessionId>) {
+    fn manager_with(weights: &[f64], n: usize, blocks: u32) -> (SessionManager, Vec<SessionId>) {
         let cat = catalog(n, blocks);
-        let mut mgr = SessionManager::new(Box::new(CatalogBackend::new(cat.clone())), policy);
+        let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
         let ids = weights
             .iter()
             .map(|&w| {
@@ -1354,23 +1203,27 @@ mod tests {
 
     #[test]
     fn round_robin_splits_evenly() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 100, 10);
-        assert_eq!(mgr.policy.name(), "round-robin");
-        let counts = drive(&mut mgr, 400);
-        let a = counts[&ids[0]] as f64;
-        let b = counts[&ids[1]] as f64;
-        assert_eq!(a + b, 400.0, "both sessions had plenty of blocks");
-        // Uniform demand, equal weights: a near-exact 50/50 split.
-        assert!((a - b).abs() <= 2.0, "unfair split: {a} vs {b}");
+        // Always-ready sessions of equal weight tie on weighted service
+        // whenever each has had as many blocks as the others, and ties go to
+        // the lower id: the pick order is the rotation 0, 1, 2, 0, 1, 2, ….
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0, 1.0], 100, 10);
+        for step in 0..300 {
+            match mgr.next_event(Time::ZERO) {
+                ServerEvent::Block { session, .. } => {
+                    assert_eq!(session, ids[step % 3], "pick {step} left the rotation")
+                }
+                other => panic!("pick {step}: every session had work, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn round_robin_serves_sessions_added_out_of_id_order() {
         // Explicit ids may arrive in any order (the transport's resume path
-        // re-admits old ids next to fresh ones); the live table is kept
-        // ascending so the round-robin cursor still reaches every session.
+        // re-admits old ids next to fresh ones); equal-weight sessions still
+        // split the wire evenly, whichever joined first.
         let cat = catalog(100, 10);
-        let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+        let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
         for id in [5, 3] {
             mgr.add_session_with_id(SessionId(id), Session::builder(utility(10), cat.clone()));
         }
@@ -1382,8 +1235,7 @@ mod tests {
 
     #[test]
     fn weighted_fair_honours_weights() {
-        let (mut mgr, ids) = manager_with(Box::new(WeightedFair::new()), &[2.0, 1.0], 100, 10);
-        assert_eq!(mgr.policy.name(), "weighted-fair");
+        let (mut mgr, ids) = manager_with(&[2.0, 1.0], 100, 10);
         let counts = drive(&mut mgr, 300);
         let heavy = counts[&ids[0]] as f64;
         let light = counts[&ids[1]] as f64;
@@ -1397,7 +1249,7 @@ mod tests {
 
     #[test]
     fn sessions_track_independent_predictions() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 50, 4);
         mgr.on_message(
             ids[0],
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7))),
@@ -1426,7 +1278,7 @@ mod tests {
 
     #[test]
     fn close_message_removes_session() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 20, 2);
         assert_eq!(mgr.num_sessions(), 2);
         let ev = mgr.on_message(ids[0], &ClientMessage::Close, Time::ZERO);
         assert_eq!(ev, Some(ServerEvent::Closed { session: ids[0] }));
@@ -1450,7 +1302,7 @@ mod tests {
 
     #[test]
     fn rate_reports_redivide_shared_bandwidth() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 20, 2);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 20, 2);
         let before = mgr.pacing_interval();
         // Each client observes only its own share of the wire; once both
         // report a low rate, the shared estimate (their sum) drops and the
@@ -1676,13 +1528,10 @@ mod tests {
         // sessions: each session gets 2 slots, so the union of distinct
         // requests driven into the backend stays within the global limit.
         let cat = catalog(50, 10);
-        let mut mgr = SessionManager::new(
-            Box::new(LimitedCatalog {
-                inner: CatalogBackend::new(cat.clone()),
-                limit: 4,
-            }),
-            Box::new(RoundRobin::new()),
-        );
+        let mut mgr = SessionManager::weighted_fair(Box::new(LimitedCatalog {
+            inner: CatalogBackend::new(cat.clone()),
+            limit: 4,
+        }));
         let cfg = ServerConfig {
             scheduler: GreedySchedulerConfig {
                 cache_blocks: 40,
@@ -1717,13 +1566,10 @@ mod tests {
         // sum to the limit, and the remainder must rotate so every session
         // is eventually served.
         let cat = catalog(60, 10);
-        let mut mgr = SessionManager::new(
-            Box::new(LimitedCatalog {
-                inner: CatalogBackend::new(cat.clone()),
-                limit: 2,
-            }),
-            Box::new(RoundRobin::new()),
-        );
+        let mut mgr = SessionManager::weighted_fair(Box::new(LimitedCatalog {
+            inner: CatalogBackend::new(cat.clone()),
+            limit: 2,
+        }));
         let cfg = ServerConfig {
             scheduler: GreedySchedulerConfig {
                 cache_blocks: 60,
@@ -1781,7 +1627,7 @@ mod tests {
         // one Arc'd context instead of re-deriving O(n) state each.
         let n = 50;
         let cat = catalog(n, 4);
-        let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+        let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
         for _ in 0..3 {
             mgr.add_session(Session::builder(utility(4), cat.clone()));
         }
@@ -1965,7 +1811,7 @@ mod tests {
 
     #[test]
     fn parked_session_is_invisible_until_resumed() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 50, 4);
         mgr.on_message(
             ids[0],
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(7))),
@@ -2007,7 +1853,7 @@ mod tests {
         // Two sessions holding the same prediction share one model.
         // Parking one must keep the shared model alive; dropping the park
         // releases it.
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 50, 4);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 50, 4);
         for &id in &ids {
             mgr.on_message(
                 id,
@@ -2030,7 +1876,7 @@ mod tests {
 
     #[test]
     fn resume_reanchors_service_upward_only() {
-        let (mut mgr, ids) = manager_with(Box::new(WeightedFair::new()), &[1.0, 1.0], 100, 10);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 100, 10);
         // Let both run, then park A and let B pull far ahead.
         drive(&mut mgr, 40);
         let service_at_park = mgr.session(ids[0]).unwrap().service();
@@ -2048,7 +1894,7 @@ mod tests {
             "resumed session must be re-anchored at the frontier ({resumed} vs {frontier})"
         );
         // A lone session resumes bit-exactly: no frontier, no re-anchor.
-        let (mut solo, solo_ids) = manager_with(Box::new(RoundRobin::new()), &[1.0], 20, 2);
+        let (mut solo, solo_ids) = manager_with(&[1.0], 20, 2);
         drive(&mut solo, 5);
         let before = solo.session(solo_ids[0]).unwrap().service();
         let parked = solo.detach_session(solo_ids[0]).expect("session was live");
@@ -2057,7 +1903,7 @@ mod tests {
     }
     #[test]
     fn idle_is_final_only_when_every_eligible_session_is_exhausted() {
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 1.0], 4, 2);
+        let (mut mgr, ids) = manager_with(&[1.0, 1.0], 4, 2);
         assert!(!mgr.all_exhausted(&ids), "fresh sessions hold work");
         drive(&mut mgr, 1_000);
         assert!(mgr.next_event_among(Time::ZERO, &ids).is_idle());
@@ -2078,13 +1924,10 @@ mod tests {
         // drained session holds it the answer is `Idle` — yet asking again,
         // with no input in between, serves it.
         let cat = catalog(20, 2);
-        let mut limited = SessionManager::new(
-            Box::new(LimitedCatalog {
-                inner: CatalogBackend::new(cat.clone()),
-                limit: 1,
-            }),
-            Box::new(RoundRobin::new()),
-        );
+        let mut limited = SessionManager::weighted_fair(Box::new(LimitedCatalog {
+            inner: CatalogBackend::new(cat.clone()),
+            limit: 1,
+        }));
         // One block per refill, so every block of the third session needs
         // an allowance of its own.
         let one_at_a_time = ServerConfig {
@@ -2135,54 +1978,36 @@ mod tests {
     }
 
     /// The arbitration this module had before the ready index, kept as the
-    /// oracle: a policy is a scan over a snapshot of the candidates, and
-    /// every pick rebuilds the candidate, allowance and snapshot vectors
-    /// from the live table and the sessions' `exhausted` flags.  It never
-    /// reads the manager's ready index or its [`SharePolicy`] cursor.
+    /// oracle: weighted-fair queueing as a scan over a snapshot of the
+    /// candidates, and every pick rebuilds the candidate, allowance and
+    /// snapshot vectors from the live table and the sessions' `exhausted`
+    /// flags.  It never reads the manager's ready index.
     mod differential {
         use super::*;
         use crate::block::Block;
         use proptest::prelude::*;
 
-        trait ScanPolicy {
-            fn pick(&mut self, ready: &[SessionShare]) -> Option<usize>;
+        /// What the scan compares a candidate by.
+        struct Share {
+            session: SessionId,
+            weight: f64,
+            service: u64,
         }
 
-        #[derive(Default)]
-        struct ScanRoundRobin {
-            last: Option<SessionId>,
-        }
-
-        impl ScanPolicy for ScanRoundRobin {
-            fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
-                if ready.is_empty() {
-                    return None;
-                }
-                let idx = match self.last {
-                    Some(last) => ready.iter().position(|s| s.session > last).unwrap_or(0),
-                    None => 0,
-                };
-                self.last = Some(ready[idx].session);
-                Some(idx)
-            }
-        }
-
-        struct ScanWeightedFair;
-
-        impl ScanPolicy for ScanWeightedFair {
-            fn pick(&mut self, ready: &[SessionShare]) -> Option<usize> {
-                ready
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        let va = (a.service + 1) as f64 / a.weight.max(f64::EPSILON);
-                        let vb = (b.service + 1) as f64 / b.weight.max(f64::EPSILON);
-                        va.partial_cmp(&vb)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.session.cmp(&b.session))
-                    })
-                    .map(|(i, _)| i)
-            }
+        /// The candidate with the lowest weighted service after one more
+        /// block, ties to the lower id.
+        fn scan_pick(ready: &[Share]) -> Option<usize> {
+            ready
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    let va = (a.service + 1) as f64 / a.weight.max(f64::EPSILON);
+                    let vb = (b.service + 1) as f64 / b.weight.max(f64::EPSILON);
+                    va.partial_cmp(&vb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.session.cmp(&b.session))
+                })
+                .map(|(i, _)| i)
         }
 
         /// Membership, messages and bandwidth division are `inner`'s own
@@ -2190,7 +2015,6 @@ mod tests {
         /// `inner`'s live table.
         struct ScanManager {
             inner: SessionManager,
-            policy: Box<dyn ScanPolicy>,
         }
 
         impl ScanManager {
@@ -2257,11 +2081,18 @@ mod tests {
                 let mut candidates: Vec<(usize, Option<usize>)> =
                     indices.into_iter().zip(limits).collect();
                 while !candidates.is_empty() {
-                    let ready: Vec<SessionShare> = candidates
+                    let ready: Vec<Share> = candidates
                         .iter()
-                        .map(|&(i, _)| share_of(mgr.sessions[i].0, &mgr.sessions[i].1))
+                        .map(|&(i, _)| {
+                            let (session, s) = &mgr.sessions[i];
+                            Share {
+                                session: *session,
+                                weight: s.weight(),
+                                service: s.service(),
+                            }
+                        })
                         .collect();
-                    let Some(pick) = self.policy.pick(&ready) else {
+                    let Some(pick) = scan_pick(&ready) else {
                         break;
                     };
                     let (idx, limit) = candidates[pick];
@@ -2315,28 +2146,17 @@ mod tests {
         }
 
         impl Pair {
-            fn new(weighted: bool, limit: Option<usize>) -> Self {
+            fn new(limit: Option<usize>) -> Self {
                 let cat = catalog(REQUESTS, BLOCKS);
-                let backend = || -> Box<dyn Backend> {
-                    Box::new(HoleyBackend {
+                let manager = || {
+                    SessionManager::weighted_fair(Box::new(HoleyBackend {
                         inner: CatalogBackend::new(cat.clone()),
                         limit,
-                    })
-                };
-                let manager = || match weighted {
-                    true => SessionManager::weighted_fair(backend()),
-                    false => SessionManager::round_robin(backend()),
-                };
-                let policy: Box<dyn ScanPolicy> = match weighted {
-                    true => Box::new(ScanWeightedFair),
-                    false => Box::new(ScanRoundRobin::default()),
+                    }))
                 };
                 Pair {
                     indexed: manager(),
-                    scanned: ScanManager {
-                        inner: manager(),
-                        policy,
-                    },
+                    scanned: ScanManager { inner: manager() },
                     cat,
                     live: Vec::new(),
                     detached: Vec::new(),
@@ -2482,24 +2302,22 @@ mod tests {
 
             /// The ready-index walk serves exactly the `(session, block)`
             /// sequence the snapshot-and-scan arbitration served, and
-            /// answers `all_exhausted` the same, under both policies, with
-            /// and without a backend concurrency limit (tight, and looser
-            /// but still below the session count), across joins in and out
-            /// of id order, detach / attach, closes, messages, budget
-            /// changes and unresolvable block references.
+            /// answers `all_exhausted` the same, with and without a backend
+            /// concurrency limit (tight, and looser but still below the
+            /// session count), across joins in and out of id order,
+            /// detach / attach, closes, messages, budget changes and
+            /// unresolvable block references.
             #[test]
             fn index_walk_matches_the_scan_it_replaced(
                 ops in proptest::collection::vec((0u8..16, any::<u32>(), any::<u32>()), 1..96),
             ) {
-                for weighted in [false, true] {
-                    for limit in [None, Some(1), Some(3)] {
-                        let mut pair = Pair::new(weighted, limit);
-                        for weight_class in [1, 2, 1, 0, 3] {
-                            pair.apply(0, 0, weight_class);
-                        }
-                        for &(kind, a, b) in &ops {
-                            pair.apply(kind, a, b);
-                        }
+                for limit in [None, Some(1), Some(3)] {
+                    let mut pair = Pair::new(limit);
+                    for weight_class in [1, 2, 1, 0, 3] {
+                        pair.apply(0, 0, weight_class);
+                    }
+                    for &(kind, a, b) in &ops {
+                        pair.apply(kind, a, b);
                     }
                 }
             }
@@ -2511,7 +2329,7 @@ mod tests {
         // The wire admits `RateReport(0.0)`; the session's estimator ignores
         // it, and so must the fold — a sample of any size would slide the
         // shared window.
-        let (mut mgr, ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 2.0], 20, 2);
+        let (mut mgr, ids) = manager_with(&[1.0, 2.0], 20, 2);
         let report = |mbps: f64| ClientMessage::RateReport(Bandwidth::from_mbps(mbps));
         for (k, &id) in ids.iter().cycle().take(7).enumerate() {
             mgr.on_message(id, &report(1.5 + k as f64), Time::ZERO);
@@ -2528,7 +2346,7 @@ mod tests {
         }
         // The window did not slide either: the next real report lands on the
         // same five samples in a manager that never saw the zeros.
-        let (mut twin, twin_ids) = manager_with(Box::new(RoundRobin::new()), &[1.0, 2.0], 20, 2);
+        let (mut twin, twin_ids) = manager_with(&[1.0, 2.0], 20, 2);
         for (k, &id) in twin_ids.iter().cycle().take(7).enumerate() {
             twin.on_message(id, &report(1.5 + k as f64), Time::ZERO);
         }
@@ -2541,11 +2359,11 @@ mod tests {
     fn initial_bandwidth_seeds_the_shared_estimate_under_the_cap() {
         let cat = catalog(4, 2);
         let backend = || Box::new(CatalogBackend::new(cat.clone()));
-        let seeded = SessionManager::round_robin(backend())
+        let seeded = SessionManager::weighted_fair(backend())
             .with_initial_bandwidth(Bandwidth::from_mbps(2.0));
         assert_eq!(seeded.bandwidth_estimate(), Bandwidth::from_mbps(2.0));
         // Either order: the cap outlives a re-seed.
-        let capped = SessionManager::round_robin(backend())
+        let capped = SessionManager::weighted_fair(backend())
             .with_bandwidth_cap(Bandwidth::from_mbps(3.0))
             .with_initial_bandwidth(Bandwidth::from_mbps(40.0));
         assert_eq!(capped.bandwidth_estimate(), Bandwidth::from_mbps(3.0));
@@ -2788,7 +2606,7 @@ mod tests {
                     .iter()
                     .map(|&size| Arc::new(ResponseCatalog::uniform(8, 2, size)))
                     .collect();
-                let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(
+                let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(
                     cats[0].clone(),
                 )));
                 let mut live: Vec<SessionId> = Vec::new();

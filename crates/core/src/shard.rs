@@ -5,7 +5,7 @@
 //! so one thread's per-block cost barely moves with fleet size; what one
 //! thread cannot do is use a second core.  The [`ShardedSessionManager`]
 //! partitions sessions round-robin across `N` worker threads, each running
-//! its own [`SessionManager`] over a shard-local policy instance, so the
+//! its own [`SessionManager`] with a shard-local ready index, so the
 //! shards' scheduler loops, prediction updates and session builds *run*
 //! concurrently.  Shards buy parallelism, not a smaller scan: on a host
 //! with fewer cores than shards they buy nothing.

@@ -118,7 +118,7 @@ fn session_builder_knobs_feed_the_built_session() {
 fn manager_budget_routing_and_identity_surface() {
     let n = 30;
     let cat = catalog(n, 4);
-    let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat)))
+    let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat)))
         .with_bandwidth_cap(Bandwidth::from_mbps(16.0));
 
     // Explicit-id admission is what the transport resume path uses.
@@ -201,7 +201,7 @@ fn sharded_manager_builder_knobs_apply_before_serving() {
     let factory_cat = cat.clone();
     // The factory's cap is the fleet's: the coordinator adopts it.
     let mut mgr = ShardedSessionManager::spawn(2, move |_shard| {
-        SessionManager::round_robin(Box::new(CatalogBackend::new(factory_cat.clone())))
+        SessionManager::weighted_fair(Box::new(CatalogBackend::new(factory_cat.clone())))
             .with_bandwidth_cap(Bandwidth::from_mbps(12.0))
     });
 

@@ -384,7 +384,7 @@ mod tests {
     /// A manager with `n` live sessions over a small catalog, and their ids.
     fn manager(n: usize) -> (SessionManager, Vec<SessionId>) {
         let cat = Arc::new(ResponseCatalog::uniform(20, 2, 1_000));
-        let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+        let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
         let ids = (0..n)
             .map(|_| {
                 mgr.add_session(Session::builder(

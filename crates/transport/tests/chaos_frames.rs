@@ -102,7 +102,7 @@ proptest! {
         garbage in collection::vec(any::<u8>(), 1..96),
     ) {
         let cat = Arc::new(ResponseCatalog::uniform(24, 4, 1_000));
-        let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+        let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
         let factory_cat = cat.clone();
         let server = TransportServer::spawn(
             "127.0.0.1:0",

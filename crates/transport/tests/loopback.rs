@@ -56,7 +56,7 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 #[test]
 fn blocks_flow_end_to_end_over_loopback() {
     let cat = catalog(40, 4, 2_000);
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -93,7 +93,7 @@ fn blocks_flow_end_to_end_over_loopback() {
 #[test]
 fn abrupt_disconnect_removes_session_and_frees_the_wire() {
     let cat = catalog(30, 4, 1_000);
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -136,7 +136,7 @@ fn abrupt_disconnect_removes_session_and_frees_the_wire() {
 #[test]
 fn departed_session_gets_no_schedule_slots() {
     let cat = catalog(30, 4, 1_000);
-    let mut manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let mut manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let a = manager.add_session(builder(&cat, 4));
     let b = manager.add_session(builder(&cat, 4));
 
@@ -176,7 +176,7 @@ fn departed_session_gets_no_schedule_slots() {
 #[test]
 fn generation_mismatch_triggers_resync_then_recovers() {
     let cat = catalog(30, 4, 1_000);
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -240,7 +240,7 @@ fn sharded_server_fans_out_dedups_and_tears_down_per_shard() {
         "127.0.0.1:0",
         2,
         move |_shard| {
-            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+            SessionManager::weighted_fair(Box::new(CatalogBackend::new(manager_cat.clone())))
         },
         move || builder(&factory_cat, 4),
         TransportConfig::default(),
@@ -345,7 +345,7 @@ fn slow_consumer_is_backpressured_not_buffered_unboundedly() {
     // 256 KiB blocks: a handful of frames exceed loopback socket buffers,
     // so a client that never reads wedges its own queue at the cap.
     let cat = catalog(64, 8, 256 * 1024);
-    let manager = SessionManager::round_robin(Box::new(PayloadBackend {
+    let manager = SessionManager::weighted_fair(Box::new(PayloadBackend {
         catalog: cat.clone(),
     }));
     let factory_cat = cat.clone();
@@ -409,7 +409,7 @@ fn lockstep_tcp_run_matches_in_process_schedule() {
     // --- in-process reference run ---
     let mut reference: Vec<(u64, u32, u32)> = Vec::new();
     {
-        let mut manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+        let mut manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
         let id = manager.add_session(builder(&cat, 4));
         // Toy summaries fail the 50% economy check; force the delta path so
         // determinism is proven *through* O(Δ) updates (both runs use the
@@ -432,7 +432,7 @@ fn lockstep_tcp_run_matches_in_process_schedule() {
     }
 
     // --- TCP lockstep run ---
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let config = TransportConfig {
         lockstep: true,
@@ -503,7 +503,7 @@ fn idle_connections_cost_no_loop_passes() {
         "127.0.0.1:0",
         2,
         move |_shard| {
-            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+            SessionManager::weighted_fair(Box::new(CatalogBackend::new(manager_cat.clone())))
         },
         move || builder(&factory_cat, 2),
         TransportConfig::default(),
@@ -543,7 +543,7 @@ fn idle_connections_cost_no_loop_passes() {
 fn paced_server_wakes_once_per_block() {
     // 20 kB blocks at the default 5.625 MB/s estimate: one every ≈ 3.6 ms.
     let cat = catalog(40, 4, 20_000);
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -611,7 +611,7 @@ fn shutdown_wakes_sleeping_loops() {
             "127.0.0.1:0",
             shards,
             move |_shard| {
-                SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+                SessionManager::weighted_fair(Box::new(CatalogBackend::new(manager_cat.clone())))
             },
             move || builder(&factory_cat, 2),
             TransportConfig::default(),
@@ -662,7 +662,7 @@ impl Backend for OneAtATime {
 fn idle_under_a_concurrency_limit_is_retried_without_input() {
     let cat = catalog(40, 4, 500);
     let manager =
-        SessionManager::round_robin(Box::new(OneAtATime(CatalogBackend::new(cat.clone()))));
+        SessionManager::weighted_fair(Box::new(OneAtATime(CatalogBackend::new(cat.clone()))));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",

@@ -62,7 +62,7 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 }
 
 fn spawn_lockstep(cat: &Arc<ResponseCatalog>, config: TransportConfig) -> TransportServer {
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     TransportServer::spawn(
         "127.0.0.1:0",
@@ -226,7 +226,7 @@ fn park_disabled_reconnect_falls_back_to_fresh_session() {
     // Streaming (non-lockstep) mode: a fresh-fallback session streams
     // against its default prediction immediately, so the client needs no
     // credits to observe the recovery.
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -294,7 +294,7 @@ fn fault_plan_counts_frames_from_the_first_client_frame() {
     // More blocks than a session's ring holds: the stream never runs dry.
     let cat = catalog(600, 4, 1_200);
     let plan = FaultPlan::new().with(0, 2, FaultKind::Truncate { keep: 4 });
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -425,7 +425,7 @@ fn capacity_limit_refuses_sessions_with_typed_busy() {
 #[test]
 fn accepted_sessions_get_ids_past_the_managers_own() {
     let cat = catalog(30, 4, 1_000);
-    let mut manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let mut manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     assert_eq!(manager.add_session(builder(&cat, 4)), SessionId(0));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
@@ -492,7 +492,7 @@ fn sharded_park_resumes_on_owning_shard_with_model_intact() {
         "127.0.0.1:0",
         2,
         move |_shard| {
-            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+            SessionManager::weighted_fair(Box::new(CatalogBackend::new(manager_cat.clone())))
         },
         move || builder(&factory_cat, 4),
         TransportConfig {

@@ -41,7 +41,7 @@ fn summary(n: usize, hot: &[(u32, f64)], residual: f64) -> PredictionSummary {
 }
 
 fn spawn_lockstep(cat: &Arc<ResponseCatalog>) -> TransportServer {
-    let manager = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())));
+    let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     TransportServer::spawn(
         "127.0.0.1:0",
@@ -164,7 +164,7 @@ fn sharded_server_exposes_model_cache_and_shuts_down() {
         "127.0.0.1:0",
         2,
         move |_shard| {
-            SessionManager::round_robin(Box::new(CatalogBackend::new(manager_cat.clone())))
+            SessionManager::weighted_fair(Box::new(CatalogBackend::new(manager_cat.clone())))
         },
         move || builder(&factory_cat, 4),
         TransportConfig {

@@ -17,7 +17,7 @@ use khameleon::backend::image::ImageCorpus;
 use khameleon::core::client::CacheManager;
 use khameleon::core::predictor::PredictorState;
 use khameleon::core::protocol::{ClientMessage, ServerEvent, SessionId};
-use khameleon::core::session::{Session, SessionManager, WeightedFair};
+use khameleon::core::session::{Session, SessionManager};
 use khameleon::core::types::{RequestId, Time};
 
 fn main() {
@@ -29,10 +29,9 @@ fn main() {
     // Two clients share the server: an interactive one (weight 2) and a
     // background one (weight 1).  Weighted-fair arbitration gives the
     // interactive session two blocks for every background block.
-    let mut manager = SessionManager::new(
-        Box::new(BlockStore::with_synthetic_payloads(catalog.clone())),
-        Box::new(WeightedFair::new()),
-    );
+    let mut manager = SessionManager::weighted_fair(Box::new(BlockStore::with_synthetic_payloads(
+        catalog.clone(),
+    )));
     let interactive =
         manager.add_session(Session::builder(utility.clone(), catalog.clone()).weight(2.0));
     let background =
@@ -45,7 +44,7 @@ fn main() {
     let (tx_b, rx_b) = channel::bounded(8);
 
     // Server thread: apply client messages as they arrive and keep the wire
-    // busy, letting the share policy pick whose block goes out next.
+    // busy, letting weighted-fair arbitration pick whose block goes out next.
     let server = thread::spawn(move || {
         let start = std::time::Instant::now();
         let mut pushed = 0u64;

@@ -15,7 +15,7 @@ use khameleon::backend::image::ImageCorpus;
 use khameleon::core::client::CacheManager;
 use khameleon::core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon::core::protocol::ServerEvent;
-use khameleon::core::session::{Session, SessionManager, WeightedFair};
+use khameleon::core::session::{Session, SessionManager};
 use khameleon::core::types::{Duration, RequestId, Time};
 use khameleon::transport::{TransportClient, TransportConfig, TransportServer};
 
@@ -41,10 +41,9 @@ fn main() {
     // Weighted-fair arbitration across the accepted connections: the first
     // peer to connect is the interactive one (weight 2), the second the
     // background one (weight 1).
-    let manager = SessionManager::new(
-        Box::new(BlockStore::with_synthetic_payloads(catalog.clone())),
-        Box::new(WeightedFair::new()),
-    );
+    let manager = SessionManager::weighted_fair(Box::new(BlockStore::with_synthetic_payloads(
+        catalog.clone(),
+    )));
     let factory_catalog = catalog.clone();
     let factory_utility = utility.clone();
     let mut accepted = 0u32;

@@ -46,9 +46,7 @@ pub mod prelude {
     pub use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
     pub use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
     pub use khameleon_core::server::{CatalogBackend, ServerBuilder, ServerConfig};
-    pub use khameleon_core::session::{
-        RoundRobin, Session, SessionManager, SharePolicy, WeightedFair,
-    };
+    pub use khameleon_core::session::{Session, SessionManager};
     pub use khameleon_core::types::{Bandwidth, BlockRef, Duration, RequestId, Time};
     pub use khameleon_core::utility::{LinearUtility, PiecewiseUtility, UtilityModel};
     pub use khameleon_sim::config::ExperimentConfig;

@@ -11,7 +11,7 @@ use khameleon::core::scheduler::{
     GreedyScheduler, GreedySchedulerConfig, OptimalScheduler, Scheduler,
 };
 use khameleon::core::server::{CatalogBackend, ServerBuilder, ServerConfig};
-use khameleon::core::session::{RoundRobin, Session, SessionManager, WeightedFair};
+use khameleon::core::session::{Session, SessionManager};
 use khameleon::core::types::{Bandwidth, RequestId, Time};
 use khameleon::core::utility::{LinearUtility, PowerUtility, UtilityModel};
 
@@ -258,22 +258,14 @@ fn optimal_scheduler_survives_full_schedule_drain_between_updates() {
     }
 }
 
-fn fairness_run(weights: &[f64], weighted: bool, steps: usize) -> Vec<usize> {
+/// Which session (by index into `weights`) each of the first `steps` blocks
+/// went to, from sessions that never run out of work.
+fn fairness_run(weights: &[f64], steps: usize) -> Vec<usize> {
     let n = 100;
     let blocks = 10u32;
     let cat = catalog(n, blocks);
     let utility = UtilityModel::homogeneous(&LinearUtility, blocks);
-    let mut mgr = if weighted {
-        SessionManager::new(
-            Box::new(CatalogBackend::new(cat.clone())),
-            Box::new(WeightedFair::new()),
-        )
-    } else {
-        SessionManager::new(
-            Box::new(CatalogBackend::new(cat.clone())),
-            Box::new(RoundRobin::new()),
-        )
-    };
+    let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let ids: Vec<_> = weights
         .iter()
         .map(|&w| {
@@ -290,37 +282,31 @@ fn fairness_run(weights: &[f64], weighted: bool, steps: usize) -> Vec<usize> {
             )
         })
         .collect();
-    let mut counts = vec![0usize; ids.len()];
-    for _ in 0..steps {
-        match mgr.next_event(Time::ZERO) {
-            ServerEvent::Block { session, .. } => {
-                let idx = ids.iter().position(|&id| id == session).unwrap();
-                counts[idx] += 1;
-            }
-            _ => break,
-        }
-    }
-    counts
+    (0..steps)
+        .map(|step| match mgr.next_event(Time::ZERO) {
+            ServerEvent::Block { session, .. } => ids.iter().position(|&id| id == session).unwrap(),
+            other => panic!("block {step}: every session had work, got {other:?}"),
+        })
+        .collect()
 }
 
-/// Two uniform-demand sessions under round-robin each receive ~50% of the
-/// shared wire.
+/// Uniform-demand sessions of equal weight are served in ascending-id
+/// rotation, 0, 1, 2, 0, 1, 2, …: an exact even split of the wire.
 #[test]
 fn round_robin_fairness_end_to_end() {
-    let counts = fairness_run(&[1.0, 1.0], false, 500);
-    assert_eq!(counts.iter().sum::<usize>(), 500);
-    let (a, b) = (counts[0] as f64, counts[1] as f64);
-    assert!(
-        (a - b).abs() <= 2.0,
-        "round-robin split should be ~50/50, got {a} vs {b}"
-    );
+    let order = fairness_run(&[1.0, 1.0, 1.0], 600);
+    for (step, &served) in order.iter().enumerate() {
+        assert_eq!(served, step % 3, "block {step} left the rotation");
+    }
 }
 
 /// Weighted-fair with a 2:1 weight ratio yields a 2:1 block split.
 #[test]
 fn weighted_fair_two_to_one_split() {
-    let counts = fairness_run(&[2.0, 1.0], true, 600);
-    assert_eq!(counts.iter().sum::<usize>(), 600);
+    let mut counts = [0usize; 2];
+    for served in fairness_run(&[2.0, 1.0], 600) {
+        counts[served] += 1;
+    }
     let ratio = counts[0] as f64 / counts[1] as f64;
     assert!(
         (ratio - 2.0).abs() < 0.05,
@@ -336,7 +322,7 @@ fn weighted_fair_two_to_one_split() {
 fn sessions_join_leave_and_share_bandwidth() {
     let cat = catalog(40, 4);
     let utility = UtilityModel::homogeneous(&LinearUtility, 4);
-    let mut mgr = SessionManager::round_robin(Box::new(CatalogBackend::new(cat.clone())))
+    let mut mgr = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())))
         .with_bandwidth_cap(Bandwidth::from_mbps(8.0));
     let a = mgr.add_session(Session::builder(utility.clone(), cat.clone()));
     assert_eq!(mgr.num_sessions(), 1);
