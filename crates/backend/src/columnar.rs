@@ -51,11 +51,6 @@ impl Column {
     pub fn max(&self) -> Option<f64> {
         (0..self.len()).map(|i| self.value(i)).reduce(f64::max)
     }
-
-    /// Approximate in-memory size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.len() * 8
-    }
 }
 
 /// A half-open range predicate `[lo, hi)` on one column.
@@ -131,11 +126,6 @@ impl Table {
     /// Looks up a column by name.
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.get(name)
-    }
-
-    /// Approximate in-memory size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.columns.values().map(Column::byte_size).sum()
     }
 
     /// Evaluates a conjunction of range filters, returning a row-selection
@@ -220,7 +210,6 @@ mod tests {
         assert_eq!(c.value(0), 3.0);
         assert_eq!(c.min(), Some(1.0));
         assert_eq!(c.max(), Some(3.0));
-        assert_eq!(c.byte_size(), 24);
         assert_eq!(Column::Float(vec![]).min(), None);
     }
 
@@ -247,7 +236,6 @@ mod tests {
         assert_eq!(t.num_rows(), 10);
         assert!(t.column("x").is_some());
         assert!(t.column("z").is_none());
-        assert_eq!(t.byte_size(), 160);
     }
 
     #[test]

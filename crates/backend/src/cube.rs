@@ -110,11 +110,6 @@ impl CubeSlice {
         out
     }
 
-    /// Serialized payload size in bytes.
-    pub fn byte_size(&self) -> u64 {
-        (self.counts.len() * 8) as u64
-    }
-
     /// Flattens the slice to a value vector for progressive encoding.
     pub fn values(&self) -> &[u64] {
         &self.counts
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(s.at(0, 1), 2);
         assert_eq!(s.at(1, 0), 2);
         assert_eq!(s.at(1, 1), 2);
-        assert_eq!(s.byte_size(), 32);
         assert_eq!(s.values().len(), 4);
     }
 

@@ -90,13 +90,6 @@ pub struct EncodedBlock {
     pub total_len: usize,
 }
 
-impl EncodedBlock {
-    /// Serialized size in bytes.
-    pub fn byte_size(&self) -> u64 {
-        (self.entries.len() * 12 + 8) as u64
-    }
-}
-
 /// Contiguous byte-range progressive encoding (progressive-JPEG-like).
 #[derive(Debug, Clone, Copy)]
 pub struct ByteRangeEncoder {

@@ -93,11 +93,6 @@ impl QueryExecutor {
         }
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The table being queried.
     pub fn table(&self) -> &Table {
         &self.table
@@ -166,7 +161,6 @@ mod tests {
         assert_eq!(slice.total(), 3);
         assert!(latency.as_micros() > 0);
         assert_eq!(ex.executed(), 1);
-        assert_eq!(ex.cost_model().name, "scalable-sql");
         assert_eq!(ex.table().num_rows(), 4);
     }
 }

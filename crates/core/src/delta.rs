@@ -44,10 +44,10 @@
 //!   sorted in one allocation.  A rescale-only delta moves nothing.
 //! * One read-only pass per *touched* slice to re-sum its explicit mass in
 //!   entry order.  It stays because the sum has to carry the bits
-//!   [`SlotPlan::new`](crate::scheduler) gets from a full scan, and floating
-//!   addition is not associative: an order-free accumulator is `O(Δ)` but
-//!   rounds differently from the entry-order sum (a 2⁻⁸⁰ fixed-point one
-//!   was tried, and tripped `scheduler::tests::oracle` on an ε-borderline
+//!   [`SummaryScalars::of`] gets from a full scan, and floating addition
+//!   is not associative: an order-free accumulator is `O(Δ)` but rounds
+//!   differently from the entry-order sum (a 2⁻⁸⁰ fixed-point one was
+//!   tried, and tripped `scheduler::tests::oracle` on an ε-borderline
 //!   seed).
 //! * The tracker's diff is one read-only walk of both summaries — it has no
 //!   changed-set to start from; finding one is its job — that passes runs of
@@ -142,8 +142,8 @@ impl PredictionDelta {
 /// Per-slice scalars of a summary that a slot plan would otherwise derive
 /// by scanning every explicit entry: explicit probability mass per slice
 /// and `|A ∪ B|` per adjacent slice pair.  The shadow re-sums the mass of
-/// each slice a delta touched in entry order — the summation order of the
-/// full-scan path — and keeps the unions as exact counts, so the two paths
+/// each slice a delta touched in entry order — the summation order of
+/// [`SummaryScalars::of`] — and keeps the unions as exact counts, so both
 /// produce identical plans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryScalars {
@@ -151,6 +151,22 @@ pub struct SummaryScalars {
     pub masses: Vec<f64>,
     /// `|A ∪ B|` for each adjacent slice pair (`len == slices - 1`).
     pub pair_unions: Vec<usize>,
+}
+
+impl SummaryScalars {
+    /// Derives the scalars of `summary` by a full scan: each slice's mass
+    /// summed in entry order, each adjacent pair's union by a merge.
+    pub fn of(summary: &PredictionSummary) -> Self {
+        let slices = summary.slices();
+        SummaryScalars {
+            masses: (slices.iter())
+                .map(|s| s.dist.explicit_entries().iter().map(|&(_, p)| p).sum())
+                .collect(),
+            pair_unions: (slices.windows(2))
+                .map(|w| union_count(w[0].dist.explicit_entries(), w[1].dist.explicit_entries()))
+                .collect(),
+        }
+    }
 }
 
 /// The changed-set a [`ShadowSummary`] hands the scheduler alongside the
@@ -247,8 +263,7 @@ pub struct ShadowSummary {
 struct ShadowState {
     generation: u64,
     summary: PredictionSummary,
-    masses: Vec<f64>,
-    pair_unions: Vec<usize>,
+    scalars: SummaryScalars,
     /// How many slices carry an explicit entry for each materialized
     /// request.
     explicit_in: HashMap<RequestId, usize>,
@@ -268,11 +283,6 @@ impl ShadowSummary {
         self.state = None;
     }
 
-    /// The generation of the installed summary, if any.
-    pub fn generation(&self) -> Option<u64> {
-        self.state.as_ref().map(|s| s.generation)
-    }
-
     /// The installed summary, if any.
     pub fn summary(&self) -> Option<&PredictionSummary> {
         self.state.as_ref().map(|s| &s.summary)
@@ -283,14 +293,7 @@ impl ShadowSummary {
     /// paid only on install/resync).
     pub fn install(&mut self, generation: u64, summary: PredictionSummary) {
         let slices = summary.slices();
-        let masses: Vec<f64> = slices
-            .iter()
-            .map(|s| s.dist.explicit_entries().iter().map(|&(_, p)| p).sum())
-            .collect();
-        let pair_unions: Vec<usize> = slices
-            .windows(2)
-            .map(|w| union_count(w[0].dist.explicit_entries(), w[1].dist.explicit_entries()))
-            .collect();
+        let scalars = SummaryScalars::of(&summary);
         let mut explicit_in: HashMap<RequestId, usize> = HashMap::new();
         for s in slices {
             for &(r, _) in s.dist.explicit_entries() {
@@ -303,8 +306,7 @@ impl ShadowSummary {
         self.state = Some(ShadowState {
             generation,
             summary,
-            masses,
-            pair_unions,
+            scalars,
             explicit_in,
             partial,
         });
@@ -380,7 +382,7 @@ impl ShadowSummary {
             // full entry scan, which an order-free accumulator cannot
             // reproduce — so the sparse slot plan is bit-identical to the
             // full one.
-            state.masses[i] = dist.explicit_entries().iter().map(|&(_, p)| p).sum();
+            state.scalars.masses[i] = dist.explicit_entries().iter().map(|&(_, p)| p).sum();
 
             // Membership moved only for joins and removes: tallies and pair
             // unions follow those ids, not the slice.
@@ -413,14 +415,16 @@ impl ShadowSummary {
             for (pair, neighbour) in neighbours.into_iter().flatten() {
                 let other = &state.summary.slices()[neighbour].dist;
                 let absent = |ids: &[RequestId]| ids.len() - other.count_explicit(ids);
-                let union = &mut state.pair_unions[pair];
+                let union = &mut state.scalars.pair_unions[pair];
                 *union = *union + absent(&joined) - absent(&sd.removes);
             }
         }
         debug_assert!(
-            (state.summary.slices().windows(2).zip(&state.pair_unions)).all(|(w, &u)| {
-                u == union_count(w[0].dist.explicit_entries(), w[1].dist.explicit_entries())
-            }),
+            (state.summary.slices().windows(2))
+                .zip(&state.scalars.pair_unions)
+                .all(|(w, &u)| {
+                    u == union_count(w[0].dist.explicit_entries(), w[1].dist.explicit_entries())
+                }),
             "maintained pair unions drifted from a fresh merge"
         );
         state.summary.generated_at = delta.generated_at;
@@ -450,10 +454,7 @@ impl ShadowSummary {
             summary: &state.summary,
             changes: PredictionChanges {
                 changed,
-                scalars: SummaryScalars {
-                    masses: state.masses.clone(),
-                    pair_unions: state.pair_unions.clone(),
-                },
+                scalars: state.scalars.clone(),
             },
         })
     }
@@ -786,6 +787,11 @@ mod tests {
         )
     }
 
+    /// The generation of the summary `shadow` holds, if any.
+    fn generation(shadow: &ShadowSummary) -> Option<u64> {
+        shadow.state.as_ref().map(|s| s.generation)
+    }
+
     #[test]
     fn tracker_first_encode_is_full_then_delta() {
         // Toy summaries are so small the 50% economy check would refuse the
@@ -835,7 +841,7 @@ mod tests {
             // all four slices, so the sparse path must be taken.
             ShadowApply::Full { .. } => panic!("expected sparse path"),
         }
-        assert_eq!(shadow.generation(), Some(2));
+        assert_eq!(generation(&shadow), Some(2));
     }
 
     #[test]
@@ -891,7 +897,7 @@ mod tests {
             })
         ));
         assert_eq!(shadow.summary(), Some(&s1));
-        assert_eq!(shadow.generation(), Some(3));
+        assert_eq!(generation(&shadow), Some(3));
     }
 
     #[test]
@@ -930,7 +936,7 @@ mod tests {
         ]);
         assert!(matches!(shadow.apply(&d), Err(DeltaError::Malformed(_))));
         assert_eq!(shadow.summary(), Some(&s1));
-        assert_eq!(shadow.generation(), Some(1));
+        assert_eq!(generation(&shadow), Some(1));
     }
 
     #[test]
@@ -1163,8 +1169,8 @@ mod tests {
             ShadowBits {
                 generation: state.generation,
                 summary: summary_bits(&state.summary),
-                masses: state.masses.iter().map(|m| m.to_bits()).collect(),
-                pair_unions: state.pair_unions.clone(),
+                masses: state.scalars.masses.iter().map(|m| m.to_bits()).collect(),
+                pair_unions: state.scalars.pair_unions.clone(),
                 explicit_in: state.explicit_in.iter().map(|(&r, &c)| (r, c)).collect(),
                 partial: state.partial,
             }

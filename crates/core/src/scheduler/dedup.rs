@@ -13,10 +13,13 @@
 //!
 //! ## The invariant
 //!
-//! *A shared model is always `build(summary, params)` (or the uniform
-//! prior); a diffed model is always private.*  Entries are keyed by the
-//! fingerprint of their build input, and [`HorizonModel::build`] is a pure
-//! function of it, so two sessions resolving the same key hold
+//! *A shared model is always `build(summary, params)`; a diffed model is
+//! always private.*  The uniform prior every scheduler starts from is no
+//! exception: it is the build of [`PredictionSummary::uniform`], so N fresh
+//! sessions share one pristine model, and a session whose predictor later
+//! falls back to an explicit uniform summary rejoins it.  Entries are keyed
+//! by the fingerprint of their build input, and [`HorizonModel::build`] is a
+//! pure function of it, so two sessions resolving the same key hold
 //! *bit-identical* content — even if a cross-thread race makes them build it
 //! twice and only one registration wins — whatever either predicted before
 //! and whichever other sessions happen to be live.  A scheduler applying a
@@ -93,7 +96,6 @@ fn fingerprint_summary(
     gamma: f64,
 ) -> ModelKey {
     let mut h = Fnv2::new();
-    h.word(1); // tag: summary-built model
     h.word(summary.num_requests() as u64);
     h.word(summary.slices().len() as u64);
     for slice in summary.slices() {
@@ -115,26 +117,12 @@ fn fingerprint_summary(
     }
 }
 
-/// Fingerprints the uniform-prior model every scheduler starts from, so N
-/// fresh sessions over one catalog share a single pristine model until their
-/// first predictions arrive.
-fn fingerprint_uniform(n: usize, horizon: usize, slot_duration: Duration, gamma: f64) -> ModelKey {
-    let mut h = Fnv2::new();
-    h.word(0); // tag: uniform-prior model
-    h.word(n as u64);
-    ModelKey {
-        fingerprint: h.finish(),
-        n,
-        horizon,
-        slot_micros: slot_duration.as_micros(),
-        gamma_bits: gamma.to_bits(),
-    }
-}
-
 /// Shared registry of canonical [`HorizonModel`]s, keyed by content
-/// fingerprint.  Entries are held weakly: a model lives exactly as long as
-/// some scheduler holds it, so a departing session's models are reclaimed
-/// without any explicit eviction protocol.
+/// fingerprint.  Every entry is a [`HorizonModel::build`], the uniform prior
+/// (the build of [`PredictionSummary::uniform`]) included.  Entries are held
+/// weakly: a model lives exactly as long as some scheduler holds it, so a
+/// departing session's models are reclaimed without any explicit eviction
+/// protocol.
 ///
 /// One instance is shared by every session of a
 /// [`SessionManager`](crate::session::SessionManager) and, under sharding,
@@ -171,38 +159,8 @@ impl ModelCache {
         slot_duration: Duration,
         gamma: f64,
     ) -> Arc<HorizonModel> {
-        let key = fingerprint_summary(summary, horizon, slot_duration, gamma);
-        self.resolve_with(key, || {
-            HorizonModel::build(summary, horizon, slot_duration, gamma)
-        })
-    }
-
-    /// Resolves the canonical uniform-prior model for the given parameters.
-    pub fn resolve_uniform(
-        &self,
-        n: usize,
-        horizon: usize,
-        slot_duration: Duration,
-        gamma: f64,
-    ) -> Arc<HorizonModel> {
-        let key = fingerprint_uniform(n, horizon, slot_duration, gamma);
-        self.resolve_with(key, || {
-            HorizonModel::uniform(n, horizon, slot_duration, gamma)
-        })
-    }
-
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn resolve_with(
-        &self,
-        key: ModelKey,
-        build: impl FnOnce() -> HorizonModel,
-    ) -> Arc<HorizonModel> {
         use std::sync::atomic::Ordering;
+        let key = fingerprint_summary(summary, horizon, slot_duration, gamma);
         {
             let mut entries = self.lock_entries();
             entries.retain(|e| e.model.strong_count() > 0);
@@ -218,7 +176,7 @@ impl ModelCache {
         // Build outside the lock: canonical builds are pure functions of the
         // key, so two threads racing on the same key build identical models
         // and it does not matter whose registration wins.
-        let built = Arc::new(build());
+        let built = Arc::new(HorizonModel::build(summary, horizon, slot_duration, gamma));
         let mut entries = self.lock_entries();
         for entry in entries.iter() {
             if entry.key == key {
@@ -234,6 +192,12 @@ impl ModelCache {
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
         built
+    }
+
+    fn lock_entries(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
+        self.entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Number of distinct models currently kept alive by some scheduler.
@@ -402,10 +366,36 @@ mod tests {
     #[test]
     fn uniform_models_dedup_per_parameter_set() {
         let cache = ModelCache::new();
-        let a = cache.resolve_uniform(100, 32, Duration::from_millis(1), 0.8);
-        let b = cache.resolve_uniform(100, 32, Duration::from_millis(1), 0.8);
-        let c = cache.resolve_uniform(101, 32, Duration::from_millis(1), 0.8);
+        let uniform = |n| PredictionSummary::uniform(n, Time::ZERO);
+        let a = cache.resolve_build(&uniform(100), 32, Duration::from_millis(1), 0.8);
+        let b = cache.resolve_build(&uniform(100), 32, Duration::from_millis(1), 0.8);
+        let c = cache.resolve_build(&uniform(101), 32, Duration::from_millis(1), 0.8);
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn explicit_uniform_summary_shares_the_prior() {
+        use crate::block::ResponseCatalog;
+        use crate::scheduler::{GreedyContext, GreedyScheduler, GreedySchedulerConfig};
+        use crate::utility::{LinearUtility, UtilityModel};
+
+        let catalog = Arc::new(ResponseCatalog::uniform(64, 2, 100));
+        let utility = UtilityModel::homogeneous(&LinearUtility, 2);
+        let ctx = Arc::new(GreedyContext::new(&utility, &catalog));
+        let cache = ModelCache::new();
+        let mk = || {
+            let cfg = GreedySchedulerConfig {
+                cache_blocks: 32,
+                ..Default::default()
+            };
+            let (cat, ctx) = (catalog.clone(), ctx.clone());
+            GreedyScheduler::with_context_and_cache(cfg, cat, ctx, Some(cache.clone()))
+        };
+        let (fresh, mut fallen_back) = (mk(), mk());
+        // What a predictor with nothing to go on sends, stamped later.
+        fallen_back.update_prediction(&PredictionSummary::uniform(64, Time::from_micros(7)), 0);
+        assert!(Arc::ptr_eq(fresh.model_arc(), fallen_back.model_arc()));
+        assert_eq!(cache.live_models(), 1);
     }
 }

@@ -298,24 +298,15 @@ impl GreedyScheduler {
         catalog: Arc<ResponseCatalog>,
     ) -> Self {
         let ctx = Arc::new(GreedyContext::new(&utility, &catalog));
-        Self::with_context(cfg, catalog, ctx)
+        Self::with_context_and_cache(cfg, catalog, ctx, None)
     }
 
     /// Creates a scheduler reusing a shared [`GreedyContext`] (derived from
     /// the catalog and the utility model to price blocks with) instead of
     /// computing its own — the multi-session path, where N sessions over one
-    /// catalog share one `O(n)` context.
-    pub fn with_context(
-        cfg: GreedySchedulerConfig,
-        catalog: Arc<ResponseCatalog>,
-        ctx: Arc<GreedyContext>,
-    ) -> Self {
-        Self::with_context_and_cache(cfg, catalog, ctx, None)
-    }
-
-    /// [`with_context`](Self::with_context), with the uniform prior — and
-    /// every later whole-summary install — resolved through `model_cache`
-    /// when one is supplied.
+    /// catalog share one `O(n)` context — with the uniform prior, and every
+    /// later whole-summary install, resolved through `model_cache` when one
+    /// is supplied.
     pub(crate) fn with_context_and_cache(
         cfg: GreedySchedulerConfig,
         catalog: Arc<ResponseCatalog>,
@@ -329,17 +320,8 @@ impl GreedyScheduler {
             num_requests,
             "shared context derived for a different catalog"
         );
-        let model = match &model_cache {
-            Some(cache) => {
-                cache.resolve_uniform(num_requests, cfg.cache_blocks, cfg.slot_duration, cfg.gamma)
-            }
-            None => Arc::new(HorizonModel::uniform(
-                num_requests,
-                cfg.cache_blocks,
-                cfg.slot_duration,
-                cfg.gamma,
-            )),
-        };
+        let prior = PredictionSummary::uniform(num_requests, crate::types::Time::ZERO);
+        let model = canonical_model(&cfg, model_cache.as_ref(), &prior);
         let rng = StdRng::seed_from_u64(cfg.seed);
         let touched_per_class = vec![0; ctx.classes.num_classes()];
         let ring = RingCache::new(cfg.cache_blocks);
@@ -367,11 +349,6 @@ impl GreedyScheduler {
         };
         s.rebuild_touched();
         s
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GreedySchedulerConfig {
-        &self.cfg
     }
 
     /// Whether draws go through the incrementally maintained
@@ -521,15 +498,7 @@ impl GreedyScheduler {
     /// Installs the canonical model for `summary` — the shared instance when
     /// a cache is attached — and rebuilds the touched set and sampler.
     fn install(&mut self, summary: &PredictionSummary) {
-        let (horizon, slot, gamma) = (
-            self.cfg.cache_blocks,
-            self.cfg.slot_duration,
-            self.cfg.gamma,
-        );
-        self.model = match &self.model_cache {
-            Some(cache) => cache.resolve_build(summary, horizon, slot, gamma),
-            None => Arc::new(HorizonModel::build(summary, horizon, slot, gamma)),
-        };
+        self.model = canonical_model(&self.cfg, self.model_cache.as_ref(), summary);
         self.rebuild_touched();
         #[cfg(feature = "audit")]
         self.audit_on_update(summary, false);
@@ -1229,14 +1198,19 @@ impl GreedyScheduler {
     pub fn simulated_cache(&self) -> HashMap<RequestId, u32> {
         self.ring.resident_counts().collect()
     }
+}
 
-    /// The simulated client ring contents in arrival order, oldest first.
-    ///
-    /// Exposed for tests and debugging: the rollback property tests replay
-    /// random schedule / rollback / eviction sequences and assert this
-    /// exactly matches a ground-truth replay of the client's FIFO ring.
-    pub fn simulated_ring(&self) -> Vec<BlockRef> {
-        self.ring.iter().copied().collect()
+/// The canonical model of `summary` under `cfg`'s horizon, slot duration
+/// and γ: the shared instance when a cache is attached.
+fn canonical_model(
+    cfg: &GreedySchedulerConfig,
+    cache: Option<&Arc<crate::scheduler::ModelCache>>,
+    summary: &PredictionSummary,
+) -> Arc<HorizonModel> {
+    let (horizon, slot, gamma) = (cfg.cache_blocks, cfg.slot_duration, cfg.gamma);
+    match cache {
+        Some(cache) => cache.resolve_build(summary, horizon, slot, gamma),
+        None => Arc::new(HorizonModel::build(summary, horizon, slot, gamma)),
     }
 }
 
@@ -1589,6 +1563,13 @@ impl GreedyScheduler {
     /// show through [`Arc::ptr_eq`].
     pub(crate) fn model_arc(&self) -> &Arc<HorizonModel> {
         &self.model
+    }
+
+    /// The simulated client ring contents in arrival order, oldest first:
+    /// the rollback property tests assert it matches a ground-truth replay
+    /// of the client's FIFO ring.
+    pub(crate) fn simulated_ring(&self) -> Vec<BlockRef> {
+        self.ring.iter().copied().collect()
     }
 }
 
@@ -2703,11 +2684,7 @@ mod tests {
             UtilityModel::per_request(tables)
         }
 
-        /// Runs one scheduler of the given variant through the op sequence.
-        /// `examples/parity_check.rs` is a 400k-case standalone mirror of
-        /// this harness (same op grammar and generators) — extend both
-        /// together.
-        ///
+        /// Runs one scheduler of the given variant through the op sequence,
         /// returning every emitted block (batch boundaries preserved via
         /// sentinel separation is unnecessary — batches are deterministic in
         /// length given parity, which is exactly what the caller asserts).
@@ -2923,6 +2900,47 @@ mod tests {
                     );
                     prop_assert_eq!(&lazy_ring, &scan_ring, "ring diverged (meta={})", meta);
                 }
+            }
+        }
+
+        /// The proptest above at volume: 400 000 cases from a fixed LCG, meta
+        /// drawn per case.  Run it after any change to `greedy.rs`,
+        /// `sampling.rs` or `cache.rs`:
+        /// `cargo test --release -p khameleon-core --lib
+        /// sampler_variants_parity_sweep -- --ignored`.
+        #[test]
+        #[ignore = "400k cases, about a minute in release"]
+        fn sampler_variants_parity_sweep() {
+            let mut state = 98_765u64;
+            let mut next = || {
+                state = (state.wrapping_mul(6_364_136_223_846_793_005))
+                    .wrapping_add(1_442_695_040_888_963_407);
+                state >> 33
+            };
+            for case in 0..400_000 {
+                let n = next() as usize % 12 + 2;
+                let blocks = next() as u32 % 5 + 1;
+                let cache = next() as usize % 18 + 2;
+                let seed = next() % 10_000;
+                let meta = next().is_multiple_of(2);
+                let len = next() as usize % 13 + 1;
+                let ops: Vec<(u8, usize, usize)> = (0..len)
+                    .map(|_| {
+                        (
+                            (next() % 8) as u8,
+                            next() as usize % 64,
+                            next() as usize % 64,
+                        )
+                    })
+                    .collect();
+                let utility = heterogeneous_utility(n, blocks);
+                let [scan, lazy] = [SamplerVariant::Scan, SamplerVariant::Lazy]
+                    .map(|v| drive_variant(v, n, blocks, cache, seed, meta, &utility, &ops));
+                assert!(
+                    lazy == scan,
+                    "case {case}: n={n} blocks={blocks} cache={cache} seed={seed} \
+                     meta={meta} ops={ops:?}"
+                );
             }
         }
     }

@@ -602,84 +602,31 @@ impl HorizonModel {
         self.residual[t.min(self.horizon)]
     }
 
-    /// The whole-summary *oracle* of
-    /// [`apply_update_sparse`](HorizonModel::apply_update_sparse): finds the
-    /// changed set itself, by an `O(m · slices)` merge scan of every
-    /// signature, then applies the same plan.  No scheduler calls it — a
-    /// whole summary installs [`HorizonModel::build`], which costs the same
-    /// scan; the sparse planner is tested against it (same [`ModelDiff`],
-    /// bit-identical model) and the repo benchmark's shadow model times it.
+    /// Applies a whole summary as if it were a delta: the changed set is
+    /// every request materialized before or after it, the scalars are
+    /// [`SummaryScalars::of`](crate::delta::SummaryScalars::of) the summary,
+    /// and [`apply_update_sparse`](HorizonModel::apply_update_sparse) does
+    /// the rest.  Deriving both by a full scan is the reference: the
+    /// `sparse_planner` tests hold what a
+    /// [`ShadowSummary`](crate::delta::ShadowSummary) maintains to it (same
+    /// [`ModelDiff`], bit-identical model).  No scheduler calls it — a whole
+    /// summary installs [`HorizonModel::build`], which costs the same scan —
+    /// but the repo benchmark's shadow model times it.
     pub fn apply_update(&mut self, summary: &PredictionSummary) -> Option<ModelDiff> {
-        let slices = summary.slices();
-        if self.n != summary.num_requests()
-            || slices.len() != self.slice_deltas.len()
-            || slices
-                .iter()
-                .zip(&self.slice_deltas)
-                .any(|(s, &d)| s.delta != d)
-        {
-            return None;
+        let (old, new) = (&self.materialized_ids, summary.materialized_requests());
+        let mut changed = Vec::with_capacity(old.len() + new.len());
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            let (o, nw) = (old[i], new[j]);
+            changed.push(o.min(nw));
+            i += usize::from(o <= nw);
+            j += usize::from(nw <= o);
         }
-        let horizon = self.horizon;
-        let new_ids = summary.materialized_requests();
-
-        // --- phase 1: plan (read-only; any bail-out leaves `self` intact) ---
-        let new_sigs: HashMap<RequestId, TailSignature> = new_ids
-            .iter()
-            .map(|&r| (r, signature_of(slices, r)))
-            .collect();
-        let mut departed = Vec::new();
-        let mut joined = Vec::new();
-        let mut pending = Vec::new(); // joins + non-trivial changes, ascending
-        let mut fast_rescale: Vec<(RequestId, f64)> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.materialized_ids.len() || j < new_ids.len() {
-            let old = self.materialized_ids.get(i).copied();
-            let new = new_ids.get(j).copied();
-            match (old, new) {
-                (Some(o), Some(nw)) if o == nw => {
-                    let old_sig = &self.signatures[&o];
-                    let new_sig = &new_sigs[&o];
-                    if old_sig != new_sig {
-                        match sig_scale(old_sig, new_sig) {
-                            Some(c) => fast_rescale.push((o, c)),
-                            None => pending.push(o),
-                        }
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(o), Some(nw)) if o < nw => {
-                    departed.push(o);
-                    i += 1;
-                }
-                (Some(_), None) => {
-                    departed.push(self.materialized_ids[i]);
-                    i += 1;
-                }
-                (_, Some(nw)) => {
-                    joined.push(nw);
-                    pending.push(nw);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        let max_changed = (new_ids.len() / 4).max(64);
-        if departed.len() + joined.len() + pending.len() > max_changed {
-            return None;
-        }
-
-        let plan = SlotPlan::new(summary, horizon, self.slot_duration, self.gamma);
-        self.apply_planned(
-            &plan,
-            departed,
-            joined,
-            pending,
-            fast_rescale,
-            &new_sigs,
-            Some(new_ids),
-        )
+        changed.extend_from_slice(&old[i..]);
+        changed.extend_from_slice(&new[j..]);
+        let scalars = crate::delta::SummaryScalars::of(summary);
+        let changes = crate::delta::PredictionChanges { changed, scalars };
+        self.apply_update_sparse(summary, &changes)
     }
 
     /// Applies a prediction delta *incrementally*: keeps tails and bucket
@@ -783,10 +730,10 @@ impl HorizonModel {
         )
     }
 
-    /// Shared back half of [`apply_update`](HorizonModel::apply_update) and
-    /// [`apply_update_sparse`](HorizonModel::apply_update_sparse): classifies
-    /// the pending tails against bucket shapes (read-only; may still bail to
-    /// a full rebuild) and then applies removals, placements, and rescales.
+    /// Back half of [`apply_update_sparse`](HorizonModel::apply_update_sparse):
+    /// classifies the pending tails against bucket shapes (read-only; may
+    /// still bail to a full rebuild) and then applies removals, placements,
+    /// and rescales.
     /// `new_sigs` must cover `pending` and `fast_rescale`; `new_ids` is the
     /// new materialized set, `None` when it is the old one.
     #[allow(clippy::too_many_arguments)]
@@ -1160,36 +1107,9 @@ impl SlotPlan {
         slot_duration: Duration,
         gamma: f64,
     ) -> Self {
-        let slices = summary.slices();
-        let mass: Vec<f64> = slices
-            .iter()
-            .map(|s| s.dist.explicit_entries().iter().map(|&(_, p)| p).sum())
-            .collect();
-        let unions: Vec<usize> = slices
-            .windows(2)
-            .map(|w| {
-                crate::distribution::union_count(
-                    w[0].dist.explicit_entries(),
-                    w[1].dist.explicit_entries(),
-                )
-            })
-            .collect();
-        let skeleton = SlotSkeleton::new(slices, horizon, slot_duration, gamma);
-        Self::from_parts(summary, &skeleton, &mass, &unions)
-    }
-
-    /// Builds the plan over a kept skeleton from precomputed per-slice
-    /// masses and adjacent-union counts (see
-    /// [`crate::delta::SummaryScalars`]), skipping the `O(m · slices)` entry
-    /// scans of [`SlotPlan::new`] and its per-slot derivations.  The shadow
-    /// sums each mass in entry order and keeps each union an exact count, so
-    /// the resulting plan is bit-identical.
-    fn from_scalars(
-        summary: &PredictionSummary,
-        skeleton: &SlotSkeleton,
-        scalars: &crate::delta::SummaryScalars,
-    ) -> Self {
-        Self::from_parts(summary, skeleton, &scalars.masses, &scalars.pair_unions)
+        let skeleton = SlotSkeleton::new(summary.slices(), horizon, slot_duration, gamma);
+        let scalars = crate::delta::SummaryScalars::of(summary);
+        Self::from_scalars(summary, &skeleton, &scalars)
     }
 
     /// The skeleton this plan was laid over, for the model to keep.
@@ -1200,12 +1120,16 @@ impl SlotPlan {
         }
     }
 
-    fn from_parts(
+    /// Builds the plan over a kept skeleton from the summary's per-slice
+    /// masses and adjacent-union counts, whether derived by a scan or
+    /// maintained by the shadow (same bits either way, see
+    /// [`crate::delta::SummaryScalars`]).
+    fn from_scalars(
         summary: &PredictionSummary,
         skeleton: &SlotSkeleton,
-        mass: &[f64],
-        unions: &[usize],
+        scalars: &crate::delta::SummaryScalars,
     ) -> Self {
+        let (mass, unions) = (&scalars.masses, &scalars.pair_unions);
         let slices = summary.slices();
         let n = summary.num_requests();
         let count: Vec<usize> = slices
@@ -2276,18 +2200,15 @@ mod tests {
     }
 
     /// [`HorizonModel::apply_update_sparse`], fed the way a session feeds it
-    /// ([`DeltaTracker`] → [`ShadowSummary`]), pinned to the whole-summary
-    /// oracle [`HorizonModel::apply_update`]: same [`ModelDiff`] (or the same
-    /// refusal), and a model identical to the bit.
+    /// ([`DeltaTracker`] → [`ShadowSummary`]), pinned to the changed set and
+    /// scalars [`HorizonModel::apply_update`] derives by a full scan: same
+    /// [`ModelDiff`] (or the same refusal), and a model identical to the bit.
     ///
     /// [`DeltaTracker`]: crate::delta::DeltaTracker
     /// [`ShadowSummary`]: crate::delta::ShadowSummary
     mod sparse_planner {
         use super::*;
-        use crate::delta::{
-            DeltaTracker, PredictionChanges, PredictionDelta, ShadowApply, ShadowSummary,
-            SliceDelta,
-        };
+        use crate::delta::{DeltaTracker, ShadowApply, ShadowSummary};
         use crate::protocol::ClientMessage;
         use proptest::prelude::*;
         use rand::rngs::StdRng;
@@ -2306,8 +2227,9 @@ mod tests {
             "refused: too many changes",
             "refused: bucket cap hit with stale buckets to reclaim",
             // The shadow could not certify the delta (a residual shifted
-            // under requests explicit in only some slices); the sparse
-            // planner is then fed every materialized id, old and new.
+            // under requests explicit in only some slices); `apply_update`
+            // then feeds the sparse planner every materialized id, old and
+            // new.
             "uncertified delta",
             "delta on a diffed model",
         ];
@@ -2515,26 +2437,10 @@ mod tests {
                         assert_eq!(summary, &next, "seed {seed}: shadow drifted");
                         model.apply_update_sparse(summary, &changes)
                     }
-                    ShadowApply::Full { .. } => {
+                    ShadowApply::Full { summary } => {
                         reached[9] = true;
-                        // An empty delta is always certified: it hands out
-                        // the shadow's scalars for `next`.
-                        let empty = PredictionDelta {
-                            base_generation: delta.generation,
-                            generation: delta.generation,
-                            generated_at: delta.generated_at,
-                            slices: vec![SliceDelta::default(); num_slices],
-                        };
-                        let Ok(ShadowApply::Sparse { summary, changes }) = shadow.apply(&empty)
-                        else {
-                            panic!("seed {seed}: an empty delta was not certified");
-                        };
-                        let mut changed = model.materialized_ids.clone();
-                        changed.extend(next.materialized_requests());
-                        changed.sort_unstable();
-                        changed.dedup();
-                        let changes = PredictionChanges { changed, ..changes };
-                        model.apply_update_sparse(summary, &changes)
+                        assert_eq!(summary, &next, "seed {seed}: shadow drifted");
+                        model.apply_update(summary)
                     }
                 };
                 assert_eq!(got, want, "seed {seed}");

@@ -446,7 +446,8 @@ impl SessionBuilder {
     /// with the context's utility model, so [`build`](Self::build) panics
     /// unless it is equal by value to this builder's
     /// ([`UtilityModel::same_tables`]).
-    pub fn greedy_context(mut self, ctx: Arc<GreedyContext>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn greedy_context(mut self, ctx: Arc<GreedyContext>) -> Self {
         self.greedy_context = Some(ctx);
         self
     }
@@ -454,7 +455,8 @@ impl SessionBuilder {
     /// Resolves the default greedy scheduler's full model rebuilds through a
     /// shared [`ModelCache`], deduplicating `HorizonModel`s across sessions
     /// with bit-identical predictions (see [`crate::scheduler::dedup`]).
-    pub fn model_cache(mut self, cache: Arc<ModelCache>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn model_cache(mut self, cache: Arc<ModelCache>) -> Self {
         self.model_cache = Some(cache);
         self
     }

@@ -588,11 +588,6 @@ impl ShardedSessionManager {
         ShardStats::merge(per_shard, self.model_cache.live_models())
     }
 
-    /// Number of worker shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Live sessions across all shards.
     pub fn num_sessions(&self) -> usize {
         self.members.len()
@@ -912,7 +907,6 @@ mod tests {
         let ids: Vec<SessionId> = (0..7)
             .map(|i| mgr.add_session(builder(&cat, 1.0, i)))
             .collect();
-        assert_eq!(mgr.num_shards(), 3);
         assert_eq!(mgr.num_sessions(), 7);
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(mgr.route.get(id).copied(), Some(i % 3));

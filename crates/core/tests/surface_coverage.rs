@@ -9,7 +9,7 @@ use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::{PredictionDelta, SliceDelta};
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::protocol::{ClientMessage, ServerEvent, SessionId};
-use khameleon_core::scheduler::{GreedyContext, GreedySchedulerConfig, ModelCache};
+use khameleon_core::scheduler::{GreedySchedulerConfig, ModelCache};
 use khameleon_core::server::{CatalogBackend, ServerConfig};
 use khameleon_core::session::{MessageOutcome, Session, SessionBuilder, SessionManager};
 use khameleon_core::shard::{ShardSnapshot, ShardStats, ShardedSessionManager};
@@ -98,16 +98,12 @@ fn session_builder_knobs_feed_the_built_session() {
     let n = 30;
     let cat = catalog(n, 4);
     let util = utility(4);
-    let ctx = Arc::new(GreedyContext::new(&util, &cat));
-    let cache = ModelCache::new();
     let sess = Session::builder(util, cat)
         .config(ServerConfig {
             bandwidth_cap: Some(Bandwidth::from_mbps(4.0)),
             initial_bandwidth: Bandwidth::from_mbps(2.0),
             ..Default::default()
         })
-        .greedy_context(ctx)
-        .model_cache(cache.clone())
         .build();
     // The cap binds the estimate from below the seed.
     assert!(sess.bandwidth_estimate().0 <= Bandwidth::from_mbps(4.0).0);

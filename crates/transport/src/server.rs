@@ -587,11 +587,6 @@ impl ShardedTransportServer {
         self.local_addr
     }
 
-    /// Number of shard event loops.
-    pub fn num_shards(&self) -> usize {
-        self.links.len()
-    }
-
     /// Transport counters merged across every shard loop, as each last
     /// published them.  Reads the published copies only: no loop is woken.
     pub fn stats(&self) -> ServerStats {

@@ -246,7 +246,6 @@ fn sharded_server_fans_out_dedups_and_tears_down_per_shard() {
         TransportConfig::default(),
     )
     .expect("bind");
-    assert_eq!(server.num_shards(), 2);
 
     let mut clients: Vec<TransportClient> = (0..4)
         .map(|i| {
