@@ -70,14 +70,16 @@ impl RoundRobinEncoder {
     /// of 12 bytes each (4-byte index + 8-byte value), padded to the largest
     /// block.
     pub fn layout(&self, request: RequestId, values_len: usize) -> ResponseLayout {
-        let b = self.blocks as usize;
-        let sizes: Vec<u64> = (0..b)
-            .map(|blk| {
-                let entries = values_len / b + usize::from(blk < values_len % b);
-                (entries.max(1) * 12) as u64
-            })
-            .collect();
-        ResponseLayout::from_sizes(request, sizes)
+        let q = values_len / self.blocks as usize;
+        // The first `r` blocks hold one value more than the rest.
+        let r = (values_len % self.blocks as usize) as u32;
+        ResponseLayout::from_runs(
+            request,
+            r,
+            ((q + 1) * 12) as u64,
+            self.blocks - r,
+            (q.max(1) * 12) as u64,
+        )
     }
 }
 
@@ -111,12 +113,11 @@ impl ByteRangeEncoder {
     /// The response layout for a payload of `total_bytes`.
     pub fn layout(&self, request: RequestId, total_bytes: u64) -> ResponseLayout {
         let n = self.num_blocks(total_bytes);
-        let mut sizes = vec![self.block_size; n as usize];
-        let rem = total_bytes % self.block_size;
-        if let Some(last) = sizes.last_mut().filter(|_| rem > 0) {
-            *last = rem;
-        }
-        ResponseLayout::from_sizes(request, sizes)
+        let last = match total_bytes % self.block_size {
+            0 => self.block_size,
+            rem => rem,
+        };
+        ResponseLayout::from_runs(request, n - 1, self.block_size, 1, last)
     }
 
     /// Splits `payload` into per-block byte vectors.
@@ -205,7 +206,28 @@ mod tests {
 
     mod property {
         use super::*;
+        use khameleon_core::block::BlockMeta;
+        use khameleon_core::types::BlockRef;
         use proptest::prelude::*;
+
+        /// Checks `layout` against per-block natural sizes kept as a vector,
+        /// the way layouts were built before they became two runs.
+        fn assert_exact(layout: &ResponseLayout, sizes: &[u64]) {
+            let n = sizes.len() as u32;
+            let padded = sizes.iter().copied().max().unwrap();
+            assert_eq!(layout.num_blocks(), n);
+            assert_eq!(layout.total_size(), sizes.iter().sum::<u64>());
+            assert_eq!(layout.padded_block_size(), padded);
+            for i in 0..=n {
+                assert_eq!(layout.natural_size(i), sizes.get(i as usize).copied());
+                let meta = (i < n).then(|| BlockMeta {
+                    block: BlockRef::new(layout.request(), i),
+                    total_blocks: n,
+                    size: padded,
+                });
+                assert_eq!(layout.block_meta(i), meta);
+            }
+        }
 
         proptest! {
             /// Round-robin encode/decode is lossless for any value sequence and
@@ -226,6 +248,47 @@ mod tests {
                 let enc = ByteRangeEncoder::new(block);
                 let blocks = enc.encode(&payload);
                 prop_assert_eq!(reassemble(&blocks), payload);
+            }
+
+            /// Every layout the repository builds is exactly the per-block
+            /// sizes it was built from as a vector.  `uniform`; `split_evenly`
+            /// with no remainder, a remainder, one block and fewer bytes than
+            /// blocks; the strided split with fewer values than blocks, a
+            /// divisible count and any count; the byte ranges with no
+            /// remainder, a remainder, less than one block and nothing.
+            #[test]
+            fn layouts_are_exact(
+                blocks in 1u32..16,
+                block in 1u64..64,
+                quotient in 0usize..50,
+                extra in 0usize..1_000,
+            ) {
+                let r = RequestId(5);
+                let b = blocks as usize;
+                let (q, extra) = (quotient as u64, extra as u64);
+                assert_exact(&ResponseLayout::uniform(r, blocks, q), &vec![q; b]);
+                let (whole, rem) = (q * b as u64, extra % b as u64);
+                for (total, n) in [(whole, blocks), (whole + rem, blocks), (q + extra, 1), (rem, blocks)] {
+                    let mut sizes = vec![total / n as u64; n as usize];
+                    *sizes.last_mut().unwrap() += total % n as u64;
+                    assert_exact(&ResponseLayout::split_evenly(r, total, n), &sizes);
+                }
+                let rr = RoundRobinEncoder::new(blocks);
+                for len in [rem as usize, quotient * b, quotient * b + rem as usize] {
+                    let sizes: Vec<u64> = (0..b)
+                        .map(|blk| ((len / b + usize::from(blk < len % b)).max(1) * 12) as u64)
+                        .collect();
+                    assert_exact(&rr.layout(r, len), &sizes);
+                }
+                let br = ByteRangeEncoder::new(block);
+                let rem = extra % block;
+                for total in [q * block, q * block + rem, rem, 0] {
+                    let mut sizes = vec![block; br.num_blocks(total) as usize];
+                    if total % block > 0 {
+                        *sizes.last_mut().unwrap() = total % block;
+                    }
+                    assert_exact(&br.layout(r, total), &sizes);
+                }
             }
         }
     }

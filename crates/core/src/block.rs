@@ -7,6 +7,13 @@
 //! it only needs sizes and counts, which is what [`BlockMeta`] and
 //! [`ResponseLayout`] capture.  Applications that want to ship real payloads
 //! attach them through [`Block::payload`].
+//!
+//! A layout is at most two runs of equal-sized blocks — a head and a tail —
+//! rather than a size per block.  That is exact for every encoder the
+//! repository has (an even split leaves its remainder in the last block; a
+//! strided split gives the first blocks one value more), and it makes a
+//! layout a small `Copy` value: a [`ResponseCatalog`] of the paper's 10 000
+//! images is one allocation of 32 bytes a request.
 
 use crate::types::{BlockRef, Bytes, RequestId};
 
@@ -74,36 +81,60 @@ impl Block {
 /// how large each block is.
 ///
 /// The paper assumes equal-sized blocks, padding smaller ones (§3.3).
-/// [`ResponseLayout::uniform`] captures that common case;
-/// [`ResponseLayout::from_sizes`] supports encoders whose natural block sizes
-/// differ (the padded size is the maximum).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`ResponseLayout::uniform`] captures that common case.  Encoders whose
+/// natural block sizes differ produce two runs — a head of equal blocks and a
+/// tail of equal blocks — which [`ResponseLayout::from_runs`] takes directly;
+/// every block is padded to the larger of the two sizes.
+///
+/// Two runs are exact, not an approximation, for every encoder here: an even
+/// split is `n − 1` blocks of the quotient and a last block carrying the
+/// remainder, and a strided split of `v` values over `b` blocks gives the first
+/// `v mod b` blocks one value more than the rest.  So the layout is a `Copy`
+/// value with no heap, and a catalog of them is one allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResponseLayout {
     request: RequestId,
-    block_sizes: Vec<Bytes>,
-    padded_size: Bytes,
+    blocks: u32,
+    /// Blocks `0..head_blocks` are `head_size` bytes, the rest `tail_size`.
+    /// A single run is stored with `head_blocks == blocks` and both sizes
+    /// equal, so equal block sizes mean equal layouts.
+    head_blocks: u32,
+    head_size: Bytes,
+    tail_size: Bytes,
 }
 
 impl ResponseLayout {
     /// A layout of `blocks` equal-sized blocks of `block_size` bytes each.
     pub fn uniform(request: RequestId, blocks: u32, block_size: Bytes) -> Self {
-        assert!(blocks > 0, "a response must have at least one block");
-        ResponseLayout {
-            request,
-            block_sizes: vec![block_size; blocks as usize],
-            padded_size: block_size,
-        }
+        Self::from_runs(request, blocks, block_size, 0, block_size)
     }
 
-    /// A layout built from per-block natural sizes.  Blocks are padded to the
-    /// largest natural size so the client cache can use fixed-size slots.
-    pub fn from_sizes(request: RequestId, sizes: Vec<Bytes>) -> Self {
-        assert!(!sizes.is_empty(), "a response must have at least one block");
-        let padded = sizes.iter().copied().max().unwrap_or(0);
+    /// A layout of `head_blocks` blocks of `head_size` bytes followed by
+    /// `tail_blocks` blocks of `tail_size` bytes.  Blocks are padded to the
+    /// larger size so the client cache can use fixed-size slots.
+    pub fn from_runs(
+        request: RequestId,
+        head_blocks: u32,
+        head_size: Bytes,
+        tail_blocks: u32,
+        tail_size: Bytes,
+    ) -> Self {
+        let Some(blocks) = head_blocks.checked_add(tail_blocks).filter(|&b| b > 0) else {
+            panic!("a response must have at least one block and at most u32::MAX");
+        };
+        let (head_blocks, head_size, tail_size) = if tail_blocks == 0 || head_size == tail_size {
+            (blocks, head_size, head_size)
+        } else if head_blocks == 0 {
+            (blocks, tail_size, tail_size)
+        } else {
+            (head_blocks, head_size, tail_size)
+        };
         ResponseLayout {
             request,
-            block_sizes: sizes,
-            padded_size: padded,
+            blocks,
+            head_blocks,
+            head_size,
+            tail_size,
         }
     }
 
@@ -113,11 +144,7 @@ impl ResponseLayout {
         assert!(blocks > 0, "a response must have at least one block");
         let base = total_bytes / blocks as u64;
         let rem = total_bytes % blocks as u64;
-        let mut sizes = vec![base; blocks as usize];
-        if let Some(last) = sizes.last_mut() {
-            *last += rem;
-        }
-        Self::from_sizes(request, sizes)
+        Self::from_runs(request, blocks - 1, base, 1, base + rem)
     }
 
     /// The request this layout belongs to.
@@ -127,35 +154,38 @@ impl ResponseLayout {
 
     /// Number of blocks in the response.
     pub fn num_blocks(&self) -> u32 {
-        self.block_sizes.len() as u32
+        self.blocks
     }
 
     /// Size every block is padded to (the cache slot size for this response).
     pub fn padded_block_size(&self) -> Bytes {
-        self.padded_size
+        self.head_size.max(self.tail_size)
     }
 
     /// Natural (unpadded) size of block `index`.
     pub fn natural_size(&self, index: u32) -> Option<Bytes> {
-        self.block_sizes.get(index as usize).copied()
+        if index >= self.blocks {
+            None
+        } else if index < self.head_blocks {
+            Some(self.head_size)
+        } else {
+            Some(self.tail_size)
+        }
     }
 
     /// Total natural size of the response.
     pub fn total_size(&self) -> Bytes {
-        self.block_sizes.iter().sum()
+        self.head_blocks as Bytes * self.head_size
+            + (self.blocks - self.head_blocks) as Bytes * self.tail_size
     }
 
     /// Metadata for block `index`, or `None` if out of range.
     pub fn block_meta(&self, index: u32) -> Option<BlockMeta> {
-        if (index as usize) < self.block_sizes.len() {
-            Some(BlockMeta {
-                block: BlockRef::new(self.request, index),
-                total_blocks: self.num_blocks(),
-                size: self.padded_size,
-            })
-        } else {
-            None
-        }
+        (index < self.blocks).then(|| BlockMeta {
+            block: BlockRef::new(self.request, index),
+            total_blocks: self.blocks,
+            size: self.padded_block_size(),
+        })
     }
 
     /// Iterates over the metadata of all blocks in prefix order.
@@ -187,6 +217,7 @@ impl ResponseCatalog {
     /// Builds a catalog from per-request layouts.  Layout `i` must describe
     /// request `i`.
     pub fn new(layouts: Vec<ResponseLayout>) -> Self {
+        let (mut max_blocks, mut max_block_size) = (0, 0);
         for (i, l) in layouts.iter().enumerate() {
             assert_eq!(
                 l.request().index(),
@@ -194,15 +225,13 @@ impl ResponseCatalog {
                 "layout at position {i} describes {} — layouts must be dense and ordered",
                 l.request()
             );
+            max_blocks = max_blocks.max(l.num_blocks());
+            max_block_size = max_block_size.max(l.padded_block_size());
         }
         ResponseCatalog {
-            max_blocks: layouts.iter().map(|l| l.num_blocks()).max().unwrap_or(0),
-            max_block_size: layouts
-                .iter()
-                .map(|l| l.padded_block_size())
-                .max()
-                .unwrap_or(0),
             layouts,
+            max_blocks,
+            max_block_size,
         }
     }
 
@@ -277,15 +306,26 @@ mod tests {
     }
 
     #[test]
-    fn from_sizes_pads_to_max() {
-        let l = ResponseLayout::from_sizes(RequestId(1), vec![100, 300, 200]);
+    fn from_runs_pads_to_max() {
+        let l = ResponseLayout::from_runs(RequestId(1), 1, 100, 2, 300);
         assert_eq!(l.padded_block_size(), 300);
-        assert_eq!(l.total_size(), 600);
+        assert_eq!(l.total_size(), 700);
+        assert_eq!(l.natural_size(0), Some(100));
         let m = l.block_meta(1).unwrap();
         assert_eq!(m.size, 300);
         assert_eq!(m.total_blocks, 3);
         assert!((m.prefix_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!(l.block_meta(3).is_none());
+        // A layout whose runs describe one size equals the uniform one.
+        let uniform = ResponseLayout::uniform(RequestId(1), 3, 300);
+        assert_eq!(
+            ResponseLayout::from_runs(RequestId(1), 0, 100, 3, 300),
+            uniform
+        );
+        assert_eq!(
+            ResponseLayout::from_runs(RequestId(1), 2, 300, 1, 300),
+            uniform
+        );
     }
 
     #[test]
@@ -334,16 +374,18 @@ mod tests {
             /// The maxima cached at construction equal a scan of the layouts.
             #[test]
             fn cached_maxima_match_a_scan(
-                sizes in proptest::collection::vec(
-                    proptest::collection::vec(1u64..100_000, 1..9),
+                runs in proptest::collection::vec(
+                    ((0u32..5, 1u64..100_000), (1u32..5, 1u64..100_000)),
                     0..40,
                 ),
             ) {
                 let catalog = ResponseCatalog::new(
-                    sizes
+                    runs
                         .iter()
                         .enumerate()
-                        .map(|(i, s)| ResponseLayout::from_sizes(RequestId::from(i), s.clone()))
+                        .map(|(i, &((hb, hs), (tb, ts)))| {
+                            ResponseLayout::from_runs(RequestId::from(i), hb, hs, tb, ts)
+                        })
                         .collect(),
                 );
                 prop_assert_eq!(

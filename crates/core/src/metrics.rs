@@ -3,6 +3,10 @@
 //! The paper reports, per experiment condition:
 //!
 //! * **% cache hits** — requests with ≥ 1 block cached at registration time,
+//!   over all registered requests ([`MetricsSummary::hit_share`], the
+//!   denominator of the repository benchmark's `hit_share`);
+//!   [`MetricsSummary::cache_hit_rate`] divides the same hits by completed
+//!   requests only,
 //! * **% preempted** — requests dropped because a later request was answered
 //!   first,
 //! * **response latency** — registration → first upcall, for non-preempted
@@ -121,6 +125,7 @@ impl MetricsCollector {
             } else {
                 0.0
             },
+            hit_share: hits / requests,
             preempted_rate: self.preempted as f64 / requests,
             mean_latency_ms: mean(&latencies),
             p50_latency_ms: percentile(&latencies, 50.0),
@@ -151,8 +156,11 @@ pub struct MetricsSummary {
     pub completed: u64,
     /// Requests preempted before an upcall.
     pub preempted: u64,
-    /// Fraction of completed requests that were cache hits.
+    /// Cache hits ÷ completed requests: preempted requests are in neither
+    /// count.
     pub cache_hit_rate: f64,
+    /// Cache hits ÷ all registered requests, preempted ones included.
+    pub hit_share: f64,
     /// Fraction of all requests that were preempted.
     pub preempted_rate: f64,
     /// Mean response latency (ms) of completed requests.
@@ -184,13 +192,13 @@ impl MetricsSummary {
     pub fn csv_header() -> &'static str {
         "requests,completed,preempted,cache_hit_rate,preempted_rate,mean_latency_ms,\
          p50_latency_ms,p95_latency_ms,p99_latency_ms,max_latency_ms,mean_utility,\
-         blocks_pushed,bytes_pushed,overpush_rate,predictions_sent,prediction_bytes"
+         blocks_pushed,bytes_pushed,overpush_rate,predictions_sent,prediction_bytes,hit_share"
     }
 
     /// Serializes the summary as one CSV row.
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{:.4},{:.4},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{},{},{:.4},{},{}",
+            "{},{},{},{:.4},{:.4},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{},{},{:.4},{},{},{:.4}",
             self.requests,
             self.completed,
             self.preempted,
@@ -206,7 +214,8 @@ impl MetricsSummary {
             self.bytes_pushed,
             self.overpush_rate,
             self.predictions_sent,
-            self.prediction_bytes
+            self.prediction_bytes,
+            self.hit_share
         )
     }
 }
@@ -344,6 +353,10 @@ mod tests {
         assert_eq!(s.completed, 2);
         assert_eq!(s.preempted, 1);
         assert!((s.cache_hit_rate - 0.5).abs() < 1e-12);
+        assert!(
+            (s.hit_share - 0.25).abs() < 1e-12,
+            "one hit in four requests"
+        );
         assert!((s.preempted_rate - 0.25).abs() < 1e-12);
         assert!((s.mean_latency_ms - 20.0).abs() < 1e-12);
         assert!((s.mean_utility - 0.75).abs() < 1e-12);
@@ -364,6 +377,7 @@ mod tests {
         assert_eq!(s.mean_latency_ms, 0.0);
         assert_eq!(s.overpush_rate, 0.0);
         assert_eq!(s.cache_hit_rate, 0.0);
+        assert_eq!(s.hit_share, 0.0);
     }
 
     #[test]
