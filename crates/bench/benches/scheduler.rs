@@ -13,6 +13,7 @@ use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use khameleon_core::scheduler::{
     GreedyScheduler, GreedySchedulerConfig, HorizonModel, OptimalScheduler, SamplerVariant,
+    Schedule, Scheduler,
 };
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{PowerUtility, UtilityModel};
@@ -35,6 +36,16 @@ fn prediction(n: usize, materialized: usize) -> PredictionSummary {
 fn greedy(n: usize, cache: usize, blocks: u32, meta: bool) -> GreedyScheduler {
     let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 10_000));
     greedy_over(&catalog, cache, blocks, meta, SamplerVariant::Lazy)
+}
+
+/// Schedules `count` blocks and confirms them, as a sender that keeps up
+/// does, so the next update rolls none of them back.
+fn send(s: &mut GreedyScheduler, count: usize) -> Schedule {
+    let batch = s.next_batch(count);
+    for &b in &batch {
+        s.note_sent(b);
+    }
+    batch
 }
 
 fn greedy_over(
@@ -142,7 +153,7 @@ fn bench_sampler_refresh(c: &mut Criterion) {
         let mut s = greedy(n, 512, 50, true);
         s.update_prediction(&prediction(n, m), 0);
         group.bench_with_input(BenchmarkId::new("lazy", m), &m, |b, _| {
-            b.iter(|| s.next_batch(256));
+            b.iter(|| send(&mut s, 256));
         });
     }
     // Wrap-heavy: every 256-block batch spans four 64-slot schedules.
@@ -151,7 +162,7 @@ fn bench_sampler_refresh(c: &mut Criterion) {
     let mut s = greedy(n, 64, 50, true);
     s.update_prediction(&prediction(n, m), 0);
     group.bench_function("wrap_heavy/lazy", |b| {
-        b.iter(|| s.next_batch(256));
+        b.iter(|| send(&mut s, 256));
     });
     group.finish();
 }
@@ -276,7 +287,7 @@ fn bench_delta_path(c: &mut Criterion) {
             let mut prediction = ChurningPrediction::new(m);
             let mut s = greedy(2 * m, 1_024, 8, true);
             let mut uplink = DirectUplink::new();
-            uplink.ship(&mut s, &prediction.summary(), 0);
+            uplink.ship(&mut s, &prediction.summary());
             group.bench_with_input(BenchmarkId::new(kind, m), &m, |b, _| {
                 b.iter_batched(
                     || {
@@ -284,9 +295,8 @@ fn bench_delta_path(c: &mut Criterion) {
                         prediction.summary()
                     },
                     |summary| {
-                        let position = s.position();
-                        uplink.ship(&mut s, &summary, position);
-                        s.next_batch(4)
+                        uplink.ship(&mut s, &summary);
+                        send(&mut s, 4)
                     },
                     BatchSize::SmallInput,
                 );

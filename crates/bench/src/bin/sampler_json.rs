@@ -24,7 +24,9 @@ use std::time::Instant;
 use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
-use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, SamplerVariant};
+use khameleon_core::scheduler::{
+    GreedyScheduler, GreedySchedulerConfig, SamplerVariant, Scheduler,
+};
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{PowerUtility, UtilityModel};
 
@@ -225,18 +227,23 @@ fn measure_updates(
         UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks),
         catalog,
     );
-    let mut ship = |s: &mut GreedyScheduler, pred: &PredictionSummary| {
-        let pos = s.position();
-        match &mut uplink {
-            Some(uplink) => uplink.ship(s, pred, pos),
-            None => s.update_prediction(pred, pos),
+    let mut ship = |s: &mut GreedyScheduler, pred: &PredictionSummary| match &mut uplink {
+        Some(uplink) => uplink.ship(s, pred),
+        None => s.update_prediction(pred, 0),
+    };
+    // Every scheduled block goes on the wire, so no update rolls one back.
+    let send = |s: &mut GreedyScheduler| {
+        let got = s.next_batch(4);
+        for &b in &got {
+            s.note_sent(b);
         }
+        got
     };
     let mut drift = DriftingPrediction::new(n, m);
     // Warm up: the first update joins all `m` requests (an install either
     // way); steady state is the ~1%-changed regime.
     ship(&mut s, &drift.summary());
-    let _ = s.next_batch(4);
+    send(&mut s);
     let mut elapsed = std::time::Duration::ZERO;
     let mut best = f64::INFINITY;
     for _ in 0..iters {
@@ -244,7 +251,7 @@ fn measure_updates(
         for _ in 0..updates {
             let pred = drift.advance();
             ship(&mut s, &pred);
-            let got = s.next_batch(4);
+            let got = send(&mut s);
             assert!(!got.is_empty(), "scheduler stalled mid-update-sweep");
         }
         let dt = start.elapsed();

@@ -469,13 +469,12 @@ impl ShadowSummary {
         &mut self,
         delta: &PredictionDelta,
         scheduler: &mut S,
-        sender_position: usize,
     ) -> Result<(), DeltaError> {
         match self.apply(delta)? {
             ShadowApply::Sparse { summary, changes } => {
-                scheduler.update_prediction_sparse(summary, &changes, sender_position)
+                scheduler.update_prediction_sparse(summary, &changes)
             }
-            ShadowApply::Full { summary } => scheduler.update_prediction(summary, sender_position),
+            ShadowApply::Full { summary } => scheduler.update_prediction(summary),
         }
         Ok(())
     }
@@ -620,8 +619,9 @@ impl DeltaTracker {
 /// The uplink with the socket taken out: a [`DeltaTracker`] feeding a
 /// [`ShadowSummary`] feeding a scheduler, the route a prediction takes from
 /// `TransportClient::send_prediction` to a session's scheduler.  For tests,
-/// examples and benches that drive a scheduler directly (they choose the
-/// sender position) but must reach its delta path the way the wire does.
+/// examples and benches that drive a scheduler directly (they confirm its
+/// sends through [`Scheduler::note_sent`](crate::scheduler::Scheduler::note_sent))
+/// but must reach its delta path the way the wire does.
 #[derive(Debug)]
 pub struct DirectUplink {
     tracker: DeltaTracker,
@@ -652,11 +652,10 @@ impl DirectUplink {
         &mut self,
         scheduler: &mut S,
         summary: &PredictionSummary,
-        sender_position: usize,
     ) {
         match self.tracker.encode(summary) {
             ClientMessage::PredictorDelta(delta) => {
-                if let Err(e) = self.shadow.apply_to(&delta, scheduler, sender_position) {
+                if let Err(e) = self.shadow.apply_to(&delta, scheduler) {
                     unreachable!("tracker and shadow advance together: {e}");
                 }
             }
@@ -664,7 +663,7 @@ impl DirectUplink {
                 generation,
                 summary,
             } => {
-                scheduler.update_prediction(&summary, sender_position);
+                scheduler.update_prediction(&summary);
                 self.shadow.install(generation, summary);
             }
             other => unreachable!("the tracker encodes predictions only: {other:?}"),
@@ -1388,7 +1387,7 @@ mod tests {
                             let bad = malformed(&mut rng, &delta, held);
                             let before = shadow_bits(&shadow);
                             let updates = scheduler.prediction_updates();
-                            let refused = shadow.apply_to(&bad, &mut scheduler, 0);
+                            let refused = shadow.apply_to(&bad, &mut scheduler);
                             assert!(refused.is_err(), "seed {seed}: accepted {bad:?}");
                             assert_eq!(shadow_bits(&shadow), before, "seed {seed}: {refused:?}");
                             assert_eq!(scheduler.prediction_updates(), updates, "seed {seed}");

@@ -337,10 +337,10 @@ mod tests {
         // with a private, unregistered copy; the other two keep sharing.
         let shared = a.model_arc().clone();
         let mut uplink = DirectUplink::new();
-        uplink.ship(&mut b, &s, 0);
+        uplink.ship(&mut b, &s);
         assert!(Arc::ptr_eq(b.model_arc(), &shared), "whole: same build");
         let s2 = wide(0.2);
-        uplink.ship(&mut b, &s2, 0);
+        uplink.ship(&mut b, &s2);
         assert_eq!(b.diff_applied_updates(), 1, "s → s2 travelled as a delta");
         assert!(!Arc::ptr_eq(b.model_arc(), &shared));
         assert!(Arc::ptr_eq(a.model_arc(), &shared));

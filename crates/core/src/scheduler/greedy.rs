@@ -84,15 +84,16 @@
 //!   rebuilding the sampler from scratch — a wrap costs `O(b)` factor
 //!   resets plus compaction of any requests whose only claim to the touched
 //!   set was a since-cleared allocation.
-//! * **Sender-ahead slot gaps**: a `sender_position` beyond the scheduler's
-//!   `t` (the sender drained its queue past the planner) is represented as
-//!   explicit empty slots in the slot-aligned schedule log, so a later
-//!   rollback below the gap pops exactly the right entries; per-update gap
-//!   creation is rate-limited to half the horizon (`MAX_GAP_FRACTION`) so
-//!   an adversarial sender repeatedly claiming positions near `C` cannot
-//!   force a schedule wrap per update.
+//! * **Confirmed sends**: the scheduler owns the sender's position.  It
+//!   counts the blocks it emits, and [`Scheduler::note_sent`] confirms them
+//!   oldest-first.  A prediction update rolls back exactly the unconfirmed
+//!   ones (§5.3.2): the current schedule's newest slots, then — when the
+//!   sender queue straddled a wrap — the earlier schedules' tail that
+//!   [`reset_schedule`](GreedyScheduler::next_batch) carried over, undone on
+//!   the ring only.  A queue that drained exactly at a wrap rolls back
+//!   nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -104,7 +105,7 @@ use crate::block::ResponseCatalog;
 use crate::cache::RingCache;
 use crate::distribution::PredictionSummary;
 use crate::sampling::{GainSampler, SampledGroup, SamplerVariant};
-use crate::scheduler::{HorizonModel, Schedule};
+use crate::scheduler::{HorizonModel, Schedule, Scheduler};
 use crate::types::{BlockRef, Duration, RequestId};
 use crate::utility::{UtilityClassCatalog, UtilityModel};
 
@@ -132,19 +133,6 @@ pub struct GreedySchedulerConfig {
     pub sampler: SamplerVariant,
     /// RNG seed for the proportional sampling, for reproducibility.
     pub seed: u64,
-}
-
-/// Cap on sender-ahead gap-slot creation per prediction update, as a
-/// fraction of the schedule horizon.  A buggy or adversarial sender
-/// repeatedly claiming positions near `C` would otherwise force a schedule
-/// wrap per update; positions beyond the cap are clamped and counted in
-/// [`GreedyScheduler::rejected_gap_slots`].
-const MAX_GAP_FRACTION: f64 = 0.5;
-
-/// Maximum sender-ahead gap slots one prediction update may create over a
-/// horizon of `cache_blocks` (at least 1, at most the horizon).
-fn max_gap_slots(cache_blocks: usize) -> usize {
-    ((cache_blocks as f64 * MAX_GAP_FRACTION).ceil() as usize).clamp(1, cache_blocks)
 }
 
 impl Default for GreedySchedulerConfig {
@@ -228,19 +216,25 @@ pub struct GreedyScheduler {
     rng: StdRng,
     /// Position within the current schedule (Listing 1's `t`).
     t: usize,
-    /// Slot-aligned log of the current schedule: entry `k` is the block
-    /// scheduled for slot `k`, or `None` for a slot the sender consumed
-    /// while running ahead of the scheduler.  Invariant:
-    /// `current_schedule.len() == t` (debug-asserted), which is what makes
-    /// rollbacks across sender-ahead gaps pop the right entries (§5.3.2).
-    current_schedule: Vec<Option<BlockRef>>,
+    /// Log of the current schedule: entry `k` is the block scheduled for
+    /// slot `k`.  Invariant: `current_schedule.len() == t` (debug-asserted),
+    /// which is what makes a rollback pop the right entries (§5.3.2).
+    current_schedule: Vec<BlockRef>,
     /// For each slot of `current_schedule`, the ring entry its delivery
-    /// evicted (`None` when the ring still had room, or for a gap slot).
-    /// Rolling a slot back restores its evicted entry, keeping the simulated
-    /// ring exactly equal to the client's (which never saw the rolled-back
-    /// block and therefore never evicted anything).  Slot-aligned with
-    /// `current_schedule`.
+    /// evicted (`None` when the ring still had room).  Rolling a slot back
+    /// restores its evicted entry, keeping the simulated ring exactly equal
+    /// to the client's (which never saw the rolled-back block and therefore
+    /// never evicted anything).  Slot-aligned with `current_schedule`.
     eviction_log: Vec<Option<BlockRef>>,
+    /// How many of the current schedule's newest slots the sender has not
+    /// confirmed through [`Scheduler::note_sent`].
+    unsent: usize,
+    /// The unconfirmed tail of earlier schedules, oldest first, each block
+    /// with the ring entry its delivery evicted: what a sender queue that
+    /// straddled a wrap still holds.  Confirmations drain it before they
+    /// reach `unsent`; it is released once empty, so a sender that keeps
+    /// up costs no allocation here.
+    carried: VecDeque<(BlockRef, Option<BlockRef>)>,
     /// Exact simulation of the client's ring-buffer cache, in the client's
     /// own type.  Its per-request resident indices let the scheduler repair
     /// prefix gaps after evictions, since renderable quality depends on the
@@ -277,12 +271,6 @@ pub struct GreedyScheduler {
     diff_updates: u64,
     /// Total blocks scheduled since creation (for instrumentation).
     scheduled_blocks: u64,
-    /// Schedule slots skipped because the sender reported a position ahead
-    /// of the scheduler (for instrumentation).
-    gap_slots: u64,
-    /// Sender-ahead gap slots rejected by the per-update cap
-    /// ([`MAX_GAP_FRACTION`]).
-    gap_slots_rejected: u64,
     /// Attached runtime invariant auditor (`None` until
     /// [`GreedyScheduler::audit_attach`]); absent entirely without the
     /// `audit` feature, so the disabled cost is zero.
@@ -333,6 +321,8 @@ impl GreedyScheduler {
             t: 0,
             current_schedule: Vec::new(),
             eviction_log: Vec::new(),
+            unsent: 0,
+            carried: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
             shared_order: Vec::new(),
@@ -342,8 +332,6 @@ impl GreedyScheduler {
             updates: 0,
             diff_updates: 0,
             scheduled_blocks: 0,
-            gap_slots: 0,
-            gap_slots_rejected: 0,
             #[cfg(feature = "audit")]
             auditor: None,
         };
@@ -370,20 +358,6 @@ impl GreedyScheduler {
     /// Position within the current schedule (`t` in Listing 1).
     pub fn position(&self) -> usize {
         self.t
-    }
-
-    /// Schedule slots consumed by a sender running ahead of the scheduler
-    /// (see [`GreedyScheduler::update_prediction`]); real deployments keep
-    /// this at zero.
-    pub fn gap_slots(&self) -> u64 {
-        self.gap_slots
-    }
-
-    /// Sender-ahead gap slots *rejected* by the per-update creation cap of
-    /// half the horizon (`MAX_GAP_FRACTION`): claimed positions the
-    /// scheduler refused to materialize as empty slots.
-    pub fn rejected_gap_slots(&self) -> u64 {
-        self.gap_slots_rejected
     }
 
     /// Prediction deltas applied as a model diff (the remainder of
@@ -439,23 +413,16 @@ impl GreedyScheduler {
     /// summary: installs the canonical [`HorizonModel::build`] and rebuilds
     /// the sampler.
     ///
-    /// Per §5.3.2, scheduling work already handed to the sender is immutable:
-    /// the caller passes `sender_position`, the number of blocks of the
-    /// current schedule that have already been placed on the network.  Slots
-    /// scheduled beyond that position are rolled back and re-planned under
-    /// the new probabilities; slots before it are untouched.
-    ///
-    /// A `sender_position` *beyond* the scheduler's own position means the
-    /// sender drained its queue past the planner — real senders can only
-    /// transmit scheduled blocks, so deployments never report this, but the
-    /// skipped slots are tolerated and represented as explicit empty entries
-    /// in the slot-aligned schedule log.  A later rollback below the gap
-    /// therefore pops exactly one log entry per slot (the alignment
-    /// invariant is debug-asserted), instead of mispairing blocks with
-    /// slots.
-    pub fn update_prediction(&mut self, summary: &PredictionSummary, sender_position: usize) {
-        self.move_to_sender(sender_position);
-        self.install(summary);
+    /// Per §5.3.2, blocks the sender has placed on the network are immutable
+    /// and the rest are re-planned.  The scheduler tells them apart itself:
+    /// every block [`next_batch`](Self::next_batch) emitted that
+    /// [`Scheduler::note_sent`] has not confirmed is rolled back first, on
+    /// either side of a schedule wrap.  The `usize` argument is ignored; it
+    /// stays only for the benchmark's frozen call surface
+    /// (`kbench/src/sut.rs`).  [`Scheduler::update_prediction`] is the same
+    /// update without it.
+    pub fn update_prediction(&mut self, summary: &PredictionSummary, _sender_position: usize) {
+        Scheduler::update_prediction(self, summary);
     }
 
     /// Applies a prediction *delta*: `changes` carries the precomputed
@@ -465,34 +432,15 @@ impl GreedyScheduler {
     /// updates.  Rollback is identical to
     /// [`update_prediction`](Self::update_prediction), which is also the
     /// fallback when the model refuses the diff (too large, changed horizon
-    /// parameters, bucket-cap pressure).
+    /// parameters, bucket-cap pressure).  The `usize` argument is ignored,
+    /// as there.
     pub fn update_prediction_sparse(
         &mut self,
         summary: &PredictionSummary,
         changes: &crate::delta::PredictionChanges,
-        sender_position: usize,
+        _sender_position: usize,
     ) {
-        let mut rolled = self.move_to_sender(sender_position);
-        let diffable = self.model.horizon() == self.cfg.cache_blocks
-            && self.model.slot_duration() == self.cfg.slot_duration
-            && self.model.gamma().to_bits() == self.cfg.gamma.to_bits();
-        // `make_mut` is the copy-on-write split: a scheduler on a shared
-        // model clones it privately before the diff lands, and stays private
-        // until its next whole summary.
-        let diff = diffable
-            .then(|| Arc::make_mut(&mut self.model).apply_update_sparse(summary, changes))
-            .flatten();
-        match diff {
-            Some(diff) => {
-                self.diff_updates += 1;
-                rolled.sort_unstable();
-                rolled.dedup();
-                self.apply_model_diff(&diff, &rolled);
-                #[cfg(feature = "audit")]
-                self.audit_on_update(summary, true);
-            }
-            None => self.install(summary),
-        }
+        Scheduler::update_prediction_sparse(self, summary, changes);
     }
 
     /// Installs the canonical model for `summary` — the shared instance when
@@ -504,70 +452,37 @@ impl GreedyScheduler {
         self.audit_on_update(summary, false);
     }
 
-    /// Counts one prediction update and brings the schedule position to the
-    /// sender's: rolls back the not-yet-sent tail, or opens (rate-limited)
-    /// sender-ahead gap slots.  Returns the requests whose simulated
-    /// residency the rollback touched, unsorted; their gains must be
-    /// re-derived even when a model diff leaves them untouched.
-    fn move_to_sender(&mut self, sender_position: usize) -> Vec<RequestId> {
+    /// Counts one prediction update and rolls back every block the sender
+    /// has not confirmed, newest first: the current schedule's unconfirmed
+    /// slots, then the carried tail of earlier schedules, which is undone on
+    /// the ring only.  Returns the requests whose simulated residency the
+    /// rollback touched, unsorted; their gains must be re-derived even when
+    /// a model diff leaves them untouched.
+    fn rollback_unsent(&mut self) -> Vec<RequestId> {
         self.updates += 1;
-        let sender_position = sender_position.min(self.cfg.cache_blocks);
-        // Rate-limit sender-ahead gap creation: a sender repeatedly claiming
-        // positions near `C` would force a schedule wrap per update, so each
-        // update may open at most `max_gap_slots` new gaps; the excess is
-        // rejected (and counted) rather than materialized.
-        let sender_position = if sender_position > self.t {
-            let allowed =
-                (self.t + max_gap_slots(self.cfg.cache_blocks)).min(self.cfg.cache_blocks);
-            if sender_position > allowed {
-                self.gap_slots_rejected += (sender_position - allowed) as u64;
-                allowed
-            } else {
-                sender_position
-            }
-        } else {
-            sender_position
-        };
         self.check_slot_aligned();
         let mut rolled: Vec<RequestId> = Vec::new();
-        if sender_position < self.t {
-            // Roll back the not-yet-sent tail of the current schedule.
-            while self.t > sender_position {
-                match self.current_schedule.pop() {
-                    Some(Some(block)) => {
-                        let evicted = self.eviction_log.pop().flatten();
-                        rolled.push(block.request);
-                        if let Some(old) = evicted {
-                            rolled.push(old.request);
-                        }
-                        self.ring.undo_insert(block, evicted);
-                    }
-                    Some(None) => {
-                        // A sender-ahead gap slot: nothing was scheduled,
-                        // delivered, or evicted there.
-                        self.eviction_log.pop();
-                    }
-                    None => {
-                        let noted = self.audit_note_misalignment(
-                            self.t,
-                            "rollback found no schedule-log entry for slot t",
-                        );
-                        debug_assert!(noted, "no schedule-log entry for slot t");
-                        break;
-                    }
-                }
-                self.t -= 1;
+        let mut undo = |ring: &mut RingCache, block: BlockRef, evicted: Option<BlockRef>| {
+            rolled.push(block.request);
+            if let Some(old) = evicted {
+                rolled.push(old.request);
             }
-        } else {
-            // The sender ran ahead of the scheduler (it drained its queue);
-            // represent the skipped slots explicitly so the log stays
-            // aligned with the slot index.
-            while self.t < sender_position {
-                self.current_schedule.push(None);
-                self.eviction_log.push(None);
-                self.t += 1;
-                self.gap_slots += 1;
-            }
+            ring.undo_insert(block, evicted);
+        };
+        for _ in 0..std::mem::take(&mut self.unsent) {
+            let Some(block) = self.current_schedule.pop() else {
+                let noted = self.audit_note_misalignment(
+                    self.t,
+                    "rollback found no schedule-log entry for slot t",
+                );
+                debug_assert!(noted, "no schedule-log entry for slot t");
+                break;
+            };
+            undo(&mut self.ring, block, self.eviction_log.pop().flatten());
+            self.t -= 1;
+        }
+        for (block, evicted) in std::mem::take(&mut self.carried).into_iter().rev() {
+            undo(&mut self.ring, block, evicted);
         }
         self.check_slot_aligned();
         rolled
@@ -1112,7 +1027,8 @@ impl GreedyScheduler {
             }
             self.t += 1;
             self.scheduled_blocks += 1;
-            self.current_schedule.push(Some(block));
+            self.unsent += 1;
+            self.current_schedule.push(block);
             // Delivered to the simulated ring as it is scheduled; the logged
             // eviction is what a rollback of this slot restores.
             let evicted = self.ring.insert(block);
@@ -1128,7 +1044,7 @@ impl GreedyScheduler {
         // is among the ring's newest `t ≤ C` entries, so its request stays
         // resident — hence touched — until the wrap.
         debug_assert!(
-            (self.current_schedule.iter().flatten()).all(|b| self.ring.contains(b.request)),
+            (self.current_schedule.iter()).all(|b| self.ring.contains(b.request)),
             "a block of slots ..{} left the simulated ring",
             self.t
         );
@@ -1148,8 +1064,18 @@ impl GreedyScheduler {
     /// shared segment is compacted (preserving survivor order, identically
     /// in `shared_order` and the sampler, so both variants keep drawing the
     /// same layout).
+    ///
+    /// Slots the sender has not confirmed move to the carried tail, so the
+    /// next prediction update can still roll them back.
     fn reset_schedule(&mut self) {
         self.t = 0;
+        let first_unsent = self.current_schedule.len().saturating_sub(self.unsent);
+        self.carried.extend(
+            (self.current_schedule.iter().copied())
+                .zip(self.eviction_log.iter().copied())
+                .skip(first_unsent),
+        );
+        self.unsent = 0;
         if self.cfg.use_meta_request {
             // (With meta off, every unmaterialized request stays in the
             // shared segment permanently.)  The schedule's own requests are
@@ -1229,11 +1155,9 @@ fn clear_touched(touched: &mut [u64], r: RequestId) {
 
 impl GreedyScheduler {
     /// Expected utility (Eq. 2) of the blocks scheduled so far in the current
-    /// schedule, starting from the cache allocation `initial`.  Sender-ahead
-    /// gap slots contribute nothing but keep later blocks at their true
-    /// (lower-tail) slot indices.
+    /// schedule, starting from the cache allocation `initial`.
     pub fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64 {
-        crate::scheduler::schedule_expected_utility_slots(
+        crate::scheduler::schedule_expected_utility(
             &self.current_schedule,
             &self.model,
             &self.ctx.utility,
@@ -1385,7 +1309,7 @@ impl GreedyScheduler {
     }
 
     /// The promoted slot-alignment invariants: log lengths vs. the slot
-    /// index, and gap pairing (an empty schedule slot never evicts).
+    /// index.
     fn audit_check_slot_alignment(&self, report: &mut AuditReport) {
         report.begin(AuditCheck::SlotAlignment);
         if self.current_schedule.len() != self.t {
@@ -1411,21 +1335,6 @@ impl GreedyScheduler {
                     self.t
                 ),
             });
-        }
-        for (k, (sched, evicted)) in self
-            .current_schedule
-            .iter()
-            .zip(self.eviction_log.iter())
-            .enumerate()
-        {
-            if sched.is_none() && evicted.is_some() {
-                report.record(AuditViolation {
-                    check: AuditCheck::SlotAlignment,
-                    slot: Some(k),
-                    request: evicted.map(|b| b.request),
-                    detail: "sender-ahead gap slot paired with an eviction entry".to_string(),
-                });
-            }
         }
     }
 
@@ -1491,18 +1400,50 @@ impl GreedyScheduler {
     }
 }
 
-impl crate::scheduler::Scheduler for GreedyScheduler {
-    fn update_prediction(&mut self, summary: &PredictionSummary, sender_position: usize) {
-        GreedyScheduler::update_prediction(self, summary, sender_position);
+impl Scheduler for GreedyScheduler {
+    fn update_prediction(&mut self, summary: &PredictionSummary) {
+        self.rollback_unsent();
+        self.install(summary);
     }
 
     fn update_prediction_sparse(
         &mut self,
         summary: &PredictionSummary,
         changes: &crate::delta::PredictionChanges,
-        sender_position: usize,
     ) {
-        GreedyScheduler::update_prediction_sparse(self, summary, changes, sender_position);
+        let mut rolled = self.rollback_unsent();
+        let diffable = self.model.horizon() == self.cfg.cache_blocks
+            && self.model.slot_duration() == self.cfg.slot_duration
+            && self.model.gamma().to_bits() == self.cfg.gamma.to_bits();
+        // `make_mut` is the copy-on-write split: a scheduler on a shared
+        // model clones it privately before the diff lands, and stays private
+        // until its next whole summary.
+        let diff = diffable
+            .then(|| Arc::make_mut(&mut self.model).apply_update_sparse(summary, changes))
+            .flatten();
+        match diff {
+            Some(diff) => {
+                self.diff_updates += 1;
+                rolled.sort_unstable();
+                rolled.dedup();
+                self.apply_model_diff(&diff, &rolled);
+                #[cfg(feature = "audit")]
+                self.audit_on_update(summary, true);
+            }
+            None => self.install(summary),
+        }
+    }
+
+    /// Confirms the oldest unconfirmed block: the carried tail of an earlier
+    /// schedule first, then the current schedule's.
+    fn note_sent(&mut self, _block: BlockRef) {
+        if self.carried.pop_front().is_some() {
+            if self.carried.is_empty() {
+                self.carried = VecDeque::new();
+            }
+        } else {
+            self.unsent = self.unsent.saturating_sub(1);
+        }
     }
 
     #[cfg(feature = "audit")]
@@ -1541,10 +1482,6 @@ impl crate::scheduler::Scheduler for GreedyScheduler {
 
     fn diff_applied_updates(&self) -> u64 {
         self.diff_updates
-    }
-
-    fn rejected_gap_slots(&self) -> u64 {
-        self.gap_slots_rejected
     }
 
     fn sampler_entries(&self) -> usize {
@@ -1716,17 +1653,21 @@ mod tests {
     #[test]
     fn sender_position_is_respected_on_update() {
         let mut s = mk(10, 4, 20, true);
-        let _ = s.next_batch(10);
+        let warm_up = s.next_batch(10);
         assert_eq!(s.position(), 10);
-        // New prediction arrives while the sender has already pushed 12 blocks
-        // of this schedule: scheduling resumes at slot 12.
+        // New prediction arrives after the sender confirmed 6 of the 10
+        // blocks: the other 4 are rolled back and scheduling resumes at
+        // slot 6.
+        for &b in &warm_up[..6] {
+            s.note_sent(b);
+        }
         let pred = PredictionSummary::point(10, RequestId(3), Time::ZERO);
+        s.update_prediction(&pred, 0);
+        assert_eq!(s.position(), 6);
         let resident_before = s.simulated_cache().get(&RequestId(3)).copied().unwrap_or(0);
-        s.update_prediction(&pred, 12);
-        assert_eq!(s.position(), 12);
         let batch = s.next_batch(100);
         // All probability mass sits on request 3, so the batch completes its
-        // prefix (whatever the uniform warm-up batch already delivered) before
+        // prefix (whatever the confirmed warm-up blocks delivered) before
         // anything else — and nothing else has positive gain.
         let need = (4 - resident_before) as usize;
         assert!(batch.len() >= need, "batch too short: {batch:?}");
@@ -2035,8 +1976,12 @@ mod tests {
                 BlockRef::new(RequestId(0), 3),
             ]
         );
-        // The sender never transmitted block 3; a re-prediction rolls it
-        // back.  The eviction must be undone: block 0 returns to the ring.
+        // The sender transmitted blocks 0..3 but never block 3; a
+        // re-prediction rolls it back.  The eviction must be undone: block 0
+        // returns to the ring.
+        for &b in &b1 {
+            s.note_sent(b);
+        }
         s.update_prediction(&pred, 0);
         assert_eq!(
             s.simulated_ring(),
@@ -2055,67 +2000,34 @@ mod tests {
     }
 
     #[test]
-    fn rollback_below_sender_ahead_gap_pops_right_entries() {
-        // Satellite regression (ROADMAP): the sender reports a position
-        // beyond the scheduler's `t`, then a later prediction rolls back
-        // below the gap.  The gap slots are represented explicitly, so the
-        // rollback pops exactly one log entry per slot and the simulated
-        // ring stays exact.
-        let mut s = mk(4, 4, 12, true);
-        let pred0 = PredictionSummary::point(4, RequestId(0), Time::ZERO);
-        s.update_prediction(&pred0, 0);
-        let b1 = s.next_batch(3); // slots 0..3: request 0's prefix
-        assert_eq!(
-            b1,
-            (0..3)
-                .map(|j| BlockRef::new(RequestId(0), j))
-                .collect::<Vec<_>>()
-        );
-        // The sender claims it is at slot 6: slots 3..6 become gaps.
-        let pred1 = PredictionSummary::point(4, RequestId(1), Time::ZERO);
-        s.update_prediction(&pred1, 6);
-        assert_eq!(s.position(), 6);
-        assert_eq!(s.gap_slots(), 3);
-        let b2 = s.next_batch(2); // slots 6..8: request 1's prefix
-        assert_eq!(
-            b2,
-            (0..2)
-                .map(|j| BlockRef::new(RequestId(1), j))
-                .collect::<Vec<_>>()
-        );
-        // Roll back below the gap: everything from slot 1 on is undone —
-        // two real blocks for request 1 and three empty gap slots, leaving
-        // exactly request 0's first block.
-        s.update_prediction(&pred0, 1);
+    fn rollback_reaches_across_a_wrap_and_spares_a_drained_queue() {
+        // The set-up above: request 0's blocks one by one into a 3-slot
+        // schedule, so block 3 lands in slot 0 of the next one.
+        let pred = PredictionSummary::point(2, RequestId(0), Time::ZERO);
+        let run = |emitted: usize, confirmed: usize| {
+            let mut s = mk(2, 4, 3, true);
+            s.update_prediction(&pred, 0);
+            let blocks: Vec<BlockRef> = (0..emitted).flat_map(|_| s.next_batch(1)).collect();
+            for &b in &blocks[..confirmed] {
+                s.note_sent(b);
+            }
+            s.update_prediction(&pred, 0);
+            s
+        };
+        let block = |j: u32| BlockRef::new(RequestId(0), j);
+        // The sender's queue straddled the wrap: block 2 of the finished
+        // schedule and block 3 of the new one were never sent.  Both roll
+        // back, and the new schedule restarts at slot 0.
+        let mut s = run(4, 2);
+        assert_eq!(s.simulated_ring(), vec![block(0), block(1)]);
+        assert_eq!(s.position(), 0);
+        assert_eq!(s.next_batch(2), vec![block(2), block(3)]);
+        // The queue drained exactly at the wrap: nothing rolls back, and
+        // the next block starts the next schedule.
+        let mut s = run(3, 3);
+        assert_eq!(s.simulated_ring(), vec![block(0), block(1), block(2)]);
+        assert_eq!(s.next_batch(1), vec![block(3)]);
         assert_eq!(s.position(), 1);
-        assert_eq!(s.simulated_ring(), vec![BlockRef::new(RequestId(0), 0)]);
-        // Scheduling resumes coherently at slot 1.
-        let b3 = s.next_batch(3);
-        assert_eq!(
-            b3,
-            (1..4)
-                .map(|j| BlockRef::new(RequestId(0), j))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn sender_ahead_gap_creation_is_rate_limited() {
-        // Satellite regression (ROADMAP): a sender repeatedly claiming
-        // positions near `C` must not force a schedule wrap per update.
-        // With the default cap of half the horizon, each update opens at
-        // most `C/2` gaps; the excess is rejected and counted.
-        let mut s = mk(10, 4, 20, true); // max_gap_slots = 10
-        let pred = PredictionSummary::point(10, RequestId(1), Time::ZERO);
-        s.update_prediction(&pred, 20);
-        assert_eq!(s.position(), 10, "gap creation must be clamped");
-        assert_eq!(s.gap_slots(), 10);
-        assert_eq!(s.rejected_gap_slots(), 10);
-        // From t=10 the same claim fits the budget: no further rejections.
-        s.update_prediction(&pred, 20);
-        assert_eq!(s.position(), 20);
-        assert_eq!(s.gap_slots(), 20);
-        assert_eq!(s.rejected_gap_slots(), 10);
     }
 
     #[test]
@@ -2123,22 +2035,22 @@ mod tests {
         let mut s = mk(50, 4, 30, true);
         let mut uplink = DirectUplink::new();
         let p1 = sparse_pred(50, vec![(RequestId(5), 0.4), (RequestId(9), 0.2)], 0.4);
-        uplink.ship(&mut s, &p1, 0);
+        uplink.ship(&mut s, &p1);
         assert_eq!(s.diff_applied_updates(), 0, "a first summary is installed");
         let _ = s.next_batch(10);
         // Overlapping re-prediction: reweight 5, drop 9, join 11.
         let p2 = sparse_pred(50, vec![(RequestId(5), 0.3), (RequestId(11), 0.3)], 0.4);
-        uplink.ship(&mut s, &p2, 4);
+        uplink.ship(&mut s, &p2);
         assert_eq!(s.diff_applied_updates(), 1, "the delta is diffed");
         // The same prediction as a whole summary is installed, not diffed.
-        s.update_prediction(&p2, 4);
+        s.update_prediction(&p2, 0);
         assert_eq!(s.diff_applied_updates(), 1);
         // An incompatible slice layout cannot travel as a delta at all.
         let slices = vec![crate::distribution::HorizonSlice {
             delta: Duration::from_millis(10),
             dist: crate::distribution::SparseDistribution::point(50, RequestId(2)),
         }];
-        uplink.ship(&mut s, &PredictionSummary::new(50, slices, Time::ZERO), 0);
+        uplink.ship(&mut s, &PredictionSummary::new(50, slices, Time::ZERO));
         assert_eq!(s.diff_applied_updates(), 1);
         assert_eq!(s.prediction_updates(), 4);
     }
@@ -2192,7 +2104,7 @@ mod tests {
             vec![(RequestId(5), 0.4), (RequestId(9), 0.2)],
             vec![(RequestId(5), 0.1), (RequestId(9), 0.5)],
         );
-        uplink.ship(&mut s, &p1, 0);
+        uplink.ship(&mut s, &p1);
         let _ = s.next_batch(10);
         let diffed = s.diff_applied_updates();
 
@@ -2201,7 +2113,7 @@ mod tests {
             vec![(RequestId(5), 0.3), (RequestId(11), 0.3)],
             vec![(RequestId(5), 0.1), (RequestId(11), 0.5)],
         );
-        uplink.ship(&mut s, &p2, 4);
+        uplink.ship(&mut s, &p2);
         assert_eq!(s.prediction_updates(), 2);
         assert_eq!(s.diff_applied_updates(), diffed, "delta installed");
         let gamma = s.model_arc().gamma();
@@ -2215,7 +2127,7 @@ mod tests {
             vec![(RequestId(5), 0.3), (RequestId(12), 0.3)],
             vec![(RequestId(5), 0.1), (RequestId(12), 0.5)],
         );
-        uplink.ship(&mut s, &p3, 8);
+        uplink.ship(&mut s, &p3);
         assert_eq!(s.diff_applied_updates(), diffed + 1, "same duration: diffs");
     }
 
@@ -2271,14 +2183,14 @@ mod tests {
             }
         };
         let p1 = wide(0.1);
-        uplink.ship(&mut s, &p1, 0);
+        uplink.ship(&mut s, &p1);
         assert_eq!(s.diff_applied_updates(), 0);
         agrees_with_reference(&s, &p1);
         assert_eq!(s.next_batch(10).len(), 10);
         // Same 40 offsets, requests 0 and 3 reshaped: a delta, refused
         // neither by the shadow nor by the model for its width.
         let p2 = wide(0.2);
-        uplink.ship(&mut s, &p2, 4);
+        uplink.ship(&mut s, &p2);
         assert_eq!(s.diff_applied_updates(), 1);
         agrees_with_reference(&s, &p2);
         assert_eq!(s.next_batch(10).len(), 10);
@@ -2334,7 +2246,7 @@ mod tests {
         for (i, pred) in updates.iter().enumerate() {
             // Updates-only (identical observable state on both sides):
             // compare every candidate weight.
-            uplink.ship(&mut with_diff, pred, 0);
+            uplink.ship(&mut with_diff, pred);
             rebuild.update_prediction(pred, 0);
             assert!(
                 with_diff.debug_weight_divergence().is_empty(),
@@ -2359,9 +2271,11 @@ mod tests {
         let mut s = mk_one();
         let mut uplink = DirectUplink::new();
         for (i, pred) in updates.iter().chain(&updates).enumerate() {
-            let _ = s.next_batch(10);
-            let pos = i % (s.position() + 1);
-            uplink.ship(&mut s, pred, pos);
+            let batch = s.next_batch(10);
+            for &b in &batch[..i % (batch.len() + 1)] {
+                s.note_sent(b);
+            }
+            uplink.ship(&mut s, pred);
             assert!(
                 s.debug_weight_divergence().is_empty(),
                 "inconsistent after interleaved update {i}: {:?}",
@@ -2371,7 +2285,7 @@ mod tests {
                 continue;
             }
             let diffed: Vec<f64> = (0..n).map(|r| weight(&s, RequestId::from(r))).collect();
-            s.update_prediction(pred, s.position());
+            s.update_prediction(pred, 0);
             for (r, wd) in diffed.into_iter().enumerate() {
                 let wr = weight(&s, RequestId::from(r));
                 assert!(
@@ -2381,39 +2295,6 @@ mod tests {
             }
         }
         assert!(s.diff_applied_updates() >= 6);
-    }
-
-    #[test]
-    fn gap_slots_lower_expected_utility_of_later_blocks() {
-        // The slot-aligned schedule log keeps post-gap blocks at their true
-        // slot indices, where the discounted tails are smaller.
-        let mk_one = || {
-            let catalog = Arc::new(ResponseCatalog::uniform(4, 8, 1000));
-            GreedyScheduler::new(
-                GreedySchedulerConfig {
-                    cache_blocks: 32,
-                    gamma: 0.9,
-                    ..Default::default()
-                },
-                UtilityModel::homogeneous(&LinearUtility, 8),
-                catalog,
-            )
-        };
-        let pred = PredictionSummary::point(4, RequestId(2), Time::ZERO);
-        let initial = HashMap::new();
-        let mut dense = mk_one();
-        dense.update_prediction(&pred, 0);
-        let _ = dense.next_batch(4);
-        let mut gapped = mk_one();
-        gapped.update_prediction(&pred, 0);
-        let _ = gapped.next_batch(1);
-        gapped.update_prediction(&pred, 8); // 7 gap slots
-        let _ = gapped.next_batch(3);
-        assert!(gapped.gap_slots() > 0);
-        assert!(
-            gapped.expected_utility(&initial) < dense.expected_utility(&initial),
-            "gap slots must push later blocks to lower-tail slots"
-        );
     }
 
     #[test]
@@ -2458,69 +2339,52 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Ground-truth replay of the client's FIFO ring: the client
-        /// receives exactly the committed schedules plus the surviving
-        /// (non-rolled-back) prefix of the current one, in order, through a
-        /// capacity-`C` FIFO.  Slots the sender consumed while running
-        /// ahead of the scheduler carry no block (`None`).
+        /// The sender and the client behind a driven scheduler, and the
+        /// ground truth for its simulated ring.  Blocks emitted since the
+        /// last update wait in the sender's queue; an update first confirms
+        /// a prefix of them, oldest first, through `note_sent`, and drops
+        /// the rest, which the scheduler must roll back on either side of a
+        /// schedule wrap.  The client's FIFO ring holds the newest `cap` of
+        /// the received blocks followed by the queued ones, which the
+        /// scheduler counts as delivered until an update says otherwise.
         struct ClientReplay {
             cap: usize,
-            history: Vec<BlockRef>,
-            /// Slot-aligned current schedule (`current.len() == t`).
-            current: Vec<Option<BlockRef>>,
-            t: usize,
+            received: Vec<BlockRef>,
+            queued: Vec<BlockRef>,
+            /// Predictions travel as they do on the wire, so one that
+            /// overlaps the last is a delta and its rollback runs through
+            /// the diff path.
+            uplink: DirectUplink,
         }
 
         impl ClientReplay {
             fn new(cap: usize) -> Self {
                 ClientReplay {
                     cap,
-                    history: Vec::new(),
-                    current: Vec::new(),
-                    t: 0,
+                    received: Vec::new(),
+                    queued: Vec::new(),
+                    uplink: DirectUplink::new(),
                 }
             }
 
-            fn commit(&mut self) {
-                self.history.extend(self.current.drain(..).flatten());
-                self.t = 0;
+            fn on_batch(&mut self, batch: &[BlockRef]) {
+                self.queued.extend_from_slice(batch);
             }
 
-            fn on_batch(&mut self, requested: usize, batch: &[BlockRef]) {
-                for &b in batch {
-                    if self.t >= self.cap {
-                        self.commit();
-                    }
-                    self.current.push(Some(b));
-                    self.t += 1;
+            /// Sends the oldest `sent` queued blocks (all, if fewer are
+            /// queued), drops the rest and ships `pred`.
+            fn ship(&mut self, s: &mut GreedyScheduler, sent: usize, pred: &PredictionSummary) {
+                let sent = sent.min(self.queued.len());
+                for &b in &self.queued[..sent] {
+                    s.note_sent(b);
                 }
-                // A short batch means the scheduler ran one more loop
-                // iteration (which resets at the schedule boundary) before
-                // failing to sample.
-                if batch.len() < requested && self.t >= self.cap {
-                    self.commit();
-                }
-            }
-
-            fn on_update(&mut self, sender_position: usize) {
-                let pos = sender_position.min(self.cap);
-                if pos < self.t {
-                    self.current.truncate(pos);
-                } else {
-                    // Sender-ahead gap: empty slots up to its position.
-                    while self.current.len() < pos {
-                        self.current.push(None);
-                    }
-                }
-                self.t = pos;
+                self.received.extend(self.queued.drain(..).take(sent));
+                self.uplink.ship(s, pred);
             }
 
             fn ring(&self) -> Vec<BlockRef> {
-                let all: Vec<BlockRef> = self
-                    .history
-                    .iter()
+                let all: Vec<BlockRef> = (self.received.iter().chain(&self.queued))
                     .copied()
-                    .chain(self.current.iter().copied().flatten())
                     .collect();
                 let start = all.len().saturating_sub(self.cap);
                 all[start..].to_vec()
@@ -2547,46 +2411,34 @@ mod tests {
                 catalog,
             );
             let mut client = ClientReplay::new(cache);
-            // Predictions travel as they do on the wire, so a point
-            // prediction after another is a delta and its rollback runs
-            // through the diff path.  Every sequence ends on one (kind 6,
-            // which the generator never draws).
-            let mut uplink = DirectUplink::new();
+            // Every sequence ends on a delta (kind 6, which the generator
+            // never draws).
             let delta_tail = [(2, 0, 0), (0, 4, 0), (6, 1, 1)];
             for &(kind, a, b) in ops.iter().chain(&delta_tail) {
                 match kind {
                     0 | 1 => {
-                        let k = a % 5 + 1;
-                        let batch = s.next_batch(k);
-                        client.on_batch(k, &batch);
+                        let batch = s.next_batch(a % 5 + 1);
+                        client.on_batch(&batch);
                     }
                     2 | 6 => {
-                        // A real sender reports a position within the
-                        // scheduled tail: a rollback.
-                        let pos = b % (s.position() + 1);
+                        // The sender got part of its queue out: a rollback,
+                        // across a wrap when the queue straddles one.
+                        let sent = b % (client.queued.len() + 1);
                         let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
                         let diffed = s.diff_applied_updates();
-                        uplink.ship(&mut s, &pred, pos);
-                        client.on_update(pos);
+                        client.ship(&mut s, sent, &pred);
                         prop_assert!(kind == 2 || s.diff_applied_updates() > diffed);
                     }
                     3 => {
-                        let pos = b % (s.position() + 1);
-                        let pred = PredictionSummary::uniform(n, Time::ZERO);
-                        uplink.ship(&mut s, &pred, pos);
-                        client.on_update(pos);
+                        let sent = b % (client.queued.len() + 1);
+                        client.ship(&mut s, sent, &PredictionSummary::uniform(n, Time::ZERO));
                     }
                     _ => {
-                        // A buggy / adversarial sender claims to be ahead of
-                        // the scheduler: the skipped slots become explicit
-                        // gaps, clamped to the horizon and rate-limited per
-                        // update like the scheduler does — the client replay
-                        // mirrors the *effective* position the scheduler
-                        // settled on.
-                        let pos = (s.position() + b % 4).min(cache);
+                        // The sender drained its queue — exactly at a wrap,
+                        // when the last batch ended on one: nothing rolls
+                        // back.
                         let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
-                        uplink.ship(&mut s, &pred, pos);
-                        client.on_update(s.position());
+                        client.ship(&mut s, usize::MAX, &pred);
                     }
                 }
                 prop_assert_eq!(
@@ -2650,11 +2502,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Replaying any random schedule / rollback / sender-ahead-gap /
+            /// Replaying any random schedule / confirmation / rollback /
             /// eviction sequence, the scheduler's simulated ring exactly
             /// equals a ground-truth replay of the client's FIFO ring —
             /// including rollbacks of blocks whose delivery evicted older
-            /// entries and rollbacks below sender-ahead gaps.
+            /// entries and rollbacks across schedule wraps.
             #[test]
             fn simulated_ring_matches_client_replay(
                 n in 1usize..8,
@@ -2715,7 +2567,7 @@ mod tests {
             // Every prediction travels as it does on the wire: whole the
             // first time and whenever the slice layout changes, as a delta
             // otherwise — which is what reaches the scheduler's diff path.
-            let mut uplink = DirectUplink::new();
+            let mut client = ClientReplay::new(cache);
             // Drifting prediction state for the overlapping-update ops
             // (kinds 6–7): successive summaries share most entries.
             let mut evolving: Vec<(usize, f64)> = vec![(0, 0.3), (1 % n, 0.2)];
@@ -2731,7 +2583,11 @@ mod tests {
                 match kind {
                     // Batches large relative to the cache horizon force
                     // schedule wraps mid-batch.
-                    0..=2 => emitted.extend(s.next_batch(a % (2 * cache) + 1)),
+                    0..=2 => {
+                        let batch = s.next_batch(a % (2 * cache) + 1);
+                        client.on_batch(&batch);
+                        emitted.extend(batch);
+                    }
                     3 => {
                         // Sparse heterogeneous prediction: two materialized
                         // requests plus a residual.
@@ -2742,8 +2598,8 @@ mod tests {
                             vec![(RequestId::from(a % n), p1), (RequestId::from(b % n), p2)],
                             1.0 - p1 - p2,
                         );
-                        let pos = b % (s.position() + 1);
-                        uplink.ship(&mut s, &pred, pos);
+                        let sent = b % (client.queued.len() + 1);
+                        client.ship(&mut s, sent, &pred);
                     }
                     4 => {
                         // Time-varying prediction: early mass on one request,
@@ -2768,15 +2624,13 @@ mod tests {
                             },
                         ];
                         let pred = PredictionSummary::new(n, slices, Time::ZERO);
-                        let pos = a % (s.position() + 1);
-                        uplink.ship(&mut s, &pred, pos);
+                        let sent = a % (client.queued.len() + 1);
+                        client.ship(&mut s, sent, &pred);
                     }
                     5 => {
-                        // Sender-ahead gap, then keep scheduling below it
-                        // later via the rollback ops above.
-                        let pos = (s.position() + b % 3).min(cache);
+                        // The sender drained its queue.
                         let pred = PredictionSummary::uniform(n, Time::ZERO);
-                        uplink.ship(&mut s, &pred, pos);
+                        client.ship(&mut s, usize::MAX, &pred);
                     }
                     6 => {
                         // Overlapping re-prediction: mutate ONE entry of the
@@ -2800,8 +2654,8 @@ mod tests {
                                 evolving[i].1 *= (a % 5 + 1) as f64 / 3.0;
                             }
                         }
-                        let pos = a % (s.position() + 1);
-                        uplink.ship(&mut s, &drifting(&evolving), pos);
+                        let sent = a % (client.queued.len() + 1);
+                        client.ship(&mut s, sent, &drifting(&evolving));
                     }
                     _ => {
                         // Overlapping *shape-changing* re-prediction over
@@ -2834,8 +2688,8 @@ mod tests {
                             })
                             .collect();
                         let pred = PredictionSummary::new(n, slices, Time::ZERO);
-                        let pos = b % (s.position() + 1);
-                        uplink.ship(&mut s, &pred, pos);
+                        let sent = b % (client.queued.len() + 1);
+                        client.ship(&mut s, sent, &pred);
                     }
                 }
             }
@@ -2843,12 +2697,13 @@ mod tests {
             // above left behind: the drifting summary, then one reweighted
             // entry of it under a rollback, then a batch drawn from the
             // diffed sampler.
-            let pos = s.position();
-            uplink.ship(&mut s, &drifting(&evolving), pos);
-            emitted.extend(s.next_batch(cache));
+            client.ship(&mut s, usize::MAX, &drifting(&evolving));
+            let batch = s.next_batch(cache);
+            client.on_batch(&batch);
+            emitted.extend(batch);
             evolving[0].1 *= 0.5;
-            let (diffed, pos) = (s.diff_applied_updates(), s.position() / 2);
-            uplink.ship(&mut s, &drifting(&evolving), pos);
+            let (diffed, sent) = (s.diff_applied_updates(), client.queued.len() / 2);
+            client.ship(&mut s, sent, &drifting(&evolving));
             assert!(s.diff_applied_updates() > diffed, "delta not diffed");
             emitted.extend(s.next_batch(cache));
             // The incremental weight structure must agree with a
@@ -2870,7 +2725,7 @@ mod tests {
             /// randomized heterogeneous-utility catalogs, forced schedule
             /// wraps (cache far smaller than the block universe), sparse and
             /// time-varying predictions (multiple tail-shape buckets),
-            /// rollbacks, sender-ahead gaps, and *sequences of overlapping
+            /// rollbacks across wraps, drained queues, and *sequences of overlapping
             /// prediction updates* (add / remove / reweight / shape-change,
             /// shipped as deltas through the diff path, which every case
             /// is asserted to reach) — under a fixed seed the legacy

@@ -52,18 +52,22 @@ pub type Schedule = Vec<BlockRef>;
 ///
 /// The contract mirrors the sender-coordination protocol of §5.3.2:
 ///
-/// * [`update_prediction`](Scheduler::update_prediction) receives the decoded
-///   client prediction and the sender's position within the current schedule;
-///   blocks before that position are immutable, the rest may be re-planned.
 /// * [`next_batch`](Scheduler::next_batch) emits up to `count` more blocks of
 ///   the current schedule in push order, never repeating a block the
 ///   (simulated) client cache still holds.
+/// * [`note_sent`](Scheduler::note_sent) confirms emitted blocks, oldest
+///   first, as the sender places them on the network.  The scheduler alone
+///   counts positions: no caller passes one in.
+/// * [`update_prediction`](Scheduler::update_prediction) receives the decoded
+///   client prediction; confirmed blocks are immutable, and every emitted
+///   block not yet confirmed — the sender dropped it with its queue — is
+///   rolled back and may be re-planned.
 /// * [`set_slot_duration`](Scheduler::set_slot_duration) re-calibrates the
 ///   slot length whenever the bandwidth estimate changes (§5.4).
 pub trait Scheduler: Send {
-    /// Applies a fresh decoded prediction.  `sender_position` is the number
-    /// of blocks of the current schedule already placed on the network.
-    fn update_prediction(&mut self, summary: &PredictionSummary, sender_position: usize);
+    /// Applies a fresh decoded prediction, re-planning every emitted block
+    /// that [`note_sent`](Scheduler::note_sent) has not confirmed.
+    fn update_prediction(&mut self, summary: &PredictionSummary);
 
     /// Delta variant of [`update_prediction`](Scheduler::update_prediction):
     /// the caller (the prediction-delta path, see [`crate::delta`]) already
@@ -76,10 +80,9 @@ pub trait Scheduler: Send {
         &mut self,
         summary: &PredictionSummary,
         changes: &crate::delta::PredictionChanges,
-        sender_position: usize,
     ) {
         let _ = changes;
-        self.update_prediction(summary, sender_position);
+        self.update_prediction(summary);
     }
 
     /// Emits up to `count` blocks in push order.  An empty result means no
@@ -89,12 +92,13 @@ pub trait Scheduler: Send {
 
     /// Confirms that `block` (previously emitted by
     /// [`next_batch`](Scheduler::next_batch)) was actually placed on the
-    /// wire.  Blocks are confirmed in emission order; emitted blocks that
-    /// are never confirmed were dropped by the sender and may be re-planned
-    /// on the next prediction update.  Schedulers that only need the
-    /// `sender_position` argument of
-    /// [`update_prediction`](Scheduler::update_prediction) (like the greedy
-    /// scheduler, whose sampling state is position-based) can ignore this.
+    /// wire.  Blocks are confirmed in emission order, so a confirmation
+    /// always covers the oldest unconfirmed block, on either side of a
+    /// schedule wrap; emitted blocks never confirmed were dropped by the
+    /// sender and are re-planned on the next prediction update.  A
+    /// [`Session`](crate::session::Session) confirms every block it commits.
+    /// The default ignores confirmations, for schedulers that re-plan
+    /// nothing.
     fn note_sent(&mut self, block: BlockRef) {
         let _ = block;
     }
@@ -121,13 +125,6 @@ pub trait Scheduler: Send {
     /// default covers schedulers with no diff path.  Aggregated across
     /// sessions by [`ShardStats`](crate::shard::ShardStats).
     fn diff_applied_updates(&self) -> u64 {
-        0
-    }
-
-    /// Sender-ahead gap slots rejected by a per-update creation cap (zero
-    /// for schedulers without the concept).  Aggregated across sessions by
-    /// [`ShardStats`](crate::shard::ShardStats).
-    fn rejected_gap_slots(&self) -> u64 {
         0
     }
 
@@ -1295,34 +1292,9 @@ pub fn schedule_expected_utility(
     utility: &UtilityModel,
     initial: &HashMap<RequestId, u32>,
 ) -> f64 {
-    expected_utility_over(schedule.iter().map(|&b| Some(b)), model, utility, initial)
-}
-
-/// Slot-aligned variant of [`schedule_expected_utility`]: entry `k` is the
-/// block scheduled for slot `k`, with `None` marking a slot the sender
-/// consumed without a scheduled block (e.g. it ran ahead of the scheduler —
-/// see [`greedy::GreedyScheduler::update_prediction`]).  Empty slots
-/// contribute nothing but still advance the slot index, so later blocks keep
-/// their correct (later, lower-tail) probability coefficients.
-pub fn schedule_expected_utility_slots(
-    schedule: &[Option<BlockRef>],
-    model: &HorizonModel,
-    utility: &UtilityModel,
-    initial: &HashMap<RequestId, u32>,
-) -> f64 {
-    expected_utility_over(schedule.iter().copied(), model, utility, initial)
-}
-
-fn expected_utility_over(
-    slots: impl Iterator<Item = Option<BlockRef>>,
-    model: &HorizonModel,
-    utility: &UtilityModel,
-    initial: &HashMap<RequestId, u32>,
-) -> f64 {
     let mut held: HashMap<RequestId, u32> = initial.clone();
     let mut total = 0.0;
-    for (k, slot) in slots.enumerate().take(model.horizon()) {
-        let Some(b) = slot else { continue };
+    for (k, b) in schedule.iter().enumerate().take(model.horizon()) {
         let have = held.entry(b.request).or_insert(0);
         *have += 1;
         let blocks_now = *have;
@@ -1874,41 +1846,6 @@ mod tests {
         assert!(model.apply_update(&big).is_none());
         // The refusals left the model untouched.
         assert_model_equiv(&model, &HorizonModel::build(&s1, horizon, slot, 0.9));
-    }
-
-    #[test]
-    fn slot_aligned_expected_utility_skips_gaps() {
-        let n = 4;
-        let m = HorizonModel::build(
-            &summary_point(n, RequestId(1)),
-            4,
-            Duration::from_millis(10),
-            0.5,
-        );
-        let u = UtilityModel::homogeneous(&LinearUtility, 4);
-        let empty = HashMap::new();
-        let with_gap = [
-            Some(BlockRef::new(RequestId(1), 0)),
-            None,
-            Some(BlockRef::new(RequestId(1), 1)),
-        ];
-        let v = schedule_expected_utility_slots(&with_gap, &m, &u, &empty);
-        // Same blocks at the same slots, expressed densely with a dummy
-        // zero-probability filler, give the same value.
-        let dense = [
-            BlockRef::new(RequestId(1), 0),
-            BlockRef::new(RequestId(0), 0),
-            BlockRef::new(RequestId(1), 1),
-        ];
-        let vd = schedule_expected_utility(&dense, &m, &u, &empty);
-        assert!((v - vd).abs() < 1e-12);
-        // The gap shifts the second block to a lower-tail slot: packing the
-        // blocks densely scores strictly higher.
-        let packed = [
-            BlockRef::new(RequestId(1), 0),
-            BlockRef::new(RequestId(1), 1),
-        ];
-        assert!(schedule_expected_utility(&packed, &m, &u, &empty) > v);
     }
 
     /// [`HorizonModel::build`] pinned to the per-slot reference evaluator

@@ -49,9 +49,7 @@ struct ReplanState {
     /// session when a prediction arrives).
     issued: Vec<BlockRef>,
     /// How many of `issued` the sender has confirmed via
-    /// [`Scheduler::note_sent`].  Unlike the sender's schedule position
-    /// (which wraps at the horizon and is therefore ambiguous after a full
-    /// schedule drain), this count is exact.
+    /// [`Scheduler::note_sent`], oldest first.
     confirmed: usize,
     updates: u64,
 }
@@ -239,10 +237,9 @@ impl OptimalScheduler {
 macro_rules! impl_replan_scheduler {
     ($ty:ty, $name:literal) => {
         impl Scheduler for $ty {
-            fn update_prediction(&mut self, summary: &PredictionSummary, _sender_position: usize) {
-                // The wrapping sender position is ambiguous after a full
-                // schedule drain; the exact schedulers rely on `note_sent`
-                // confirmations instead.
+            fn update_prediction(&mut self, summary: &PredictionSummary) {
+                // The `note_sent` contract: what was emitted and not
+                // confirmed is re-planned.
                 self.state.rollback_unsent();
                 self.state.refresh_model(summary);
                 let plan = self.schedule(&self.state.model);
@@ -550,9 +547,9 @@ mod tests {
 
         let s1 = spread(n, &[(0, 0.55), (1, 0.3), (2, 0.15)]);
         let s2 = spread(n, &[(3, 0.55), (1, 0.3), (0, 0.15)]);
-        Scheduler::update_prediction(&mut twice, &s1, 0);
-        Scheduler::update_prediction(&mut twice, &s2, 0);
-        Scheduler::update_prediction(&mut fresh, &s2, 0);
+        Scheduler::update_prediction(&mut twice, &s1);
+        Scheduler::update_prediction(&mut twice, &s2);
+        Scheduler::update_prediction(&mut fresh, &s2);
         // A whole summary replaces the model: nothing of `s1` may survive
         // into the plan (no blocks issued in between, so both plans start
         // from an empty cache).

@@ -59,8 +59,6 @@ pub struct Session {
     bandwidth: BandwidthEstimator,
     queue: VecDeque<BlockRef>,
     queue_target: usize,
-    /// Blocks of the current schedule already handed to the network.
-    sent_in_schedule: usize,
     /// Blocks sent per request, used to continue prefixes when the backend
     /// concurrency limit rewrites schedules (§5.4).  Pruned on schedule
     /// wrap so long-running sessions do not accumulate dead entries.
@@ -152,8 +150,7 @@ impl Session {
         self.shadow.clear();
         // Queued (scheduled but unsent) blocks are rolled back and re-planned.
         self.queue.clear();
-        self.scheduler
-            .update_prediction(&summary, self.sent_in_schedule);
+        self.scheduler.update_prediction(&summary);
     }
 
     /// Installs a full prediction summary at `generation` as the delta base
@@ -161,8 +158,7 @@ impl Session {
     pub fn on_predictor_full(&mut self, generation: u64, summary: &PredictionSummary) {
         self.shadow.install(generation, summary.clone());
         self.queue.clear();
-        self.scheduler
-            .update_prediction(summary, self.sent_in_schedule);
+        self.scheduler.update_prediction(summary);
     }
 
     /// Applies a prediction delta against the shadow summary and re-plans
@@ -172,10 +168,7 @@ impl Session {
     /// generation does not match the shadow, leaving the schedule running
     /// on the last applied prediction.
     pub fn on_predictor_delta(&mut self, delta: &PredictionDelta) -> MessageOutcome {
-        let applied = self
-            .shadow
-            .apply_to(delta, &mut *self.scheduler, self.sent_in_schedule);
-        match applied {
+        match self.shadow.apply_to(delta, &mut *self.scheduler) {
             Ok(()) => {
                 self.queue.clear();
                 self.delta_updates += 1;
@@ -220,19 +213,20 @@ impl Session {
         block
     }
 
-    /// Records that `meta` was placed on the wire: advances the sender
-    /// position, updates per-request counters, and prunes stale bookkeeping
-    /// when the schedule wraps.
+    /// Records that `meta` was placed on the wire: confirms it to the
+    /// scheduler, updates per-request counters, and prunes stale bookkeeping
+    /// every full schedule.
     pub fn commit(&mut self, meta: &BlockMeta) {
         self.scheduler.note_sent(meta.block);
-        self.sent_in_schedule += 1;
-        if self.sent_in_schedule >= self.scheduler.horizon() {
-            // The schedule wrapped: the scheduler reset its own per-schedule
-            // state when it crossed the boundary; realign the sender position
-            // and drop `sent_per_request` entries for requests no longer
-            // resident in the simulated cache (their prefixes restart, so
-            // stale counts would both leak memory and skew backfill offsets).
-            self.sent_in_schedule = 0;
+        self.blocks_sent += 1;
+        if self
+            .blocks_sent
+            .is_multiple_of(self.scheduler.horizon() as u64)
+        {
+            // A schedule's worth of blocks went out: drop `sent_per_request`
+            // entries for requests no longer resident in the simulated cache
+            // (their prefixes restart, so stale counts would both leak
+            // memory and skew backfill offsets).
             let resident = self.scheduler.simulated_cache();
             if resident.is_empty() {
                 // The scheduler does not track the client cache (or holds
@@ -247,7 +241,6 @@ impl Session {
             }
         }
         *self.sent_per_request.entry(meta.block.request).or_insert(0) += 1;
-        self.blocks_sent += 1;
         self.bytes_sent += meta.size;
     }
 
@@ -333,12 +326,6 @@ impl Session {
     /// an install (see [`Scheduler::diff_applied_updates`]).
     pub fn diff_applied_updates(&self) -> u64 {
         self.scheduler.diff_applied_updates()
-    }
-
-    /// Sender-ahead gap slots the scheduler's per-update cap rejected (see
-    /// [`Scheduler::rejected_gap_slots`]).
-    pub fn rejected_gap_slots(&self) -> u64 {
-        self.scheduler.rejected_gap_slots()
     }
 
     /// Live weight entries resident in the scheduler's sampler (see
@@ -529,7 +516,6 @@ impl SessionBuilder {
             bandwidth,
             queue: VecDeque::new(),
             queue_target: cfg.sender_queue_target.max(1),
-            sent_in_schedule: 0,
             sent_per_request: HashMap::new(),
             blocks_sent: 0,
             bytes_sent: 0,
@@ -796,7 +782,6 @@ impl SessionManager {
         for (_, session) in &self.sessions {
             snap.prediction_updates += session.prediction_updates();
             snap.diff_applied_updates += session.diff_applied_updates();
-            snap.rejected_gap_slots += session.rejected_gap_slots();
             snap.sampler_entries += session.sampler_entries();
             snap.resync_requests += session.resync_requests();
             snap.delta_updates += session.delta_updates();
@@ -1371,7 +1356,7 @@ mod tests {
     }
 
     impl Scheduler for UntrackedStub {
-        fn update_prediction(&mut self, _summary: &PredictionSummary, _sender_position: usize) {}
+        fn update_prediction(&mut self, _summary: &PredictionSummary) {}
 
         fn next_batch(&mut self, count: usize) -> crate::scheduler::Schedule {
             let mut out = Vec::new();
@@ -2641,6 +2626,197 @@ mod tests {
                         mgr.bandwidth_estimate().transmit_time(scanned)
                     );
                 }
+            }
+        }
+    }
+
+    /// The scheduler's simulated ring against the client's own, with a real
+    /// sender queue: whole summaries and deltas land between sends — while
+    /// the queue straddles a schedule wrap, and right after it drained
+    /// exactly at one — and after every update the session's
+    /// `simulated_cache()` must equal a client `RingCache` fed only the
+    /// committed blocks.
+    mod ring_parity {
+        use super::*;
+        use crate::cache::RingCache;
+        use crate::delta::DeltaTracker;
+        use crate::distribution::{HorizonSlice, SparseDistribution};
+        use crate::predictor::PredictorState;
+        use proptest::prelude::*;
+
+        const REQUESTS: usize = 64;
+        const BLOCKS: u32 = 4;
+
+        /// A two-slice summary of three explicit entries that follow `a`
+        /// and `b`, so consecutive predictions cross as small deltas.
+        fn summary(a: u32, b: u32) -> PredictionSummary {
+            let n = REQUESTS as u32;
+            let slice = |shift: u32, millis: u64| HorizonSlice {
+                delta: Duration::from_millis(millis),
+                dist: SparseDistribution::from_weights(
+                    REQUESTS,
+                    vec![
+                        (RequestId((a + shift) % n), 1.0 + f64::from(b % 7)),
+                        (RequestId((a + shift + 1 + b % 5) % n), 1.0),
+                        (RequestId((b / 7) % n), 0.5),
+                    ],
+                ),
+            };
+            PredictionSummary::new(REQUESTS, vec![slice(0, 50), slice(3, 250)], Time::ZERO)
+        }
+
+        /// A greedy session over a `REQUESTS` × `BLOCKS` catalog, the
+        /// tracker feeding it, and the client's ring.
+        struct Replay {
+            session: Session,
+            tracker: DeltaTracker,
+            client: RingCache,
+        }
+
+        impl Replay {
+            fn new(cache_blocks: usize, queue: usize, seed: u64) -> Self {
+                let cfg = ServerConfig {
+                    scheduler: GreedySchedulerConfig {
+                        cache_blocks,
+                        seed,
+                        ..Default::default()
+                    },
+                    sender_queue_target: queue,
+                    ..Default::default()
+                };
+                Replay {
+                    session: Session::builder(utility(BLOCKS), catalog(REQUESTS, BLOCKS))
+                        .config(cfg)
+                        .build(),
+                    tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
+                    client: RingCache::new(cache_blocks),
+                }
+            }
+
+            /// Sends one block; `false` when the session has nothing to send.
+            fn send(&mut self) -> bool {
+                let Some(block) = self.session.next_block_ref(None) else {
+                    return false;
+                };
+                let meta = self
+                    .session
+                    .catalog()
+                    .layout(block.request)
+                    .block_meta(block.index)
+                    .expect("scheduled blocks exist");
+                self.session.commit(&meta);
+                self.client.insert(block);
+                true
+            }
+
+            /// Sends until `done` holds, at most `limit` blocks.
+            fn send_until(&mut self, limit: usize, done: impl Fn(&Session) -> bool) {
+                for _ in 0..limit {
+                    if done(&self.session) || !self.send() {
+                        return;
+                    }
+                }
+            }
+
+            fn apply(&mut self, kind: u8, a: u32, b: u32) -> Result<(), String> {
+                let horizon = self.session.scheduler.horizon();
+                let wrap_offset = |s: &Session| s.blocks_sent() as usize % horizon;
+                let message = match kind % 6 {
+                    0 => {
+                        for _ in 0..a as usize % (2 * horizon + 1) {
+                            self.send();
+                        }
+                        return Ok(());
+                    }
+                    // The queue straddles a wrap: some of its blocks are the
+                    // old schedule's tail, the rest the new schedule's head.
+                    1 => {
+                        self.send_until(2 * horizon, |s| {
+                            !s.queue.is_empty() && wrap_offset(s) + s.queue.len() > horizon
+                        });
+                        return Ok(());
+                    }
+                    // The queue drained exactly at a wrap.
+                    2 => {
+                        let limit = horizon * self.session.queue_target.max(1) + horizon;
+                        self.send_until(limit, |s| {
+                            s.blocks_sent() > 0 && s.queue.is_empty() && wrap_offset(s) == 0
+                        });
+                        return Ok(());
+                    }
+                    3 => {
+                        self.tracker.reset();
+                        self.tracker.encode(&summary(a, b))
+                    }
+                    4 => self.tracker.encode(&summary(a, b)),
+                    _ => ClientMessage::Predictor(PredictorState::Summary(summary(a, b))),
+                };
+                if matches!(message, ClientMessage::Predictor(_)) {
+                    // An opaque state clears the session's shadow: the
+                    // tracker's next encode must ship whole.
+                    self.tracker.reset();
+                }
+                let outcome = self.session.on_message(&message, Time::ZERO);
+                if outcome != MessageOutcome::Handled {
+                    return Err(format!("op ({kind}, {a}, {b}) was refused"));
+                }
+                let client: HashMap<RequestId, u32> = self.client.resident_counts().collect();
+                let simulated = self.session.simulated_cache();
+                if simulated != client {
+                    return Err(format!(
+                        "after op ({kind}, {a}, {b}) with {} blocks sent: the scheduler \
+                         simulates {simulated:?}, the client holds {client:?}",
+                        self.session.blocks_sent()
+                    ));
+                }
+                Ok(())
+            }
+        }
+
+        fn run(cache_blocks: usize, queue: usize, seed: u64, ops: &[(u8, u32, u32)]) {
+            let mut replay = Replay::new(cache_blocks, queue, seed);
+            for &(kind, a, b) in ops {
+                if let Err(e) = replay.apply(kind, a, b) {
+                    panic!("cache_blocks={cache_blocks} queue={queue} seed={seed}: {e}");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64 })]
+
+            #[test]
+            fn simulated_ring_matches_the_clients_across_wraps(
+                cache_blocks in 8usize..=64,
+                queue in 1usize..=40,
+                seed in 0u64..1_000,
+                ops in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..48),
+            ) {
+                run(cache_blocks, queue, seed, &ops);
+            }
+        }
+
+        /// The proptest's harness over a fixed case stream (CI's "Parity
+        /// sweep" step): `cargo test --release -p khameleon-core --lib
+        /// session_ring_parity_sweep -- --ignored`.
+        #[test]
+        #[ignore = "a fixed stream of 16k cases, about 12 s in release"]
+        fn session_ring_parity_sweep() {
+            let mut state = 24_680u64;
+            let mut next = || {
+                state = (state.wrapping_mul(6_364_136_223_846_793_005))
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as u32
+            };
+            for _ in 0..16_000 {
+                let cache_blocks = next() as usize % 57 + 8;
+                let queue = next() as usize % 40 + 1;
+                let seed = u64::from(next() % 1_000);
+                let len = next() as usize % 64 + 1;
+                let ops: Vec<(u8, u32, u32)> = (0..len)
+                    .map(|_| ((next() % 6) as u8, next(), next()))
+                    .collect();
+                run(cache_blocks, queue, seed, &ops);
             }
         }
     }

@@ -115,8 +115,6 @@ pub struct ShardSnapshot {
     pub prediction_updates: u64,
     /// Prediction deltas applied as model diffs instead of installs.
     pub diff_applied_updates: u64,
-    /// Scheduled slots rejected by the gap heuristic.
-    pub rejected_gap_slots: u64,
     /// Live weight entries resident across the shard's samplers — the
     /// session layer's per-session memory observable (see
     /// [`Scheduler::sampler_entries`](crate::scheduler::Scheduler::sampler_entries)).
@@ -141,7 +139,6 @@ impl ShardSnapshot {
         self.bytes_sent += other.bytes_sent;
         self.prediction_updates += other.prediction_updates;
         self.diff_applied_updates += other.diff_applied_updates;
-        self.rejected_gap_slots += other.rejected_gap_slots;
         self.sampler_entries += other.sampler_entries;
         self.resync_requests += other.resync_requests;
         self.delta_updates += other.delta_updates;
@@ -753,7 +750,7 @@ mod tests {
     }
 
     impl crate::scheduler::Scheduler for SlotProbe {
-        fn update_prediction(&mut self, _: &crate::distribution::PredictionSummary, _: usize) {}
+        fn update_prediction(&mut self, _: &crate::distribution::PredictionSummary) {}
         fn next_batch(&mut self, _count: usize) -> crate::scheduler::Schedule {
             Vec::new()
         }

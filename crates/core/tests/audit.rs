@@ -10,7 +10,7 @@ use khameleon_core::audit::{AuditCheck, AuditConfig};
 use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
-use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig};
+use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
 use khameleon_core::types::{RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
 
@@ -73,15 +73,19 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
     s.audit_attach(every_event());
     let mut uplink = DirectUplink::new();
     for round in 0..40 {
+        uplink.ship(&mut s, &churn_pred(n, round));
         // Alternate forward progress with partial rollbacks so the audited
-        // state covers scheduling, eviction, schedule wrap, and re-planning.
-        let sender_position = if round % 4 == 3 {
-            s.position().saturating_sub(5)
+        // state covers scheduling, eviction, schedule wrap, and re-planning:
+        // every fourth batch the sender drops its last 5 blocks.
+        let batch = s.next_batch(12);
+        let sent = if round % 4 == 2 {
+            batch.len().saturating_sub(5)
         } else {
-            s.position()
+            batch.len()
         };
-        uplink.ship(&mut s, &churn_pred(n, round), sender_position);
-        s.next_batch(12);
+        for &b in &batch[..sent] {
+            s.note_sent(b);
+        }
     }
     assert!(
         s.diff_applied_updates() >= 30,
@@ -116,15 +120,17 @@ fn misaligned_rollback_is_counted_not_aborted() {
     let mut s = scheduler(n, 32);
     s.audit_attach(every_event());
     s.update_prediction(&churn_pred(n, 0), 0);
-    s.next_batch(10);
+    let batch = s.next_batch(10);
     let before = s.audit_report().expect("auditor attached");
     assert_eq!(before.total_violations(), 0, "clean before injection");
     // Deliberately desynchronize the eviction log from the slot index, then
     // force a rollback across the damage.  Without an attached auditor this
     // state debug-aborts; with one it must be reported and counted.
     s.audit_inject_eviction_log_truncation();
-    let pos = s.position().saturating_sub(4);
-    s.update_prediction(&churn_pred(n, 1), pos);
+    for &b in &batch[..6] {
+        s.note_sent(b);
+    }
+    s.update_prediction(&churn_pred(n, 1), 0);
     let report = s.audit_report().expect("auditor attached");
     assert!(
         report.violations_of(AuditCheck::SlotAlignment) > 0,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
-use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig};
+use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{PowerUtility, UtilityModel};
 
@@ -178,20 +178,21 @@ fn update_heavy_block_sequence_is_pinned() {
     let mut uplink = DirectUplink::new();
     let mut input = Input::new(0x5eed);
     let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over one word a block
+                                             // Every drawn block goes on the wire: the sender confirms it.
     let draw = |scheduler: &mut GreedyScheduler, hash: &mut u64| {
         let blocks = scheduler.next_batch(BLOCKS_PER_OP);
         assert_eq!(blocks.len(), BLOCKS_PER_OP);
         for b in blocks {
+            scheduler.note_sent(b);
             *hash ^= u64::from(b.request.0) << 32 | u64::from(b.index);
             *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    uplink.ship(&mut scheduler, &input.summary(), 0);
+    uplink.ship(&mut scheduler, &input.summary());
     draw(&mut scheduler, &mut hash);
     for _ in 0..OPS {
         input.next_op();
-        let position = scheduler.position();
-        uplink.ship(&mut scheduler, &input.summary(), position);
+        uplink.ship(&mut scheduler, &input.summary());
         draw(&mut scheduler, &mut hash);
     }
     // Every op after the first travelled as a delta, and all but the

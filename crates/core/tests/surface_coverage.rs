@@ -161,7 +161,6 @@ fn shard_snapshot_absorb_and_stats_merge_cover_every_counter() {
         bytes_sent: 1_000,
         prediction_updates: 3,
         diff_applied_updates: 2,
-        rejected_gap_slots: 1,
         sampler_entries: 5,
         resync_requests: 1,
         delta_updates: 2,
@@ -175,7 +174,6 @@ fn shard_snapshot_absorb_and_stats_merge_cover_every_counter() {
     assert_eq!(a.bytes_sent, 2_000);
     assert_eq!(a.prediction_updates, 6);
     assert_eq!(a.diff_applied_updates, 4);
-    assert_eq!(a.rejected_gap_slots, 2);
     assert_eq!(a.sampler_entries, 10);
     assert_eq!(a.resync_requests, 2);
     assert_eq!(a.delta_updates, 4);

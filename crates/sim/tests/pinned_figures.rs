@@ -7,7 +7,11 @@
 //! The rows depend on the vendored RNG and on the trace generators as well
 //! as on the server; re-record them only with a change that says why the
 //! figures should move.  The last field, `hit_share`, is a column added to
-//! the CSV after the rows were recorded; every field before it is unchanged.
+//! the CSV after the rows were recorded.  `FIXED_15_MBPS` and `CELLULAR`
+//! were re-recorded when the scheduler began counting its own confirmed
+//! sends: a prediction landing while the sender queue straddles a schedule
+//! wrap now rolls back exactly the unsent blocks, and one landing right
+//! after the queue drained at a wrap rolls back nothing.
 
 use khameleon_apps::falcon_app::{
     FalconApp, FalconAppConfig, FalconBackendKind, FalconDataset, FalconPredictorKind,
@@ -98,7 +102,7 @@ fn prediction_delta_row_is_pinned() {
     assert_eq!(image_row(PredictorKind::Oracle, &cfg), PREDICTION_DELTA);
 }
 
-const FIXED_15_MBPS: &str = "Khameleon-kalman,396,171,225,0.9591,0.5682,10.017,0.000,0.000,364.712,485.544,0.3552,3733,306749476,0.9561,137,30825,0.4141";
-const CELLULAR: &str = "Khameleon-kalman,396,172,224,0.9709,0.5657,7.455,0.000,0.000,213.951,604.895,0.3711,2363,194329523,0.9310,137,30825,0.4217";
+const FIXED_15_MBPS: &str = "Khameleon-kalman,396,162,234,0.9568,0.5909,13.513,0.000,0.000,321.823,938.003,0.3593,3730,306737673,0.9582,137,30825,0.3914";
+const CELLULAR: &str = "Khameleon-kalman,396,160,236,0.9625,0.5960,16.413,0.000,0.000,467.460,1161.078,0.3664,2366,194280067,0.9370,137,30825,0.3889";
 const BACKEND_LIMIT: &str = "falcon-kalman-postgresql-small-b4,24,24,0,0.9583,0.0000,33.947,0.000,0.000,627.336,814.722,0.9688,24,150000,0.0000,604,135900,0.9583";
 const PREDICTION_DELTA: &str = "Khameleon-oracle,396,85,311,1.0000,0.7854,0.000,0.000,0.000,0.000,0.000,0.9317,840,69029141,0.0048,137,13280,0.2146";

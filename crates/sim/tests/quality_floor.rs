@@ -82,7 +82,7 @@ fn kalman_fly_over_row_is_pinned() {
     assert_eq!(quality_row(PredictorKind::Kalman, None), KALMAN_FLY_OVER);
 }
 
-const UNIFORM_DWELL: &str = "432,0.0556,0.9444,0.0417,0.3800";
-const KALMAN_DWELL: &str = "432,0.0972,0.9028,0.0718,0.3982";
-const ORACLE_DWELL: &str = "432,0.6875,0.3125,0.6782,0.9025";
+const UNIFORM_DWELL: &str = "432,0.0440,0.9560,0.0255,0.3800";
+const KALMAN_DWELL: &str = "432,0.0810,0.9190,0.0556,0.3946";
+const ORACLE_DWELL: &str = "432,0.6944,0.3056,0.6852,0.8999";
 const KALMAN_FLY_OVER: &str = "432,0.0394,0.9606,0.0278,0.3800";

@@ -52,12 +52,18 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     let mut boxed: Box<dyn Scheduler> = Box::new(greedy(200, 6, 64, 42));
 
     // Phase 1: uniform prior, a full batch.
-    assert_eq!(direct.next_batch(32), boxed.next_batch(32));
+    let batch = direct.next_batch(32);
+    assert_eq!(batch, boxed.next_batch(32));
 
-    // Phase 2: a concentrated prediction arrives mid-schedule.
+    // Phase 2: a concentrated prediction arrives mid-schedule, after the
+    // sender put 20 of the 32 blocks on the wire.
+    for &b in &batch[..20] {
+        direct.note_sent(b);
+        boxed.note_sent(b);
+    }
     let pred = PredictionSummary::point(200, RequestId(17), Time::ZERO);
-    direct.update_prediction(&pred, 20);
-    boxed.update_prediction(&pred, 20);
+    direct.update_prediction(&pred, 0);
+    boxed.update_prediction(&pred);
     assert_eq!(direct.next_batch(50), boxed.next_batch(50));
 
     // Phase 3: slot duration changes and the schedule wraps.
@@ -66,7 +72,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     boxed.set_slot_duration(Duration::from_millis(4));
     let uniform = PredictionSummary::uniform(200, Time::from_millis(100));
     direct.update_prediction(&uniform, 0);
-    boxed.update_prediction(&uniform, 0);
+    boxed.update_prediction(&uniform);
     assert_eq!(direct.next_batch(100), boxed.next_batch(100));
 
     // The simulated caches agree exactly as well.
