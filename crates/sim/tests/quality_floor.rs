@@ -5,8 +5,9 @@
 //! (`ImageExplorationApp::reduced(100, 1)`) at the paper's default network
 //! and cache (5.625 MB/s, 50 MB) with γ 0.8, over a 10 s image trace of
 //! seed 1.  The dwell rows retime that trace to 100 ms of think time per
-//! request (Figure 9's sweep); the fly-over row keeps the generator's own
-//! timing, where the cursor crosses ≈ 35 thumbnails a second.
+//! request, the long-dwell rows to 200 ms (Figure 9's sweep); the fly-over
+//! row keeps the generator's own timing, where the cursor crosses ≈ 35
+//! thumbnails a second.
 //!
 //! A row is `requests,completed share,preempted share,hit share,mean
 //! utility`, every share over all registered requests.  Like
@@ -77,6 +78,35 @@ fn oracle_dwell_row_is_pinned() {
     assert_eq!(quality_row(PredictorKind::Oracle, dwell()), ORACLE_DWELL);
 }
 
+/// The long-dwell rows' think time per request.
+fn long_dwell() -> Option<Duration> {
+    Some(Duration::from_millis(200))
+}
+
+#[test]
+fn uniform_long_dwell_row_is_pinned() {
+    assert_eq!(
+        quality_row(PredictorKind::Uniform, long_dwell()),
+        UNIFORM_LONG_DWELL
+    );
+}
+
+#[test]
+fn kalman_long_dwell_row_is_pinned() {
+    assert_eq!(
+        quality_row(PredictorKind::Kalman, long_dwell()),
+        KALMAN_LONG_DWELL
+    );
+}
+
+#[test]
+fn oracle_long_dwell_row_is_pinned() {
+    assert_eq!(
+        quality_row(PredictorKind::Oracle, long_dwell()),
+        ORACLE_LONG_DWELL
+    );
+}
+
 #[test]
 fn kalman_fly_over_row_is_pinned() {
     assert_eq!(quality_row(PredictorKind::Kalman, None), KALMAN_FLY_OVER);
@@ -85,4 +115,7 @@ fn kalman_fly_over_row_is_pinned() {
 const UNIFORM_DWELL: &str = "432,0.0440,0.9560,0.0255,0.3800";
 const KALMAN_DWELL: &str = "432,0.0810,0.9190,0.0556,0.3946";
 const ORACLE_DWELL: &str = "432,0.6944,0.3056,0.6852,0.8999";
+const UNIFORM_LONG_DWELL: &str = "432,0.0556,0.9444,0.0394,0.3642";
+const KALMAN_LONG_DWELL: &str = "432,0.1319,0.8681,0.0949,0.4039";
+const ORACLE_LONG_DWELL: &str = "432,1.0000,0.0000,0.9977,0.9459";
 const KALMAN_FLY_OVER: &str = "432,0.0394,0.9606,0.0278,0.3800";
