@@ -77,7 +77,7 @@ pub const ALL_RULES: &[Rule] = &[
     },
     Rule {
         id: ASSERT_SLOT,
-        desc: "debug_assert! touching schedule/eviction logs must name the slot index",
+        desc: "debug_assert! touching the log of unconfirmed sends must name the slot index",
         in_scope: |p| p.starts_with("crates/core/src/"),
         check: check_assert_slot,
     },
@@ -373,7 +373,7 @@ fn check_unwrap(ctx: &Ctx) -> Vec<RawDiag> {
 // ---------------------------------------------------------------------------
 
 /// Identifiers that count as "naming the slot index" inside an assert about
-/// the schedule / eviction logs: the scheduler's clock `t` or anything
+/// the log of unconfirmed sends: the scheduler's clock `t` or anything
 /// mentioning a slot.
 fn names_slot_index(text: &str) -> bool {
     text == "t" || text.contains("slot")
@@ -396,7 +396,7 @@ fn check_assert_slot(ctx: &Ctx) -> Vec<RawDiag> {
         // Collect the macro arguments (paren-balanced).
         let mut depth = 0i32;
         let mut k = i + 2;
-        let mut touches_logs = false;
+        let mut touches_log = false;
         let mut has_slot = false;
         while k < toks.len() {
             let a = &toks[k];
@@ -408,8 +408,8 @@ fn check_assert_slot(ctx: &Ctx) -> Vec<RawDiag> {
                     break;
                 }
             } else if a.kind == TokKind::Ident {
-                if a.text == "current_schedule" || a.text == "eviction_log" {
-                    touches_logs = true;
+                if a.text == "unconfirmed" {
+                    touches_log = true;
                 }
                 if names_slot_index(&a.text) {
                     has_slot = true;
@@ -417,10 +417,10 @@ fn check_assert_slot(ctx: &Ctx) -> Vec<RawDiag> {
             }
             k += 1;
         }
-        if touches_logs && !has_slot {
+        if touches_log && !has_slot {
             out.push(RawDiag {
                 line: t.line,
-                message: "debug_assert touching schedule/eviction logs must name the slot index (self.t or a slot variable)".to_string(),
+                message: "debug_assert touching the log of unconfirmed sends must name the slot index (self.t or a slot variable)".to_string(),
             });
         }
         i = k + 1;
@@ -506,12 +506,11 @@ mod tests {
 
     #[test]
     fn assert_slot_demands_slot_index() {
-        let bad = "fn f(&self) { debug_assert!(self.current_schedule.len() > 0); }\n";
+        let bad = "fn f(&self) { debug_assert!(self.unconfirmed.len() > 0); }\n";
         let d = rules_at("crates/core/src/scheduler/greedy.rs", bad);
         assert_eq!(d, vec![("assert-slot".to_string(), 1)]);
 
-        let good =
-            "fn f(&self) { debug_assert_eq!(self.current_schedule.len(), self.t, \"slot\"); }\n";
+        let good = "fn f(&self) { debug_assert!(self.unconfirmed.len() <= self.t, \"slot\"); }\n";
         assert!(rules_at("crates/core/src/scheduler/greedy.rs", good).is_empty());
     }
 

@@ -1,21 +1,23 @@
 //! scope: crates/core/src/scheduler/fixture.rs
-//! Fixture: assert-slot fires when schedule/eviction asserts omit the slot.
+//! Fixture: assert-slot fires when asserts about the log of unconfirmed sends
+//! omit the slot.
+
+use std::collections::VecDeque;
 
 struct S {
-    current_schedule: Vec<Option<u32>>,
-    eviction_log: Vec<Option<u32>>,
+    unconfirmed: VecDeque<(u32, Option<u32>)>,
     t: usize,
 }
 
 impl S {
     fn bad(&self) {
-        debug_assert!(!self.current_schedule.is_empty()); //~ assert-slot
-        debug_assert_eq!(self.eviction_log.len(), self.current_schedule.len()); //~ assert-slot
+        debug_assert!(!self.unconfirmed.is_empty()); //~ assert-slot
+        debug_assert_eq!(self.unconfirmed.back().map(|e| e.0), Some(3)); //~ assert-slot
     }
 
     fn good(&self, slot: usize) {
-        debug_assert_eq!(self.current_schedule.len(), self.t, "log out of step");
-        debug_assert!(self.eviction_log.get(slot).is_some());
-        debug_assert!(self.t > 0); // not about the logs at all
+        debug_assert!(self.unconfirmed.len() >= self.t, "log out of step");
+        debug_assert!(self.unconfirmed.get(slot).is_some());
+        debug_assert!(self.t > 0); // not about the log at all
     }
 }

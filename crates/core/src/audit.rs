@@ -11,9 +11,10 @@
 //! * **Bucket coefficients** — each materialized request's sampler weight
 //!   re-derived from the model's tails (`coef × shape factor`), each bucket's
 //!   factor against the model's shape vector.
-//! * **Slot alignment** — schedule log, eviction log, and ring-size
-//!   invariants, promoted from the scheduler's scattered `debug_assert!`s
-//!   into counted checks that *report* instead of aborting.
+//! * **Slot alignment** — the log of unconfirmed sends against the
+//!   simulated ring's newest entries, and the rollback's per-entry guard,
+//!   promoted from a `debug_assert!` into a counted check that *reports*
+//!   instead of aborting.
 //! * **Diff signature** — after a diff-applied prediction update, the diffed
 //!   model shadow-compared against a from-scratch rebuild.
 //!
@@ -33,7 +34,8 @@ pub enum AuditCheck {
     /// Bucket coefficient × shared-shape-vector consistency vs. the model's
     /// materialized tails.
     BucketCoefficients,
-    /// Schedule/eviction-log slot alignment and ring-size invariants.
+    /// The log of unconfirmed sends holds the simulated ring's newest
+    /// entries, newest last.
     SlotAlignment,
     /// Diff-path model vs. a from-scratch per-slot evaluation of the same
     /// summary (`PredictionSummary::at` on every slot) after a delta was

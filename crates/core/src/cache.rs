@@ -208,8 +208,15 @@ impl RingCache {
             .map(|(&r, e)| (r, e.indices.len() as u32))
     }
 
+    /// The most recently inserted block still in the ring: the one
+    /// [`undo_insert`](Self::undo_insert) would undo next.
+    pub(crate) fn newest(&self) -> Option<BlockRef> {
+        let last = self.cursor.checked_sub(1)?;
+        self.slots.get(self.slot(last)).copied()
+    }
+
     /// Iterates over the cached blocks in arrival order, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &BlockRef> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &BlockRef> {
         let oldest = if self.slots.len() < self.capacity {
             0
         } else {

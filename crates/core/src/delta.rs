@@ -989,7 +989,7 @@ mod tests {
     mod differential {
         use super::*;
         use crate::block::ResponseCatalog;
-        use crate::scheduler::{GreedyScheduler, GreedySchedulerConfig};
+        use crate::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
         use crate::types::Duration;
         use crate::utility::{LinearUtility, UtilityModel};
         use proptest::prelude::*;

@@ -11,6 +11,7 @@
 
 use crate::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
 use crate::predictor::gaussian::{Gaussian2d, Point2d};
+use crate::predictor::simple::SimpleServerPredictor;
 use crate::predictor::{
     ClientPredictor, InteractionEvent, PredictorState, RequestLayout, ServerPredictor,
 };
@@ -239,20 +240,8 @@ impl ServerPredictor for GaussianLayoutDecoder {
                     .collect();
                 PredictionSummary::new(n, slices, now)
             }
-            PredictorState::LastRequest(r) => PredictionSummary::point(n, *r, now),
-            PredictorState::TopK(entries) => {
-                let dist = SparseDistribution::from_weights(n, entries.clone());
-                let slices = PredictionSummary::default_deltas()
-                    .into_iter()
-                    .map(|delta| HorizonSlice {
-                        delta,
-                        dist: dist.clone(),
-                    })
-                    .collect();
-                PredictionSummary::new(n, slices, now)
-            }
-            PredictorState::Summary(s) => s.clone(),
-            _ => PredictionSummary::uniform(n, now),
+            // The layout-free states decode as for any request space of `n`.
+            _ => SimpleServerPredictor::new(n).decode(state, now),
         }
     }
 

@@ -287,7 +287,7 @@ mod tests {
     fn desynchronised_histories_converge() {
         use crate::block::ResponseCatalog;
         use crate::delta::DirectUplink;
-        use crate::scheduler::{GreedyContext, GreedyScheduler, GreedySchedulerConfig};
+        use crate::scheduler::{GreedyContext, GreedyScheduler, GreedySchedulerConfig, Scheduler};
         use crate::utility::{LinearUtility, UtilityModel};
 
         let catalog = Arc::new(ResponseCatalog::uniform(64, 2, 100));

@@ -20,10 +20,10 @@
 //! * **Client-cache tracking**: the scheduler simulates the client's
 //!   deterministic FIFO ring (§3.3) with the client's own
 //!   [`RingCache`], so it knows which block index to send next for each
-//!   request and never re-pushes a block that is still resident.  A
-//!   per-schedule eviction log lets re-predictions roll the simulated ring
-//!   back *exactly* ([`RingCache::undo_insert`], which restores the entries
-//!   the rolled-back deliveries had evicted), so the simulation stays equal
+//!   request and never re-pushes a block that is still resident.  The log
+//!   of unconfirmed sends keeps, with each block, the ring entry its
+//!   delivery evicted, so re-predictions roll the simulated ring back
+//!   *exactly* ([`RingCache::undo_insert`]) and the simulation stays equal
 //!   to the client's real ring (§5.3.2).
 //! * **Incremental sampling** ([`crate::sampling`]): per-request gain
 //!   weights live in Fenwick sum trees instead of being rebuilt, sorted,
@@ -82,16 +82,17 @@
 //!   [`reset_schedule`](GreedyScheduler::next_batch) carries the explicit
 //!   shape buckets and the shared-tail group across the wrap instead of
 //!   rebuilding the sampler from scratch — a wrap costs `O(b)` factor
-//!   resets plus compaction of any requests whose only claim to the touched
-//!   set was a since-cleared allocation.
-//! * **Confirmed sends**: the scheduler owns the sender's position.  It
-//!   counts the blocks it emits, and [`Scheduler::note_sent`] confirms them
-//!   oldest-first.  A prediction update rolls back exactly the unconfirmed
-//!   ones (§5.3.2): the current schedule's newest slots, then — when the
-//!   sender queue straddled a wrap — the earlier schedules' tail that
-//!   [`reset_schedule`](GreedyScheduler::next_batch) carried over, undone on
-//!   the ring only.  A queue that drained exactly at a wrap rolls back
-//!   nothing.
+//!   resets plus compaction of the shared-tail requests the ring no longer
+//!   holds (the schedule evicted their last resident block).
+//! * **Confirmed sends**: the scheduler owns the sender's position.  One
+//!   log holds every emitted block that [`Scheduler::note_sent`] has not
+//!   confirmed, oldest first; a confirmation pops its front.  A prediction
+//!   update pops the log from the back and undoes each entry on the ring
+//!   (§5.3.2).  The log and the current schedule both end at the newest
+//!   emission, so the newest `min(len, t)` entries are the current
+//!   schedule's and each also takes `t` back one slot; older ones — a
+//!   sender queue that straddled a wrap — are undone on the ring only.  A
+//!   queue that drained exactly at a wrap rolls back nothing.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -216,25 +217,13 @@ pub struct GreedyScheduler {
     rng: StdRng,
     /// Position within the current schedule (Listing 1's `t`).
     t: usize,
-    /// Log of the current schedule: entry `k` is the block scheduled for
-    /// slot `k`.  Invariant: `current_schedule.len() == t` (debug-asserted),
-    /// which is what makes a rollback pop the right entries (§5.3.2).
-    current_schedule: Vec<BlockRef>,
-    /// For each slot of `current_schedule`, the ring entry its delivery
-    /// evicted (`None` when the ring still had room).  Rolling a slot back
-    /// restores its evicted entry, keeping the simulated ring exactly equal
-    /// to the client's (which never saw the rolled-back block and therefore
-    /// never evicted anything).  Slot-aligned with `current_schedule`.
-    eviction_log: Vec<Option<BlockRef>>,
-    /// How many of the current schedule's newest slots the sender has not
-    /// confirmed through [`Scheduler::note_sent`].
-    unsent: usize,
-    /// The unconfirmed tail of earlier schedules, oldest first, each block
-    /// with the ring entry its delivery evicted: what a sender queue that
-    /// straddled a wrap still holds.  Confirmations drain it before they
-    /// reach `unsent`; it is released once empty, so a sender that keeps
-    /// up costs no allocation here.
-    carried: VecDeque<(BlockRef, Option<BlockRef>)>,
+    /// Every emitted block that [`Scheduler::note_sent`] has not confirmed,
+    /// oldest first, each with the ring entry its delivery evicted (`None`
+    /// when the ring still had room).  Rolling an entry back restores its
+    /// evicted block, keeping the simulated ring exactly equal to the
+    /// client's, which never saw the rolled-back block (§5.3.2).  Its
+    /// blocks are the ring's newest entries, newest last.
+    unconfirmed: VecDeque<(BlockRef, Option<BlockRef>)>,
     /// Exact simulation of the client's ring-buffer cache, in the client's
     /// own type.  Its per-request resident indices let the scheduler repair
     /// prefix gaps after evictions, since renderable quality depends on the
@@ -269,8 +258,6 @@ pub struct GreedyScheduler {
     /// Prediction deltas applied as a model diff (whole summaries, and
     /// deltas the model refused, installed the canonical build instead).
     diff_updates: u64,
-    /// Total blocks scheduled since creation (for instrumentation).
-    scheduled_blocks: u64,
     /// Attached runtime invariant auditor (`None` until
     /// [`GreedyScheduler::audit_attach`]); absent entirely without the
     /// `audit` feature, so the disabled cost is zero.
@@ -319,10 +306,7 @@ impl GreedyScheduler {
             model_cache,
             rng,
             t: 0,
-            current_schedule: Vec::new(),
-            eviction_log: Vec::new(),
-            unsent: 0,
-            carried: VecDeque::new(),
+            unconfirmed: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
             shared_order: Vec::new(),
@@ -331,7 +315,6 @@ impl GreedyScheduler {
             sampler: GainSampler::new(),
             updates: 0,
             diff_updates: 0,
-            scheduled_blocks: 0,
             #[cfg(feature = "audit")]
             auditor: None,
         };
@@ -345,26 +328,9 @@ impl GreedyScheduler {
         self.cfg.sampler == SamplerVariant::Lazy
     }
 
-    /// Number of prediction updates applied so far.
-    pub fn prediction_updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Total number of blocks scheduled so far.
-    pub fn scheduled_blocks(&self) -> u64 {
-        self.scheduled_blocks
-    }
-
     /// Position within the current schedule (`t` in Listing 1).
     pub fn position(&self) -> usize {
         self.t
-    }
-
-    /// Prediction deltas applied as a model diff (the remainder of
-    /// [`GreedyScheduler::prediction_updates`] installed the canonical
-    /// build).
-    pub fn diff_applied_updates(&self) -> u64 {
-        self.diff_updates
     }
 
     /// Compares the incrementally maintained sampler weights against a
@@ -401,12 +367,6 @@ impl GreedyScheduler {
             );
         }
         out
-    }
-
-    /// Updates the bandwidth-derived slot duration.  Takes effect on the next
-    /// prediction update (the current materialized horizon is kept).
-    pub fn set_slot_duration(&mut self, slot: Duration) {
-        self.cfg.slot_duration = slot;
     }
 
     /// Applies a fresh prediction from the client, shipped as a whole
@@ -453,38 +413,40 @@ impl GreedyScheduler {
     }
 
     /// Counts one prediction update and rolls back every block the sender
-    /// has not confirmed, newest first: the current schedule's unconfirmed
-    /// slots, then the carried tail of earlier schedules, which is undone on
-    /// the ring only.  Returns the requests whose simulated residency the
-    /// rollback touched, unsorted; their gains must be re-derived even when
-    /// a model diff leaves them untouched.
+    /// has not confirmed, newest first, undoing each on the ring.  The newest
+    /// `min(len, t)` entries are the current schedule's, and each of those
+    /// also takes `t` back one slot; older ones, left by a sender queue that
+    /// straddled a wrap, are undone on the ring only.  Returns the requests
+    /// whose simulated residency the rollback touched, unsorted; their gains
+    /// must be re-derived even when a model diff leaves them untouched.
     fn rollback_unsent(&mut self) -> Vec<RequestId> {
         self.updates += 1;
-        self.check_slot_aligned();
+        let mut in_schedule = self.t.min(self.unconfirmed.len());
         let mut rolled: Vec<RequestId> = Vec::new();
-        let mut undo = |ring: &mut RingCache, block: BlockRef, evicted: Option<BlockRef>| {
+        while let Some((block, evicted)) = self.unconfirmed.pop_back() {
+            if self.ring.newest() != Some(block) {
+                let noted = self.audit_note_misalignment(
+                    self.t,
+                    "rollback found an unconfirmed log entry that is not the ring's newest",
+                );
+                debug_assert!(
+                    noted,
+                    "unconfirmed {block} is not the ring's newest at slot {}",
+                    self.t
+                );
+                self.unconfirmed.clear();
+                break;
+            }
             rolled.push(block.request);
             if let Some(old) = evicted {
                 rolled.push(old.request);
             }
-            ring.undo_insert(block, evicted);
-        };
-        for _ in 0..std::mem::take(&mut self.unsent) {
-            let Some(block) = self.current_schedule.pop() else {
-                let noted = self.audit_note_misalignment(
-                    self.t,
-                    "rollback found no schedule-log entry for slot t",
-                );
-                debug_assert!(noted, "no schedule-log entry for slot t");
-                break;
-            };
-            undo(&mut self.ring, block, self.eviction_log.pop().flatten());
-            self.t -= 1;
+            self.ring.undo_insert(block, evicted);
+            if in_schedule > 0 {
+                in_schedule -= 1;
+                self.t -= 1;
+            }
         }
-        for (block, evicted) in std::mem::take(&mut self.carried).into_iter().rev() {
-            undo(&mut self.ring, block, evicted);
-        }
-        self.check_slot_aligned();
         rolled
     }
 
@@ -617,19 +579,6 @@ impl GreedyScheduler {
         self.sampler.set_explicit_value(r, v);
     }
 
-    /// Schedule-log invariant gate: routed into the auditor's counted
-    /// `SlotAlignment` check when one is attached (reporting instead of
-    /// aborting), debug-asserted otherwise.
-    fn check_slot_aligned(&mut self) {
-        #[cfg(feature = "audit")]
-        if let Some(mut aud) = self.auditor.take() {
-            self.audit_check_slot_alignment(&mut aud.report);
-            self.auditor = Some(aud);
-            return;
-        }
-        self.debug_assert_slot_aligned();
-    }
-
     /// Records a slot-alignment fault with the attached auditor, returning
     /// whether one was attached to receive it (callers debug-assert on
     /// `false`, preserving the abort-in-debug behaviour when unaudited).
@@ -652,21 +601,6 @@ impl GreedyScheduler {
     #[cfg(not(feature = "audit"))]
     fn audit_note_misalignment(&mut self, _slot: usize, _what: &str) -> bool {
         false
-    }
-
-    /// Debug-only check of the schedule-log invariants: one schedule-log
-    /// and one eviction-log entry per consumed slot.
-    fn debug_assert_slot_aligned(&self) {
-        debug_assert_eq!(
-            self.current_schedule.len(),
-            self.t,
-            "schedule log must stay slot-aligned"
-        );
-        debug_assert_eq!(
-            self.eviction_log.len(),
-            self.t,
-            "eviction log must stay slot-aligned"
-        );
     }
 
     /// Marks `r` touched, maintaining the count and per-class tallies.
@@ -1026,13 +960,10 @@ impl GreedyScheduler {
                 }
             }
             self.t += 1;
-            self.scheduled_blocks += 1;
-            self.unsent += 1;
-            self.current_schedule.push(block);
             // Delivered to the simulated ring as it is scheduled; the logged
-            // eviction is what a rollback of this slot restores.
+            // eviction is what a rollback of this block restores.
             let evicted = self.ring.insert(block);
-            self.eviction_log.push(evicted);
+            self.unconfirmed.push_back((block, evicted));
             out.push(block);
             if self.incremental() {
                 self.refresh_after_allocation(q, evicted, newly_touched);
@@ -1040,14 +971,6 @@ impl GreedyScheduler {
             #[cfg(feature = "audit")]
             self.audit_on_block();
         }
-        // Why no per-request count of this schedule's blocks is kept: each
-        // is among the ring's newest `t ≤ C` entries, so its request stays
-        // resident — hence touched — until the wrap.
-        debug_assert!(
-            (self.current_schedule.iter()).all(|b| self.ring.contains(b.request)),
-            "a block of slots ..{} left the simulated ring",
-            self.t
-        );
         out
     }
 
@@ -1059,46 +982,28 @@ impl GreedyScheduler {
     /// (untouched) resident prefixes, so bucket membership and the stored
     /// bucket values are all reusable at `t = 0` — a wrap costs `O(b)`
     /// factor resets plus the irregular exact-refresh set.  The only
-    /// membership change is requests whose last resident block the finished
-    /// schedule evicted: they return to their meta class, and the
-    /// shared segment is compacted (preserving survivor order, identically
-    /// in `shared_order` and the sampler, so both variants keep drawing the
-    /// same layout).
+    /// membership change is shared-tail requests the ring no longer holds:
+    /// every update leaves the touched unmaterialized requests resident, so
+    /// these are the ones whose last resident block the finished schedule
+    /// evicted.  They return to their meta class, and the shared segment is
+    /// compacted (preserving survivor order, identically in `shared_order`
+    /// and the sampler, so both variants keep drawing the same layout).
     ///
-    /// Slots the sender has not confirmed move to the carried tail, so the
-    /// next prediction update can still roll them back.
+    /// A wrap confirms nothing: the log of unconfirmed sends runs on, so the
+    /// next prediction update can still roll back across it.
     fn reset_schedule(&mut self) {
         self.t = 0;
-        let first_unsent = self.current_schedule.len().saturating_sub(self.unsent);
-        self.carried.extend(
-            (self.current_schedule.iter().copied())
-                .zip(self.eviction_log.iter().copied())
-                .skip(first_unsent),
-        );
-        self.unsent = 0;
+        // With meta off, every unmaterialized request stays in the shared
+        // segment permanently.
         if self.cfg.use_meta_request {
-            // (With meta off, every unmaterialized request stays in the
-            // shared segment permanently.)  The schedule's own requests are
-            // still resident, so only those whose blocks it evicted can
-            // depart: the scan is bounded by the schedule length, never by
-            // the touched-set size.
-            let mut candidates: Vec<RequestId> = (self.eviction_log.iter().flatten())
-                .map(|b| b.request)
+            let ring = &self.ring;
+            let departed: Vec<RequestId> = (self.shared_order.iter().copied())
+                .filter(|&r| !ring.contains(r))
                 .collect();
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut departed = false;
-            for r in candidates {
-                if !is_touched(&self.touched, r) {
-                    continue;
-                }
-                let keep = self.model.is_materialized(r) || self.ring.contains(r);
-                if !keep {
+            if !departed.is_empty() {
+                for &r in &departed {
                     self.untouch(r);
-                    departed = true;
                 }
-            }
-            if departed {
                 let touched = &self.touched;
                 self.shared_order.retain(|&r| is_touched(touched, r));
                 if self.incremental() {
@@ -1106,8 +1011,6 @@ impl GreedyScheduler {
                 }
             }
         }
-        self.current_schedule.clear();
-        self.eviction_log.clear();
         if self.incremental() {
             // Gains derive from the (unchanged) resident prefixes, so the
             // stored slot-invariant bucket values are still exact: reset the
@@ -1117,12 +1020,6 @@ impl GreedyScheduler {
             self.sampler.set_shared_scale(self.model.residual_tail(0));
             self.sync_meta_counts();
         }
-    }
-
-    /// The scheduler's current belief about the client's per-request resident
-    /// block counts.
-    pub fn simulated_cache(&self) -> HashMap<RequestId, u32> {
-        self.ring.resident_counts().collect()
     }
 }
 
@@ -1153,19 +1050,6 @@ fn clear_touched(touched: &mut [u64], r: RequestId) {
     touched[r.index() / 64] &= !(1 << (r.index() % 64));
 }
 
-impl GreedyScheduler {
-    /// Expected utility (Eq. 2) of the blocks scheduled so far in the current
-    /// schedule, starting from the cache allocation `initial`.
-    pub fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64 {
-        crate::scheduler::schedule_expected_utility(
-            &self.current_schedule,
-            &self.model,
-            &self.ctx.utility,
-            initial,
-        )
-    }
-}
-
 #[cfg(feature = "audit")]
 impl GreedyScheduler {
     /// Attaches a [`SamplerAuditor`]: from now on the scheduler
@@ -1181,14 +1065,14 @@ impl GreedyScheduler {
         self.auditor.as_ref().map(|a| a.report.clone())
     }
 
-    /// Test-only fault injection: drops the newest eviction-log entry,
-    /// deliberately desynchronizing the log from the slot index so the
-    /// promoted alignment checks (and their rollback behaviour) can be
-    /// exercised.
+    /// Test-only fault injection: drops the newest entry of the log of
+    /// unconfirmed sends, deliberately desynchronizing the log from the
+    /// simulated ring so the promoted alignment check (and the rollback's
+    /// behaviour on a mismatch) can be exercised.
     #[doc(hidden)]
     // lint:allow(unreferenced-pub) -- the seeded fault of crates/core/tests/audit.rs
-    pub fn audit_inject_eviction_log_truncation(&mut self) {
-        self.eviction_log.pop();
+    pub fn audit_inject_unconfirmed_log_truncation(&mut self) {
+        self.unconfirmed.pop_back();
     }
 
     /// Per-block hook: ticks the auditor and runs the structural checks at
@@ -1308,31 +1192,22 @@ impl GreedyScheduler {
         }
     }
 
-    /// The promoted slot-alignment invariants: log lengths vs. the slot
-    /// index.
+    /// The promoted slot-alignment invariant: the log of unconfirmed sends
+    /// holds the ring's newest entries, newest last.
     fn audit_check_slot_alignment(&self, report: &mut AuditReport) {
         report.begin(AuditCheck::SlotAlignment);
-        if self.current_schedule.len() != self.t {
+        let logged = self.unconfirmed.iter().rev().map(|&(block, _)| block);
+        let mismatch = logged
+            .zip(self.ring.iter().rev())
+            .enumerate()
+            .find(|&(_, (block, resident))| block != *resident);
+        if let Some((age, (block, resident))) = mismatch {
             report.record(AuditViolation {
                 check: AuditCheck::SlotAlignment,
                 slot: Some(self.t),
-                request: None,
+                request: Some(block.request),
                 detail: format!(
-                    "schedule log holds {} entries at slot index t = {}",
-                    self.current_schedule.len(),
-                    self.t
-                ),
-            });
-        }
-        if self.eviction_log.len() != self.t {
-            report.record(AuditViolation {
-                check: AuditCheck::SlotAlignment,
-                slot: Some(self.t),
-                request: None,
-                detail: format!(
-                    "eviction log holds {} entries at slot index t = {}",
-                    self.eviction_log.len(),
-                    self.t
+                    "unconfirmed log entry {age} from the newest holds {block}, the ring holds {resident}"
                 ),
             });
         }
@@ -1434,16 +1309,9 @@ impl Scheduler for GreedyScheduler {
         }
     }
 
-    /// Confirms the oldest unconfirmed block: the carried tail of an earlier
-    /// schedule first, then the current schedule's.
+    /// Confirms the oldest unconfirmed block, on either side of a wrap.
     fn note_sent(&mut self, _block: BlockRef) {
-        if self.carried.pop_front().is_some() {
-            if self.carried.is_empty() {
-                self.carried = VecDeque::new();
-            }
-        } else {
-            self.unsent = self.unsent.saturating_sub(1);
-        }
+        self.unconfirmed.pop_front();
     }
 
     #[cfg(feature = "audit")]
@@ -1460,16 +1328,14 @@ impl Scheduler for GreedyScheduler {
         GreedyScheduler::next_batch(self, count)
     }
 
+    /// Takes effect on the next prediction update (the current materialized
+    /// horizon is kept).
     fn set_slot_duration(&mut self, slot: Duration) {
-        GreedyScheduler::set_slot_duration(self, slot);
+        self.cfg.slot_duration = slot;
     }
 
     fn simulated_cache(&self) -> HashMap<RequestId, u32> {
-        GreedyScheduler::simulated_cache(self)
-    }
-
-    fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64 {
-        GreedyScheduler::expected_utility(self, initial)
+        self.ring.resident_counts().collect()
     }
 
     fn horizon(&self) -> usize {
@@ -1542,7 +1408,6 @@ mod tests {
             assert!(seen.insert(*b), "block {b} scheduled twice");
             assert!(b.index < 2);
         }
-        assert_eq!(s.scheduled_blocks(), 8);
     }
 
     #[test]

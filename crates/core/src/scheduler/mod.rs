@@ -64,6 +64,10 @@ pub type Schedule = Vec<BlockRef>;
 ///   rolled back and may be re-planned.
 /// * [`set_slot_duration`](Scheduler::set_slot_duration) re-calibrates the
 ///   slot length whenever the bandwidth estimate changes (§5.4).
+///
+/// Scoring is not part of the contract: [`schedule_expected_utility`] prices
+/// any drawn schedule under a model (Eq. 2), which is how Figure 17 compares
+/// the greedy and exact schedulers.
 pub trait Scheduler: Send {
     /// Applies a fresh decoded prediction, re-planning every emitted block
     /// that [`note_sent`](Scheduler::note_sent) has not confirmed.
@@ -109,10 +113,6 @@ pub trait Scheduler: Send {
     /// The scheduler's belief about the client's per-request resident block
     /// counts (empty when the scheduler does not track the client cache).
     fn simulated_cache(&self) -> HashMap<RequestId, u32>;
-
-    /// Expected utility (Eq. 2) of the not-yet-consumed portion of the
-    /// current schedule, starting from the cache allocation `initial`.
-    fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64;
 
     /// The scheduling horizon `C` in blocks (the client cache size).
     fn horizon(&self) -> usize;

@@ -128,11 +128,6 @@ impl ReplanState {
         }
         out
     }
-
-    fn expected_utility(&self, utility: &UtilityModel, initial: &HashMap<RequestId, u32>) -> f64 {
-        let pending: Vec<BlockRef> = self.pending.iter().copied().collect();
-        schedule_expected_utility(&pending, &self.model, utility, initial)
-    }
 }
 
 /// Exact solver for the linearized finite-horizon scheduling objective.
@@ -264,10 +259,6 @@ macro_rules! impl_replan_scheduler {
 
             fn simulated_cache(&self) -> HashMap<RequestId, u32> {
                 self.state.delivered.clone()
-            }
-
-            fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64 {
-                self.state.expected_utility(&self.utility, initial)
             }
 
             fn horizon(&self) -> usize {

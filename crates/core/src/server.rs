@@ -62,8 +62,6 @@ pub struct ServerConfig {
     pub scheduler: GreedySchedulerConfig,
     /// Initial bandwidth estimate used before the client reports rates.
     pub initial_bandwidth: Bandwidth,
-    /// Optional user-configured bandwidth cap.
-    pub bandwidth_cap: Option<Bandwidth>,
     /// How many blocks to keep queued between the scheduler and the sender.
     pub sender_queue_target: usize,
 }
@@ -73,7 +71,6 @@ impl Default for ServerConfig {
         ServerConfig {
             scheduler: GreedySchedulerConfig::default(),
             initial_bandwidth: Bandwidth::from_mbps(5.625),
-            bandwidth_cap: None,
             sender_queue_target: 32,
         }
     }
@@ -126,19 +123,16 @@ impl ServerBuilder {
     }
 
     /// Builds the server: a [`SessionManager`] over the backend, seeded with
-    /// the configuration's `initial_bandwidth` and `bandwidth_cap`, holding
-    /// the one session under [`SessionId`](crate::protocol::SessionId) 0.
-    /// With one session the shared estimate *is* the client's (§5.4).
+    /// the configuration's `initial_bandwidth`, holding the one session under
+    /// [`SessionId`](crate::protocol::SessionId) 0.  With one session the
+    /// shared estimate *is* the client's (§5.4); a data-plan cap goes on the
+    /// returned manager ([`SessionManager::with_bandwidth_cap`]).
     pub fn build(self) -> SessionManager {
         let backend = self
             .backend
             .unwrap_or_else(|| Box::new(CatalogBackend::new(self.session.catalog.clone())));
-        let cfg = &self.session.cfg;
-        let mut manager =
-            SessionManager::weighted_fair(backend).with_initial_bandwidth(cfg.initial_bandwidth);
-        if let Some(cap) = cfg.bandwidth_cap {
-            manager = manager.with_bandwidth_cap(cap);
-        }
+        let mut manager = SessionManager::weighted_fair(backend)
+            .with_initial_bandwidth(self.session.cfg.initial_bandwidth);
         manager.add_session(self.session);
         manager
     }

@@ -289,12 +289,6 @@ impl Session {
         self.scheduler.simulated_cache()
     }
 
-    /// Expected utility (Eq. 2) of the pending schedule from the cache state
-    /// `initial`.
-    pub fn expected_utility(&self, initial: &HashMap<RequestId, u32>) -> f64 {
-        self.scheduler.expected_utility(initial)
-    }
-
     /// Total blocks sent on behalf of this session.
     pub fn blocks_sent(&self) -> u64 {
         self.blocks_sent
@@ -466,9 +460,7 @@ impl SessionBuilder {
     /// it forwards, so neither a join nor a report waits for the owning
     /// shard to say what the session's estimate is.
     pub(crate) fn bandwidth_estimator(&self) -> BandwidthEstimator {
-        let mut bandwidth = BandwidthEstimator::new(self.cfg.initial_bandwidth);
-        bandwidth.set_cap(self.cfg.bandwidth_cap);
-        bandwidth
+        BandwidthEstimator::new(self.cfg.initial_bandwidth)
     }
 
     /// Builds the session.
@@ -769,8 +761,10 @@ impl SessionManager {
     /// Snapshot of this manager's counters in the cross-shard
     /// [`ShardSnapshot`](crate::shard::ShardSnapshot) shape — the shard
     /// worker's reply to a stats request, and equally usable on a
-    /// standalone manager.  Counters of already-removed sessions are not
-    /// included (identically on both paths).
+    /// standalone manager.  `blocks_sent` and `bytes_sent` are the
+    /// manager's lifetime totals, removed sessions' sends included; the
+    /// per-session counters sum over live sessions only (identically on
+    /// both paths).
     pub fn stats_snapshot(&self) -> crate::shard::ShardSnapshot {
         let mut snap = crate::shard::ShardSnapshot {
             sessions: self.sessions.len(),
@@ -1374,10 +1368,6 @@ mod tests {
 
         fn simulated_cache(&self) -> HashMap<RequestId, u32> {
             HashMap::new()
-        }
-
-        fn expected_utility(&self, _initial: &HashMap<RequestId, u32>) -> f64 {
-            0.0
         }
 
         fn horizon(&self) -> usize {
@@ -2418,12 +2408,7 @@ mod tests {
         }
 
         impl Pair {
-            fn new(
-                initial: Bandwidth,
-                cap: Option<Bandwidth>,
-                limit: Option<usize>,
-                sender_queue_target: usize,
-            ) -> Self {
+            fn new(initial: Bandwidth, limit: Option<usize>, sender_queue_target: usize) -> Self {
                 let cat = catalog(REQUESTS, BLOCKS);
                 let cfg = ServerConfig {
                     scheduler: GreedySchedulerConfig {
@@ -2432,7 +2417,6 @@ mod tests {
                         ..Default::default()
                     },
                     initial_bandwidth: initial,
-                    bandwidth_cap: cap,
                     sender_queue_target,
                 };
                 let backend = || -> Box<dyn Backend> {
@@ -2552,19 +2536,17 @@ mod tests {
             /// single-client server, bit for bit: every block reference,
             /// the bandwidth estimate, the pacing interval and the
             /// prediction-update count agree after every operation, for
-            /// any initial estimate, with and without a cap, under every
-            /// backend concurrency limit and sender queue depth.
+            /// any initial estimate, under every backend concurrency limit
+            /// and sender queue depth.
             #[test]
             fn one_session_manager_is_the_single_client_server(
                 initial in 1u32..400,
-                cap in proptest::collection::vec(1u32..400, 0..2),
                 limit in 0usize..3,
                 queue in 0usize..3,
                 ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..48),
             ) {
                 let mut pair = Pair::new(
                     Bandwidth::from_mbps(f64::from(initial) / 8.0),
-                    cap.first().map(|cap| Bandwidth::from_mbps(f64::from(*cap) / 8.0)),
                     [None, Some(1), Some(3)][limit],
                     [1, 4, 32][queue],
                 );

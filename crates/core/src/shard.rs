@@ -760,9 +760,6 @@ mod tests {
         fn simulated_cache(&self) -> HashMap<RequestId, u32> {
             HashMap::new()
         }
-        fn expected_utility(&self, _initial: &HashMap<RequestId, u32>) -> f64 {
-            0.0
-        }
         fn horizon(&self) -> usize {
             1
         }
@@ -1305,15 +1302,12 @@ mod tests {
             /// (`≤ 0`) and repeats included.
             #[test]
             fn builder_share_is_the_built_sessions(
-                cap in proptest::collection::vec(1u32..400, 0..2),
                 initial in 1u32..400,
                 weight in 1u32..10_000,
                 reports in proptest::collection::vec(-40i32..400, 0..13),
             ) {
                 let mut builder = builder(&catalog(), f64::from(weight) / 64.0, 0);
                 builder.cfg.initial_bandwidth = Bandwidth::from_mbps(f64::from(initial) / 8.0);
-                builder.cfg.bandwidth_cap =
-                    cap.first().map(|&cap| Bandwidth::from_mbps(f64::from(cap) / 8.0));
                 let mut mirror = builder.bandwidth_estimator();
                 let share_weight = builder.weight;
                 let mut session = builder.build();

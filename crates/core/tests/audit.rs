@@ -123,10 +123,11 @@ fn misaligned_rollback_is_counted_not_aborted() {
     let batch = s.next_batch(10);
     let before = s.audit_report().expect("auditor attached");
     assert_eq!(before.total_violations(), 0, "clean before injection");
-    // Deliberately desynchronize the eviction log from the slot index, then
-    // force a rollback across the damage.  Without an attached auditor this
-    // state debug-aborts; with one it must be reported and counted.
-    s.audit_inject_eviction_log_truncation();
+    // Deliberately desynchronize the log of unconfirmed sends from the
+    // simulated ring, then force a rollback across the damage.  Without an
+    // attached auditor this state debug-aborts; with one it must be reported
+    // and counted.
+    s.audit_inject_unconfirmed_log_truncation();
     for &b in &batch[..6] {
         s.note_sent(b);
     }
@@ -140,7 +141,7 @@ fn misaligned_rollback_is_counted_not_aborted() {
     let json = report.to_json();
     assert!(json.contains("\"check\":\"slot_alignment\""), "{json}");
     assert!(
-        json.contains("eviction log"),
+        json.contains("unconfirmed log"),
         "recorded violation should localize the fault: {json}"
     );
     // The scheduler keeps operating after reporting (audit observes, never

@@ -100,14 +100,12 @@ fn session_builder_knobs_feed_the_built_session() {
     let util = utility(4);
     let sess = Session::builder(util, cat)
         .config(ServerConfig {
-            bandwidth_cap: Some(Bandwidth::from_mbps(4.0)),
             initial_bandwidth: Bandwidth::from_mbps(2.0),
             ..Default::default()
         })
         .build();
-    // The cap binds the estimate from below the seed.
-    assert!(sess.bandwidth_estimate().0 <= Bandwidth::from_mbps(4.0).0);
-    assert!(sess.bandwidth_estimate().0 > 0.0);
+    // The seed is the estimate until the first rate report.
+    assert_eq!(sess.bandwidth_estimate(), Bandwidth::from_mbps(2.0));
 }
 
 #[test]

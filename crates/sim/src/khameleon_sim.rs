@@ -185,7 +185,6 @@ pub fn run_khameleon(
             ..Default::default()
         },
         initial_bandwidth: cfg.bandwidth.nominal(),
-        bandwidth_cap: None,
         sender_queue_target: 32,
     };
     let mut server = ServerBuilder::new(utility.clone(), catalog.clone())
