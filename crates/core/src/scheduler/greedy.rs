@@ -93,6 +93,12 @@
 //!   schedule's and each also takes `t` back one slot; older ones — a
 //!   sender queue that straddled a wrap — are undone on the ring only.  A
 //!   queue that drained exactly at a wrap rolls back nothing.
+//!
+//! Under a backend concurrency limit (§5.4) a batch names at most
+//! `max_distinct` requests ([`Scheduler::next_batch`]): once it holds that
+//! many it draws only among them, by the same weights, in a scan both
+//! variants share.  Its blocks enter the ring and the log like any other,
+//! and it ends early once they all saturate.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -412,15 +418,14 @@ impl GreedyScheduler {
         self.audit_on_update(summary, false);
     }
 
-    /// Counts one prediction update and rolls back every block the sender
-    /// has not confirmed, newest first, undoing each on the ring.  The newest
-    /// `min(len, t)` entries are the current schedule's, and each of those
-    /// also takes `t` back one slot; older ones, left by a sender queue that
-    /// straddled a wrap, are undone on the ring only.  Returns the requests
-    /// whose simulated residency the rollback touched, unsorted; their gains
-    /// must be re-derived even when a model diff leaves them untouched.
+    /// Rolls back every block the sender has not confirmed, newest first,
+    /// undoing each on the ring.  The newest `min(len, t)` entries are the
+    /// current schedule's, and each of those also takes `t` back one slot;
+    /// older ones, left by a sender queue that straddled a wrap, are undone
+    /// on the ring only.  Returns the requests whose simulated residency the
+    /// rollback touched, unsorted; their gains must be re-derived even when
+    /// a model diff leaves them untouched.
     fn rollback_unsent(&mut self) -> Vec<RequestId> {
-        self.updates += 1;
         let mut in_schedule = self.t.min(self.unconfirmed.len());
         let mut rolled: Vec<RequestId> = Vec::new();
         while let Some((block, evicted)) = self.unconfirmed.pop_back() {
@@ -866,11 +871,9 @@ impl GreedyScheduler {
         let part = self.model.shape_partition();
         let mut entries: Vec<(Entry, f64)> =
             Vec::with_capacity(part.materialized_count() + self.shared_order.len() + 1);
-        let mut total = 0.0;
         {
             let mut push = |e: Entry, w: f64| {
                 if w > 0.0 {
-                    total += w;
                     entries.push((e, w));
                 }
             };
@@ -893,19 +896,7 @@ impl GreedyScheduler {
             }
         }
 
-        if total <= 0.0 {
-            return None;
-        }
-        let mut x = self.rng.gen::<f64>() * total;
-        let mut chosen = None;
-        for &(e, w) in &entries {
-            chosen = Some(e);
-            x -= w;
-            if x <= 0.0 {
-                break;
-            }
-        }
-        match chosen? {
+        match self.draw_weighted(&entries)? {
             Entry::Request(r) => Some(r),
             Entry::Meta(c) => self.sample_untouched_in_class(c),
         }
@@ -931,6 +922,25 @@ impl GreedyScheduler {
         class.members().find(|&r| !is_touched(&self.touched, r))
     }
 
+    /// Draws one of `entries`, whose weights are positive, proportionally
+    /// to its weight; `None`, with no random draw, when there are none.
+    fn draw_weighted<T: Copy>(&mut self, entries: &[(T, f64)]) -> Option<T> {
+        if entries.is_empty() {
+            return None;
+        }
+        let total = entries.iter().fold(0.0, |sum, &(_, w)| sum + w);
+        let mut x = self.rng.gen::<f64>() * total;
+        let mut chosen = None;
+        for &(e, w) in entries {
+            chosen = Some(e);
+            x -= w;
+            if x <= 0.0 {
+                break;
+            }
+        }
+        chosen
+    }
+
     /// Schedules up to `count` blocks.
     ///
     /// Returns the blocks in push order.  Resets the per-schedule allocation
@@ -938,16 +948,33 @@ impl GreedyScheduler {
     /// The caller picks `count`, and so how often Listing 1 checks for a new
     /// distribution: a session asks for what its sender queue lacks.
     pub fn next_batch(&mut self, count: usize) -> Schedule {
-        let want = count;
-        let mut out = Vec::with_capacity(want);
-        while out.len() < want {
+        self.draw_batch(count, None)
+    }
+
+    /// [`next_batch`](Self::next_batch) from at most `max_distinct` requests.
+    fn draw_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
+        let mut out = Vec::with_capacity(count);
+        // The batch's requests in first-draw order, tracked under a limit.
+        let mut kept: Vec<RequestId> = Vec::new();
+        while out.len() < count {
             if self.t >= self.cfg.cache_blocks {
                 // Full schedule planned: reset (ring has overwritten itself).
                 self.reset_schedule();
             }
-            let Some(q) = self.sample_request() else {
+            let drawn = match max_distinct {
+                Some(limit) if kept.len() >= limit => {
+                    let gains = kept.iter().map(|&r| (r, self.gain_for(r)));
+                    let weighted: Vec<_> = gains.filter(|&(_, w)| w > 0.0).collect();
+                    self.draw_weighted(&weighted)
+                }
+                _ => self.sample_request(),
+            };
+            let Some(q) = drawn else {
                 break;
             };
+            if max_distinct.is_some() && !kept.contains(&q) {
+                kept.push(q);
+            }
             let have = self.effective_blocks(q);
             let block = BlockRef::new(q, have);
             let newly_touched = self.mark_touched(q);
@@ -1277,6 +1304,7 @@ impl GreedyScheduler {
 
 impl Scheduler for GreedyScheduler {
     fn update_prediction(&mut self, summary: &PredictionSummary) {
+        self.updates += 1;
         self.rollback_unsent();
         self.install(summary);
     }
@@ -1286,6 +1314,7 @@ impl Scheduler for GreedyScheduler {
         summary: &PredictionSummary,
         changes: &crate::delta::PredictionChanges,
     ) {
+        self.updates += 1;
         let mut rolled = self.rollback_unsent();
         let diffable = self.model.horizon() == self.cfg.cache_blocks
             && self.model.slot_duration() == self.cfg.slot_duration
@@ -1309,9 +1338,25 @@ impl Scheduler for GreedyScheduler {
         }
     }
 
-    /// Confirms the oldest unconfirmed block, on either side of a wrap.
-    fn note_sent(&mut self, _block: BlockRef) {
-        self.unconfirmed.pop_front();
+    /// Confirms the oldest unconfirmed block, on either side of a wrap; a
+    /// confirmation of any other block means the ring left the client's.
+    fn note_sent(&mut self, block: BlockRef) {
+        let oldest = self.unconfirmed.pop_front().map(|(logged, _)| logged);
+        if oldest != Some(block) {
+            let what = "a confirmation does not name the oldest unconfirmed log entry";
+            let noted = self.audit_note_misalignment(self.t, what);
+            debug_assert!(
+                noted,
+                "confirmed {block}, the oldest unconfirmed is {oldest:?}"
+            );
+        }
+    }
+
+    /// The rollback a prediction update runs, with the model kept: the
+    /// touched set and the sampler are rebuilt over the restored ring.
+    fn drop_unsent(&mut self) {
+        self.rollback_unsent();
+        self.rebuild_touched();
     }
 
     #[cfg(feature = "audit")]
@@ -1324,8 +1369,8 @@ impl Scheduler for GreedyScheduler {
         GreedyScheduler::audit_report(self)
     }
 
-    fn next_batch(&mut self, count: usize) -> Schedule {
-        GreedyScheduler::next_batch(self, count)
+    fn next_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
+        self.draw_batch(count, max_distinct)
     }
 
     /// Takes effect on the next prediction update (the current materialized
@@ -2198,6 +2243,51 @@ mod tests {
             schedule_of(SamplerVariant::Scan),
             "lazy diverged from scan across wraps"
         );
+    }
+
+    #[test]
+    fn a_limited_batch_draws_only_among_its_allowance() {
+        // A catalog smaller than the ring, so resident counts are prefixes:
+        // each batch names at most `k` requests and continues their
+        // prefixes, and both variants draw the same blocks.
+        let pred = sparse_pred(30, vec![(RequestId(3), 0.3), (RequestId(9), 0.2)], 0.5);
+        let schedule_of = |variant| {
+            let cfg = GreedySchedulerConfig {
+                cache_blocks: 256,
+                sampler: variant,
+                seed: 11,
+                ..Default::default()
+            };
+            let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 6);
+            let catalog = Arc::new(ResponseCatalog::uniform(30, 6, 1000));
+            let mut s = GreedyScheduler::new(cfg, utility, catalog);
+            s.update_prediction(&pred, 0);
+            assert!(Scheduler::next_batch(&mut s, 4, Some(0)).is_empty());
+            let mut all = Vec::new();
+            for k in (1..=4).cycle().take(16) {
+                let mut next = Scheduler::simulated_cache(&s);
+                let batch = Scheduler::next_batch(&mut s, 7, Some(k));
+                for b in &batch {
+                    let want = next.entry(b.request).or_insert(0);
+                    assert_eq!(b.index, *want, "{b} does not continue its prefix");
+                    *want += 1;
+                }
+                let named: HashSet<RequestId> = batch.iter().map(|b| b.request).collect();
+                assert!(named.len() <= k, "{batch:?} names more than {k} requests");
+                batch.iter().for_each(|&b| s.note_sent(b));
+                all.extend(batch);
+            }
+            all
+        };
+        assert_eq!(
+            schedule_of(SamplerVariant::Lazy),
+            schedule_of(SamplerVariant::Scan)
+        );
+        // One request of two blocks: the batch shrinks to them.
+        let mut s = mk(4, 2, 8, true);
+        let batch = Scheduler::next_batch(&mut s, 8, Some(1));
+        let r = batch[0].request;
+        assert_eq!(batch, vec![BlockRef::new(r, 0), BlockRef::new(r, 1)]);
     }
 
     mod property {

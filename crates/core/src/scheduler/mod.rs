@@ -15,10 +15,9 @@
 //! * [`optimal::OptimalScheduler`] solves the linearized finite-horizon
 //!   objective exactly (the role Gurobi plays in §5.2/§A.1) via a
 //!   maximum-weight assignment.
-//! * [`backend_limit`] post-processes schedules for backends with limited
-//!   concurrency (§5.4).
+//! * A backend with limited concurrency (§5.4) bounds the distinct requests
+//!   each batch may draw ([`Scheduler::next_batch`]).
 
-pub mod backend_limit;
 pub mod dedup;
 pub mod greedy;
 pub mod optimal;
@@ -33,7 +32,6 @@ use crate::types::{BlockRef, Duration, RequestId};
 use crate::utility::UtilityModel;
 
 pub use crate::sampling::SamplerVariant;
-pub use backend_limit::limit_distinct_requests;
 pub use dedup::ModelCache;
 pub use greedy::{GreedyContext, GreedyScheduler, GreedySchedulerConfig};
 pub use optimal::{BruteForceScheduler, OptimalScheduler};
@@ -54,7 +52,8 @@ pub type Schedule = Vec<BlockRef>;
 ///
 /// * [`next_batch`](Scheduler::next_batch) emits up to `count` more blocks of
 ///   the current schedule in push order, never repeating a block the
-///   (simulated) client cache still holds.
+///   (simulated) client cache still holds, and naming at most
+///   `max_distinct` distinct requests.
 /// * [`note_sent`](Scheduler::note_sent) confirms emitted blocks, oldest
 ///   first, as the sender places them on the network.  The scheduler alone
 ///   counts positions: no caller passes one in.
@@ -89,10 +88,12 @@ pub trait Scheduler: Send {
         self.update_prediction(summary);
     }
 
-    /// Emits up to `count` blocks in push order.  An empty result means no
-    /// block currently has positive expected gain (everything useful is
-    /// scheduled or resident).
-    fn next_batch(&mut self, count: usize) -> Schedule;
+    /// Emits up to `count` blocks in push order, from at most
+    /// `max_distinct` distinct requests (§5.4's `C − n`); a batch whose
+    /// allowed requests run out of useful blocks ends early, and `Some(0)`
+    /// emits nothing.  Otherwise an empty result means no block currently
+    /// has positive expected gain (everything useful is sent or resident).
+    fn next_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule;
 
     /// Confirms that `block` (previously emitted by
     /// [`next_batch`](Scheduler::next_batch)) was actually placed on the
@@ -106,6 +107,11 @@ pub trait Scheduler: Send {
     fn note_sent(&mut self, block: BlockRef) {
         let _ = block;
     }
+
+    /// Rolls back every emitted block not yet confirmed, which the sender
+    /// dropped unsent (a fetch that did not resolve), without waiting for a
+    /// prediction update.  The default does nothing.
+    fn drop_unsent(&mut self) {}
 
     /// Updates the bandwidth-derived duration of one network slot.
     fn set_slot_duration(&mut self, slot: Duration);

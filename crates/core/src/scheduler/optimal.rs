@@ -115,12 +115,22 @@ impl ReplanState {
         self.planned = true;
     }
 
-    fn pop_batch(&mut self, count: usize) -> Schedule {
-        let mut out = Vec::with_capacity(count.min(self.pending.len()));
+    /// Pops up to `count` planned blocks, stopping before a request beyond
+    /// the first `max_distinct`; the rest waits for the next batch.
+    fn pop_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
+        let mut out: Schedule = Vec::with_capacity(count.min(self.pending.len()));
+        let mut distinct = 0;
         while out.len() < count {
-            let Some(b) = self.pending.pop_front() else {
+            let Some(&b) = self.pending.front() else {
                 break;
             };
+            if !out.iter().any(|o| o.request == b.request) {
+                if max_distinct.is_some_and(|limit| distinct >= limit) {
+                    break;
+                }
+                distinct += 1;
+            }
+            self.pending.pop_front();
             let have = self.delivered.entry(b.request).or_insert(0);
             *have = (*have).max(b.index + 1);
             self.issued.push(b);
@@ -241,16 +251,22 @@ macro_rules! impl_replan_scheduler {
                 self.state.adopt(plan);
             }
 
-            fn next_batch(&mut self, count: usize) -> Schedule {
+            fn next_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
                 if !self.state.planned {
                     let plan = self.schedule(&self.state.model);
                     self.state.adopt(plan);
                 }
-                self.state.pop_batch(count)
+                self.state.pop_batch(count, max_distinct)
             }
 
             fn note_sent(&mut self, _block: BlockRef) {
                 self.state.note_sent();
+            }
+
+            /// Rolls the dropped blocks back and re-plans on the next batch.
+            fn drop_unsent(&mut self) {
+                self.state.rollback_unsent();
+                self.state.planned = false;
             }
 
             fn set_slot_duration(&mut self, slot: Duration) {
@@ -545,10 +561,33 @@ mod tests {
         // into the plan (no blocks issued in between, so both plans start
         // from an empty cache).
         assert_eq!(
-            Scheduler::next_batch(&mut twice, 2 * n),
-            Scheduler::next_batch(&mut fresh, 2 * n),
+            Scheduler::next_batch(&mut twice, 2 * n, None),
+            Scheduler::next_batch(&mut fresh, 2 * n, None),
             "replan after a second update diverged from a fresh scheduler"
         );
+    }
+
+    #[test]
+    fn a_limited_batch_stops_at_the_first_excess_request_and_keeps_the_rest() {
+        let n = 6;
+        let catalog = Arc::new(ResponseCatalog::uniform(n, 3, 100));
+        let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 3);
+        let pred = PredictionSummary::point(n, RequestId(2), Time::ZERO);
+        let mut full = OptimalScheduler::new(utility.clone(), catalog.clone()).with_horizon(12);
+        let mut limited = OptimalScheduler::new(utility, catalog).with_horizon(12);
+        Scheduler::update_prediction(&mut full, &pred);
+        Scheduler::update_prediction(&mut limited, &pred);
+        let plan = Scheduler::next_batch(&mut full, 12, None);
+        // Where each request first appears: the batch stops at the third.
+        let firsts: Vec<usize> = (0..plan.len())
+            .filter(|&i| plan[..i].iter().all(|b| b.request != plan[i].request))
+            .collect();
+        let cut = firsts[2];
+        assert_eq!(
+            Scheduler::next_batch(&mut limited, 12, Some(2)),
+            plan[..cut]
+        );
+        assert_eq!(Scheduler::next_batch(&mut limited, 12, None), plan[cut..]);
     }
 
     #[test]

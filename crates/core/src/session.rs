@@ -7,8 +7,8 @@
 //! clients (§3.2, §5.4).  This module provides that layer:
 //!
 //! * [`Session`] — everything private to one client: a boxed
-//!   [`Scheduler`], a [`ServerPredictor`], the bandwidth/rate state, the
-//!   sender queue, and the per-request sent bookkeeping.
+//!   [`Scheduler`], a [`ServerPredictor`], the bandwidth/rate state and the
+//!   sender queue.
 //! * [`SessionManager`] — owns N sessions plus the shared [`Backend`], and
 //!   divides the link between them by weighted-fair queueing: the sessions
 //!   that may still have work sit in an index ordered by weighted service,
@@ -38,9 +38,7 @@ use crate::distribution::PredictionSummary;
 use crate::predictor::simple::SimpleServerPredictor;
 use crate::predictor::{PredictorState, ServerPredictor};
 use crate::protocol::{ClientMessage, ServerEvent, SessionId};
-use crate::scheduler::{
-    limit_distinct_requests, GreedyContext, GreedyScheduler, ModelCache, Scheduler,
-};
+use crate::scheduler::{GreedyContext, GreedyScheduler, ModelCache, Scheduler};
 use crate::server::{Backend, ServerConfig};
 use crate::types::{Bandwidth, BlockRef, Duration, RequestId, Time};
 use crate::utility::UtilityModel;
@@ -59,10 +57,6 @@ pub struct Session {
     bandwidth: BandwidthEstimator,
     queue: VecDeque<BlockRef>,
     queue_target: usize,
-    /// Blocks sent per request, used to continue prefixes when the backend
-    /// concurrency limit rewrites schedules (§5.4).  Pruned on schedule
-    /// wrap so long-running sessions do not accumulate dead entries.
-    sent_per_request: HashMap<RequestId, u32>,
     blocks_sent: u64,
     bytes_sent: u64,
     weight: f64,
@@ -190,20 +184,15 @@ impl Session {
     }
 
     /// The next block reference the sender should push for this session, or
-    /// `None` when nothing useful remains.  `concurrency_limit` is the shared
-    /// backend's limit, applied when the sender queue is refilled.
+    /// `None` when nothing useful remains.  `concurrency_limit` is this
+    /// session's share of the backend's limit: a refill of the sender queue
+    /// draws from at most that many distinct requests (§5.4).
     pub fn next_block_ref(&mut self, concurrency_limit: Option<usize>) -> Option<BlockRef> {
         if self.closed {
             self.exhausted = true;
             return None;
         }
         if self.queue.is_empty() {
-            // A zero allowance means "not this round": don't pull a batch
-            // from the scheduler only to throw it away (the scheduler's
-            // simulated cache would count the discarded blocks as sent).
-            if concurrency_limit == Some(0) {
-                return None;
-            }
             self.refill_queue(concurrency_limit);
         }
         let block = self.queue.pop_front();
@@ -213,35 +202,20 @@ impl Session {
         block
     }
 
-    /// Records that `meta` was placed on the wire: confirms it to the
-    /// scheduler, updates per-request counters, and prunes stale bookkeeping
-    /// every full schedule.
+    /// Records that `meta` was placed on the wire and confirms it to the
+    /// scheduler.
     pub fn commit(&mut self, meta: &BlockMeta) {
         self.scheduler.note_sent(meta.block);
         self.blocks_sent += 1;
-        if self
-            .blocks_sent
-            .is_multiple_of(self.scheduler.horizon() as u64)
-        {
-            // A schedule's worth of blocks went out: drop `sent_per_request`
-            // entries for requests no longer resident in the simulated cache
-            // (their prefixes restart, so stale counts would both leak
-            // memory and skew backfill offsets).
-            let resident = self.scheduler.simulated_cache();
-            if resident.is_empty() {
-                // The scheduler does not track the client cache (or holds
-                // nothing): pruning against residency would wipe every
-                // backfill offset.  Drop only fully-pushed requests.
-                let catalog = self.catalog.clone();
-                self.sent_per_request
-                    .retain(|r, c| *c < catalog.num_blocks(*r));
-            } else {
-                self.sent_per_request
-                    .retain(|r, _| resident.contains_key(r));
-            }
-        }
-        *self.sent_per_request.entry(meta.block.request).or_insert(0) += 1;
         self.bytes_sent += meta.size;
+    }
+
+    /// Drops every block drawn but not committed — the sender queue, and a
+    /// returned block the backend could not resolve — and rolls them back
+    /// in the scheduler ([`Scheduler::drop_unsent`]).
+    pub fn drop_unsent(&mut self) {
+        self.queue.clear();
+        self.scheduler.drop_unsent();
     }
 
     fn refill_queue(&mut self, concurrency_limit: Option<usize>) {
@@ -249,16 +223,7 @@ impl Session {
             return;
         }
         let want = self.queue_target - self.queue.len();
-        let mut batch = self.scheduler.next_batch(want);
-        if let Some(limit) = concurrency_limit {
-            let catalog = self.catalog.clone();
-            batch = limit_distinct_requests(
-                &batch,
-                limit,
-                |r| catalog.num_blocks(r),
-                &self.sent_per_request,
-            );
-        }
+        let batch = self.scheduler.next_batch(want, concurrency_limit);
         self.queue.extend(batch);
     }
 
@@ -508,7 +473,6 @@ impl SessionBuilder {
             bandwidth,
             queue: VecDeque::new(),
             queue_target: cfg.sender_queue_target.max(1),
-            sent_per_request: HashMap::new(),
             blocks_sent: 0,
             bytes_sent: 0,
             weight,
@@ -1001,11 +965,11 @@ impl SessionManager {
                         self.bytes_sent += block.meta.size;
                         return ServerEvent::Block { session: id, block };
                     }
-                    // Unresolvable reference: the session's scheduler has
-                    // already moved past it.  Forfeit this session's turn so
-                    // a scheduler that keeps producing unresolvable refs
-                    // cannot spin this loop forever; the next call serves it
-                    // again.
+                    // Unresolvable reference: drop it with the session's
+                    // queue, and forfeit this session's turn so a scheduler
+                    // that keeps producing unresolvable refs cannot spin
+                    // this loop forever; the next call serves it again.
+                    session.drop_unsent();
                 }
                 None => {
                     if session.exhausted {
@@ -1339,116 +1303,6 @@ mod tests {
         assert!(
             (20..=40).contains(&c_share),
             "joiner took {c_share}/60 blocks next to an exhausted session (counts {counts:?})"
-        );
-    }
-
-    /// A scheduler that keeps no client-cache simulation (like the optimal
-    /// and brute-force schedulers): `simulated_cache()` is always empty.
-    /// Emits request 0's four blocks, then the first block of requests 1–4.
-    struct UntrackedStub {
-        next: u32,
-    }
-
-    impl Scheduler for UntrackedStub {
-        fn update_prediction(&mut self, _summary: &PredictionSummary) {}
-
-        fn next_batch(&mut self, count: usize) -> crate::scheduler::Schedule {
-            let mut out = Vec::new();
-            while out.len() < count && self.next < 8 {
-                out.push(match self.next {
-                    k @ 0..=3 => BlockRef::new(RequestId(0), k),
-                    k => BlockRef::new(RequestId(k - 3), 0),
-                });
-                self.next += 1;
-            }
-            out
-        }
-
-        fn set_slot_duration(&mut self, _slot: Duration) {}
-
-        fn simulated_cache(&self) -> HashMap<RequestId, u32> {
-            HashMap::new()
-        }
-
-        fn horizon(&self) -> usize {
-            4
-        }
-
-        fn prediction_updates(&self) -> u64 {
-            0
-        }
-    }
-
-    #[test]
-    fn wrap_pruning_preserves_offsets_without_cache_tracking() {
-        // With an empty `simulated_cache()` the wrap pruning must not wipe
-        // in-progress backfill offsets: only fully-pushed requests may be
-        // dropped.
-        let cat = catalog(8, 4);
-        let mut session = Session::builder(utility(4), cat)
-            .scheduler(Box::new(UntrackedStub { next: 0 }))
-            .config(ServerConfig {
-                sender_queue_target: 2,
-                ..Default::default()
-            })
-            .build();
-        let mut sent = 0;
-        while let Some(r) = session.next_block_ref(None) {
-            let meta = session
-                .catalog()
-                .layout(r.request)
-                .block_meta(r.index)
-                .unwrap();
-            session.commit(&meta);
-            sent += 1;
-        }
-        assert_eq!(sent, 8);
-        // Two schedules have wrapped (horizon 4).  The second wrap dropped
-        // the fully-pushed request 0 and kept the partially-pushed 1–3;
-        // request 4 was committed after it.
-        assert_eq!(
-            session.sent_per_request.len(),
-            4,
-            "wrap pruning must drop exactly the fully-pushed requests"
-        );
-    }
-
-    #[test]
-    fn sent_per_request_is_pruned_on_schedule_wrap() {
-        // Tiny horizon (8 blocks) over a large corpus: the schedule wraps
-        // many times and old requests fall out of the simulated ring.
-        let cat = catalog(64, 2);
-        let mut session = Session::builder(utility(2), cat)
-            .config(ServerConfig {
-                scheduler: GreedySchedulerConfig {
-                    cache_blocks: 8,
-                    ..Default::default()
-                },
-                sender_queue_target: 4,
-                ..Default::default()
-            })
-            .build();
-        let mut sent = 0;
-        while sent < 200 {
-            let Some(r) = session.next_block_ref(None) else {
-                break;
-            };
-            let meta = session
-                .catalog()
-                .layout(r.request)
-                .block_meta(r.index)
-                .unwrap();
-            session.commit(&meta);
-            sent += 1;
-        }
-        assert!(sent >= 100, "session stalled after {sent} blocks");
-        // Without pruning the map would approach the corpus size (64); with
-        // pruning it stays bounded by the ring (8 blocks) plus the entries
-        // touched since the last wrap.
-        assert!(
-            session.sent_per_request.len() <= 16,
-            "sent_per_request leaked: {} entries",
-            session.sent_per_request.len()
         );
     }
 
@@ -2082,6 +1936,7 @@ mod tests {
                             mgr.bytes_sent += block.meta.size;
                             return ServerEvent::Block { session: id, block };
                         }
+                        session.drop_unsent();
                     }
                     candidates.remove(pick);
                 }
@@ -2613,11 +2468,12 @@ mod tests {
     }
 
     /// The scheduler's simulated ring against the client's own, with a real
-    /// sender queue: whole summaries and deltas land between sends — while
-    /// the queue straddles a schedule wrap, and right after it drained
-    /// exactly at one — and after every update the session's
-    /// `simulated_cache()` must equal a client `RingCache` fed only the
-    /// committed blocks.
+    /// sender queue, with and without a backend concurrency allowance:
+    /// whole summaries and deltas land between sends — while the queue
+    /// straddles a schedule wrap, and right after it drained exactly at one
+    /// — and drawn blocks are dropped unsent; after every update and every
+    /// drop the session's `simulated_cache()` must equal a client
+    /// `RingCache` fed only the committed blocks.
     mod ring_parity {
         use super::*;
         use crate::cache::RingCache;
@@ -2647,16 +2503,17 @@ mod tests {
             PredictionSummary::new(REQUESTS, vec![slice(0, 50), slice(3, 250)], Time::ZERO)
         }
 
-        /// A greedy session over a `REQUESTS` × `BLOCKS` catalog, the
-        /// tracker feeding it, and the client's ring.
+        /// A greedy session over a `REQUESTS` × `BLOCKS` catalog under the
+        /// allowance `limit`, the tracker feeding it, and the client's ring.
         struct Replay {
             session: Session,
+            limit: Option<usize>,
             tracker: DeltaTracker,
             client: RingCache,
         }
 
         impl Replay {
-            fn new(cache_blocks: usize, queue: usize, seed: u64) -> Self {
+            fn new(cache_blocks: usize, queue: usize, seed: u64, limit: Option<usize>) -> Self {
                 let cfg = ServerConfig {
                     scheduler: GreedySchedulerConfig {
                         cache_blocks,
@@ -2670,6 +2527,7 @@ mod tests {
                     session: Session::builder(utility(BLOCKS), catalog(REQUESTS, BLOCKS))
                         .config(cfg)
                         .build(),
+                    limit,
                     tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
                     client: RingCache::new(cache_blocks),
                 }
@@ -2677,7 +2535,7 @@ mod tests {
 
             /// Sends one block; `false` when the session has nothing to send.
             fn send(&mut self) -> bool {
-                let Some(block) = self.session.next_block_ref(None) else {
+                let Some(block) = self.session.next_block_ref(self.limit) else {
                     return false;
                 };
                 let meta = self
@@ -2703,7 +2561,7 @@ mod tests {
             fn apply(&mut self, kind: u8, a: u32, b: u32) -> Result<(), String> {
                 let horizon = self.session.scheduler.horizon();
                 let wrap_offset = |s: &Session| s.blocks_sent() as usize % horizon;
-                let message = match kind % 6 {
+                let message = match kind % 7 {
                     0 => {
                         for _ in 0..a as usize % (2 * horizon + 1) {
                             self.send();
@@ -2731,7 +2589,15 @@ mod tests {
                         self.tracker.encode(&summary(a, b))
                     }
                     4 => self.tracker.encode(&summary(a, b)),
-                    _ => ClientMessage::Predictor(PredictorState::Summary(summary(a, b))),
+                    5 => ClientMessage::Predictor(PredictorState::Summary(summary(a, b))),
+                    // The backend cannot resolve the next block: the sender
+                    // drops it with the rest of its queue.
+                    _ => {
+                        if self.session.next_block_ref(self.limit).is_some() {
+                            self.session.drop_unsent();
+                        }
+                        return self.compare(kind, a, b);
+                    }
                 };
                 if matches!(message, ClientMessage::Predictor(_)) {
                     // An opaque state clears the session's shadow: the
@@ -2742,6 +2608,11 @@ mod tests {
                 if outcome != MessageOutcome::Handled {
                     return Err(format!("op ({kind}, {a}, {b}) was refused"));
                 }
+                self.compare(kind, a, b)
+            }
+
+            /// The simulated cache against the client's ring.
+            fn compare(&self, kind: u8, a: u32, b: u32) -> Result<(), String> {
                 let client: HashMap<RequestId, u32> = self.client.resident_counts().collect();
                 let simulated = self.session.simulated_cache();
                 if simulated != client {
@@ -2755,11 +2626,15 @@ mod tests {
             }
         }
 
-        fn run(cache_blocks: usize, queue: usize, seed: u64, ops: &[(u8, u32, u32)]) {
-            let mut replay = Replay::new(cache_blocks, queue, seed);
+        /// Replays `ops` under the allowance `limit`, none when it is 0.
+        fn run(cache_blocks: usize, queue: usize, seed: u64, limit: usize, ops: &[(u8, u32, u32)]) {
+            let limit = (limit > 0).then_some(limit);
+            let mut replay = Replay::new(cache_blocks, queue, seed, limit);
             for &(kind, a, b) in ops {
                 if let Err(e) = replay.apply(kind, a, b) {
-                    panic!("cache_blocks={cache_blocks} queue={queue} seed={seed}: {e}");
+                    panic!(
+                        "cache_blocks={cache_blocks} queue={queue} seed={seed} limit={limit:?}: {e}"
+                    );
                 }
             }
         }
@@ -2772,9 +2647,10 @@ mod tests {
                 cache_blocks in 8usize..=64,
                 queue in 1usize..=40,
                 seed in 0u64..1_000,
-                ops in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..48),
+                limit in 0usize..=4,
+                ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..48),
             ) {
-                run(cache_blocks, queue, seed, &ops);
+                run(cache_blocks, queue, seed, limit, &ops);
             }
         }
 
@@ -2794,11 +2670,12 @@ mod tests {
                 let cache_blocks = next() as usize % 57 + 8;
                 let queue = next() as usize % 40 + 1;
                 let seed = u64::from(next() % 1_000);
+                let limit = next() as usize % 5;
                 let len = next() as usize % 64 + 1;
                 let ops: Vec<(u8, u32, u32)> = (0..len)
-                    .map(|_| ((next() % 6) as u8, next(), next()))
+                    .map(|_| ((next() % 7) as u8, next(), next()))
                     .collect();
-                run(cache_blocks, queue, seed, &ops);
+                run(cache_blocks, queue, seed, limit, &ops);
             }
         }
     }

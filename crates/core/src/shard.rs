@@ -72,12 +72,18 @@
 //!
 //! A fixed-seed N-shard run produces per-session block sequences identical
 //! to the single-threaded manager's, under two documented conditions:
-//! the backend reports `concurrency_limit() == None` (a finite limit is
-//! divided among *local* candidates, and `local ≠ global`), and comparison
+//! the backend reports `concurrency_limit() == None`, and comparison
 //! happens at drain-to-idle points (events of unanswered messages surface at
 //! pumps, so mid-burst interleavings differ while per-session end states do
 //! not).  Cross-session *ordering* onto the wire is shard-local by design —
 //! the guarantee is per-session content, not global interleaving.
+//!
+//! Parity cannot hold under a finite limit: each shard divides it among
+//! its *local* candidates by *local* rank, and the limit is part of the
+//! draw, so a session given another allowance draws another schedule.
+//! With the limit in the draw, an empty batch at an allowance of at least
+//! one means the session is drained; `exhausted` is still never set under
+//! a limit, as an allowance of zero says nothing.
 //!
 //! ## Model deduplication
 //!
@@ -751,7 +757,7 @@ mod tests {
 
     impl crate::scheduler::Scheduler for SlotProbe {
         fn update_prediction(&mut self, _: &crate::distribution::PredictionSummary) {}
-        fn next_batch(&mut self, _count: usize) -> crate::scheduler::Schedule {
+        fn next_batch(&mut self, _: usize, _: Option<usize>) -> crate::scheduler::Schedule {
             Vec::new()
         }
         fn set_slot_duration(&mut self, slot: crate::types::Duration) {

@@ -1,7 +1,8 @@
 //! Integration tests of the `audit` cargo feature: a clean mixed-churn
 //! workload must produce a zero-violation report with every check exercised,
-//! and a deliberately misaligned rollback must be *caught and counted* by
-//! the promoted slot-alignment checks instead of aborting the process.
+//! and a deliberately misaligned rollback or an out-of-order confirmation
+//! must be *caught and counted* by the promoted slot-alignment checks
+//! instead of aborting the process.
 #![cfg(feature = "audit")]
 
 use std::sync::Arc;
@@ -147,4 +148,24 @@ fn misaligned_rollback_is_counted_not_aborted() {
     // The scheduler keeps operating after reporting (audit observes, never
     // unwinds).
     s.next_batch(4);
+}
+
+#[test]
+fn out_of_order_confirmation_is_counted_not_aborted() {
+    let n = 40;
+    let mut s = scheduler(n, 32);
+    s.audit_attach(every_event());
+    s.update_prediction(&churn_pred(n, 0), 0);
+    let batch = s.next_batch(4);
+    // The sender claims the second block went out first: the log and the
+    // wire disagree.  Without an attached auditor this debug-aborts.
+    s.note_sent(batch[1]);
+    let report = s.audit_report().expect("auditor attached");
+    assert!(
+        report.violations_of(AuditCheck::SlotAlignment) > 0,
+        "an out-of-order confirmation must be caught by the slot-alignment check:\n{}",
+        report.to_json()
+    );
+    let json = report.to_json();
+    assert!(json.contains("oldest unconfirmed"), "{json}");
 }

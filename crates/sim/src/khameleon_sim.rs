@@ -58,8 +58,8 @@ pub enum BackendLatency {
 pub struct KhameleonOptions {
     /// Backend latency model.
     pub backend: BackendLatency,
-    /// Optional backend concurrency limit passed to the scheduler's
-    /// post-processing (§5.4).
+    /// Optional backend concurrency limit: each batch the scheduler draws
+    /// names at most the session's share of it in distinct requests (§5.4).
     pub backend_concurrency_limit: Option<usize>,
     /// Extra simulated time after the last trace event (lets in-flight blocks
     /// land).

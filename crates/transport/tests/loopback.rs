@@ -175,7 +175,9 @@ fn departed_session_gets_no_schedule_slots() {
 
 #[test]
 fn generation_mismatch_triggers_resync_then_recovers() {
-    let cat = catalog(30, 4, 1_000);
+    // More blocks than the default 1 024-block cache, so the session never
+    // drains: a block always follows the recovery summary.
+    let cat = catalog(300, 4, 1_000);
     let manager = SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
@@ -187,6 +189,10 @@ fn generation_mismatch_triggers_resync_then_recovers() {
     .expect("bind");
 
     let mut client = TransportClient::connect(server.local_addr()).expect("connect");
+    // A missing event fails the test instead of hanging it.
+    client
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
 
     // A delta against a generation the server never saw: it must answer
     // Resync without touching the (empty) schedule.
@@ -217,7 +223,7 @@ fn generation_mismatch_triggers_resync_then_recovers() {
     // Recovery: the tracker was reset, so the next upload is a full install
     // and blocks flow.
     let report = client
-        .send_prediction(&summary(30, &[(5, 0.8)], 0.1))
+        .send_prediction(&summary(300, &[(5, 0.8)], 0.1))
         .expect("recovery prediction");
     assert!(!report.delta, "post-resync update must be a full summary");
     match client.recv_event().expect("block after recovery") {

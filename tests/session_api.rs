@@ -52,7 +52,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
 
     // Phase 1: uniform prior, a full batch.
     let batch = direct.next_batch(32);
-    assert_eq!(batch, boxed.next_batch(32));
+    assert_eq!(batch, boxed.next_batch(32, None));
 
     // Phase 2: a concentrated prediction arrives mid-schedule, after the
     // sender put 20 of the 32 blocks on the wire.
@@ -63,7 +63,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     let pred = PredictionSummary::point(200, RequestId(17), Time::ZERO);
     direct.update_prediction(&pred, 0);
     boxed.update_prediction(&pred);
-    assert_eq!(direct.next_batch(50), boxed.next_batch(50));
+    assert_eq!(direct.next_batch(50), boxed.next_batch(50, None));
 
     // Phase 3: slot duration changes and the schedule wraps.
     use khameleon::core::types::Duration;
@@ -72,7 +72,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     let uniform = PredictionSummary::uniform(200, Time::from_millis(100));
     direct.update_prediction(&uniform, 0);
     boxed.update_prediction(&uniform);
-    assert_eq!(direct.next_batch(100), boxed.next_batch(100));
+    assert_eq!(direct.next_batch(100), boxed.next_batch(100, None));
 
     // The simulated caches agree exactly as well.
     assert_eq!(direct.simulated_cache(), boxed.simulated_cache());
