@@ -223,6 +223,11 @@ pub struct GreedyScheduler {
     rng: StdRng,
     /// Position within the current schedule (Listing 1's `t`).
     t: usize,
+    /// Blocks drawn since the last prediction update.  The model is read
+    /// at this offset ([`read_slot`](Self::read_slot)): the paper's
+    /// `P_{i,t}` is the chance of request `i` `t` slots from now, and the
+    /// newest model's now is its install.
+    since_install: usize,
     /// Every emitted block that [`Scheduler::note_sent`] has not confirmed,
     /// oldest first, each with the ring entry its delivery evicted (`None`
     /// when the ring still had room).  Rolling an entry back restores its
@@ -312,6 +317,7 @@ impl GreedyScheduler {
             model_cache,
             rng,
             t: 0,
+            since_install: 0,
             unconfirmed: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
@@ -339,6 +345,13 @@ impl GreedyScheduler {
         self.t
     }
 
+    /// The model slot draws read: blocks drawn since the last install,
+    /// clamped to the horizon's last slot, which holds the last slice, so
+    /// a session that hears no prediction for `C` slots keeps drawing.
+    fn read_slot(&self) -> usize {
+        self.since_install.min(self.model.horizon() - 1)
+    }
+
     /// Compares the incrementally maintained sampler weights against a
     /// from-scratch recomputation of every candidate weight (the scan
     /// variant's view), returning the mismatches.  Diagnostic only.
@@ -347,7 +360,7 @@ impl GreedyScheduler {
         if !self.incremental() {
             return Vec::new();
         }
-        let scale = self.model.residual_tail(self.t);
+        let scale = self.model.residual_tail(self.read_slot());
         let mut out = Vec::new();
         let mut check = |r: RequestId, want: f64, got: Option<f64>| {
             let got = got.unwrap_or(f64::NAN);
@@ -560,7 +573,7 @@ impl GreedyScheduler {
             }
         }
         self.sampler
-            .set_shared_scale(self.model.residual_tail(self.t));
+            .set_shared_scale(self.model.residual_tail(self.read_slot()));
         self.sync_meta_counts();
     }
 
@@ -674,7 +687,7 @@ impl GreedyScheduler {
         }
         self.refresh_slot();
         self.sampler
-            .set_shared_scale(self.model.residual_tail(self.t));
+            .set_shared_scale(self.model.residual_tail(self.read_slot()));
         for i in 0..self.shared_order.len() {
             let r = self.shared_order[i];
             let g = self.marginal_gain(r);
@@ -693,7 +706,7 @@ impl GreedyScheduler {
     fn slot_scale(&self) -> f64 {
         let g = self.cfg.gamma;
         if g > 0.0 && g < 1.0 {
-            let s = g.powi(self.t as i32);
+            let s = g.powi(self.read_slot() as i32);
             if s > 0.0 {
                 return s;
             }
@@ -707,7 +720,7 @@ impl GreedyScheduler {
     fn explicit_value(&self, r: RequestId) -> f64 {
         let g = self.marginal_gain(r);
         if self.sampler.is_irregular(r) {
-            g * self.model.tail(r, self.t) / self.slot_scale()
+            g * self.model.tail(r, self.read_slot()) / self.slot_scale()
         } else {
             g * self.model.tail(r, 0)
         }
@@ -718,7 +731,7 @@ impl GreedyScheduler {
     /// touching the bucketed member weights.
     fn refresh_slot(&mut self) {
         for b in 0..self.sampler.num_buckets() {
-            let factor = self.model.shape_factor(b, self.t);
+            let factor = self.model.shape_factor(b, self.read_slot());
             self.sampler.set_bucket_factor(b, factor);
         }
         self.sampler.set_irregular_scale(self.slot_scale());
@@ -781,7 +794,7 @@ impl GreedyScheduler {
         newly_touched: bool,
     ) {
         self.sampler
-            .set_shared_scale(self.model.residual_tail(self.t));
+            .set_shared_scale(self.model.residual_tail(self.read_slot()));
         self.refresh_slot();
         self.refresh_request_weight(q);
         if let Some(old) = evicted {
@@ -825,7 +838,7 @@ impl GreedyScheduler {
     /// Expected utility gain of giving one more block to `request` at the
     /// current schedule position.
     fn gain_for(&self, request: RequestId) -> f64 {
-        self.marginal_gain(request) * self.model.tail(request, self.t)
+        self.marginal_gain(request) * self.model.tail(request, self.read_slot())
     }
 
     /// Draws one request proportionally to utility gain; returns `None` when
@@ -867,7 +880,7 @@ impl GreedyScheduler {
             Request(RequestId),
             Meta(usize),
         }
-        let scale = self.model.residual_tail(self.t);
+        let scale = self.model.residual_tail(self.read_slot());
         let part = self.model.shape_partition();
         let mut entries: Vec<(Entry, f64)> =
             Vec::with_capacity(part.materialized_count() + self.shared_order.len() + 1);
@@ -987,6 +1000,7 @@ impl GreedyScheduler {
                 }
             }
             self.t += 1;
+            self.since_install += 1;
             // Delivered to the simulated ring as it is scheduled; the logged
             // eviction is what a rollback of this block restores.
             let evicted = self.ring.insert(block);
@@ -1040,11 +1054,11 @@ impl GreedyScheduler {
         }
         if self.incremental() {
             // Gains derive from the (unchanged) resident prefixes, so the
-            // stored slot-invariant bucket values are still exact: reset the
-            // factors to s(0) (`t` is already 0) and re-derive only the
-            // irregular exact-refresh weights.
+            // stored slot-invariant bucket values are still exact: re-derive
+            // the factors and the irregular exact-refresh weights only.
             self.refresh_slot();
-            self.sampler.set_shared_scale(self.model.residual_tail(0));
+            self.sampler
+                .set_shared_scale(self.model.residual_tail(self.read_slot()));
             self.sync_meta_counts();
         }
     }
@@ -1188,7 +1202,7 @@ impl GreedyScheduler {
         }
         let part = self.model.shape_partition();
         for (b, bucket) in part.buckets.iter().enumerate() {
-            let want = self.model.shape_factor(b, self.t);
+            let want = self.model.shape_factor(b, self.read_slot());
             let got = self.sampler.audit_bucket_factor(b);
             if (got - want).abs() > 1e-9 * want.abs().max(1e-9) {
                 report.record(AuditViolation {
@@ -1306,6 +1320,7 @@ impl Scheduler for GreedyScheduler {
     fn update_prediction(&mut self, summary: &PredictionSummary) {
         self.updates += 1;
         self.rollback_unsent();
+        self.since_install = 0;
         self.install(summary);
     }
 
@@ -1316,6 +1331,7 @@ impl Scheduler for GreedyScheduler {
     ) {
         self.updates += 1;
         let mut rolled = self.rollback_unsent();
+        self.since_install = 0;
         let diffable = self.model.horizon() == self.cfg.cache_blocks
             && self.model.slot_duration() == self.cfg.slot_duration
             && self.model.gamma().to_bits() == self.cfg.gamma.to_bits();
@@ -2147,7 +2163,7 @@ mod tests {
             if s.model.is_materialized(r) {
                 s.gain_for(r)
             } else {
-                s.marginal_gain(r) * s.model.residual_tail(s.t)
+                s.marginal_gain(r) * s.model.residual_tail(s.read_slot())
             }
         };
         let mut with_diff = mk_one();

@@ -11,7 +11,11 @@
 //! were re-recorded when the scheduler began counting its own confirmed
 //! sends: a prediction landing while the sender queue straddles a schedule
 //! wrap now rolls back exactly the unsent blocks, and one landing right
-//! after the queue drained at a wrap rolls back nothing.
+//! after the queue drained at a wrap rolls back nothing.  `FIXED_15_MBPS`,
+//! `CELLULAR` and `PREDICTION_DELTA` were re-recorded when the scheduler
+//! began reading its model from the last prediction instead of from the
+//! schedule's start: every draw reads the forecast at its own distance
+//! from now.
 
 use khameleon_apps::falcon_app::{
     FalconApp, FalconAppConfig, FalconBackendKind, FalconDataset, FalconPredictorKind,
@@ -102,7 +106,7 @@ fn prediction_delta_row_is_pinned() {
     assert_eq!(image_row(PredictorKind::Oracle, &cfg), PREDICTION_DELTA);
 }
 
-const FIXED_15_MBPS: &str = "Khameleon-kalman,396,162,234,0.9568,0.5909,13.513,0.000,0.000,321.823,938.003,0.3593,3730,306737673,0.9582,137,30825,0.3914";
-const CELLULAR: &str = "Khameleon-kalman,396,160,236,0.9625,0.5960,16.413,0.000,0.000,467.460,1161.078,0.3664,2366,194280067,0.9370,137,30825,0.3889";
+const FIXED_15_MBPS: &str = "Khameleon-kalman,396,175,221,0.9543,0.5581,12.634,0.000,0.000,333.018,1007.927,0.3734,3722,306774680,0.9543,137,30825,0.4217";
+const CELLULAR: &str = "Khameleon-kalman,396,170,226,0.9353,0.5707,24.367,0.000,122.642,678.027,873.033,0.3680,2363,194209774,0.9289,137,30825,0.4015";
 const BACKEND_LIMIT: &str = "falcon-kalman-postgresql-small-b4,24,24,0,0.9583,0.0000,33.947,0.000,0.000,627.336,814.722,0.9688,24,150000,0.0000,604,135900,0.9583";
-const PREDICTION_DELTA: &str = "Khameleon-oracle,396,85,311,1.0000,0.7854,0.000,0.000,0.000,0.000,0.000,0.9317,840,69029141,0.0048,137,13280,0.2146";
+const PREDICTION_DELTA: &str = "Khameleon-oracle,396,156,240,0.8654,0.6061,2.486,0.000,19.337,42.929,49.959,0.7306,959,78825307,0.0490,137,13280,0.3409";

@@ -113,9 +113,9 @@ fn kalman_fly_over_row_is_pinned() {
 }
 
 const UNIFORM_DWELL: &str = "432,0.0440,0.9560,0.0255,0.3800";
-const KALMAN_DWELL: &str = "432,0.0810,0.9190,0.0556,0.3946";
-const ORACLE_DWELL: &str = "432,0.6944,0.3056,0.6852,0.8999";
+const KALMAN_DWELL: &str = "432,0.7662,0.2338,0.4792,0.4694";
+const ORACLE_DWELL: &str = "432,1.0000,0.0000,0.9861,0.7229";
 const UNIFORM_LONG_DWELL: &str = "432,0.0556,0.9444,0.0394,0.3642";
-const KALMAN_LONG_DWELL: &str = "432,0.1319,0.8681,0.0949,0.4039";
-const ORACLE_LONG_DWELL: &str = "432,1.0000,0.0000,0.9977,0.9459";
-const KALMAN_FLY_OVER: &str = "432,0.0394,0.9606,0.0278,0.3800";
+const KALMAN_LONG_DWELL: &str = "432,0.9676,0.0324,0.7708,0.5395";
+const ORACLE_LONG_DWELL: &str = "432,1.0000,0.0000,0.9977,0.8671";
+const KALMAN_FLY_OVER: &str = "432,0.0810,0.9190,0.0301,0.4019";
