@@ -4,7 +4,7 @@
 //! draws a different block and the whole 256-case suite fails.  The auditor
 //! attacks the same invariants from inside, at configurable sampling
 //! frequency, and **localizes** a violation to the exact Fenwick node, bucket
-//! coefficient, or schedule slot instead of a failed end-to-end assert:
+//! coefficient, or model slot instead of a failed end-to-end assert:
 //!
 //! * **Fenwick sums** — every tree node re-summed against the stored values,
 //!   plus the positive-entry counter (the phantom-total defense).
@@ -102,7 +102,8 @@ impl Default for AuditConfig {
 pub struct AuditViolation {
     /// Which invariant family failed.
     pub check: AuditCheck,
-    /// Schedule slot the violation localizes to, when applicable.
+    /// Model slot the violation localizes to, counted in blocks drawn since
+    /// the last prediction update, when applicable.
     pub slot: Option<usize>,
     /// Request the violation localizes to, when applicable.
     pub request: Option<RequestId>,

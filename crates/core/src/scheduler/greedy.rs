@@ -4,10 +4,17 @@
 //! gain of giving it one more block — `P_{i,t} · g(B_i + 1)` — and samples a
 //! request proportionally to that gain.  Blocks are emitted in batches of
 //! whatever size the caller asks for (a session tops its sender queue up to
-//! `ServerConfig::sender_queue_target`), so the sender is never blocked;
-//! after a full schedule of `C` blocks (the client cache size) the
-//! per-schedule allocation state resets, mirroring the ring buffer
-//! overwriting itself (§5.3.1).
+//! `ServerConfig::sender_queue_target`), so the sender is never blocked.
+//! `t` counts the blocks drawn since the last prediction update, the
+//! newest forecast's now, so every draw reads the model at its own distance
+//! from now.
+//!
+//! This departs from Listing 1's text but not from its behaviour.  Listing 1
+//! resets the allocations `B_i` after every schedule of `C` blocks (the
+//! client cache size), mirroring the ring buffer overwriting itself
+//! (§5.3.1).  Here `B_i` is [`RingCache::prefix_len`] of the simulated
+//! ring, whose evictions already drop what the client overwrote, so there
+//! is no schedule to reset.
 //!
 //! Three refinements from / beyond the paper are implemented:
 //!
@@ -33,7 +40,7 @@
 //!
 //! # Per-block sampling cost
 //!
-//! With `T` touched requests (up to the schedule length `C`), `m`
+//! With `T` touched requests (about the cache size `C`), `m`
 //! materialized requests (`m ≤ T`, typically ≪ `T`), `b` distinct tail
 //! shapes (`b ≤ m`; `b = 1` for homogeneous-tail predictions), and `n`
 //! requests in the catalog:
@@ -53,7 +60,7 @@
 //! materialized requests with proportional tails share one bucket factor,
 //! so advancing the slot index touches `O(b)` scalars plus the small
 //! irregular exact-refresh set instead of rewriting all `m` materialized
-//! weights.  Over a full schedule this turns `O(C² log C)` of sampling work
+//! weights.  Over `C` blocks this turns `O(C² log C)` of sampling work
 //! into `O(C (b log m + log C))` — per-block cost flat in `m` for
 //! homogeneous-tail workloads, the same "cost must not grow with catalog
 //! size" argument §5.3.1 makes for its 13× meta-request speedup.  The scan
@@ -77,22 +84,21 @@
 //!   into the sampler as point updates (tombstoned removals + appends).
 //!   Oversized deltas, changed horizon parameters, and bucket-cap pressure
 //!   fall back to the install.
-//! * **Wrap carry-over**: when a schedule completes (`t` reaches `C`) the
-//!   horizon model is unchanged and tails are reusable at `t = 0`, so
-//!   [`reset_schedule`](GreedyScheduler::next_batch) carries the explicit
-//!   shape buckets and the shared-tail group across the wrap instead of
-//!   rebuilding the sampler from scratch — a wrap costs `O(b)` factor
-//!   resets plus compaction of the shared-tail requests the ring no longer
-//!   holds (the schedule evicted their last resident block).
+//! * **Departed shared-tail requests**: a touched request outside the
+//!   materialized set keeps its shared-tail slot when an eviction takes its
+//!   last resident block.  Its weight there, `g(1)` times the residual
+//!   tail, is what it adds to its meta class, so when it moves back changes
+//!   the draw layout, not the distribution.  Departures move back, and the
+//!   shared segment is compacted in order, once they outnumber half the
+//!   segment (the sampler's tombstone rule), which keeps the segment within
+//!   `max(C + 32, 2C)` entries.
 //! * **Confirmed sends**: the scheduler owns the sender's position.  One
 //!   log holds every emitted block that [`Scheduler::note_sent`] has not
 //!   confirmed, oldest first; a confirmation pops its front.  A prediction
-//!   update pops the log from the back and undoes each entry on the ring
-//!   (§5.3.2).  The log and the current schedule both end at the newest
-//!   emission, so the newest `min(len, t)` entries are the current
-//!   schedule's and each also takes `t` back one slot; older ones — a
-//!   sender queue that straddled a wrap — are undone on the ring only.  A
-//!   queue that drained exactly at a wrap rolls back nothing.
+//!   update pops the log from the back, undoes each entry on the ring
+//!   (§5.3.2) and takes `t` back one slot for it.  Every update empties the
+//!   log, so every logged block was drawn after the last install and `t`
+//!   comes back exactly.
 //!
 //! Under a backend concurrency limit (§5.4) a batch names at most
 //! `max_distinct` requests ([`Scheduler::next_batch`]): once it holds that
@@ -221,12 +227,11 @@ pub struct GreedyScheduler {
     /// fingerprint — see [`crate::scheduler::dedup`].
     model_cache: Option<Arc<crate::scheduler::ModelCache>>,
     rng: StdRng,
-    /// Position within the current schedule (Listing 1's `t`).
-    t: usize,
-    /// Blocks drawn since the last prediction update.  The model is read
-    /// at this offset ([`read_slot`](Self::read_slot)): the paper's
-    /// `P_{i,t}` is the chance of request `i` `t` slots from now, and the
-    /// newest model's now is its install.
+    /// Blocks drawn since the last prediction update, less those rolled
+    /// back.  The model is read at this offset
+    /// ([`read_slot`](Self::read_slot)): the paper's `P_{i,t}` is the
+    /// chance of request `i` `t` slots from now, and the newest model's now
+    /// is its install.
     since_install: usize,
     /// Every emitted block that [`Scheduler::note_sent`] has not confirmed,
     /// oldest first, each with the ring entry its delivery evicted (`None`
@@ -253,6 +258,10 @@ pub struct GreedyScheduler {
     /// directly; the incremental sampler's shared group mirrors it slot for
     /// slot, which is what makes the variants draw identically.
     shared_order: Vec<RequestId>,
+    /// Evictions since the last compaction that took a shared-tail
+    /// request's last resident block, counting a request once per
+    /// departure (see [`note_eviction`](Self::note_eviction)).
+    departed: usize,
     /// Shared catalog/utility-derived state (the utility model, classes,
     /// meta gains, block counts) — one `Arc` per `(utility value, catalog)`
     /// pair across sessions.
@@ -262,7 +271,7 @@ pub struct GreedyScheduler {
     touched_per_class: Vec<usize>,
     /// Incrementally maintained gain weights (the `Lazy` variant; left
     /// empty under `Scan`); kept in sync by `rebuild_sampler` /
-    /// `refresh_after_allocation` / the wrap carry-over / the diff path.
+    /// `refresh_after_allocation` / `note_eviction` / the diff path.
     sampler: GainSampler,
     /// Number of prediction updates received (for instrumentation).
     updates: u64,
@@ -316,12 +325,12 @@ impl GreedyScheduler {
             model,
             model_cache,
             rng,
-            t: 0,
             since_install: 0,
             unconfirmed: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
             shared_order: Vec::new(),
+            departed: 0,
             ctx,
             touched_per_class,
             sampler: GainSampler::new(),
@@ -338,11 +347,6 @@ impl GreedyScheduler {
     /// [`GainSampler`] (the `Lazy` variant) rather than a per-draw scan.
     fn incremental(&self) -> bool {
         self.cfg.sampler == SamplerVariant::Lazy
-    }
-
-    /// Position within the current schedule (`t` in Listing 1).
-    pub fn position(&self) -> usize {
-        self.t
     }
 
     /// The model slot draws read: blocks drawn since the last install,
@@ -395,8 +399,8 @@ impl GreedyScheduler {
     /// Per §5.3.2, blocks the sender has placed on the network are immutable
     /// and the rest are re-planned.  The scheduler tells them apart itself:
     /// every block [`next_batch`](Self::next_batch) emitted that
-    /// [`Scheduler::note_sent`] has not confirmed is rolled back first, on
-    /// either side of a schedule wrap.  The `usize` argument is ignored; it
+    /// [`Scheduler::note_sent`] has not confirmed is rolled back first.
+    /// The `usize` argument is ignored; it
     /// stays only for the benchmark's frozen call surface
     /// (`kbench/src/sut.rs`).  [`Scheduler::update_prediction`] is the same
     /// update without it.
@@ -432,25 +436,23 @@ impl GreedyScheduler {
     }
 
     /// Rolls back every block the sender has not confirmed, newest first,
-    /// undoing each on the ring.  The newest `min(len, t)` entries are the
-    /// current schedule's, and each of those also takes `t` back one slot;
-    /// older ones, left by a sender queue that straddled a wrap, are undone
-    /// on the ring only.  Returns the requests whose simulated residency the
+    /// undoing each on the ring and taking `since_install` back one slot:
+    /// every update empties the log, so each logged block was drawn after
+    /// the last install.  Returns the requests whose simulated residency the
     /// rollback touched, unsorted; their gains must be re-derived even when
     /// a model diff leaves them untouched.
     fn rollback_unsent(&mut self) -> Vec<RequestId> {
-        let mut in_schedule = self.t.min(self.unconfirmed.len());
         let mut rolled: Vec<RequestId> = Vec::new();
         while let Some((block, evicted)) = self.unconfirmed.pop_back() {
             if self.ring.newest() != Some(block) {
                 let noted = self.audit_note_misalignment(
-                    self.t,
+                    self.since_install,
                     "rollback found an unconfirmed log entry that is not the ring's newest",
                 );
                 debug_assert!(
                     noted,
                     "unconfirmed {block} is not the ring's newest at slot {}",
-                    self.t
+                    self.since_install
                 );
                 self.unconfirmed.clear();
                 break;
@@ -460,10 +462,7 @@ impl GreedyScheduler {
                 rolled.push(old.request);
             }
             self.ring.undo_insert(block, evicted);
-            if in_schedule > 0 {
-                in_schedule -= 1;
-                self.t -= 1;
-            }
+            self.since_install -= 1;
         }
         rolled
     }
@@ -635,6 +634,7 @@ impl GreedyScheduler {
     fn rebuild_touched(&mut self) {
         self.touched.fill(0);
         self.touched_per_class.fill(0);
+        self.departed = 0;
         let mut touched_ids: Vec<RequestId> = self.model.materialized().collect();
         // The ring yields its requests in hash order, which differs between
         // runs; only the sort below keeps the draw layout deterministic.
@@ -644,7 +644,7 @@ impl GreedyScheduler {
         // touch order thereafter.  With the meta-request optimization off,
         // *every* unmaterialized request sits in the shared segment
         // permanently (the unoptimized Figure 16 / §5.3.1 baseline), so
-        // membership never shifts mid-schedule.
+        // membership never shifts between updates.
         self.shared_order.clear();
         if self.cfg.use_meta_request {
             self.shared_order.extend(
@@ -668,8 +668,8 @@ impl GreedyScheduler {
     /// with the meta-request optimization on, `O(n log n)` with it off
     /// (every unmaterialized request gets an explicit shared-tail entry).
     /// Called only when the whole state shifts (prediction update); per-block
-    /// maintenance goes through `refresh_after_allocation` and schedule
-    /// wraps through the carry-over in `reset_schedule`.
+    /// maintenance goes through `refresh_after_allocation` and
+    /// `note_eviction`.
     fn rebuild_sampler(&mut self) {
         if !self.incremental() {
             return;
@@ -698,7 +698,7 @@ impl GreedyScheduler {
 
     /// The per-slot storage rescale `γ^t`: stored slot-dependent (irregular)
     /// weights are divided by it (with the matching scale applied at draw
-    /// time), so magnitudes stay O(1) across the schedule no matter how deep
+    /// time), so magnitudes stay O(1) across the horizon no matter how deep
     /// the `γ^t` tails decay — the Fenwick delta-update residue can never
     /// dwarf the live values.  Degenerate discounts (γ of 0 or 1, or an
     /// underflowed power — where the tails themselves are exactly 0) fall
@@ -836,7 +836,7 @@ impl GreedyScheduler {
     }
 
     /// Expected utility gain of giving one more block to `request` at the
-    /// current schedule position.
+    /// read slot.
     fn gain_for(&self, request: RequestId) -> f64 {
         self.marginal_gain(request) * self.model.tail(request, self.read_slot())
     }
@@ -956,10 +956,12 @@ impl GreedyScheduler {
 
     /// Schedules up to `count` blocks.
     ///
-    /// Returns the blocks in push order.  Resets the per-schedule allocation
-    /// state after a full schedule of `C` blocks, per Listing 1 lines 21–23.
-    /// The caller picks `count`, and so how often Listing 1 checks for a new
-    /// distribution: a session asks for what its sender queue lacks.
+    /// Returns the blocks in push order.  Listing 1 lines 21–23 reset the
+    /// allocations after every schedule of `C` blocks; here they are the
+    /// simulated ring's resident prefixes, which its evictions keep
+    /// current, so no reset runs.  The caller picks `count`, and so how
+    /// often Listing 1 checks for a new distribution: a session asks for
+    /// what its sender queue lacks.
     pub fn next_batch(&mut self, count: usize) -> Schedule {
         self.draw_batch(count, None)
     }
@@ -970,10 +972,6 @@ impl GreedyScheduler {
         // The batch's requests in first-draw order, tracked under a limit.
         let mut kept: Vec<RequestId> = Vec::new();
         while out.len() < count {
-            if self.t >= self.cfg.cache_blocks {
-                // Full schedule planned: reset (ring has overwritten itself).
-                self.reset_schedule();
-            }
             let drawn = match max_distinct {
                 Some(limit) if kept.len() >= limit => {
                     let gains = kept.iter().map(|&r| (r, self.gain_for(r)));
@@ -999,7 +997,6 @@ impl GreedyScheduler {
                     self.shared_order.push(q);
                 }
             }
-            self.t += 1;
             self.since_install += 1;
             // Delivered to the simulated ring as it is scheduled; the logged
             // eviction is what a rollback of this block restores.
@@ -1009,56 +1006,43 @@ impl GreedyScheduler {
             if self.incremental() {
                 self.refresh_after_allocation(q, evicted, newly_touched);
             }
+            if let Some(old) = evicted {
+                self.note_eviction(old.request);
+            }
             #[cfg(feature = "audit")]
             self.audit_on_block();
         }
         out
     }
 
-    /// Resets the per-schedule allocation state after a full schedule of `C`
-    /// blocks, carrying the sampler's explicit shape buckets and shared-tail
-    /// group across the wrap instead of rebuilding from scratch.
-    ///
-    /// The horizon model is unchanged by a wrap and gains derive from the
-    /// (untouched) resident prefixes, so bucket membership and the stored
-    /// bucket values are all reusable at `t = 0` — a wrap costs `O(b)`
-    /// factor resets plus the irregular exact-refresh set.  The only
-    /// membership change is shared-tail requests the ring no longer holds:
-    /// every update leaves the touched unmaterialized requests resident, so
-    /// these are the ones whose last resident block the finished schedule
-    /// evicted.  They return to their meta class, and the shared segment is
-    /// compacted (preserving survivor order, identically in `shared_order`
-    /// and the sampler, so both variants keep drawing the same layout).
-    ///
-    /// A wrap confirms nothing: the log of unconfirmed sends runs on, so the
-    /// next prediction update can still roll back across it.
-    fn reset_schedule(&mut self) {
-        self.t = 0;
-        // With meta off, every unmaterialized request stays in the shared
-        // segment permanently.
-        if self.cfg.use_meta_request {
-            let ring = &self.ring;
-            let departed: Vec<RequestId> = (self.shared_order.iter().copied())
-                .filter(|&r| !ring.contains(r))
-                .collect();
-            if !departed.is_empty() {
-                for &r in &departed {
-                    self.untouch(r);
-                }
-                let touched = &self.touched;
-                self.shared_order.retain(|&r| is_touched(touched, r));
-                if self.incremental() {
-                    self.sampler.compact_shared(|r| is_touched(touched, r));
-                }
-            }
+    /// Counts `r` departed when an eviction took the last resident block of
+    /// a shared-tail request, and once departures dominate the shared
+    /// segment (`departed > 32 && departed · 2 > len`, the sampler's
+    /// tombstone rule) returns every departed request to its meta class.
+    /// The segment is compacted preserving survivor order, identically in
+    /// `shared_order` and the sampler, so both variants keep drawing the
+    /// same layout.  With the meta-request optimization off, every
+    /// unmaterialized request stays in the segment permanently.
+    fn note_eviction(&mut self, r: RequestId) {
+        if !self.cfg.use_meta_request || self.model.is_materialized(r) || self.ring.contains(r) {
+            return;
         }
+        self.departed += 1;
+        if self.departed <= 32 || self.departed * 2 <= self.shared_order.len() {
+            return;
+        }
+        self.departed = 0;
+        let ring = &self.ring;
+        let departed: Vec<RequestId> = (self.shared_order.iter().copied())
+            .filter(|&r| !ring.contains(r))
+            .collect();
+        for r in departed {
+            self.untouch(r);
+        }
+        let touched = &self.touched;
+        self.shared_order.retain(|&r| is_touched(touched, r));
         if self.incremental() {
-            // Gains derive from the (unchanged) resident prefixes, so the
-            // stored slot-invariant bucket values are still exact: re-derive
-            // the factors and the irregular exact-refresh weights only.
-            self.refresh_slot();
-            self.sampler
-                .set_shared_scale(self.model.residual_tail(self.read_slot()));
+            self.sampler.compact_shared(|r| is_touched(touched, r));
             self.sync_meta_counts();
         }
     }
@@ -1164,7 +1148,7 @@ impl GreedyScheduler {
             for (node, stored, expected) in tree.audit_bad_nodes() {
                 report.record(AuditViolation {
                     check: AuditCheck::FenwickSums,
-                    slot: Some(self.t),
+                    slot: Some(self.since_install),
                     request: None,
                     detail: format!(
                         "{label} sum node {node}: stored {stored:e}, recomputed {expected:e}"
@@ -1174,7 +1158,7 @@ impl GreedyScheduler {
             if let Some((stored, actual)) = tree.audit_positive_count_drift() {
                 report.record(AuditViolation {
                     check: AuditCheck::FenwickSums,
-                    slot: Some(self.t),
+                    slot: Some(self.since_install),
                     request: None,
                     detail: format!(
                         "{label} positive-entry counter drift: stored {stored}, actual {actual}"
@@ -1195,7 +1179,7 @@ impl GreedyScheduler {
         for (r, want, got) in self.debug_weight_divergence() {
             report.record(AuditViolation {
                 check: AuditCheck::BucketCoefficients,
-                slot: Some(self.t),
+                slot: Some(self.since_install),
                 request: Some(r),
                 detail: format!("stored draw weight {got:e}, recomputed {want:e}"),
             });
@@ -1207,7 +1191,7 @@ impl GreedyScheduler {
             if (got - want).abs() > 1e-9 * want.abs().max(1e-9) {
                 report.record(AuditViolation {
                     check: AuditCheck::BucketCoefficients,
-                    slot: Some(self.t),
+                    slot: Some(self.since_install),
                     request: None,
                     detail: format!(
                         "bucket {b} factor: stored {got:e}, shape vector says {want:e}"
@@ -1222,7 +1206,7 @@ impl GreedyScheduler {
                 if (coef - want).abs() > 1e-9 * want.abs().max(1e-9) {
                     report.record(AuditViolation {
                         check: AuditCheck::BucketCoefficients,
-                        slot: Some(self.t),
+                        slot: Some(self.since_install),
                         request: Some(r),
                         detail: format!(
                             "cached coefficient {coef:e} diverges from tail(0) = {want:e}"
@@ -1245,7 +1229,7 @@ impl GreedyScheduler {
         if let Some((age, (block, resident))) = mismatch {
             report.record(AuditViolation {
                 check: AuditCheck::SlotAlignment,
-                slot: Some(self.t),
+                slot: Some(self.since_install),
                 request: Some(block.request),
                 detail: format!(
                     "unconfirmed log entry {age} from the newest holds {block}, the ring holds {resident}"
@@ -1275,7 +1259,7 @@ impl GreedyScheduler {
         if diffed != rebuilt {
             report.record(AuditViolation {
                 check: AuditCheck::DiffSignature,
-                slot: Some(self.t),
+                slot: Some(self.since_install),
                 request: None,
                 detail: format!(
                     "materialized sets diverge: diff path holds {}, rebuild holds {}",
@@ -1285,7 +1269,7 @@ impl GreedyScheduler {
             });
             return;
         }
-        let probe_slots = [0, self.t.min(self.cfg.cache_blocks.saturating_sub(1))];
+        let probe_slots = [0, self.read_slot()];
         for &r in &diffed {
             for &slot in &probe_slots {
                 let got = self.model.tail(r, slot);
@@ -1354,13 +1338,13 @@ impl Scheduler for GreedyScheduler {
         }
     }
 
-    /// Confirms the oldest unconfirmed block, on either side of a wrap; a
-    /// confirmation of any other block means the ring left the client's.
+    /// Confirms the oldest unconfirmed block; a confirmation of any other
+    /// block means the ring left the client's.
     fn note_sent(&mut self, block: BlockRef) {
         let oldest = self.unconfirmed.pop_front().map(|(logged, _)| logged);
         if oldest != Some(block) {
             let what = "a confirmation does not name the oldest unconfirmed log entry";
-            let noted = self.audit_note_misalignment(self.t, what);
+            let noted = self.audit_note_misalignment(self.since_install, what);
             debug_assert!(
                 noted,
                 "confirmed {block}, the oldest unconfirmed is {oldest:?}"
@@ -1580,16 +1564,16 @@ mod tests {
     fn sender_position_is_respected_on_update() {
         let mut s = mk(10, 4, 20, true);
         let warm_up = s.next_batch(10);
-        assert_eq!(s.position(), 10);
+        assert_eq!(s.since_install, 10);
         // New prediction arrives after the sender confirmed 6 of the 10
-        // blocks: the other 4 are rolled back and scheduling resumes at
-        // slot 6.
+        // blocks: the other 4 are rolled back, and the new model is read
+        // from its first slot.
         for &b in &warm_up[..6] {
             s.note_sent(b);
         }
         let pred = PredictionSummary::point(10, RequestId(3), Time::ZERO);
         s.update_prediction(&pred, 0);
-        assert_eq!(s.position(), 6);
+        assert_eq!(s.since_install, 0);
         let resident_before = s.simulated_cache().get(&RequestId(3)).copied().unwrap_or(0);
         let batch = s.next_batch(100);
         // All probability mass sits on request 3, so the batch completes its
@@ -1890,8 +1874,7 @@ mod tests {
                 .map(|j| BlockRef::new(RequestId(0), j))
                 .collect::<Vec<_>>()
         );
-        // Next block wraps the schedule and delivers block 3, evicting
-        // block 0 from the full ring.
+        // The next block, block 3, evicts block 0 from the full ring.
         let b2 = s.next_batch(1);
         assert_eq!(b2, vec![BlockRef::new(RequestId(0), 3)]);
         assert_eq!(
@@ -1926,34 +1909,38 @@ mod tests {
     }
 
     #[test]
-    fn rollback_reaches_across_a_wrap_and_spares_a_drained_queue() {
-        // The set-up above: request 0's blocks one by one into a 3-slot
-        // schedule, so block 3 lands in slot 0 of the next one.
+    fn rollback_undoes_the_unconfirmed_blocks_and_their_slots() {
+        // The set-up above: request 0's blocks one by one into a 3-block
+        // ring, so block 3 evicts block 0.
         let pred = PredictionSummary::point(2, RequestId(0), Time::ZERO);
-        let run = |emitted: usize, confirmed: usize| {
+        let drawn = |emitted: usize, confirmed: usize| {
             let mut s = mk(2, 4, 3, true);
             s.update_prediction(&pred, 0);
             let blocks: Vec<BlockRef> = (0..emitted).flat_map(|_| s.next_batch(1)).collect();
             for &b in &blocks[..confirmed] {
                 s.note_sent(b);
             }
-            s.update_prediction(&pred, 0);
             s
         };
         let block = |j: u32| BlockRef::new(RequestId(0), j);
-        // The sender's queue straddled the wrap: block 2 of the finished
-        // schedule and block 3 of the new one were never sent.  Both roll
-        // back, and the new schedule restarts at slot 0.
-        let mut s = run(4, 2);
+        // Blocks 2 and 3 were never sent.  Both roll back, block 3's
+        // eviction with it, and the new model is read from its first slot.
+        let mut s = drawn(4, 2);
+        s.update_prediction(&pred, 0);
         assert_eq!(s.simulated_ring(), vec![block(0), block(1)]);
-        assert_eq!(s.position(), 0);
+        assert_eq!(s.since_install, 0);
         assert_eq!(s.next_batch(2), vec![block(2), block(3)]);
-        // The queue drained exactly at the wrap: nothing rolls back, and
-        // the next block starts the next schedule.
-        let mut s = run(3, 3);
+        // Dropping them unsent keeps the model and gives their slots back.
+        let mut s = drawn(4, 2);
+        s.drop_unsent();
+        assert_eq!(s.simulated_ring(), vec![block(0), block(1)]);
+        assert_eq!(s.since_install, 2);
+        // The queue drained exactly: nothing rolls back.
+        let mut s = drawn(3, 3);
+        s.update_prediction(&pred, 0);
         assert_eq!(s.simulated_ring(), vec![block(0), block(1), block(2)]);
         assert_eq!(s.next_batch(1), vec![block(3)]);
-        assert_eq!(s.position(), 1);
+        assert_eq!(s.since_install, 1);
     }
 
     #[test]
@@ -2224,41 +2211,70 @@ mod tests {
     }
 
     #[test]
-    fn wrap_carry_over_preserves_schedule_equivalence() {
-        // Forced wraps with a materialized prediction: the lazy variant
-        // carries its buckets and shared group across `reset_schedule`
-        // while the scan variant recomputes everything per draw — the
-        // schedules must stay block-for-block identical (same seed) across
-        // several wraps.
+    fn a_long_silence_compacts_the_shared_segment_identically() {
+        // One prediction, then a long run of draws over a catalog far
+        // larger than the 8-block ring: shared-tail requests keep departing
+        // as evictions take their last block.  Both variants must compact
+        // the shared segment at the same draws and keep drawing the same
+        // blocks, and the segment must stay within what the tombstone rule
+        // allows.
+        let cache = 8;
         let mk_variant = |variant| {
-            let catalog = Arc::new(ResponseCatalog::uniform(30, 6, 1000));
+            let catalog = Arc::new(ResponseCatalog::uniform(400, 2, 1000));
             GreedyScheduler::new(
                 GreedySchedulerConfig {
-                    cache_blocks: 8, // wraps every 8 blocks
+                    cache_blocks: cache,
                     sampler: variant,
                     seed: 7,
                     ..Default::default()
                 },
-                UtilityModel::homogeneous(&PowerUtility::new(0.5), 6),
+                UtilityModel::homogeneous(&PowerUtility::new(0.5), 2),
                 catalog,
             )
         };
-        let pred = sparse_pred(30, vec![(RequestId(3), 0.3), (RequestId(9), 0.2)], 0.5);
-        let schedule_of = |variant| {
-            let mut s = mk_variant(variant);
-            s.update_prediction(&pred, 0);
-            // 5 batches of 8 = 40 blocks = 5 schedule wraps.
-            let mut all = Vec::new();
-            for _ in 0..5 {
-                all.extend(s.next_batch(8));
+        let pred = sparse_pred(400, vec![(RequestId(3), 0.2)], 0.8);
+        let mut lazy = mk_variant(SamplerVariant::Lazy);
+        let mut scan = mk_variant(SamplerVariant::Scan);
+        lazy.update_prediction(&pred, 0);
+        scan.update_prediction(&pred, 0);
+        let bound = (cache + 32).max(2 * cache);
+        let mut shrinks = 0;
+        for i in 0..2_000 {
+            let before = lazy.shared_order.len();
+            let drawn = lazy.next_batch(1);
+            assert_eq!(
+                drawn,
+                scan.next_batch(1),
+                "lazy diverged from scan at draw {i}"
+            );
+            assert!(
+                lazy.debug_weight_divergence().is_empty(),
+                "sampler inconsistent after draw {i}: {:?}",
+                lazy.debug_weight_divergence()
+            );
+            assert_eq!(lazy.shared_order, scan.shared_order);
+            let len = lazy.shared_order.len();
+            assert!(len <= bound, "shared segment of {len} at draw {i}");
+            if len < before {
+                shrinks += 1;
             }
-            all
-        };
-        assert_eq!(
-            schedule_of(SamplerVariant::Lazy),
-            schedule_of(SamplerVariant::Scan),
-            "lazy diverged from scan across wraps"
+        }
+        assert!(shrinks > 0, "the shared segment never compacted");
+    }
+
+    #[test]
+    fn a_silent_session_keeps_drawing_past_its_horizon() {
+        // No prediction for far longer than the 16-slot horizon: every draw
+        // past it reads the last slot, whose slice the plan holds beyond
+        // the summary's end, instead of tails of 0.
+        let mut s = mk(50, 4, 16, true);
+        s.update_prediction(
+            &sparse_pred(50, vec![(RequestId(3), 0.4), (RequestId(9), 0.2)], 0.4),
+            0,
         );
+        for i in 0..64 {
+            assert_eq!(s.next_batch(1).len(), 1, "draw {i} came back empty");
+        }
     }
 
     #[test]
@@ -2314,8 +2330,8 @@ mod tests {
         /// ground truth for its simulated ring.  Blocks emitted since the
         /// last update wait in the sender's queue; an update first confirms
         /// a prefix of them, oldest first, through `note_sent`, and drops
-        /// the rest, which the scheduler must roll back on either side of a
-        /// schedule wrap.  The client's FIFO ring holds the newest `cap` of
+        /// the rest, which the scheduler must roll back, evictions
+        /// included.  The client's FIFO ring holds the newest `cap` of
         /// the received blocks followed by the queued ones, which the
         /// scheduler counts as delivered until an update says otherwise.
         struct ClientReplay {
@@ -2392,8 +2408,8 @@ mod tests {
                         client.on_batch(&batch);
                     }
                     2 | 6 => {
-                        // The sender got part of its queue out: a rollback,
-                        // across a wrap when the queue straddles one.
+                        // The sender got part of its queue out: a rollback
+                        // of the rest.
                         let sent = b % (client.queued.len() + 1);
                         let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
                         let diffed = s.diff_applied_updates();
@@ -2405,9 +2421,7 @@ mod tests {
                         client.ship(&mut s, sent, &PredictionSummary::uniform(n, Time::ZERO));
                     }
                     _ => {
-                        // The sender drained its queue — exactly at a wrap,
-                        // when the last batch ended on one: nothing rolls
-                        // back.
+                        // The sender drained its queue: nothing rolls back.
                         let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
                         client.ship(&mut s, usize::MAX, &pred);
                     }
@@ -2477,7 +2491,7 @@ mod tests {
             /// eviction sequence, the scheduler's simulated ring exactly
             /// equals a ground-truth replay of the client's FIFO ring —
             /// including rollbacks of blocks whose delivery evicted older
-            /// entries and rollbacks across schedule wraps.
+            /// entries and rollbacks of queues longer than the ring.
             #[test]
             fn simulated_ring_matches_client_replay(
                 n in 1usize..8,
@@ -2552,8 +2566,8 @@ mod tests {
             };
             for &(kind, a, b) in ops {
                 match kind {
-                    // Batches large relative to the cache horizon force
-                    // schedule wraps mid-batch.
+                    // Batches up to twice the cache wrap the ring and
+                    // draw past the horizon mid-batch.
                     0..=2 => {
                         let batch = s.next_batch(a % (2 * cache) + 1);
                         client.on_batch(&batch);
@@ -2693,10 +2707,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Block-for-block parity between the two sampler variants:
-            /// randomized heterogeneous-utility catalogs, forced schedule
-            /// wraps (cache far smaller than the block universe), sparse and
-            /// time-varying predictions (multiple tail-shape buckets),
-            /// rollbacks across wraps, drained queues, and *sequences of overlapping
+            /// randomized heterogeneous-utility catalogs, forced ring
+            /// evictions (cache far smaller than the block universe), sparse
+            /// and time-varying predictions (multiple tail-shape buckets),
+            /// rollbacks across evictions, drained queues, and *sequences of overlapping
             /// prediction updates* (add / remove / reweight / shape-change,
             /// shipped as deltas through the diff path, which every case
             /// is asserted to reach) — under a fixed seed the legacy

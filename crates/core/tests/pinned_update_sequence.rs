@@ -41,8 +41,9 @@ const SHAPES: [[f64; 4]; 4] = [
 
 /// The recorded hash.  A change that moves it changed what the delta path
 /// computes, not how fast.  Re-recorded when the scheduler began reading its
-/// model from the last prediction instead of from the schedule's start.
-const PINNED_BLOCK_HASH: u64 = 0x31f8_2422_248e_d7fd;
+/// model from the last prediction instead of from the schedule's start, and
+/// again when the schedule reset went (the draw layout moved).
+const PINNED_BLOCK_HASH: u64 = 0x01b6_fd3a_fa8d_1786;
 
 struct SplitMix(u64);
 
