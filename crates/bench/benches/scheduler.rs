@@ -139,12 +139,12 @@ fn bench_sampling_scan_vs_fenwick(c: &mut Criterion) {
 /// cost as the materialized-set size `m` grows from 100 to 10,000 on a
 /// homogeneous-tail catalog (one shape bucket).  The cost stays flat in `m`
 /// (one factor update per slot, never a rewrite of the `m` member weights).
-/// One scheduler is reused across iterations (batches run straight through
-/// schedule wraps), so the measurement is steady-state per-block cost — not allocator churn
+/// One scheduler is reused across iterations (batches run on past the
+/// horizon), so the measurement is steady-state per-block cost — not allocator churn
 /// or the `O(m)` drop of the horizon model, which the vendored criterion
-/// would otherwise time inside the routine.  The wrap-heavy case (64-slot
-/// horizon, 4 wraps per batch) additionally measures the carry-over
-/// `reset_schedule` path.
+/// would otherwise time inside the routine.  The past-horizon case (64-slot
+/// horizon, 256-block batches) additionally measures draws that read the
+/// model's clamped last slot.
 fn bench_sampler_refresh(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampler_refresh");
     group.sample_size(10);
@@ -156,12 +156,13 @@ fn bench_sampler_refresh(c: &mut Criterion) {
             b.iter(|| send(&mut s, 256));
         });
     }
-    // Wrap-heavy: every 256-block batch spans four 64-slot schedules.
+    // Past the horizon: each 256-block batch is four times the 64-slot
+    // horizon, so most of its draws read the clamped last slot.
     let m = 1_000usize;
     let n = 2 * m;
     let mut s = greedy(n, 64, 50, true);
     s.update_prediction(&prediction(n, m), 0);
-    group.bench_function("wrap_heavy/lazy", |b| {
+    group.bench_function("past_horizon/lazy", |b| {
         b.iter(|| send(&mut s, 256));
     });
     group.finish();

@@ -1,8 +1,8 @@
 //! Machine-readable sampler/scheduler benchmark: sweeps the greedy
 //! scheduler's per-block sampling cost over the materialized-set size `m`
-//! and the two [`SamplerVariant`]s, plus a wrap-heavy case exercising the
-//! schedule-wrap carry-over, and writes the results as JSON so the perf
-//! trajectory can be tracked across PRs (and uploaded as a CI artifact).
+//! and the two [`SamplerVariant`]s, plus a case whose draws run far past the
+//! horizon, and writes the results as JSON so the perf trajectory can be
+//! tracked across PRs (and uploaded as a CI artifact).
 //!
 //! Usage:
 //!
@@ -32,7 +32,8 @@ use khameleon_core::utility::{PowerUtility, UtilityModel};
 
 /// One measured configuration.
 struct Case {
-    /// `"steady"` (single schedule), `"wrap"` (horizon ≪ batch), or
+    /// `"steady"` (batch within the horizon), `"past_horizon"` (horizon ≪
+    /// batch), or
     /// `"update-delta"` / `"update-rebuild"` (prediction-update throughput
     /// with each update shipped as a delta and diffed / as a whole summary
     /// and installed).
@@ -310,13 +311,13 @@ fn main() {
             cases.push(measure("steady", variant, m, cache, batch, iters));
         }
     }
-    // Wrap-heavy: the batch spans many schedule wraps, measuring the
-    // carry-over path of `reset_schedule`.
-    let wrap_m = 1_000;
+    // Past the horizon: all but the first 64 draws of each batch read the
+    // model's clamped last slot and evict the ring's oldest blocks.
+    let past_horizon_m = 1_000;
     cases.push(measure(
-        "wrap",
+        "past_horizon",
         SamplerVariant::Lazy,
-        wrap_m,
+        past_horizon_m,
         64,
         if quick { 256 } else { 512 },
         iters,

@@ -763,9 +763,9 @@ impl GainSampler {
 
     /// Drops every shared-group member for which `keep` returns `false`,
     /// preserving the relative order (and gains) of the survivors.  `O(s)`
-    /// when nothing is dropped, `O(s log s)` otherwise.  Used by the
-    /// schedule-wrap carry-over, where requests touched only through
-    /// since-cleared allocations return to their meta class.
+    /// when nothing is dropped, `O(s log s)` otherwise.  Used when the
+    /// greedy scheduler returns departed shared-tail requests, whose last
+    /// resident block was evicted, to their meta class.
     pub fn compact_shared(&mut self, mut keep: impl FnMut(RequestId) -> bool) {
         if self.shared_ids.iter().all(|&r| keep(r)) {
             return;

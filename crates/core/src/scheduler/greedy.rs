@@ -1,20 +1,15 @@
 //! The greedy scheduler (Listing 1 of the paper).
 //!
 //! Each scheduling step computes, for every request, the expected utility
-//! gain of giving it one more block — `P_{i,t} · g(B_i + 1)` — and samples a
-//! request proportionally to that gain.  Blocks are emitted in batches of
-//! whatever size the caller asks for (a session tops its sender queue up to
+//! gain of giving it one more block — `P_{i,t} · g(B_i + 1)`, `t` slots after
+//! the last prediction update — and samples a request proportionally to that
+//! gain.  Blocks are emitted in batches of whatever size the caller asks for
+//! (a session tops its sender queue up to
 //! `ServerConfig::sender_queue_target`), so the sender is never blocked.
-//! `t` counts the blocks drawn since the last prediction update, the
-//! newest forecast's now, so every draw reads the model at its own distance
-//! from now.
-//!
-//! This departs from Listing 1's text but not from its behaviour.  Listing 1
-//! resets the allocations `B_i` after every schedule of `C` blocks (the
-//! client cache size), mirroring the ring buffer overwriting itself
-//! (§5.3.1).  Here `B_i` is [`RingCache::prefix_len`] of the simulated
-//! ring, whose evictions already drop what the client overwrote, so there
-//! is no schedule to reset.
+//! This departs from Listing 1's text but not from its behaviour: Listing 1
+//! resets `B_i` after each schedule of `C` blocks (the cache size), as the
+//! client's ring overwrites itself (§5.3.1); here `B_i` is
+//! [`RingCache::prefix_len`] of the simulated ring, so nothing resets.
 //!
 //! Three refinements from / beyond the paper are implemented:
 //!
@@ -84,13 +79,11 @@
 //!   into the sampler as point updates (tombstoned removals + appends).
 //!   Oversized deltas, changed horizon parameters, and bucket-cap pressure
 //!   fall back to the install.
-//! * **Departed shared-tail requests**: a touched request outside the
-//!   materialized set keeps its shared-tail slot when an eviction takes its
-//!   last resident block.  Its weight there, `g(1)` times the residual
-//!   tail, is what it adds to its meta class, so when it moves back changes
-//!   the draw layout, not the distribution.  Departures move back, and the
-//!   shared segment is compacted in order, once they outnumber half the
-//!   segment (the sampler's tombstone rule), which keeps the segment within
+//! * **Departed shared-tail requests** keep their shared-tail slot when an
+//!   eviction takes their last block: their weight there, `g(1)` times the
+//!   residual tail, is what they add to their meta class.  They move back,
+//!   in one ordered compaction, once they outnumber half the shared segment
+//!   (the sampler's tombstone rule), so the segment stays within
 //!   `max(C + 32, 2C)` entries.
 //! * **Confirmed sends**: the scheduler owns the sender's position.  One
 //!   log holds every emitted block that [`Scheduler::note_sent`] has not
@@ -228,10 +221,8 @@ pub struct GreedyScheduler {
     model_cache: Option<Arc<crate::scheduler::ModelCache>>,
     rng: StdRng,
     /// Blocks drawn since the last prediction update, less those rolled
-    /// back.  The model is read at this offset
-    /// ([`read_slot`](Self::read_slot)): the paper's `P_{i,t}` is the
-    /// chance of request `i` `t` slots from now, and the newest model's now
-    /// is its install.
+    /// back: the `t` of the paper's `P_{i,t}`, read through
+    /// [`read_slot`](Self::read_slot).
     since_install: usize,
     /// Every emitted block that [`Scheduler::note_sent`] has not confirmed,
     /// oldest first, each with the ring entry its delivery evicted (`None`
@@ -258,9 +249,8 @@ pub struct GreedyScheduler {
     /// directly; the incremental sampler's shared group mirrors it slot for
     /// slot, which is what makes the variants draw identically.
     shared_order: Vec<RequestId>,
-    /// Evictions since the last compaction that took a shared-tail
-    /// request's last resident block, counting a request once per
-    /// departure (see [`note_eviction`](Self::note_eviction)).
+    /// Shared-tail departures since the last compaction (see
+    /// [`note_eviction`](Self::note_eviction)).
     departed: usize,
     /// Shared catalog/utility-derived state (the utility model, classes,
     /// meta gains, block counts) — one `Arc` per `(utility value, catalog)`
@@ -956,12 +946,9 @@ impl GreedyScheduler {
 
     /// Schedules up to `count` blocks.
     ///
-    /// Returns the blocks in push order.  Listing 1 lines 21–23 reset the
-    /// allocations after every schedule of `C` blocks; here they are the
-    /// simulated ring's resident prefixes, which its evictions keep
-    /// current, so no reset runs.  The caller picks `count`, and so how
-    /// often Listing 1 checks for a new distribution: a session asks for
-    /// what its sender queue lacks.
+    /// Returns the blocks in push order.  The caller picks `count`, and so
+    /// how often Listing 1 checks for a new distribution: a session asks
+    /// for what its sender queue lacks.
     pub fn next_batch(&mut self, count: usize) -> Schedule {
         self.draw_batch(count, None)
     }
@@ -1015,14 +1002,11 @@ impl GreedyScheduler {
         out
     }
 
-    /// Counts `r` departed when an eviction took the last resident block of
-    /// a shared-tail request, and once departures dominate the shared
-    /// segment (`departed > 32 && departed · 2 > len`, the sampler's
-    /// tombstone rule) returns every departed request to its meta class.
-    /// The segment is compacted preserving survivor order, identically in
-    /// `shared_order` and the sampler, so both variants keep drawing the
-    /// same layout.  With the meta-request optimization off, every
-    /// unmaterialized request stays in the segment permanently.
+    /// Counts a shared-tail request departed when an eviction took its last
+    /// resident block.  Once departures dominate the shared segment
+    /// (`departed > 32 && departed · 2 > len`), every departed request goes
+    /// back to its meta class and the segment is compacted in order, in
+    /// `shared_order` and the sampler alike, so both variants keep one layout.
     fn note_eviction(&mut self, r: RequestId) {
         if !self.cfg.use_meta_request || self.model.is_materialized(r) || self.ring.contains(r) {
             return;

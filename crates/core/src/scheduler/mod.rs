@@ -98,9 +98,9 @@ pub trait Scheduler: Send {
     /// Confirms that `block` (previously emitted by
     /// [`next_batch`](Scheduler::next_batch)) was actually placed on the
     /// wire.  Blocks are confirmed in emission order, so a confirmation
-    /// always covers the oldest unconfirmed block, on either side of a
-    /// schedule wrap; emitted blocks never confirmed were dropped by the
-    /// sender and are re-planned on the next prediction update.  A
+    /// always covers the oldest unconfirmed block; emitted blocks never
+    /// confirmed were dropped by the sender and are re-planned on the next
+    /// prediction update.  A
     /// [`Session`](crate::session::Session) confirms every block it commits.
     /// The default ignores confirmations, for schedulers that re-plan
     /// nothing.

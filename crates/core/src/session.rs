@@ -2470,9 +2470,11 @@ mod tests {
     /// The scheduler's simulated ring against the client's own, with a real
     /// sender queue, with and without a backend concurrency allowance:
     /// whole summaries and deltas land between sends — while the queue
-    /// straddles a schedule wrap, and right after it drained exactly at one
-    /// — and drawn blocks are dropped unsent; after every update and every
-    /// drop the session's `simulated_cache()` must equal a client
+    /// straddles a multiple of the horizon in blocks sent, and right after
+    /// it drained exactly at one (ops 1 and 2; the scheduler keeps no
+    /// schedule, so these are two fixed stress positions of the case
+    /// stream) — and drawn blocks are dropped unsent; after every update
+    /// and every drop the session's `simulated_cache()` must equal a client
     /// `RingCache` fed only the committed blocks.
     mod ring_parity {
         use super::*;

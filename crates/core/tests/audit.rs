@@ -76,7 +76,7 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
     for round in 0..40 {
         uplink.ship(&mut s, &churn_pred(n, round));
         // Alternate forward progress with partial rollbacks so the audited
-        // state covers scheduling, eviction, schedule wrap, and re-planning:
+        // state covers scheduling, eviction, and re-planning:
         // every fourth batch the sender drops its last 5 blocks.
         let batch = s.next_batch(12);
         let sent = if round % 4 == 2 {

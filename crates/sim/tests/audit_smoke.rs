@@ -22,8 +22,9 @@ fn mixed_churn_simulation_audits_to_zero_violations() {
             ..Default::default()
         },
     );
-    // Tight resources force evictions, schedule wraps, and rollbacks — the
-    // states the auditor's slot-alignment and diff-signature checks guard.
+    // Tight resources force evictions, draws past the horizon, and
+    // rollbacks — the states the auditor's slot-alignment and
+    // diff-signature checks guard.
     let base = ExperimentConfig {
         audit: true,
         ..ExperimentConfig::paper_default()

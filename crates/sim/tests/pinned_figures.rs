@@ -9,16 +9,14 @@
 //! figures should move.  The last field, `hit_share`, is a column added to
 //! the CSV after the rows were recorded.  `FIXED_15_MBPS` and `CELLULAR`
 //! were re-recorded when the scheduler began counting its own confirmed
-//! sends: a prediction landing while the sender queue straddles a schedule
-//! wrap now rolls back exactly the unsent blocks, and one landing right
-//! after the queue drained at a wrap rolls back nothing.  `FIXED_15_MBPS`,
-//! `CELLULAR` and `PREDICTION_DELTA` were re-recorded when the scheduler
-//! began reading its model from the last prediction instead of from the
-//! schedule's start: every draw reads the forecast at its own distance
-//! from now.  `FIXED_15_MBPS` and `CELLULAR` moved once more when the
-//! schedule reset went: departed shared-tail requests now return to their
-//! meta class at a compaction instead of at a wrap, which changes the draw
-//! layout, not the distribution.
+//! sends: a prediction update rolls back exactly the unsent blocks.  They
+//! and `PREDICTION_DELTA` were re-recorded when the scheduler began reading
+//! its model from the last prediction instead of from the schedule's
+//! start: every draw reads the forecast at its own distance from now.
+//! `FIXED_15_MBPS` and `CELLULAR` moved once more when the schedule reset
+//! went: departed shared-tail requests now return to their meta class at a
+//! compaction instead of at a wrap, which changes the draw layout, not the
+//! distribution.
 
 use khameleon_apps::falcon_app::{
     FalconApp, FalconAppConfig, FalconBackendKind, FalconDataset, FalconPredictorKind,

@@ -44,7 +44,7 @@ fn greedy(n: usize, blocks: u32, cache: usize, seed: u64) -> GreedyScheduler {
 /// The tentpole parity guarantee: driving a `GreedyScheduler` through
 /// `Box<dyn Scheduler>` produces byte-identical schedules to calling the
 /// concrete type directly (the seed's direct-field path), across prediction
-/// updates, partial batches, and schedule wraps.
+/// updates, partial batches, and draws past the horizon.
 #[test]
 fn boxed_greedy_schedules_identically_to_direct_calls() {
     let mut direct = greedy(200, 6, 64, 42);
@@ -65,7 +65,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     boxed.update_prediction(&pred);
     assert_eq!(direct.next_batch(50), boxed.next_batch(50, None));
 
-    // Phase 3: slot duration changes and the schedule wraps.
+    // Phase 3: slot duration changes and draws run past the horizon.
     use khameleon::core::types::Duration;
     direct.set_slot_duration(Duration::from_millis(4));
     boxed.set_slot_duration(Duration::from_millis(4));
