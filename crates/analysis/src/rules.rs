@@ -373,10 +373,10 @@ fn check_unwrap(ctx: &Ctx) -> Vec<RawDiag> {
 // ---------------------------------------------------------------------------
 
 /// Identifiers that count as "naming the slot index" inside an assert about
-/// the log of unconfirmed sends: the scheduler's clock `t` or anything
-/// mentioning a slot.
+/// the log of unconfirmed sends: the scheduler's clock `since_install` or
+/// anything mentioning a slot.
 fn names_slot_index(text: &str) -> bool {
-    text == "t" || text.contains("slot")
+    text == "since_install" || text.contains("slot")
 }
 
 fn check_assert_slot(ctx: &Ctx) -> Vec<RawDiag> {
@@ -420,7 +420,7 @@ fn check_assert_slot(ctx: &Ctx) -> Vec<RawDiag> {
         if touches_log && !has_slot {
             out.push(RawDiag {
                 line: t.line,
-                message: "debug_assert touching the log of unconfirmed sends must name the slot index (self.t or a slot variable)".to_string(),
+                message: "debug_assert touching the log of unconfirmed sends must name the slot index (self.since_install or a slot variable)".to_string(),
             });
         }
         i = k + 1;
@@ -510,8 +510,12 @@ mod tests {
         let d = rules_at("crates/core/src/scheduler/greedy.rs", bad);
         assert_eq!(d, vec![("assert-slot".to_string(), 1)]);
 
-        let good = "fn f(&self) { debug_assert!(self.unconfirmed.len() <= self.t, \"slot\"); }\n";
+        let good = "fn f(&self) { debug_assert!(self.unconfirmed.len() <= self.since_install); }\n";
         assert!(rules_at("crates/core/src/scheduler/greedy.rs", good).is_empty());
+
+        let stale = "fn f(&self) { debug_assert!(self.unconfirmed.len() <= self.t); }\n";
+        let d = rules_at("crates/core/src/scheduler/greedy.rs", stale);
+        assert_eq!(d, vec![("assert-slot".to_string(), 1)]);
     }
 
     #[test]

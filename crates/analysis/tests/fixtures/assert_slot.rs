@@ -6,6 +6,7 @@ use std::collections::VecDeque;
 
 struct S {
     unconfirmed: VecDeque<(u32, Option<u32>)>,
+    since_install: usize,
     t: usize,
 }
 
@@ -16,8 +17,13 @@ impl S {
     }
 
     fn good(&self, slot: usize) {
-        debug_assert!(self.unconfirmed.len() >= self.t, "log out of step");
+        debug_assert!(self.unconfirmed.len() >= self.since_install, "log out of step");
         debug_assert!(self.unconfirmed.get(slot).is_some());
-        debug_assert!(self.t > 0); // not about the log at all
+        debug_assert!(self.since_install > 0); // not about the log at all
+    }
+
+    fn stale(&self) {
+        // A clock named `t` is not the slot index.
+        debug_assert!(self.unconfirmed.len() >= self.t); //~ assert-slot
     }
 }

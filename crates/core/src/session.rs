@@ -3,8 +3,9 @@
 //!
 //! The paper's server is a multiplexer: every connected client gets its own
 //! scheduler, server-side predictor, and simulated cache, while the backend
-//! and the outgoing link are shared resources that must be divided between
-//! clients (§3.2, §5.4).  This module provides that layer:
+//! and the outgoing link are shared: the link is divided between clients,
+//! and the backend's concurrency limit shapes each client's schedule on its
+//! own (§3.2, §5.4).  This module provides that layer:
 //!
 //! * [`Session`] — everything private to one client: a boxed
 //!   [`Scheduler`], a [`ServerPredictor`], the bandwidth/rate state and the
@@ -75,15 +76,13 @@ pub struct Session {
     /// a resync request.
     resync_requests: u64,
     closed: bool,
-    /// Memo that the last unconstrained [`next_block_ref`] returned `None`
-    /// and nothing has since arrived that could create work.  The manager
-    /// mirrors this flag in its ready index — a session is in the index
-    /// exactly while the flag is clear — so a drained session costs nothing
-    /// per block until something re-opens it.  Cleared by every protocol
-    /// message and every slot-duration change (the only inputs that can
-    /// re-open a drained scheduler); never set under a backend concurrency
-    /// limit, where an empty answer may only mean a zero allowance this
-    /// round.
+    /// Memo that the last [`next_block_ref`] returned `None` and nothing has
+    /// since arrived that could create work.  The manager mirrors this flag
+    /// in its ready index — a session is in the index exactly while the
+    /// flag is clear — so a drained session costs nothing per block until
+    /// something re-opens it.  Cleared by every protocol message and every
+    /// slot-duration change (the only inputs that can re-open a drained
+    /// scheduler).
     ///
     /// [`next_block_ref`]: Session::next_block_ref
     exhausted: bool,
@@ -184,9 +183,9 @@ impl Session {
     }
 
     /// The next block reference the sender should push for this session, or
-    /// `None` when nothing useful remains.  `concurrency_limit` is this
-    /// session's share of the backend's limit: a refill of the sender queue
-    /// draws from at most that many distinct requests (§5.4).
+    /// `None` when nothing useful remains.  `concurrency_limit` is the
+    /// backend's limit: a refill of the sender queue draws from at most that
+    /// many distinct requests (§5.4).
     pub fn next_block_ref(&mut self, concurrency_limit: Option<usize>) -> Option<BlockRef> {
         if self.closed {
             self.exhausted = true;
@@ -196,7 +195,7 @@ impl Session {
             self.refill_queue(concurrency_limit);
         }
         let block = self.queue.pop_front();
-        if block.is_none() && concurrency_limit.is_none() {
+        if block.is_none() {
             self.exhausted = true;
         }
         block
@@ -512,8 +511,7 @@ type ReadyEntry = (u64, SessionId);
 /// weight.
 pub struct SessionManager {
     /// Live sessions, ascending by id: the id lookups
-    /// ([`position`](Self::position)) and the backend-concurrency split
-    /// (a candidate's rank is its place in this order) rely on it.
+    /// ([`position`](Self::position)) rely on it.
     sessions: Vec<(SessionId, Session)>,
     /// The ready index: one [`ReadyEntry`] per live session whose
     /// `exhausted` flag is clear, under the key its current service gives
@@ -548,9 +546,6 @@ pub struct SessionManager {
     /// *global* one, so slot durations come out bit-identical to the
     /// single-threaded division.
     weight_denominator: Option<f64>,
-    /// Rotates the backend-concurrency remainder between sessions across
-    /// [`next_event`](SessionManager::next_event) calls.
-    budget_rotor: usize,
     /// Largest `max_block_size` over the live sessions' catalogs (at least
     /// 1), refreshed by [`redivide_bandwidth`](Self::redivide_bandwidth) at
     /// every membership change so
@@ -573,7 +568,6 @@ impl SessionManager {
             context_cache: Vec::new(),
             model_cache: ModelCache::new(),
             weight_denominator: None,
-            budget_rotor: 0,
             max_block_size: 1,
             blocks_sent: 0,
             bytes_sent: 0,
@@ -855,19 +849,16 @@ impl SessionManager {
     /// [`ServerEvent::Idle`] when no session has useful work.
     ///
     /// The ready index is walked in weighted-fair order from its lowest
-    /// entry and the first session that yields a block is served; with no
-    /// backend concurrency limit that is `O(log sessions)` and allocates
-    /// nothing.  A session that turns out to be drained leaves the index
-    /// on the way, so it is not asked again until a message or a
-    /// slot-duration change re-opens it.
+    /// entry and the first session that yields a block is served, in
+    /// `O(log sessions)` without allocating.  A session that turns out to
+    /// be drained leaves the index on the way, so it is not asked again
+    /// until a message or a slot-duration change re-opens it.
     ///
-    /// The shared backend's concurrency budget is divided between live
-    /// sessions so their per-refill allowances sum to the backend limit —
-    /// N sessions cannot jointly drive N × limit distinct requests into one
-    /// backend.  When there are more sessions than slots, the remainder
-    /// rotates between sessions across calls so nobody starves.  (This is
-    /// the §5.4 schedule-shaping heuristic generalized to many clients, not
-    /// an exact in-flight tracker.)
+    /// The backend's concurrency limit is each session's own allowance: a
+    /// refill of one session's sender queue names at most `limit` distinct
+    /// requests (the §5.4 single-client rule).  It is not divided between
+    /// sessions, so N sessions may name up to N × `limit` distinct requests
+    /// in one refill round.
     pub fn next_event(&mut self, _now: Time) -> ServerEvent {
         self.pick(None)
     }
@@ -877,10 +868,9 @@ impl SessionManager {
     /// backpressured connections — whose bounded outbound queues are full —
     /// out of arbitration entirely: the walk passes over everything else
     /// without offering it the wire (one step per ready session passed
-    /// over) and the backend concurrency budget is split over the eligible
-    /// set only, so a slow consumer's share flows to live connections
-    /// instead of accumulating in memory, and no scheduler state is mutated
-    /// for blocks that could not be queued.
+    /// over), so a slow consumer's share flows to live connections instead
+    /// of accumulating in memory, and no scheduler state is mutated for
+    /// blocks that could not be queued.
     pub fn next_event_among(&mut self, _now: Time, eligible: &[SessionId]) -> ServerEvent {
         debug_assert!(
             eligible.windows(2).all(|w| w[0] < w[1]),
@@ -893,10 +883,11 @@ impl SessionManager {
     /// [`next_event_among`](Self::next_event_among) over `eligible`
     /// (ascending by id) stands until something changes: every eligible
     /// session has drained its scheduler, which only a protocol message or
-    /// a slot-duration change re-opens.  `false` means asking again can
-    /// yield a block with no new input — under a backend concurrency limit
-    /// the session holding work may simply have drawn a zero allowance this
-    /// round — so an event loop that sleeps on `Idle` must retry on a timer.
+    /// a slot-duration change re-opens.  The one `Idle` after which this
+    /// reads `false` is a forfeited turn: an eligible session's block was
+    /// one the backend could not resolve, so asking again can yield a block
+    /// with no new input, and an event loop that sleeps on `Idle` must
+    /// retry on a timer.
     pub fn all_exhausted(&self, eligible: &[SessionId]) -> bool {
         !self
             .ready
@@ -910,27 +901,11 @@ impl SessionManager {
         self.ready.range((from, Bound::Unbounded)).next().copied()
     }
 
-    /// How many of `ids` are live.
-    fn live_among(&self, ids: &[SessionId]) -> usize {
-        ids.iter().filter(|id| self.position(**id).is_ok()).count()
-    }
-
     /// The one arbitration routine: walks the ready index in weighted-fair
     /// order, passing over sessions `eligible` excludes, and serves the
     /// first session that yields a block.
     fn pick(&mut self, eligible: Option<&[SessionId]>) -> ServerEvent {
         let limit = self.backend.concurrency_limit();
-        let rotor = self.budget_rotor;
-        self.budget_rotor = rotor.wrapping_add(1);
-        // Under a limit the candidates are the live eligible sessions (no
-        // session is marked exhausted there, so that is also what the index
-        // holds) and each one's allowance follows from how many there are
-        // and its rank among them in id order.
-        let candidates = match (limit, eligible) {
-            (None, _) => 0,
-            (Some(_), None) => self.sessions.len(),
-            (Some(_), Some(eligible)) => self.live_among(eligible),
-        };
         let mut after = None;
         while let Some(entry) = self.next_ready(after) {
             after = Some(entry);
@@ -941,17 +916,8 @@ impl SessionManager {
             let Ok(pos) = self.position(id) else {
                 unreachable!("ready index names session {id}, which is not live");
             };
-            let allowance = limit.map(|limit| {
-                let rank = match eligible {
-                    None => pos,
-                    Some(eligible) => {
-                        self.live_among(&eligible[..eligible.partition_point(|e| *e < id)])
-                    }
-                };
-                concurrency_share(limit, candidates, rank, rotor)
-            });
             let session = &mut self.sessions[pos].1;
-            match session.next_block_ref(allowance) {
+            match session.next_block_ref(limit) {
                 Some(block_ref) => {
                     if let Some(block) = self.backend.fetch(block_ref) {
                         session.commit(&block.meta);
@@ -1086,15 +1052,6 @@ impl SessionManager {
 fn fair_key(session: &Session) -> u64 {
     let virtual_finish = (session.service() + 1) as f64 / session.weight().max(f64::EPSILON);
     virtual_finish.to_bits()
-}
-
-/// One candidate's slice of a backend concurrency `limit` split over
-/// `candidates` sessions: `limit / candidates` each, the remainder going to
-/// a window of ranks that `rotor` moves on by one per pick.
-fn concurrency_share(limit: usize, candidates: usize, rank: usize, rotor: usize) -> usize {
-    let n = candidates.max(1);
-    let extra = limit % n;
-    limit / n + usize::from((rank + n - rotor % n) % n < extra)
 }
 
 #[cfg(test)]
@@ -1350,103 +1307,6 @@ mod tests {
         }
         fn concurrency_limit(&self) -> Option<usize> {
             Some(self.limit)
-        }
-    }
-
-    #[test]
-    fn backend_concurrency_budget_is_shared_across_sessions() {
-        // A backend that can serve 4 concurrent requests, shared by 2
-        // sessions: each session gets 2 slots, so the union of distinct
-        // requests driven into the backend stays within the global limit.
-        let cat = catalog(50, 10);
-        let mut mgr = SessionManager::weighted_fair(Box::new(LimitedCatalog {
-            inner: CatalogBackend::new(cat.clone()),
-            limit: 4,
-        }));
-        let cfg = ServerConfig {
-            scheduler: GreedySchedulerConfig {
-                cache_blocks: 40,
-                ..Default::default()
-            },
-            sender_queue_target: 40,
-            ..Default::default()
-        };
-        for i in 0..2 {
-            let mut builder = Session::builder(utility(10), cat.clone()).config(cfg.clone());
-            if i == 1 {
-                builder = builder.weight(2.0);
-            }
-            mgr.add_session(builder);
-        }
-        let mut distinct: std::collections::HashSet<RequestId> = Default::default();
-        for _ in 0..40 {
-            if let ServerEvent::Block { block, .. } = mgr.next_event(Time::ZERO) {
-                distinct.insert(block.meta.block.request);
-            }
-        }
-        assert!(
-            distinct.len() <= 4,
-            "two sessions drove {} distinct requests into a backend with limit 4",
-            distinct.len()
-        );
-    }
-
-    #[test]
-    fn oversubscribed_backend_budget_rotates_without_exceeding_limit() {
-        // More sessions (6) than backend slots (2): per-call allowances must
-        // sum to the limit, and the remainder must rotate so every session
-        // is eventually served.
-        let cat = catalog(60, 10);
-        let mut mgr = SessionManager::weighted_fair(Box::new(LimitedCatalog {
-            inner: CatalogBackend::new(cat.clone()),
-            limit: 2,
-        }));
-        let cfg = ServerConfig {
-            scheduler: GreedySchedulerConfig {
-                cache_blocks: 60,
-                ..Default::default()
-            },
-            sender_queue_target: 10,
-            ..Default::default()
-        };
-        let ids: Vec<SessionId> = (0..6)
-            .map(|_| {
-                mgr.add_session(Session::builder(utility(10), cat.clone()).config(cfg.clone()))
-            })
-            .collect();
-        let mut counts: HashMap<SessionId, usize> = HashMap::new();
-        let mut served: HashMap<SessionId, std::collections::HashSet<RequestId>> = HashMap::new();
-        for _ in 0..120 {
-            match mgr.next_event(Time::ZERO) {
-                ServerEvent::Block { session, block } => {
-                    *counts.entry(session).or_insert(0) += 1;
-                    served
-                        .entry(session)
-                        .or_default()
-                        .insert(block.meta.block.request);
-                }
-                ServerEvent::Idle => break,
-                ServerEvent::Closed { .. } | ServerEvent::Resync { .. } | ServerEvent::Busy => {}
-            }
-        }
-        // Every session eventually gets service despite 4 of 6 having a zero
-        // allowance on any single call.
-        for id in &ids {
-            assert!(
-                counts.get(id).copied().unwrap_or(0) > 0,
-                "session {id} starved under rotating budget: {counts:?}"
-            );
-        }
-        // With a per-refill allowance of at most 1, each session's blocks on
-        // the wire concentrate on very few distinct requests (~20 blocks per
-        // session / 10 blocks per request), so the joint backend fan-out
-        // stays near the limit instead of 6 × limit.
-        for id in &ids {
-            let distinct = served.get(id).map(|s| s.len()).unwrap_or(0);
-            assert!(
-                distinct <= 3,
-                "session {id} drove {distinct} distinct requests into the backend despite allowance 1"
-            );
         }
     }
 
@@ -1749,18 +1609,36 @@ mod tests {
         assert!(mgr.all_exhausted(&ids[1..]));
         assert!(mgr.all_exhausted(&[]));
 
-        // Under a backend concurrency limit `Idle` is never final.  Two
-        // sessions drain after one request; the third needs the round's
-        // single allowance for every refill, and in the rounds where a
-        // drained session holds it the answer is `Idle` — yet asking again,
-        // with no input in between, serves it.
+        // Under a backend concurrency limit `Idle` is just as final.  Two
+        // sessions drain after one request; the third takes one request per
+        // refill (each session's allowance is the whole limit, 1) and drains
+        // after ten.  Request 5 does not resolve, and only a forfeited turn
+        // on it leaves `all_exhausted` false after `Idle`.
+        struct LimitedWithHole {
+            inner: CatalogBackend,
+            refused: Arc<std::sync::atomic::AtomicUsize>,
+        }
+        impl Backend for LimitedWithHole {
+            fn fetch(&mut self, block: BlockRef) -> Option<crate::block::Block> {
+                if block.request == RequestId(5) {
+                    self.refused
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    return None;
+                }
+                self.inner.fetch(block)
+            }
+            fn concurrency_limit(&self) -> Option<usize> {
+                Some(1)
+            }
+        }
         let cat = catalog(20, 2);
-        let mut limited = SessionManager::weighted_fair(Box::new(LimitedCatalog {
+        let refused = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut limited = SessionManager::weighted_fair(Box::new(LimitedWithHole {
             inner: CatalogBackend::new(cat.clone()),
-            limit: 1,
+            refused: refused.clone(),
         }));
-        // One block per refill, so every block of the third session needs
-        // an allowance of its own.
+        let refused = move || refused.load(std::sync::atomic::Ordering::Relaxed);
+        // One block per refill, so every block needs an allowance of its own.
         let one_at_a_time = ServerConfig {
             sender_queue_target: 1,
             ..Default::default()
@@ -1791,28 +1669,33 @@ mod tests {
         limited.on_message(ids[0], &certain(0..1), Time::ZERO);
         limited.on_message(ids[1], &certain(1..2), Time::ZERO);
         limited.on_message(ids[2], &certain(10..20), Time::ZERO);
-        let (mut last_was_idle, mut idle_then_block) = (false, false);
-        for _ in 0..200 {
-            match limited.next_event_among(Time::ZERO, &ids) {
-                ServerEvent::Block { .. } => {
-                    idle_then_block |= last_was_idle;
-                    last_was_idle = false;
-                }
-                ServerEvent::Idle => {
-                    assert!(!limited.all_exhausted(&ids));
-                    last_was_idle = true;
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
+        let mut counts: HashMap<SessionId, usize> = HashMap::new();
+        while let ServerEvent::Block { session, .. } = limited.next_event_among(Time::ZERO, &ids) {
+            *counts.entry(session).or_insert(0) += 1;
         }
-        assert!(idle_then_block, "no `Idle` was followed by a block");
+        assert_eq!(
+            [ids[0], ids[1], ids[2]].map(|id| counts.get(&id).copied().unwrap_or(0)),
+            [2, 2, 20],
+            "every session drains its whole prediction"
+        );
+        assert!(limited.all_exhausted(&ids), "`Idle` under a limit is final");
+        assert!(limited.next_event_among(Time::ZERO, &ids).is_idle());
+        assert_eq!(refused(), 0);
+        // A turn forfeited on the hole answers `Idle` with the session still
+        // holding work, and only then does `all_exhausted` read false.
+        limited.on_message(ids[0], &certain(5..6), Time::ZERO);
+        for round in 1..=3 {
+            assert!(limited.next_event_among(Time::ZERO, &ids).is_idle());
+            assert_eq!(refused(), round, "each `Idle` forfeits one turn");
+            assert!(!limited.all_exhausted(&ids));
+            assert!(limited.all_exhausted(&ids[1..]));
+        }
     }
 
     /// The arbitration this module had before the ready index, kept as the
     /// oracle: weighted-fair queueing as a scan over a snapshot of the
-    /// candidates, and every pick rebuilds the candidate, allowance and
-    /// snapshot vectors from the live table and the sessions' `exhausted`
-    /// flags.  It never reads the manager's ready index.
+    /// candidates, and every pick rebuilds the candidate and snapshot
+    /// vectors from the live table and the sessions' `exhausted` flags.  It never reads the manager's ready index.
     mod differential {
         use super::*;
         use crate::block::Block;
@@ -1850,28 +1733,24 @@ mod tests {
 
         impl ScanManager {
             fn next_event(&mut self) -> ServerEvent {
-                let filter_exhausted = self.inner.backend.concurrency_limit().is_none();
                 let all: Vec<usize> = self
                     .inner
                     .sessions
                     .iter()
                     .enumerate()
-                    .filter(|(_, (_, s))| !filter_exhausted || !s.exhausted)
+                    .filter(|(_, (_, s))| !s.exhausted)
                     .map(|(i, _)| i)
                     .collect();
                 self.next_event_inner(all)
             }
 
             fn next_event_among(&mut self, eligible: &[SessionId]) -> ServerEvent {
-                let filter_exhausted = self.inner.backend.concurrency_limit().is_none();
                 let picked: Vec<usize> = self
                     .inner
                     .sessions
                     .iter()
                     .enumerate()
-                    .filter(|(_, (id, s))| {
-                        (!filter_exhausted || !s.exhausted) && eligible.binary_search(id).is_ok()
-                    })
+                    .filter(|(_, (id, s))| !s.exhausted && eligible.binary_search(id).is_ok())
                     .map(|(i, _)| i)
                     .collect();
                 self.next_event_inner(picked)
@@ -1893,28 +1772,13 @@ mod tests {
                 event
             }
 
-            fn scan(&mut self, indices: Vec<usize>) -> ServerEvent {
+            fn scan(&mut self, mut candidates: Vec<usize>) -> ServerEvent {
                 let mgr = &mut self.inner;
-                let n = indices.len().max(1);
-                let limits: Vec<Option<usize>> = match mgr.backend.concurrency_limit() {
-                    None => vec![None; n],
-                    Some(l) => {
-                        let base = l / n;
-                        let extra = l % n;
-                        (0..n)
-                            .map(|i| {
-                                Some(base + usize::from((i + n - mgr.budget_rotor % n) % n < extra))
-                            })
-                            .collect()
-                    }
-                };
-                mgr.budget_rotor = mgr.budget_rotor.wrapping_add(1);
-                let mut candidates: Vec<(usize, Option<usize>)> =
-                    indices.into_iter().zip(limits).collect();
+                let limit = mgr.backend.concurrency_limit();
                 while !candidates.is_empty() {
                     let ready: Vec<Share> = candidates
                         .iter()
-                        .map(|&(i, _)| {
+                        .map(|&i| {
                             let (session, s) = &mgr.sessions[i];
                             Share {
                                 session: *session,
@@ -1926,8 +1790,7 @@ mod tests {
                     let Some(pick) = scan_pick(&ready) else {
                         break;
                     };
-                    let (idx, limit) = candidates[pick];
-                    let (id, session) = &mut mgr.sessions[idx];
+                    let (id, session) = &mut mgr.sessions[candidates[pick]];
                     let id = *id;
                     if let Some(block_ref) = session.next_block_ref(limit) {
                         if let Some(block) = mgr.backend.fetch(block_ref) {
@@ -2135,10 +1998,9 @@ mod tests {
             /// The ready-index walk serves exactly the `(session, block)`
             /// sequence the snapshot-and-scan arbitration served, and
             /// answers `all_exhausted` the same, with and without a backend
-            /// concurrency limit (tight, and looser but still below the
-            /// session count), across joins in and out of id order,
-            /// detach / attach, closes, messages, budget changes and
-            /// unresolvable block references.
+            /// concurrency limit (tight, and looser), across joins in and
+            /// out of id order, detach / attach, closes, messages, budget
+            /// changes and unresolvable block references.
             #[test]
             fn index_walk_matches_the_scan_it_replaced(
                 ops in proptest::collection::vec((0u8..16, any::<u32>(), any::<u32>()), 1..96),

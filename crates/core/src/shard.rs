@@ -71,19 +71,14 @@
 //! ## Parity scope
 //!
 //! A fixed-seed N-shard run produces per-session block sequences identical
-//! to the single-threaded manager's, under two documented conditions:
-//! the backend reports `concurrency_limit() == None`, and comparison
-//! happens at drain-to-idle points (events of unanswered messages surface at
-//! pumps, so mid-burst interleavings differ while per-session end states do
-//! not).  Cross-session *ordering* onto the wire is shard-local by design —
-//! the guarantee is per-session content, not global interleaving.
-//!
-//! Parity cannot hold under a finite limit: each shard divides it among
-//! its *local* candidates by *local* rank, and the limit is part of the
-//! draw, so a session given another allowance draws another schedule.
-//! With the limit in the draw, an empty batch at an allowance of at least
-//! one means the session is drained; `exhausted` is still never set under
-//! a limit, as an allowance of zero says nothing.
+//! to the single-threaded manager's when compared at drain-to-idle points
+//! (events of unanswered messages surface at pumps, so mid-burst
+//! interleavings differ while per-session end states do not), whatever
+//! `concurrency_limit()` the backend reports: the limit is each session's
+//! own refill allowance, the same on every shard, so no session's draw
+//! depends on which sessions share its shard.  Cross-session *ordering*
+//! onto the wire is shard-local by design — the guarantee is per-session
+//! content, not global interleaving.
 //!
 //! ## Model deduplication
 //!
@@ -636,7 +631,7 @@ mod tests {
     use crate::block::ResponseCatalog;
     use crate::predictor::PredictorState;
     use crate::scheduler::GreedySchedulerConfig;
-    use crate::server::{CatalogBackend, ServerConfig};
+    use crate::server::{Backend, CatalogBackend, ServerConfig};
     use crate::session::Session;
     use crate::types::{BlockRef, RequestId};
     use crate::utility::{LinearUtility, UtilityModel};
@@ -691,7 +686,31 @@ mod tests {
     }
 
     fn single_manager(cat: &Arc<ResponseCatalog>) -> SessionManager {
-        SessionManager::weighted_fair(Box::new(CatalogBackend::new(cat.clone())))
+        limited_manager(cat, None)
+    }
+
+    /// A manager whose backend reports `limit` as its concurrency limit.
+    fn limited_manager(cat: &Arc<ResponseCatalog>, limit: Option<usize>) -> SessionManager {
+        let inner = CatalogBackend::new(cat.clone());
+        match limit {
+            Some(limit) => SessionManager::weighted_fair(Box::new(Limited { inner, limit })),
+            None => SessionManager::weighted_fair(Box::new(inner)),
+        }
+    }
+
+    /// The catalog, behind a backend concurrency limit of `limit`.
+    struct Limited {
+        inner: CatalogBackend,
+        limit: usize,
+    }
+
+    impl Backend for Limited {
+        fn fetch(&mut self, block: BlockRef) -> Option<crate::block::Block> {
+            self.inner.fetch(block)
+        }
+        fn concurrency_limit(&self) -> Option<usize> {
+            Some(self.limit)
+        }
     }
 
     fn sharded_manager(cat: &Arc<ResponseCatalog>, shards: usize) -> ShardedSessionManager {
@@ -796,10 +815,14 @@ mod tests {
     }
 
     impl ParityRig {
-        fn new(shards: usize) -> Self {
+        /// Both runtimes over `shards` shards, every manager's backend
+        /// reporting the concurrency limit `limit`.
+        fn new(shards: usize, limit: Option<usize>) -> Self {
             let cat = catalog();
-            let mut single = single_manager(&cat);
-            let mut sharded = sharded_manager(&cat, shards);
+            let mut single = limited_manager(&cat, limit);
+            let shard_cat = cat.clone();
+            let mut sharded =
+                ShardedSessionManager::spawn(shards, move |_| limited_manager(&shard_cat, limit));
             let probes: Vec<(SlotLog, SlotLog)> = (0..shards).map(|_| Default::default()).collect();
             for (shard, (in_single, in_sharded)) in probes.iter().enumerate() {
                 let weight = 1.0 + shard as f64 / 2.0;
@@ -975,7 +998,13 @@ mod tests {
 
     #[test]
     fn sharded_matches_single_threaded_fixed_scenario() {
-        let mut rig = ParityRig::new(3);
+        for limit in [None, Some(2)] {
+            fixed_scenario(limit);
+        }
+    }
+
+    fn fixed_scenario(limit: Option<usize>) {
+        let mut rig = ParityRig::new(3, limit);
         for weight in [1.0, 2.0, 1.0, 3.0, 1.0] {
             rig.add(weight);
         }
@@ -1136,7 +1165,7 @@ mod tests {
     fn a_burst_of_reports_costs_each_shard_one_budget_at_its_next_observing_command() {
         // One benchmark round in small: 2 shards × 100 sessions, 20 rate
         // reports, 10 re-predictions, then pumps.
-        let mut rig = ParityRig::new(2);
+        let mut rig = ParityRig::new(2, None);
         for i in 0..200 {
             rig.add(1.0 + (i % 5) as f64 / 2.0);
         }
@@ -1166,7 +1195,7 @@ mod tests {
 
     #[test]
     fn one_sessions_reports_slide_its_window_alike_on_both_runtimes() {
-        let mut rig = ParityRig::new(2);
+        let mut rig = ParityRig::new(2, None);
         for weight in [1.0, 2.5, 1.0, 3.0] {
             rig.add(weight);
         }
@@ -1401,6 +1430,20 @@ mod tests {
             false
         }
 
+        /// Replays `ops` on `shards` shards under the backend concurrency
+        /// limit `limit` (none when it is 0), draining and comparing at the
+        /// end.
+        fn run(shards: usize, limit: usize, ops: &[(u8, u32, u32)]) {
+            let mut rig = ParityRig::new(shards, (limit > 0).then_some(limit));
+            for weight in [1.0, 2.0, 1.0] {
+                rig.add(weight);
+            }
+            for &(kind, a, b) in ops {
+                apply(&mut rig, kind, a, b);
+            }
+            rig.drain_and_compare();
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig { cases: 12 })]
 
@@ -1409,21 +1452,40 @@ mod tests {
             /// single-threaded manager's, across adds, closes, removals,
             /// prediction churn (in step and out of it), rate reports, runs
             /// of budget changes that reach no shard until the next pump,
-            /// and drain points — and neither side holds more models than
-            /// there are distinct predictions held.
+            /// and drain points, with no backend concurrency limit or one
+            /// of 1–4 — and neither side holds more models than there are
+            /// distinct predictions held.
             #[test]
             fn sharded_matches_single_threaded(
                 shards in 2usize..5,
+                limit in 0usize..=4,
                 ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 1..24),
             ) {
-                let mut rig = ParityRig::new(shards);
-                for weight in [1.0, 2.0, 1.0] {
-                    rig.add(weight);
-                }
-                for (kind, a, b) in ops {
-                    apply(&mut rig, kind, a, b);
-                }
-                rig.drain_and_compare();
+                run(shards, limit, &ops);
+            }
+        }
+
+        /// The proptest's harness over a fixed case stream (CI's "Parity
+        /// sweep" step): `cargo test --release -p khameleon-core --lib
+        /// sharded_parity_sweep -- --ignored`.  Cases run one after
+        /// another, so at most four shard threads are alive at once.
+        #[test]
+        #[ignore = "a fixed stream of 2k cases"]
+        fn sharded_parity_sweep() {
+            let mut state = 13_579u64;
+            let mut next = || {
+                state = (state.wrapping_mul(6_364_136_223_846_793_005))
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as u32
+            };
+            for _ in 0..2_000 {
+                let shards = next() as usize % 3 + 2;
+                let limit = next() as usize % 5;
+                let len = next() as usize % 23 + 1;
+                let ops: Vec<(u8, u32, u32)> = (0..len)
+                    .map(|_| ((next() % 8) as u8, next(), next()))
+                    .collect();
+                run(shards, limit, &ops);
             }
         }
     }

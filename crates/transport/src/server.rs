@@ -1243,9 +1243,9 @@ impl EventLoop {
             match self.manager.next_event_among(now, &eligible) {
                 ServerEvent::Idle | ServerEvent::Busy => {
                     // Drained schedulers stay drained until a message
-                    // arrives.  Anything else (a backend concurrency limit
-                    // that gave the session with work no allowance this
-                    // round) may yield a block on the next ask.
+                    // arrives.  Anything else (a turn forfeited on a block
+                    // the backend could not resolve) may yield a block on
+                    // the next ask.
                     if !self.manager.all_exhausted(&eligible) {
                         self.tick();
                     }

@@ -638,8 +638,8 @@ fn shutdown_wakes_sleeping_loops() {
     }
 }
 
-/// [`CatalogBackend`] behind a concurrency limit of one: each ask of the
-/// manager gives a single session an allowance, in rotation.
+/// [`CatalogBackend`] behind a concurrency limit of one: each refill of a
+/// session's sender queue names a single request.
 struct OneAtATime(CatalogBackend);
 
 impl Backend for OneAtATime {
@@ -656,15 +656,14 @@ impl Backend for OneAtATime {
     }
 }
 
-/// Under a backend concurrency limit `Idle` can mean "the session with work
-/// drew no allowance this round", which no socket event will ever follow:
-/// the loop has to ask again on its own.  Lockstep keeps the run
-/// deterministic: two sessions drain their one request and sit on unspent
-/// credit, so from then on two asks in three hand the round's allowance to a
-/// session with nothing to send — and the third session must still get all
-/// forty of its blocks with no further input.
+/// Under a backend concurrency limit every session's refill allowance is
+/// the whole limit, so `Idle` means what it means without one: every
+/// eligible session has drained.  Lockstep keeps the run deterministic: two
+/// sessions drain their one request and sit on unspent credit, the third
+/// still gets all forty of its blocks with no further input, and then the
+/// loop sleeps — no passes and no timer wake-ups.
 #[test]
-fn idle_under_a_concurrency_limit_is_retried_without_input() {
+fn a_drained_server_over_a_limited_backend_sleeps() {
     let cat = catalog(40, 4, 500);
     let manager =
         SessionManager::weighted_fair(Box::new(OneAtATime(CatalogBackend::new(cat.clone()))));
@@ -725,4 +724,14 @@ fn idle_under_a_concurrency_limit_is_retried_without_input() {
             ),
         }
     }
+
+    let passes = quiescent_passes(|| server.stats().loop_passes);
+    let wakeups = server.stats().timer_wakeups;
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let stats = server.stats();
+    assert_eq!(stats.loop_passes, passes, "a drained server made passes");
+    assert_eq!(
+        stats.timer_wakeups, wakeups,
+        "a drained server woke on a timer"
+    );
 }
