@@ -10,13 +10,25 @@
 //! [`GreedyScheduler`](crate::scheduler::GreedyScheduler), whose §5.3.2
 //! rollback is [`RingCache::undo_insert`].
 //!
+//! The scheduler reads the ring's residency on every block it draws, so the
+//! residency index holds no heap object per cached request: one 64-bit mask
+//! a request (bit `i` set while block `i` is resident), and a sorted
+//! overflow set for block indices of 64 and above, which no catalog in this
+//! repository reaches.  A prefix is a `trailing_ones`, a resident count a
+//! popcount.
+//!
 //! Baseline prefetching systems (§6.1) use a conventional byte-capacity
 //! [`LruCache`] instead, which this module also provides.
 
+use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use crate::types::{BlockRef, Bytes, RequestId};
+
+/// Block indices below this live in a request's residency mask; the rest in
+/// the overflow set.
+const MASK_BITS: u32 = u64::BITS;
 
 /// Fixed-capacity ring-buffer block cache with FIFO replacement: the client's
 /// cache, and the scheduler's simulation of it.
@@ -26,6 +38,9 @@ use crate::types::{BlockRef, Bytes, RequestId};
 /// application-side map keyed by [`BlockRef`]).  Slots are filled as blocks
 /// arrive, not preallocated: a ring that has received `k < C` blocks holds
 /// `k` slots, which is what a fleet of mostly idle sessions pays for.
+///
+/// Residency is a set per request: a duplicate block sets no new bit, and
+/// evicting either copy clears it.
 #[derive(Debug, Clone)]
 pub struct RingCache {
     capacity: usize,
@@ -34,41 +49,14 @@ pub struct RingCache {
     slots: Vec<BlockRef>,
     /// Next write position: blocks inserted minus inserts undone.
     cursor: u64,
-    /// Blocks currently cached per request, for O(1) lookup.
-    per_request: HashMap<RequestId, CachedResponse>,
-}
-
-/// Blocks currently cached for one request.
-#[derive(Debug, Clone, Default)]
-struct CachedResponse {
-    /// Sorted block indices currently resident.
-    indices: Vec<u32>,
-}
-
-impl CachedResponse {
-    fn insert(&mut self, index: u32) {
-        if let Err(pos) = self.indices.binary_search(&index) {
-            self.indices.insert(pos, index);
-        }
-    }
-
-    fn remove(&mut self, index: u32) {
-        if let Ok(pos) = self.indices.binary_search(&index) {
-            self.indices.remove(pos);
-        }
-    }
-
-    fn prefix_len(&self) -> u32 {
-        let mut len = 0;
-        for (i, &idx) in self.indices.iter().enumerate() {
-            if idx == i as u32 {
-                len = idx + 1;
-            } else {
-                break;
-            }
-        }
-        len
-    }
+    /// Resident block indices below [`MASK_BITS`] per request, bit `i` for
+    /// block `i`.  A request has an entry exactly while it has any resident
+    /// block, so a request resident only above the mask has a zero mask.
+    resident: HashMap<RequestId, u64>,
+    /// Resident `(request, index)` pairs with `index >= MASK_BITS`, sorted so
+    /// one request's are a range.  Empty, and unallocated, for every catalog
+    /// whose responses have at most 64 blocks.
+    overflow: BTreeSet<(RequestId, u32)>,
 }
 
 impl RingCache {
@@ -79,7 +67,8 @@ impl RingCache {
             capacity,
             slots: Vec::new(),
             cursor: 0,
-            per_request: HashMap::new(),
+            resident: HashMap::new(),
+            overflow: BTreeSet::new(),
         }
     }
 
@@ -164,48 +153,72 @@ impl RingCache {
     }
 
     fn remember(&mut self, block: BlockRef) {
-        self.per_request
-            .entry(block.request)
-            .or_default()
-            .insert(block.index);
+        let mask = self.resident.entry(block.request).or_insert(0);
+        if block.index < MASK_BITS {
+            *mask |= 1 << block.index;
+        } else {
+            self.overflow.insert((block.request, block.index));
+        }
     }
 
     fn forget(&mut self, block: BlockRef) {
-        if let Some(entry) = self.per_request.get_mut(&block.request) {
-            entry.remove(block.index);
-            if entry.indices.is_empty() {
-                self.per_request.remove(&block.request);
-            }
+        let Some(mask) = self.resident.get_mut(&block.request) else {
+            return;
+        };
+        if block.index < MASK_BITS {
+            *mask &= !(1 << block.index);
+        } else {
+            self.overflow.remove(&(block.request, block.index));
         }
+        if *mask == 0 && self.overflow_of(block.request).next().is_none() {
+            self.resident.remove(&block.request);
+        }
+    }
+
+    /// `request`'s resident block indices of [`MASK_BITS`] and above, in
+    /// ascending order.
+    fn overflow_of(&self, request: RequestId) -> impl Iterator<Item = u32> + '_ {
+        self.overflow
+            .range((request, MASK_BITS)..=(request, u32::MAX))
+            .map(|&(_, index)| index)
     }
 
     /// Length of the contiguous prefix of blocks (starting at block 0)
     /// currently cached for `request`.  This is the quantity that determines
     /// renderable quality for progressive encodings.
     pub fn prefix_len(&self, request: RequestId) -> u32 {
-        self.per_request
-            .get(&request)
-            .map(|e| e.prefix_len())
-            .unwrap_or(0)
+        let Some(mask) = self.resident.get(&request) else {
+            return 0;
+        };
+        let mut len = mask.trailing_ones();
+        if len == MASK_BITS {
+            for index in self.overflow_of(request) {
+                if index != len {
+                    break;
+                }
+                len += 1;
+            }
+        }
+        len
     }
 
     /// Whether at least one block for `request` is cached — the cache-hit
     /// condition used throughout the paper's evaluation (§6.1).
     pub fn contains(&self, request: RequestId) -> bool {
-        self.per_request.contains_key(&request)
+        self.resident.contains_key(&request)
     }
 
     /// The requests with at least one cached block, in hash order.
     pub fn requests(&self) -> impl Iterator<Item = RequestId> + '_ {
-        self.per_request.keys().copied()
+        self.resident.keys().copied()
     }
 
     /// `(request, resident blocks)` for every request with a cached block, in
     /// hash order.
     pub fn resident_counts(&self) -> impl Iterator<Item = (RequestId, u32)> + '_ {
-        self.per_request
+        self.resident
             .iter()
-            .map(|(&r, e)| (r, e.indices.len() as u32))
+            .map(|(&r, mask)| (r, mask.count_ones() + self.overflow_of(r).count() as u32))
     }
 
     /// The most recently inserted block still in the ring: the one
@@ -230,7 +243,8 @@ impl RingCache {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.cursor = 0;
-        self.per_request.clear();
+        self.resident.clear();
+        self.overflow.clear();
     }
 }
 
@@ -394,9 +408,9 @@ mod tests {
     /// Number of blocks currently cached for `request` (resident, possibly
     /// non-contiguous).
     fn cached_blocks(c: &RingCache, request: RequestId) -> u32 {
-        c.per_request
-            .get(&request)
-            .map_or(0, |e| e.indices.len() as u32)
+        c.resident_counts()
+            .find(|&(r, _)| r == request)
+            .map_or(0, |(_, n)| n)
     }
 
     #[test]
@@ -559,6 +573,23 @@ mod tests {
             }
         }
 
+        /// Requests and block indices `0..BLOCK_SPACE` the recount test
+        /// draws: indices past the mask's 64 land in the overflow.
+        const REQUESTS: u32 = 8;
+        const BLOCK_SPACE: u32 = 131;
+
+        /// `(resident blocks, resident prefix length)` of `request`,
+        /// recounted from the slots.
+        fn recount(slots: &VecDeque<BlockRef>, request: RequestId) -> (u32, u32) {
+            let indices: BTreeSet<u32> = slots
+                .iter()
+                .filter(|b| b.request == request)
+                .map(|b| b.index)
+                .collect();
+            let prefix = (0..).take_while(|i| indices.contains(i)).count();
+            (indices.len() as u32, prefix as u32)
+        }
+
         proptest! {
             /// `insert` and `undo_insert` move the ring exactly as the
             /// scheduler's deleted private ring did, through duplicates,
@@ -606,6 +637,96 @@ mod tests {
                     let mut requests: Vec<RequestId> = c.requests().collect();
                     requests.sort_unstable();
                     prop_assert_eq!(requests, counts.iter().map(|&(r, _)| r).collect::<Vec<_>>());
+                }
+            }
+
+            /// The residency index answers every query exactly as a
+            /// brute-force recomputation from a plain FIFO model of the
+            /// slots, across the 63/64 boundary between mask and overflow,
+            /// undos and clears.  Inserts pick blocks no slot holds: with a
+            /// duplicate in the ring, residency is a set that evicting either
+            /// copy clears (see [`RingCache`]), which no recomputation from
+            /// the slots reproduces; the test above covers duplicates.
+            #[test]
+            fn residency_index_matches_a_recount_of_the_slots(
+                cap in 1usize..=200,
+                ops in proptest::collection::vec((0u8..10, 0..REQUESTS, 0..BLOCK_SPACE), 0..80)
+            ) {
+                let mut c = RingCache::new(cap);
+                let mut model: VecDeque<BlockRef> = VecDeque::new();
+                // Inserts since the last clear not yet undone, newest last.
+                let mut undoable: Vec<(BlockRef, Option<BlockRef>)> = Vec::new();
+                let insert = |c: &mut RingCache,
+                              model: &mut VecDeque<BlockRef>,
+                              undoable: &mut Vec<_>,
+                              block: BlockRef| {
+                    let evicted = c.insert(block);
+                    model.push_back(block);
+                    let expected = if model.len() > cap { model.pop_front() } else { None };
+                    assert_eq!(evicted, expected);
+                    undoable.push((block, evicted));
+                };
+                for (kind, req, arg) in ops {
+                    match kind {
+                        // Insert this block, or the next one no slot holds
+                        // (the ring is smaller than the block space).
+                        0..=3 => {
+                            let mut id = req * BLOCK_SPACE + arg;
+                            while model.contains(&blk(id / BLOCK_SPACE, id % BLOCK_SPACE)) {
+                                id = (id + 1) % (REQUESTS * BLOCK_SPACE);
+                            }
+                            let block = blk(id / BLOCK_SPACE, id % BLOCK_SPACE);
+                            insert(&mut c, &mut model, &mut undoable, block);
+                        }
+                        // Insert up to 72 blocks, each the first one
+                        // missing from the request's resident prefix.
+                        4..=5 => {
+                            for _ in 0..=arg % 72 {
+                                let next = recount(&model, RequestId(req)).1;
+                                if next == BLOCK_SPACE {
+                                    break;
+                                }
+                                insert(&mut c, &mut model, &mut undoable, blk(req, next));
+                            }
+                        }
+                        // Undo the newest insert.
+                        6..=8 => {
+                            if let Some((block, evicted)) = undoable.pop() {
+                                c.undo_insert(block, evicted);
+                                prop_assert_eq!(model.pop_back(), Some(block));
+                                if let Some(old) = evicted {
+                                    model.push_front(old);
+                                }
+                            }
+                        }
+                        // Clear.
+                        _ => {
+                            c.clear();
+                            model.clear();
+                            undoable.clear();
+                        }
+                    }
+                    prop_assert_eq!(c.len(), model.len());
+                    prop_assert_eq!(c.newest(), model.back().copied());
+                    prop_assert!(c.iter().eq(model.iter()));
+                    let mut expected_counts = Vec::new();
+                    for r in (0..REQUESTS).map(RequestId) {
+                        let (count, prefix) = recount(&model, r);
+                        prop_assert_eq!(c.prefix_len(r), prefix);
+                        prop_assert_eq!(c.contains(r), count > 0);
+                        if count > 0 {
+                            expected_counts.push((r, count));
+                        }
+                    }
+                    let mut counts: Vec<(RequestId, u32)> = c.resident_counts().collect();
+                    counts.sort_unstable();
+                    let mut requests: Vec<RequestId> = c.requests().collect();
+                    requests.sort_unstable();
+                    prop_assert_eq!(
+                        requests,
+                        expected_counts.iter().map(|&(r, _)| r).collect::<Vec<_>>()
+                    );
+                    prop_assert_eq!(counts, expected_counts);
                 }
             }
 

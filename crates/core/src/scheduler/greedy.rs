@@ -1772,7 +1772,7 @@ mod tests {
         let tiny_first = PiecewiseUtility::from_points(vec![(0.5, 0.01)], "tiny-first");
         let mut tables = vec![GainTable::new(&tiny_first, 2)]; // g(1) = 0.01
         tables.extend((1..n).map(|_| GainTable::new(&LinearUtility, 2))); // g(1) = 0.5
-        let utility = UtilityModel::per_request(tables);
+        let utility = UtilityModel::PerRequest(Arc::new(tables));
         // Half the mass on materialized request 1, half residual across the
         // other 39: untouched and request 1 should split the first draw
         // roughly evenly (38 · 0.5 · residual/request ≈ 0.5 · p₁ here).
@@ -1808,7 +1808,7 @@ mod tests {
                 }
             })
             .collect();
-        let utility = UtilityModel::per_request(tables);
+        let utility = UtilityModel::PerRequest(Arc::new(tables));
         let pred = PredictionSummary::uniform(n, Time::ZERO);
         let catalog = Arc::new(ResponseCatalog::uniform(n, 2, 1000));
         for variant in ALL_VARIANTS {
@@ -2502,7 +2502,7 @@ mod tests {
                     _ => GainTable::new(&steep, blocks),
                 })
                 .collect();
-            UtilityModel::per_request(tables)
+            UtilityModel::PerRequest(Arc::new(tables))
         }
 
         /// Runs one scheduler of the given variant through the op sequence,

@@ -1331,7 +1331,7 @@ mod tests {
         let per_request = |last: &dyn UtilityFunction| {
             let mut tables = vec![GainTable::new(&LinearUtility, 4); n - 1];
             tables.push(GainTable::new(last, 4));
-            UtilityModel::per_request(tables)
+            UtilityModel::PerRequest(Arc::new(tables))
         };
         mgr.add_session(Session::builder(per_request(&LinearUtility), cat.clone()));
         mgr.add_session(Session::builder(per_request(&LinearUtility), cat.clone()));

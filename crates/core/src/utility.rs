@@ -261,11 +261,6 @@ impl UtilityModel {
         UtilityModel::Homogeneous(Arc::new(GainTable::new(u, num_blocks)))
     }
 
-    /// A model with an explicit table per request.
-    pub fn per_request(tables: Vec<GainTable>) -> Self {
-        UtilityModel::PerRequest(Arc::new(tables))
-    }
-
     /// Whether two models have bit-for-bit equal gain tables: the same
     /// variant, the same number of tables, and every gain and cumulative
     /// step equal by [`f64::to_bits`].  Sessions whose models pass this test
@@ -588,7 +583,7 @@ mod tests {
             GainTable::new(&LinearUtility, 2),
             GainTable::new(&PowerUtility::new(0.5), 4),
         ];
-        let m = UtilityModel::per_request(tables);
+        let m = UtilityModel::PerRequest(Arc::new(tables));
         assert!((m.step(0, 1) - 0.5).abs() < 1e-12);
         assert!((m.step(1, 1) - 0.5).abs() < 1e-12); // sqrt(1/4) = 0.5
     }
@@ -615,7 +610,7 @@ mod tests {
             GainTable::new(&LinearUtility, 4),
             GainTable::new(&PowerUtility::new(0.25), 4),
         ];
-        let m = UtilityModel::per_request(tables);
+        let m = UtilityModel::PerRequest(Arc::new(tables));
         let cat = m.class_catalog(4);
         assert_eq!(cat.num_classes(), 3);
         assert_eq!(cat.class_of(RequestId(0)), 0);
@@ -649,7 +644,7 @@ mod tests {
                 }
             })
             .collect();
-        let cat = UtilityModel::per_request(tables).class_catalog(n);
+        let cat = UtilityModel::PerRequest(Arc::new(tables)).class_catalog(n);
         assert_eq!(cat.num_classes(), 2);
         for c in 0..2 {
             assert_eq!(span_count(cat.class(c)), 1);
@@ -676,7 +671,7 @@ mod tests {
                 }
             })
             .collect();
-        let cat = UtilityModel::per_request(tables).class_catalog(12);
+        let cat = UtilityModel::PerRequest(Arc::new(tables)).class_catalog(12);
         assert_eq!(cat.num_classes(), 2);
         let ca = cat.class(0);
         assert_eq!(span_count(ca), 3);

@@ -1,44 +1,55 @@
-//! What a session that never predicts costs in heap.
+//! What a session costs in heap, silent and busy.
 //!
 //! The server multiplexes many clients, and most of a large fleet's
 //! connections sit idle.  A session's request-indexed state must therefore
 //! grow with what it has touched, not with the catalog: the sampler's slot
 //! index stays empty until the first prediction and the touched set is one
-//! bit a request.  A counting global allocator tracks live heap bytes (this
-//! file is its own test binary, so it counts only this test), and the
-//! session layer's shared state — the catalog's `GreedyContext` and the
-//! uniform prior — is paid once by a warm-up session before measuring.  The
-//! manager shares a context between sessions whose gain tables are equal by
-//! value, so a session costs the same whether it clones one `UtilityModel`
-//! or, like a connection factory, builds its own.
+//! bit a request.  A counting global allocator tracks live heap bytes and
+//! objects (this file is its own test binary, so it counts only this test),
+//! and the session layer's shared state — the catalog's `GreedyContext`, the
+//! uniform prior and the deduplicated prediction models — is paid once by a
+//! warm-up session before measuring.  The manager shares a context between
+//! sessions whose gain tables are equal by value, so a session costs the
+//! same whether it clones one `UtilityModel` or, like a connection factory,
+//! builds its own.
+//!
+//! A busy session has predicted and been served past a full ring, so its
+//! simulated client cache holds a block of every request it pushed.  That
+//! residency index is one mask word a request, not a heap object each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use khameleon_core::{
-    Bandwidth, CatalogBackend, GreedySchedulerConfig, LinearUtility, ResponseCatalog, ServerConfig,
-    Session, SessionBuilder, SessionManager, UtilityModel,
+    Bandwidth, CatalogBackend, ClientMessage, Duration, GreedySchedulerConfig, HorizonSlice,
+    LinearUtility, PredictionSummary, PredictorState, RequestId, ResponseCatalog, ServerConfig,
+    ServerEvent, Session, SessionBuilder, SessionId, SessionManager, SparseDistribution, Time,
+    UtilityModel,
 };
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static OBJECTS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 // SAFETY: both methods forward their arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; `LIVE` is a plain statistic.  The
+// upholds the `GlobalAlloc` contract; `LIVE` and `OBJECTS` are plain
+// statistics.  The
 // default `realloc` goes through these two, so it is counted too.
 // lint:allow(unsafe-block) -- a counting allocator has to implement the unsafe `GlobalAlloc`
 unsafe impl GlobalAlloc for Counting {
     // lint:allow(unsafe-block) -- `GlobalAlloc::alloc` is an unsafe fn; it forwards to `System`
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        OBJECTS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     // lint:allow(unsafe-block) -- `GlobalAlloc::dealloc` is an unsafe fn; it forwards to `System`
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        OBJECTS.fetch_sub(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -93,9 +104,108 @@ fn bytes_per_silent_session(
     (after.saturating_sub(before) / count, contexts)
 }
 
+// The busy case has the shape of kbench's `fleet_inproc` sessions.
+const BUSY_REQUESTS: usize = 256;
+const BUSY_BLOCKS: u32 = 4;
+const BUSY_CACHE_BLOCKS: usize = 64;
+const BUSY_BLOCK_BYTES: u64 = 1_000;
+
+fn busy_session(catalog: &Arc<ResponseCatalog>, seed: u64) -> SessionBuilder {
+    Session::builder(
+        UtilityModel::homogeneous(&LinearUtility, BUSY_BLOCKS),
+        catalog.clone(),
+    )
+    .config(ServerConfig {
+        scheduler: GreedySchedulerConfig {
+            cache_blocks: BUSY_CACHE_BLOCKS,
+            seed,
+            slot_duration: Duration::from_millis(1),
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+}
+
+/// A top-3 prediction around `hot` scaled to 0.9, plus 0.1 of residual mass
+/// over the other requests, over four horizon slices.
+fn busy_prediction(hot: usize) -> ClientMessage {
+    let n = BUSY_REQUESTS;
+    let mut entries = vec![
+        (RequestId(hot as u32), 0.6 * 0.9),
+        (RequestId(((hot + 5) % n) as u32), 0.3 * 0.9),
+        (RequestId(((hot + 11) % n) as u32), 0.1 * 0.9),
+    ];
+    entries.sort_by_key(|&(r, _)| r);
+    let slices = [50, 150, 250, 500]
+        .iter()
+        .map(|&ms| HorizonSlice {
+            delta: Duration::from_millis(ms),
+            dist: SparseDistribution::from_normalized(n, entries.clone(), 0.1),
+        })
+        .collect();
+    ClientMessage::Predictor(PredictorState::Summary(PredictionSummary::new(
+        n,
+        slices,
+        Time::ZERO,
+    )))
+}
+
+/// Serves `manager` until every session in `ids` has sent `blocks` blocks.
+fn drain_until_sent(manager: &mut SessionManager, ids: &[SessionId], blocks: u64) {
+    while ids.iter().any(|&id| {
+        manager
+            .session(id)
+            .is_some_and(|s| s.blocks_sent() < blocks)
+    }) {
+        let event = manager.next_event(Time::ZERO);
+        assert!(
+            matches!(event, ServerEvent::Block { .. }),
+            "a session with residual mass stopped serving: {event:?}"
+        );
+    }
+}
+
+/// Live heap `(bytes, objects)` each of `count` busy sessions adds to a
+/// manager.  Every session predicts, is served until its ring has wrapped,
+/// re-predicts and is served a second ring's worth; a warm-up session does
+/// the same first, so the deduplicated models are already paid for.
+fn heap_per_busy_session(count: usize) -> (usize, usize) {
+    let catalog = Arc::new(ResponseCatalog::uniform(
+        BUSY_REQUESTS,
+        BUSY_BLOCKS,
+        BUSY_BLOCK_BYTES,
+    ));
+    let mut manager = manager(&catalog);
+    let run = |manager: &mut SessionManager, ids: &[SessionId]| {
+        let ring = BUSY_CACHE_BLOCKS as u64;
+        for (hot, sent) in [(0, ring + 1), (48, 2 * ring + 1)] {
+            for &id in ids {
+                manager.on_message(id, &busy_prediction(hot), Time::ZERO);
+            }
+            drain_until_sent(manager, ids, sent);
+        }
+    };
+    let warm_up = manager.add_session(busy_session(&catalog, 0));
+    run(&mut manager, &[warm_up]);
+    let (bytes, objects) = (
+        LIVE.load(Ordering::Relaxed),
+        OBJECTS.load(Ordering::Relaxed),
+    );
+    let ids: Vec<SessionId> = (1..=count as u64)
+        .map(|seed| manager.add_session(busy_session(&catalog, seed)))
+        .collect();
+    run(&mut manager, &ids);
+    let per_session = (
+        LIVE.load(Ordering::Relaxed).saturating_sub(bytes) / count,
+        OBJECTS.load(Ordering::Relaxed).saturating_sub(objects) / count,
+    );
+    drop(manager);
+    per_session
+}
+
 // One test, so nothing else in this binary allocates while it measures.
 #[test]
-fn a_silent_session_costs_what_it_touched_not_the_catalog() {
+fn a_session_costs_what_it_touched_not_the_catalog() {
     let shared = utility();
     let (each, _) = bytes_per_silent_session(4_096, 128, || shared.clone());
     println!("silent session over 4 096 requests: {each} B");
@@ -121,5 +231,18 @@ fn a_silent_session_costs_what_it_touched_not_the_catalog() {
         one <= n / 8 + 4_096,
         "a silent session holds {one} B over {n} requests (bound {})",
         n / 8 + 4_096
+    );
+
+    let (busy, objects) = heap_per_busy_session(128);
+    println!(
+        "busy session (256 x 4 blocks, cache 64, ring wrapped): {busy} B in {objects} objects"
+    );
+    assert!(
+        objects <= 32,
+        "a busy session holds {objects} live heap objects: is there a heap object per cached request again?"
+    );
+    assert!(
+        busy <= 12_000,
+        "a busy session holds {busy} B (bound 12 000)"
     );
 }
