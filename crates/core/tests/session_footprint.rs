@@ -203,9 +203,10 @@ fn heap_per_busy_session(count: usize) -> (usize, usize) {
     per_session
 }
 
-// One test, so nothing else in this binary allocates while it measures.
+// One test, so nothing else in this binary allocates while it measures; it
+// measures the busy session too, after the silent ones.
 #[test]
-fn a_session_costs_what_it_touched_not_the_catalog() {
+fn a_silent_session_costs_what_it_touched_not_the_catalog() {
     let shared = utility();
     let (each, _) = bytes_per_silent_session(4_096, 128, || shared.clone());
     println!("silent session over 4 096 requests: {each} B");
