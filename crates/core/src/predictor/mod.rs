@@ -14,15 +14,14 @@
 //! over requests for each future offset Δ — which drives the scheduler.
 //!
 //! This module provides the traits, the event and state types, the generic
-//! default predictors (uniform, point, top-k/Markov), the Kalman-filter mouse
-//! predictor used in the paper's experiments, an oracle predictor for
-//! upper-bound comparisons, and the [`manager::PredictorManager`] that decides
-//! *when* to ship state to the server.
+//! default predictors (uniform, point), the Kalman-filter mouse predictor
+//! used in the paper's experiments, an oracle predictor for upper-bound
+//! comparisons, and the [`manager::PredictorManager`] that decides *when* to
+//! ship state to the server.
 
 pub mod gaussian;
 pub mod kalman;
 pub mod manager;
-pub mod markov;
 pub mod oracle;
 pub mod simple;
 
@@ -32,7 +31,6 @@ use crate::types::{RequestId, Time};
 pub use gaussian::{Gaussian2d, Point2d};
 pub use kalman::{KalmanConfig, KalmanMousePredictor};
 pub use manager::{PredictorManager, PredictorManagerConfig};
-pub use markov::MarkovPredictor;
 pub use oracle::OraclePredictor;
 pub use simple::{PointPredictor, UniformPredictor};
 

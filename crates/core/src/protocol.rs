@@ -77,8 +77,9 @@ pub enum ServerEvent {
         /// The block itself (metadata plus optional payload bytes).
         block: Block,
     },
-    /// No session currently has useful work: everything scheduled is either
-    /// sent or saturated.  Senders should back off briefly.
+    /// No session has useful work until new input arrives: everything it
+    /// values is sent, saturated or refused by the backend.  Asking again
+    /// before a protocol message or a bandwidth change yields `Idle` again.
     Idle,
     /// `session` was closed (in response to [`ClientMessage::Close`] or an
     /// explicit removal) and will emit no further blocks.

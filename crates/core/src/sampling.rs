@@ -41,9 +41,8 @@
 //!   four segment groups, concatenated in a deterministic draw order:
 //!
 //!   1. **Shape buckets**: materialized requests whose tails evolve by the
-//!      same per-slot multiplier (see
-//!      [`TailShapePartition`](crate::scheduler::TailShapePartition)) share
-//!      one tree holding the slot-invariant part of each weight
+//!      same per-slot multiplier (see [`TailShapePartition`]) share one
+//!      tree holding the slot-invariant part of each weight
 //!      (`g_i(B_i) · tail_i(0)`) plus a single scalar factor
 //!      `s(t) = tail(rep, t) / tail(rep, 0)`.  Advancing the slot index
 //!      updates the factor — `O(1)` for the whole bucket.

@@ -65,7 +65,7 @@
 //! block-for-block identical schedules (enforced by a 256-case parity
 //! proptest below).
 //!
-//! Three further hot-path properties:
+//! Four further hot-path properties:
 //!
 //! * **One update rule**: a whole summary installs the canonical
 //!   [`HorizonModel::build`] (resolved through the shared
@@ -89,9 +89,16 @@
 //!   log holds every emitted block that [`Scheduler::note_sent`] has not
 //!   confirmed, oldest first; a confirmation pops its front.  A prediction
 //!   update pops the log from the back, undoes each entry on the ring
-//!   (§5.3.2) and takes `t` back one slot for it.  Every update empties the
-//!   log, so every logged block was drawn after the last install and `t`
-//!   comes back exactly.
+//!   (§5.3.2) and takes `since_install` back one slot for it.  Every update
+//!   empties the log, so every logged block was drawn after the last
+//!   install and `since_install` comes back exactly.
+//! * **Refused requests**: a block the backend could not resolve rolls the
+//!   log back the same way ([`Scheduler::drop_unsent`]) and puts its
+//!   request on a refused list, whose marginal gain is zero in both
+//!   variants until the next update.  An update that finds the list
+//!   non-empty installs the model whole instead of diffing it, as only an
+//!   install re-derives the zeroed weights.  An empty list costs each gain
+//!   one branch.
 //!
 //! Under a backend concurrency limit (§5.4) a batch names at most
 //! `max_distinct` requests ([`Scheduler::next_batch`]): once it holds that
@@ -252,6 +259,10 @@ pub struct GreedyScheduler {
     /// Shared-tail departures since the last compaction (see
     /// [`note_eviction`](Self::note_eviction)).
     departed: usize,
+    /// Requests the backend refused since the last prediction update
+    /// ([`Scheduler::drop_unsent`]): their marginal gain is zero, and they
+    /// stay touched, so no meta draw reaches them either.
+    refused: Vec<RequestId>,
     /// Shared catalog/utility-derived state (the utility model, classes,
     /// meta gains, block counts) — one `Arc` per `(utility value, catalog)`
     /// pair across sessions.
@@ -321,6 +332,7 @@ impl GreedyScheduler {
             touched: vec![0; num_requests.div_ceil(64)],
             shared_order: Vec::new(),
             departed: 0,
+            refused: Vec::new(),
             ctx,
             touched_per_class,
             sampler: GainSampler::new(),
@@ -629,6 +641,7 @@ impl GreedyScheduler {
         // The ring yields its requests in hash order, which differs between
         // runs; only the sort below keeps the draw layout deterministic.
         touched_ids.extend(self.ring.requests());
+        touched_ids.extend_from_slice(&self.refused);
         touched_ids.retain(|&r| self.mark_touched(r));
         // Canonical shared-segment order: sorted at rebuild, appended in
         // touch order thereafter.  With the meta-request optimization off,
@@ -817,6 +830,9 @@ impl GreedyScheduler {
     /// Marginal utility gain `g(B_i + 1)` of the next block for `request`
     /// (the probability-independent factor of its weight).
     fn marginal_gain(&self, request: RequestId) -> f64 {
+        if !self.refused.is_empty() && self.refused.contains(&request) {
+            return 0.0;
+        }
         let have = self.effective_blocks(request);
         let nb = self.ctx.num_blocks[request.index()];
         if have >= nb {
@@ -1016,9 +1032,9 @@ impl GreedyScheduler {
             return;
         }
         self.departed = 0;
-        let ring = &self.ring;
+        let (ring, refused) = (&self.ring, &self.refused);
         let departed: Vec<RequestId> = (self.shared_order.iter().copied())
-            .filter(|&r| !ring.contains(r))
+            .filter(|&r| !ring.contains(r) && !refused.contains(&r))
             .collect();
         for r in departed {
             self.untouch(r);
@@ -1289,6 +1305,7 @@ impl Scheduler for GreedyScheduler {
         self.updates += 1;
         self.rollback_unsent();
         self.since_install = 0;
+        self.refused.clear();
         self.install(summary);
     }
 
@@ -1300,9 +1317,13 @@ impl Scheduler for GreedyScheduler {
         self.updates += 1;
         let mut rolled = self.rollback_unsent();
         self.since_install = 0;
-        let diffable = self.model.horizon() == self.cfg.cache_blocks
+        // A refused request is drawable again, and only an install
+        // re-derives its zeroed weights.
+        let diffable = self.refused.is_empty()
+            && self.model.horizon() == self.cfg.cache_blocks
             && self.model.slot_duration() == self.cfg.slot_duration
             && self.model.gamma().to_bits() == self.cfg.gamma.to_bits();
+        self.refused.clear();
         // `make_mut` is the copy-on-write split: a scheduler on a shared
         // model clones it privately before the diff lands, and stays private
         // until its next whole summary.
@@ -1337,9 +1358,13 @@ impl Scheduler for GreedyScheduler {
     }
 
     /// The rollback a prediction update runs, with the model kept: the
-    /// touched set and the sampler are rebuilt over the restored ring.
-    fn drop_unsent(&mut self) {
+    /// refused request joins the refused list, and the touched set and the
+    /// sampler are rebuilt over the restored ring.
+    fn drop_unsent(&mut self, refused: BlockRef) {
         self.rollback_unsent();
+        if !self.refused.contains(&refused.request) {
+            self.refused.push(refused.request);
+        }
         self.rebuild_touched();
     }
 
@@ -1914,17 +1939,63 @@ mod tests {
         assert_eq!(s.simulated_ring(), vec![block(0), block(1)]);
         assert_eq!(s.since_install, 0);
         assert_eq!(s.next_batch(2), vec![block(2), block(3)]);
-        // Dropping them unsent keeps the model and gives their slots back.
+        // A refusal of block 2 keeps the model and gives both slots back,
+        // and request 0 leaves the draw until the next update.
         let mut s = drawn(4, 2);
-        s.drop_unsent();
+        s.drop_unsent(block(2));
         assert_eq!(s.simulated_ring(), vec![block(0), block(1)]);
         assert_eq!(s.since_install, 2);
+        assert_eq!(s.next_batch(2), vec![]);
+        s.update_prediction(&pred, 0);
+        assert_eq!(s.next_batch(2), vec![block(2), block(3)]);
         // The queue drained exactly: nothing rolls back.
         let mut s = drawn(3, 3);
         s.update_prediction(&pred, 0);
         assert_eq!(s.simulated_ring(), vec![block(0), block(1), block(2)]);
         assert_eq!(s.next_batch(1), vec![block(3)]);
         assert_eq!(s.since_install, 1);
+    }
+
+    #[test]
+    fn a_refused_request_leaves_both_draws_until_the_next_update() {
+        // Under the uniform prior the first draw is a meta draw, so the
+        // refused request would go back to its meta class if the rollback
+        // untouched it.
+        let prior = PredictionSummary::uniform(6, Time::ZERO);
+        for variant in ALL_VARIANTS {
+            for use_meta_request in [true, false] {
+                let mut s = GreedyScheduler::new(
+                    GreedySchedulerConfig {
+                        cache_blocks: 12,
+                        sampler: variant,
+                        use_meta_request,
+                        ..Default::default()
+                    },
+                    UtilityModel::homogeneous(&LinearUtility, 2),
+                    Arc::new(ResponseCatalog::uniform(6, 2, 1000)),
+                );
+                let refused = s.next_batch(1)[0];
+                s.drop_unsent(refused);
+                let rest = s.next_batch(100);
+                assert_eq!(
+                    rest.len(),
+                    10,
+                    "{variant:?} meta={use_meta_request}: {rest:?}"
+                );
+                assert!(rest.iter().all(|b| b.request != refused.request));
+                for &b in &rest {
+                    s.note_sent(b);
+                }
+                s.update_prediction(&prior, 0);
+                let retried = s.next_batch(100);
+                assert_eq!(
+                    retried.len(),
+                    2,
+                    "{variant:?} meta={use_meta_request}: {retried:?}"
+                );
+                assert!(retried.iter().all(|b| b.request == refused.request));
+            }
+        }
     }
 
     #[test]
@@ -2353,6 +2424,20 @@ mod tests {
                 self.uplink.ship(s, pred);
             }
 
+            /// Sends the oldest `sent` queued blocks, then the backend
+            /// refuses the next one: it is dropped with the rest.
+            fn refuse(&mut self, s: &mut GreedyScheduler, sent: usize) {
+                let sent = sent.min(self.queued.len());
+                let Some(&refused) = self.queued.get(sent) else {
+                    return;
+                };
+                for &b in &self.queued[..sent] {
+                    s.note_sent(b);
+                }
+                self.received.extend(self.queued.drain(..).take(sent));
+                s.drop_unsent(refused);
+            }
+
             fn ring(&self) -> Vec<BlockRef> {
                 let all: Vec<BlockRef> = (self.received.iter().chain(&self.queued))
                     .copied()
@@ -2601,6 +2686,13 @@ mod tests {
                         let pred = PredictionSummary::uniform(n, Time::ZERO);
                         client.ship(&mut s, usize::MAX, &pred);
                     }
+                    8 => {
+                        // The backend refuses a queued block, usually the
+                        // front one: its request leaves the draw.
+                        let sent = if a % 4 == 0 { b } else { 0 };
+                        client.refuse(&mut s, sent);
+                        assert!(s.debug_weight_divergence().is_empty());
+                    }
                     6 => {
                         // Overlapping re-prediction: mutate ONE entry of the
                         // drifting prediction (add / remove / reweight) and
@@ -2694,7 +2786,8 @@ mod tests {
             /// randomized heterogeneous-utility catalogs, forced ring
             /// evictions (cache far smaller than the block universe), sparse
             /// and time-varying predictions (multiple tail-shape buckets),
-            /// rollbacks across evictions, drained queues, and *sequences of overlapping
+            /// rollbacks across evictions, drained queues, refused blocks
+            /// (whose requests leave the draw), and *sequences of overlapping
             /// prediction updates* (add / remove / reweight / shape-change,
             /// shipped as deltas through the diff path, which every case
             /// is asserted to reach) — under a fixed seed the legacy
@@ -2706,7 +2799,7 @@ mod tests {
                 blocks in 1u32..6,
                 cache in 2usize..20,
                 seed in 0u64..10_000,
-                ops in collection::vec((0u8..8, 0usize..64, 0usize..64), 1..14)
+                ops in collection::vec((0u8..9, 0usize..64, 0usize..64), 1..14)
             ) {
                 let utility = heterogeneous_utility(n, blocks);
                 for meta in [true, false] {
@@ -2751,7 +2844,7 @@ mod tests {
                 let ops: Vec<(u8, usize, usize)> = (0..len)
                     .map(|_| {
                         (
-                            (next() % 8) as u8,
+                            (next() % 9) as u8,
                             next() as usize % 64,
                             next() as usize % 64,
                         )

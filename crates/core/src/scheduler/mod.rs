@@ -61,6 +61,10 @@ pub type Schedule = Vec<BlockRef>;
 ///   client prediction; confirmed blocks are immutable, and every emitted
 ///   block not yet confirmed — the sender dropped it with its queue — is
 ///   rolled back and may be re-planned.
+/// * [`drop_unsent`](Scheduler::drop_unsent) reports a block the backend
+///   refused: the unconfirmed blocks roll back, and the refused request is
+///   drawn no more until the next update, so a session whose every useful
+///   request is refused drains instead of drawing the same one again.
 /// * [`set_slot_duration`](Scheduler::set_slot_duration) re-calibrates the
 ///   slot length whenever the bandwidth estimate changes (§5.4).
 ///
@@ -108,10 +112,12 @@ pub trait Scheduler: Send {
         let _ = block;
     }
 
-    /// Rolls back every emitted block not yet confirmed, which the sender
-    /// dropped unsent (a fetch that did not resolve), without waiting for a
-    /// prediction update.  The default does nothing.
-    fn drop_unsent(&mut self) {}
+    /// The backend refused to resolve `refused`: rolls back every emitted
+    /// block not yet confirmed, which the sender dropped with it, and keeps
+    /// `refused.request` out of every draw until the next prediction
+    /// update.  The whole request leaves, not just the block: quality is
+    /// the contiguous prefix, so nothing after a refused block renders.
+    fn drop_unsent(&mut self, refused: BlockRef);
 
     /// Updates the bandwidth-derived duration of one network slot.
     fn set_slot_duration(&mut self, slot: Duration);

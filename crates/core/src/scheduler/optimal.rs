@@ -51,6 +51,9 @@ struct ReplanState {
     /// How many of `issued` the sender has confirmed via
     /// [`Scheduler::note_sent`], oldest first.
     confirmed: usize,
+    /// Requests the backend refused since the last prediction update
+    /// ([`Scheduler::drop_unsent`]), left out of every adopted plan.
+    refused: Vec<RequestId>,
     updates: u64,
 }
 
@@ -68,6 +71,7 @@ impl ReplanState {
             delivered: HashMap::new(),
             issued: Vec::new(),
             confirmed: 0,
+            refused: Vec::new(),
             updates: 0,
         }
     }
@@ -76,6 +80,7 @@ impl ReplanState {
     /// duration.
     fn refresh_model(&mut self, summary: &PredictionSummary) {
         self.model = HorizonModel::build(summary, self.horizon, self.slot_duration, self.gamma);
+        self.refused.clear();
         self.updates += 1;
     }
 
@@ -106,11 +111,13 @@ impl ReplanState {
     }
 
     /// Replaces the pending tail with `plan`, dropping blocks the client
-    /// already holds (their prefix continues where delivery stopped).
+    /// already holds (their prefix continues where delivery stopped) and
+    /// blocks of refused requests.
     fn adopt(&mut self, plan: Schedule) {
         self.pending = plan
             .into_iter()
             .filter(|b| b.index >= self.delivered.get(&b.request).copied().unwrap_or(0))
+            .filter(|b| !self.refused.contains(&b.request))
             .collect();
         self.planned = true;
     }
@@ -263,9 +270,11 @@ macro_rules! impl_replan_scheduler {
                 self.state.note_sent();
             }
 
-            /// Rolls the dropped blocks back and re-plans on the next batch.
-            fn drop_unsent(&mut self) {
+            /// Rolls the dropped blocks back and re-plans on the next batch,
+            /// without the refused request.
+            fn drop_unsent(&mut self, refused: BlockRef) {
                 self.state.rollback_unsent();
+                self.state.refused.push(refused.request);
                 self.state.planned = false;
             }
 
@@ -591,6 +600,25 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_request_leaves_the_plan_until_the_next_update() {
+        let n = 6;
+        let catalog = Arc::new(ResponseCatalog::uniform(n, 3, 100));
+        let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 3);
+        let pred = PredictionSummary::point(n, RequestId(2), Time::ZERO);
+        let mut s = OptimalScheduler::new(utility, catalog).with_horizon(12);
+        Scheduler::update_prediction(&mut s, &pred);
+        let first = Scheduler::next_batch(&mut s, 1, None)[0];
+        assert_eq!(first, BlockRef::new(RequestId(2), 0));
+        Scheduler::drop_unsent(&mut s, first);
+        let rest = Scheduler::next_batch(&mut s, 12, None);
+        assert!(!rest.is_empty());
+        assert!(rest.iter().all(|b| b.request != first.request), "{rest:?}");
+        Scheduler::update_prediction(&mut s, &pred);
+        let replanned = Scheduler::next_batch(&mut s, 12, None);
+        assert!(replanned.contains(&first), "{replanned:?}");
+    }
+
+    #[test]
     fn optimal_matches_brute_force_on_tiny_instances() {
         for (n, blocks, horizon, target) in
             [(3usize, 2u32, 3usize, 0u32), (2, 3, 4, 1), (3, 3, 3, 2)]
@@ -611,48 +639,57 @@ mod tests {
         }
     }
 
+    /// Optimal ≥ greedy on one objective: greedy plans from the summary,
+    /// horizon, slot duration and γ the scoring model was built from, over
+    /// several seeds of its draw.
     #[test]
     fn optimal_beats_or_ties_greedy() {
         use crate::scheduler::greedy::{GreedyScheduler, GreedySchedulerConfig};
         let n = 6;
         let blocks = 4;
         let horizon = 8;
+        let (slot, gamma) = (Duration::from_millis(10), 1.0);
         let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 100));
         let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks);
-        let model = {
-            let s = PredictionSummary::new(
-                n,
-                vec![crate::distribution::HorizonSlice {
-                    delta: Duration::from_millis(50),
-                    dist: crate::distribution::SparseDistribution::from_weights(
-                        n,
-                        vec![
-                            (RequestId(0), 0.6),
-                            (RequestId(1), 0.3),
-                            (RequestId(2), 0.1),
-                        ],
-                    ),
-                }],
-                Time::ZERO,
-            );
-            HorizonModel::build(&s, horizon, Duration::from_millis(10), 1.0)
-        };
+        let summary = PredictionSummary::new(
+            n,
+            vec![crate::distribution::HorizonSlice {
+                delta: Duration::from_millis(50),
+                dist: crate::distribution::SparseDistribution::from_weights(
+                    n,
+                    vec![
+                        (RequestId(0), 0.6),
+                        (RequestId(1), 0.3),
+                        (RequestId(2), 0.1),
+                    ],
+                ),
+            }],
+            Time::ZERO,
+        );
+        let model = HorizonModel::build(&summary, horizon, slot, gamma);
         let opt = OptimalScheduler::new(utility.clone(), catalog.clone());
         let so = opt.schedule(&model);
         let vo = opt.evaluate(&so, &model);
 
-        let mut greedy = GreedyScheduler::new(
-            GreedySchedulerConfig {
-                cache_blocks: horizon,
-                ..Default::default()
-            },
-            utility,
-            catalog,
-        );
-        greedy.update_prediction(&PredictionSummary::uniform(n, Time::ZERO), 0);
-        let sg = greedy.next_batch(horizon);
-        let vg = opt.evaluate(&sg, &model);
-        assert!(vo + 1e-9 >= vg, "optimal {vo} < greedy {vg}");
+        for seed in 0..16 {
+            let mut greedy = GreedyScheduler::new(
+                GreedySchedulerConfig {
+                    cache_blocks: horizon,
+                    gamma,
+                    slot_duration: slot,
+                    seed,
+                    ..Default::default()
+                },
+                utility.clone(),
+                catalog.clone(),
+            );
+            greedy.update_prediction(&summary, 0);
+            let sg = greedy.next_batch(horizon);
+            assert_eq!(sg.len(), horizon);
+            let vg = opt.evaluate(&sg, &model);
+            assert!(vg > 0.0, "seed {seed}: greedy scored nothing");
+            assert!(vo + 1e-9 >= vg, "seed {seed}: optimal {vo} < greedy {vg}");
+        }
     }
 
     #[test]

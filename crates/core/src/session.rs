@@ -209,12 +209,14 @@ impl Session {
         self.bytes_sent += meta.size;
     }
 
-    /// Drops every block drawn but not committed — the sender queue, and a
-    /// returned block the backend could not resolve — and rolls them back
-    /// in the scheduler ([`Scheduler::drop_unsent`]).
-    pub fn drop_unsent(&mut self) {
+    /// The backend could not resolve `refused`, a block this session
+    /// returned: drops it with every other block drawn but not committed
+    /// (the sender queue), rolls them back in the scheduler and keeps
+    /// `refused`'s request out of the draw until the next prediction
+    /// ([`Scheduler::drop_unsent`]).
+    pub fn drop_unsent(&mut self, refused: BlockRef) {
         self.queue.clear();
-        self.scheduler.drop_unsent();
+        self.scheduler.drop_unsent(refused);
     }
 
     fn refill_queue(&mut self, concurrency_limit: Option<usize>) {
@@ -852,7 +854,11 @@ impl SessionManager {
     /// entry and the first session that yields a block is served, in
     /// `O(log sessions)` without allocating.  A session that turns out to
     /// be drained leaves the index on the way, so it is not asked again
-    /// until a message or a slot-duration change re-opens it.
+    /// until a message or a slot-duration change re-opens it.  A block the
+    /// backend refuses takes its request out of the session's draw
+    /// ([`Session::drop_unsent`]) and the same session is asked again, so
+    /// `Idle` is final: every eligible session has drained, and only new
+    /// input can yield a block.
     ///
     /// The backend's concurrency limit is each session's own allowance: a
     /// refill of one session's sender queue names at most `limit` distinct
@@ -879,22 +885,6 @@ impl SessionManager {
         self.pick(Some(eligible))
     }
 
-    /// Whether an [`ServerEvent::Idle`] answer to
-    /// [`next_event_among`](Self::next_event_among) over `eligible`
-    /// (ascending by id) stands until something changes: every eligible
-    /// session has drained its scheduler, which only a protocol message or
-    /// a slot-duration change re-opens.  The one `Idle` after which this
-    /// reads `false` is a forfeited turn: an eligible session's block was
-    /// one the backend could not resolve, so asking again can yield a block
-    /// with no new input, and an event loop that sleeps on `Idle` must
-    /// retry on a timer.
-    pub fn all_exhausted(&self, eligible: &[SessionId]) -> bool {
-        !self
-            .ready
-            .iter()
-            .any(|(_, id)| eligible.binary_search(id).is_ok())
-    }
-
     /// The first ready entry strictly after `after` (the lowest with `None`).
     fn next_ready(&self, after: Option<ReadyEntry>) -> Option<ReadyEntry> {
         let from = after.map_or(Bound::Unbounded, Bound::Excluded);
@@ -917,32 +907,32 @@ impl SessionManager {
                 unreachable!("ready index names session {id}, which is not live");
             };
             let session = &mut self.sessions[pos].1;
-            match session.next_block_ref(limit) {
-                Some(block_ref) => {
-                    if let Some(block) = self.backend.fetch(block_ref) {
-                        session.commit(&block.meta);
-                        // The one key a block moves is its recipient's.
-                        let served = self.ready_entry(pos);
-                        if served != entry {
-                            self.ready.remove(&entry);
-                            self.ready.insert(served);
-                        }
-                        self.blocks_sent += 1;
-                        self.bytes_sent += block.meta.size;
-                        return ServerEvent::Block { session: id, block };
-                    }
-                    // Unresolvable reference: drop it with the session's
-                    // queue, and forfeit this session's turn so a scheduler
-                    // that keeps producing unresolvable refs cannot spin
-                    // this loop forever; the next call serves it again.
-                    session.drop_unsent();
-                }
-                None => {
-                    if session.exhausted {
+            let mut refusals = 0;
+            while let Some(block_ref) = session.next_block_ref(limit) {
+                if let Some(block) = self.backend.fetch(block_ref) {
+                    session.commit(&block.meta);
+                    // The one key a block moves is its recipient's.
+                    let served = self.ready_entry(pos);
+                    if served != entry {
                         self.ready.remove(&entry);
+                        self.ready.insert(served);
                     }
+                    self.blocks_sent += 1;
+                    self.bytes_sent += block.meta.size;
+                    return ServerEvent::Block { session: id, block };
+                }
+                // The refused request leaves the session's draw, so the
+                // next ask makes progress.  A scheduler that ignores that
+                // contract is cut off after one refusal per request.
+                session.drop_unsent(block_ref);
+                refusals += 1;
+                if refusals >= session.catalog.num_requests() {
+                    session.exhausted = true;
+                    break;
                 }
             }
+            debug_assert!(session.exhausted);
+            self.ready.remove(&entry);
         }
         ServerEvent::Idle
     }
@@ -1592,37 +1582,41 @@ mod tests {
         solo.attach_session(solo_ids[0], parked);
         assert_eq!(solo.session(solo_ids[0]).unwrap().service(), before);
     }
+    /// Whether any session in `ids` is still in the ready index, i.e. may
+    /// yield a block without new input.
+    fn holds_work(mgr: &SessionManager, ids: &[SessionId]) -> bool {
+        mgr.ready.iter().any(|(_, id)| ids.contains(id))
+    }
+
     #[test]
     fn idle_is_final_only_when_every_eligible_session_is_exhausted() {
         let (mut mgr, ids) = manager_with(&[1.0, 1.0], 4, 2);
-        assert!(!mgr.all_exhausted(&ids), "fresh sessions hold work");
+        assert!(holds_work(&mgr, &ids), "fresh sessions hold work");
         drive(&mut mgr, 1_000);
         assert!(mgr.next_event_among(Time::ZERO, &ids).is_idle());
-        assert!(mgr.all_exhausted(&ids));
+        assert!(!holds_work(&mgr, &ids));
         // A message re-opens its own session and no other.
         mgr.on_message(
             ids[0],
             &ClientMessage::Predictor(PredictorState::LastRequest(RequestId(1))),
             Time::ZERO,
         );
-        assert!(!mgr.all_exhausted(&ids));
-        assert!(mgr.all_exhausted(&ids[1..]));
-        assert!(mgr.all_exhausted(&[]));
+        assert!(holds_work(&mgr, &ids));
+        assert!(!holds_work(&mgr, &ids[1..]));
 
         // Under a backend concurrency limit `Idle` is just as final.  Two
         // sessions drain after one request; the third takes one request per
         // refill (each session's allowance is the whole limit, 1) and drains
-        // after ten.  Request 5 does not resolve, and only a forfeited turn
-        // on it leaves `all_exhausted` false after `Idle`.
+        // after ten.  Request 5 does not resolve: a refusal takes it out of
+        // its session's draw, so `Idle` stays final over the hole too.
         struct LimitedWithHole {
             inner: CatalogBackend,
-            refused: Arc<std::sync::atomic::AtomicUsize>,
+            fetched: Arc<std::sync::Mutex<Vec<BlockRef>>>,
         }
         impl Backend for LimitedWithHole {
             fn fetch(&mut self, block: BlockRef) -> Option<crate::block::Block> {
+                self.fetched.lock().expect("fetch log").push(block);
                 if block.request == RequestId(5) {
-                    self.refused
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     return None;
                 }
                 self.inner.fetch(block)
@@ -1632,12 +1626,16 @@ mod tests {
             }
         }
         let cat = catalog(20, 2);
-        let refused = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let fetched = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut limited = SessionManager::weighted_fair(Box::new(LimitedWithHole {
             inner: CatalogBackend::new(cat.clone()),
-            refused: refused.clone(),
+            fetched: fetched.clone(),
         }));
-        let refused = move || refused.load(std::sync::atomic::Ordering::Relaxed);
+        let fetches = || {
+            let log = fetched.lock().expect("fetch log");
+            let refused = log.iter().filter(|b| b.request == RequestId(5)).count();
+            (log.len(), refused)
+        };
         // One block per refill, so every block needs an allowance of its own.
         let one_at_a_time = ServerConfig {
             sender_queue_target: 1,
@@ -1666,30 +1664,86 @@ mod tests {
                 Time::ZERO,
             )))
         };
+        let drain = |limited: &mut SessionManager| {
+            let mut counts: HashMap<SessionId, usize> = HashMap::new();
+            while let ServerEvent::Block { session, .. } =
+                limited.next_event_among(Time::ZERO, &ids)
+            {
+                *counts.entry(session).or_insert(0) += 1;
+            }
+            ids.iter()
+                .map(|id| counts.get(id).copied().unwrap_or(0))
+                .collect::<Vec<_>>()
+        };
         limited.on_message(ids[0], &certain(0..1), Time::ZERO);
         limited.on_message(ids[1], &certain(1..2), Time::ZERO);
         limited.on_message(ids[2], &certain(10..20), Time::ZERO);
-        let mut counts: HashMap<SessionId, usize> = HashMap::new();
-        while let ServerEvent::Block { session, .. } = limited.next_event_among(Time::ZERO, &ids) {
-            *counts.entry(session).or_insert(0) += 1;
-        }
         assert_eq!(
-            [ids[0], ids[1], ids[2]].map(|id| counts.get(&id).copied().unwrap_or(0)),
+            drain(&mut limited),
             [2, 2, 20],
             "every session drains its whole prediction"
         );
-        assert!(limited.all_exhausted(&ids), "`Idle` under a limit is final");
-        assert!(limited.next_event_among(Time::ZERO, &ids).is_idle());
-        assert_eq!(refused(), 0);
-        // A turn forfeited on the hole answers `Idle` with the session still
-        // holding work, and only then does `all_exhausted` read false.
-        limited.on_message(ids[0], &certain(5..6), Time::ZERO);
-        for round in 1..=3 {
+        assert!(!holds_work(&limited, &ids), "`Idle` under a limit is final");
+        assert_eq!(fetches(), (24, 0));
+        // A prediction over the hole: request 5 is refused once and leaves
+        // the draw, its neighbours are served in full, and the `Idle` that
+        // follows is final.
+        limited.on_message(ids[0], &certain(4..7), Time::ZERO);
+        assert_eq!(drain(&mut limited), [4, 0, 0]);
+        assert_eq!(fetches(), (29, 1));
+        assert!(!holds_work(&limited, &ids));
+        for _ in 0..3 {
             assert!(limited.next_event_among(Time::ZERO, &ids).is_idle());
-            assert_eq!(refused(), round, "each `Idle` forfeits one turn");
-            assert!(!limited.all_exhausted(&ids));
-            assert!(limited.all_exhausted(&ids[1..]));
+            assert_eq!(fetches(), (29, 1), "an ask after a final `Idle` fetched");
         }
+        // Only a message re-opens the session, and the hole is tried again
+        // under the new prediction.
+        limited.on_message(ids[0], &certain(5..6), Time::ZERO);
+        assert!(holds_work(&limited, &ids[..1]));
+        assert!(limited.next_event_among(Time::ZERO, &ids).is_idle());
+        assert_eq!(fetches(), (30, 2));
+        assert!(!holds_work(&limited, &ids));
+    }
+
+    #[test]
+    fn a_scheduler_that_ignores_refusals_cannot_spin_pick() {
+        /// Emits block 0 of request 0 forever, whatever the backend says.
+        struct Stubborn;
+        impl Scheduler for Stubborn {
+            fn update_prediction(&mut self, _: &PredictionSummary) {}
+            fn next_batch(&mut self, count: usize, _: Option<usize>) -> crate::scheduler::Schedule {
+                vec![BlockRef::new(RequestId(0), 0); count]
+            }
+            fn drop_unsent(&mut self, _: BlockRef) {}
+            fn set_slot_duration(&mut self, _: Duration) {}
+            fn simulated_cache(&self) -> HashMap<RequestId, u32> {
+                HashMap::new()
+            }
+            fn horizon(&self) -> usize {
+                1
+            }
+            fn prediction_updates(&self) -> u64 {
+                0
+            }
+        }
+        struct RefuseAll(Arc<std::sync::atomic::AtomicUsize>);
+        impl Backend for RefuseAll {
+            fn fetch(&mut self, _: BlockRef) -> Option<crate::block::Block> {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                None
+            }
+        }
+        let fetches = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut mgr = SessionManager::weighted_fair(Box::new(RefuseAll(fetches.clone())));
+        let cat = catalog(7, 2);
+        let id = mgr.add_session(Session::builder(utility(2), cat).scheduler(Box::new(Stubborn)));
+        // One refusal per catalog request, then the session counts as
+        // drained: `Idle` is final here too.
+        assert!(mgr.next_event(Time::ZERO).is_idle());
+        assert_eq!(fetches.load(std::sync::atomic::Ordering::Relaxed), 7);
+        assert!(!holds_work(&mgr, &[id]));
+        assert!(mgr.next_event(Time::ZERO).is_idle());
+        assert_eq!(fetches.load(std::sync::atomic::Ordering::Relaxed), 7);
     }
 
     /// The arbitration this module had before the ready index, kept as the
@@ -1756,14 +1810,6 @@ mod tests {
                 self.next_event_inner(picked)
             }
 
-            fn all_exhausted(&self, eligible: &[SessionId]) -> bool {
-                self.inner
-                    .sessions
-                    .iter()
-                    .filter(|(id, _)| eligible.binary_search(id).is_ok())
-                    .all(|(_, s)| s.exhausted)
-            }
-
             fn next_event_inner(&mut self, indices: Vec<usize>) -> ServerEvent {
                 let event = self.scan(indices);
                 // `inner`'s own membership code maintains its index
@@ -1792,14 +1838,22 @@ mod tests {
                     };
                     let (id, session) = &mut mgr.sessions[candidates[pick]];
                     let id = *id;
-                    if let Some(block_ref) = session.next_block_ref(limit) {
+                    // A refusal leaves the session's draw: ask it again,
+                    // one refusal per request at most.
+                    let mut refusals = 0;
+                    while let Some(block_ref) = session.next_block_ref(limit) {
                         if let Some(block) = mgr.backend.fetch(block_ref) {
                             session.commit(&block.meta);
                             mgr.blocks_sent += 1;
                             mgr.bytes_sent += block.meta.size;
                             return ServerEvent::Block { session: id, block };
                         }
-                        session.drop_unsent();
+                        session.drop_unsent(block_ref);
+                        refusals += 1;
+                        if refusals >= session.catalog.num_requests() {
+                            session.exhausted = true;
+                            break;
+                        }
                     }
                     candidates.remove(pick);
                 }
@@ -1808,7 +1862,7 @@ mod tests {
         }
 
         /// Serves the catalog except for every fifth block reference, which
-        /// does not resolve (the forfeited-turn branch).
+        /// does not resolve (the refusal branch).
         struct HoleyBackend {
             inner: CatalogBackend,
             limit: Option<usize>,
@@ -1963,30 +2017,34 @@ mod tests {
                     9 | 10 => {
                         let eligible = self.subset(a);
                         for _ in 0..=b % 4 {
+                            let event = self.indexed.next_event_among(Time::ZERO, &eligible);
                             assert_eq!(
-                                self.indexed.next_event_among(Time::ZERO, &eligible),
+                                event,
                                 self.scanned.next_event_among(&eligible),
                                 "next_event_among({eligible:?}) diverged"
                             );
+                            self.assert_final(&event, &eligible);
                         }
                     }
                     _ => {
                         for _ in 0..=b % 8 {
-                            assert_eq!(
-                                self.indexed.next_event(Time::ZERO),
-                                self.scanned.next_event(),
-                                "next_event diverged"
-                            );
+                            let event = self.indexed.next_event(Time::ZERO);
+                            assert_eq!(event, self.scanned.next_event(), "next_event diverged");
+                            self.assert_final(&event, &self.live);
                         }
                     }
                 }
                 assert_eq!(self.indexed.check(), Ok(()));
                 assert_eq!(self.scanned.inner.check(), Ok(()));
-                for eligible in [self.subset(a ^ b), self.subset(u32::MAX), Vec::new()] {
-                    assert_eq!(
-                        self.indexed.all_exhausted(&eligible),
-                        self.scanned.all_exhausted(&eligible),
-                        "all_exhausted({eligible:?}) diverged"
+            }
+
+            /// An `Idle` leaves no session of `eligible` in the ready index:
+            /// nothing is asked again before new input arrives.
+            fn assert_final(&self, event: &ServerEvent, eligible: &[SessionId]) {
+                if event.is_idle() {
+                    assert!(
+                        !holds_work(&self.indexed, eligible),
+                        "`Idle` over {eligible:?} left a session ready"
                     );
                 }
             }
@@ -1996,8 +2054,8 @@ mod tests {
             #![proptest_config(ProptestConfig { cases: 48 })]
 
             /// The ready-index walk serves exactly the `(session, block)`
-            /// sequence the snapshot-and-scan arbitration served, and
-            /// answers `all_exhausted` the same, with and without a backend
+            /// sequence the snapshot-and-scan arbitration served, and every
+            /// `Idle` it answers is final, with and without a backend
             /// concurrency limit (tight, and looser), across joins in and
             /// out of id order, detach / attach, closes, messages, budget
             /// changes and unresolvable block references.
@@ -2455,10 +2513,11 @@ mod tests {
                     4 => self.tracker.encode(&summary(a, b)),
                     5 => ClientMessage::Predictor(PredictorState::Summary(summary(a, b))),
                     // The backend cannot resolve the next block: the sender
-                    // drops it with the rest of its queue.
+                    // drops it with the rest of its queue, and its request
+                    // leaves the draw until the next prediction.
                     _ => {
-                        if self.session.next_block_ref(self.limit).is_some() {
-                            self.session.drop_unsent();
+                        if let Some(refused) = self.session.next_block_ref(self.limit) {
+                            self.session.drop_unsent(refused);
                         }
                         return self.compare(kind, a, b);
                     }

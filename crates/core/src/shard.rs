@@ -779,6 +779,8 @@ mod tests {
         fn next_batch(&mut self, _: usize, _: Option<usize>) -> crate::scheduler::Schedule {
             Vec::new()
         }
+        /// Never called: the probe emits no block to refuse.
+        fn drop_unsent(&mut self, _: crate::types::BlockRef) {}
         fn set_slot_duration(&mut self, slot: crate::types::Duration) {
             self.slots.lock().expect("probe lock").push(slot);
         }

@@ -7,9 +7,9 @@
 //! [`PredictorManager`] — to a simulated duplex network path and an
 //! interaction-trace replay, all driven by the deterministic event queue.
 //! Client-to-server traffic crosses the simulated uplink as typed
-//! [`ClientMessage`]s and the downlink carries the server's
-//! [`ServerEvent`](khameleon_core::protocol::ServerEvent) blocks, so the
-//! simulator exercises exactly the protocol a live deployment speaks.
+//! [`ClientMessage`]s and the downlink carries the server's [`ServerEvent`]
+//! blocks, so the simulator exercises exactly the protocol a live
+//! deployment speaks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,7 +59,8 @@ pub struct KhameleonOptions {
     /// Backend latency model.
     pub backend: BackendLatency,
     /// Optional backend concurrency limit: each batch the scheduler draws
-    /// names at most the session's share of it in distinct requests (§5.4).
+    /// names at most this many distinct requests (§5.4), the session's
+    /// whole allowance.
     pub backend_concurrency_limit: Option<usize>,
     /// Extra simulated time after the last trace event (lets in-flight blocks
     /// land).

@@ -770,11 +770,6 @@ impl EventLoop {
         self.wake_at = Some(self.wake_at.map_or(at, |earlier| earlier.min(at)));
     }
 
-    /// Asks for another pass one [`TICK`](Self::TICK) from now.
-    fn tick(&mut self) {
-        self.wake_by(self.wall() + Self::TICK);
-    }
-
     /// Sleeps until there is something for a pass to do: a socket the loop
     /// is waiting on turns ready, a wake-up arrives (a queued [`Handoff`],
     /// `shutdown()`), or the earliest deadline the pass recorded comes due —
@@ -1241,16 +1236,9 @@ impl EventLoop {
             }
             eligible.sort_unstable();
             match self.manager.next_event_among(now, &eligible) {
-                ServerEvent::Idle | ServerEvent::Busy => {
-                    // Drained schedulers stay drained until a message
-                    // arrives.  Anything else (a turn forfeited on a block
-                    // the backend could not resolve) may yield a block on
-                    // the next ask.
-                    if !self.manager.all_exhausted(&eligible) {
-                        self.tick();
-                    }
-                    break;
-                }
+                // Every eligible session has drained, and stays drained
+                // until input arrives, which wakes the loop by itself.
+                ServerEvent::Idle | ServerEvent::Busy => break,
                 event @ ServerEvent::Block { session, .. } => {
                     if let Some(i) = self.conns.iter().position(|c| c.session == Some(session)) {
                         self.queue_event(i, &event);
@@ -1285,7 +1273,7 @@ impl EventLoop {
 
     /// One step of an injected `Stall`/`Delay` (`stall_ticks`), so a fault
     /// plan's stalls last 500 µs per tick whatever else wakes the loop; also
-    /// the retry period after a failed `accept` or a non-final `Idle`.
+    /// the retry period after a failed `accept`.
     const TICK: Duration = Duration(500);
 
     /// How long a connection taken on at the admission cap may stay silent
@@ -1352,7 +1340,7 @@ impl EventLoop {
         for i in 0..self.conns.len() {
             if self.conns[i].stall_ticks > 0 {
                 self.conns[i].stall_ticks -= 1;
-                self.tick();
+                self.wake_by(self.wall() + Self::TICK);
                 continue;
             }
             if self.conns[i].blocked {

@@ -639,12 +639,22 @@ fn shutdown_wakes_sleeping_loops() {
 }
 
 /// [`CatalogBackend`] behind a concurrency limit of one: each refill of a
-/// session's sender queue names a single request.
-struct OneAtATime(CatalogBackend);
+/// session's sender queue names a single request.  Every block of `hole`
+/// is refused, and counted in `refused`.
+struct OneAtATime {
+    inner: CatalogBackend,
+    hole: Option<u32>,
+    refused: Arc<std::sync::atomic::AtomicUsize>,
+}
 
 impl Backend for OneAtATime {
     fn fetch(&mut self, block: BlockRef) -> Option<Block> {
-        self.0.fetch(block)
+        if Some(block.request.0) == self.hole {
+            self.refused
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            return None;
+        }
+        self.inner.fetch(block)
     }
 
     fn concurrency_limit(&self) -> Option<usize> {
@@ -660,13 +670,35 @@ impl Backend for OneAtATime {
 /// the whole limit, so `Idle` means what it means without one: every
 /// eligible session has drained.  Lockstep keeps the run deterministic: two
 /// sessions drain their one request and sit on unspent credit, the third
-/// still gets all forty of its blocks with no further input, and then the
-/// loop sleeps — no passes and no timer wake-ups.
+/// still gets all thirty-two of its blocks with no further input and
+/// drains too, and then the loop sleeps — no passes and no timer wake-ups.
+/// Each prediction's probabilities sum to exactly one, so no residual mass
+/// keeps a session drawing until its credit runs out.
 #[test]
 fn a_drained_server_over_a_limited_backend_sleeps() {
+    drains_then_sleeps(None);
+}
+
+/// The twin above over a backend that cannot resolve request 15, one of
+/// the third session's eight: it is asked for once and leaves the session's
+/// draw, the other seven are served in full, and the loop sleeps as before
+/// instead of asking for the hole again on a timer.
+#[test]
+fn a_drained_server_over_a_backend_with_a_hole_sleeps() {
+    drains_then_sleeps(Some(15));
+}
+
+/// Three lockstep sessions over a [`OneAtATime`] backend with `hole`: each
+/// gets every block of its certain prediction that resolves, and then the
+/// loop makes no passes and no timer wake-ups.
+fn drains_then_sleeps(hole: Option<u32>) {
     let cat = catalog(40, 4, 500);
-    let manager =
-        SessionManager::weighted_fair(Box::new(OneAtATime(CatalogBackend::new(cat.clone()))));
+    let refused = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let manager = SessionManager::weighted_fair(Box::new(OneAtATime {
+        inner: CatalogBackend::new(cat.clone()),
+        hole,
+        refused: refused.clone(),
+    }));
     let factory_cat = cat.clone();
     let server = TransportServer::spawn(
         "127.0.0.1:0",
@@ -693,7 +725,7 @@ fn a_drained_server_over_a_limited_backend_sleeps() {
     let hot: [Vec<(u32, f64)>; 3] = [
         vec![(1, 1.0)],
         vec![(2, 1.0)],
-        (10..20).map(|r| (r, 0.1)).collect(),
+        (10..18).map(|r| (r, 0.125)).collect(),
     ];
     for (client, hot) in clients.iter_mut().zip(&hot) {
         client
@@ -710,8 +742,10 @@ fn a_drained_server_over_a_limited_backend_sleeps() {
     busy.set_read_timeout(Some(std::time::Duration::from_secs(5)))
         .expect("read timeout");
     busy.send_credit(100).expect("credit");
-    let mut owed: std::collections::BTreeSet<(u32, u32)> =
-        (10..20).flat_map(|r| (0..4).map(move |b| (r, b))).collect();
+    let mut owed: std::collections::BTreeSet<(u32, u32)> = (10..18)
+        .filter(|&r| Some(r) != hole)
+        .flat_map(|r| (0..4).map(move |b| (r, b)))
+        .collect();
     while !owed.is_empty() {
         match busy.recv_event() {
             Ok(ServerEvent::Block { block, .. }) => {
@@ -733,5 +767,11 @@ fn a_drained_server_over_a_limited_backend_sleeps() {
     assert_eq!(
         stats.timer_wakeups, wakeups,
         "a drained server woke on a timer"
+    );
+    let refused = refused.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(
+        refused,
+        usize::from(hole.is_some()),
+        "the hole was asked again"
     );
 }
