@@ -41,7 +41,7 @@ pub const UNSAFE_BLOCK: &str = "unsafe-block";
 pub const ALL_RULES: &[Rule] = &[
     Rule {
         id: HASH_ITER,
-        desc: "no HashMap/HashSet iteration in sampling/scheduler hot paths (order breaks parity)",
+        desc: "no HashMap/HashSet/RequestMap iteration in sampling/scheduler hot paths (order breaks parity)",
         in_scope: scope_parity_hot_path,
         check: check_hash_iter,
     },
@@ -126,12 +126,18 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Names bound to a HashMap/HashSet in this file: `name: HashMap<..>` field /
-/// param / let-type annotations, and `name = HashMap::new()`-style inits.
+/// The map types whose iteration order depends on more than their
+/// contents: `std`'s randomly seeded ones, and `RequestMap`, whose table
+/// order is a function of its insertion and removal history.
+const HASH_ORDERED: &[&str] = &["HashMap", "HashSet", "RequestMap"];
+
+/// Names bound to a hash-ordered map in this file: `name: HashMap<..>`
+/// field / param / let-type annotations, and `name = HashMap::new()`-style
+/// inits.
 fn collect_hash_names(toks: &[Tok]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
+        if !HASH_ORDERED.iter().any(|ty| t.is_ident(ty)) {
             continue;
         }
         // Walk back over a `std :: collections ::` style path prefix and
@@ -462,6 +468,16 @@ mod tests {
         let src = "struct S { resident: std::collections::HashMap<u32, u32> }\nimpl S {\n    fn f(&self) {\n        for x in self\n            .resident\n            .iter()\n        {}\n    }\n}\n";
         let d = rules_at(SCHED, src);
         assert!(d.contains(&("hash-iter".to_string(), 5)), "{d:?}");
+    }
+
+    #[test]
+    fn hash_iter_catches_request_maps() {
+        let src = "struct S { slots: RequestMap<u32> }\nimpl S {\n    fn f(&self) {\n        for (r, s) in self.slots.iter() {}\n        let m = crate::request_map::RequestMap::<u8>::new();\n        let _ = m.keys();\n        let _ = self.slots.get(r);\n    }\n}\n";
+        let d = rules_at(SCHED, src);
+        assert_eq!(
+            d,
+            vec![("hash-iter".to_string(), 4), ("hash-iter".to_string(), 6)]
+        );
     }
 
     #[test]

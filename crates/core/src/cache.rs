@@ -12,10 +12,12 @@
 //!
 //! The scheduler reads the ring's residency on every block it draws, so the
 //! residency index holds no heap object per cached request: one 64-bit mask
-//! a request (bit `i` set while block `i` is resident), and a sorted
-//! overflow set for block indices of 64 and above, which no catalog in this
-//! repository reaches.  A prefix is a `trailing_ones`, a resident count a
-//! popcount.
+//! a request (bit `i` set while block `i` is resident) in a
+//! `RequestMap`, which a lookup reaches with one multiply and a short
+//! probe, and a sorted overflow set for block indices of 64 and above, which
+//! no catalog in this repository reaches.  A prefix is a `trailing_ones`, a
+//! resident count a popcount.  The map iterates in table order, so
+//! [`RingCache::requests`] and [`RingCache::resident_counts`] are unordered.
 //!
 //! Baseline prefetching systems (§6.1) use a conventional byte-capacity
 //! [`LruCache`] instead, which this module also provides.
@@ -24,6 +26,7 @@ use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
+use crate::request_map::RequestMap;
 use crate::types::{BlockRef, Bytes, RequestId};
 
 /// Block indices below this live in a request's residency mask; the rest in
@@ -52,7 +55,7 @@ pub struct RingCache {
     /// Resident block indices below [`MASK_BITS`] per request, bit `i` for
     /// block `i`.  A request has an entry exactly while it has any resident
     /// block, so a request resident only above the mask has a zero mask.
-    resident: HashMap<RequestId, u64>,
+    resident: RequestMap<u64>,
     /// Resident `(request, index)` pairs with `index >= MASK_BITS`, sorted so
     /// one request's are a range.  Empty, and unallocated, for every catalog
     /// whose responses have at most 64 blocks.
@@ -67,7 +70,7 @@ impl RingCache {
             capacity,
             slots: Vec::new(),
             cursor: 0,
-            resident: HashMap::new(),
+            resident: RequestMap::new(),
             overflow: BTreeSet::new(),
         }
     }
@@ -153,7 +156,7 @@ impl RingCache {
     }
 
     fn remember(&mut self, block: BlockRef) {
-        let mask = self.resident.entry(block.request).or_insert(0);
+        let mask = self.resident.get_or_insert_with(block.request, || 0);
         if block.index < MASK_BITS {
             *mask |= 1 << block.index;
         } else {
@@ -162,7 +165,7 @@ impl RingCache {
     }
 
     fn forget(&mut self, block: BlockRef) {
-        let Some(mask) = self.resident.get_mut(&block.request) else {
+        let Some(mask) = self.resident.get_mut(block.request) else {
             return;
         };
         if block.index < MASK_BITS {
@@ -171,7 +174,7 @@ impl RingCache {
             self.overflow.remove(&(block.request, block.index));
         }
         if *mask == 0 && self.overflow_of(block.request).next().is_none() {
-            self.resident.remove(&block.request);
+            self.resident.remove(block.request);
         }
     }
 
@@ -187,7 +190,7 @@ impl RingCache {
     /// currently cached for `request`.  This is the quantity that determines
     /// renderable quality for progressive encodings.
     pub fn prefix_len(&self, request: RequestId) -> u32 {
-        let Some(mask) = self.resident.get(&request) else {
+        let Some(mask) = self.resident.get(request) else {
             return 0;
         };
         let mut len = mask.trailing_ones();
@@ -205,20 +208,20 @@ impl RingCache {
     /// Whether at least one block for `request` is cached — the cache-hit
     /// condition used throughout the paper's evaluation (§6.1).
     pub fn contains(&self, request: RequestId) -> bool {
-        self.resident.contains_key(&request)
+        self.resident.contains_key(request)
     }
 
-    /// The requests with at least one cached block, in hash order.
+    /// The requests with at least one cached block, in table order.
     pub fn requests(&self) -> impl Iterator<Item = RequestId> + '_ {
-        self.resident.keys().copied()
+        self.resident.keys()
     }
 
     /// `(request, resident blocks)` for every request with a cached block, in
-    /// hash order.
+    /// table order.
     pub fn resident_counts(&self) -> impl Iterator<Item = (RequestId, u32)> + '_ {
         self.resident
             .iter()
-            .map(|(&r, mask)| (r, mask.count_ones() + self.overflow_of(r).count() as u32))
+            .map(|(r, mask)| (r, mask.count_ones() + self.overflow_of(r).count() as u32))
     }
 
     /// The most recently inserted block still in the ring: the one

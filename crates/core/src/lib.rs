@@ -121,6 +121,7 @@ pub mod fault;
 pub mod metrics;
 pub mod predictor;
 pub mod protocol;
+pub(crate) mod request_map;
 pub mod sampling;
 pub mod scheduler;
 pub mod server;

@@ -75,8 +75,7 @@
 //! makes for its 13× meta-request speedup, now applied to the materialized
 //! set too.
 
-use std::collections::HashMap;
-
+use crate::request_map::RequestMap;
 use crate::scheduler::TailShapePartition;
 use crate::types::RequestId;
 
@@ -134,6 +133,16 @@ impl FenwickTree {
         }
     }
 
+    /// Resets the tree to `len` zero-weight entries, keeping its buffers:
+    /// no allocation unless it never held `len` entries before.
+    fn clear(&mut self, len: usize) {
+        self.tree.clear();
+        self.tree.resize(len + 1, 0.0);
+        self.values.clear();
+        self.values.resize(len, 0.0);
+        self.positive = 0;
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -175,16 +184,34 @@ impl FenwickTree {
     /// Appends a new entry with weight `w` in `O(log n)`.
     pub fn push(&mut self, w: f64) {
         assert!(w.is_finite() && w >= 0.0, "weight must be finite and >= 0");
+        self.values.push(w);
+        self.push_node();
+    }
+
+    /// Appends the sum node of the first value no node covers yet.  Node `j`
+    /// covers values[(j - lowbit(j))..j]; the new node is derived from
+    /// existing prefix sums instead of rebuilding.
+    fn push_node(&mut self) {
+        let j = self.tree.len();
+        let w = self.values[j - 1];
         if w > 0.0 {
             self.positive += 1;
         }
-        self.values.push(w);
-        // Node `j` covers values[(j - lowbit(j))..j]; derive the new node
-        // from existing prefix sums instead of rebuilding.
-        let j = self.values.len();
         let lb = j & j.wrapping_neg();
         let covered_before = self.prefix_sum(j - 1) - self.prefix_sum(j - lb);
         self.tree.push(covered_before + w);
+    }
+
+    /// Keeps the first `len` values and re-derives every sum node by the
+    /// appends a fresh tree of those values would take, so the sums are
+    /// bit-identical to [`push`](Self::push)ing them one by one.
+    fn resum_prefix(&mut self, len: usize) {
+        self.values.truncate(len);
+        self.tree.truncate(1);
+        self.positive = 0;
+        while self.tree.len() <= len {
+            self.push_node();
+        }
     }
 
     /// Sum of the weights of entries `0..i`.
@@ -348,6 +375,17 @@ impl BucketTree {
             dead: 0,
         }
     }
+
+    /// Makes this the zero-weight bucket of `members`, keeping its buffers.
+    fn reset(&mut self, members: &[RequestId]) {
+        self.ids.clear();
+        self.ids.extend_from_slice(members);
+        self.tree.clear(members.len());
+        self.coefs.clear();
+        self.coefs.resize(members.len(), 0.0);
+        self.factor = 0.0;
+        self.dead = 0;
+    }
 }
 
 /// One per-utility-class meta-entry for the untouched remainder.
@@ -387,7 +425,7 @@ pub struct GainSampler {
     /// Rebuilds reset only the previous layout's entries, in `O(m)`.
     explicit_slots: Vec<ExplicitSlot>,
     /// Dense slot of each shared-group request, assigned on first insertion.
-    shared_slots: HashMap<RequestId, usize>,
+    shared_slots: RequestMap<u32>,
     /// Slot → request id (the inverse of `shared_slots`).
     shared_ids: Vec<RequestId>,
     /// Gain parts `g_i(B_i)` of touched-but-unmaterialized requests, by slot.
@@ -414,7 +452,7 @@ impl GainSampler {
             irregular_dead: 0,
             irregular_scale: 1.0,
             explicit_slots: Vec::new(),
-            shared_slots: HashMap::new(),
+            shared_slots: RequestMap::new(),
             shared_ids: Vec::new(),
             shared: FenwickTree::new(0),
             shared_scale: 0.0,
@@ -449,7 +487,9 @@ impl GainSampler {
     /// Resets all weights and installs a new explicit layout (`partition`)
     /// and meta-class gain catalog (`meta_gains`, one exact first-block gain
     /// per utility class), in `O(m)`; weights, factors, coefficients, and
-    /// untouched counts start at zero.
+    /// untouched counts start at zero.  The previous layout's buckets are
+    /// reset in place and every tree and vector keeps its buffer, so an
+    /// install allocates only when its layout outgrows the previous one.
     ///
     /// Shared-group slots are re-assigned in subsequent insertion order;
     /// callers that need seed-determinism must re-insert in a deterministic
@@ -458,13 +498,11 @@ impl GainSampler {
         // Un-index the previous layout (O(m_prev)).  Every indexed request
         // holds a live or tombstoned slot of that layout, so this leaves the
         // whole index `NO_SLOT`.
-        for b in std::mem::take(&mut self.buckets) {
-            for r in b.ids {
-                self.set_slot(r, NO_SLOT);
+        let previous = (self.buckets.iter().flat_map(|b| &b.ids)).chain(&self.irregular_ids);
+        for &r in previous {
+            if let Some(slot) = self.explicit_slots.get_mut(r.index()) {
+                *slot = NO_SLOT;
             }
-        }
-        for r in std::mem::take(&mut self.irregular_ids) {
-            self.set_slot(r, NO_SLOT);
         }
         // One exact allocation for the new layout instead of amortized
         // doubling: the index of a session that predicts once then stays
@@ -477,33 +515,35 @@ impl GainSampler {
             .unwrap_or(0);
         self.explicit_slots
             .reserve_exact(needed.saturating_sub(self.explicit_slots.len()));
+        let wanted = partition.buckets.len();
+        self.buckets.truncate(wanted);
+        self.buckets.reserve_exact(wanted - self.buckets.len());
         for (bi, b) in partition.buckets.iter().enumerate() {
             for (pos, &r) in b.members.iter().enumerate() {
                 self.set_slot(r, ExplicitSlot::bucket(bi as u32, pos as u32));
             }
-            self.buckets.push(BucketTree {
-                ids: b.members.clone(),
-                tree: FenwickTree::new(b.members.len()),
-                coefs: vec![0.0; b.members.len()],
-                factor: 0.0,
-                dead: 0,
-            });
+            if bi == self.buckets.len() {
+                self.buckets.push(BucketTree::empty());
+            }
+            self.buckets[bi].reset(&b.members);
         }
         for (pos, &r) in partition.irregular.iter().enumerate() {
             self.set_slot(r, ExplicitSlot::irregular(pos as u32));
         }
-        self.irregular_ids = partition.irregular.clone();
-        self.irregular = FenwickTree::new(self.irregular_ids.len());
+        self.irregular_ids.clear();
+        self.irregular_ids.extend_from_slice(&partition.irregular);
+        self.irregular.clear(self.irregular_ids.len());
         self.irregular_dead = 0;
         self.irregular_scale = 1.0;
         self.shared_slots.clear();
         self.shared_ids.clear();
-        self.shared = FenwickTree::new(0);
+        self.shared.clear(0);
         self.shared_scale = 0.0;
-        self.meta = meta_gains
+        self.meta.clear();
+        let meta = meta_gains
             .iter()
-            .map(|&gain| MetaEntry { untouched: 0, gain })
-            .collect();
+            .map(|&gain| MetaEntry { untouched: 0, gain });
+        self.meta.extend(meta);
     }
 
     /// Appends an empty shape bucket, mirroring a bucket the model's diff
@@ -723,15 +763,13 @@ impl GainSampler {
     /// Assigns the gain part of shared-tail request `r` (its tail factor is
     /// the group scale), assigning it the next dense slot on first insertion.
     pub fn set_shared_gain(&mut self, r: RequestId, g: f64) {
-        match self.shared_slots.entry(r) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.shared.set(*e.get(), g);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.shared_ids.len());
-                self.shared_ids.push(r);
-                self.shared.push(g);
-            }
+        let next = self.shared_ids.len() as u32;
+        let slot = *self.shared_slots.get_or_insert_with(r, || next);
+        if slot == next {
+            self.shared_ids.push(r);
+            self.shared.push(g);
+        } else {
+            self.shared.set(slot as usize, g);
         }
     }
 
@@ -755,30 +793,33 @@ impl GainSampler {
             }
             None => self
                 .shared_slots
-                .get(&r)
-                .map(|&slot| self.shared.get(slot) * self.shared_scale),
+                .get(r)
+                .map(|&slot| self.shared.get(slot as usize) * self.shared_scale),
         }
     }
 
     /// Drops every shared-group member for which `keep` returns `false`,
-    /// preserving the relative order (and gains) of the survivors.  `O(s)`
-    /// when nothing is dropped, `O(s log s)` otherwise.  Used when the
-    /// greedy scheduler returns departed shared-tail requests, whose last
-    /// resident block was evicted, to their meta class.
+    /// preserving the relative order (and gains) of the survivors, in
+    /// place.  `O(s)` when nothing is dropped, `O(s log s)` otherwise.  Used
+    /// when the greedy scheduler returns departed shared-tail requests, whose
+    /// last resident block was evicted, to their meta class.
     pub fn compact_shared(&mut self, mut keep: impl FnMut(RequestId) -> bool) {
         if self.shared_ids.iter().all(|&r| keep(r)) {
             return;
         }
-        let old_ids = std::mem::take(&mut self.shared_ids);
-        let old_tree = std::mem::replace(&mut self.shared, FenwickTree::new(0));
         self.shared_slots.clear();
-        for (slot, &r) in old_ids.iter().enumerate() {
+        let mut kept = 0;
+        for slot in 0..self.shared_ids.len() {
+            let r = self.shared_ids[slot];
             if keep(r) {
-                self.shared_slots.insert(r, self.shared_ids.len());
-                self.shared_ids.push(r);
-                self.shared.push(old_tree.get(slot));
+                self.shared_slots.insert(r, kept as u32);
+                self.shared_ids[kept] = r;
+                self.shared.values[kept] = self.shared.values[slot];
+                kept += 1;
             }
         }
+        self.shared_ids.truncate(kept);
+        self.shared.resum_prefix(kept);
     }
 
     /// Sets the shared-tail group's common factor `residual(t)`.

@@ -30,7 +30,20 @@
 //! the shared build.  A diffed tail differs from a fresh build at the ulp
 //! level (`coef *= c` versus re-summed suffixes), which is why it is never
 //! registered.
+//!
+//! ## The lookup
+//!
+//! Every whole-summary install resolves here, so a resolution must not grow
+//! with the number of live models.  The fingerprint is two multiply-xorshift
+//! lanes over the summary's words, one word a step; the registry is a map
+//! keyed by it, hashed by its own low word, so a hit is one lookup under the
+//! lock.  Dead entries are pruned only on a miss, when a build is paid
+//! anyway.  The hash is fixed, so clients could aim summaries at one
+//! bucket; but an entry outlives a miss only while some scheduler holds its
+//! model, so colliding entries number at most the sessions holding them.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, Weak};
 
 use crate::distribution::PredictionSummary;
@@ -49,10 +62,45 @@ struct ModelKey {
     gamma_bits: u64,
 }
 
-/// Double FNV-1a over the words of the build input: deterministic across
-/// processes and threads (unlike `std`'s randomized hasher), cheap, and with
-/// 128 output bits collisions are not a practical concern — and the explicit
-/// parameter comparison in [`ModelKey`] bounds the blast radius of one.
+/// The fingerprint is already a hash of every other field's inputs, so the
+/// registry's table hashes its low word and nothing else.
+impl Hash for ModelKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint as u64);
+    }
+}
+
+/// The registry's [`Hasher`]: passes [`ModelKey`]'s one word through, with
+/// no per-process random state and no byte-by-byte hashing.
+#[derive(Debug, Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 << 8) | u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The registry: one weakly held model per key.
+type Registry = HashMap<ModelKey, Weak<HorizonModel>, BuildHasherDefault<FingerprintHasher>>;
+
+/// Two multiply-xorshift lanes over the words of the build input, one 64-bit
+/// word a step: deterministic across processes and threads (unlike `std`'s
+/// randomized hasher), cheap, and with 128 output bits collisions are not a
+/// practical concern — and the explicit parameter comparison in
+/// [`ModelKey`] bounds the blast radius of one.  Each step is a bijection
+/// of a lane's state, and the xorshift carries a word's high bits into the
+/// low ones, which a bare multiply never does.
 #[derive(Debug, Clone, Copy)]
 struct Fnv2 {
     a: u64,
@@ -61,9 +109,11 @@ struct Fnv2 {
 
 impl Fnv2 {
     const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
-    // A distinct offset basis decorrelates the second lane.
+    // A distinct offset basis, prime and word rotation decorrelate the
+    // second lane.
     const OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-    const PRIME: u64 = 0x1000_0000_01b3;
+    const PRIME_A: u64 = 0x1000_0000_01b3;
+    const PRIME_B: u64 = 0x9e37_79b9_7f4a_7c15;
 
     fn new() -> Self {
         Fnv2 {
@@ -73,10 +123,10 @@ impl Fnv2 {
     }
 
     fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
-            self.b = (self.b ^ u64::from(byte.rotate_left(3))).wrapping_mul(Self::PRIME);
-        }
+        self.a = (self.a ^ w).wrapping_mul(Self::PRIME_A);
+        self.a ^= self.a >> 29;
+        self.b = (self.b ^ w.rotate_left(32)).wrapping_mul(Self::PRIME_B);
+        self.b ^= self.b >> 31;
     }
 
     fn finish(self) -> u128 {
@@ -124,6 +174,10 @@ fn fingerprint_summary(
 /// departing session's models are reclaimed without any explicit eviction
 /// protocol.
 ///
+/// A resolution is one keyed lookup under the lock.  Dead entries — keys
+/// whose model every holder dropped — are pruned on a miss, before the new
+/// model registers, so a hit never scans the registry.
+///
 /// One instance is shared by every session of a
 /// [`SessionManager`](crate::session::SessionManager) and, under sharding,
 /// by every shard of a
@@ -132,15 +186,9 @@ fn fingerprint_summary(
 /// canonical-build-only rule (module docs) makes it *deterministic*.
 #[derive(Debug, Default)]
 pub struct ModelCache {
-    entries: Mutex<Vec<Entry>>,
+    entries: Mutex<Registry>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    key: ModelKey,
-    model: Weak<HorizonModel>,
 }
 
 impl ModelCache {
@@ -161,40 +209,26 @@ impl ModelCache {
     ) -> Arc<HorizonModel> {
         use std::sync::atomic::Ordering;
         let key = fingerprint_summary(summary, horizon, slot_duration, gamma);
-        {
-            let mut entries = self.lock_entries();
-            entries.retain(|e| e.model.strong_count() > 0);
-            for entry in entries.iter() {
-                if entry.key == key {
-                    if let Some(live) = entry.model.upgrade() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return live;
-                    }
-                }
-            }
+        if let Some(live) = self.lock_entries().get(&key).and_then(Weak::upgrade) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return live;
         }
         // Build outside the lock: canonical builds are pure functions of the
         // key, so two threads racing on the same key build identical models
         // and it does not matter whose registration wins.
         let built = Arc::new(HorizonModel::build(summary, horizon, slot_duration, gamma));
         let mut entries = self.lock_entries();
-        for entry in entries.iter() {
-            if entry.key == key {
-                if let Some(live) = entry.model.upgrade() {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return live;
-                }
-            }
+        if let Some(live) = entries.get(&key).and_then(Weak::upgrade) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return live;
         }
-        entries.push(Entry {
-            key,
-            model: Arc::downgrade(&built),
-        });
+        entries.retain(|_, model| model.strong_count() > 0);
+        entries.insert(key, Arc::downgrade(&built));
         self.misses.fetch_add(1, Ordering::Relaxed);
         built
     }
 
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
+    fn lock_entries(&self) -> std::sync::MutexGuard<'_, Registry> {
         self.entries
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -204,7 +238,7 @@ impl ModelCache {
     /// Prunes dead entries as a side effect.
     pub fn live_models(&self) -> usize {
         let mut entries = self.lock_entries();
-        entries.retain(|e| e.model.strong_count() > 0);
+        entries.retain(|_, model| model.strong_count() > 0);
         entries.len()
     }
 

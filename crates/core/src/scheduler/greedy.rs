@@ -106,7 +106,7 @@
 //! variants share.  Its blocks enter the ring and the log like any other,
 //! and it ends early once they all saturate.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -263,6 +263,9 @@ pub struct GreedyScheduler {
     /// ([`Scheduler::drop_unsent`]): their marginal gain is zero, and they
     /// stay touched, so no meta draw reaches them either.
     refused: Vec<RequestId>,
+    /// The requests a delta's rollback touched, kept between updates for
+    /// its buffer (see [`rollback_unsent`](Self::rollback_unsent)).
+    rolled: Vec<RequestId>,
     /// Shared catalog/utility-derived state (the utility model, classes,
     /// meta gains, block counts) — one `Arc` per `(utility value, catalog)`
     /// pair across sessions.
@@ -333,6 +336,7 @@ impl GreedyScheduler {
             shared_order: Vec::new(),
             departed: 0,
             refused: Vec::new(),
+            rolled: Vec::new(),
             ctx,
             touched_per_class,
             sampler: GainSampler::new(),
@@ -440,11 +444,11 @@ impl GreedyScheduler {
     /// Rolls back every block the sender has not confirmed, newest first,
     /// undoing each on the ring and taking `since_install` back one slot:
     /// every update empties the log, so each logged block was drawn after
-    /// the last install.  Returns the requests whose simulated residency the
-    /// rollback touched, unsorted; their gains must be re-derived even when
-    /// a model diff leaves them untouched.
-    fn rollback_unsent(&mut self) -> Vec<RequestId> {
-        let mut rolled: Vec<RequestId> = Vec::new();
+    /// the last install.  Appends to `rolled`, when given, the requests
+    /// whose simulated residency the rollback touched, unsorted: after a
+    /// model diff their gains must be re-derived even when the diff leaves
+    /// them untouched.  An install rebuilds every gain, so it passes `None`.
+    fn rollback_unsent(&mut self, mut rolled: Option<&mut Vec<RequestId>>) {
         while let Some((block, evicted)) = self.unconfirmed.pop_back() {
             if self.ring.newest() != Some(block) {
                 let noted = self.audit_note_misalignment(
@@ -459,14 +463,13 @@ impl GreedyScheduler {
                 self.unconfirmed.clear();
                 break;
             }
-            rolled.push(block.request);
-            if let Some(old) = evicted {
-                rolled.push(old.request);
+            if let Some(rolled) = rolled.as_deref_mut() {
+                rolled.push(block.request);
+                rolled.extend(evicted.map(|old| old.request));
             }
             self.ring.undo_insert(block, evicted);
             self.since_install -= 1;
         }
-        rolled
     }
 
     /// Mirrors a [`ModelDiff`] into the scheduler's touched/shared
@@ -534,10 +537,11 @@ impl GreedyScheduler {
             }
         }
         if !drop_from_shared.is_empty() {
-            let dead: HashSet<RequestId> = drop_from_shared.iter().copied().collect();
-            self.shared_order.retain(|r| !dead.contains(r));
+            drop_from_shared.sort_unstable();
+            let dead = |r: &RequestId| drop_from_shared.binary_search(r).is_ok();
+            self.shared_order.retain(|r| !dead(r));
             if incremental {
-                self.sampler.compact_shared(|r| !dead.contains(&r));
+                self.sampler.compact_shared(|r| !dead(&r));
             }
         }
         for &r in &add_to_shared {
@@ -633,37 +637,41 @@ impl GreedyScheduler {
         true
     }
 
+    /// Re-derives the touched set (the materialized, resident and refused
+    /// requests) and the shared segment, then rebuilds the sampler.  The
+    /// shared segment's own buffer collects the candidates, so this
+    /// allocates nothing once it has held as many.
     fn rebuild_touched(&mut self) {
         self.touched.fill(0);
         self.touched_per_class.fill(0);
         self.departed = 0;
-        let mut touched_ids: Vec<RequestId> = self.model.materialized().collect();
-        // The ring yields its requests in hash order, which differs between
-        // runs; only the sort below keeps the draw layout deterministic.
-        touched_ids.extend(self.ring.requests());
-        touched_ids.extend_from_slice(&self.refused);
-        touched_ids.retain(|&r| self.mark_touched(r));
+        for i in 0..self.model.materialized().len() {
+            self.mark_touched(self.model.materialized()[i]);
+        }
+        // The ring yields its requests in table order, a function of its
+        // insertion history; only the sort below keeps the draw layout
+        // deterministic.  Materialized requests are already marked, so the
+        // retain keeps each touched unmaterialized request once.
+        let mut order = std::mem::take(&mut self.shared_order);
+        order.clear();
+        order.extend(self.ring.requests());
+        order.extend_from_slice(&self.refused);
+        order.retain(|&r| self.mark_touched(r));
         // Canonical shared-segment order: sorted at rebuild, appended in
         // touch order thereafter.  With the meta-request optimization off,
         // *every* unmaterialized request sits in the shared segment
         // permanently (the unoptimized Figure 16 / §5.3.1 baseline), so
         // membership never shifts between updates.
-        self.shared_order.clear();
-        if self.cfg.use_meta_request {
-            self.shared_order.extend(
-                touched_ids
-                    .iter()
-                    .copied()
-                    .filter(|&r| !self.model.is_materialized(r)),
-            );
-        } else {
-            self.shared_order.extend(
+        if !self.cfg.use_meta_request {
+            order.clear();
+            order.extend(
                 (0..self.model.num_requests())
                     .map(RequestId::from)
                     .filter(|&r| !self.model.is_materialized(r)),
             );
         }
-        self.shared_order.sort_unstable();
+        order.sort_unstable();
+        self.shared_order = order;
         self.rebuild_sampler();
     }
 
@@ -1032,12 +1040,11 @@ impl GreedyScheduler {
             return;
         }
         self.departed = 0;
-        let (ring, refused) = (&self.ring, &self.refused);
-        let departed: Vec<RequestId> = (self.shared_order.iter().copied())
-            .filter(|&r| !ring.contains(r) && !refused.contains(&r))
-            .collect();
-        for r in departed {
-            self.untouch(r);
+        for i in 0..self.shared_order.len() {
+            let r = self.shared_order[i];
+            if !self.ring.contains(r) && !self.refused.contains(&r) {
+                self.untouch(r);
+            }
         }
         let touched = &self.touched;
         self.shared_order.retain(|&r| is_touched(touched, r));
@@ -1252,10 +1259,7 @@ impl GreedyScheduler {
             self.cfg.slot_duration,
             self.cfg.gamma,
         );
-        let mut diffed: Vec<RequestId> = self.model.materialized().collect();
-        diffed.sort_unstable();
-        let mut rebuilt: Vec<RequestId> = shadow.materialized().collect();
-        rebuilt.sort_unstable();
+        let (diffed, rebuilt) = (self.model.materialized(), shadow.materialized());
         if diffed != rebuilt {
             report.record(AuditViolation {
                 check: AuditCheck::DiffSignature,
@@ -1270,7 +1274,7 @@ impl GreedyScheduler {
             return;
         }
         let probe_slots = [0, self.read_slot()];
-        for &r in &diffed {
+        for &r in diffed {
             for &slot in &probe_slots {
                 let got = self.model.tail(r, slot);
                 let want = shadow.tail(r, slot);
@@ -1303,7 +1307,7 @@ impl GreedyScheduler {
 impl Scheduler for GreedyScheduler {
     fn update_prediction(&mut self, summary: &PredictionSummary) {
         self.updates += 1;
-        self.rollback_unsent();
+        self.rollback_unsent(None);
         self.since_install = 0;
         self.refused.clear();
         self.install(summary);
@@ -1315,7 +1319,9 @@ impl Scheduler for GreedyScheduler {
         changes: &crate::delta::PredictionChanges,
     ) {
         self.updates += 1;
-        let mut rolled = self.rollback_unsent();
+        let mut rolled = std::mem::take(&mut self.rolled);
+        rolled.clear();
+        self.rollback_unsent(Some(&mut rolled));
         self.since_install = 0;
         // A refused request is drawable again, and only an install
         // re-derives its zeroed weights.
@@ -1341,6 +1347,7 @@ impl Scheduler for GreedyScheduler {
             }
             None => self.install(summary),
         }
+        self.rolled = rolled;
     }
 
     /// Confirms the oldest unconfirmed block; a confirmation of any other
@@ -1361,7 +1368,7 @@ impl Scheduler for GreedyScheduler {
     /// refused request joins the refused list, and the touched set and the
     /// sampler are rebuilt over the restored ring.
     fn drop_unsent(&mut self, refused: BlockRef) {
-        self.rollback_unsent();
+        self.rollback_unsent(None);
         if !self.refused.contains(&refused.request) {
             self.refused.push(refused.request);
         }
@@ -1436,6 +1443,7 @@ mod tests {
     use crate::delta::DirectUplink;
     use crate::types::Time;
     use crate::utility::{GainTable, LinearUtility, PiecewiseUtility, PowerUtility};
+    use std::collections::HashSet;
 
     fn mk(n: usize, blocks: u32, cache_blocks: usize, meta: bool) -> GreedyScheduler {
         let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 1000));

@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::distribution::PredictionSummary;
+use crate::request_map::RequestMap;
 use crate::types::{BlockRef, Duration, RequestId};
 use crate::utility::UtilityModel;
 
@@ -204,7 +205,7 @@ pub struct HorizonModel {
     /// Materialized per-request tails (scalar-vs-shape for bucket members,
     /// full vectors of length `horizon + 1` for irregular requests; index
     /// `horizon` is 0, simplifying loops).
-    explicit: HashMap<RequestId, ExplicitTail>,
+    explicit: RequestMap<ExplicitTail>,
     /// Tail vector shared by every non-materialized request.
     residual: Vec<f64>,
     /// Materialized requests grouped by tail *shape* (see
@@ -216,7 +217,7 @@ pub struct HorizonModel {
     materialized_ids: Vec<RequestId>,
     /// Per-request prediction signature: equal signatures imply identical
     /// per-slot probabilities, hence identical tails.
-    signatures: HashMap<RequestId, TailSignature>,
+    signatures: RequestMap<TailSignature>,
     /// The slice offsets of the summary this model was built from; a summary
     /// with different offsets cannot be diffed against this model.
     slice_deltas: Vec<Duration>,
@@ -234,6 +235,14 @@ enum ExplicitTail {
     Full(Vec<f64>),
 }
 
+/// What a vacant `RequestMap` slot holds: an empty tail, which allocates
+/// nothing and is never read.
+impl Default for ExplicitTail {
+    fn default() -> Self {
+        ExplicitTail::Full(Vec::new())
+    }
+}
+
 /// A materialized request's identity under prediction diffing: its
 /// probability at every slice of the summary (falling back to the slice's
 /// residual-per-request, exactly like interpolation does) plus which slices
@@ -241,7 +250,7 @@ enum ExplicitTail {
 /// signatures assign it identical per-slot probabilities (up to the global
 /// renormalization noise of the interpolation, which is `O(ε)` for
 /// normalized inputs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct TailSignature(Vec<SliceProb>);
 
 /// One slice's entry of a [`TailSignature`].  The explicit flag rides next
@@ -484,7 +493,7 @@ impl HorizonModel {
         // shapes.  Requests are visited in ascending id order, so a bucket's
         // representative is its lowest member and member lists are sorted.
         let mut partition = TailShapePartition::default();
-        let mut explicit = HashMap::with_capacity(materialized.len());
+        let mut explicit = RequestMap::with_capacity(materialized.len());
         let mut memo = ShapeMemo::new(&plan);
         for (&r, sig) in materialized.iter().zip(&sigs) {
             let shapes = partition.buckets.iter().map(|b| b.shape.as_slice());
@@ -557,11 +566,9 @@ impl HorizonModel {
         self.gamma
     }
 
-    /// The requests with materialized (non-residual) tails, in unspecified
-    /// order — callers that feed parity-sensitive state must sort.
-    pub fn materialized(&self) -> impl Iterator<Item = RequestId> + '_ {
-        // lint:allow(hash-iter) -- documented unordered; the one hot-path caller sorts (rebuild_touched)
-        self.explicit.keys().copied()
+    /// The requests with materialized (non-residual) tails, ascending.
+    pub fn materialized(&self) -> &[RequestId] {
+        &self.materialized_ids
     }
 
     /// Number of materialized requests.
@@ -571,7 +578,7 @@ impl HorizonModel {
 
     /// Whether `request` has a materialized tail.
     pub fn is_materialized(&self, request: RequestId) -> bool {
-        self.explicit.contains_key(&request)
+        self.explicit.contains_key(request)
     }
 
     /// The materialized requests grouped by tail shape (see
@@ -589,7 +596,7 @@ impl HorizonModel {
     /// Tail mass of `request` from slot `t` (clamped to the horizon) onward.
     pub fn tail(&self, request: RequestId, t: usize) -> f64 {
         let t = t.min(self.horizon);
-        match self.explicit.get(&request) {
+        match self.explicit.get(request) {
             Some(&ExplicitTail::Scaled { bucket, coef }) => {
                 coef * self.partition.buckets[bucket as usize].shape[t]
             }
@@ -600,7 +607,7 @@ impl HorizonModel {
 
     /// Where `request` sits in the explicit layout, if materialized.
     pub fn placement(&self, request: RequestId) -> Option<ExplicitPlacement> {
-        self.explicit.get(&request).map(|e| match e {
+        self.explicit.get(request).map(|e| match e {
             ExplicitTail::Scaled { bucket, .. } => ExplicitPlacement::Bucket(*bucket as usize),
             ExplicitTail::Full(_) => ExplicitPlacement::Irregular,
         })
@@ -680,8 +687,8 @@ impl HorizonModel {
             return None;
         }
         // --- phase 1: plan, visiting only the changed requests ---
-        let mut new_sigs: HashMap<RequestId, TailSignature> =
-            HashMap::with_capacity(changes.changed.len());
+        let mut new_sigs: RequestMap<TailSignature> =
+            RequestMap::with_capacity(changes.changed.len());
         let mut departed = Vec::new();
         let mut joined = Vec::new();
         let mut pending = Vec::new();
@@ -696,7 +703,7 @@ impl HorizonModel {
             prev = Some(r);
             let sig = signature_of(slices, r);
             let now_materialized = sig.is_materialized();
-            match (self.signatures.get(&r), now_materialized) {
+            match (self.signatures.get(r), now_materialized) {
                 (Some(old_sig), true) => {
                     if *old_sig != sig {
                         match sig_scale(old_sig, &sig) {
@@ -753,7 +760,7 @@ impl HorizonModel {
         joined: Vec<RequestId>,
         pending: Vec<RequestId>,
         fast_rescale: Vec<(RequestId, f64)>,
-        new_sigs: &HashMap<RequestId, TailSignature>,
+        new_sigs: &RequestMap<TailSignature>,
         new_ids: Option<Vec<RequestId>>,
     ) -> Option<ModelDiff> {
         // Classify the pending requests against existing bucket shapes (and
@@ -764,12 +771,12 @@ impl HorizonModel {
         let mut removed_moves: Vec<RequestId> = Vec::new();
         let mut rescaled: Vec<RequestId> = Vec::new();
         // Tails of the requests that end up irregular (keyed lookup only,
-        // never iterated, so hash ordering cannot leak into the model).
-        let mut full_tails: HashMap<RequestId, Vec<f64>> = HashMap::new();
+        // never iterated, so table order cannot leak into the model).
+        let mut full_tails: RequestMap<Vec<f64>> = RequestMap::new();
         let mut memo = ShapeMemo::new(plan);
         let any_empty_bucket = self.partition.buckets.iter().any(|b| b.members.is_empty());
         for &r in &pending {
-            let sig = &new_sigs[&r];
+            let sig = &new_sigs[r];
             let old = self.placement(r);
             let known = self.partition.buckets.len() + new_buckets.len();
             let shapes = self
@@ -845,8 +852,8 @@ impl HorizonModel {
             }
         }
         for &r in &departed {
-            self.explicit.remove(&r);
-            self.signatures.remove(&r);
+            self.explicit.remove(r);
+            self.signatures.remove(r);
         }
         for (rep, shape) in new_buckets.iter().cloned() {
             self.partition.buckets.push(ShapeBucket {
@@ -857,7 +864,7 @@ impl HorizonModel {
         }
         // Placements (joins + moves): append membership, install tails.
         for &(r, p) in &placed {
-            let sig = &new_sigs[&r];
+            let sig = &new_sigs[r];
             let tail = match p {
                 ExplicitPlacement::Bucket(b) => {
                     self.partition.buckets[b].members.push(r);
@@ -869,7 +876,7 @@ impl HorizonModel {
                 ExplicitPlacement::Irregular => {
                     self.partition.irregular.push(r);
                     // lint:allow(unwrap) -- diff-plan invariant: the plan phase kept the tail of every request it sent to the irregular set; silent skip would corrupt the model
-                    ExplicitTail::Full(full_tails.remove(&r).expect("irregular request has a tail"))
+                    ExplicitTail::Full(full_tails.remove(r).expect("irregular request has a tail"))
                 }
             };
             self.explicit.insert(r, tail);
@@ -877,17 +884,17 @@ impl HorizonModel {
         }
         // In-place recomputes (same spot, new exact coefficient or tail).
         for &r in &rescaled {
-            let sig = &new_sigs[&r];
+            let sig = &new_sigs[r];
             match self
                 .explicit
-                .get_mut(&r)
+                .get_mut(r)
                 // lint:allow(unwrap) -- diff-plan invariant: rescaled requests stay materialized; loud failure beats silent model corruption
                 .expect("rescaled request is materialized")
             {
                 ExplicitTail::Scaled { coef, .. } => *coef = plan.tail0_for(sig),
                 ExplicitTail::Full(v) => {
                     // lint:allow(unwrap) -- diff-plan invariant: the plan phase kept the tail of every request it left in the irregular set
-                    *v = full_tails.remove(&r).expect("irregular request has a tail");
+                    *v = full_tails.remove(r).expect("irregular request has a tail");
                 }
             }
             self.signatures.insert(r, sig.clone());
@@ -896,14 +903,14 @@ impl HorizonModel {
         for &(r, c) in &fast_rescale {
             match self
                 .explicit
-                .get_mut(&r)
+                .get_mut(r)
                 // lint:allow(unwrap) -- diff-plan invariant: rescaled requests stay materialized; loud failure beats silent model corruption
                 .expect("rescaled request is materialized")
             {
                 ExplicitTail::Scaled { coef, .. } => *coef *= c,
                 ExplicitTail::Full(v) => v.iter_mut().for_each(|x| *x *= c),
             }
-            self.signatures.insert(r, new_sigs[&r].clone());
+            self.signatures.insert(r, new_sigs[r].clone());
             rescaled.push(r);
         }
         rescaled.sort_unstable();
@@ -1598,11 +1605,23 @@ mod tests {
     /// materialized set.
     fn assert_model_equiv(diffed: &HorizonModel, fresh: &HorizonModel) {
         assert_eq!(diffed.num_requests(), fresh.num_requests());
-        let mut dm: Vec<RequestId> = diffed.materialized().collect();
-        let mut fm: Vec<RequestId> = fresh.materialized().collect();
-        dm.sort_unstable();
-        fm.sort_unstable();
-        assert_eq!(dm, fm, "materialized sets diverged");
+        assert_eq!(
+            diffed.materialized(),
+            fresh.materialized(),
+            "materialized sets diverged"
+        );
+        for model in [diffed, fresh] {
+            let ids = model.materialized();
+            assert_eq!(
+                model.explicit.len(),
+                ids.len(),
+                "tails of unlisted requests"
+            );
+            assert!(
+                ids.iter().all(|&r| model.explicit.contains_key(r)),
+                "listed, no tail"
+            );
+        }
         for t in 0..=diffed.horizon() {
             let (a, b) = (diffed.residual_tail(t), fresh.residual_tail(t));
             assert!(
@@ -1760,7 +1779,7 @@ mod tests {
                         .iter()
                         .map(|&(r, _)| r)
                         .chain(diff.rescaled.iter().copied().filter(|r| {
-                            super::sig_scale(&old_sigs[r], &model.signatures[r]).is_none()
+                            super::sig_scale(&old_sigs[*r], &model.signatures[*r]).is_none()
                         }))
                         .collect();
                     let (b, i) = assert_recomputed_bit_identical(&model, &fresh, &recomputed);
@@ -2090,7 +2109,7 @@ mod tests {
             let sigs: Vec<&TailSignature> = built
                 .materialized_ids
                 .iter()
-                .map(|r| &built.signatures[r])
+                .map(|r| &built.signatures[*r])
                 .collect();
             let last = (summary.slices().len() - 1) as u32;
             [
@@ -2300,7 +2319,7 @@ mod tests {
             }
             assert_eq!(a.explicit.len(), b.explicit.len(), "seed {seed}");
             for &r in &a.materialized_ids {
-                match (&a.explicit[&r], &b.explicit[&r]) {
+                match (&a.explicit[r], &b.explicit[r]) {
                     (
                         ExplicitTail::Scaled { bucket, coef },
                         ExplicitTail::Scaled {

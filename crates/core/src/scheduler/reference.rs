@@ -63,7 +63,7 @@ impl HorizonModel {
 
         // Compress bucketed tails to scalar coefficients against the shared
         // shape; only irregular requests keep their full vector.
-        let mut explicit = HashMap::with_capacity(materialized.len());
+        let mut explicit = crate::request_map::RequestMap::with_capacity(materialized.len());
         for (bi, b) in partition.buckets.iter().enumerate() {
             for &r in &b.members {
                 explicit.insert(

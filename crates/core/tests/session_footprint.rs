@@ -15,7 +15,13 @@
 //!
 //! A busy session has predicted and been served past a full ring, so its
 //! simulated client cache holds a block of every request it pushed.  That
-//! residency index is one mask word a request, not a heap object each.
+//! residency index is one mask word a request, not a heap object each, and
+//! it and the sampler's shared-slot index are open-addressing tables of
+//! `u32` ids with parallel value arrays, at most seven eighths full, rather
+//! than `HashMap`s of 16-byte buckets.  The scheduler keeps its install
+//! buffers between predictions, so what a busy session holds is its
+//! high-water mark: about 8.7 KB in 24 objects (10.4 KB in 22 with the
+//! `HashMap`s).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -242,8 +248,5 @@ fn a_silent_session_costs_what_it_touched_not_the_catalog() {
         objects <= 32,
         "a busy session holds {objects} live heap objects: is there a heap object per cached request again?"
     );
-    assert!(
-        busy <= 12_000,
-        "a busy session holds {busy} B (bound 12 000)"
-    );
+    assert!(busy <= 9_000, "a busy session holds {busy} B (bound 9 000)");
 }
