@@ -2395,13 +2395,17 @@ mod tests {
     /// schedule, so these are two fixed stress positions of the case
     /// stream) — and drawn blocks are dropped unsent; after every update
     /// and every drop the session's `simulated_cache()` must equal a client
-    /// `RingCache` fed only the committed blocks.
+    /// `RingCache` fed only the committed blocks.  Each case drives a `Lazy`
+    /// and a `Scan` session with one seed and one op stream, meta-requests
+    /// on or off, and after every op the two must have committed the same
+    /// blocks and simulate the same cache.
     mod ring_parity {
         use super::*;
         use crate::cache::RingCache;
         use crate::delta::DeltaTracker;
         use crate::distribution::{HorizonSlice, SparseDistribution};
         use crate::predictor::PredictorState;
+        use crate::sampling::SamplerVariant;
         use proptest::prelude::*;
 
         const REQUESTS: usize = 64;
@@ -2426,32 +2430,47 @@ mod tests {
         }
 
         /// A greedy session over a `REQUESTS` × `BLOCKS` catalog under the
-        /// allowance `limit`, the tracker feeding it, and the client's ring.
+        /// allowance `limit`, the tracker feeding it, the client's ring, and
+        /// the blocks committed since the twins were last compared.
         struct Replay {
             session: Session,
             limit: Option<usize>,
             tracker: DeltaTracker,
             client: RingCache,
+            committed: Vec<BlockRef>,
+        }
+
+        /// One case's shape: every input of a `Replay` but the sampler.
+        #[derive(Debug, Clone, Copy)]
+        struct Case {
+            cache_blocks: usize,
+            queue: usize,
+            seed: u64,
+            limit: Option<usize>,
+            use_meta_request: bool,
         }
 
         impl Replay {
-            fn new(cache_blocks: usize, queue: usize, seed: u64, limit: Option<usize>) -> Self {
+            fn new(case: Case, sampler: SamplerVariant) -> Self {
                 let cfg = ServerConfig {
                     scheduler: GreedySchedulerConfig {
-                        cache_blocks,
-                        seed,
+                        cache_blocks: case.cache_blocks,
+                        seed: case.seed,
+                        use_meta_request: case.use_meta_request,
+                        sampler,
                         ..Default::default()
                     },
-                    sender_queue_target: queue,
+                    sender_queue_target: case.queue,
                     ..Default::default()
                 };
                 Replay {
                     session: Session::builder(utility(BLOCKS), catalog(REQUESTS, BLOCKS))
                         .config(cfg)
                         .build(),
-                    limit,
+                    limit: case.limit,
                     tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
-                    client: RingCache::new(cache_blocks),
+                    client: RingCache::new(case.cache_blocks),
+                    committed: Vec::new(),
                 }
             }
 
@@ -2468,6 +2487,7 @@ mod tests {
                     .expect("scheduled blocks exist");
                 self.session.commit(&meta);
                 self.client.insert(block);
+                self.committed.push(block);
                 true
             }
 
@@ -2549,16 +2569,58 @@ mod tests {
             }
         }
 
-        /// Replays `ops` under the allowance `limit`, none when it is 0.
-        fn run(cache_blocks: usize, queue: usize, seed: u64, limit: usize, ops: &[(u8, u32, u32)]) {
-            let limit = (limit > 0).then_some(limit);
-            let mut replay = Replay::new(cache_blocks, queue, seed, limit);
+        /// Applies one op to both twins, then compares them.
+        fn step(twins: &mut [Replay; 2], kind: u8, a: u32, b: u32) -> Result<(), String> {
+            for twin in twins.iter_mut() {
+                twin.apply(kind, a, b)?;
+            }
+            let [lazy, scan] = twins;
+            if lazy.committed != scan.committed {
+                return Err(format!(
+                    "after op ({kind}, {a}, {b}): Lazy committed {:?}, Scan {:?}",
+                    lazy.committed, scan.committed
+                ));
+            }
+            let (lazy_cache, scan_cache) = (
+                lazy.session.simulated_cache(),
+                scan.session.simulated_cache(),
+            );
+            if lazy_cache != scan_cache {
+                return Err(format!(
+                    "after op ({kind}, {a}, {b}): Lazy simulates {lazy_cache:?}, Scan {scan_cache:?}"
+                ));
+            }
+            lazy.committed.clear();
+            scan.committed.clear();
+            Ok(())
+        }
+
+        /// Replays `ops` on a `Lazy` and a `Scan` session of `case`.
+        fn run(case: Case, ops: &[(u8, u32, u32)]) {
+            let mut twins =
+                [SamplerVariant::Lazy, SamplerVariant::Scan].map(|v| Replay::new(case, v));
             for &(kind, a, b) in ops {
-                if let Err(e) = replay.apply(kind, a, b) {
-                    panic!(
-                        "cache_blocks={cache_blocks} queue={queue} seed={seed} limit={limit:?}: {e}"
-                    );
+                if let Err(e) = step(&mut twins, kind, a, b) {
+                    panic!("{case:?}: {e}");
                 }
+            }
+        }
+
+        /// The case of the sweep's and the proptest's draws, with no
+        /// allowance when `limit` is 0.
+        fn case(
+            cache_blocks: usize,
+            queue: usize,
+            seed: u64,
+            limit: usize,
+            use_meta_request: bool,
+        ) -> Case {
+            Case {
+                cache_blocks,
+                queue,
+                seed,
+                limit: (limit > 0).then_some(limit),
+                use_meta_request,
             }
         }
 
@@ -2571,9 +2633,10 @@ mod tests {
                 queue in 1usize..=40,
                 seed in 0u64..1_000,
                 limit in 0usize..=4,
+                use_meta_request in any::<bool>(),
                 ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..48),
             ) {
-                run(cache_blocks, queue, seed, limit, &ops);
+                run(case(cache_blocks, queue, seed, limit, use_meta_request), &ops);
             }
         }
 
@@ -2581,7 +2644,7 @@ mod tests {
         /// sweep" step): `cargo test --release -p khameleon-core --lib
         /// session_ring_parity_sweep -- --ignored`.
         #[test]
-        #[ignore = "a fixed stream of 16k cases, about 12 s in release"]
+        #[ignore = "a fixed stream of 16k twin cases, about 15 s in release"]
         fn session_ring_parity_sweep() {
             let mut state = 24_680u64;
             let mut next = || {
@@ -2594,11 +2657,15 @@ mod tests {
                 let queue = next() as usize % 40 + 1;
                 let seed = u64::from(next() % 1_000);
                 let limit = next() as usize % 5;
+                let use_meta_request = next() % 2 == 0;
                 let len = next() as usize % 64 + 1;
                 let ops: Vec<(u8, u32, u32)> = (0..len)
                     .map(|_| ((next() % 7) as u8, next(), next()))
                     .collect();
-                run(cache_blocks, queue, seed, limit, &ops);
+                run(
+                    case(cache_blocks, queue, seed, limit, use_meta_request),
+                    &ops,
+                );
             }
         }
     }

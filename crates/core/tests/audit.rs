@@ -11,6 +11,7 @@ use khameleon_core::audit::{AuditCheck, AuditConfig};
 use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
+use khameleon_core::sampling::SamplerVariant;
 use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
 use khameleon_core::types::{RequestId, Time};
 use khameleon_core::utility::{LinearUtility, UtilityModel};
@@ -37,9 +38,20 @@ fn every_event() -> AuditConfig {
 }
 
 fn scheduler(n: usize, cache: usize) -> GreedyScheduler {
+    scheduler_with(n, cache, SamplerVariant::Lazy, true)
+}
+
+fn scheduler_with(
+    n: usize,
+    cache: usize,
+    sampler: SamplerVariant,
+    use_meta_request: bool,
+) -> GreedyScheduler {
     GreedyScheduler::new(
         GreedySchedulerConfig {
             cache_blocks: cache,
+            sampler,
+            use_meta_request,
             ..Default::default()
         },
         UtilityModel::homogeneous(&LinearUtility, 6),
@@ -66,11 +78,21 @@ fn churn_pred(n: usize, round: usize) -> PredictionSummary {
     sparse_pred(n, entries, 1.0 - explicit)
 }
 
+/// Both sampler variants keep the sampler, so the audit reads it under
+/// either, with meta-requests on and off.
 #[test]
 fn clean_mixed_churn_run_audits_to_zero_violations() {
+    for sampler in [SamplerVariant::Scan, SamplerVariant::Lazy] {
+        for use_meta_request in [true, false] {
+            clean_mixed_churn_run(sampler, use_meta_request);
+        }
+    }
+}
+
+fn clean_mixed_churn_run(sampler: SamplerVariant, use_meta_request: bool) {
+    let label = format!("{sampler:?}, meta {use_meta_request}");
     let n = 80;
-    let cache = 48;
-    let mut s = scheduler(n, cache);
+    let mut s = scheduler_with(n, 48, sampler, use_meta_request);
     s.audit_attach(every_event());
     let mut uplink = DirectUplink::new();
     for round in 0..40 {
@@ -90,19 +112,19 @@ fn clean_mixed_churn_run_audits_to_zero_violations() {
     }
     assert!(
         s.diff_applied_updates() >= 30,
-        "churn workload must exercise the diff path"
+        "{label}: churn workload must exercise the diff path"
     );
     let report = s.audit_report().expect("auditor attached");
     for check in AuditCheck::ALL {
         assert!(
             report.runs(check) > 0,
-            "check {} never ran over the mixed-churn workload",
+            "{label}: check {} never ran over the mixed-churn workload",
             check.name()
         );
         assert_eq!(
             report.violations_of(check),
             0,
-            "check {} found violations:\n{}",
+            "{label}: check {} found violations:\n{}",
             check.name(),
             report.to_json()
         );

@@ -11,12 +11,17 @@
 //! `SparseDistribution`'s patch or `HorizonModel::apply_update_sparse`.
 //! (`kbench update_heavy --trace 1` compares a socket run with a replay
 //! inside one build, so it cannot see both sides drifting together.)
+//!
+//! The same stream, shortened, pins both sampler variants with the
+//! meta-request optimisation on and off: the variant parity harnesses
+//! compare `Scan` with `Lazy`, so only a constant sees both move.
 
 use std::sync::Arc;
 
 use khameleon_core::block::ResponseCatalog;
 use khameleon_core::delta::DirectUplink;
 use khameleon_core::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
+use khameleon_core::sampling::SamplerVariant;
 use khameleon_core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
 use khameleon_core::types::{Duration, RequestId, Time};
 use khameleon_core::utility::{PowerUtility, UtilityModel};
@@ -27,6 +32,9 @@ const BLOCKS: u32 = 8;
 const CHURN: usize = 20;
 const FULL_EVERY: u64 = 64;
 const OPS: u64 = 640;
+/// The op count of the shorter runs: the Scan variant and meta-requests off
+/// draw over every request, and a debug build pays for it.
+const SHORT_OPS: u64 = 96;
 const BLOCKS_PER_OP: usize = 4;
 const SLICES_MS: [u64; 4] = [50, 150, 250, 500];
 
@@ -44,6 +52,13 @@ const SHAPES: [[f64; 4]; 4] = [
 /// model from the last prediction instead of from the schedule's start, and
 /// again when the schedule reset went (the draw layout moved).
 const PINNED_BLOCK_HASH: u64 = 0x01b6_fd3a_fa8d_1786;
+
+/// The recorded hashes of the first `SHORT_OPS` ops with the meta-request
+/// optimisation on and off.  Both sampler variants must draw them: the
+/// parity harnesses compare the variants with each other, so only a
+/// constant sees both drift together.
+const PINNED_META_ON: u64 = 0x76d6_2fd4_6513_1c92;
+const PINNED_META_OFF: u64 = 0x61f3_5fa5_99ad_25eb;
 
 struct SplitMix(u64);
 
@@ -165,13 +180,25 @@ impl Input {
     }
 }
 
-#[test]
-fn update_heavy_block_sequence_is_pinned() {
+/// What a run of `ops` ops leaves: the hash of the blocks drawn after each
+/// op (the first entry is the draw on the opening install), and the
+/// scheduler's update and diff counts.
+struct Run {
+    hashes: Vec<u64>,
+    updates: u64,
+    diffed: u64,
+}
+
+/// Runs `ops` ops through a scheduler with the sampler `variant` and the
+/// meta-request optimisation on or off.
+fn run(variant: SamplerVariant, use_meta_request: bool, ops: u64) -> Run {
     let mut scheduler = GreedyScheduler::new(
         GreedySchedulerConfig {
             cache_blocks: 1_024,
             seed: 7,
             slot_duration: Duration::from_millis(1),
+            use_meta_request,
+            sampler: variant,
             ..Default::default()
         },
         UtilityModel::homogeneous(&PowerUtility::new(0.5), BLOCKS),
@@ -180,33 +207,70 @@ fn update_heavy_block_sequence_is_pinned() {
     let mut uplink = DirectUplink::new();
     let mut input = Input::new(0x5eed);
     let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over one word a block
-                                             // Every drawn block goes on the wire: the sender confirms it.
-    let draw = |scheduler: &mut GreedyScheduler, hash: &mut u64| {
+    let mut hashes = Vec::with_capacity(ops as usize + 1);
+    // Every drawn block goes on the wire: the sender confirms it.
+    let mut draw = |scheduler: &mut GreedyScheduler| {
         let blocks = scheduler.next_batch(BLOCKS_PER_OP);
         assert_eq!(blocks.len(), BLOCKS_PER_OP);
         for b in blocks {
             scheduler.note_sent(b);
-            *hash ^= u64::from(b.request.0) << 32 | u64::from(b.index);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            hash ^= u64::from(b.request.0) << 32 | u64::from(b.index);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
+        hashes.push(hash);
     };
     uplink.ship(&mut scheduler, &input.summary());
-    draw(&mut scheduler, &mut hash);
-    for _ in 0..OPS {
+    draw(&mut scheduler);
+    for _ in 0..ops {
         input.next_op();
         uplink.ship(&mut scheduler, &input.summary());
-        draw(&mut scheduler, &mut hash);
+        draw(&mut scheduler);
     }
+    Run {
+        hashes,
+        updates: scheduler.prediction_updates(),
+        diffed: scheduler.diff_applied_updates(),
+    }
+}
+
+#[test]
+fn update_heavy_block_sequence_is_pinned() {
+    let run = run(SamplerVariant::Lazy, true, OPS);
     // Every op after the first travelled as a delta, and all but the
     // occasional refused one were diffed.
-    assert_eq!(scheduler.prediction_updates(), OPS + 1);
+    assert_eq!(run.updates, OPS + 1);
     assert!(
-        scheduler.diff_applied_updates() >= OPS * 9 / 10,
+        run.diffed >= OPS * 9 / 10,
         "only {} of {OPS} updates were diffed",
-        scheduler.diff_applied_updates()
+        run.diffed
     );
+    let short = run.hashes[SHORT_OPS as usize];
+    assert_eq!(
+        short, PINNED_META_ON,
+        "block sequence moved within {SHORT_OPS} ops: {short:#018x}"
+    );
+    let hash = run.hashes[OPS as usize];
     assert_eq!(
         hash, PINNED_BLOCK_HASH,
         "block sequence moved: {hash:#018x}"
     );
+}
+
+#[test]
+fn scan_draws_the_pinned_sequence() {
+    let hash = run(SamplerVariant::Scan, true, SHORT_OPS).hashes[SHORT_OPS as usize];
+    assert_eq!(hash, PINNED_META_ON, "Scan's sequence moved: {hash:#018x}");
+}
+
+#[test]
+fn meta_off_block_sequence_is_pinned() {
+    for variant in [SamplerVariant::Lazy, SamplerVariant::Scan] {
+        let run = run(variant, false, SHORT_OPS);
+        assert_eq!(run.updates, SHORT_OPS + 1);
+        let hash = run.hashes[SHORT_OPS as usize];
+        assert_eq!(
+            hash, PINNED_META_OFF,
+            "{variant:?}'s sequence with meta-requests off moved: {hash:#018x}"
+        );
+    }
 }
