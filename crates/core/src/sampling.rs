@@ -5,21 +5,25 @@
 //! `P_{i,t} · g(B_i + 1)`.  Two implementations of that draw exist,
 //! selected by [`SamplerVariant`]: the incremental sampler production runs,
 //! and the per-draw scan kept as the Figure 16 baseline and as the parity
-//! oracle the incremental sampler is tested against:
+//! oracle the incremental sampler is tested against.  The scheduler keeps
+//! a [`GainSampler`] up to date under both; only the draw differs:
 //!
-//! | variant | per-block cost | per-update cost (full rebuild / diff) | structure |
-//! |---------|----------------|---------------------------------------|-----------|
-//! | [`Scan`](SamplerVariant::Scan)   | `O(T log T)` (`O(n)` with meta off) | `O(m·s + u·b·C)` / `O(m·s + u_Δ·b·C)` | rebuild + prefix-scan the candidate weights every draw |
-//! | [`Lazy`](SamplerVariant::Lazy)   | `O(b log m + log T)` | `O(m·s + u·b·C + T log T)` / `O(m·s + u_Δ·b·C + Δ log m)` | Fenwick trees; per-slot advance touches `b` bucket scalars |
+//! | variant | per-block draw | structure read by the draw |
+//! |---------|----------------|----------------------------|
+//! | [`Scan`](SamplerVariant::Scan)   | `O(m + T + k)` (`O(n)` with meta off) | every weight recomputed from the model and prefix-scanned; the sampler's shared-segment order |
+//! | [`Lazy`](SamplerVariant::Lazy)   | `O(b log m + log T)` | the sampler's Fenwick trees; a per-slot advance touches `b` bucket scalars |
 //!
-//! with `T` touched requests (up to the schedule length `C`), `m`
-//! materialized requests, `b` distinct tail *shapes* (`b ≤ m`, and `b = 1`
-//! for the homogeneous-tail workloads real predictors emit), `s` prediction
-//! slices (4 by default), `Δ` the number of requests whose prediction
-//! actually changed between successive updates, and `u` (`u_Δ` among the
-//! changed ones) the requests whose tail vector has to be materialized to
-//! classify it: one per shape plus the irregular ones, everything else is
-//! classified from its per-slice signature.  Every client interaction
+//! Both pay the sampler's upkeep, `O(b log m + log T)` a block and
+//! `O(m·s + u·b·C + T log T)` a whole-summary install (`O(m·s + u_Δ·b·C +
+//! Δ log m)` a diffed delta), with `T` touched requests (up to the schedule
+//! length `C`), `m` materialized requests, `k` utility classes, `b`
+//! distinct tail *shapes* (`b ≤ m`, and `b = 1` for the homogeneous-tail
+//! workloads real predictors emit), `s` prediction slices (4 by default),
+//! `Δ` the number of requests whose prediction actually changed between
+//! successive updates, and `u` (`u_Δ` among the changed ones) the requests
+//! whose tail vector has to be materialized to classify it: one per shape
+//! plus the irregular ones, everything else is classified from its
+//! per-slice signature.  Every client interaction
 //! re-predicts, so the prediction update — not block sampling — is the hot
 //! path once per-block cost is flat.  A whole summary installs the
 //! canonical build and rebuilds the sampler, `O(m·s + u·b·C + T log T)`;
@@ -69,8 +73,8 @@
 //! block-for-block parity between them testable (and tested, 256-case
 //! proptest in the greedy scheduler).
 //!
-//! Per-block cost drops from `O(T log T)` (scan) to `O(b log m)` (lazy) —
-//! for homogeneous-tail catalogs the lazy sampler's per-block cost is flat
+//! Per-block draw cost drops from `O(m + T + k)` (scan) to `O(b log m + log
+//! T)` (lazy) — for homogeneous-tail catalogs the lazy sampler's per-block cost is flat
 //! in `m`, the same "cost must not grow with catalog size" argument §5.3.1
 //! makes for its 13× meta-request speedup, now applied to the materialized
 //! set too.
@@ -85,9 +89,9 @@ use crate::types::RequestId;
 /// per-block cost (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerVariant {
-    /// Rebuild, sort, and prefix-scan the candidate weights on every draw —
-    /// the seed implementation, retained as the Figure 16 baseline and the
-    /// oracle of the parity tests.
+    /// Recompute every candidate weight from the model and prefix-scan
+    /// them on every draw, in the sampler's segment layout — retained as
+    /// the Figure 16 baseline and the oracle of the parity tests.
     Scan,
     /// Incremental Fenwick weights with lazily-rescaled shape buckets: a
     /// slot advance touches one scalar per bucket instead of `m` weights.
@@ -400,8 +404,10 @@ struct MetaEntry {
 /// Incremental gain-weight sampler for the greedy scheduler.
 ///
 /// See the [module docs](self) for the four-group decomposition.  The
-/// scheduler owns the bookkeeping of *which* requests belong to which group;
-/// this type owns the weights and the draw.
+/// scheduler decides *which* requests belong to which group and tells the
+/// sampler through point updates; this type holds the groups, their order
+/// and weights, and the draw.  It is the one record of the shared group's
+/// order, which both sampler variants draw in.
 #[derive(Debug, Clone)]
 pub struct GainSampler {
     /// Shape buckets in partition order.

@@ -37,13 +37,13 @@
 //!
 //! With `T` touched requests (about the cache size `C`), `m`
 //! materialized requests (`m ≤ T`, typically ≪ `T`), `b` distinct tail
-//! shapes (`b ≤ m`; `b = 1` for homogeneous-tail predictions), and `n`
-//! requests in the catalog:
+//! shapes (`b ≤ m`; `b = 1` for homogeneous-tail predictions), `k` utility
+//! classes, and `n` requests in the catalog:
 //!
 //! | [`SamplerVariant`] | per-block cost |
 //! |------|----------------|
 //! | [`Scan`](SamplerVariant::Scan), meta off | `O(n)` (Figure 16's unoptimized baseline) |
-//! | [`Scan`](SamplerVariant::Scan), meta on  | `O(T log T)` — sort + prefix scan per draw |
+//! | [`Scan`](SamplerVariant::Scan), meta on  | `O(m + T + k)` — every weight recomputed and prefix-scanned per draw |
 //! | [`Lazy`](SamplerVariant::Lazy) | `O(b log m + log T)` — one scalar per shape bucket per slot |
 //!
 //! The incremental sampler exploits the shared-residual-tail structure of
@@ -60,10 +60,17 @@
 //! homogeneous-tail workloads, the same "cost must not grow with catalog
 //! size" argument §5.3.1 makes for its 13× meta-request speedup.  The scan
 //! path is retained behind [`GreedySchedulerConfig::sampler`] as the Figure
-//! 16 baseline and the parity oracle: both variants walk the same segment
-//! layout and consume the RNG identically, so a fixed seed yields
-//! block-for-block identical schedules (enforced by a 256-case parity
-//! proptest below).
+//! 16 baseline and the parity oracle.  The variants differ only in the
+//! draw: the scheduler keeps the [`GainSampler`] up to date under both, the
+//! lazy draw reads its weights, and the scan recomputes every weight from
+//! the model and reads only the sampler's shared-segment order.  Both walk
+//! the same segment layout and consume the RNG identically, so a fixed seed
+//! yields block-for-block identical schedules (enforced by a 256-case
+//! parity proptest below).
+//!
+//! The meta-request optimization is a layout, not a branch: with it off,
+//! every request counts as touched, so every unmaterialized request sits in
+//! the shared segment and no meta-entry has members.
 //!
 //! Four further hot-path properties:
 //!
@@ -75,8 +82,8 @@
 //!   ([`HorizonModel::apply_update_sparse`], `O(Δ · slices)`): unchanged
 //!   requests keep their tails, bucket membership, and Fenwick entries,
 //!   shape-preserving changes are `O(1)` coefficient rescales, and only the
-//!   structurally changed set is recomputed, reclassified, and mirrored
-//!   into the sampler as point updates (tombstoned removals + appends).
+//!   structurally changed set is recomputed, reclassified, and applied to
+//!   the sampler as point updates (tombstoned removals + appends).
 //!   Oversized deltas, changed horizon parameters, and bucket-cap pressure
 //!   fall back to the install.
 //! * **Departed shared-tail requests** keep their shared-tail slot when an
@@ -244,18 +251,14 @@ pub struct GreedyScheduler {
     /// contiguous prefix (§3.3).
     ring: RingCache,
     /// Requests currently excluded from the meta group because they have
-    /// explicit probability, allocations, or resident blocks — a bitset
-    /// indexed by request (bit `r % 64` of word `r / 64`, read through
+    /// explicit probability, allocations, or resident blocks — with the
+    /// meta-request optimization off, every request.  A bitset indexed by
+    /// request (bit `r % 64` of word `r / 64`, read through
     /// [`is_touched`]), so a membership check is one word load and a shift
     /// instead of a hash probe, and the set costs `n / 8` bytes, not `n`.
+    /// The touched unmaterialized requests are the sampler's shared
+    /// segment.
     touched: Vec<u64>,
-    /// Canonical draw order of the shared-tail segment: the
-    /// touched-but-unmaterialized requests (or, with the meta-request
-    /// optimization off, *every* unmaterialized request) in
-    /// rebuild-sorted-then-touch order.  The scan variant iterates this
-    /// directly; the incremental sampler's shared group mirrors it slot for
-    /// slot, which is what makes the variants draw identically.
-    shared_order: Vec<RequestId>,
     /// Shared-tail departures since the last compaction (see
     /// [`note_eviction`](Self::note_eviction)).
     departed: usize,
@@ -273,9 +276,10 @@ pub struct GreedyScheduler {
     /// Touched-request count per utility class; the complement (against the
     /// class size) is each meta-entry's untouched member count.
     touched_per_class: Vec<usize>,
-    /// Incrementally maintained gain weights (the `Lazy` variant; left
-    /// empty under `Scan`); kept in sync by `rebuild_sampler` /
-    /// `refresh_after_allocation` / `note_eviction` / the diff path.
+    /// Incrementally maintained gain weights and the draw layout, kept up
+    /// to date under both variants by `rebuild_sampler` /
+    /// `refresh_after_allocation` / `note_eviction` / the diff path: the
+    /// `Lazy` draw reads its weights, the `Scan` draw its shared segment.
     sampler: GainSampler,
     /// Number of prediction updates received (for instrumentation).
     updates: u64,
@@ -333,7 +337,6 @@ impl GreedyScheduler {
             unconfirmed: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
-            shared_order: Vec::new(),
             departed: 0,
             refused: Vec::new(),
             rolled: Vec::new(),
@@ -349,12 +352,6 @@ impl GreedyScheduler {
         s
     }
 
-    /// Whether draws go through the incrementally maintained
-    /// [`GainSampler`] (the `Lazy` variant) rather than a per-draw scan.
-    fn incremental(&self) -> bool {
-        self.cfg.sampler == SamplerVariant::Lazy
-    }
-
     /// The model slot draws read: blocks drawn since the last install,
     /// clamped to the horizon's last slot, which holds the last slice, so
     /// a session that hears no prediction for `C` slots keeps drawing.
@@ -364,19 +361,19 @@ impl GreedyScheduler {
 
     /// Compares the incrementally maintained sampler weights against a
     /// from-scratch recomputation of every candidate weight (the scan
-    /// variant's view), returning the mismatches.  Diagnostic only.
+    /// variant's view), returning the mismatches as `(request, recomputed,
+    /// stored)`.  The shared segment is checked as a set against the touched
+    /// unmaterialized requests, read off the bitset: a missing member is
+    /// stored as NaN, a member that should not be there is recomputed as
+    /// NaN.  Diagnostic only.
     #[doc(hidden)]
     pub fn debug_weight_divergence(&self) -> Vec<(RequestId, f64, f64)> {
-        if !self.incremental() {
-            return Vec::new();
-        }
         let scale = self.model.residual_tail(self.read_slot());
         let mut out = Vec::new();
         let mut check = |r: RequestId, want: f64, got: Option<f64>| {
-            let got = got.unwrap_or(f64::NAN);
             let tol = 1e-9 * want.abs().max(1e-9);
-            if (got - want).abs() > tol {
-                out.push((r, want, got));
+            if got.is_none_or(|got| (got - want).abs() > tol) {
+                out.push((r, want, got.unwrap_or(f64::NAN)));
             }
         };
         let part = self.model.shape_partition();
@@ -388,12 +385,19 @@ impl GreedyScheduler {
         for &r in &part.irregular {
             check(r, self.gain_for(r), self.sampler.debug_weight(r));
         }
-        for &r in &self.shared_order {
+        let shared = touched_ids(&self.touched).filter(|&r| !self.model.is_materialized(r));
+        for r in shared {
             check(
                 r,
                 self.marginal_gain(r) * scale,
                 self.sampler.debug_weight(r),
             );
+        }
+        for &r in self.sampler.shared_ids() {
+            if !is_touched(&self.touched, r) || self.model.is_materialized(r) {
+                let got = self.sampler.debug_weight(r).unwrap_or(f64::NAN);
+                out.push((r, f64::NAN, got));
+            }
         }
         out
     }
@@ -472,46 +476,39 @@ impl GreedyScheduler {
         }
     }
 
-    /// Mirrors a [`ModelDiff`] into the scheduler's touched/shared
-    /// bookkeeping and (for the incremental variant) the sampler's weight
-    /// structure, with point updates only — the whole point of diffing.
-    /// `rolled` lists the requests whose allocations/residency the preceding
-    /// rollback changed, ascending and deduplicated.
+    /// Applies a [`ModelDiff`] to the touched set and the sampler, with
+    /// point updates only — the whole point of diffing.  `rolled` lists the
+    /// requests whose allocations/residency the preceding rollback changed,
+    /// ascending and deduplicated.
     fn apply_model_diff(&mut self, diff: &crate::scheduler::ModelDiff, rolled: &[RequestId]) {
         use crate::scheduler::ExplicitPlacement;
-        let incremental = self.incremental();
-        if incremental {
-            for _ in 0..diff.buckets_added {
-                self.sampler.push_bucket();
-            }
-            for &r in &diff.removed {
-                self.sampler.remove_explicit(r);
-            }
-            for &(r, p) in &diff.placed {
-                match p {
-                    ExplicitPlacement::Bucket(b) => self.sampler.append_bucket_member(b, r),
-                    ExplicitPlacement::Irregular => self.sampler.append_irregular(r),
-                }
+        for _ in 0..diff.buckets_added {
+            self.sampler.push_bucket();
+        }
+        for &r in &diff.removed {
+            self.sampler.remove_explicit(r);
+        }
+        for &(r, p) in &diff.placed {
+            match p {
+                ExplicitPlacement::Bucket(b) => self.sampler.append_bucket_member(b, r),
+                ExplicitPlacement::Irregular => self.sampler.append_irregular(r),
             }
         }
-        // Touched-set and shared-segment membership.  With the meta-request
-        // optimization on, the shared segment holds exactly the touched
-        // unmaterialized requests; with it off, *every* unmaterialized
-        // request (so joins always leave it and departures always enter it).
+        // The shared segment holds the touched unmaterialized requests: a
+        // joined request leaves it if it was touched, and a departed one
+        // enters it if it stays touched.
         let mut drop_from_shared: Vec<RequestId> = Vec::new();
         let mut add_to_shared: Vec<RequestId> = Vec::new();
         for &r in &diff.joined {
-            let newly = self.mark_touched(r);
-            if !newly || !self.cfg.use_meta_request {
+            if !self.mark_touched(r) {
                 drop_from_shared.push(r);
             }
         }
         for &r in &diff.departed {
-            let keep = self.ring.contains(r);
-            if !keep {
+            if !self.ring.contains(r) {
                 self.untouch(r);
             }
-            if keep || !self.cfg.use_meta_request {
+            if is_touched(&self.touched, r) {
                 add_to_shared.push(r);
             }
         }
@@ -524,35 +521,20 @@ impl GreedyScheduler {
                 continue;
             }
             let keep = self.ring.contains(r);
-            if keep && !is_touched(&self.touched, r) {
-                self.mark_touched(r);
-                if self.cfg.use_meta_request {
-                    add_to_shared.push(r);
-                }
-            } else if !keep && is_touched(&self.touched, r) {
-                self.untouch(r);
-                if self.cfg.use_meta_request {
-                    drop_from_shared.push(r);
-                }
+            if keep && self.mark_touched(r) {
+                add_to_shared.push(r);
+            } else if !keep && self.untouch(r) {
+                drop_from_shared.push(r);
             }
         }
         if !drop_from_shared.is_empty() {
             drop_from_shared.sort_unstable();
-            let dead = |r: &RequestId| drop_from_shared.binary_search(r).is_ok();
-            self.shared_order.retain(|r| !dead(r));
-            if incremental {
-                self.sampler.compact_shared(|r| !dead(&r));
-            }
+            let dead = |r: RequestId| drop_from_shared.binary_search(&r).is_ok();
+            self.sampler.compact_shared(|r| !dead(r));
         }
         for &r in &add_to_shared {
-            self.shared_order.push(r);
-            if incremental {
-                let g = self.marginal_gain(r);
-                self.sampler.set_shared_gain(r, g);
-            }
-        }
-        if !incremental {
-            return;
+            let g = self.marginal_gain(r);
+            self.sampler.set_shared_gain(r, g);
         }
         // Point updates for the changed explicit entries, then the
         // O(b + |irr|) slot refresh.
@@ -570,9 +552,7 @@ impl GreedyScheduler {
         self.refresh_slot();
         // Rolled-back shared members: their gain part changed.
         for &r in rolled {
-            if !self.sampler.is_explicit(r)
-                && (is_touched(&self.touched, r) || !self.cfg.use_meta_request)
-            {
+            if !self.sampler.is_explicit(r) && is_touched(&self.touched, r) {
                 let g = self.marginal_gain(r);
                 self.sampler.set_shared_gain(r, g);
             }
@@ -582,13 +562,16 @@ impl GreedyScheduler {
         self.sync_meta_counts();
     }
 
-    /// Clears `r`'s touched flag (no-op if already untouched), maintaining
-    /// the per-class tallies.
-    fn untouch(&mut self, r: RequestId) {
-        if is_touched(&self.touched, r) {
-            clear_touched(&mut self.touched, r);
-            self.touched_per_class[self.ctx.classes.class_of(r)] -= 1;
+    /// Clears `r`'s touched flag, maintaining the per-class tallies, and
+    /// returns whether it was touched.  With the meta-request optimization
+    /// off every request stays touched, so this does nothing.
+    fn untouch(&mut self, r: RequestId) -> bool {
+        if !self.cfg.use_meta_request || !is_touched(&self.touched, r) {
+            return false;
         }
+        clear_touched(&mut self.touched, r);
+        self.touched_per_class[self.ctx.classes.class_of(r)] -= 1;
+        true
     }
 
     /// Re-derives one explicit (materialized) entry's cached coefficient and
@@ -637,54 +620,40 @@ impl GreedyScheduler {
         true
     }
 
-    /// Re-derives the touched set (the materialized, resident and refused
-    /// requests) and the shared segment, then rebuilds the sampler.  The
-    /// shared segment's own buffer collects the candidates, so this
-    /// allocates nothing once it has held as many.
+    /// Re-derives the touched set — the materialized, resident and refused
+    /// requests, or with the meta-request optimization off every request
+    /// (the unoptimized Figure 16 / §5.3.1 baseline, whose shared segment
+    /// holds every unmaterialized request and whose meta-entries are
+    /// empty) — then rebuilds the sampler over it.
     fn rebuild_touched(&mut self) {
         self.touched.fill(0);
-        self.touched_per_class.fill(0);
         self.departed = 0;
-        for i in 0..self.model.materialized().len() {
-            self.mark_touched(self.model.materialized()[i]);
+        if self.cfg.use_meta_request {
+            let materialized = self.model.materialized().iter().copied();
+            let refused = self.refused.iter().copied();
+            for r in materialized.chain(self.ring.requests()).chain(refused) {
+                set_touched(&mut self.touched, r);
+            }
+        } else {
+            for i in 0..self.model.num_requests() {
+                set_touched(&mut self.touched, RequestId::from(i));
+            }
         }
-        // The ring yields its requests in table order, a function of its
-        // insertion history; only the sort below keeps the draw layout
-        // deterministic.  Materialized requests are already marked, so the
-        // retain keeps each touched unmaterialized request once.
-        let mut order = std::mem::take(&mut self.shared_order);
-        order.clear();
-        order.extend(self.ring.requests());
-        order.extend_from_slice(&self.refused);
-        order.retain(|&r| self.mark_touched(r));
-        // Canonical shared-segment order: sorted at rebuild, appended in
-        // touch order thereafter.  With the meta-request optimization off,
-        // *every* unmaterialized request sits in the shared segment
-        // permanently (the unoptimized Figure 16 / §5.3.1 baseline), so
-        // membership never shifts between updates.
-        if !self.cfg.use_meta_request {
-            order.clear();
-            order.extend(
-                (0..self.model.num_requests())
-                    .map(RequestId::from)
-                    .filter(|&r| !self.model.is_materialized(r)),
-            );
+        self.touched_per_class.fill(0);
+        for r in touched_ids(&self.touched) {
+            self.touched_per_class[self.ctx.classes.class_of(r)] += 1;
         }
-        order.sort_unstable();
-        self.shared_order = order;
         self.rebuild_sampler();
     }
 
-    /// Rebuilds the incremental weight structure from scratch: `O(T log T)`
-    /// with the meta-request optimization on, `O(n log n)` with it off
-    /// (every unmaterialized request gets an explicit shared-tail entry).
-    /// Called only when the whole state shifts (prediction update); per-block
-    /// maintenance goes through `refresh_after_allocation` and
-    /// `note_eviction`.
+    /// Rebuilds the incremental weight structure from scratch: `O(n / 64 + T
+    /// log T)` with the meta-request optimization on, `O(n log n)` with it
+    /// off (every unmaterialized request gets an explicit shared-tail
+    /// entry).  The shared segment is installed in id order, read off the
+    /// touched bitset, and appended in touch order thereafter.  Called only
+    /// when the whole state shifts (prediction update); per-block maintenance
+    /// goes through `refresh_after_allocation` and `note_eviction`.
     fn rebuild_sampler(&mut self) {
-        if !self.incremental() {
-            return;
-        }
         self.sampler
             .rebuild(self.model.shape_partition(), &self.ctx.meta_gains);
         // Bucket members: cache the slot-invariant coefficient (so per-block
@@ -699,10 +668,11 @@ impl GreedyScheduler {
         self.refresh_slot();
         self.sampler
             .set_shared_scale(self.model.residual_tail(self.read_slot()));
-        for i in 0..self.shared_order.len() {
-            let r = self.shared_order[i];
-            let g = self.marginal_gain(r);
-            self.sampler.set_shared_gain(r, g);
+        for r in touched_ids(&self.touched) {
+            if !self.sampler.is_explicit(r) {
+                let g = self.marginal_gain(r);
+                self.sampler.set_shared_gain(r, g);
+            }
         }
         self.sync_meta_counts();
     }
@@ -757,11 +727,7 @@ impl GreedyScheduler {
     /// meta-entries.
     fn sync_meta_counts(&mut self) {
         for c in 0..self.ctx.meta_gains.len() {
-            let untouched = if self.cfg.use_meta_request {
-                self.ctx.classes.class(c).len() - self.touched_per_class[c]
-            } else {
-                0
-            };
+            let untouched = self.ctx.classes.class(c).len() - self.touched_per_class[c];
             self.sampler.set_meta_untouched(c, untouched);
         }
     }
@@ -813,7 +779,7 @@ impl GreedyScheduler {
                 self.refresh_request_weight(old.request);
             }
         }
-        if newly_touched && self.cfg.use_meta_request {
+        if newly_touched {
             let c = self.ctx.classes.class_of(q);
             self.sampler.set_meta_untouched(
                 c,
@@ -858,10 +824,9 @@ impl GreedyScheduler {
     /// Draws one request proportionally to utility gain; returns `None` when
     /// every request is saturated or has zero gain.
     fn sample_request(&mut self) -> Option<RequestId> {
-        if self.incremental() {
-            self.sample_request_incremental()
-        } else {
-            self.sample_request_scan()
+        match self.cfg.sampler {
+            SamplerVariant::Scan => self.sample_request_scan(),
+            SamplerVariant::Lazy => self.sample_request_incremental(),
         }
     }
 
@@ -884,10 +849,10 @@ impl GreedyScheduler {
         }
     }
 
-    /// The legacy per-block scan (the Figure 16 baseline): recomputes and
-    /// prefix-scans every candidate weight on each draw, walking the same
-    /// canonical segment layout as the incremental sampler (shape buckets →
-    /// irregular → shared order → per-class meta-entries).
+    /// The legacy per-block scan (the Figure 16 baseline): recomputes every
+    /// candidate weight from the model and prefix-scans them on each draw,
+    /// walking the incremental sampler's segment layout (shape buckets →
+    /// irregular → the sampler's shared segment → per-class meta-entries).
     fn sample_request_scan(&mut self) -> Option<RequestId> {
         #[derive(Clone, Copy)]
         enum Entry {
@@ -896,8 +861,10 @@ impl GreedyScheduler {
         }
         let scale = self.model.residual_tail(self.read_slot());
         let part = self.model.shape_partition();
+        let shared = self.sampler.shared_ids();
+        let classes = self.ctx.meta_gains.len();
         let mut entries: Vec<(Entry, f64)> =
-            Vec::with_capacity(part.materialized_count() + self.shared_order.len() + 1);
+            Vec::with_capacity(part.materialized_count() + shared.len() + classes);
         {
             let mut push = |e: Entry, w: f64| {
                 if w > 0.0 {
@@ -912,18 +879,20 @@ impl GreedyScheduler {
             for &r in &part.irregular {
                 push(Entry::Request(r), self.gain_for(r));
             }
-            for &r in &self.shared_order {
+            for &r in shared {
                 push(Entry::Request(r), self.marginal_gain(r) * scale);
             }
-            if self.cfg.use_meta_request {
-                for (c, &g1) in self.ctx.meta_gains.iter().enumerate() {
-                    let untouched = self.ctx.classes.class(c).len() - self.touched_per_class[c];
-                    push(Entry::Meta(c), untouched as f64 * g1 * scale);
-                }
+            for (c, &g1) in self.ctx.meta_gains.iter().enumerate() {
+                let untouched = self.ctx.classes.class(c).len() - self.touched_per_class[c];
+                push(Entry::Meta(c), untouched as f64 * g1 * scale);
             }
         }
 
-        match self.draw_weighted(&entries)? {
+        if entries.is_empty() {
+            return None;
+        }
+        let u = self.rng.gen::<f64>();
+        match draw_weighted(u, entries.iter().copied())? {
             Entry::Request(r) => Some(r),
             Entry::Meta(c) => self.sample_untouched_in_class(c),
         }
@@ -949,23 +918,22 @@ impl GreedyScheduler {
         class.members().find(|&r| !is_touched(&self.touched, r))
     }
 
-    /// Draws one of `entries`, whose weights are positive, proportionally
-    /// to its weight; `None`, with no random draw, when there are none.
-    fn draw_weighted<T: Copy>(&mut self, entries: &[(T, f64)]) -> Option<T> {
-        if entries.is_empty() {
-            return None;
-        }
-        let total = entries.iter().fold(0.0, |sum, &(_, w)| sum + w);
-        let mut x = self.rng.gen::<f64>() * total;
-        let mut chosen = None;
-        for &(e, w) in entries {
-            chosen = Some(e);
-            x -= w;
-            if x <= 0.0 {
-                break;
-            }
-        }
-        chosen
+    /// Draws one of `kept` proportionally to its gain, among those whose
+    /// gain is positive: the draw of a batch that names its allowance of
+    /// requests.  `None`, with no random draw, when there are none.
+    fn draw_among(&mut self, kept: &[RequestId]) -> Option<RequestId> {
+        self.positive_gains(kept).next()?;
+        let u = self.rng.gen::<f64>();
+        draw_weighted(u, self.positive_gains(kept))
+    }
+
+    /// `(request, gain)` for each of `requests` whose gain is positive.
+    fn positive_gains<'a>(
+        &'a self,
+        requests: &'a [RequestId],
+    ) -> impl Iterator<Item = (RequestId, f64)> + Clone + 'a {
+        let gains = requests.iter().map(|&r| (r, self.gain_for(r)));
+        gains.filter(|&(_, w)| w > 0.0)
     }
 
     /// Schedules up to `count` blocks.
@@ -984,11 +952,7 @@ impl GreedyScheduler {
         let mut kept: Vec<RequestId> = Vec::new();
         while out.len() < count {
             let drawn = match max_distinct {
-                Some(limit) if kept.len() >= limit => {
-                    let gains = kept.iter().map(|&r| (r, self.gain_for(r)));
-                    let weighted: Vec<_> = gains.filter(|&(_, w)| w > 0.0).collect();
-                    self.draw_weighted(&weighted)
-                }
+                Some(limit) if kept.len() >= limit => self.draw_among(&kept),
                 _ => self.sample_request(),
             };
             let Some(q) = drawn else {
@@ -999,24 +963,17 @@ impl GreedyScheduler {
             }
             let have = self.effective_blocks(q);
             let block = BlockRef::new(q, have);
+            // Only a meta draw reaches an untouched request, and
+            // materialized requests are always touched.
             let newly_touched = self.mark_touched(q);
-            if newly_touched {
-                // Only a meta draw reaches an untouched request, and
-                // materialized requests are always touched.
-                debug_assert!(!self.model.is_materialized(q));
-                if self.cfg.use_meta_request {
-                    self.shared_order.push(q);
-                }
-            }
+            debug_assert!(!newly_touched || !self.model.is_materialized(q));
             self.since_install += 1;
             // Delivered to the simulated ring as it is scheduled; the logged
             // eviction is what a rollback of this block restores.
             let evicted = self.ring.insert(block);
             self.unconfirmed.push_back((block, evicted));
             out.push(block);
-            if self.incremental() {
-                self.refresh_after_allocation(q, evicted, newly_touched);
-            }
+            self.refresh_after_allocation(q, evicted, newly_touched);
             if let Some(old) = evicted {
                 self.note_eviction(old.request);
             }
@@ -1029,29 +986,28 @@ impl GreedyScheduler {
     /// Counts a shared-tail request departed when an eviction took its last
     /// resident block.  Once departures dominate the shared segment
     /// (`departed > 32 && departed · 2 > len`), every departed request goes
-    /// back to its meta class and the segment is compacted in order, in
-    /// `shared_order` and the sampler alike, so both variants keep one layout.
+    /// back to its meta class and the sampler compacts the segment in order.
+    /// With the meta-request optimization off no request leaves the touched
+    /// set, so the compaction keeps every member.
     fn note_eviction(&mut self, r: RequestId) {
-        if !self.cfg.use_meta_request || self.model.is_materialized(r) || self.ring.contains(r) {
+        if self.model.is_materialized(r) || self.ring.contains(r) {
             return;
         }
         self.departed += 1;
-        if self.departed <= 32 || self.departed * 2 <= self.shared_order.len() {
+        let len = self.sampler.shared_ids().len();
+        if self.departed <= 32 || self.departed * 2 <= len {
             return;
         }
         self.departed = 0;
-        for i in 0..self.shared_order.len() {
-            let r = self.shared_order[i];
+        for i in 0..len {
+            let r = self.sampler.shared_ids()[i];
             if !self.ring.contains(r) && !self.refused.contains(&r) {
                 self.untouch(r);
             }
         }
         let touched = &self.touched;
-        self.shared_order.retain(|&r| is_touched(touched, r));
-        if self.incremental() {
-            self.sampler.compact_shared(|r| is_touched(touched, r));
-            self.sync_meta_counts();
-        }
+        self.sampler.compact_shared(|r| is_touched(touched, r));
+        self.sync_meta_counts();
     }
 }
 
@@ -1069,6 +1025,22 @@ fn canonical_model(
     }
 }
 
+/// The entry of `entries`, whose weights are positive, that the uniform draw
+/// `u ∈ [0, 1)` lands on, proportionally to weight.
+fn draw_weighted<T: Copy>(u: f64, entries: impl Iterator<Item = (T, f64)> + Clone) -> Option<T> {
+    let total = entries.clone().fold(0.0, |sum, (_, w)| sum + w);
+    let mut x = u * total;
+    let mut chosen = None;
+    for (e, w) in entries {
+        chosen = Some(e);
+        x -= w;
+        if x <= 0.0 {
+            break;
+        }
+    }
+    chosen
+}
+
 /// Whether `r` is in the request-indexed bitset `touched`.
 fn is_touched(touched: &[u64], r: RequestId) -> bool {
     touched[r.index() / 64] & (1 << (r.index() % 64)) != 0
@@ -1080,6 +1052,15 @@ fn set_touched(touched: &mut [u64], r: RequestId) {
 
 fn clear_touched(touched: &mut [u64], r: RequestId) {
     touched[r.index() / 64] &= !(1 << (r.index() % 64));
+}
+
+/// The requests in the bitset `touched`, in id order.
+fn touched_ids(touched: &[u64]) -> impl Iterator<Item = RequestId> + '_ {
+    touched.iter().enumerate().flat_map(|(w, &word)| {
+        let rest = |&bits: &u64| Some(bits & (bits - 1)).filter(|&b| b != 0);
+        std::iter::successors(Some(word).filter(|&b| b != 0), rest)
+            .map(move |bits| RequestId::from(w * 64 + bits.trailing_zeros() as usize))
+    })
 }
 
 #[cfg(feature = "audit")]
@@ -1148,9 +1129,6 @@ impl GreedyScheduler {
     /// positive-entry counters (the phantom-total defense).
     fn audit_check_fenwick(&self, report: &mut AuditReport) {
         report.begin(AuditCheck::FenwickSums);
-        if !self.incremental() {
-            return;
-        }
         for (label, tree) in self.sampler.audit_fenwick_trees() {
             for (node, stored, expected) in tree.audit_bad_nodes() {
                 report.record(AuditViolation {
@@ -1180,9 +1158,6 @@ impl GreedyScheduler {
     /// coefficient against the shape vector.
     fn audit_check_bucket_coefficients(&self, report: &mut AuditReport) {
         report.begin(AuditCheck::BucketCoefficients);
-        if !self.incremental() {
-            return;
-        }
         for (r, want, got) in self.debug_weight_divergence() {
             report.record(AuditViolation {
                 check: AuditCheck::BucketCoefficients,
@@ -2303,7 +2278,7 @@ mod tests {
         let bound = (cache + 32).max(2 * cache);
         let mut shrinks = 0;
         for i in 0..2_000 {
-            let before = lazy.shared_order.len();
+            let before = lazy.sampler.shared_ids().len();
             let drawn = lazy.next_batch(1);
             assert_eq!(
                 drawn,
@@ -2315,8 +2290,8 @@ mod tests {
                 "sampler inconsistent after draw {i}: {:?}",
                 lazy.debug_weight_divergence()
             );
-            assert_eq!(lazy.shared_order, scan.shared_order);
-            let len = lazy.shared_order.len();
+            assert_eq!(lazy.sampler.shared_ids(), scan.sampler.shared_ids());
+            let len = lazy.sampler.shared_ids().len();
             assert!(len <= bound, "shared segment of {len} at draw {i}");
             if len < before {
                 shrinks += 1;

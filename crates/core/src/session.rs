@@ -2440,36 +2440,33 @@ mod tests {
             committed: Vec<BlockRef>,
         }
 
-        /// One case's shape: every input of a `Replay` but the sampler.
-        #[derive(Debug, Clone, Copy)]
-        struct Case {
-            cache_blocks: usize,
-            queue: usize,
-            seed: u64,
-            limit: Option<usize>,
-            use_meta_request: bool,
-        }
-
         impl Replay {
-            fn new(case: Case, sampler: SamplerVariant) -> Self {
+            fn new(
+                cache_blocks: usize,
+                queue: usize,
+                seed: u64,
+                limit: Option<usize>,
+                use_meta_request: bool,
+                sampler: SamplerVariant,
+            ) -> Self {
                 let cfg = ServerConfig {
                     scheduler: GreedySchedulerConfig {
-                        cache_blocks: case.cache_blocks,
-                        seed: case.seed,
-                        use_meta_request: case.use_meta_request,
+                        cache_blocks,
+                        seed,
+                        use_meta_request,
                         sampler,
                         ..Default::default()
                     },
-                    sender_queue_target: case.queue,
+                    sender_queue_target: queue,
                     ..Default::default()
                 };
                 Replay {
                     session: Session::builder(utility(BLOCKS), catalog(REQUESTS, BLOCKS))
                         .config(cfg)
                         .build(),
-                    limit: case.limit,
+                    limit,
                     tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
-                    client: RingCache::new(case.cache_blocks),
+                    client: RingCache::new(cache_blocks),
                     committed: Vec::new(),
                 }
             }
@@ -2595,32 +2592,26 @@ mod tests {
             Ok(())
         }
 
-        /// Replays `ops` on a `Lazy` and a `Scan` session of `case`.
-        fn run(case: Case, ops: &[(u8, u32, u32)]) {
-            let mut twins =
-                [SamplerVariant::Lazy, SamplerVariant::Scan].map(|v| Replay::new(case, v));
-            for &(kind, a, b) in ops {
-                if let Err(e) = step(&mut twins, kind, a, b) {
-                    panic!("{case:?}: {e}");
-                }
-            }
-        }
-
-        /// The case of the sweep's and the proptest's draws, with no
-        /// allowance when `limit` is 0.
-        fn case(
+        /// Replays `ops` on a `Lazy` and a `Scan` session under the
+        /// allowance `limit`, none when it is 0.
+        fn run(
             cache_blocks: usize,
             queue: usize,
             seed: u64,
             limit: usize,
-            use_meta_request: bool,
-        ) -> Case {
-            Case {
-                cache_blocks,
-                queue,
-                seed,
-                limit: (limit > 0).then_some(limit),
-                use_meta_request,
+            meta: bool,
+            ops: &[(u8, u32, u32)],
+        ) {
+            let limit = (limit > 0).then_some(limit);
+            let mut twins = [SamplerVariant::Lazy, SamplerVariant::Scan]
+                .map(|v| Replay::new(cache_blocks, queue, seed, limit, meta, v));
+            for &(kind, a, b) in ops {
+                if let Err(e) = step(&mut twins, kind, a, b) {
+                    panic!(
+                        "cache_blocks={cache_blocks} queue={queue} seed={seed} limit={limit:?} \
+                         meta={meta}: {e}"
+                    );
+                }
             }
         }
 
@@ -2636,7 +2627,7 @@ mod tests {
                 use_meta_request in any::<bool>(),
                 ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..48),
             ) {
-                run(case(cache_blocks, queue, seed, limit, use_meta_request), &ops);
+                run(cache_blocks, queue, seed, limit, use_meta_request, &ops);
             }
         }
 
@@ -2662,10 +2653,7 @@ mod tests {
                 let ops: Vec<(u8, u32, u32)> = (0..len)
                     .map(|_| ((next() % 7) as u8, next(), next()))
                     .collect();
-                run(
-                    case(cache_blocks, queue, seed, limit, use_meta_request),
-                    &ops,
-                );
+                run(cache_blocks, queue, seed, limit, use_meta_request, &ops);
             }
         }
     }
