@@ -824,9 +824,13 @@ impl GreedyScheduler {
     /// Draws one request proportionally to utility gain; returns `None` when
     /// every request is saturated or has zero gain.
     fn sample_request(&mut self) -> Option<RequestId> {
-        match self.cfg.sampler {
+        let drawn = match self.cfg.sampler {
             SamplerVariant::Scan => self.sample_request_scan(),
             SamplerVariant::Lazy => self.sample_request_incremental(),
+        };
+        match drawn? {
+            SampledGroup::Request(r) => Some(r),
+            SampledGroup::Meta(c) => self.sample_untouched_in_class(c),
         }
     }
 
@@ -836,66 +840,51 @@ impl GreedyScheduler {
     /// the shared group, class-ordered meta-entries), so a fixed seed yields
     /// a deterministic schedule — the *same* schedule the scan variant
     /// draws, since both walk the identical layout.
-    fn sample_request_incremental(&mut self) -> Option<RequestId> {
+    fn sample_request_incremental(&mut self) -> Option<SampledGroup> {
         let total = self.sampler.total();
         if total <= 0.0 {
             return None;
         }
         let x = self.rng.gen::<f64>() * total;
-        match self.sampler.locate(x) {
-            Some(SampledGroup::Request(r)) => Some(r),
-            Some(SampledGroup::Meta(c)) => self.sample_untouched_in_class(c),
-            None => None,
-        }
+        self.sampler.locate(x)
     }
 
     /// The legacy per-block scan (the Figure 16 baseline): recomputes every
     /// candidate weight from the model and prefix-scans them on each draw,
     /// walking the incremental sampler's segment layout (shape buckets →
     /// irregular → the sampler's shared segment → per-class meta-entries).
-    fn sample_request_scan(&mut self) -> Option<RequestId> {
-        #[derive(Clone, Copy)]
-        enum Entry {
-            Request(RequestId),
-            Meta(usize),
-        }
+    fn sample_request_scan(&mut self) -> Option<SampledGroup> {
+        use SampledGroup::{Meta, Request};
         let scale = self.model.residual_tail(self.read_slot());
         let part = self.model.shape_partition();
         let shared = self.sampler.shared_ids();
         let classes = self.ctx.meta_gains.len();
-        let mut entries: Vec<(Entry, f64)> =
-            Vec::with_capacity(part.materialized_count() + shared.len() + classes);
-        {
-            let mut push = |e: Entry, w: f64| {
-                if w > 0.0 {
-                    entries.push((e, w));
-                }
-            };
-            for b in &part.buckets {
-                for &r in &b.members {
-                    push(Entry::Request(r), self.gain_for(r));
-                }
+        let mut entries = Vec::with_capacity(part.materialized_count() + shared.len() + classes);
+        let mut push = |e: SampledGroup, w: f64| {
+            if w > 0.0 {
+                entries.push((e, w));
             }
-            for &r in &part.irregular {
-                push(Entry::Request(r), self.gain_for(r));
-            }
-            for &r in shared {
-                push(Entry::Request(r), self.marginal_gain(r) * scale);
-            }
-            for (c, &g1) in self.ctx.meta_gains.iter().enumerate() {
-                let untouched = self.ctx.classes.class(c).len() - self.touched_per_class[c];
-                push(Entry::Meta(c), untouched as f64 * g1 * scale);
+        };
+        for b in &part.buckets {
+            for &r in &b.members {
+                push(Request(r), self.gain_for(r));
             }
         }
-
+        for &r in &part.irregular {
+            push(Request(r), self.gain_for(r));
+        }
+        for &r in shared {
+            push(Request(r), self.marginal_gain(r) * scale);
+        }
+        for (c, &g1) in self.ctx.meta_gains.iter().enumerate() {
+            let untouched = self.ctx.classes.class(c).len() - self.touched_per_class[c];
+            push(Meta(c), untouched as f64 * g1 * scale);
+        }
         if entries.is_empty() {
             return None;
         }
         let u = self.rng.gen::<f64>();
-        match draw_weighted(u, entries.iter().copied())? {
-            Entry::Request(r) => Some(r),
-            Entry::Meta(c) => self.sample_untouched_in_class(c),
-        }
+        draw_weighted(u, entries.iter().copied())
     }
 
     /// Uniformly samples an untouched request of utility class `c`.
