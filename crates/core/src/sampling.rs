@@ -499,7 +499,7 @@ impl GainSampler {
     ///
     /// Shared-group slots are re-assigned in subsequent insertion order;
     /// callers that need seed-determinism must re-insert in a deterministic
-    /// order (the scheduler inserts its canonical shared order).
+    /// order (the scheduler inserts in id order).
     pub fn rebuild(&mut self, partition: &TailShapePartition, meta_gains: &[f64]) {
         // Un-index the previous layout (O(m_prev)).  Every indexed request
         // holds a live or tombstoned slot of that layout, so this leaves the
