@@ -292,9 +292,14 @@ impl SparseDistribution {
         }
         // Residual mass interpolates linearly too; from_entries renormalizes,
         // but the inputs are already normalized so this is exact up to fp
-        // error.
+        // error.  Two distributions without residual mass blend to none,
+        // whatever `1 - explicit_mass` rounds to.
         let explicit_mass: f64 = entries.iter().map(|&(_, p)| p).sum();
-        let residual = (1.0 - explicit_mass).max(0.0);
+        let residual = if self.residual <= 0.0 && other.residual <= 0.0 {
+            0.0
+        } else {
+            (1.0 - explicit_mass).max(0.0)
+        };
         SparseDistribution::from_entries(self.n, entries, residual)
     }
 }

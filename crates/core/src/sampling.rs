@@ -68,10 +68,14 @@
 //! entry through the segment layout, so the layout must be reproducible.
 //! Bucket membership comes from the id-sorted materialized set, shared-group
 //! slots are assigned in insertion order (the scheduler inserts in a
-//! deterministic order), and meta classes are ordered by class index.  Both
-//! variants walk the *same* segment layout, which is what makes
-//! block-for-block parity between them testable (and tested, 256-case
-//! proptest in the greedy scheduler).
+//! deterministic order, and a rolled-back insertion is popped again,
+//! [`GainSampler::pop_shared`]), and meta classes are ordered by class
+//! index.  The offset comes from a generator keyed by the seed, the
+//! prediction update and the slot, so it is a function of where the draw
+//! falls, not of how many draws were made and rolled back before it.  Both
+//! variants walk the *same* segment layout with the same offset, which is
+//! what makes block-for-block parity between them testable (and tested,
+//! 256-case proptest in the greedy scheduler).
 //!
 //! Per-block draw cost drops from `O(m + T + k)` (scan) to `O(b log m + log
 //! T)` (lazy) — for homogeneous-tail catalogs the lazy sampler's per-block cost is flat
@@ -190,6 +194,14 @@ impl FenwickTree {
         assert!(w.is_finite() && w >= 0.0, "weight must be finite and >= 0");
         self.values.push(w);
         self.push_node();
+    }
+
+    /// Removes the last entry in `O(1)`: no other sum node covers it.
+    fn pop(&mut self) {
+        if self.values.pop().is_some_and(|w| w > 0.0) {
+            self.positive -= 1;
+        }
+        self.tree.truncate(self.values.len() + 1);
     }
 
     /// Appends the sum node of the first value no node covers yet.  Node `j`
@@ -777,6 +789,16 @@ impl GainSampler {
         } else {
             self.shared.set(slot as usize, g);
         }
+    }
+
+    /// Removes the newest shared-group member, leaving every other slot,
+    /// gain and sum node as it was: the undo of the insertion that
+    /// [`set_shared_gain`](Self::set_shared_gain) made last.
+    pub fn pop_shared(&mut self) -> Option<RequestId> {
+        let r = self.shared_ids.pop()?;
+        self.shared_slots.remove(r);
+        self.shared.pop();
+        Some(r)
     }
 
     /// The shared-group request ids in slot (insertion) order.

@@ -6,6 +6,11 @@
 //! gain.  Blocks are emitted in batches of whatever size the caller asks for
 //! (a session tops its sender queue up to
 //! `ServerConfig::sender_queue_target`), so the sender is never blocked.
+//! Each draw takes its randomness from a generator keyed by the seed, the
+//! number of prediction updates applied and the slot (a counter-based
+//! stream, as in Salmon et al., SC 2011), so the batch size is a cost, not
+//! a schedule: drawing `k` blocks ahead, confirming `j` of them and then
+//! updating commits what drawing `j` would have.
 //! This departs from Listing 1's text but not from its behaviour: Listing 1
 //! resets `B_i` after each schedule of `C` blocks (the cache size), as the
 //! client's ring overwrites itself (§5.3.1); here `B_i` is
@@ -64,9 +69,9 @@
 //! draw: the scheduler keeps the [`GainSampler`] up to date under both, the
 //! lazy draw reads its weights, and the scan recomputes every weight from
 //! the model and reads only the sampler's shared-segment order.  Both walk
-//! the same segment layout and consume the RNG identically, so a fixed seed
-//! yields block-for-block identical schedules (enforced by a 256-case
-//! parity proptest below).
+//! the same segment layout and read the same per-slot randomness, so a
+//! fixed seed yields block-for-block identical schedules (enforced by a
+//! 256-case parity proptest below).
 //!
 //! The meta-request optimization is a layout, not a branch: with it off,
 //! every request counts as touched, so every unmaterialized request sits in
@@ -98,11 +103,16 @@
 //!   update pops the log from the back, undoes each entry on the ring
 //!   (§5.3.2) and takes `since_install` back one slot for it.  Every update
 //!   empties the log, so every logged block was drawn after the last
-//!   install and `since_install` comes back exactly.
+//!   install and `since_install` comes back exactly.  A diffed update also
+//!   undoes what each draw did to the touched set, the shared segment and
+//!   its departure count (a compaction among them included, from the
+//!   segment kept until the draw is confirmed), so a rolled-back draw
+//!   leaves no trace; an install rebuilds all of that.
 //! * **Refused requests**: a block the backend could not resolve rolls the
 //!   log back the same way ([`Scheduler::drop_unsent`]) and puts its
 //!   request on a refused list, whose marginal gain is zero in both
-//!   variants until the next update.  An update that finds the list
+//!   variants until the next update; its slot is redrawn from the same
+//!   stream, without the refused request.  An update that finds the list
 //!   non-empty installs the model whole instead of diffing it, as only an
 //!   install re-derives the zeroed weights.  An empty list costs each gain
 //!   one branch.
@@ -151,7 +161,8 @@ pub struct GreedySchedulerConfig {
     /// draw identical schedules under a fixed seed; only the per-block cost
     /// differs (see the module docs).
     pub sampler: SamplerVariant,
-    /// RNG seed for the proportional sampling, for reproducibility.
+    /// Seed of the proportional sampling, for reproducibility: with the
+    /// update count and the slot, it keys each draw's randomness.
     pub seed: u64,
 }
 
@@ -220,6 +231,19 @@ impl GreedyContext {
     }
 }
 
+/// An emitted block the sender has not confirmed, with what undoing its
+/// draw restores.
+#[derive(Debug, Clone, Copy)]
+struct Unconfirmed {
+    block: BlockRef,
+    /// The ring entry its delivery evicted (`None` while the ring had room).
+    evicted: Option<BlockRef>,
+    /// Whether the draw touched its request, which a meta draw does.
+    touched: bool,
+    /// Whether the eviction compacted the shared segment.
+    compacted: bool,
+}
+
 /// The greedy scheduler of §5.3.
 pub struct GreedyScheduler {
     cfg: GreedySchedulerConfig,
@@ -233,18 +257,22 @@ pub struct GreedyScheduler {
     /// Every whole-summary install resolves through it by build-input
     /// fingerprint — see [`crate::scheduler::dedup`].
     model_cache: Option<Arc<crate::scheduler::ModelCache>>,
-    rng: StdRng,
     /// Blocks drawn since the last prediction update, less those rolled
     /// back: the `t` of the paper's `P_{i,t}`, read through
-    /// [`read_slot`](Self::read_slot).
+    /// [`read_slot`](Self::read_slot), and with `updates` the key of each
+    /// draw's randomness ([`slot_rng`](Self::slot_rng)).
     since_install: usize,
     /// Every emitted block that [`Scheduler::note_sent`] has not confirmed,
-    /// oldest first, each with the ring entry its delivery evicted (`None`
-    /// when the ring still had room).  Rolling an entry back restores its
-    /// evicted block, keeping the simulated ring exactly equal to the
-    /// client's, which never saw the rolled-back block (§5.3.2).  Its
-    /// blocks are the ring's newest entries, newest last.
-    unconfirmed: VecDeque<(BlockRef, Option<BlockRef>)>,
+    /// oldest first, with what undoing its draw restores.  Rolling an entry
+    /// back restores its evicted block, keeping the simulated ring exactly
+    /// equal to the client's, which never saw the rolled-back block
+    /// (§5.3.2).  Its blocks are the ring's newest entries, newest last.
+    unconfirmed: VecDeque<Unconfirmed>,
+    /// The shared segment and the departure count as each compaction among
+    /// the unconfirmed draws found them, oldest first (see
+    /// [`note_eviction`](Self::note_eviction)): what a diffed update's
+    /// rollback puts back.
+    compactions: VecDeque<(Vec<RequestId>, usize)>,
     /// Exact simulation of the client's ring-buffer cache, in the client's
     /// own type.  Its per-request resident indices let the scheduler repair
     /// prefix gaps after evictions, since renderable quality depends on the
@@ -325,16 +353,15 @@ impl GreedyScheduler {
         );
         let prior = PredictionSummary::uniform(num_requests, crate::types::Time::ZERO);
         let model = canonical_model(&cfg, model_cache.as_ref(), &prior);
-        let rng = StdRng::seed_from_u64(cfg.seed);
         let touched_per_class = vec![0; ctx.classes.num_classes()];
         let ring = RingCache::new(cfg.cache_blocks);
         let mut s = GreedyScheduler {
             cfg,
             model,
             model_cache,
-            rng,
             since_install: 0,
             unconfirmed: VecDeque::new(),
+            compactions: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
             departed: 0,
@@ -448,12 +475,16 @@ impl GreedyScheduler {
     /// Rolls back every block the sender has not confirmed, newest first,
     /// undoing each on the ring and taking `since_install` back one slot:
     /// every update empties the log, so each logged block was drawn after
-    /// the last install.  Appends to `rolled`, when given, the requests
-    /// whose simulated residency the rollback touched, unsorted: after a
-    /// model diff their gains must be re-derived even when the diff leaves
-    /// them untouched.  An install rebuilds every gain, so it passes `None`.
+    /// the last install.  With `rolled` given (a model diff follows), it
+    /// also undoes each draw's changes to the touched set, the shared
+    /// segment and the departure count, so they stand as before the oldest
+    /// unconfirmed draw, and appends the requests whose simulated residency
+    /// the rollback touched, unsorted: after the diff their gains must be
+    /// re-derived even when the diff leaves them untouched.  An install
+    /// rebuilds all of that, so it passes `None`.
     fn rollback_unsent(&mut self, mut rolled: Option<&mut Vec<RequestId>>) {
-        while let Some((block, evicted)) = self.unconfirmed.pop_back() {
+        while let Some(sent) = self.unconfirmed.pop_back() {
+            let Unconfirmed { block, evicted, .. } = sent;
             if self.ring.newest() != Some(block) {
                 let noted = self.audit_note_misalignment(
                     self.since_install,
@@ -470,9 +501,44 @@ impl GreedyScheduler {
             if let Some(rolled) = rolled.as_deref_mut() {
                 rolled.push(block.request);
                 rolled.extend(evicted.map(|old| old.request));
+                self.undo_draw_layout(sent);
             }
             self.ring.undo_insert(block, evicted);
             self.since_install -= 1;
+        }
+        self.compactions.clear();
+    }
+
+    /// Undoes what drawing `sent` did to the touched set, the shared
+    /// segment and the departure count, on the ring as the draw left it:
+    /// the compaction its eviction ran, the departure it counted, and the
+    /// request it touched, in the reverse of the order the draw made them.
+    /// Gains are left as they are; the diff re-derives the rolled ones.
+    fn undo_draw_layout(&mut self, sent: Unconfirmed) {
+        if sent.compacted {
+            if let Some((shared, departed)) = self.compactions.pop_back() {
+                for &r in &shared {
+                    self.mark_touched(r);
+                }
+                self.sampler.compact_shared(|_| false);
+                for r in shared {
+                    let g = self.marginal_gain(r);
+                    self.sampler.set_shared_gain(r, g);
+                }
+                self.departed = departed;
+            }
+        }
+        if sent.evicted.is_some_and(|old| self.departs(old.request)) {
+            self.departed -= 1;
+        }
+        let q = sent.block.request;
+        if sent.touched && self.untouch(q) && !self.model.is_materialized(q) {
+            let popped = self.sampler.pop_shared();
+            debug_assert_eq!(
+                popped,
+                Some(q),
+                "a touched draw's request is the newest shared"
+            );
         }
     }
 
@@ -510,21 +576,6 @@ impl GreedyScheduler {
             }
             if is_touched(&self.touched, r) {
                 add_to_shared.push(r);
-            }
-        }
-        // Rolled-back requests can cross the touched boundary in either
-        // direction: one whose only claim was a now-undone allocation
-        // returns to its meta class, while one whose evicted blocks the
-        // rollback *restored* becomes resident — hence touched — again.
-        for &r in rolled {
-            if self.model.is_materialized(r) {
-                continue;
-            }
-            let keep = self.ring.contains(r);
-            if keep && self.mark_touched(r) {
-                add_to_shared.push(r);
-            } else if !keep && self.untouch(r) {
-                drop_from_shared.push(r);
             }
         }
         if !drop_from_shared.is_empty() {
@@ -821,16 +872,27 @@ impl GreedyScheduler {
         self.marginal_gain(request) * self.model.tail(request, self.read_slot())
     }
 
+    /// The randomness of the draw at slot `since_install` after the
+    /// `updates`-th prediction update: a fresh generator keyed by the seed,
+    /// the update and the slot (a counter-based stream), so a draw that is
+    /// rolled back leaves the stream of every later draw as it was, and
+    /// drawing `k` blocks ahead and confirming `j` of them commits what
+    /// drawing `j` would have.
+    fn slot_rng(&self) -> StdRng {
+        let key = mix(mix(self.cfg.seed ^ mix(self.updates)) ^ self.since_install as u64);
+        StdRng::seed_from_u64(key)
+    }
+
     /// Draws one request proportionally to utility gain; returns `None` when
     /// every request is saturated or has zero gain.
-    fn sample_request(&mut self) -> Option<RequestId> {
+    fn sample_request(&self, rng: &mut StdRng) -> Option<RequestId> {
         let drawn = match self.cfg.sampler {
-            SamplerVariant::Scan => self.sample_request_scan(),
-            SamplerVariant::Lazy => self.sample_request_incremental(),
+            SamplerVariant::Scan => self.sample_request_scan(rng),
+            SamplerVariant::Lazy => self.sample_request_incremental(rng),
         };
         match drawn? {
             SampledGroup::Request(r) => Some(r),
-            SampledGroup::Meta(c) => self.sample_untouched_in_class(c),
+            SampledGroup::Meta(c) => self.sample_untouched_in_class(c, rng),
         }
     }
 
@@ -840,12 +902,12 @@ impl GreedyScheduler {
     /// the shared group, class-ordered meta-entries), so a fixed seed yields
     /// a deterministic schedule — the *same* schedule the scan variant
     /// draws, since both walk the identical layout.
-    fn sample_request_incremental(&mut self) -> Option<SampledGroup> {
+    fn sample_request_incremental(&self, rng: &mut StdRng) -> Option<SampledGroup> {
         let total = self.sampler.total();
         if total <= 0.0 {
             return None;
         }
-        let x = self.rng.gen::<f64>() * total;
+        let x = rng.gen::<f64>() * total;
         self.sampler.locate(x)
     }
 
@@ -853,7 +915,7 @@ impl GreedyScheduler {
     /// candidate weight from the model and prefix-scans them on each draw,
     /// walking the incremental sampler's segment layout (shape buckets →
     /// irregular → the sampler's shared segment → per-class meta-entries).
-    fn sample_request_scan(&mut self) -> Option<SampledGroup> {
+    fn sample_request_scan(&self, rng: &mut StdRng) -> Option<SampledGroup> {
         use SampledGroup::{Meta, Request};
         let scale = self.model.residual_tail(self.read_slot());
         let part = self.model.shape_partition();
@@ -883,12 +945,12 @@ impl GreedyScheduler {
         if entries.is_empty() {
             return None;
         }
-        let u = self.rng.gen::<f64>();
+        let u = rng.gen::<f64>();
         draw_weighted(u, entries.iter().copied())
     }
 
     /// Uniformly samples an untouched request of utility class `c`.
-    fn sample_untouched_in_class(&mut self, c: usize) -> Option<RequestId> {
+    fn sample_untouched_in_class(&self, c: usize, rng: &mut StdRng) -> Option<RequestId> {
         let class = self.ctx.classes.class(c);
         let len = class.len();
         if len == self.touched_per_class[c] {
@@ -899,7 +961,7 @@ impl GreedyScheduler {
         // almost immediately.  A deterministic fallback scan guards
         // pathological cases.
         for _ in 0..64 {
-            let candidate = class.member(self.rng.gen_range(0..len));
+            let candidate = class.member(rng.gen_range(0..len));
             if !is_touched(&self.touched, candidate) {
                 return Some(candidate);
             }
@@ -910,9 +972,9 @@ impl GreedyScheduler {
     /// Draws one of `kept` proportionally to its gain, among those whose
     /// gain is positive: the draw of a batch that names its allowance of
     /// requests.  `None`, with no random draw, when there are none.
-    fn draw_among(&mut self, kept: &[RequestId]) -> Option<RequestId> {
+    fn draw_among(&self, kept: &[RequestId], rng: &mut StdRng) -> Option<RequestId> {
         self.positive_gains(kept).next()?;
-        let u = self.rng.gen::<f64>();
+        let u = rng.gen::<f64>();
         draw_weighted(u, self.positive_gains(kept))
     }
 
@@ -931,18 +993,26 @@ impl GreedyScheduler {
     /// how often Listing 1 checks for a new distribution: a session asks
     /// for what its sender queue lacks.
     pub fn next_batch(&mut self, count: usize) -> Schedule {
-        self.draw_batch(count, None)
+        let mut out = VecDeque::with_capacity(count);
+        self.draw_batch(count, None, &mut out);
+        out.into()
     }
 
-    /// [`next_batch`](Self::next_batch) from at most `max_distinct` requests.
-    fn draw_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
-        let mut out = Vec::with_capacity(count);
+    /// Appends to `out` up to `count` blocks from at most `max_distinct`
+    /// requests, each drawn with its slot's randomness.
+    fn draw_batch(
+        &mut self,
+        count: usize,
+        max_distinct: Option<usize>,
+        out: &mut VecDeque<BlockRef>,
+    ) {
         // The batch's requests in first-draw order, tracked under a limit.
         let mut kept: Vec<RequestId> = Vec::new();
-        while out.len() < count {
+        for _ in 0..count {
+            let mut rng = self.slot_rng();
             let drawn = match max_distinct {
-                Some(limit) if kept.len() >= limit => self.draw_among(&kept),
-                _ => self.sample_request(),
+                Some(limit) if kept.len() >= limit => self.draw_among(&kept, &mut rng),
+                _ => self.sample_request(&mut rng),
             };
             let Some(q) = drawn else {
                 break;
@@ -954,38 +1024,54 @@ impl GreedyScheduler {
             let block = BlockRef::new(q, have);
             // Only a meta draw reaches an untouched request, and
             // materialized requests are always touched.
-            let newly_touched = self.mark_touched(q);
-            debug_assert!(!newly_touched || !self.model.is_materialized(q));
+            let touched = self.mark_touched(q);
+            debug_assert!(!touched || !self.model.is_materialized(q));
             self.since_install += 1;
             // Delivered to the simulated ring as it is scheduled; the logged
             // eviction is what a rollback of this block restores.
             let evicted = self.ring.insert(block);
-            self.unconfirmed.push_back((block, evicted));
-            out.push(block);
-            self.refresh_after_allocation(q, evicted, newly_touched);
+            self.unconfirmed.push_back(Unconfirmed {
+                block,
+                evicted,
+                touched,
+                compacted: false,
+            });
+            out.push_back(block);
+            self.refresh_after_allocation(q, evicted, touched);
             if let Some(old) = evicted {
                 self.note_eviction(old.request);
             }
             #[cfg(feature = "audit")]
             self.audit_on_block();
         }
-        out
+    }
+
+    /// Whether an eviction that left `r` out of the ring departs it from the
+    /// shared tail: it is not materialized and holds no resident block.
+    fn departs(&self, r: RequestId) -> bool {
+        !self.model.is_materialized(r) && !self.ring.contains(r)
     }
 
     /// Counts a shared-tail request departed when an eviction took its last
     /// resident block.  Once departures dominate the shared segment
     /// (`departed > 32 && departed · 2 > len`), every departed request goes
-    /// back to its meta class and the sampler compacts the segment in order.
-    /// With the meta-request optimization off no request leaves the touched
-    /// set, so the compaction keeps every member.
+    /// back to its meta class and the sampler compacts the segment in order;
+    /// the segment as it stood is kept until the draw is confirmed, for a
+    /// diffed update's rollback.  With the meta-request optimization off no
+    /// request leaves the touched set, so the compaction keeps every member.
     fn note_eviction(&mut self, r: RequestId) {
-        if self.model.is_materialized(r) || self.ring.contains(r) {
+        if !self.departs(r) {
             return;
         }
         self.departed += 1;
         let len = self.sampler.shared_ids().len();
         if self.departed <= 32 || self.departed * 2 <= len {
             return;
+        }
+        let before = (self.sampler.shared_ids().to_vec(), self.departed);
+        self.compactions.push_back(before);
+        if let Some(sent) = self.unconfirmed.back_mut() {
+            sent.compacted = true;
         }
         self.departed = 0;
         for i in 0..len {
@@ -998,6 +1084,15 @@ impl GreedyScheduler {
         self.sampler.compact_shared(|r| is_touched(touched, r));
         self.sync_meta_counts();
     }
+}
+
+/// The SplitMix64 finalizer of `x` after one golden-ratio step: keys the
+/// per-slot generators.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// The canonical model of `summary` under `cfg`'s horizon, slot duration
@@ -1192,7 +1287,7 @@ impl GreedyScheduler {
     /// holds the ring's newest entries, newest last.
     fn audit_check_slot_alignment(&self, report: &mut AuditReport) {
         report.begin(AuditCheck::SlotAlignment);
-        let logged = self.unconfirmed.iter().rev().map(|&(block, _)| block);
+        let logged = self.unconfirmed.iter().rev().map(|sent| sent.block);
         let mismatch = logged
             .zip(self.ring.iter().rev())
             .enumerate()
@@ -1317,7 +1412,11 @@ impl Scheduler for GreedyScheduler {
     /// Confirms the oldest unconfirmed block; a confirmation of any other
     /// block means the ring left the client's.
     fn note_sent(&mut self, block: BlockRef) {
-        let oldest = self.unconfirmed.pop_front().map(|(logged, _)| logged);
+        let oldest = self.unconfirmed.pop_front();
+        if oldest.is_some_and(|sent| sent.compacted) {
+            self.compactions.pop_front();
+        }
+        let oldest = oldest.map(|sent| sent.block);
         if oldest != Some(block) {
             let what = "a confirmation does not name the oldest unconfirmed log entry";
             let noted = self.audit_note_misalignment(self.since_install, what);
@@ -1349,8 +1448,13 @@ impl Scheduler for GreedyScheduler {
         GreedyScheduler::audit_report(self)
     }
 
-    fn next_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
-        self.draw_batch(count, max_distinct)
+    fn next_batch(
+        &mut self,
+        count: usize,
+        max_distinct: Option<usize>,
+        out: &mut VecDeque<BlockRef>,
+    ) {
+        self.draw_batch(count, max_distinct, out);
     }
 
     /// Takes effect on the next prediction update (the current materialized
@@ -2321,11 +2425,11 @@ mod tests {
             let catalog = Arc::new(ResponseCatalog::uniform(30, 6, 1000));
             let mut s = GreedyScheduler::new(cfg, utility, catalog);
             s.update_prediction(&pred, 0);
-            assert!(Scheduler::next_batch(&mut s, 4, Some(0)).is_empty());
+            assert!(crate::scheduler::drawn(&mut s, 4, Some(0)).is_empty());
             let mut all = Vec::new();
             for k in (1..=4).cycle().take(16) {
                 let mut next = Scheduler::simulated_cache(&s);
-                let batch = Scheduler::next_batch(&mut s, 7, Some(k));
+                let batch = crate::scheduler::drawn(&mut s, 7, Some(k));
                 for b in &batch {
                     let want = next.entry(b.request).or_insert(0);
                     assert_eq!(b.index, *want, "{b} does not continue its prefix");
@@ -2344,7 +2448,7 @@ mod tests {
         );
         // One request of two blocks: the batch shrinks to them.
         let mut s = mk(4, 2, 8, true);
-        let batch = Scheduler::next_batch(&mut s, 8, Some(1));
+        let batch = crate::scheduler::drawn(&mut s, 8, Some(1));
         let r = batch[0].request;
         assert_eq!(batch, vec![BlockRef::new(r, 0), BlockRef::new(r, 1)]);
     }
@@ -2788,6 +2892,126 @@ mod tests {
                         meta
                     );
                     prop_assert_eq!(&lazy_ring, &scan_ring, "ring diverged (meta={})", meta);
+                }
+            }
+        }
+
+        /// Two schedulers on one seed and one op stream: each round `ahead`
+        /// draws up to `extra` blocks more than the sender confirms, `exact`
+        /// only those, and the round ends in a whole update, a delta or a
+        /// refusal of the first unconfirmed block.  The committed blocks and
+        /// the simulated rings must agree after every round.
+        #[allow(clippy::too_many_arguments)]
+        fn depth_invariance(
+            variant: SamplerVariant,
+            meta: bool,
+            n: usize,
+            blocks: u32,
+            cache: usize,
+            seed: u64,
+            utility: &UtilityModel,
+            ops: &[(u8, usize, usize)],
+        ) {
+            let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 100));
+            let cfg = GreedySchedulerConfig {
+                cache_blocks: cache,
+                seed,
+                sampler: variant,
+                use_meta_request: meta,
+                ..Default::default()
+            };
+            let mk = || GreedyScheduler::new(cfg.clone(), utility.clone(), catalog.clone());
+            let (mut ahead, mut exact) = (mk(), mk());
+            let (mut ahead_uplink, mut exact_uplink) = (DirectUplink::new(), DirectUplink::new());
+            let mut evolving: Vec<(usize, f64)> = vec![(0, 0.3), (1 % n, 0.2)];
+            for (round, &(kind, a, b)) in ops.iter().enumerate() {
+                let (confirm, extra) = (a % (2 * cache) + 1, b % 9);
+                let drawn = ahead.next_batch(confirm + extra);
+                let committed = exact.next_batch(confirm);
+                prop_assert_eq!(committed.len(), confirm.min(drawn.len()));
+                prop_assert_eq!(&drawn[..committed.len()], &committed[..], "round {}", round);
+                for &block in &committed {
+                    ahead.note_sent(block);
+                    exact.note_sent(block);
+                }
+                match kind % 5 {
+                    0 => {
+                        let pred = PredictionSummary::point(n, RequestId::from(a % n), Time::ZERO);
+                        ahead.update_prediction(&pred, 0);
+                        exact.update_prediction(&pred, 0);
+                    }
+                    1 => {
+                        let pred = PredictionSummary::uniform(n, Time::ZERO);
+                        ahead.update_prediction(&pred, 0);
+                        exact.update_prediction(&pred, 0);
+                    }
+                    4 => {
+                        // The refused block is the first unconfirmed one;
+                        // `exact` draws it now, from the same slot.
+                        let refused = match drawn.get(committed.len()) {
+                            Some(&block) => Some(block),
+                            None => ahead.next_batch(1).first().copied(),
+                        };
+                        let redrawn = exact.next_batch(1).first().copied();
+                        prop_assert_eq!(refused, redrawn, "round {}", round);
+                        if let Some(refused) = refused {
+                            ahead.drop_unsent(refused);
+                            exact.drop_unsent(refused);
+                        }
+                    }
+                    _ => {
+                        // An overlapping re-prediction, shipped as a delta
+                        // once the first summary has installed.
+                        let r = b % n;
+                        match evolving.iter().position(|e| e.0 == r) {
+                            Some(i) => evolving[i].1 = (a % 9 + 1) as f64 / 30.0,
+                            None if evolving.len() < 6 => evolving.push((r, 0.05)),
+                            None => {
+                                evolving.remove(a % evolving.len());
+                            }
+                        }
+                        let entries = evolving
+                            .iter()
+                            .map(|&(r, p)| (RequestId::from(r), p))
+                            .collect();
+                        let mass: f64 = evolving.iter().map(|e| e.1).sum();
+                        let pred = sparse_pred(n, entries, (1.0 - mass).max(0.1));
+                        ahead_uplink.ship(&mut ahead, &pred);
+                        exact_uplink.ship(&mut exact, &pred);
+                        prop_assert_eq!(ahead.diff_applied_updates(), exact.diff_applied_updates());
+                    }
+                }
+                prop_assert_eq!(
+                    ahead.simulated_ring(),
+                    exact.simulated_ring(),
+                    "round {}",
+                    round
+                );
+                prop_assert!(ahead.debug_weight_divergence().is_empty());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Drawing `k` blocks ahead, confirming `j ≤ k` of them and then
+            /// updating (whole or delta) or refusing the next commits what
+            /// drawing `j` would have, for both sampler variants, meta on
+            /// and off: a rolled-back draw leaves no trace, compactions of
+            /// the shared segment among the rolled-back draws included.
+            #[test]
+            fn drawing_ahead_commits_what_drawing_exactly_would(
+                n in 2usize..160,
+                blocks in 1u32..6,
+                cache in 2usize..24,
+                seed in 0u64..10_000,
+                ops in collection::vec((0u8..5, 0usize..64, 0usize..64), 1..16)
+            ) {
+                let utility = heterogeneous_utility(n, blocks);
+                for variant in ALL_VARIANTS {
+                    for meta in [true, false] {
+                        depth_invariance(variant, meta, n, blocks, cache, seed, &utility, &ops);
+                    }
                 }
             }
         }

@@ -24,7 +24,7 @@ pub mod optimal;
 #[cfg(any(test, feature = "audit"))]
 mod reference;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::distribution::PredictionSummary;
@@ -39,6 +39,15 @@ pub use optimal::{BruteForceScheduler, OptimalScheduler};
 
 /// An ordered sequence of blocks for the sender to push, most urgent first.
 pub type Schedule = Vec<BlockRef>;
+
+/// The blocks [`Scheduler::next_batch`] appends to an empty queue, for the
+/// scheduler tests to compare.
+#[cfg(test)]
+pub(crate) fn drawn(s: &mut dyn Scheduler, count: usize, max_distinct: Option<usize>) -> Schedule {
+    let mut out = VecDeque::new();
+    s.next_batch(count, max_distinct, &mut out);
+    out.into()
+}
 
 /// The pluggable scheduling interface of the server (§5).
 ///
@@ -93,12 +102,18 @@ pub trait Scheduler: Send {
         self.update_prediction(summary);
     }
 
-    /// Emits up to `count` blocks in push order, from at most
+    /// Appends to `out` up to `count` blocks in push order, from at most
     /// `max_distinct` distinct requests (§5.4's `C − n`); a batch whose
     /// allowed requests run out of useful blocks ends early, and `Some(0)`
-    /// emits nothing.  Otherwise an empty result means no block currently
+    /// emits nothing.  Otherwise appending nothing means no block currently
     /// has positive expected gain (everything useful is sent or resident).
-    fn next_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule;
+    /// The caller's queue is the output, so a refill allocates nothing.
+    fn next_batch(
+        &mut self,
+        count: usize,
+        max_distinct: Option<usize>,
+        out: &mut VecDeque<BlockRef>,
+    );
 
     /// Confirms that `block` (previously emitted by
     /// [`next_batch`](Scheduler::next_batch)) was actually placed on the
@@ -1184,7 +1199,10 @@ impl SlotPlan {
             let pi = a as usize;
             let p = &pairs[pi];
             let e = (1.0 - frac) * p.sum_a + frac * p.sum_b;
-            let resid_raw = if p.union >= n {
+            // Two slices without residual mass blend to none, whatever
+            // `1 - e` rounds to.
+            let no_residual = rpp[pi] <= 0.0 && rpp[pi + 1] <= 0.0;
+            let resid_raw = if p.union >= n || no_residual {
                 0.0
             } else {
                 (1.0 - e).max(0.0)

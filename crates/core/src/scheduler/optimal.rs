@@ -258,12 +258,17 @@ macro_rules! impl_replan_scheduler {
                 self.state.adopt(plan);
             }
 
-            fn next_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
+            fn next_batch(
+                &mut self,
+                count: usize,
+                max_distinct: Option<usize>,
+                out: &mut VecDeque<BlockRef>,
+            ) {
                 if !self.state.planned {
                     let plan = self.schedule(&self.state.model);
                     self.state.adopt(plan);
                 }
-                self.state.pop_batch(count, max_distinct)
+                out.extend(self.state.pop_batch(count, max_distinct));
             }
 
             fn note_sent(&mut self, _block: BlockRef) {
@@ -570,8 +575,8 @@ mod tests {
         // into the plan (no blocks issued in between, so both plans start
         // from an empty cache).
         assert_eq!(
-            Scheduler::next_batch(&mut twice, 2 * n, None),
-            Scheduler::next_batch(&mut fresh, 2 * n, None),
+            crate::scheduler::drawn(&mut twice, 2 * n, None),
+            crate::scheduler::drawn(&mut fresh, 2 * n, None),
             "replan after a second update diverged from a fresh scheduler"
         );
     }
@@ -586,17 +591,17 @@ mod tests {
         let mut limited = OptimalScheduler::new(utility, catalog).with_horizon(12);
         Scheduler::update_prediction(&mut full, &pred);
         Scheduler::update_prediction(&mut limited, &pred);
-        let plan = Scheduler::next_batch(&mut full, 12, None);
+        let plan = crate::scheduler::drawn(&mut full, 12, None);
         // Where each request first appears: the batch stops at the third.
         let firsts: Vec<usize> = (0..plan.len())
             .filter(|&i| plan[..i].iter().all(|b| b.request != plan[i].request))
             .collect();
         let cut = firsts[2];
         assert_eq!(
-            Scheduler::next_batch(&mut limited, 12, Some(2)),
+            crate::scheduler::drawn(&mut limited, 12, Some(2)),
             plan[..cut]
         );
-        assert_eq!(Scheduler::next_batch(&mut limited, 12, None), plan[cut..]);
+        assert_eq!(crate::scheduler::drawn(&mut limited, 12, None), plan[cut..]);
     }
 
     #[test]
@@ -607,14 +612,14 @@ mod tests {
         let pred = PredictionSummary::point(n, RequestId(2), Time::ZERO);
         let mut s = OptimalScheduler::new(utility, catalog).with_horizon(12);
         Scheduler::update_prediction(&mut s, &pred);
-        let first = Scheduler::next_batch(&mut s, 1, None)[0];
+        let first = crate::scheduler::drawn(&mut s, 1, None)[0];
         assert_eq!(first, BlockRef::new(RequestId(2), 0));
         Scheduler::drop_unsent(&mut s, first);
-        let rest = Scheduler::next_batch(&mut s, 12, None);
+        let rest = crate::scheduler::drawn(&mut s, 12, None);
         assert!(!rest.is_empty());
         assert!(rest.iter().all(|b| b.request != first.request), "{rest:?}");
         Scheduler::update_prediction(&mut s, &pred);
-        let replanned = Scheduler::next_batch(&mut s, 12, None);
+        let replanned = crate::scheduler::drawn(&mut s, 12, None);
         assert!(replanned.contains(&first), "{replanned:?}");
     }
 

@@ -62,7 +62,14 @@ pub struct ServerConfig {
     pub scheduler: GreedySchedulerConfig,
     /// Initial bandwidth estimate used before the client reports rates.
     pub initial_bandwidth: Bandwidth,
-    /// How many blocks to keep queued between the scheduler and the sender.
+    /// How many blocks to keep queued between the scheduler and the sender:
+    /// a refill draws what the queue lacks, and every prediction update
+    /// rolls back what it still holds.  Each draw's randomness is keyed by
+    /// the seed, the update and the slot, so without a backend concurrency
+    /// limit the depth changes the cost, not the schedule: the blocks
+    /// committed are those a refill of one block at a time would commit.
+    /// Under a limit it is the window in which the limit counts distinct
+    /// requests, so it moves the schedule too.
     pub sender_queue_target: usize,
 }
 
@@ -71,7 +78,7 @@ impl Default for ServerConfig {
         ServerConfig {
             scheduler: GreedySchedulerConfig::default(),
             initial_bandwidth: Bandwidth::from_mbps(5.625),
-            sender_queue_target: 32,
+            sender_queue_target: 8,
         }
     }
 }
@@ -225,6 +232,42 @@ mod tests {
         assert!(got >= 20, "server pushed only {got} blocks");
         assert_eq!(s.blocks_sent(), got as u64);
         assert!(s.bytes_sent() > 0);
+    }
+
+    #[test]
+    fn a_prediction_without_residual_drains_after_its_requests() {
+        // Four slices of the same ten requests at 0.1 each and no residual:
+        // a blended slot's explicit mass rounds to just under one, and the
+        // slot must still give the 54 unpredicted requests no probability.
+        use crate::distribution::{HorizonSlice, PredictionSummary, SparseDistribution};
+        let (n, blocks) = (64, 4);
+        let mut s = server(n, blocks, 1024);
+        let entries = (0..10).map(|i| (RequestId(i), 0.1)).collect();
+        let dist = SparseDistribution::from_normalized(n, entries, 0.0);
+        let slices = PredictionSummary::default_deltas()
+            .into_iter()
+            .map(|delta| HorizonSlice {
+                delta,
+                dist: dist.clone(),
+            })
+            .collect();
+        let summary = PredictionSummary::new(n, slices, Time::ZERO);
+        let full = ClientMessage::PredictorFull {
+            generation: 1,
+            summary,
+        };
+        s.on_message(CLIENT, &full, Time::ZERO);
+        let (mut served, mut outside) = (0, 0);
+        while let Some(b) = next_block(&mut s, Time::ZERO) {
+            served += 1;
+            outside += usize::from(b.meta.block.request.index() >= 10);
+            assert!(served <= 256, "the session never drains");
+        }
+        assert_eq!(
+            (served, outside),
+            (40, 0),
+            "(served, outside the prediction)"
+        );
     }
 
     #[test]

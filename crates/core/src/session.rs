@@ -224,8 +224,8 @@ impl Session {
             return;
         }
         let want = self.queue_target - self.queue.len();
-        let batch = self.scheduler.next_batch(want, concurrency_limit);
-        self.queue.extend(batch);
+        self.scheduler
+            .next_batch(want, concurrency_limit, &mut self.queue);
     }
 
     fn max_block_size(&self) -> u64 {
@@ -1711,8 +1711,8 @@ mod tests {
         struct Stubborn;
         impl Scheduler for Stubborn {
             fn update_prediction(&mut self, _: &PredictionSummary) {}
-            fn next_batch(&mut self, count: usize, _: Option<usize>) -> crate::scheduler::Schedule {
-                vec![BlockRef::new(RequestId(0), 0); count]
+            fn next_batch(&mut self, count: usize, _: Option<usize>, out: &mut VecDeque<BlockRef>) {
+                out.extend(std::iter::repeat_n(BlockRef::new(RequestId(0), 0), count));
             }
             fn drop_unsent(&mut self, _: BlockRef) {}
             fn set_slot_duration(&mut self, _: Duration) {}
@@ -2397,8 +2397,12 @@ mod tests {
     /// and every drop the session's `simulated_cache()` must equal a client
     /// `RingCache` fed only the committed blocks.  Each case drives a `Lazy`
     /// and a `Scan` session with one seed and one op stream, meta-requests
-    /// on or off, and after every op the two must have committed the same
-    /// blocks and simulate the same cache.
+    /// on or off, plus, under no allowance, a `Lazy` session that refills
+    /// one block at a time: the draw's randomness is a function of (seed,
+    /// update, slot), so the queue's depth changes what is drawn ahead, not
+    /// what is committed.  After every op the twins must have committed the
+    /// same blocks and, the depth-1 twin once an update or a drop emptied
+    /// both queues, simulate the same cache.
     mod ring_parity {
         use super::*;
         use crate::cache::RingCache;
@@ -2497,11 +2501,24 @@ mod tests {
                 }
             }
 
-            fn apply(&mut self, kind: u8, a: u32, b: u32) -> Result<(), String> {
+            /// Applies one op; a send op sends `sends` blocks when given (a
+            /// twin follows the lead's count, as its own queue may differ),
+            /// else as many as the op's condition takes.
+            fn apply(
+                &mut self,
+                kind: u8,
+                a: u32,
+                b: u32,
+                sends: Option<usize>,
+            ) -> Result<(), String> {
                 let horizon = self.session.scheduler.horizon();
                 let wrap_offset = |s: &Session| s.blocks_sent() as usize % horizon;
-                let message = match kind % 7 {
-                    0 => {
+                let message = match (kind % 7, sends) {
+                    (0..=2, Some(count)) => {
+                        self.send_until(count, |_| false);
+                        return Ok(());
+                    }
+                    (0, None) => {
                         for _ in 0..a as usize % (2 * horizon + 1) {
                             self.send();
                         }
@@ -2509,26 +2526,26 @@ mod tests {
                     }
                     // The queue straddles a wrap: some of its blocks are the
                     // old schedule's tail, the rest the new schedule's head.
-                    1 => {
+                    (1, None) => {
                         self.send_until(2 * horizon, |s| {
                             !s.queue.is_empty() && wrap_offset(s) + s.queue.len() > horizon
                         });
                         return Ok(());
                     }
                     // The queue drained exactly at a wrap.
-                    2 => {
+                    (2, None) => {
                         let limit = horizon * self.session.queue_target.max(1) + horizon;
                         self.send_until(limit, |s| {
                             s.blocks_sent() > 0 && s.queue.is_empty() && wrap_offset(s) == 0
                         });
                         return Ok(());
                     }
-                    3 => {
+                    (3, _) => {
                         self.tracker.reset();
                         self.tracker.encode(&summary(a, b))
                     }
-                    4 => self.tracker.encode(&summary(a, b)),
-                    5 => ClientMessage::Predictor(PredictorState::Summary(summary(a, b))),
+                    (4, _) => self.tracker.encode(&summary(a, b)),
+                    (5, _) => ClientMessage::Predictor(PredictorState::Summary(summary(a, b))),
                     // The backend cannot resolve the next block: the sender
                     // drops it with the rest of its queue, and its request
                     // leaves the draw until the next prediction.
@@ -2566,34 +2583,44 @@ mod tests {
             }
         }
 
-        /// Applies one op to both twins, then compares them.
-        fn step(twins: &mut [Replay; 2], kind: u8, a: u32, b: u32) -> Result<(), String> {
+        /// Applies one op to every twin, the lead first, then compares each
+        /// with the lead: the blocks committed, and the simulated cache,
+        /// which counts the queued blocks as delivered, so the depth-1 twin's
+        /// is compared only once an update or a drop emptied both queues.
+        fn step(twins: &mut [Replay], kind: u8, a: u32, b: u32) -> Result<(), String> {
+            let (lead, rest) = twins.split_first_mut().expect("a lead twin");
+            let before = lead.session.blocks_sent();
+            lead.apply(kind, a, b, None)?;
+            let sent = (lead.session.blocks_sent() - before) as usize;
+            for (twin, name) in rest.iter_mut().zip(["Scan twin", "depth-1 twin"]) {
+                twin.apply(kind, a, b, Some(sent))?;
+                if twin.committed != lead.committed {
+                    return Err(format!(
+                        "after op ({kind}, {a}, {b}): the lead committed {:?}, the {name} {:?}",
+                        lead.committed, twin.committed
+                    ));
+                }
+                let (lead_cache, twin_cache) = (
+                    lead.session.simulated_cache(),
+                    twin.session.simulated_cache(),
+                );
+                let queues_differ = name == "depth-1 twin" && kind % 7 < 3;
+                if lead_cache != twin_cache && !queues_differ {
+                    return Err(format!(
+                        "after op ({kind}, {a}, {b}): the lead simulates {lead_cache:?}, \
+                         the {name} {twin_cache:?}"
+                    ));
+                }
+            }
             for twin in twins.iter_mut() {
-                twin.apply(kind, a, b)?;
+                twin.committed.clear();
             }
-            let [lazy, scan] = twins;
-            if lazy.committed != scan.committed {
-                return Err(format!(
-                    "after op ({kind}, {a}, {b}): Lazy committed {:?}, Scan {:?}",
-                    lazy.committed, scan.committed
-                ));
-            }
-            let (lazy_cache, scan_cache) = (
-                lazy.session.simulated_cache(),
-                scan.session.simulated_cache(),
-            );
-            if lazy_cache != scan_cache {
-                return Err(format!(
-                    "after op ({kind}, {a}, {b}): Lazy simulates {lazy_cache:?}, Scan {scan_cache:?}"
-                ));
-            }
-            lazy.committed.clear();
-            scan.committed.clear();
             Ok(())
         }
 
-        /// Replays `ops` on a `Lazy` and a `Scan` session under the
-        /// allowance `limit`, none when it is 0.
+        /// Replays `ops` on a `Lazy` (the lead) and a `Scan` session with
+        /// queue `queue` under the allowance `limit`, none when it is 0, and
+        /// then also on a `Lazy` session that refills one block at a time.
         fn run(
             cache_blocks: usize,
             queue: usize,
@@ -2603,8 +2630,20 @@ mod tests {
             ops: &[(u8, u32, u32)],
         ) {
             let limit = (limit > 0).then_some(limit);
-            let mut twins = [SamplerVariant::Lazy, SamplerVariant::Scan]
-                .map(|v| Replay::new(cache_blocks, queue, seed, limit, meta, v));
+            let mut twins = vec![
+                Replay::new(cache_blocks, queue, seed, limit, meta, SamplerVariant::Lazy),
+                Replay::new(cache_blocks, queue, seed, limit, meta, SamplerVariant::Scan),
+            ];
+            if limit.is_none() {
+                twins.push(Replay::new(
+                    cache_blocks,
+                    1,
+                    seed,
+                    None,
+                    meta,
+                    SamplerVariant::Lazy,
+                ));
+            }
             for &(kind, a, b) in ops {
                 if let Err(e) = step(&mut twins, kind, a, b) {
                     panic!(

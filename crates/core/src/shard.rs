@@ -776,8 +776,12 @@ mod tests {
 
     impl crate::scheduler::Scheduler for SlotProbe {
         fn update_prediction(&mut self, _: &crate::distribution::PredictionSummary) {}
-        fn next_batch(&mut self, _: usize, _: Option<usize>) -> crate::scheduler::Schedule {
-            Vec::new()
+        fn next_batch(
+            &mut self,
+            _: usize,
+            _: Option<usize>,
+            _: &mut std::collections::VecDeque<crate::types::BlockRef>,
+        ) {
         }
         /// Never called: the probe emits no block to refuse.
         fn drop_unsent(&mut self, _: crate::types::BlockRef) {}

@@ -7,10 +7,12 @@
 //! When each layout kept a `Vec` of per-block sizes, the 20-block catalog
 //! below cost 200 B and one allocation per request (2 000 000 B in 10 001
 //! allocations), and the 8-block uniform one 104 B per request.  A counting
-//! global allocator tracks live heap bytes and allocation calls (this file is
-//! its own test binary, so it counts only this test).
+//! global allocator tracks live heap bytes and allocation calls of the
+//! measuring thread inside the measured window only, so the test harness's
+//! own threads never show up in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use khameleon_core::{RequestId, ResponseCatalog, ResponseLayout};
@@ -28,20 +30,43 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // lint:allow(unsafe-block) -- `GlobalAlloc::alloc` is an unsafe fn; it forwards to `System`
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if measuring() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
     // lint:allow(unsafe-block) -- `GlobalAlloc::dealloc` is an unsafe fn; it forwards to `System`
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        if measuring() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+thread_local! {
+    /// Whether this thread's allocations count: set only around a measured
+    /// window, so allocations of the test harness's other threads never
+    /// land in one.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn measuring() -> bool {
+    MEASURING.try_with(Cell::get).unwrap_or(false)
+}
+
+/// Runs `window` with this thread's allocations counted.
+fn measured<T>(window: impl FnOnce() -> T) -> T {
+    MEASURING.set(true);
+    let out = window();
+    MEASURING.set(false);
+    out
+}
 
 /// Heap bytes a layout may cost on top of its own size.
 const PER_REQUEST: usize = 32;
@@ -51,7 +76,7 @@ const CONSTANT: usize = 1_024;
 /// Live heap bytes and allocation calls of the catalog `build` returns.
 fn footprint(build: impl FnOnce() -> ResponseCatalog) -> (usize, usize) {
     let (bytes, allocs) = (LIVE.load(Ordering::Relaxed), ALLOCS.load(Ordering::Relaxed));
-    let catalog = build();
+    let catalog = measured(build);
     let held = LIVE.load(Ordering::Relaxed).saturating_sub(bytes);
     let calls = ALLOCS.load(Ordering::Relaxed) - allocs;
     drop(catalog);
@@ -65,7 +90,6 @@ fn assert_within(what: &str, requests: usize, (bytes, allocs): (usize, usize)) {
     assert!(allocs <= 2, "{what} took {allocs} allocations");
 }
 
-// One test, so nothing else in this binary allocates while it measures.
 #[test]
 fn a_catalog_is_one_allocation_of_small_layouts() {
     assert!(std::mem::size_of::<ResponseLayout>() <= PER_REQUEST);

@@ -49,16 +49,18 @@ const SHAPES: [[f64; 4]; 4] = [
 
 /// The recorded hash.  A change that moves it changed what the delta path
 /// computes, not how fast.  Re-recorded when the scheduler began reading its
-/// model from the last prediction instead of from the schedule's start, and
-/// again when the schedule reset went (the draw layout moved).
-const PINNED_BLOCK_HASH: u64 = 0x01b6_fd3a_fa8d_1786;
+/// model from the last prediction instead of from the schedule's start,
+/// again when the schedule reset went (the draw layout moved), and again
+/// when the draw's randomness became a function of (seed, update, slot).
+const PINNED_BLOCK_HASH: u64 = 0xa50d_6bf9_9be5_5b87;
 
 /// The recorded hashes of the first `SHORT_OPS` ops with the meta-request
 /// optimisation on and off.  Both sampler variants must draw them: the
 /// parity harnesses compare the variants with each other, so only a
-/// constant sees both drift together.
-const PINNED_META_ON: u64 = 0x76d6_2fd4_6513_1c92;
-const PINNED_META_OFF: u64 = 0x61f3_5fa5_99ad_25eb;
+/// constant sees both drift together.  Re-recorded when the draw's
+/// randomness became a function of (seed, update, slot).
+const PINNED_META_ON: u64 = 0x6f40_9466_5e6b_746f;
+const PINNED_META_OFF: u64 = 0x8341_9143_0031_b4f0;
 
 struct SplitMix(u64);
 

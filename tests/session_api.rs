@@ -49,10 +49,16 @@ fn greedy(n: usize, blocks: u32, cache: usize, seed: u64) -> GreedyScheduler {
 fn boxed_greedy_schedules_identically_to_direct_calls() {
     let mut direct = greedy(200, 6, 64, 42);
     let mut boxed: Box<dyn Scheduler> = Box::new(greedy(200, 6, 64, 42));
+    // The trait appends into the caller's queue.
+    let batch_of = |s: &mut Box<dyn Scheduler>, count| {
+        let mut out = std::collections::VecDeque::new();
+        s.next_batch(count, None, &mut out);
+        Vec::from(out)
+    };
 
     // Phase 1: uniform prior, a full batch.
     let batch = direct.next_batch(32);
-    assert_eq!(batch, boxed.next_batch(32, None));
+    assert_eq!(batch, batch_of(&mut boxed, 32));
 
     // Phase 2: a concentrated prediction arrives mid-schedule, after the
     // sender put 20 of the 32 blocks on the wire.
@@ -63,7 +69,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     let pred = PredictionSummary::point(200, RequestId(17), Time::ZERO);
     direct.update_prediction(&pred, 0);
     boxed.update_prediction(&pred);
-    assert_eq!(direct.next_batch(50), boxed.next_batch(50, None));
+    assert_eq!(direct.next_batch(50), batch_of(&mut boxed, 50));
 
     // Phase 3: slot duration changes and draws run past the horizon.
     use khameleon::core::types::Duration;
@@ -72,7 +78,7 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     let uniform = PredictionSummary::uniform(200, Time::from_millis(100));
     direct.update_prediction(&uniform, 0);
     boxed.update_prediction(&uniform);
-    assert_eq!(direct.next_batch(100), boxed.next_batch(100, None));
+    assert_eq!(direct.next_batch(100), batch_of(&mut boxed, 100));
 
     // The simulated caches agree exactly as well.
     assert_eq!(direct.simulated_cache(), boxed.simulated_cache());
