@@ -15,12 +15,13 @@
 //!    registers requests locally ([`client::CacheManager`]) and periodically
 //!    ships a probability distribution over future requests
 //!    ([`predictor`], [`distribution`]);
-//! 3. runs a server-side **scheduler** behind the pluggable
-//!    [`scheduler::Scheduler`] trait ([`scheduler::GreedyScheduler`],
-//!    [`scheduler::OptimalScheduler`]) that allocates network slots to blocks
-//!    so as to maximize expected user-perceived utility over the client
-//!    cache's horizon, paced by a bandwidth estimator ([`bandwidth`]) and
-//!    served from a pluggable [`server::Backend`];
+//! 3. runs a server-side **scheduler**, the greedy sampler of §5.3
+//!    ([`scheduler::GreedyScheduler`]), that allocates network slots to
+//!    blocks so as to maximize expected user-perceived utility over the
+//!    client cache's horizon, paced by a bandwidth estimator ([`bandwidth`])
+//!    and served from a pluggable [`server::Backend`]; the exact planner of
+//!    §5.2 ([`scheduler::OptimalScheduler`]) prices its schedules offline,
+//!    as in §A.1;
 //! 4. **multiplexes** many concurrent clients over one shared backend and
 //!    bandwidth budget ([`session::SessionManager`]), dividing the wire
 //!    between sessions by weighted-fair queueing, all speaking the typed
@@ -34,9 +35,9 @@
 //!
 //! ## Quick start: one client
 //!
-//! Servers are assembled with [`server::ServerBuilder`]; every component
-//! (scheduler, predictor, backend) is swappable, and the defaults give the
-//! paper's deployment: greedy scheduler over a catalog-backed store.  It
+//! Servers are assembled with [`server::ServerBuilder`]; the predictor and
+//! the backend are swappable, and the defaults give the paper's deployment:
+//! greedy scheduler over a catalog-backed store.  It
 //! builds a [`session::SessionManager`] holding one session, id 0 — one
 //! client is the one-session case of the runtime the next section shares.
 //!
@@ -144,9 +145,8 @@ pub use predictor::{
 pub use protocol::{ClientMessage, ServerEvent, SessionId};
 pub use sampling::{FenwickTree, GainSampler, SampledGroup, SamplerVariant};
 pub use scheduler::{
-    BruteForceScheduler, ExplicitPlacement, GreedyContext, GreedyScheduler, GreedySchedulerConfig,
-    HorizonModel, ModelCache, ModelDiff, OptimalScheduler, Scheduler, ShapeBucket,
-    TailShapePartition,
+    ExplicitPlacement, GreedyContext, GreedyScheduler, GreedySchedulerConfig, HorizonModel,
+    ModelCache, ModelDiff, OptimalScheduler, Scheduler, ShapeBucket, TailShapePartition,
 };
 pub use server::{Backend, CatalogBackend, ServerBuilder, ServerConfig};
 pub use session::{Session, SessionBuilder, SessionManager};

@@ -3,12 +3,13 @@
 //! Each scheduling step computes, for every request, the expected utility
 //! gain of giving it one more block — `P_{i,t} · g(B_i + 1)`, `t` slots after
 //! the last prediction update — and samples a request proportionally to that
-//! gain.  Blocks are emitted in batches of whatever size the caller asks for
-//! (a session tops its sender queue up to
-//! `ServerConfig::sender_queue_target`), so the sender is never blocked.
+//! gain.  Blocks are drawn in refills of whatever size the caller asks for
+//! (a session asks for `ServerConfig::sender_queue_target`) into the log of
+//! unconfirmed sends, which is the sender queue: [`Scheduler::next_block`]
+//! hands its blocks out oldest first, so the sender is never blocked.
 //! Each draw takes its randomness from a generator keyed by the seed, the
 //! number of prediction updates applied and the slot (a counter-based
-//! stream, as in Salmon et al., SC 2011), so the batch size is a cost, not
+//! stream, as in Salmon et al., SC 2011), so the refill size is a cost, not
 //! a schedule: drawing `k` blocks ahead, confirming `j` of them and then
 //! updating commits what drawing `j` would have.
 //! This departs from Listing 1's text but not from its behaviour: Listing 1
@@ -97,13 +98,15 @@
 //!   in one ordered compaction, once they outnumber half the shared segment
 //!   (the sampler's tombstone rule), so the segment stays within
 //!   `max(C + 32, 2C)` entries.
-//! * **Confirmed sends**: the scheduler owns the sender's position.  One
-//!   log holds every emitted block that [`Scheduler::note_sent`] has not
-//!   confirmed, oldest first; a confirmation pops its front.  A prediction
-//!   update pops the log from the back, undoes each entry on the ring
-//!   (§5.3.2) and takes `since_install` back one slot for it.  Every update
-//!   empties the log, so every logged block was drawn after the last
-//!   install and `since_install` comes back exactly.  A diffed update also
+//! * **Confirmed sends**: the scheduler owns the sender's position and its
+//!   queue.  One log holds every drawn block that [`Scheduler::note_sent`]
+//!   has not confirmed, oldest first, with a count of those already handed
+//!   out; the rest are the sender queue.  A confirmation pops the log's
+//!   front.  A prediction update pops the log from the back, undoes each
+//!   entry on the ring (§5.3.2) and takes `since_install` back one slot for
+//!   it.  Every update empties the log, and the queue with it, so every
+//!   logged block was drawn after the last install and `since_install`
+//!   comes back exactly.  A diffed update also
 //!   undoes what each draw did to the touched set, the shared segment and
 //!   its departure count (a compaction among them included, from the
 //!   segment kept until the draw is confirmed), so a rolled-back draw
@@ -117,8 +120,8 @@
 //!   install re-derives the zeroed weights.  An empty list costs each gain
 //!   one branch.
 //!
-//! Under a backend concurrency limit (§5.4) a batch names at most
-//! `max_distinct` requests ([`Scheduler::next_batch`]): once it holds that
+//! Under a backend concurrency limit (§5.4) a refill names at most
+//! `max_distinct` requests ([`Scheduler::next_block`]): once it holds that
 //! many it draws only among them, by the same weights, in a scan both
 //! variants share.  Its blocks enter the ring and the log like any other,
 //! and it ends early once they all saturate.
@@ -267,7 +270,11 @@ pub struct GreedyScheduler {
     /// back restores its evicted block, keeping the simulated ring exactly
     /// equal to the client's, which never saw the rolled-back block
     /// (§5.3.2).  Its blocks are the ring's newest entries, newest last.
+    /// The entries past the first `handed` are the sender queue.
     unconfirmed: VecDeque<Unconfirmed>,
+    /// How many of `unconfirmed`, oldest first, [`Scheduler::next_block`]
+    /// has handed out.
+    handed: usize,
     /// The shared segment and the departure count as each compaction among
     /// the unconfirmed draws found them, oldest first (see
     /// [`note_eviction`](Self::note_eviction)): what a diffed update's
@@ -361,6 +368,7 @@ impl GreedyScheduler {
             model_cache,
             since_install: 0,
             unconfirmed: VecDeque::new(),
+            handed: 0,
             compactions: VecDeque::new(),
             ring,
             touched: vec![0; num_requests.div_ceil(64)],
@@ -435,8 +443,8 @@ impl GreedyScheduler {
     ///
     /// Per §5.3.2, blocks the sender has placed on the network are immutable
     /// and the rest are re-planned.  The scheduler tells them apart itself:
-    /// every block [`next_batch`](Self::next_batch) emitted that
-    /// [`Scheduler::note_sent`] has not confirmed is rolled back first.
+    /// every drawn block that [`Scheduler::note_sent`] has not confirmed is
+    /// rolled back first.
     /// The `usize` argument is ignored; it
     /// stays only for the benchmark's frozen call surface
     /// (`kbench/src/sut.rs`).  [`Scheduler::update_prediction`] is the same
@@ -506,6 +514,7 @@ impl GreedyScheduler {
             self.ring.undo_insert(block, evicted);
             self.since_install -= 1;
         }
+        self.handed = 0;
         self.compactions.clear();
     }
 
@@ -987,25 +996,22 @@ impl GreedyScheduler {
         gains.filter(|&(_, w)| w > 0.0)
     }
 
-    /// Schedules up to `count` blocks.
-    ///
-    /// Returns the blocks in push order.  The caller picks `count`, and so
-    /// how often Listing 1 checks for a new distribution: a session asks
-    /// for what its sender queue lacks.
+    /// Hands out up to `count` blocks in push order, drawing what the log
+    /// lacks in one refill ([`Scheduler::next_block`] with no limit).
     pub fn next_batch(&mut self, count: usize) -> Schedule {
-        let mut out = VecDeque::with_capacity(count);
-        self.draw_batch(count, None, &mut out);
-        out.into()
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            let Some(block) = Scheduler::next_block(self, count - out.len(), None) else {
+                break;
+            };
+            out.push(block);
+        }
+        out
     }
 
-    /// Appends to `out` up to `count` blocks from at most `max_distinct`
-    /// requests, each drawn with its slot's randomness.
-    fn draw_batch(
-        &mut self,
-        count: usize,
-        max_distinct: Option<usize>,
-        out: &mut VecDeque<BlockRef>,
-    ) {
+    /// Logs up to `count` blocks from at most `max_distinct` requests, each
+    /// drawn with its slot's randomness.
+    fn draw_batch(&mut self, count: usize, max_distinct: Option<usize>) {
         // The batch's requests in first-draw order, tracked under a limit.
         let mut kept: Vec<RequestId> = Vec::new();
         for _ in 0..count {
@@ -1036,7 +1042,6 @@ impl GreedyScheduler {
                 touched,
                 compacted: false,
             });
-            out.push_back(block);
             self.refresh_after_allocation(q, evicted, touched);
             if let Some(old) = evicted {
                 self.note_eviction(old.request);
@@ -1170,6 +1175,7 @@ impl GreedyScheduler {
     // lint:allow(unreferenced-pub) -- the seeded fault of crates/core/tests/audit.rs
     pub fn audit_inject_unconfirmed_log_truncation(&mut self) {
         self.unconfirmed.pop_back();
+        self.handed = self.handed.min(self.unconfirmed.len());
     }
 
     /// Per-block hook: ticks the auditor and runs the structural checks at
@@ -1413,6 +1419,7 @@ impl Scheduler for GreedyScheduler {
     /// block means the ring left the client's.
     fn note_sent(&mut self, block: BlockRef) {
         let oldest = self.unconfirmed.pop_front();
+        self.handed = self.handed.saturating_sub(1);
         if oldest.is_some_and(|sent| sent.compacted) {
             self.compactions.pop_front();
         }
@@ -1448,13 +1455,13 @@ impl Scheduler for GreedyScheduler {
         GreedyScheduler::audit_report(self)
     }
 
-    fn next_batch(
-        &mut self,
-        count: usize,
-        max_distinct: Option<usize>,
-        out: &mut VecDeque<BlockRef>,
-    ) {
-        self.draw_batch(count, max_distinct, out);
+    fn next_block(&mut self, refill: usize, max_distinct: Option<usize>) -> Option<BlockRef> {
+        if self.handed == self.unconfirmed.len() {
+            self.draw_batch(refill, max_distinct);
+        }
+        let block = self.unconfirmed.get(self.handed)?.block;
+        self.handed += 1;
+        Some(block)
     }
 
     /// Takes effect on the next prediction update (the current materialized
@@ -1465,10 +1472,6 @@ impl Scheduler for GreedyScheduler {
 
     fn simulated_cache(&self) -> HashMap<RequestId, u32> {
         self.ring.resident_counts().collect()
-    }
-
-    fn horizon(&self) -> usize {
-        self.cfg.cache_blocks
     }
 
     fn prediction_updates(&self) -> u64 {
@@ -1483,8 +1486,9 @@ impl Scheduler for GreedyScheduler {
         self.sampler.live_entries()
     }
 
-    fn name(&self) -> &'static str {
-        "greedy"
+    #[cfg(test)]
+    fn queued(&self) -> usize {
+        self.unconfirmed.len() - self.handed
     }
 }
 
@@ -1512,6 +1516,18 @@ mod tests {
     use crate::types::Time;
     use crate::utility::{GainTable, LinearUtility, PiecewiseUtility, PowerUtility};
     use std::collections::HashSet;
+
+    /// The blocks one refill of `count` under `max_distinct` draws, handed
+    /// out through [`Scheduler::next_block`].
+    fn refill(s: &mut GreedyScheduler, count: usize, max_distinct: Option<usize>) -> Schedule {
+        let mut out: Schedule = Scheduler::next_block(s, count, max_distinct)
+            .into_iter()
+            .collect();
+        while Scheduler::queued(s) > 0 {
+            out.extend(Scheduler::next_block(s, count, max_distinct));
+        }
+        out
+    }
 
     fn mk(n: usize, blocks: u32, cache_blocks: usize, meta: bool) -> GreedyScheduler {
         let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 1000));
@@ -2425,11 +2441,11 @@ mod tests {
             let catalog = Arc::new(ResponseCatalog::uniform(30, 6, 1000));
             let mut s = GreedyScheduler::new(cfg, utility, catalog);
             s.update_prediction(&pred, 0);
-            assert!(crate::scheduler::drawn(&mut s, 4, Some(0)).is_empty());
+            assert!(refill(&mut s, 4, Some(0)).is_empty());
             let mut all = Vec::new();
             for k in (1..=4).cycle().take(16) {
                 let mut next = Scheduler::simulated_cache(&s);
-                let batch = crate::scheduler::drawn(&mut s, 7, Some(k));
+                let batch = refill(&mut s, 7, Some(k));
                 for b in &batch {
                     let want = next.entry(b.request).or_insert(0);
                     assert_eq!(b.index, *want, "{b} does not continue its prefix");
@@ -2448,7 +2464,7 @@ mod tests {
         );
         // One request of two blocks: the batch shrinks to them.
         let mut s = mk(4, 2, 8, true);
-        let batch = crate::scheduler::drawn(&mut s, 8, Some(1));
+        let batch = refill(&mut s, 8, Some(1));
         let r = batch[0].request;
         assert_eq!(batch, vec![BlockRef::new(r, 0), BlockRef::new(r, 1)]);
     }

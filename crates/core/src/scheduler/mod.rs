@@ -11,12 +11,13 @@
 //!   Listing 1, stored sparsely so that a 10,000-request space only pays for
 //!   the handful of requests with non-uniform probability.
 //! * [`greedy::GreedyScheduler`] is the fast single-step sampler the paper
-//!   deploys (§5.3).
+//!   deploys (§5.3), and the one scheduler a session runs.
 //! * [`optimal::OptimalScheduler`] solves the linearized finite-horizon
 //!   objective exactly (the role Gurobi plays in §5.2/§A.1) via a
-//!   maximum-weight assignment.
+//!   maximum-weight assignment.  It is an offline planner, as in the paper:
+//!   Figs. 15 and 17 and the tests price greedy against it.
 //! * A backend with limited concurrency (§5.4) bounds the distinct requests
-//!   each batch may draw ([`Scheduler::next_batch`]).
+//!   each refill may draw ([`Scheduler::next_block`]).
 
 pub mod dedup;
 pub mod greedy;
@@ -24,7 +25,7 @@ pub mod optimal;
 #[cfg(any(test, feature = "audit"))]
 mod reference;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::distribution::PredictionSummary;
@@ -35,54 +36,44 @@ use crate::utility::UtilityModel;
 pub use crate::sampling::SamplerVariant;
 pub use dedup::ModelCache;
 pub use greedy::{GreedyContext, GreedyScheduler, GreedySchedulerConfig};
-pub use optimal::{BruteForceScheduler, OptimalScheduler};
+pub use optimal::OptimalScheduler;
 
 /// An ordered sequence of blocks for the sender to push, most urgent first.
 pub type Schedule = Vec<BlockRef>;
 
-/// The blocks [`Scheduler::next_batch`] appends to an empty queue, for the
-/// scheduler tests to compare.
-#[cfg(test)]
-pub(crate) fn drawn(s: &mut dyn Scheduler, count: usize, max_distinct: Option<usize>) -> Schedule {
-    let mut out = VecDeque::new();
-    s.next_batch(count, max_distinct, &mut out);
-    out.into()
-}
-
-/// The pluggable scheduling interface of the server (§5).
+/// The scheduling interface a [`Session`](crate::session::Session) drives.
 ///
-/// A scheduler turns a stream of prediction updates into an ordered stream of
-/// blocks for the sender.  Every [`Session`](crate::session::Session) holds
-/// a `Box<dyn Scheduler>`, so the greedy sampler of §5.3, the
-/// assignment-based optimal solver of §5.2, the exhaustive
-/// [`BruteForceScheduler`], and user-supplied strategies are interchangeable
-/// without touching the server plumbing.
+/// Every session holds a `Box<dyn Scheduler>`; outside the tests it is a
+/// [`GreedyScheduler`], the scheduler the paper deploys (§5.3).  The trait
+/// is the seam the session's tests plug fakes into, which is what its
+/// defaults serve.  The exact [`OptimalScheduler`] is a planner over one
+/// model, not an implementation: [`schedule_expected_utility`] prices any
+/// schedule under a model (Eq. 2), which is how Figure 17 compares the
+/// two.
 ///
-/// The contract mirrors the sender-coordination protocol of §5.3.2:
+/// The contract mirrors the sender-coordination protocol of §5.3.2.  The
+/// scheduler keeps one log of the blocks it drew and the sender has not
+/// confirmed, oldest first; that log is the sender queue.
 ///
-/// * [`next_batch`](Scheduler::next_batch) emits up to `count` more blocks of
-///   the current schedule in push order, never repeating a block the
-///   (simulated) client cache still holds, and naming at most
-///   `max_distinct` distinct requests.
-/// * [`note_sent`](Scheduler::note_sent) confirms emitted blocks, oldest
+/// * [`next_block`](Scheduler::next_block) hands out the oldest drawn block
+///   not yet handed out, first drawing `refill` more in push order when none
+///   is left.  It never repeats a block the (simulated) client cache still
+///   holds, and one refill names at most `max_distinct` distinct requests.
+/// * [`note_sent`](Scheduler::note_sent) confirms handed-out blocks, oldest
 ///   first, as the sender places them on the network.  The scheduler alone
 ///   counts positions: no caller passes one in.
 /// * [`update_prediction`](Scheduler::update_prediction) receives the decoded
-///   client prediction; confirmed blocks are immutable, and every emitted
-///   block not yet confirmed — the sender dropped it with its queue — is
-///   rolled back and may be re-planned.
+///   client prediction; confirmed blocks are immutable, and every drawn
+///   block not yet confirmed — handed out or still queued — is rolled back
+///   and may be re-planned.
 /// * [`drop_unsent`](Scheduler::drop_unsent) reports a block the backend
 ///   refused: the unconfirmed blocks roll back, and the refused request is
 ///   drawn no more until the next update, so a session whose every useful
 ///   request is refused drains instead of drawing the same one again.
 /// * [`set_slot_duration`](Scheduler::set_slot_duration) re-calibrates the
 ///   slot length whenever the bandwidth estimate changes (§5.4).
-///
-/// Scoring is not part of the contract: [`schedule_expected_utility`] prices
-/// any drawn schedule under a model (Eq. 2), which is how Figure 17 compares
-/// the greedy and exact schedulers.
 pub trait Scheduler: Send {
-    /// Applies a fresh decoded prediction, re-planning every emitted block
+    /// Applies a fresh decoded prediction, re-planning every drawn block
     /// that [`note_sent`](Scheduler::note_sent) has not confirmed.
     fn update_prediction(&mut self, summary: &PredictionSummary);
 
@@ -90,9 +81,9 @@ pub trait Scheduler: Send {
     /// the caller (the prediction-delta path, see [`crate::delta`]) already
     /// knows exactly which requests' per-slice probabilities changed and
     /// carries the summary scalars a slot plan needs, so a diff-capable
-    /// scheduler can patch its model in `O(Δ · slices)`.  The default
-    /// ignores the hint and installs the whole summary; only schedulers
-    /// with an incremental model ([`GreedyScheduler`]) override it.
+    /// scheduler can patch its model in `O(Δ · slices)`.  The default, for
+    /// test fakes, ignores the hint and installs the whole summary;
+    /// [`GreedyScheduler`] overrides it.
     fn update_prediction_sparse(
         &mut self,
         summary: &PredictionSummary,
@@ -102,33 +93,29 @@ pub trait Scheduler: Send {
         self.update_prediction(summary);
     }
 
-    /// Appends to `out` up to `count` blocks in push order, from at most
-    /// `max_distinct` distinct requests (§5.4's `C − n`); a batch whose
-    /// allowed requests run out of useful blocks ends early, and `Some(0)`
-    /// emits nothing.  Otherwise appending nothing means no block currently
+    /// The oldest drawn block not yet handed out.  When every drawn block
+    /// has been, it first draws up to `refill` more in push order, from at
+    /// most `max_distinct` distinct requests (§5.4's `C − n`); a refill
+    /// whose allowed requests run out of useful blocks ends early, and
+    /// `Some(0)` draws nothing.  Otherwise `None` means no block currently
     /// has positive expected gain (everything useful is sent or resident).
-    /// The caller's queue is the output, so a refill allocates nothing.
-    fn next_batch(
-        &mut self,
-        count: usize,
-        max_distinct: Option<usize>,
-        out: &mut VecDeque<BlockRef>,
-    );
+    /// Two calls without a confirmation in between hand out two blocks.
+    fn next_block(&mut self, refill: usize, max_distinct: Option<usize>) -> Option<BlockRef>;
 
-    /// Confirms that `block` (previously emitted by
-    /// [`next_batch`](Scheduler::next_batch)) was actually placed on the
-    /// wire.  Blocks are confirmed in emission order, so a confirmation
-    /// always covers the oldest unconfirmed block; emitted blocks never
-    /// confirmed were dropped by the sender and are re-planned on the next
-    /// prediction update.  A
+    /// Confirms that `block` (previously handed out by
+    /// [`next_block`](Scheduler::next_block)) was actually placed on the
+    /// wire.  Blocks are confirmed in the order they were handed out, so a
+    /// confirmation always covers the oldest unconfirmed block; drawn blocks
+    /// never confirmed were dropped by the sender and are re-planned on the
+    /// next prediction update.  A
     /// [`Session`](crate::session::Session) confirms every block it commits.
-    /// The default ignores confirmations, for schedulers that re-plan
+    /// The default ignores confirmations, for test fakes that re-plan
     /// nothing.
     fn note_sent(&mut self, block: BlockRef) {
         let _ = block;
     }
 
-    /// The backend refused to resolve `refused`: rolls back every emitted
+    /// The backend refused to resolve `refused`: rolls back every drawn
     /// block not yet confirmed, which the sender dropped with it, and keeps
     /// `refused.request` out of every draw until the next prediction
     /// update.  The whole request leaves, not just the block: quality is
@@ -142,43 +129,42 @@ pub trait Scheduler: Send {
     /// counts (empty when the scheduler does not track the client cache).
     fn simulated_cache(&self) -> HashMap<RequestId, u32>;
 
-    /// The scheduling horizon `C` in blocks (the client cache size).
-    fn horizon(&self) -> usize;
-
     /// Number of prediction updates applied so far.
     fn prediction_updates(&self) -> u64;
 
     /// Prediction deltas applied as a model *diff*
     /// ([`HorizonModel::apply_update_sparse`]) rather than an install; the
-    /// default covers schedulers with no diff path.  Aggregated across
+    /// default, zero, serves test fakes.  Aggregated across
     /// sessions by [`ShardStats`](crate::shard::ShardStats).
     fn diff_applied_updates(&self) -> u64 {
         0
     }
 
-    /// Live weight entries resident in the scheduler's sampler (zero for
-    /// schedulers without an incremental sampler).  Aggregated across
+    /// Live weight entries resident in the scheduler's sampler (the
+    /// default, zero, serves test fakes).  Aggregated across
     /// sessions by [`ShardStats`](crate::shard::ShardStats) as the
     /// session layer's per-session memory observable.
     fn sampler_entries(&self) -> usize {
         0
     }
 
-    /// Short name used in logs and experiment reports.
-    fn name(&self) -> &'static str {
-        "scheduler"
+    /// Drawn blocks [`next_block`](Scheduler::next_block) has not handed
+    /// out yet: the depth of the sender queue, for the session tests.
+    #[cfg(test)]
+    fn queued(&self) -> usize {
+        0
     }
 
     /// Attaches a runtime invariant auditor (see [`crate::audit`]).  The
-    /// default is a no-op for schedulers without audit support;
-    /// [`GreedyScheduler`] overrides it.
+    /// default, a no-op, serves test fakes; [`GreedyScheduler`] overrides
+    /// it.
     #[cfg(feature = "audit")]
     fn audit_attach(&mut self, cfg: crate::audit::AuditConfig) {
         let _ = cfg;
     }
 
     /// The accumulated audit report, when an auditor is attached (`None`
-    /// otherwise, and for schedulers without audit support).
+    /// otherwise, and for test fakes).
     #[cfg(feature = "audit")]
     fn audit_report(&self) -> Option<crate::audit::AuditReport> {
         None

@@ -10,169 +10,31 @@
 //! (the paper's §A.1 micro-benchmarks use ≤ 15 requests, ≤ 30 cache slots,
 //! ≤ 15 blocks, which this solver handles exactly).
 //!
-//! A [`BruteForceScheduler`] enumerates all schedules for tiny instances and
-//! is used by the tests to certify the assignment solver's optimality.
+//! The paper deploys only the greedy scheduler (§5.3) and runs the exact
+//! program offline, to size greedy against it (Figs. 15 and 17, §A.1); so
+//! does this crate.  [`OptimalScheduler`] is a planner, not a session
+//! scheduler: it maps one [`HorizonModel`] to one schedule.  The tests bound
+//! greedy's gap against it, and an exhaustive search certifies it on tiny
+//! instances.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::block::ResponseCatalog;
-use crate::distribution::PredictionSummary;
-use crate::scheduler::{schedule_expected_utility, HorizonModel, Schedule, Scheduler};
-use crate::types::{BlockRef, Duration, RequestId};
+use crate::scheduler::{schedule_expected_utility, HorizonModel, Schedule};
+use crate::types::{BlockRef, RequestId};
 use crate::utility::UtilityModel;
-
-/// Default horizon used when an exact scheduler is driven through the
-/// [`Scheduler`] trait without an explicit [`with_horizon`] call.  Exact
-/// solvers are only practical on small instances (§A.1 caps at 30 slots), so
-/// the default is deliberately modest.
-///
-/// [`with_horizon`]: OptimalScheduler::with_horizon
-const DEFAULT_EXACT_HORIZON: usize = 32;
-
-/// Re-planning state shared by the exact schedulers when they are driven
-/// incrementally through the [`Scheduler`] trait: the current probability
-/// model, the planned-but-unconsumed tail of the schedule, and the blocks
-/// already handed out (the simulated client cache).
-struct ReplanState {
-    horizon: usize,
-    slot_duration: Duration,
-    gamma: f64,
-    model: HorizonModel,
-    pending: VecDeque<BlockRef>,
-    planned: bool,
-    delivered: HashMap<RequestId, u32>,
-    /// Blocks handed to the sender since the last prediction update, in pop
-    /// order.  On the next update, the tail the sender did *not* actually
-    /// send is rolled back out of `delivered` so it can be re-planned
-    /// (§5.3.2 — the sender's queued-but-unsent blocks are discarded by the
-    /// session when a prediction arrives).
-    issued: Vec<BlockRef>,
-    /// How many of `issued` the sender has confirmed via
-    /// [`Scheduler::note_sent`], oldest first.
-    confirmed: usize,
-    /// Requests the backend refused since the last prediction update
-    /// ([`Scheduler::drop_unsent`]), left out of every adopted plan.
-    refused: Vec<RequestId>,
-    updates: u64,
-}
-
-impl ReplanState {
-    fn new(n: usize, horizon: usize) -> Self {
-        let slot_duration = Duration::from_millis(1);
-        let gamma = 1.0;
-        ReplanState {
-            horizon,
-            slot_duration,
-            gamma,
-            model: HorizonModel::uniform(n.max(1), horizon, slot_duration, gamma),
-            pending: VecDeque::new(),
-            planned: false,
-            delivered: HashMap::new(),
-            issued: Vec::new(),
-            confirmed: 0,
-            refused: Vec::new(),
-            updates: 0,
-        }
-    }
-
-    /// Replaces the model with the build for `summary` at the current slot
-    /// duration.
-    fn refresh_model(&mut self, summary: &PredictionSummary) {
-        self.model = HorizonModel::build(summary, self.horizon, self.slot_duration, self.gamma);
-        self.refused.clear();
-        self.updates += 1;
-    }
-
-    /// Records a sender confirmation (see [`Scheduler::note_sent`]).
-    fn note_sent(&mut self) {
-        self.confirmed = (self.confirmed + 1).min(self.issued.len());
-    }
-
-    /// Rolls `delivered` back to what the sender actually placed on the
-    /// wire: blocks issued since the last update but never confirmed were
-    /// dropped by the session's queue and must become eligible for
-    /// re-planning again.
-    fn rollback_unsent(&mut self) {
-        while self.issued.len() > self.confirmed {
-            let Some(b) = self.issued.pop() else { break };
-            if let Some(d) = self.delivered.get_mut(&b.request) {
-                if *d == b.index + 1 {
-                    *d = b.index;
-                    if *d == 0 {
-                        self.delivered.remove(&b.request);
-                    }
-                }
-            }
-        }
-        // The confirmed prefix is committed for good; start a fresh window.
-        self.issued.clear();
-        self.confirmed = 0;
-    }
-
-    /// Replaces the pending tail with `plan`, dropping blocks the client
-    /// already holds (their prefix continues where delivery stopped) and
-    /// blocks of refused requests.
-    fn adopt(&mut self, plan: Schedule) {
-        self.pending = plan
-            .into_iter()
-            .filter(|b| b.index >= self.delivered.get(&b.request).copied().unwrap_or(0))
-            .filter(|b| !self.refused.contains(&b.request))
-            .collect();
-        self.planned = true;
-    }
-
-    /// Pops up to `count` planned blocks, stopping before a request beyond
-    /// the first `max_distinct`; the rest waits for the next batch.
-    fn pop_batch(&mut self, count: usize, max_distinct: Option<usize>) -> Schedule {
-        let mut out: Schedule = Vec::with_capacity(count.min(self.pending.len()));
-        let mut distinct = 0;
-        while out.len() < count {
-            let Some(&b) = self.pending.front() else {
-                break;
-            };
-            if !out.iter().any(|o| o.request == b.request) {
-                if max_distinct.is_some_and(|limit| distinct >= limit) {
-                    break;
-                }
-                distinct += 1;
-            }
-            self.pending.pop_front();
-            let have = self.delivered.entry(b.request).or_insert(0);
-            *have = (*have).max(b.index + 1);
-            self.issued.push(b);
-            out.push(b);
-        }
-        out
-    }
-}
 
 /// Exact solver for the linearized finite-horizon scheduling objective.
 pub struct OptimalScheduler {
     utility: UtilityModel,
     catalog: Arc<ResponseCatalog>,
-    state: ReplanState,
 }
 
 impl OptimalScheduler {
     /// Creates an optimal scheduler for the given utility model and catalog.
     pub fn new(utility: UtilityModel, catalog: Arc<ResponseCatalog>) -> Self {
-        let state = ReplanState::new(catalog.num_requests(), DEFAULT_EXACT_HORIZON);
-        OptimalScheduler {
-            utility,
-            catalog,
-            state,
-        }
-    }
-
-    /// Sets the horizon used when this scheduler is driven through the
-    /// [`Scheduler`] trait (one-shot [`schedule`](Self::schedule) calls take
-    /// the horizon from the model instead).
-    // lint:allow(unreferenced-pub) -- tests/session_api.rs serves sessions from a 12-slot exact scheduler
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        assert!(horizon > 0, "horizon must be positive");
-        self.state = ReplanState::new(self.catalog.num_requests(), horizon);
-        self
+        OptimalScheduler { utility, catalog }
     }
 
     /// Computes the optimal schedule of exactly `min(C, total blocks)` blocks
@@ -239,75 +101,6 @@ impl OptimalScheduler {
     }
 }
 
-/// Implements [`Scheduler`] for an exact planner carrying a `ReplanState` in
-/// `self.state` and exposing `fn schedule(&self, &HorizonModel) -> Schedule`.
-///
-/// Exact solvers re-plan from scratch on every update: the sent prefix is
-/// frozen (its blocks stay in `delivered` and never re-enter the plan),
-/// while blocks that were queued but dropped by the session are rolled back
-/// and become eligible again (§5.3.2).
-macro_rules! impl_replan_scheduler {
-    ($ty:ty, $name:literal) => {
-        impl Scheduler for $ty {
-            fn update_prediction(&mut self, summary: &PredictionSummary) {
-                // The `note_sent` contract: what was emitted and not
-                // confirmed is re-planned.
-                self.state.rollback_unsent();
-                self.state.refresh_model(summary);
-                let plan = self.schedule(&self.state.model);
-                self.state.adopt(plan);
-            }
-
-            fn next_batch(
-                &mut self,
-                count: usize,
-                max_distinct: Option<usize>,
-                out: &mut VecDeque<BlockRef>,
-            ) {
-                if !self.state.planned {
-                    let plan = self.schedule(&self.state.model);
-                    self.state.adopt(plan);
-                }
-                out.extend(self.state.pop_batch(count, max_distinct));
-            }
-
-            fn note_sent(&mut self, _block: BlockRef) {
-                self.state.note_sent();
-            }
-
-            /// Rolls the dropped blocks back and re-plans on the next batch,
-            /// without the refused request.
-            fn drop_unsent(&mut self, refused: BlockRef) {
-                self.state.rollback_unsent();
-                self.state.refused.push(refused.request);
-                self.state.planned = false;
-            }
-
-            fn set_slot_duration(&mut self, slot: Duration) {
-                self.state.slot_duration = slot;
-            }
-
-            fn simulated_cache(&self) -> HashMap<RequestId, u32> {
-                self.state.delivered.clone()
-            }
-
-            fn horizon(&self) -> usize {
-                self.state.horizon
-            }
-
-            fn prediction_updates(&self) -> u64 {
-                self.state.updates
-            }
-
-            fn name(&self) -> &'static str {
-                $name
-            }
-        }
-    };
-}
-
-impl_replan_scheduler!(OptimalScheduler, "optimal");
-
 /// Stable-reorders blocks so that, per request, block indices appear in
 /// ascending order across the slots that request occupies.
 fn reorder_prefixes(schedule: &mut [BlockRef]) {
@@ -330,7 +123,7 @@ fn reorder_prefixes(schedule: &mut [BlockRef]) {
 /// Implemented as the classic shortest-augmenting-path Hungarian algorithm on
 /// the cost matrix `max_weight - w`, padded to allow unassigned columns when
 /// there are more columns than rows.
-pub fn max_weight_assignment(weights: &[Vec<f64>]) -> Vec<Option<usize>> {
+fn max_weight_assignment(weights: &[Vec<f64>]) -> Vec<Option<usize>> {
     let rows = weights.len();
     if rows == 0 {
         return Vec::new();
@@ -411,82 +204,6 @@ pub fn max_weight_assignment(weights: &[Vec<f64>]) -> Vec<Option<usize>> {
     result
 }
 
-/// Exhaustive scheduler for tiny instances: enumerates every feasible
-/// schedule (each slot gets a distinct block) and returns the one with the
-/// highest expected utility.  Exponential; only usable for a handful of slots
-/// and blocks, and only used to certify [`OptimalScheduler`] in tests.
-pub struct BruteForceScheduler {
-    utility: UtilityModel,
-    catalog: Arc<ResponseCatalog>,
-    state: ReplanState,
-}
-
-impl BruteForceScheduler {
-    /// Creates a brute-force scheduler.
-    pub fn new(utility: UtilityModel, catalog: Arc<ResponseCatalog>) -> Self {
-        // Exhaustive search is exponential; keep the incremental-driving
-        // horizon tiny (the one-shot `schedule` call takes the horizon from
-        // the model it is given instead).
-        let state = ReplanState::new(catalog.num_requests(), 4);
-        BruteForceScheduler {
-            utility,
-            catalog,
-            state,
-        }
-    }
-
-    /// Finds the utility-maximizing schedule by exhaustive search.
-    pub fn schedule(&self, model: &HorizonModel) -> Schedule {
-        let mut blocks: Vec<BlockRef> = Vec::new();
-        for i in 0..self.catalog.num_requests().min(model.num_requests()) {
-            let r = RequestId::from(i);
-            for j in 0..self.catalog.num_blocks(r) {
-                blocks.push(BlockRef::new(r, j));
-            }
-        }
-        let slots = model.horizon().min(blocks.len());
-        assert!(
-            blocks.len() <= 10 && slots <= 6,
-            "brute force limited to tiny instances"
-        );
-        let mut best: (f64, Schedule) = (f64::NEG_INFINITY, Vec::new());
-        let mut current = Vec::with_capacity(slots);
-        let mut used = vec![false; blocks.len()];
-        self.recurse(&blocks, slots, model, &mut current, &mut used, &mut best);
-        best.1
-    }
-
-    fn recurse(
-        &self,
-        blocks: &[BlockRef],
-        slots: usize,
-        model: &HorizonModel,
-        current: &mut Vec<BlockRef>,
-        used: &mut Vec<bool>,
-        best: &mut (f64, Schedule),
-    ) {
-        if current.len() == slots {
-            let v = schedule_expected_utility(current, model, &self.utility, &HashMap::new());
-            if v > best.0 {
-                *best = (v, current.clone());
-            }
-            return;
-        }
-        for (i, b) in blocks.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            used[i] = true;
-            current.push(*b);
-            self.recurse(blocks, slots, model, current, used, best);
-            current.pop();
-            used[i] = false;
-        }
-    }
-}
-
-impl_replan_scheduler!(BruteForceScheduler, "brute-force");
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,6 +214,70 @@ mod tests {
     fn model_point(n: usize, r: u32, horizon: usize) -> HorizonModel {
         let s = PredictionSummary::point(n, RequestId(r), Time::ZERO);
         HorizonModel::build(&s, horizon, Duration::from_millis(10), 1.0)
+    }
+
+    /// Exhaustive scheduler for tiny instances: enumerates every feasible
+    /// schedule (each slot gets a distinct block) and returns the one with
+    /// the highest expected utility.  Exponential, so only for a handful of
+    /// slots and blocks, where it certifies [`OptimalScheduler`].
+    struct BruteForceScheduler {
+        utility: UtilityModel,
+        catalog: Arc<ResponseCatalog>,
+    }
+
+    impl BruteForceScheduler {
+        fn new(utility: UtilityModel, catalog: Arc<ResponseCatalog>) -> Self {
+            BruteForceScheduler { utility, catalog }
+        }
+
+        /// Finds the utility-maximizing schedule by exhaustive search.
+        fn schedule(&self, model: &HorizonModel) -> Schedule {
+            let mut blocks: Vec<BlockRef> = Vec::new();
+            for i in 0..self.catalog.num_requests().min(model.num_requests()) {
+                let r = RequestId::from(i);
+                for j in 0..self.catalog.num_blocks(r) {
+                    blocks.push(BlockRef::new(r, j));
+                }
+            }
+            let slots = model.horizon().min(blocks.len());
+            assert!(
+                blocks.len() <= 10 && slots <= 6,
+                "brute force limited to tiny instances"
+            );
+            let mut best: (f64, Schedule) = (f64::NEG_INFINITY, Vec::new());
+            let mut current = Vec::with_capacity(slots);
+            let mut used = vec![false; blocks.len()];
+            self.recurse(&blocks, slots, model, &mut current, &mut used, &mut best);
+            best.1
+        }
+
+        fn recurse(
+            &self,
+            blocks: &[BlockRef],
+            slots: usize,
+            model: &HorizonModel,
+            current: &mut Vec<BlockRef>,
+            used: &mut Vec<bool>,
+            best: &mut (f64, Schedule),
+        ) {
+            if current.len() == slots {
+                let v = schedule_expected_utility(current, model, &self.utility, &HashMap::new());
+                if v > best.0 {
+                    *best = (v, current.clone());
+                }
+                return;
+            }
+            for (i, b) in blocks.iter().enumerate() {
+                if used[i] {
+                    continue;
+                }
+                used[i] = true;
+                current.push(*b);
+                self.recurse(blocks, slots, model, current, used, best);
+                current.pop();
+                used[i] = false;
+            }
+        }
     }
 
     #[test]
@@ -543,87 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn replan_after_a_second_update_matches_a_fresh_scheduler() {
-        fn spread(n: usize, weights: &[(u32, f64)]) -> PredictionSummary {
-            PredictionSummary::new(
-                n,
-                vec![crate::distribution::HorizonSlice {
-                    delta: Duration::from_millis(50),
-                    dist: crate::distribution::SparseDistribution::from_weights(
-                        n,
-                        weights
-                            .iter()
-                            .map(|&(r, w)| (RequestId(r), w))
-                            .collect::<Vec<_>>(),
-                    ),
-                }],
-                Time::ZERO,
-            )
-        }
-        let n = 6;
-        let catalog = Arc::new(ResponseCatalog::uniform(n, 3, 100));
-        let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 3);
-        let mut twice = OptimalScheduler::new(utility.clone(), catalog.clone());
-        let mut fresh = OptimalScheduler::new(utility, catalog);
-
-        let s1 = spread(n, &[(0, 0.55), (1, 0.3), (2, 0.15)]);
-        let s2 = spread(n, &[(3, 0.55), (1, 0.3), (0, 0.15)]);
-        Scheduler::update_prediction(&mut twice, &s1);
-        Scheduler::update_prediction(&mut twice, &s2);
-        Scheduler::update_prediction(&mut fresh, &s2);
-        // A whole summary replaces the model: nothing of `s1` may survive
-        // into the plan (no blocks issued in between, so both plans start
-        // from an empty cache).
-        assert_eq!(
-            crate::scheduler::drawn(&mut twice, 2 * n, None),
-            crate::scheduler::drawn(&mut fresh, 2 * n, None),
-            "replan after a second update diverged from a fresh scheduler"
-        );
-    }
-
-    #[test]
-    fn a_limited_batch_stops_at_the_first_excess_request_and_keeps_the_rest() {
-        let n = 6;
-        let catalog = Arc::new(ResponseCatalog::uniform(n, 3, 100));
-        let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 3);
-        let pred = PredictionSummary::point(n, RequestId(2), Time::ZERO);
-        let mut full = OptimalScheduler::new(utility.clone(), catalog.clone()).with_horizon(12);
-        let mut limited = OptimalScheduler::new(utility, catalog).with_horizon(12);
-        Scheduler::update_prediction(&mut full, &pred);
-        Scheduler::update_prediction(&mut limited, &pred);
-        let plan = crate::scheduler::drawn(&mut full, 12, None);
-        // Where each request first appears: the batch stops at the third.
-        let firsts: Vec<usize> = (0..plan.len())
-            .filter(|&i| plan[..i].iter().all(|b| b.request != plan[i].request))
-            .collect();
-        let cut = firsts[2];
-        assert_eq!(
-            crate::scheduler::drawn(&mut limited, 12, Some(2)),
-            plan[..cut]
-        );
-        assert_eq!(crate::scheduler::drawn(&mut limited, 12, None), plan[cut..]);
-    }
-
-    #[test]
-    fn a_refused_request_leaves_the_plan_until_the_next_update() {
-        let n = 6;
-        let catalog = Arc::new(ResponseCatalog::uniform(n, 3, 100));
-        let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), 3);
-        let pred = PredictionSummary::point(n, RequestId(2), Time::ZERO);
-        let mut s = OptimalScheduler::new(utility, catalog).with_horizon(12);
-        Scheduler::update_prediction(&mut s, &pred);
-        let first = crate::scheduler::drawn(&mut s, 1, None)[0];
-        assert_eq!(first, BlockRef::new(RequestId(2), 0));
-        Scheduler::drop_unsent(&mut s, first);
-        let rest = crate::scheduler::drawn(&mut s, 12, None);
-        assert!(!rest.is_empty());
-        assert!(rest.iter().all(|b| b.request != first.request), "{rest:?}");
-        Scheduler::update_prediction(&mut s, &pred);
-        let replanned = crate::scheduler::drawn(&mut s, 12, None);
-        assert!(replanned.contains(&first), "{replanned:?}");
-    }
-
-    #[test]
     fn optimal_matches_brute_force_on_tiny_instances() {
         for (n, blocks, horizon, target) in
             [(3usize, 2u32, 3usize, 0u32), (2, 3, 4, 1), (3, 3, 3, 2)]
@@ -644,56 +344,126 @@ mod tests {
         }
     }
 
-    /// Optimal ≥ greedy on one objective: greedy plans from the summary,
-    /// horizon, slot duration and γ the scoring model was built from, over
-    /// several seeds of its draw.
+    /// One instance of the gap generator: a uniform `n` × `blocks` catalog
+    /// under `g(k) = (k / blocks)^exponent`, a horizon of `horizon` 10 ms
+    /// slots at γ 1.0, and one prediction slice per entry of `slices`, the
+    /// `s`-th at `30 (s + 1)` ms, each a list of `(request, weight)`.
+    struct GapCase {
+        n: usize,
+        blocks: u32,
+        horizon: usize,
+        exponent: f64,
+        slices: Vec<Vec<(u32, f64)>>,
+    }
+
+    /// Greedy's mean utility over [`GAP_SEEDS`], as a share of the
+    /// assignment solver's, never falls below this on the generator of
+    /// [`optimal_beats_or_ties_greedy`].  Its first 10 000 cases (release,
+    /// the fixed case first) read a worst share of 0.7181, a 1st percentile
+    /// of 0.775 and a median of 0.928 (see CHANGES.md); the bound is the
+    /// worst less 0.02.
+    const GAP_FLOOR: f64 = 0.698;
+    const GAP_SEEDS: u64 = 16;
+
+    impl GapCase {
+        fn summary(&self) -> PredictionSummary {
+            let slices = self.slices.iter().enumerate().map(|(s, weights)| {
+                let weights = weights
+                    .iter()
+                    .map(|&(r, w)| (RequestId(r % self.n as u32), w));
+                crate::distribution::HorizonSlice {
+                    delta: Duration::from_millis(30 * (s as u64 + 1)),
+                    dist: crate::distribution::SparseDistribution::from_weights(
+                        self.n,
+                        weights.collect(),
+                    ),
+                }
+            });
+            PredictionSummary::new(self.n, slices.collect(), Time::ZERO)
+        }
+
+        /// Greedy's mean share of the solver's utility; panics if a seed of
+        /// greedy beats the solver or, on a case small enough to enumerate,
+        /// the exhaustive search does.
+        fn greedy_share(&self) -> f64 {
+            use crate::scheduler::greedy::{GreedyScheduler, GreedySchedulerConfig};
+            let (slot, gamma) = (Duration::from_millis(10), 1.0);
+            let catalog = Arc::new(ResponseCatalog::uniform(self.n, self.blocks, 100));
+            let utility = UtilityModel::homogeneous(&PowerUtility::new(self.exponent), self.blocks);
+            let summary = self.summary();
+            let model = HorizonModel::build(&summary, self.horizon, slot, gamma);
+            let opt = OptimalScheduler::new(utility.clone(), catalog.clone());
+            let vo = opt.evaluate(&opt.schedule(&model), &model);
+            assert!(vo > 0.0, "the solver scored nothing");
+            let total = self.n * self.blocks as usize;
+            if total <= 10 && self.horizon.min(total) <= 6 {
+                let bf = BruteForceScheduler::new(utility.clone(), catalog.clone());
+                let vb = opt.evaluate(&bf.schedule(&model), &model);
+                assert!(vo >= vb - 1e-9, "solver {vo} < brute force {vb}");
+            }
+            let mut sum = 0.0;
+            for seed in 0..GAP_SEEDS {
+                let mut greedy = GreedyScheduler::new(
+                    GreedySchedulerConfig {
+                        cache_blocks: self.horizon,
+                        gamma,
+                        slot_duration: slot,
+                        seed,
+                        ..Default::default()
+                    },
+                    utility.clone(),
+                    catalog.clone(),
+                );
+                greedy.update_prediction(&summary, 0);
+                let vg = opt.evaluate(&greedy.next_batch(self.horizon), &model);
+                assert!(vg > 0.0, "seed {seed}: greedy scored nothing");
+                assert!(vo + 1e-9 >= vg, "seed {seed}: optimal {vo} < greedy {vg}");
+                sum += vg;
+            }
+            sum / GAP_SEEDS as f64 / vo
+        }
+    }
+
+    /// Optimal ≥ greedy on one objective, and greedy's mean within
+    /// [`GAP_FLOOR`] of it, on 120 cases of a seeded generator: 3–7 requests,
+    /// 2–4 blocks, a horizon of 4–11 slots, 1–3 slices of 1–4 weighted
+    /// entries, and `g(k) = (k / blocks)^e` with `e` in {¼, ½, ¾}.  Greedy
+    /// plans from the summary, horizon, slot and γ the scoring model was
+    /// built from.  The first case is the fixed instance this test began as.
     #[test]
     fn optimal_beats_or_ties_greedy() {
-        use crate::scheduler::greedy::{GreedyScheduler, GreedySchedulerConfig};
-        let n = 6;
-        let blocks = 4;
-        let horizon = 8;
-        let (slot, gamma) = (Duration::from_millis(10), 1.0);
-        let catalog = Arc::new(ResponseCatalog::uniform(n, blocks, 100));
-        let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks);
-        let summary = PredictionSummary::new(
-            n,
-            vec![crate::distribution::HorizonSlice {
-                delta: Duration::from_millis(50),
-                dist: crate::distribution::SparseDistribution::from_weights(
-                    n,
-                    vec![
-                        (RequestId(0), 0.6),
-                        (RequestId(1), 0.3),
-                        (RequestId(2), 0.1),
-                    ],
-                ),
-            }],
-            Time::ZERO,
-        );
-        let model = HorizonModel::build(&summary, horizon, slot, gamma);
-        let opt = OptimalScheduler::new(utility.clone(), catalog.clone());
-        let so = opt.schedule(&model);
-        let vo = opt.evaluate(&so, &model);
-
-        for seed in 0..16 {
-            let mut greedy = GreedyScheduler::new(
-                GreedySchedulerConfig {
-                    cache_blocks: horizon,
-                    gamma,
-                    slot_duration: slot,
-                    seed,
-                    ..Default::default()
-                },
-                utility.clone(),
-                catalog.clone(),
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let fixed = GapCase {
+            n: 6,
+            blocks: 4,
+            horizon: 8,
+            exponent: 0.5,
+            slices: vec![vec![(0, 0.6), (1, 0.3), (2, 0.1)]],
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        let entry = |rng: &mut StdRng| (rng.gen_range(0..7), f64::from(rng.gen_range(1..11)));
+        let generated = (0..120).map(|_| GapCase {
+            n: rng.gen_range(3..8),
+            blocks: rng.gen_range(2..5),
+            horizon: rng.gen_range(4..12),
+            exponent: f64::from(rng.gen_range(1..4u32)) / 4.0,
+            slices: (0..rng.gen_range(1..4))
+                .map(|_| (0..rng.gen_range(1..5)).map(|_| entry(&mut rng)).collect())
+                .collect(),
+        });
+        for case in std::iter::once(fixed).chain(generated) {
+            let share = case.greedy_share();
+            assert!(
+                share >= GAP_FLOOR,
+                "greedy reached {share:.4} of optimal, below {GAP_FLOOR}: n={} blocks={} \
+                 horizon={} exponent={} slices={:?}",
+                case.n,
+                case.blocks,
+                case.horizon,
+                case.exponent,
+                case.slices
             );
-            greedy.update_prediction(&summary, 0);
-            let sg = greedy.next_batch(horizon);
-            assert_eq!(sg.len(), horizon);
-            let vg = opt.evaluate(&sg, &model);
-            assert!(vg > 0.0, "seed {seed}: greedy scored nothing");
-            assert!(vo + 1e-9 >= vg, "seed {seed}: optimal {vo} < greedy {vg}");
         }
     }
 

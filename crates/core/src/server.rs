@@ -4,9 +4,10 @@
 //! references into actual blocks, the [`ServerConfig`] — and
 //! [`ServerBuilder`], which assembles the single-client deployment: a
 //! [`SessionManager`] holding one [`Session`](crate::session::Session)
-//! (boxed [`Scheduler`], server-side predictor, bandwidth estimator, sender
-//! queue).  There is no single-client server type: one client is the
-//! one-session case of the runtime many clients share.
+//! (greedy scheduler, server-side predictor, bandwidth estimator; the
+//! scheduler's log of drawn-but-unconfirmed blocks is the sender queue).
+//! There is no single-client server type: one client is the one-session
+//! case of the runtime many clients share.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 
 use crate::block::{Block, ResponseCatalog};
 use crate::predictor::ServerPredictor;
-use crate::scheduler::{GreedySchedulerConfig, Scheduler};
+use crate::scheduler::GreedySchedulerConfig;
 use crate::session::{SessionBuilder, SessionManager};
 use crate::types::{Bandwidth, BlockRef};
 use crate::utility::UtilityModel;
@@ -43,6 +44,12 @@ pub trait Backend: Send {
 
     /// The number of concurrent in-flight requests the backend can serve
     /// without degradation, or `None` if it scales arbitrarily (§5.4).
+    ///
+    /// A session counts the limit within one refill of its sender queue
+    /// ([`ServerConfig::sender_queue_target`] blocks), as the distinct
+    /// requests that refill may name.  A refill of `d` blocks names at most
+    /// `d` requests, so a limit of `d` or more never binds: under the
+    /// default depth of 8, a limit of 8 or more changes nothing.
     fn concurrency_limit(&self) -> Option<usize> {
         None
     }
@@ -57,19 +64,22 @@ pub trait Backend: Send {
 /// single-client server [`ServerBuilder`] assembles around one.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Scheduler configuration (cache size, batch size, γ, ...), used when
-    /// the builder constructs the default greedy scheduler.
+    /// Configuration of the session's greedy scheduler (cache size, γ,
+    /// seed, ...).
     pub scheduler: GreedySchedulerConfig,
     /// Initial bandwidth estimate used before the client reports rates.
     pub initial_bandwidth: Bandwidth,
-    /// How many blocks to keep queued between the scheduler and the sender:
-    /// a refill draws what the queue lacks, and every prediction update
-    /// rolls back what it still holds.  Each draw's randomness is keyed by
+    /// How many blocks the scheduler draws ahead of the sender: when its
+    /// queue runs dry a refill draws this many, and every prediction update
+    /// rolls back what the queue still holds.  Each draw's randomness is keyed by
     /// the seed, the update and the slot, so without a backend concurrency
     /// limit the depth changes the cost, not the schedule: the blocks
     /// committed are those a refill of one block at a time would commit.
     /// Under a limit it is the window in which the limit counts distinct
-    /// requests, so it moves the schedule too.
+    /// requests, so it moves the schedule too, and a
+    /// [`Backend::concurrency_limit`] at or above it never binds: the
+    /// default of 8 leaves a limit of 8 or more idle, where the simulator's
+    /// depth of 32 lets Fig. 14's limit of 15 bind.
     pub sender_queue_target: usize,
 }
 
@@ -107,13 +117,6 @@ impl ServerBuilder {
     /// Replaces the whole configuration.
     pub fn config(mut self, cfg: ServerConfig) -> Self {
         self.session = self.session.config(cfg);
-        self
-    }
-
-    /// Uses a custom scheduler (any [`Scheduler`] implementation) instead of
-    /// the default greedy scheduler.
-    pub fn scheduler(mut self, scheduler: Box<dyn Scheduler>) -> Self {
-        self.session = self.session.scheduler(scheduler);
         self
     }
 
@@ -339,7 +342,6 @@ mod tests {
             }
             other => panic!("expected a block, got {other:?}"),
         }
-        assert_eq!(s.session(CLIENT).unwrap().scheduler_name(), "greedy");
     }
 
     #[test]

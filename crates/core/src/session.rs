@@ -7,9 +7,9 @@
 //! and the backend's concurrency limit shapes each client's schedule on its
 //! own (§3.2, §5.4).  This module provides that layer:
 //!
-//! * [`Session`] — everything private to one client: a boxed
-//!   [`Scheduler`], a [`ServerPredictor`], the bandwidth/rate state and the
-//!   sender queue.
+//! * [`Session`] — everything private to one client: the greedy
+//!   [`Scheduler`], whose log of drawn-but-unconfirmed blocks is the sender
+//!   queue, a [`ServerPredictor`], and the bandwidth/rate state.
 //! * [`SessionManager`] — owns N sessions plus the shared [`Backend`], and
 //!   divides the link between them by weighted-fair queueing: the sessions
 //!   that may still have work sit in an index ordered by weighted service,
@@ -28,7 +28,7 @@
 //! paper's single-client server — a bare [`Session`] and a backend driven
 //! by hand.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -44,7 +44,8 @@ use crate::server::{Backend, ServerConfig};
 use crate::types::{Bandwidth, BlockRef, Duration, RequestId, Time};
 use crate::utility::UtilityModel;
 
-/// Per-client server state: scheduler, predictor, bandwidth, sender queue.
+/// Per-client server state: scheduler (and with it the sender queue),
+/// predictor, bandwidth.
 ///
 /// A `Session` never touches the backend or the wire itself — it yields
 /// [`BlockRef`]s through [`next_block_ref`](Session::next_block_ref) and is
@@ -56,7 +57,8 @@ pub struct Session {
     predictor: Box<dyn ServerPredictor>,
     catalog: Arc<ResponseCatalog>,
     bandwidth: BandwidthEstimator,
-    queue: VecDeque<BlockRef>,
+    /// How many blocks the scheduler draws when its queue runs dry
+    /// ([`ServerConfig::sender_queue_target`]).
     queue_target: usize,
     blocks_sent: u64,
     bytes_sent: u64,
@@ -141,8 +143,7 @@ impl Session {
         // no longer matches any client-side generation, so force a resync if
         // the client switches back to the delta path.
         self.shadow.clear();
-        // Queued (scheduled but unsent) blocks are rolled back and re-planned.
-        self.queue.clear();
+        // Queued (drawn but unsent) blocks are rolled back and re-planned.
         self.scheduler.update_prediction(&summary);
     }
 
@@ -150,7 +151,6 @@ impl Session {
     /// and re-plans the unsent tail of the schedule.
     pub fn on_predictor_full(&mut self, generation: u64, summary: &PredictionSummary) {
         self.shadow.install(generation, summary.clone());
-        self.queue.clear();
         self.scheduler.update_prediction(summary);
     }
 
@@ -163,7 +163,6 @@ impl Session {
     pub fn on_predictor_delta(&mut self, delta: &PredictionDelta) -> MessageOutcome {
         match self.shadow.apply_to(delta, &mut *self.scheduler) {
             Ok(()) => {
-                self.queue.clear();
                 self.delta_updates += 1;
                 MessageOutcome::Handled
             }
@@ -191,10 +190,9 @@ impl Session {
             self.exhausted = true;
             return None;
         }
-        if self.queue.is_empty() {
-            self.refill_queue(concurrency_limit);
-        }
-        let block = self.queue.pop_front();
+        let block = self
+            .scheduler
+            .next_block(self.queue_target, concurrency_limit);
         if block.is_none() {
             self.exhausted = true;
         }
@@ -210,22 +208,12 @@ impl Session {
     }
 
     /// The backend could not resolve `refused`, a block this session
-    /// returned: drops it with every other block drawn but not committed
-    /// (the sender queue), rolls them back in the scheduler and keeps
-    /// `refused`'s request out of the draw until the next prediction
+    /// returned: the scheduler rolls it back with every other block drawn
+    /// but not committed (the sender queue) and keeps `refused`'s request
+    /// out of the draw until the next prediction
     /// ([`Scheduler::drop_unsent`]).
     pub fn drop_unsent(&mut self, refused: BlockRef) {
-        self.queue.clear();
         self.scheduler.drop_unsent(refused);
-    }
-
-    fn refill_queue(&mut self, concurrency_limit: Option<usize>) {
-        if self.queue.len() >= self.queue_target {
-            return;
-        }
-        let want = self.queue_target - self.queue.len();
-        self.scheduler
-            .next_batch(want, concurrency_limit, &mut self.queue);
     }
 
     fn max_block_size(&self) -> u64 {
@@ -292,12 +280,6 @@ impl Session {
     /// [`Scheduler::sampler_entries`]).
     pub fn sampler_entries(&self) -> usize {
         self.scheduler.sampler_entries()
-    }
-
-    /// The scheduler driving this session.
-    // lint:allow(unreferenced-pub) -- tests/session_api.rs checks which scheduler a session runs
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
     }
 
     /// Attaches a runtime invariant auditor to the scheduler (no-op for
@@ -375,8 +357,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Uses a custom scheduler instead of the default [`GreedyScheduler`].
-    pub fn scheduler(mut self, scheduler: Box<dyn Scheduler>) -> Self {
+    /// Uses a custom scheduler instead of the default [`GreedyScheduler`]:
+    /// the seam the session tests plug their fakes into.
+    #[cfg(test)]
+    pub(crate) fn scheduler(mut self, scheduler: Box<dyn Scheduler>) -> Self {
         self.scheduler = Some(scheduler);
         self
     }
@@ -472,7 +456,6 @@ impl SessionBuilder {
             predictor,
             catalog,
             bandwidth,
-            queue: VecDeque::new(),
             queue_target: cfg.sender_queue_target.max(1),
             blocks_sent: 0,
             bytes_sent: 0,
@@ -1705,22 +1688,54 @@ mod tests {
         assert!(!holds_work(&limited, &ids));
     }
 
+    /// A backend concurrency limit counts distinct requests within one
+    /// refill of the sender queue, and a refill of `d` blocks names at most
+    /// `d` of them: a limit at or above the depth never binds.
+    #[test]
+    fn a_limit_at_or_above_the_refill_depth_never_binds() {
+        let depth = ServerConfig::default().sender_queue_target;
+        // The uniform prior spreads every refill over many requests.
+        let committed = |limit: Option<usize>| {
+            let mut session = Session::builder(utility(4), catalog(64, 4)).build();
+            let mut sent = Vec::new();
+            while let Some(block) = session.next_block_ref(limit) {
+                let meta = session
+                    .catalog()
+                    .layout(block.request)
+                    .block_meta(block.index);
+                session.commit(&meta.expect("scheduled blocks exist"));
+                sent.push(block);
+                if sent.len() == 200 {
+                    break;
+                }
+            }
+            sent
+        };
+        let unlimited = committed(None);
+        assert_eq!(unlimited.len(), 200);
+        for limit in [depth, depth + 1, 4 * depth] {
+            assert_eq!(
+                committed(Some(limit)),
+                unlimited,
+                "a limit of {limit} bound"
+            );
+        }
+        assert_ne!(committed(Some(1)), unlimited, "a limit of 1 did not bind");
+    }
+
     #[test]
     fn a_scheduler_that_ignores_refusals_cannot_spin_pick() {
         /// Emits block 0 of request 0 forever, whatever the backend says.
         struct Stubborn;
         impl Scheduler for Stubborn {
             fn update_prediction(&mut self, _: &PredictionSummary) {}
-            fn next_batch(&mut self, count: usize, _: Option<usize>, out: &mut VecDeque<BlockRef>) {
-                out.extend(std::iter::repeat_n(BlockRef::new(RequestId(0), 0), count));
+            fn next_block(&mut self, _: usize, _: Option<usize>) -> Option<BlockRef> {
+                Some(BlockRef::new(RequestId(0), 0))
             }
             fn drop_unsent(&mut self, _: BlockRef) {}
             fn set_slot_duration(&mut self, _: Duration) {}
             fn simulated_cache(&self) -> HashMap<RequestId, u32> {
                 HashMap::new()
-            }
-            fn horizon(&self) -> usize {
-                1
             }
             fn prediction_updates(&self) -> u64 {
                 0
@@ -2438,6 +2453,7 @@ mod tests {
         /// the blocks committed since the twins were last compared.
         struct Replay {
             session: Session,
+            horizon: usize,
             limit: Option<usize>,
             tracker: DeltaTracker,
             client: RingCache,
@@ -2468,6 +2484,7 @@ mod tests {
                     session: Session::builder(utility(BLOCKS), catalog(REQUESTS, BLOCKS))
                         .config(cfg)
                         .build(),
+                    horizon: cache_blocks,
                     limit,
                     tracker: DeltaTracker::new().with_max_delta_ratio(1.0),
                     client: RingCache::new(cache_blocks),
@@ -2511,7 +2528,7 @@ mod tests {
                 b: u32,
                 sends: Option<usize>,
             ) -> Result<(), String> {
-                let horizon = self.session.scheduler.horizon();
+                let horizon = self.horizon;
                 let wrap_offset = |s: &Session| s.blocks_sent() as usize % horizon;
                 let message = match (kind % 7, sends) {
                     (0..=2, Some(count)) => {
@@ -2528,7 +2545,8 @@ mod tests {
                     // old schedule's tail, the rest the new schedule's head.
                     (1, None) => {
                         self.send_until(2 * horizon, |s| {
-                            !s.queue.is_empty() && wrap_offset(s) + s.queue.len() > horizon
+                            let queued = s.scheduler.queued();
+                            queued > 0 && wrap_offset(s) + queued > horizon
                         });
                         return Ok(());
                     }
@@ -2536,7 +2554,7 @@ mod tests {
                     (2, None) => {
                         let limit = horizon * self.session.queue_target.max(1) + horizon;
                         self.send_until(limit, |s| {
-                            s.blocks_sent() > 0 && s.queue.is_empty() && wrap_offset(s) == 0
+                            s.blocks_sent() > 0 && s.scheduler.queued() == 0 && wrap_offset(s) == 0
                         });
                         return Ok(());
                     }

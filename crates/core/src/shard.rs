@@ -776,12 +776,8 @@ mod tests {
 
     impl crate::scheduler::Scheduler for SlotProbe {
         fn update_prediction(&mut self, _: &crate::distribution::PredictionSummary) {}
-        fn next_batch(
-            &mut self,
-            _: usize,
-            _: Option<usize>,
-            _: &mut std::collections::VecDeque<crate::types::BlockRef>,
-        ) {
+        fn next_block(&mut self, _: usize, _: Option<usize>) -> Option<crate::types::BlockRef> {
+            None
         }
         /// Never called: the probe emits no block to refuse.
         fn drop_unsent(&mut self, _: crate::types::BlockRef) {}
@@ -790,9 +786,6 @@ mod tests {
         }
         fn simulated_cache(&self) -> HashMap<RequestId, u32> {
             HashMap::new()
-        }
-        fn horizon(&self) -> usize {
-            1
         }
         fn prediction_updates(&self) -> u64 {
             0

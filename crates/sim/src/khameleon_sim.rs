@@ -58,7 +58,7 @@ pub enum BackendLatency {
 pub struct KhameleonOptions {
     /// Backend latency model.
     pub backend: BackendLatency,
-    /// Optional backend concurrency limit: each batch the scheduler draws
+    /// Optional backend concurrency limit: each refill the scheduler draws
     /// names at most this many distinct requests (§5.4), the session's
     /// whole allowance.
     pub backend_concurrency_limit: Option<usize>,

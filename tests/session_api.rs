@@ -1,18 +1,17 @@
 //! Integration tests for the session-oriented server API: scheduler-trait
-//! parity, `ServerBuilder` defaults, and multi-session fairness.
+//! parity, the sender queue under re-predictions, and multi-session
+//! fairness.
 
 use std::sync::Arc;
 
 use khameleon::core::block::{Block, ResponseCatalog};
 use khameleon::core::distribution::PredictionSummary;
 use khameleon::core::protocol::{ClientMessage, ServerEvent, SessionId};
-use khameleon::core::scheduler::{
-    GreedyScheduler, GreedySchedulerConfig, OptimalScheduler, Scheduler,
-};
+use khameleon::core::scheduler::{GreedyScheduler, GreedySchedulerConfig, Scheduler};
 use khameleon::core::server::{CatalogBackend, ServerBuilder, ServerConfig};
 use khameleon::core::session::{Session, SessionManager};
 use khameleon::core::types::{Bandwidth, RequestId, Time};
-use khameleon::core::utility::{LinearUtility, PowerUtility, UtilityModel};
+use khameleon::core::utility::{LinearUtility, UtilityModel};
 
 fn catalog(n: usize, blocks: u32) -> Arc<ResponseCatalog> {
     Arc::new(ResponseCatalog::uniform(n, blocks, 10_000))
@@ -44,16 +43,16 @@ fn greedy(n: usize, blocks: u32, cache: usize, seed: u64) -> GreedyScheduler {
 /// The tentpole parity guarantee: driving a `GreedyScheduler` through
 /// `Box<dyn Scheduler>` produces byte-identical schedules to calling the
 /// concrete type directly (the seed's direct-field path), across prediction
-/// updates, partial batches, and draws past the horizon.
+/// updates, partial batches, and draws past the horizon: a batch of the
+/// trait's is one refill of `count` blocks, handed out one by one.
 #[test]
 fn boxed_greedy_schedules_identically_to_direct_calls() {
     let mut direct = greedy(200, 6, 64, 42);
     let mut boxed: Box<dyn Scheduler> = Box::new(greedy(200, 6, 64, 42));
-    // The trait appends into the caller's queue.
     let batch_of = |s: &mut Box<dyn Scheduler>, count| {
-        let mut out = std::collections::VecDeque::new();
-        s.next_batch(count, None, &mut out);
-        Vec::from(out)
+        (0..count)
+            .map_while(|_| s.next_block(count, None))
+            .collect::<Vec<_>>()
     };
 
     // Phase 1: uniform prior, a full batch.
@@ -84,178 +83,75 @@ fn boxed_greedy_schedules_identically_to_direct_calls() {
     assert_eq!(direct.simulated_cache(), boxed.simulated_cache());
 }
 
-/// A server assembled by `ServerBuilder` with an explicit boxed greedy
-/// scheduler streams the same blocks as one using the builder's default.
-#[test]
-fn builder_with_boxed_scheduler_matches_default_server() {
-    let n = 80;
-    let blocks = 5u32;
-    let cat = catalog(n, blocks);
-    let utility = UtilityModel::homogeneous(&LinearUtility, blocks);
-    let cfg = ServerConfig {
-        scheduler: GreedySchedulerConfig {
-            cache_blocks: 48,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-
-    let mut default_server = ServerBuilder::new(utility.clone(), cat.clone())
-        .config(cfg.clone())
-        .build();
-    // The explicit scheduler mirrors what the builder would construct,
-    // including the bandwidth-derived slot duration (applied by the builder).
-    let explicit = GreedyScheduler::new(cfg.scheduler.clone(), utility.clone(), cat.clone());
-    let mut explicit_server = ServerBuilder::new(utility, cat)
-        .config(cfg)
-        .scheduler(Box::new(explicit))
-        .build();
-
-    let msg = ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
-        RequestId(5),
-    ));
-    default_server.on_message(CLIENT, &msg, Time::ZERO);
-    explicit_server.on_message(CLIENT, &msg, Time::ZERO);
-
-    for _ in 0..40 {
-        let a = next_block(&mut default_server, Time::ZERO).map(|b| b.meta.block);
-        let b = next_block(&mut explicit_server, Time::ZERO).map(|b| b.meta.block);
-        assert_eq!(a, b, "streams diverged");
-    }
-}
-
-/// The optimal scheduler slots into the same server plumbing.
-#[test]
-fn optimal_scheduler_drives_a_server() {
-    let n = 6;
-    let blocks = 3u32;
-    let cat = catalog(n, blocks);
-    let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks);
-    let mut server = ServerBuilder::new(utility.clone(), cat.clone())
-        .scheduler(Box::new(
-            OptimalScheduler::new(utility, cat).with_horizon(12),
-        ))
-        .build();
-    assert_eq!(server.session(CLIENT).unwrap().scheduler_name(), "optimal");
-    server.on_message(
-        CLIENT,
-        &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
-            RequestId(2),
-        )),
-        Time::ZERO,
-    );
-    let first = next_block(&mut server, Time::ZERO).expect("a block");
-    assert_eq!(first.meta.block.request, RequestId(2));
-    assert_eq!(first.meta.block.index, 0);
-    // The exact solver schedules the certain request's full prefix first.
-    let second = next_block(&mut server, Time::ZERO).expect("a second block");
-    assert_eq!(
-        second.meta.block,
-        khameleon::core::types::BlockRef::new(RequestId(2), 1)
-    );
+fn predict(server: &mut SessionManager, request: u32, now: Time) {
+    let state = khameleon::core::predictor::PredictorState::LastRequest(RequestId(request));
+    server.on_message(CLIENT, &ClientMessage::Predictor(state), now);
 }
 
 /// Regression: a re-prediction must not lose the blocks that were queued in
-/// the sender but never sent.  The session discards its queue when a
-/// prediction arrives; the exact schedulers must roll those blocks back and
-/// re-plan them rather than treating them as delivered.
+/// the sender but never sent.  The scheduler's log is the sender queue; an
+/// update must roll its unsent blocks back and re-plan them rather than
+/// treat them as delivered.
 #[test]
-fn optimal_scheduler_replans_queued_but_unsent_blocks() {
-    let n = 4;
-    let blocks = 3u32;
-    let cat = catalog(n, blocks);
-    let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks);
-    let mut server = ServerBuilder::new(utility.clone(), cat.clone())
-        .scheduler(Box::new(
-            OptimalScheduler::new(utility, cat).with_horizon(12),
-        ))
-        .build();
+fn a_re_prediction_replans_queued_but_unsent_blocks() {
+    let mut server =
+        ServerBuilder::new(UtilityModel::homogeneous(&LinearUtility, 3), catalog(4, 3)).build();
 
-    // Prime the schedule and let exactly one block (of request 0's plan) go
-    // out; the rest of the 12-block plan sits in the sender queue.
-    server.on_message(
-        CLIENT,
-        &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
-            RequestId(0),
-        )),
-        Time::ZERO,
-    );
+    // Prime the schedule and let exactly one block of request 0 go out;
+    // the rest of the refill sits in the sender queue.
+    predict(&mut server, 0, Time::ZERO);
     let first = next_block(&mut server, Time::ZERO).expect("first block");
     assert_eq!(first.meta.block.request, RequestId(0));
 
-    // A new prediction arrives: the queued-but-unsent blocks are discarded
-    // by the session and must be re-planned, not considered delivered.
-    server.on_message(
-        CLIENT,
-        &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
-            RequestId(3),
-        )),
-        Time::from_millis(10),
+    // A new prediction arrives: the queued-but-unsent blocks roll back, and
+    // the scheduler's view of the client holds the one block sent.
+    predict(&mut server, 3, Time::from_millis(10));
+    let simulated = server.session(CLIENT).unwrap().simulated_cache();
+    assert_eq!(
+        simulated,
+        [(RequestId(0), 1)].into_iter().collect(),
+        "unsent blocks counted as delivered"
     );
-    let mut delivered = std::collections::HashSet::new();
-    delivered.insert(first.meta.block);
+    let mut delivered = std::collections::HashSet::from([first.meta.block]);
     while let Some(b) = next_block(&mut server, Time::from_millis(10)) {
         assert!(delivered.insert(b.meta.block), "duplicate {b:?}");
-        if delivered.len() > 64 {
-            panic!("runaway stream");
-        }
+        assert!(delivered.len() <= 64, "runaway stream");
     }
-    // Every block of the tiny catalog is deliverable: nothing was lost to
-    // the discarded queue (12 = n * blocks).
+    // Request 0's rolled-back blocks are sent once it is predicted again.
+    predict(&mut server, 0, Time::from_millis(20));
+    let next = next_block(&mut server, Time::from_millis(20)).expect("a block");
     assert_eq!(
-        delivered.len(),
-        n * blocks as usize,
-        "blocks lost after re-prediction: got {delivered:?}"
+        next.meta.block,
+        khameleon::core::types::BlockRef::new(RequestId(0), 1)
     );
 }
 
-/// Regression: draining exactly one full schedule between prediction updates
-/// must not make the exact scheduler re-send everything.  The sender's
-/// schedule position wraps to 0 after `horizon` sends, which is
-/// indistinguishable from "nothing sent"; the scheduler must rely on
-/// `note_sent` confirmations instead.
+/// Regression: draining exactly one refill of the sender queue between
+/// prediction updates must not make the scheduler re-send anything: the
+/// scheduler counts confirmations, not the sender's position.
 #[test]
-fn optimal_scheduler_survives_full_schedule_drain_between_updates() {
-    let n = 4;
-    let blocks = 8u32;
-    let horizon = 8;
-    let cat = catalog(n, blocks);
-    let utility = UtilityModel::homogeneous(&PowerUtility::new(0.5), blocks);
-    let mut server = ServerBuilder::new(utility.clone(), cat.clone())
-        .scheduler(Box::new(
-            OptimalScheduler::new(utility, cat).with_horizon(horizon),
-        ))
-        .build();
+fn a_full_drain_between_updates_resends_nothing() {
+    let depth = ServerConfig::default().sender_queue_target;
+    let mut server =
+        ServerBuilder::new(UtilityModel::homogeneous(&LinearUtility, 8), catalog(4, 8)).build();
 
-    server.on_message(
-        CLIENT,
-        &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
-            RequestId(1),
-        )),
-        Time::ZERO,
-    );
-    // Drain exactly one full schedule (8 blocks, all of request 1).
+    predict(&mut server, 1, Time::ZERO);
+    // Drain exactly one refill (all of request 1).
     let mut sent = std::collections::HashSet::new();
-    for _ in 0..horizon {
+    for _ in 0..depth {
         let b = next_block(&mut server, Time::ZERO).expect("schedule block");
         sent.insert(b.meta.block);
     }
-    assert_eq!(sent.len(), horizon);
+    assert_eq!(sent.len(), depth);
 
-    // Same prediction again after the wrap: nothing new to say, so the
-    // already-sent blocks must NOT be re-sent.
-    server.on_message(
-        CLIENT,
-        &ClientMessage::Predictor(khameleon::core::predictor::PredictorState::LastRequest(
-            RequestId(1),
-        )),
-        Time::from_millis(10),
-    );
+    // Same prediction again after the drain: the already-sent blocks must
+    // NOT be re-sent.
+    predict(&mut server, 1, Time::from_millis(10));
     let mut extra = 0;
     while let Some(b) = next_block(&mut server, Time::from_millis(10)) {
         assert!(
             sent.insert(b.meta.block),
-            "already-sent block {b:?} re-sent after schedule drain"
+            "already-sent block {b:?} re-sent after the drain"
         );
         extra += 1;
         assert!(extra <= 64, "runaway stream");
